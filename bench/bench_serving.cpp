@@ -10,7 +10,7 @@
 //   tapefree_single: one request at a time through the tape-free kernels
 //                    (EncodeMentionsInference + ScoreInference).
 //   server_batched:  LinkingServer micro-batching scheduler, 8 concurrent
-//                    client threads (plus an int8-retrieval variant).
+//                    client threads.
 //   server_cascade:  the batched server with the calibrated three-tier
 //                    rerank cascade (early exit / distilled / partial full
 //                    rerank), reported with per-tier counts and the
@@ -98,15 +98,6 @@ struct BenchScale {
   /// tier unexercised).
   std::size_t train_epochs = 4;
 };
-
-/// Bounded candidate pool for the TIMED int8 serving row. The old value
-/// (4096 >= the whole index) made the int8 path do strictly more work than
-/// fp32 — an int8 scan of every row PLUS an fp32 re-score of every row —
-/// which is why server_batched_int8 regressed vs fp32 in earlier runs. A
-/// bounded pool is the configuration the int8 scan exists for; exactness
-/// at the full pool is still asserted by the parity gate below, and the
-/// measured overlap at this bounded pool is reported in the JSON.
-constexpr std::size_t kInt8ServePool = 256;
 
 /// One fully-served request stream: per-request latencies plus the
 /// exact-match count against each request's gold entity.
@@ -354,7 +345,7 @@ int main(int argc, char** argv) {
   };
 
   if (cascade_smoke) {
-    // ---- Reduced cascade gate run (check.sh stage 9): no timings, only
+    // ---- Reduced cascade gate run (ctest label "smoke"): no timings, only
     // the correctness contracts of the cascade.
     std::printf("=== Cascade smoke gates (%zu entities, %zu requests, "
                 "k=%zu) ===\n\n",
@@ -527,39 +518,28 @@ int main(int argc, char** argv) {
 
   // ---- Parity: int8 retrieval reproduces the fp32 top-64. ------------------
   // Exactness gate at the full pool (pool >= index size guarantees the
-  // true top-k survives the int8 scan) plus the measured overlap at the
-  // bounded pool the timed serving row actually uses.
+  // true top-k survives the int8 scan).
   index.Quantize();
   double int8_overlap = 0.0;
-  double int8_overlap_serve_pool = 0.0;
   {
-    std::vector<retrieval::ScoredEntity> exact, quant, quant_served;
-    std::size_t agree = 0, agree_served = 0, total = 0;
+    std::vector<retrieval::ScoredEntity> exact, quant;
+    std::size_t agree = 0, total = 0;
     const std::size_t probes = std::min<std::size_t>(64, index.size());
     for (std::size_t i = 0; i < scale.distinct_requests; ++i) {
       bi.EncodeMentionsInference({pool_examples[i]}, &encode_scratch, &q_free);
       index.TopKInto(q_free.row_data(0), probes, &topk_scratch, &exact);
       index.TopKQuantizedInto(q_free.row_data(0), probes, index.size(),
                               &topk_scratch, &quant);
-      index.TopKQuantizedInto(q_free.row_data(0), probes, kInt8ServePool,
-                              &topk_scratch, &quant_served);
-      std::set<kb::EntityId> a, b, c;
+      std::set<kb::EntityId> a, b;
       for (const auto& e : exact) a.insert(e.id);
       for (const auto& e : quant) b.insert(e.id);
-      for (const auto& e : quant_served) c.insert(e.id);
-      for (kb::EntityId id : a) {
-        agree += b.count(id);
-        agree_served += c.count(id);
-      }
+      for (kb::EntityId id : a) agree += b.count(id);
       total += a.size();
     }
     int8_overlap = total > 0 ? static_cast<double>(agree) / total : 0.0;
-    int8_overlap_serve_pool =
-        total > 0 ? static_cast<double>(agree_served) / total : 0.0;
   }
-  std::printf("[parity]           int8 R@64 overlap vs fp32 = %.4f "
-              "(pool=%zu: %.4f)\n\n",
-              int8_overlap, kInt8ServePool, int8_overlap_serve_pool);
+  std::printf("[parity]           int8 R@64 overlap vs fp32 = %.4f\n\n",
+              int8_overlap);
 
   // ---- Mode 3: micro-batching server, concurrent clients. ------------------
   const StreamResult server = DriveServer(MakeServer(base_opts).get(),
@@ -567,16 +547,6 @@ int main(int argc, char** argv) {
   std::printf("[server_batched]   p50 %7.3f ms  p99 %7.3f ms  %8.1f qps  (%.2fx)\n",
               server.mode.p50_ms, server.mode.p99_ms, server.mode.qps,
               server.mode.qps / tape.qps);
-
-  serve::ServerOptions int8_opts = base_opts;
-  int8_opts.use_quantized = true;
-  int8_opts.quantized_pool = kInt8ServePool;
-  const StreamResult server_int8 = DriveServer(MakeServer(int8_opts).get(),
-                                               requests,
-                                               scale.client_threads);
-  std::printf("[server_int8]      p50 %7.3f ms  p99 %7.3f ms  %8.1f qps  (%.2fx)\n",
-              server_int8.mode.p50_ms, server_int8.mode.p99_ms,
-              server_int8.mode.qps, server_int8.mode.qps / tape.qps);
 
   const serve::ServerStats& stats = server.stats;
   const double cache_hit_rate =
@@ -701,11 +671,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(stats.accepted),
                stats.queue_depth_high_water, stats.oldest_wait_us);
   std::fprintf(f,
-               "  \"server_batched_int8\": {\"p50_ms\": %.4f, \"p99_ms\": "
-               "%.4f, \"qps\": %.1f, \"quantized_pool\": %zu},\n",
-               server_int8.mode.p50_ms, server_int8.mode.p99_ms,
-               server_int8.mode.qps, kInt8ServePool);
-  std::fprintf(f,
                "  \"server_cascade\": {\"p50_ms\": %.4f, \"p99_ms\": %.4f, "
                "\"qps\": %.1f, \"rerank_exited\": %llu, "
                "\"rerank_distilled\": %llu, \"rerank_full\": %llu, "
@@ -741,9 +706,8 @@ int main(int argc, char** argv) {
                zipf_hit_rate, cache_hit_rate);
   std::fprintf(f,
                "  \"parity\": {\"max_score_diff\": %.3e, "
-               "\"int8_r64_overlap\": %.6f, "
-               "\"int8_r64_overlap_serve_pool\": %.6f},\n",
-               max_score_diff, int8_overlap, int8_overlap_serve_pool);
+               "\"int8_r64_overlap\": %.6f},\n",
+               max_score_diff, int8_overlap);
   std::fprintf(f, "  \"speedup_batched_vs_tape\": %.2f,\n", speedup);
   std::fprintf(f, "  \"speedup_cascade_vs_batched\": %.2f,\n",
                cascade_speedup);

@@ -1,7 +1,5 @@
 #include "kb/knowledge_base.h"
 
-#include <cstring>
-
 #include "store/checkpoint.h"
 #include "util/string_util.h"
 
@@ -157,24 +155,11 @@ util::Status KnowledgeBase::SaveToFile(const std::string& path) const {
 
 util::Result<KnowledgeBase> KnowledgeBase::LoadFromFile(
     const std::string& path) {
-  auto reader = util::BinaryReader::FromFile(path);
-  if (!reader.ok()) return reader.status();
-  std::vector<std::uint8_t> bytes;
-  METABLINK_RETURN_IF_ERROR(reader->ReadBytes(reader->Remaining(), &bytes));
-  if (bytes.size() >= 4) {
-    std::uint32_t magic = 0;
-    std::memcpy(&magic, bytes.data(), 4);
-    if (magic == store::kCheckpointMagic) {
-      auto ckpt = store::CheckpointReader::Parse(std::move(bytes));
-      if (!ckpt.ok()) return ckpt.status();
-      auto section = ckpt->Section("kb");
-      if (!section.ok()) return section.status();
-      return Load(&*section);
-    }
-  }
-  // Legacy headerless format: the raw entity/relation/triple stream.
-  util::BinaryReader legacy(std::move(bytes));
-  return Load(&legacy);
+  auto ckpt = store::CheckpointReader::FromFile(path);
+  if (!ckpt.ok()) return ckpt.status();
+  auto section = ckpt->Section("kb");
+  if (!section.ok()) return section.status();
+  return Load(&*section);
 }
 
 }  // namespace metablink::kb

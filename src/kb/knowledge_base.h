@@ -88,8 +88,7 @@ class KnowledgeBase {
 
   /// Writes a framed checkpoint container with one "kb" section.
   util::Status SaveToFile(const std::string& path) const;
-  /// Loads either a framed container or the legacy headerless raw stream
-  /// (files written before the store subsystem existed).
+  /// Loads the framed container SaveToFile writes.
   static util::Result<KnowledgeBase> LoadFromFile(const std::string& path);
 
  private:

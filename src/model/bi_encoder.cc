@@ -154,11 +154,6 @@ void BiEncoder::EncodeMentionBagsInference(std::size_t n,
   EncodeBagsInference(n, *mention_table_, *mention_proj_, scratch, out);
 }
 
-namespace {
-// Pre-store-subsystem file tag ("BI"); kept readable forever.
-constexpr std::uint32_t kLegacyBiTag = 0x4249u;
-}  // namespace
-
 void BiEncoder::SaveCheckpoint(store::CheckpointWriter* ckpt) const {
   util::BinaryWriter* config = ckpt->AddSection("bi_config");
   config->WriteU64(config_.dim);
@@ -198,29 +193,9 @@ util::Status BiEncoder::SaveToFile(const std::string& path) const {
 }
 
 util::Status BiEncoder::LoadFromFile(const std::string& path) {
-  auto reader = util::BinaryReader::FromFile(path);
-  if (!reader.ok()) return reader.status();
-  std::vector<std::uint8_t> bytes;
-  METABLINK_RETURN_IF_ERROR(reader->ReadBytes(reader->Remaining(), &bytes));
-  if (bytes.size() >= 4) {
-    std::uint32_t magic = 0;
-    std::memcpy(&magic, bytes.data(), 4);
-    if (magic == store::kCheckpointMagic) {
-      auto ckpt = store::CheckpointReader::Parse(std::move(bytes));
-      if (!ckpt.ok()) return ckpt.status();
-      return LoadCheckpoint(*ckpt);
-    }
-  }
-  // Legacy headerless format: a "BI" tag followed by the raw parameter
-  // stream.
-  util::BinaryReader legacy(std::move(bytes));
-  std::uint32_t tag = 0;
-  METABLINK_RETURN_IF_ERROR(legacy.ReadU32(&tag));
-  if (tag != kLegacyBiTag) {
-    return util::Status::InvalidArgument("not a bi-encoder checkpoint: " +
-                                         path);
-  }
-  return params_.Load(&legacy);
+  auto ckpt = store::CheckpointReader::FromFile(path);
+  if (!ckpt.ok()) return ckpt.status();
+  return LoadCheckpoint(*ckpt);
 }
 
 }  // namespace metablink::model

@@ -126,8 +126,7 @@ class CrossEncoder {
 
   /// Writes a framed checkpoint container (see store::CheckpointWriter).
   util::Status SaveToFile(const std::string& path) const;
-  /// Loads either a framed container or the legacy headerless "CR"-tagged
-  /// format (files written before the store subsystem existed).
+  /// Loads the framed container SaveToFile writes.
   util::Status LoadFromFile(const std::string& path);
 
  private:

@@ -199,15 +199,8 @@ util::Status ClusteredIndex::Build(const DenseIndex& base,
     return util::Status::InvalidArgument(
         "cannot cluster an unbuilt DenseIndex");
   }
-  if (options.use_pq) {
-    if (options.pq_nbits != 8) {
-      return util::Status::InvalidArgument(util::StrFormat(
-          "only 8-bit PQ codes are supported, got pq_nbits=%zu",
-          options.pq_nbits));
-    }
-    if (options.pq_m == 0) {
-      return util::Status::InvalidArgument("pq_m must be at least 1");
-    }
+  if (options.use_pq && options.pq_m == 0) {
+    return util::Status::InvalidArgument("pq_m must be at least 1");
   }
   const std::size_t n = base.size();
   const std::size_t d = base.dim();
@@ -407,15 +400,6 @@ std::size_t ClusteredIndex::PqMemoryBytes() const {
          pq_sub_offsets_.size() * sizeof(std::uint32_t);
 }
 
-void ClusteredIndex::DropPq() {
-  pq_m_ = 0;
-  pq_kc_ = 0;
-  pq_sub_offsets_.clear();
-  pq_codebooks_.clear();
-  pq_codes_.clear();
-  options_.use_pq = false;
-}
-
 std::size_t ClusteredIndex::ResolveNprobe(std::size_t nprobe) const {
   if (nprobe == 0) nprobe = default_nprobe_;
   return std::clamp<std::size_t>(nprobe, 1, num_clusters());
@@ -496,7 +480,6 @@ ClusteredIndex::ListView ClusteredIndex::OwnView() const {
 
 void ClusteredIndex::ScanLists(const ScanContext& ctx,
                                const std::vector<std::uint32_t>& probe,
-                               std::size_t p_begin, std::size_t p_end,
                                const ListView& view,
                                TopKScratch* scratch) const {
   const std::size_t d = base_->dim();
@@ -506,8 +489,7 @@ void ClusteredIndex::ScanLists(const ScanContext& ctx,
     // strip-scored by the dispatched kernel and offered to the bounded
     // pool, which RescoreAndSelect re-scores in fp32. One kernel per
     // process, so serial, pooled, and sharded scans build identical pools.
-    for (std::size_t p = p_begin; p < p_end; ++p) {
-      const std::uint32_t c = probe[p];
+    for (const std::uint32_t c : probe) {
       const std::uint32_t lo = view.offsets[c];
       const std::uint32_t hi = view.offsets[c + 1];
       if (lo == hi) continue;
@@ -526,8 +508,7 @@ void ClusteredIndex::ScanLists(const ScanContext& ctx,
     }
     return;
   }
-  for (std::size_t p = p_begin; p < p_end; ++p) {
-    const std::uint32_t c = probe[p];
+  for (const std::uint32_t c : probe) {
     const std::uint32_t lo = view.offsets[c];
     const std::uint32_t hi = view.offsets[c + 1];
     for (std::uint32_t idx = lo; idx < hi; ++idx) {
@@ -585,8 +566,7 @@ void ClusteredIndex::TopKInto(const float* query, std::size_t k,
   PrepareScan(query, k, scratch, &ctx);
   scratch->topk.heap.clear();
   scratch->topk.pool.clear();
-  ScanLists(ctx, scratch->probe, 0, scratch->probe.size(), OwnView(),
-            &scratch->topk);
+  ScanLists(ctx, scratch->probe, OwnView(), &scratch->topk);
   RescoreAndSelect(query, k, &scratch->topk, out);
 }
 
@@ -597,87 +577,6 @@ std::vector<ScoredEntity> ClusteredIndex::TopK(const float* query,
   std::vector<ScoredEntity> out;
   TopKInto(query, k, nprobe, &scratch, &out);
   return out;
-}
-
-void ClusteredIndex::TopKSharded(const float* query, std::size_t k,
-                                 std::size_t nprobe, util::ThreadPool* pool,
-                                 ShardedScratch* scratch,
-                                 std::vector<ScoredEntity>* out) const {
-  METABLINK_CHECK(built() && base_ != nullptr)
-      << "ClusteredIndex must be built/attached before querying";
-  out->clear();
-  k = std::min(k, size());
-  if (k == 0) return;
-  nprobe = ResolveNprobe(nprobe);
-  if (pool == nullptr || pool->num_threads() < 2 || nprobe < 2) {
-    TopKInto(query, k, nprobe, &scratch->main, out);
-    return;
-  }
-  ClusteredScratch& main = scratch->main;
-  ScoreClusters(query, &main.cluster_scores);
-  SelectProbe(main.cluster_scores, nprobe, &main.probe);
-  ScanContext ctx;
-  PrepareScan(query, k, &main, &ctx);
-  const std::size_t pool_cap = ctx.pool_cap;
-  const ListView view = OwnView();
-
-  // Entry-balanced contiguous shards over the probe list: walk the probed
-  // lists accumulating entry counts and cut at each target boundary, so a
-  // few oversized cells don't serialize the scan behind one shard.
-  std::size_t total_entries = 0;
-  for (const std::uint32_t c : main.probe) {
-    total_entries += list_offsets_[c + 1] - list_offsets_[c];
-  }
-  const std::size_t want = std::min(pool->num_threads(), nprobe);
-  std::vector<std::uint32_t>& bounds = scratch->shard_bounds;
-  bounds.clear();
-  bounds.push_back(0);
-  std::size_t acc = 0;
-  for (std::size_t p = 0; p < nprobe && bounds.size() < want; ++p) {
-    acc += list_offsets_[main.probe[p] + 1] - list_offsets_[main.probe[p]];
-    if (acc * want >= bounds.size() * std::max<std::size_t>(total_entries, 1)) {
-      bounds.push_back(static_cast<std::uint32_t>(p + 1));
-    }
-  }
-  if (bounds.back() != nprobe) {
-    bounds.push_back(static_cast<std::uint32_t>(nprobe));
-  }
-  const std::size_t num_shards = bounds.size() - 1;
-  if (num_shards < 2) {
-    main.topk.heap.clear();
-    main.topk.pool.clear();
-    ScanLists(ctx, main.probe, 0, nprobe, view, &main.topk);
-    RescoreAndSelect(query, k, &main.topk, out);
-    return;
-  }
-
-  if (scratch->shards.size() < num_shards) scratch->shards.resize(num_shards);
-  pool->ParallelForChunks(
-      num_shards, num_shards,
-      [&](std::size_t shard, std::size_t, std::size_t) {
-        TopKScratch& s = scratch->shards[shard];
-        s.heap.clear();
-        s.pool.clear();
-        ScanLists(ctx, main.probe, bounds[shard], bounds[shard + 1], view, &s);
-      });
-
-  // K-way merge by re-offering each shard's survivors under the same total
-  // order: any global top-`cap` candidate is in its own shard's top-`cap`,
-  // so the merged selection equals the serial scan's bit for bit.
-  main.topk.heap.clear();
-  main.topk.pool.clear();
-  for (std::size_t shard = 0; shard < num_shards; ++shard) {
-    TopKScratch& s = scratch->shards[shard];
-    for (const ScoredEntity& cand : s.heap) {
-      OfferCandidate(cand, k, &main.topk.heap);
-    }
-    for (const ScoredEntity& cand : s.pool) {
-      OfferCandidate(cand, pool_cap, &main.topk.pool);
-    }
-    s.heap.clear();
-    s.pool.clear();
-  }
-  RescoreAndSelect(query, k, &main.topk, out);
 }
 
 void ClusteredIndex::Save(util::BinaryWriter* writer) const {
@@ -859,25 +758,11 @@ util::Status ClusteredIndex::SaveToFile(const std::string& path) const {
 
 util::Status ClusteredIndex::LoadFromFile(const std::string& path,
                                           const DenseIndex* base) {
-  auto reader = util::BinaryReader::FromFile(path);
-  if (!reader.ok()) return reader.status();
-  std::vector<std::uint8_t> bytes;
-  METABLINK_RETURN_IF_ERROR(reader->ReadBytes(reader->Remaining(), &bytes));
-  if (bytes.size() >= 4) {
-    std::uint32_t magic = 0;
-    std::memcpy(&magic, bytes.data(), 4);
-    if (magic == store::kCheckpointMagic) {
-      auto ckpt = store::CheckpointReader::Parse(std::move(bytes));
-      if (!ckpt.ok()) return ckpt.status();
-      auto section = ckpt->Section("clustered");
-      if (!section.ok()) return section.status();
-      METABLINK_RETURN_IF_ERROR(Load(&*section));
-      return Attach(base);
-    }
-  }
-  // Raw headerless "CIVF" stream (no container framing).
-  util::BinaryReader legacy(std::move(bytes));
-  METABLINK_RETURN_IF_ERROR(Load(&legacy));
+  auto ckpt = store::CheckpointReader::FromFile(path);
+  if (!ckpt.ok()) return ckpt.status();
+  auto section = ckpt->Section("clustered");
+  if (!section.ok()) return section.status();
+  METABLINK_RETURN_IF_ERROR(Load(&*section));
   return Attach(base);
 }
 

@@ -140,8 +140,7 @@ class DenseIndex {
   util::Status Load(util::BinaryReader* reader);
   /// Writes a framed checkpoint container with one "index" section.
   util::Status SaveToFile(const std::string& path) const;
-  /// Loads either a framed container or the legacy headerless "INXD"
-  /// stream (files written before the store subsystem existed).
+  /// Loads the framed container SaveToFile writes.
   util::Status LoadFromFile(const std::string& path);
 
   /// The raw stored embedding row for position `i` (test/diagnostic use).

@@ -11,6 +11,10 @@ namespace metablink::serve {
 
 namespace {
 
+/// Survivor pool of the int8 exhaustive scan before its exact fp32
+/// re-score.
+constexpr std::size_t kQuantizedPool = 4096;
+
 /// Cache key for one (mention, context) request. '\x1f' (unit separator)
 /// cannot appear in tokenized text, so the key is collision-free.
 std::string CacheKey(const data::LinkingExample& ex) {
@@ -122,15 +126,7 @@ LinkingServer::BuildEpoch(const model::BiEncoder* bi,
     }
   }
   METABLINK_RETURN_IF_ERROR(epoch->index.Build(std::move(all), ids));
-  if (options.use_quantized) epoch->index.Quantize();
-  if (options.use_clustered || options.use_pq) {
-    retrieval::ClusteredIndexOptions copts;
-    copts.use_pq = options.use_pq;
-    copts.pq_m = options.pq_m;
-    copts.pq_nbits = options.pq_nbits;
-    METABLINK_RETURN_IF_ERROR(epoch->clustered.Build(epoch->index, copts));
-  }
-  METABLINK_RETURN_IF_ERROR(ResolveSharding(options, 0, epoch.get()));
+  METABLINK_RETURN_IF_ERROR(ResolveRetrieval(nullptr, 0, epoch.get()));
   // Entity-side rerank work, hoisted out of the serving loop.
   cross->PrecomputeEntities(entities, &epoch->cross_cache);
   epoch->entity_pos.reserve(ids.size());
@@ -147,12 +143,6 @@ util::Status LinkingServer::ResolveCascade(const ServerOptions& options,
   } else if (options.cascade != nullptr) {
     epoch->cascade = *options.cascade;
   }
-  if (options.rerank_head_k > 0) {
-    epoch->cascade.config.rerank_head_k = options.rerank_head_k;
-  }
-  if (options.margin_tau >= 0.0f) {
-    epoch->cascade.config.margin_tau = options.margin_tau;
-  }
   epoch->cascade.config.rerank_head_k =
       std::max<std::size_t>(1, epoch->cascade.config.rerank_head_k);
   if (epoch->cascade.has_scorer() &&
@@ -165,14 +155,50 @@ util::Status LinkingServer::ResolveCascade(const ServerOptions& options,
   return util::Status::OK();
 }
 
-util::Status LinkingServer::ResolveSharding(const ServerOptions& options,
-                                            std::uint32_t manifest_shards,
-                                            ModelEpoch* epoch) {
-  if (!epoch->clustered.built()) return util::Status::OK();
-  const std::size_t shards =
-      options.num_shards != 0 ? options.num_shards : manifest_shards;
-  if (shards < 2) return util::Status::OK();
-  return epoch->sharded.Build(&epoch->clustered, shards);
+util::Status LinkingServer::ResolveRetrieval(
+    retrieval::ClusteredIndex* clustered, std::uint32_t manifest_shards,
+    ModelEpoch* epoch) {
+  if (clustered == nullptr) {
+    epoch->retrieval = epoch->index.quantized() ? RetrievalPath::kQuantized
+                                                : RetrievalPath::kExhaustive;
+    return util::Status::OK();
+  }
+  // Moving the bundle into the epoch relocated the index the clustering
+  // was attached to, so re-bind it to the epoch's own copy.
+  epoch->clustered = std::move(*clustered);
+  METABLINK_RETURN_IF_ERROR(epoch->clustered.Attach(&epoch->index));
+  if (manifest_shards < 2) {
+    epoch->retrieval = RetrievalPath::kClustered;
+    return util::Status::OK();
+  }
+  METABLINK_RETURN_IF_ERROR(
+      epoch->sharded.Build(&epoch->clustered, manifest_shards));
+  epoch->retrieval = RetrievalPath::kSharded;
+  return util::Status::OK();
+}
+
+void LinkingServer::ModelEpoch::Retrieve(
+    const float* query, std::size_t k, util::ThreadPool* pool,
+    retrieval::ShardedIndexScratch* scratch,
+    std::vector<retrieval::ScoredEntity>* out) const {
+  switch (retrieval) {
+    case RetrievalPath::kExhaustive:
+      index.TopKInto(query, k, &scratch->main.topk, out);
+      return;
+    case RetrievalPath::kQuantized:
+      index.TopKQuantizedInto(query, k, kQuantizedPool, &scratch->main.topk,
+                              out);
+      return;
+    case RetrievalPath::kClustered:
+      clustered.TopKInto(query, k, /*nprobe=*/0, &scratch->main, out);
+      return;
+    case RetrievalPath::kSharded:
+      // TopKParallel's nested ParallelForChunks degrades to a serial shard
+      // loop inside the batch-parallel retrieve stage, so shards run
+      // concurrently exactly when the batch doesn't.
+      sharded.TopKParallel(query, k, /*nprobe=*/0, pool, scratch, out);
+      return;
+  }
 }
 
 util::Result<std::shared_ptr<LinkingServer::ModelEpoch>>
@@ -190,32 +216,8 @@ LinkingServer::BuildEpochFromBundle(store::ModelBundle bundle,
   if (!epoch->index.built()) {
     return util::Status::InvalidArgument("bundle index has no entities");
   }
-  if (options.use_quantized && !epoch->index.quantized()) {
-    epoch->index.Quantize();
-  }
-  if (options.use_clustered || options.use_pq) {
-    if (b.has_clustered && (b.clustered.pq_built() || !options.use_pq)) {
-      // Adopt the shipped clustering. Moving the bundle into this epoch
-      // relocated the index it was attached to, so re-bind it here.
-      epoch->clustered = std::move(b.clustered);
-      METABLINK_RETURN_IF_ERROR(epoch->clustered.Attach(&epoch->index));
-      if (!options.use_pq && epoch->clustered.pq_built()) {
-        // PQ-free serving over a PQ-bearing artifact: drop the codes so
-        // the probe path is byte-identical to a build that never had them.
-        epoch->clustered.DropPq();
-      }
-    } else {
-      // No clustered artifact — or one without the PQ form the options
-      // demand — so train it here.
-      retrieval::ClusteredIndexOptions copts;
-      copts.use_pq = options.use_pq;
-      copts.pq_m = options.pq_m;
-      copts.pq_nbits = options.pq_nbits;
-      METABLINK_RETURN_IF_ERROR(epoch->clustered.Build(epoch->index, copts));
-    }
-  }
-  METABLINK_RETURN_IF_ERROR(
-      ResolveSharding(options, b.num_shards, epoch.get()));
+  METABLINK_RETURN_IF_ERROR(ResolveRetrieval(
+      b.has_clustered ? &b.clustered : nullptr, b.num_shards, epoch.get()));
   const std::vector<kb::EntityId>& ids = epoch->index.ids();
   if (b.has_rerank_cache) {
     epoch->cross_cache = std::move(b.rerank_cache);
@@ -388,55 +390,19 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
   // serial).
   const auto t1 = Clock::now();
   const std::size_t k = options_.retrieve_k;
-  if (topk_scratch_.size() < std::max<std::size_t>(1, pool_.num_threads())) {
-    topk_scratch_.resize(std::max<std::size_t>(1, pool_.num_threads()));
+  if (retrieval_scratch_.size() <
+      std::max<std::size_t>(1, pool_.num_threads())) {
+    retrieval_scratch_.resize(std::max<std::size_t>(1, pool_.num_threads()));
   }
   if (!miss_idx_.empty()) {
-    const bool clustered = (options_.use_clustered || options_.use_pq) &&
-                           epoch->clustered.built();
-    const bool sharded = clustered && epoch->sharded.built();
-    const bool quantized = options_.use_quantized && epoch->index.quantized();
-    if (clustered &&
-        clustered_scratch_.size() <
-            std::max<std::size_t>(1, pool_.num_threads())) {
-      clustered_scratch_.resize(std::max<std::size_t>(1, pool_.num_threads()));
-    }
-    if (sharded &&
-        sharded_scratch_.size() < std::max<std::size_t>(1, pool_.num_threads())) {
-      sharded_scratch_.resize(std::max<std::size_t>(1, pool_.num_threads()));
-    }
     pool_.ParallelForChunks(
         miss_idx_.size(), 0,
-        [this, &epoch, k, clustered, sharded, quantized](
-            std::size_t chunk, std::size_t begin, std::size_t end) {
+        [this, &epoch, k](std::size_t chunk, std::size_t begin,
+                          std::size_t end) {
           for (std::size_t j = begin; j < end; ++j) {
             const std::size_t i = miss_idx_[j];
-            if (sharded) {
-              // Sharded probe, bit-identical to the single-index path.
-              // TopKParallel's nested ParallelForChunks degrades to a
-              // serial shard loop inside this batch-parallel region, so
-              // shards run concurrently exactly when the batch doesn't.
-              epoch->sharded.TopKParallel(queries_.row_data(i), k,
-                                          options_.nprobe, &pool_,
-                                          &sharded_scratch_[chunk],
-                                          &batch_hits_[i]);
-            } else if (clustered) {
-              // Probe path: the clustered index internally runs the PQ or
-              // int8 scan when those forms exist, so it subsumes the
-              // use_quantized branch.
-              epoch->clustered.TopKInto(queries_.row_data(i), k,
-                                        options_.nprobe,
-                                        &clustered_scratch_[chunk],
-                                        &batch_hits_[i]);
-            } else if (quantized) {
-              epoch->index.TopKQuantizedInto(queries_.row_data(i), k,
-                                             options_.quantized_pool,
-                                             &topk_scratch_[chunk],
-                                             &batch_hits_[i]);
-            } else {
-              epoch->index.TopKInto(queries_.row_data(i), k,
-                                    &topk_scratch_[chunk], &batch_hits_[i]);
-            }
+            epoch->Retrieve(queries_.row_data(i), k, &pool_,
+                            &retrieval_scratch_[chunk], &batch_hits_[i]);
           }
         });
     if (options_.cache_capacity > 0) {
@@ -452,7 +418,6 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
   // after the stats update below, so a caller that returns from Link()
   // and immediately reads Stats() always sees its own batch counted.
   const auto t2 = Clock::now();
-  std::vector<double> batch_latencies(m, 0.0);
   std::vector<util::Result<std::vector<core::LinkPrediction>>> outcomes(
       m, util::Status::NotFound("no candidates retrieved"));
   if (rerank_scratch_.size() < std::max<std::size_t>(1, pool_.num_threads())) {
@@ -469,9 +434,8 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
   const bool use_cascade = options_.use_cascade;
   std::vector<std::uint8_t> tiers(m, kTierFull);
   pool_.ParallelForChunks(
-      m, 0, [this, &epoch, batch, &batch_latencies, &outcomes, &tiers,
-             use_cascade](std::size_t chunk, std::size_t begin,
-                          std::size_t end) {
+      m, 0, [this, &epoch, batch, &outcomes, &tiers, use_cascade](
+                std::size_t chunk, std::size_t begin, std::size_t end) {
         RerankScratch& scratch = rerank_scratch_[chunk];
         const model::CascadeConfig& config = epoch->cascade.config;
         for (std::size_t i = begin; i < end; ++i) {
@@ -582,10 +546,6 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
             p.score = c.score;
             predictions.push_back(std::move(p));
           }
-          const auto done = Clock::now();
-          batch_latencies[i] =
-              std::chrono::duration<double, std::milli>(done - req.enqueued)
-                  .count();
           outcomes[i] = std::move(predictions);
         }
       });
@@ -609,9 +569,6 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
         case kTierDistilled: ++stats_.rerank_distilled; break;
         default: ++stats_.rerank_full; break;
       }
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      if (outcomes[i].ok()) latencies_ms_.push_back(batch_latencies[i]);
     }
   }
   {
@@ -690,11 +647,6 @@ ServerStats LinkingServer::Stats() const {
     out.pq_active = epoch_->clustered.built() && epoch_->clustered.pq_built();
   }
   return out;
-}
-
-std::vector<double> LinkingServer::LatenciesMs() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return latencies_ms_;
 }
 
 std::size_t LinkingServer::index_size() const {

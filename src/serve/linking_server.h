@@ -40,7 +40,9 @@ enum class LoadShedPolicy {
   kDropOldest,
 };
 
-/// Knobs for the micro-batching request scheduler.
+/// Knobs for the micro-batching request scheduler. How stage 1 retrieves
+/// is not among them: the served model's artifacts decide that (see
+/// LinkingServer::ResolveRetrieval).
 struct ServerOptions {
   /// Flush a batch as soon as this many requests are pending.
   std::size_t max_batch = 16;
@@ -48,39 +50,6 @@ struct ServerOptions {
   std::uint64_t flush_deadline_us = 500;
   /// Stage-1 candidates per request (paper: 64).
   std::size_t retrieve_k = 64;
-  /// Serve retrieval from the int8 form of the index.
-  bool use_quantized = false;
-  /// Candidate-pool width for the int8 scan before exact fp32 re-scoring.
-  std::size_t quantized_pool = 4096;
-  /// Serve retrieval through the clustered (IVF) form of the index: probe
-  /// only the best `nprobe` k-means cells instead of scanning every row.
-  /// A bundle that ships a "clustered" artifact is adopted as-is; otherwise
-  /// the clustering is trained at epoch build time. Composes with
-  /// use_quantized (the per-cell scan then runs on int8 rows).
-  bool use_clustered = false;
-  /// Cells probed per query when serving clustered; 0 uses the index's
-  /// own default (ceil(sqrt(num_clusters))).
-  std::size_t nprobe = 0;
-  /// Serve the clustered probe from the product-quantized residual form:
-  /// per-subspace codebooks trained on (row − centroid) residuals, pq_m
-  /// bytes of codes per entity scanned via per-query ADC tables, exact
-  /// fp32 re-score of the survivors. Implies the clustered probe path. A
-  /// bundle whose clustered artifact ships PQ is adopted as-is; one
-  /// without it gets the PQ form trained at epoch build. With use_pq off,
-  /// a shipped PQ form is dropped so serving stays byte-identical to a
-  /// PQ-free build.
-  bool use_pq = false;
-  /// PQ subspaces per entity (see ClusteredIndexOptions::pq_m).
-  std::size_t pq_m = 8;
-  /// Bits per PQ code; only 8 is supported.
-  std::size_t pq_nbits = 8;
-  /// KB shards behind the probe path: the entity rows split into this many
-  /// contiguous slices, probed in parallel per query and merged
-  /// bit-identically to the single-index probe. 0 adopts the bundle
-  /// manifest's declared count (unsharded for raw components and legacy
-  /// bundles); 1 forces the single-index path. Requires the clustered
-  /// probe (ignored otherwise).
-  std::size_t num_shards = 0;
   /// LRU entries for repeated (mention, context) requests; 0 disables.
   /// Each entry holds the mention embedding and its retrieved top-k (both
   /// pure functions of the request text and the fixed index), so a hit
@@ -95,14 +64,8 @@ struct ServerOptions {
   /// (the default) serves the exact full-rerank path of previous builds,
   /// byte for byte.
   bool use_cascade = false;
-  /// Override of the cascade's ambiguous-head cap; 0 adopts the cascade
-  /// model's own calibrated value.
-  std::size_t rerank_head_k = 0;
-  /// Override of the cascade's early-exit margin threshold; negative
-  /// adopts the cascade model's calibrated value.
-  float margin_tau = -1.0f;
   /// Admission control: maximum depth of the pending-request queue. 0
-  /// keeps the legacy unbounded queue — every Link blocks until served and
+  /// keeps the queue unbounded — every Link blocks until served and
   /// responses are byte-identical to pre-admission-control builds. With a
   /// bound, a Link arriving at a full queue is shed per `shed_policy`
   /// instead of queueing, so overload degrades into prompt kUnavailable
@@ -143,10 +106,11 @@ struct ServerStats {
   std::uint64_t rerank_exited = 0;
   std::uint64_t rerank_distilled = 0;
   std::uint64_t rerank_full = 0;
-  /// Retrieval layout of the currently published epoch: shard count of the
-  /// probe path (1 = single index) and whether the clustered scan reads PQ
-  /// codes. Sharding and PQ never change responses — these exist so
-  /// operators (and tests) can tell which path answered.
+  /// Retrieval layout of the currently published epoch, as its bundle
+  /// shipped it: shard count of the probe path (1 = single index) and
+  /// whether the clustered scan reads PQ codes. Sharding never changes
+  /// responses — these exist so operators (and tests) can tell which path
+  /// answered.
   std::uint64_t num_shards = 1;
   bool pq_active = false;
   /// Admission control. Every Link call lands in exactly one of
@@ -154,10 +118,10 @@ struct ServerStats {
   /// completed by a batch (counted in `requests`) or shed by kDropOldest —
   /// so the books always balance:
   ///   accepted == requests + shed + queue_depth + in_flight
-  /// with the last two zero at quiescence. (The counters live on two
-  /// mutexes, so a snapshot taken mid-batch can be transiently skewed by
-  /// one in-flight batch; once every outstanding Link has returned the
-  /// identity above is exact.)
+  /// with the last two zero at quiescence. (Stats() reads the stats, queue
+  /// and epoch mutexes one after another, so a snapshot taken mid-batch
+  /// can be transiently skewed by one in-flight batch; once every
+  /// outstanding Link has returned the identity above is exact.)
   std::uint64_t accepted = 0;
   /// Refused at admission (kRejectNew with a full queue). Never queued, so
   /// never counted in accepted/requests/shed.
@@ -198,14 +162,18 @@ struct ServerStats {
 /// (missing or corrupt bundle) returns a Status and leaves the old
 /// version serving.
 ///
-/// Scores are identical to MetaBlinkPipeline::Link: the tape-free kernels
-/// are bit-compatible with the tape path, and the int8 retrieval option
-/// re-scores its candidate pool in fp32.
+/// Stage 1 takes one of four paths, fixed per model version by what its
+/// artifacts ship (ResolveRetrieval): the exhaustive fp32 scan, the int8
+/// scan of a quantized index, the clustered (IVF / IVF-PQ) probe of a
+/// bundle's "clustered" artifact, or that probe split over the manifest's
+/// KB shards. Every approximate path re-scores its candidates in fp32, so
+/// scores are identical to MetaBlinkPipeline::Link whenever the true top-k
+/// is found: the tape-free kernels are bit-compatible with the tape path.
 class LinkingServer {
  public:
   /// Builds a server over raw components. `bi`, `cross`, and `kb` must
   /// outlive the server; `domain` must have entities in `kb`. The domain
-  /// index is built (and optionally quantized) here.
+  /// index is built here and served by the exhaustive fp32 scan.
   static util::Result<std::unique_ptr<LinkingServer>> Create(
       const model::BiEncoder* bi, const model::CrossEncoder* cross,
       const kb::KnowledgeBase* kb, const std::string& domain,
@@ -251,10 +219,6 @@ class LinkingServer {
   /// Snapshot of the cumulative serving counters.
   ServerStats Stats() const;
 
-  /// Per-request latencies (enqueue to completion, ms) in completion
-  /// order; the caller computes percentiles.
-  std::vector<double> LatenciesMs() const;
-
   const ServerOptions& options() const { return options_; }
   /// Entity count of the currently published model's index.
   std::size_t index_size() const;
@@ -275,6 +239,14 @@ class LinkingServer {
   };
   using LruList = std::list<std::pair<std::string, CachedFeature>>;
 
+  /// The structure that answers stage 1 for one epoch.
+  enum class RetrievalPath {
+    kExhaustive,  // DenseIndex::TopKInto over the fp32 rows
+    kQuantized,   // DenseIndex::TopKQuantizedInto: the shipped index is int8
+    kClustered,   // ClusteredIndex::TopKInto at the artifact's default_nprobe
+    kSharded,     // ShardedIndex over that clustered probe
+  };
+
   /// One published model version: every component a batch touches, owned
   /// (or borrowed, for Create/FromLinker) in one place. The index /
   /// rerank-cache / entity-position members are immutable after
@@ -290,55 +262,65 @@ class LinkingServer {
     const model::CrossEncoder* cross = nullptr;
     const kb::KnowledgeBase* kb = nullptr;
     retrieval::DenseIndex index;
-    /// Clustered probe structure over `index`; built() only when the epoch
-    /// serves with use_clustered/use_pq. Always attached to this epoch's
-    /// `index` member (re-attached after any bundle move).
+    /// The bundle's clustered artifact; built() only on the kClustered and
+    /// kSharded paths. Always attached to this epoch's `index` member
+    /// (re-attached after the bundle move).
     retrieval::ClusteredIndex clustered;
-    /// Sharded view over `clustered`; built() only when the epoch serves
-    /// with two or more KB shards. Borrows this epoch's `clustered`
-    /// member, whose address is stable once the epoch is constructed.
+    /// Sharded view over `clustered`; built() only on the kSharded path.
+    /// Borrows this epoch's `clustered` member, whose address is stable
+    /// once the epoch is constructed.
     retrieval::ShardedIndex sharded;
+    RetrievalPath retrieval = RetrievalPath::kExhaustive;
     model::CrossEntityCache cross_cache;
     /// Resolved cascade policy for this epoch: the bundle's "cascade"
     /// artifact when present, else ServerOptions::cascade, else the
-    /// uncalibrated default — with the ServerOptions scalar overrides
-    /// applied last. Read only when ServerOptions::use_cascade.
+    /// uncalibrated default. Read only when ServerOptions::use_cascade.
     model::CascadeModel cascade;
     std::unordered_map<kb::EntityId, std::size_t> entity_pos;
     // Feature LRU: key -> list node of (key, feature).
     LruList lru;
     std::unordered_map<std::string, LruList::iterator> lru_map;
+
+    /// Stage-1 top-k of one query along this epoch's retrieval path. The
+    /// sharded scratch nests the clustered scratch, which nests the
+    /// exhaustive scan's, so one scratch type serves every path.
+    /// Allocation-free once `scratch` and `out` are warm.
+    void Retrieve(const float* query, std::size_t k, util::ThreadPool* pool,
+                  retrieval::ShardedIndexScratch* scratch,
+                  std::vector<retrieval::ScoredEntity>* out) const;
   };
 
   LinkingServer(ServerOptions options, std::shared_ptr<ModelEpoch> epoch);
 
-  /// Encodes the domain's entities, builds (+ optionally quantizes) the
-  /// index, and precomputes the cross-encoder entity cache, over borrowed
-  /// components.
+  /// Encodes the domain's entities, builds the index, and precomputes the
+  /// cross-encoder entity cache, over borrowed components.
   static util::Result<std::shared_ptr<ModelEpoch>> BuildEpoch(
       const model::BiEncoder* bi, const model::CrossEncoder* cross,
       const kb::KnowledgeBase* kb, const std::string& domain,
       const ServerOptions& options);
 
   /// Turns a loaded bundle into a servable epoch: adopts its prebuilt
-  /// index (quantizing if the options ask for it and the bundle didn't),
-  /// adopts or recomputes the rerank cache, and derives the id -> row map.
+  /// index and retrieval artifacts, adopts or recomputes the rerank cache,
+  /// and derives the id -> row map.
   static util::Result<std::shared_ptr<ModelEpoch>> BuildEpochFromBundle(
       store::ModelBundle bundle, const ServerOptions& options);
 
   /// Installs the epoch's resolved cascade policy: `artifact` (a bundle's
   /// "cascade" section) wins over options.cascade wins over the default
-  /// config, then the ServerOptions scalar overrides are applied.
+  /// config.
   static util::Status ResolveCascade(const ServerOptions& options,
-                             const model::CascadeModel* artifact,
-                             ModelEpoch* epoch);
+                                     const model::CascadeModel* artifact,
+                                     ModelEpoch* epoch);
 
-  /// Builds the epoch's sharded view when the effective shard count
-  /// (options.num_shards, falling back to the bundle manifest's
-  /// `manifest_shards`) is ≥ 2 and the epoch serves the clustered probe.
-  static util::Status ResolveSharding(const ServerOptions& options,
-                                      std::uint32_t manifest_shards,
-                                      ModelEpoch* epoch);
+  /// Plans the epoch's stage-1 path from what the model ships, once per
+  /// epoch. No `clustered` artifact (always the case for raw components):
+  /// the exhaustive scan, int8 when `epoch->index` is quantized. A shipped
+  /// clustering is moved into the epoch and attached to its index; it
+  /// probes at its saved default_nprobe, through PQ codes exactly when it
+  /// carries them, and is sharded when `manifest_shards` >= 2.
+  static util::Status ResolveRetrieval(retrieval::ClusteredIndex* clustered,
+                                       std::uint32_t manifest_shards,
+                                       ModelEpoch* epoch);
 
   void SchedulerLoop();
   void ServeBatch(std::vector<Request>* batch);
@@ -390,9 +372,7 @@ class LinkingServer {
   tensor::Tensor encoded_;
   tensor::Tensor queries_;
   std::vector<std::vector<retrieval::ScoredEntity>> batch_hits_;
-  std::vector<retrieval::TopKScratch> topk_scratch_;
-  std::vector<retrieval::ClusteredScratch> clustered_scratch_;
-  std::vector<retrieval::ShardedIndexScratch> sharded_scratch_;
+  std::vector<retrieval::ShardedIndexScratch> retrieval_scratch_;
   struct RerankScratch {
     model::CrossScoreScratch cross;
     std::vector<float> scores;
@@ -413,7 +393,6 @@ class LinkingServer {
   // Stats, guarded by stats_mu_ (written by the scheduler, read anywhere).
   mutable std::mutex stats_mu_;
   ServerStats stats_;
-  std::vector<double> latencies_ms_;
 };
 
 }  // namespace metablink::serve

@@ -29,10 +29,10 @@ struct BundleManifest {
   std::string domain;
   std::vector<BundleArtifact> artifacts;
   /// KB shard count the bundle was packaged for (how many contiguous
-  /// entity-id slices the serving tier should probe in parallel). 0 on
-  /// legacy manifests and unsharded bundles — servers treat 0 as 1 and may
-  /// override either way; the value is a packaging declaration, not a
-  /// correctness constraint (sharded probes are bit-identical at any N).
+  /// entity-id slices the serving tier probes in parallel). 0 on manifests
+  /// written before the field existed and on unsharded bundles — servers
+  /// treat 0 as 1. The value is a packaging declaration, not a correctness
+  /// constraint (sharded probes are bit-identical at any N).
   std::uint32_t num_shards = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "store/checkpoint.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -69,7 +71,12 @@ util::Result<CheckpointReader> CheckpointReader::Parse(
   }
   std::uint32_t count = 0;
   METABLINK_RETURN_IF_ERROR(reader.ReadU32(&count));
-  out.sections_.reserve(count);
+  // The count is untrusted: reserve no more sections than the remaining
+  // bytes could frame (each needs a name length, a size and a CRC).
+  constexpr std::size_t kMinSectionBytes =
+      sizeof(std::uint64_t) + sizeof(std::uint64_t) + sizeof(std::uint32_t);
+  out.sections_.reserve(
+      std::min<std::size_t>(count, reader.Remaining() / kMinSectionBytes));
   for (std::uint32_t i = 0; i < count; ++i) {
     std::string name;
     METABLINK_RETURN_IF_ERROR(reader.ReadString(&name));

@@ -27,15 +27,17 @@ struct ModelBundleParts {
   const kb::KnowledgeBase* kb = nullptr;
   const retrieval::DenseIndex* index = nullptr;
   const model::CrossEntityCache* rerank_cache = nullptr;
-  /// Optional clustered (IVF) form of `index`; nullptr skips the artifact
-  /// and a clustered-serving loader rebuilds it instead.
+  /// Optional clustered (IVF) form of `index`. A server built from the
+  /// bundle probes through it; nullptr skips the artifact and the server
+  /// scans `index` exhaustively.
   const retrieval::ClusteredIndex* clustered = nullptr;
   /// Optional calibrated rerank-cascade policy (train::CalibrateCascade);
   /// nullptr skips the artifact and a cascade-serving loader falls back to
   /// ServerOptions::cascade or the uncalibrated default.
   const model::CascadeModel* cascade = nullptr;
-  /// KB shard count declared in the manifest (0 → unsharded). Purely a
-  /// serving hint: loaders may probe with any count bit-identically.
+  /// KB shard count declared in the manifest (0 → unsharded). A server
+  /// splits the clustered probe over this many shards when it is >= 2;
+  /// any count answers bit-identically.
   std::uint32_t num_shards = 0;
 };
 
@@ -60,7 +62,7 @@ struct ModelBundle {
   /// Calibrated cascade policy, present when the bundle shipped one.
   bool has_cascade = false;
   model::CascadeModel cascade;
-  /// Manifest-declared KB shard count (0 → unsharded / legacy bundle).
+  /// Manifest-declared KB shard count (0 → unsharded).
   std::uint32_t num_shards = 0;
 };
 

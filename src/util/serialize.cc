@@ -1,5 +1,6 @@
 #include "util/serialize.h"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
@@ -105,10 +106,16 @@ Result<BinaryReader> BinaryReader::FromFile(const std::string& path) {
   if (f == nullptr) {
     return Status::IoError(StrFormat("cannot open %s for reading", path.c_str()));
   }
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<std::uint8_t> data(static_cast<std::size_t>(size));
+  // Size from fstat of a regular file, never from fseek/ftell: a directory
+  // opens fine, and its end offset (-1, or LONG_MAX on ext4) must not size
+  // a buffer.
+  struct ::stat st;
+  if (::fstat(fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
+    std::fclose(f);
+    return Status::IoError(
+        StrFormat("%s is not a readable regular file", path.c_str()));
+  }
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(st.st_size));
   std::size_t read = std::fread(data.data(), 1, data.size(), f);
   std::fclose(f);
   if (read != data.size()) {
@@ -118,10 +125,12 @@ Result<BinaryReader> BinaryReader::FromFile(const std::string& path) {
 }
 
 Status BinaryReader::ReadRaw(void* dst, std::size_t n) {
-  if (pos_ + n > data_.size()) {
+  if (n > data_.size() - pos_) {  // overflow-safe bound check
     return Status::OutOfRange("truncated input buffer");
   }
-  std::memcpy(dst, data_.data() + pos_, n);
+  // An empty vector's data() may be null, and memcpy from/to null is
+  // undefined even for zero bytes.
+  if (n != 0) std::memcpy(dst, data_.data() + pos_, n);
   pos_ += n;
   return Status::OK();
 }
@@ -141,7 +150,7 @@ Status BinaryReader::ReadF64(double* out) { return ReadRaw(out, sizeof(*out)); }
 Status BinaryReader::ReadString(std::string* out) {
   std::uint64_t n = 0;
   METABLINK_RETURN_IF_ERROR(ReadU64(&n));
-  if (pos_ + n > data_.size()) {
+  if (n > data_.size() - pos_) {
     return Status::OutOfRange("truncated string");
   }
   out->assign(reinterpret_cast<const char*>(data_.data() + pos_),
@@ -153,7 +162,7 @@ Status BinaryReader::ReadString(std::string* out) {
 Status BinaryReader::ReadFloatVector(std::vector<float>* out) {
   std::uint64_t n = 0;
   METABLINK_RETURN_IF_ERROR(ReadU64(&n));
-  if (pos_ + n * sizeof(float) > data_.size()) {
+  if (n > (data_.size() - pos_) / sizeof(float)) {
     return Status::OutOfRange("truncated float vector");
   }
   out->resize(static_cast<std::size_t>(n));
@@ -163,7 +172,7 @@ Status BinaryReader::ReadFloatVector(std::vector<float>* out) {
 Status BinaryReader::ReadU32Vector(std::vector<std::uint32_t>* out) {
   std::uint64_t n = 0;
   METABLINK_RETURN_IF_ERROR(ReadU64(&n));
-  if (pos_ + n * sizeof(std::uint32_t) > data_.size()) {
+  if (n > (data_.size() - pos_) / sizeof(std::uint32_t)) {
     return Status::OutOfRange("truncated u32 vector");
   }
   out->resize(static_cast<std::size_t>(n));
@@ -173,7 +182,7 @@ Status BinaryReader::ReadU32Vector(std::vector<std::uint32_t>* out) {
 Status BinaryReader::ReadByteVector(std::vector<std::int8_t>* out) {
   std::uint64_t n = 0;
   METABLINK_RETURN_IF_ERROR(ReadU64(&n));
-  if (pos_ + n > data_.size()) {
+  if (n > data_.size() - pos_) {
     return Status::OutOfRange("truncated byte vector");
   }
   out->resize(static_cast<std::size_t>(n));

@@ -54,7 +54,8 @@ class BinaryReader {
   explicit BinaryReader(std::vector<std::uint8_t> data)
       : data_(std::move(data)) {}
 
-  /// Loads the whole file at `path` into a reader.
+  /// Loads the whole regular file at `path` into a reader; anything else
+  /// (a directory, a missing file) is an IoError.
   static Result<BinaryReader> FromFile(const std::string& path);
 
   Status ReadU32(std::uint32_t* out);

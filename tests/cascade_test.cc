@@ -226,11 +226,11 @@ TEST_F(CascadeTest, TierCountersAlwaysSumToRequests) {
 }
 
 TEST_F(CascadeTest, ZeroMarginTauExitsEveryRequest) {
-  model::CascadeModel cascade;  // margin_tau overridden below
+  model::CascadeModel cascade;
+  cascade.config.margin_tau = 0.0f;  // margin >= 0 always holds
   serve::ServerOptions on = BaseOptions();
   on.use_cascade = true;
   on.cascade = &cascade;
-  on.margin_tau = 0.0f;  // margin >= 0 always holds
   auto server = MakeServer(on);
   const Responses run = Drive(server.get());
   EXPECT_EQ(run.stats.rerank_exited, run.stats.requests);
@@ -253,11 +253,11 @@ TEST_F(CascadeTest, RetrieveKOneExitsEverything) {
   // A single candidate has margin +inf, which clears any finite tau; with
   // the cascade on there is nothing to rerank.
   model::CascadeModel cascade;
+  cascade.config.margin_tau = 1e6f;
   serve::ServerOptions on = BaseOptions();
   on.retrieve_k = 1;
   on.use_cascade = true;
   on.cascade = &cascade;
-  on.margin_tau = 1e6f;
   auto server = MakeServer(on);
   const Responses run = Drive(server.get());
   EXPECT_EQ(run.stats.rerank_exited, run.stats.requests);
@@ -283,10 +283,10 @@ TEST_F(CascadeTest, BandZeroHeadOneKeepsRetrievalTop1) {
   // band 0 + cap 1: the "head" is just the retrieval winner, so the full
   // tier can only rescore it — top-1 id must equal retrieval's top-1.
   model::CascadeModel exit_all;
+  exit_all.config.margin_tau = 0.0f;
   serve::ServerOptions exit_opts = BaseOptions();
   exit_opts.use_cascade = true;
   exit_opts.cascade = &exit_all;
-  exit_opts.margin_tau = 0.0f;
   auto exit_server = MakeServer(exit_opts);
   const Responses retrieval_order = Drive(exit_server.get());
 

@@ -387,91 +387,47 @@ TEST_F(StoreTest, EncoderFilesRoundTripAndRejectConfigMismatch) {
   std::remove(path.c_str());
 }
 
-// ---- Legacy headerless formats stay readable -------------------------------
+// ---- File loaders never throw --------------------------------------------
 
-TEST_F(StoreTest, LegacyEncoderByteLayoutStillLoads) {
-  // Pin the pre-store-subsystem format: a bare u32 tag followed by the raw
-  // parameter stream, no container framing. Files written by old builds
-  // must keep loading.
-  const std::string bi_path = TempPath("legacy_bi.bin");
-  auto bi = MakeBi(/*seed=*/31);
-  {
-    util::BinaryWriter w;
-    w.WriteU32(0x4249u);  // "BI"
-    bi->params()->Save(&w);
-    ASSERT_TRUE(w.WriteToFile(bi_path).ok());
-  }
-  auto bi2 = MakeBi(/*seed=*/32);
-  ASSERT_TRUE(bi2->LoadFromFile(bi_path).ok());
-  EXPECT_EQ(bi->params()->ValuesCrc32(), bi2->params()->ValuesCrc32());
-  std::remove(bi_path.c_str());
-
-  const std::string cross_path = TempPath("legacy_cross.bin");
-  auto cross = MakeCross(/*seed=*/33);
-  {
-    util::BinaryWriter w;
-    w.WriteU32(0x4352u);  // "CR"
-    cross->params()->Save(&w);
-    ASSERT_TRUE(w.WriteToFile(cross_path).ok());
-  }
-  auto cross2 = MakeCross(/*seed=*/34);
-  ASSERT_TRUE(cross2->LoadFromFile(cross_path).ok());
-  EXPECT_EQ(cross->params()->ValuesCrc32(), cross2->params()->ValuesCrc32());
-  std::remove(cross_path.c_str());
-
-  // A wrong tag is a clean error, not a misparse.
-  const std::string wrong = TempPath("legacy_wrong.bin");
-  {
-    util::BinaryWriter w;
-    w.WriteU32(0x4352u);  // cross tag fed to the bi-encoder loader
-    bi->params()->Save(&w);
-    ASSERT_TRUE(w.WriteToFile(wrong).ok());
-  }
-  EXPECT_FALSE(bi2->LoadFromFile(wrong).ok());
-  std::remove(wrong.c_str());
-}
-
-TEST_F(StoreTest, LegacyIndexAndKbByteLayoutsStillLoad) {
+TEST_F(StoreTest, EveryFileLoaderTurnsBadInputIntoAStatus) {
+  // Every LoadFromFile goes through the framed container. A directory, a
+  // container claiming 0xFFFFFFFF sections, and a headerless raw stream
+  // must each come back as a non-OK Status — never an exception or an
+  // allocation sized by the bad input.
   const auto& ids = corpus_->kb.EntitiesInDomain("target");
   auto bi = MakeBi();
-  retrieval::DenseIndex index;
-  ASSERT_TRUE(
-      index.Build(bi->EmbedEntityIds(ids, corpus_->kb), ids).ok());
+  auto cross = MakeCross();
+  retrieval::DenseIndex base;
+  ASSERT_TRUE(base.Build(bi->EmbedEntityIds(ids, corpus_->kb), ids).ok());
 
-  const std::string index_path = TempPath("legacy_index.bin");
+  const std::string huge_count = TempPath("huge_count.ckpt");
   {
     util::BinaryWriter w;
-    index.Save(&w);  // raw legacy stream, no container
-    ASSERT_TRUE(w.WriteToFile(index_path).ok());
+    w.WriteU32(kCheckpointMagic);
+    w.WriteU32(kCheckpointVersion);
+    w.WriteU32(0xFFFFFFFFu);
+    ASSERT_TRUE(w.WriteToFile(huge_count).ok());
   }
-  retrieval::DenseIndex loaded_index;
-  ASSERT_TRUE(loaded_index.LoadFromFile(index_path).ok());
-  ASSERT_EQ(loaded_index.size(), index.size());
-  EXPECT_EQ(loaded_index.ids(), index.ids());
-  for (std::size_t j = 0; j < index.dim(); ++j) {
-    EXPECT_EQ(loaded_index.EmbeddingAt(0)[j], index.EmbeddingAt(0)[j]);
-  }
-  std::remove(index_path.c_str());
-
-  const std::string kb_path = TempPath("legacy_kb.bin");
+  const std::string raw = TempPath("raw_index.bin");
   {
     util::BinaryWriter w;
-    corpus_->kb.Save(&w);  // raw legacy stream
-    ASSERT_TRUE(w.WriteToFile(kb_path).ok());
+    base.Save(&w);  // a section payload without the container around it
+    ASSERT_TRUE(w.WriteToFile(raw).ok());
   }
-  auto loaded_kb = kb::KnowledgeBase::LoadFromFile(kb_path);
-  ASSERT_TRUE(loaded_kb.ok());
-  EXPECT_EQ(loaded_kb->num_entities(), corpus_->kb.num_entities());
-  EXPECT_EQ(loaded_kb->EntitiesInDomain("target").size(), ids.size());
-  std::remove(kb_path.c_str());
-
-  // And the framed forms round-trip through the same entry points.
-  const std::string framed = TempPath("framed_index.ckpt");
-  ASSERT_TRUE(index.SaveToFile(framed).ok());
-  retrieval::DenseIndex framed_index;
-  ASSERT_TRUE(framed_index.LoadFromFile(framed).ok());
-  EXPECT_EQ(framed_index.ids(), index.ids());
-  std::remove(framed.c_str());
+  for (const std::string& path : {::testing::TempDir(), huge_count, raw}) {
+    SCOPED_TRACE(path);
+    retrieval::DenseIndex index;
+    EXPECT_FALSE(index.LoadFromFile(path).ok());
+    retrieval::ClusteredIndex clustered;
+    EXPECT_FALSE(clustered.LoadFromFile(path, &base).ok());
+    model::CascadeModel cascade;
+    EXPECT_FALSE(cascade.LoadFromFile(path).ok());
+    EXPECT_FALSE(bi->LoadFromFile(path).ok());
+    EXPECT_FALSE(cross->LoadFromFile(path).ok());
+    EXPECT_FALSE(kb::KnowledgeBase::LoadFromFile(path).ok());
+  }
+  std::remove(huge_count.c_str());
+  std::remove(raw.c_str());
 }
 
 // ---- Artifact bundles ------------------------------------------------------
@@ -575,7 +531,7 @@ TEST_F(BundleTest, ClusteredArtifactRoundTripAndCorruption) {
   }
 
   // A flipped byte or truncation in the clustered artifact fails the whole
-  // bundle load with a clean Status, exactly like the legacy artifacts.
+  // bundle load with a clean Status, exactly like the other artifacts.
   const std::string path = dir + "/clustered.ckpt";
   const std::vector<std::uint8_t> original = ReadAll(path);
   ASSERT_FALSE(original.empty());
