@@ -48,6 +48,9 @@ struct RetrievalForm {
   bool pq = false;
   /// KB shards declared in the manifest (0 = unsharded).
   std::uint32_t num_shards = 0;
+  /// Save the clustered artifact with a default nprobe that probes every
+  /// cell; false keeps ClusteredIndexOptions' default nprobe.
+  bool probe_all = true;
 };
 
 class ServeTest : public ::testing::Test {
@@ -101,7 +104,9 @@ class ServeTest : public ::testing::Test {
     retrieval::ClusteredIndex clustered;
     if (form.clustered) {
       retrieval::ClusteredIndexOptions copts;
-      copts.default_nprobe = std::size_t{1} << 20;  // clamps to probe-all
+      if (form.probe_all) {
+        copts.default_nprobe = std::size_t{1} << 20;  // clamps to probe-all
+      }
       copts.use_pq = form.pq;
       ASSERT_TRUE(clustered.Build(index, copts).ok());
       parts.clustered = &clustered;
@@ -127,6 +132,40 @@ class ServeTest : public ::testing::Test {
             << "probe " << e << " rank " << i;
       }
     }
+  }
+
+  /// The plain server over the raw components: exhaustive fp32 retrieval.
+  void ServePlain(std::unique_ptr<LinkingServer>* out) {
+    auto server =
+        LinkingServer::Create(pipeline_->bi_encoder(),
+                              pipeline_->cross_encoder(), &corpus_->kb,
+                              "target", ServingOptions());
+    ASSERT_TRUE(server.ok()) << server.status().message();
+    EXPECT_EQ((*server)->Stats().num_shards, 1u);
+    EXPECT_FALSE((*server)->Stats().pq_active);
+    *out = std::move(*server);
+  }
+
+  /// Saves `form` as a bundle and serves it, asserting that Stats() reports
+  /// the layout the bundle declares.
+  void ServeForm(const RetrievalForm& form, std::uint64_t version,
+                 std::unique_ptr<LinkingServer>* out) {
+    const std::string dir =
+        ::testing::TempDir() + "metablink_serve_form_" + form.name;
+    SaveBundle(*pipeline_, dir, version, form);
+    auto server = LinkingServer::FromBundle(dir, ServingOptions());
+    ASSERT_TRUE(server.ok()) << server.status().message();
+    const ServerStats stats = (*server)->Stats();
+    EXPECT_EQ(stats.model_version, version);
+    EXPECT_EQ(stats.num_shards, form.num_shards < 2 ? 1u : form.num_shards);
+    EXPECT_EQ(stats.pq_active, form.pq);
+    *out = std::move(*server);
+  }
+
+  static ServerOptions ServingOptions() {
+    ServerOptions opts;
+    opts.retrieve_k = 16;
+    return opts;
   }
 
   std::unique_ptr<data::Corpus> corpus_;
@@ -228,42 +267,123 @@ TEST_F(ServeTest, ServerMatchesPipelineLink) {
   }
 }
 
-TEST_F(ServeTest, BundleRetrievalFormsServeLikeThePlainServer) {
-  // The bundle decides how stage 1 retrieves. Every form below is exact on
-  // this KB — int8 dispatches to the fp32 scan below its crossover size,
-  // the clustered artifacts probe every cell, PQ keeps a full re-score
-  // pool, and sharding never changes a response — so each must answer
-  // bit-identically to the plain server over the raw components, while
-  // Stats() reports which layout answered.
-  const RetrievalForm kForms[] = {
-      {"plain"},
-      {"quantized", /*quantized=*/true},
-      {"clustered", false, /*clustered=*/true},
-      {"clustered_pq", false, true, /*pq=*/true},
-      {"clustered_4_shards", false, true, false, /*num_shards=*/4},
-      {"pq_4_shards", false, true, true, 4},
-  };
-  ServerOptions opts;
-  opts.retrieve_k = 16;
-  auto plain =
-      LinkingServer::Create(pipeline_->bi_encoder(), pipeline_->cross_encoder(),
-                            &corpus_->kb, "target", opts);
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ((*plain)->Stats().num_shards, 1u);
-  EXPECT_FALSE((*plain)->Stats().pq_active);
-  for (const RetrievalForm& form : kForms) {
-    SCOPED_TRACE(form.name);
-    const std::string dir =
-        ::testing::TempDir() + "metablink_serve_form_" + form.name;
-    SaveBundle(*pipeline_, dir, /*version=*/9, form);
-    auto server = LinkingServer::FromBundle(dir, opts);
-    ASSERT_TRUE(server.ok()) << server.status().message();
-    const ServerStats stats = (*server)->Stats();
-    EXPECT_EQ(stats.model_version, 9u);
-    EXPECT_EQ(stats.num_shards, form.num_shards < 2 ? 1u : form.num_shards);
-    EXPECT_EQ(stats.pq_active, form.pq);
-    ExpectSameServing(plain->get(), server->get());
+// The bundle decides how stage 1 retrieves. Every form below is exact on
+// this KB — int8 dispatches to the fp32 scan below its crossover size, the
+// clustered artifacts probe every cell, PQ keeps a full re-score pool, and
+// sharding never changes a response — so each must answer bit-identically
+// to the plain server, while Stats() reports which layout answered.
+
+TEST_F(ServeTest, QuantizedServerMatchesFp32Server) {
+  RetrievalForm int8;
+  int8.name = "quantized";
+  int8.quantized = true;
+  std::unique_ptr<LinkingServer> plain, quantized;
+  ASSERT_NO_FATAL_FAILURE(ServePlain(&plain));
+  ASSERT_NO_FATAL_FAILURE(ServeForm(int8, /*version=*/9, &quantized));
+  ExpectSameServing(plain.get(), quantized.get());
+}
+
+TEST_F(ServeTest, ClusteredServerProbeAllMatchesFp32Server) {
+  // A clustered artifact saved with a probe-all default nprobe visits every
+  // row, so its server answers bit-identically to the exhaustive server —
+  // the serving-level form of the probe-all parity invariant.
+  RetrievalForm ivf;
+  ivf.name = "clustered_probe_all";
+  ivf.clustered = true;
+  std::unique_ptr<LinkingServer> plain, clustered;
+  ASSERT_NO_FATAL_FAILURE(ServePlain(&plain));
+  ASSERT_NO_FATAL_FAILURE(ServeForm(ivf, /*version=*/9, &clustered));
+  ExpectSameServing(plain.get(), clustered.get());
+
+  // At the artifact's default nprobe the clustered server still answers
+  // every request (recall quality is gated in bench_retrieval, not here).
+  RetrievalForm probe = ivf;
+  probe.name = "clustered_default_nprobe";
+  probe.probe_all = false;
+  std::unique_ptr<LinkingServer> partial;
+  ASSERT_NO_FATAL_FAILURE(ServeForm(probe, /*version=*/9, &partial));
+  const auto& ex = split_.test[0];
+  auto got = partial->Link(ex.mention, ex.left_context, ex.right_context, 5);
+  ASSERT_TRUE(got.ok());
+  EXPECT_FALSE(got->empty());
+}
+
+TEST_F(ServeTest, ClusteredBundleRoundTripServes) {
+  // A bundle shipping the "clustered" artifact serves through the adopted
+  // clustering (re-attached after the bundle move) and matches a server
+  // loaded from a bundle of the same weights without it.
+  RetrievalForm exhaustive;
+  exhaustive.name = "round_trip_plain";
+  RetrievalForm ivf;
+  ivf.name = "round_trip_clustered";
+  ivf.clustered = true;
+  std::unique_ptr<LinkingServer> plain, clustered;
+  ASSERT_NO_FATAL_FAILURE(ServeForm(exhaustive, /*version=*/9, &plain));
+  ASSERT_NO_FATAL_FAILURE(ServeForm(ivf, /*version=*/9, &clustered));
+  ExpectSameServing(plain.get(), clustered.get());
+}
+
+TEST_F(ServeTest, ShardedServerMatchesSingleIndexServer) {
+  // A manifest shard count splits the probe path into contiguous entity
+  // slices scanned in parallel; the deterministic re-offer merge keeps
+  // every response bit-identical to the single-index server. Sharding is a
+  // memory/parallelism layout, never a quality knob — for both the fp32
+  // clustered scan and the PQ scan.
+  for (const bool pq : {false, true}) {
+    SCOPED_TRACE(pq ? "pq" : "fp32");
+    RetrievalForm single;
+    single.name = pq ? "pq_single" : "clustered_single";
+    single.clustered = true;
+    single.pq = pq;
+    RetrievalForm sharded = single;
+    sharded.name = pq ? "pq_4_shards" : "clustered_4_shards";
+    sharded.num_shards = 4;
+    std::unique_ptr<LinkingServer> a, b;
+    ASSERT_NO_FATAL_FAILURE(ServeForm(single, /*version=*/9, &a));
+    ASSERT_NO_FATAL_FAILURE(ServeForm(sharded, /*version=*/9, &b));
+    ExpectSameServing(a.get(), b.get());
   }
+}
+
+TEST_F(ServeTest, PqBundleAdoptionAndPqFreeServing) {
+  // A bundle shipping the PQ form of the clustered artifact is adopted
+  // as-is; the test KB is small enough that the re-score pool covers the
+  // whole domain, so probe-all PQ serving is bit-identical to the
+  // exhaustive server. A clustered artifact without PQ codes serves the
+  // PQ-free scan, with the same responses.
+  RetrievalForm with_pq;
+  with_pq.name = "pq_adopted";
+  with_pq.clustered = true;
+  with_pq.pq = true;
+  RetrievalForm pq_free = with_pq;
+  pq_free.name = "pq_free";
+  pq_free.pq = false;
+  std::unique_ptr<LinkingServer> plain, adopted, unquantized;
+  ASSERT_NO_FATAL_FAILURE(ServePlain(&plain));
+  ASSERT_NO_FATAL_FAILURE(ServeForm(with_pq, /*version=*/12, &adopted));
+  ASSERT_NO_FATAL_FAILURE(ServeForm(pq_free, /*version=*/12, &unquantized));
+  ExpectSameServing(plain.get(), adopted.get());
+  ExpectSameServing(plain.get(), unquantized.get());
+}
+
+TEST_F(ServeTest, ManifestShardCountAdoptedAndOverridable) {
+  // A bundle whose manifest declares 4 shards shards the serving epoch; the
+  // same artifacts re-packaged with a manifest of 1 shard serve from a
+  // single index. The manifest is the only place the count is set, and
+  // both serve bit-identically.
+  RetrievalForm four;
+  four.name = "manifest_4_shards";
+  four.clustered = true;
+  four.num_shards = 4;
+  RetrievalForm one = four;
+  one.name = "manifest_1_shard";
+  one.num_shards = 1;
+  std::unique_ptr<LinkingServer> sharded, single;
+  ASSERT_NO_FATAL_FAILURE(ServeForm(four, /*version=*/13, &sharded));
+  ASSERT_NO_FATAL_FAILURE(ServeForm(one, /*version=*/13, &single));
+  EXPECT_EQ(sharded->Stats().num_shards, 4u);
+  EXPECT_EQ(single->Stats().num_shards, 1u);
+  ExpectSameServing(sharded.get(), single.get());
 }
 
 TEST_F(ServeTest, ServerCachesRepeatedRequests) {
