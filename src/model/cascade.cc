@@ -102,8 +102,7 @@ util::Status CascadeModel::LoadFromFile(const std::string& path) {
 void CascadeFeaturesInto(const float* scores, std::size_t n, std::size_t rank,
                          const float* mention_vec, const float* entity_vec,
                          std::size_t d, const MentionTokens& mention,
-                         const CachedEntityTokens& entity,
-                         const Featurizer& featurizer, float* out) {
+                         const CachedEntityTokens& entity, float* out) {
   const float top1 = scores[0];
   out[0] = scores[rank];
   out[1] = top1 - scores[rank];
@@ -116,7 +115,7 @@ void CascadeFeaturesInto(const float* scores, std::size_t n, std::size_t rank,
   cursor += d;
   std::copy(entity_vec, entity_vec + d, cursor);
   cursor += d;
-  featurizer.OverlapFeaturesCached(mention, entity, cursor);
+  OverlapFeaturesCached(mention, entity, cursor);
 }
 
 }  // namespace metablink::model

@@ -100,8 +100,7 @@ struct CascadeModel {
 void CascadeFeaturesInto(const float* scores, std::size_t n, std::size_t rank,
                          const float* mention_vec, const float* entity_vec,
                          std::size_t d, const MentionTokens& mention,
-                         const CachedEntityTokens& entity,
-                         const Featurizer& featurizer, float* out);
+                         const CachedEntityTokens& entity, float* out);
 
 }  // namespace metablink::model
 

@@ -76,6 +76,39 @@ std::vector<float> CrossEncoder::Score(
   return out;
 }
 
+void CrossEncoder::PrefixInto(CrossScoreScratch* scratch) const {
+  scratch->prefix.assign(config_.hidden, 0.0f);
+  tensor::GemmRowChain(scratch->mention_vec.data(),
+                       w1_->value.data().data(), scratch->prefix.data(),
+                       config_.dim, config_.hidden);
+  scratch->pair.resize(2 * config_.dim + kNumOverlapFeatures);
+  scratch->hidden.resize(config_.hidden);
+}
+
+float CrossEncoder::ScorePair(const float* entity_vec,
+                              CrossScoreScratch* scratch) const {
+  const std::size_t d = config_.dim;
+  const std::size_t h = config_.hidden;
+  const float* m = scratch->mention_vec.data();
+  float* pair = scratch->pair.data();
+  std::copy(entity_vec, entity_vec + d, pair);
+  for (std::size_t j = 0; j < d; ++j) pair[d + j] = m[j] * entity_vec[j];
+  float* hidden = scratch->hidden.data();
+  std::copy(scratch->prefix.begin(), scratch->prefix.end(), hidden);
+  tensor::GemmRowChain(pair, w1_->value.row_data(d), hidden,
+                       2 * d + kNumOverlapFeatures, h);
+  // The [1, hidden] x [hidden, 1] GEMM of the tape, in its order: ascending
+  // hidden unit from 0, zero activations skipped, then the bias.
+  const float* b1 = b1_->value.data().data();
+  const float* w2 = w2_->value.data().data();
+  float score = 0.0f;
+  for (std::size_t j = 0; j < h; ++j) {
+    const float v = std::tanh(hidden[j] + b1[j]);
+    if (v != 0.0f) score += v * w2[j];
+  }
+  return score + b2_->value.at(0, 0);
+}
+
 void CrossEncoder::ScoreInference(const data::LinkingExample& example,
                                   const std::vector<kb::Entity>& candidates,
                                   CrossScoreScratch* scratch,
@@ -83,22 +116,10 @@ void CrossEncoder::ScoreInference(const data::LinkingExample& example,
   METABLINK_CHECK(!candidates.empty()) << "no candidates to score";
   const std::size_t c = candidates.size();
   const std::size_t d = config_.dim;
-  const std::size_t in = 3 * d + kNumOverlapFeatures;
 
-  // Mention tower: mean-pooled bag + tanh, computed once (the Graph path
-  // broadcasts the single encoded row).
-  featurizer_.MentionBagInto(example, &scratch->mention_bag);
-  scratch->mention_vec.assign(d, 0.0f);
-  if (!scratch->mention_bag.empty()) {
-    const float inv =
-        1.0f / static_cast<float>(scratch->mention_bag.size());
-    for (std::uint32_t id : scratch->mention_bag) {
-      METABLINK_CHECK(id < table_->value.rows()) << "embedding id out of range";
-      tensor::Axpy(inv, table_->value.row_data(id),
-                   scratch->mention_vec.data(), d);
-    }
-  }
-  for (float& v : scratch->mention_vec) v = std::tanh(v);
+  // Mention tower once (the Graph path broadcasts the single encoded row).
+  MentionVecInto(example, scratch);
+  PrefixInto(scratch);
 
   // Entity tower: same gather + tanh per candidate row.
   if (scratch->entity_bags.size() < c) scratch->entity_bags.resize(c);
@@ -116,36 +137,12 @@ void CrossEncoder::ScoreInference(const data::LinkingExample& example,
   }
   for (float& v : scratch->entity_vec.data()) v = std::tanh(v);
 
-  // Joint row: [m, e, m*e, overlaps] — the ConcatCols layout of the tape.
-  scratch->input.Resize(c, in);
-  for (std::size_t i = 0; i < c; ++i) {
-    float* row = scratch->input.row_data(i);
-    const float* m = scratch->mention_vec.data();
-    const float* e = scratch->entity_vec.row_data(i);
-    std::copy(m, m + d, row);
-    std::copy(e, e + d, row + d);
-    for (std::size_t j = 0; j < d; ++j) row[2 * d + j] = m[j] * e[j];
-    featurizer_.OverlapFeaturesInto(example, candidates[i], row + 3 * d);
-  }
-
-  // Scoring MLP through the same serial blocked GEMM as Graph::MatMul.
-  scratch->hidden.Resize(c, config_.hidden);
-  tensor::GemmRaw(scratch->input.data().data(), w1_->value.data().data(),
-                  scratch->hidden.data().data(), c, in, config_.hidden);
-  for (std::size_t i = 0; i < c; ++i) {
-    float* row = scratch->hidden.row_data(i);
-    for (std::size_t j = 0; j < config_.hidden; ++j) {
-      row[j] = std::tanh(row[j] + b1_->value.at(0, j));
-    }
-  }
-  scratch->score.Resize(c, 1);
-  tensor::GemmRaw(scratch->hidden.data().data(), w2_->value.data().data(),
-                  scratch->score.data().data(), c, config_.hidden, 1);
   out->clear();
   out->reserve(c);
-  const float b2 = b2_->value.at(0, 0);
   for (std::size_t i = 0; i < c; ++i) {
-    out->push_back(scratch->score.at(i, 0) + b2);
+    featurizer_.OverlapFeaturesInto(example, candidates[i],
+                                    scratch->pair.data() + 2 * d);
+    out->push_back(ScorePair(scratch->entity_vec.row_data(i), scratch));
   }
 }
 
@@ -155,6 +152,7 @@ void CrossEncoder::PrecomputeEntities(const std::vector<kb::Entity>& entities,
   const std::size_t d = config_.dim;
   out->entity_vec.Resize(n, d);
   out->tokens.resize(n);
+  out->vocab.clear();
   std::vector<std::uint32_t> bag;
   for (std::size_t i = 0; i < n; ++i) {
     featurizer_.EntityBagInto(entities[i], &bag);
@@ -167,7 +165,8 @@ void CrossEncoder::PrecomputeEntities(const std::vector<kb::Entity>& entities,
         tensor::Axpy(inv, table_->value.row_data(id), dst, d);
       }
     }
-    featurizer_.PrecomputeEntityTokens(entities[i], &out->tokens[i]);
+    featurizer_.PrecomputeEntityTokens(entities[i], &out->vocab,
+                                       &out->tokens[i]);
   }
   for (float& v : out->entity_vec.data()) v = std::tanh(v);
 }
@@ -195,49 +194,23 @@ void CrossEncoder::ScoreCachedInference(const data::LinkingExample& example,
                                         CrossScoreScratch* scratch,
                                         std::vector<float>* out) const {
   METABLINK_CHECK(!rows.empty()) << "no candidates to score";
-  const std::size_t c = rows.size();
+  METABLINK_CHECK(cache.entity_vec.cols() == config_.dim)
+      << "cache rows do not match the model dimension";
   const std::size_t d = config_.dim;
-  const std::size_t in = 3 * d + kNumOverlapFeatures;
 
-  // Mention tower: identical to ScoreInference.
+  // Everything mention-side once per request: tower, W1 prefix, tokens.
   MentionVecInto(example, scratch);
+  PrefixInto(scratch);
+  featurizer_.PrecomputeMentionTokens(example, cache.vocab,
+                                      &scratch->mention_tokens);
 
-  // Mention-side overlap tokens, once per request instead of per pair.
-  featurizer_.PrecomputeMentionTokens(example, &scratch->mention_tokens);
-
-  // Joint rows pull the entity tower straight from the cache.
-  scratch->input.Resize(c, in);
-  for (std::size_t i = 0; i < c; ++i) {
-    const std::size_t r = rows[i];
-    METABLINK_CHECK(r < cache.entity_vec.rows()) << "cache row out of range";
-    float* row = scratch->input.row_data(i);
-    const float* m = scratch->mention_vec.data();
-    const float* e = cache.entity_vec.row_data(r);
-    std::copy(m, m + d, row);
-    std::copy(e, e + d, row + d);
-    for (std::size_t j = 0; j < d; ++j) row[2 * d + j] = m[j] * e[j];
-    featurizer_.OverlapFeaturesCached(scratch->mention_tokens,
-                                      cache.tokens[r], row + 3 * d);
-  }
-
-  // Same scoring MLP as ScoreInference.
-  scratch->hidden.Resize(c, config_.hidden);
-  tensor::GemmRaw(scratch->input.data().data(), w1_->value.data().data(),
-                  scratch->hidden.data().data(), c, in, config_.hidden);
-  for (std::size_t i = 0; i < c; ++i) {
-    float* row = scratch->hidden.row_data(i);
-    for (std::size_t j = 0; j < config_.hidden; ++j) {
-      row[j] = std::tanh(row[j] + b1_->value.at(0, j));
-    }
-  }
-  scratch->score.Resize(c, 1);
-  tensor::GemmRaw(scratch->hidden.data().data(), w2_->value.data().data(),
-                  scratch->score.data().data(), c, config_.hidden, 1);
   out->clear();
-  out->reserve(c);
-  const float b2 = b2_->value.at(0, 0);
-  for (std::size_t i = 0; i < c; ++i) {
-    out->push_back(scratch->score.at(i, 0) + b2);
+  out->reserve(rows.size());
+  for (std::size_t r : rows) {
+    METABLINK_CHECK(r < cache.entity_vec.rows()) << "cache row out of range";
+    OverlapFeaturesCached(scratch->mention_tokens, cache.tokens[r],
+                          scratch->pair.data() + 2 * d);
+    out->push_back(ScorePair(cache.entity_vec.row_data(r), scratch));
   }
 }
 

@@ -24,26 +24,28 @@ struct CrossEncoderConfig {
   std::size_t hidden = 64;
 };
 
-/// Caller-owned scratch for ScoreInference. Reused across calls, the
-/// numeric path is allocation-free after warm-up.
+/// Caller-owned scratch for ScoreInference / ScoreCachedInference. Reused
+/// across calls, the numeric path is allocation-free after warm-up.
 struct CrossScoreScratch {
   std::vector<std::uint32_t> mention_bag;
   std::vector<std::vector<std::uint32_t>> entity_bags;
   std::vector<float> mention_vec;  // [dim] pooled + tanh'd mention tower
   tensor::Tensor entity_vec;       // [c, dim] pooled + tanh'd entities
-  tensor::Tensor input;            // [c, 3*dim + kNumOverlapFeatures]
-  tensor::Tensor hidden;           // [c, hidden]
-  tensor::Tensor score;            // [c, 1]
+  std::vector<float> prefix;       // [hidden] mention_vec · W1[0, dim)
+  std::vector<float> pair;         // [2*dim + kNumOverlapFeatures] e, m*e, ov
+  std::vector<float> hidden;       // [hidden] one candidate's hidden layer
   MentionTokens mention_tokens;    // used by ScoreCachedInference only
 };
 
 /// Everything about a fixed entity set that candidate scoring reuses:
 /// the pooled + tanh'd entity-tower rows and the precomputed overlap
-/// tokens. Built once per served domain (PrecomputeEntities); row i of
-/// `entity_vec` / `tokens` corresponds to entity i of the input list.
+/// tokens, interned into one vocabulary. Built once per served domain
+/// (PrecomputeEntities); row i of `entity_vec` / `tokens` corresponds to
+/// entity i of the input list.
 struct CrossEntityCache {
   tensor::Tensor entity_vec;  // [n, dim]
   std::vector<CachedEntityTokens> tokens;
+  TokenVocabulary vocab;      // every token id in `tokens`
 };
 
 /// BLINK-style cross-encoder: stage-2 ranker that jointly reads the mention
@@ -89,8 +91,9 @@ class CrossEncoder {
 
   /// ScoreInference against cache rows instead of raw entities: candidate
   /// i is row `rows[i]` of `cache`. The per-candidate tokenization,
-  /// hashing, and embedding-bag gather all disappear; scores are
-  /// bit-identical to ScoreInference / Score on the same entities.
+  /// hashing, and embedding-bag gather all disappear, and the overlap
+  /// features come from interned ids; scores are bit-identical to
+  /// ScoreInference / Score on the same entities.
   void ScoreCachedInference(const data::LinkingExample& example,
                             const std::vector<std::size_t>& rows,
                             const CrossEntityCache& cache,
@@ -130,6 +133,20 @@ class CrossEncoder {
   util::Status LoadFromFile(const std::string& path);
 
  private:
+  // The tape-free MLP, factored along GemmRaw's accumulation chain. Row i
+  // of W1 sees input i, and GemmRaw adds inputs in ascending order, so the
+  // mention's block [0, dim) is an exact partial sum shared by every
+  // candidate of a request:
+  //   PrefixInto:  scratch->prefix = m · W1[0, dim), once per request;
+  //                also sizes scratch->pair and ->hidden.
+  //   ScorePair:   continues that chain over [e, m*e, overlaps] (rows
+  //                [dim, in) of W1), then tanh(+b1) · w2 + b2.
+  // Pre for ScorePair: scratch->mention_vec and ->prefix are current and
+  // scratch->pair[2*dim, 2*dim + kNumOverlapFeatures) holds the
+  // candidate's overlap features.
+  void PrefixInto(CrossScoreScratch* scratch) const;
+  float ScorePair(const float* entity_vec, CrossScoreScratch* scratch) const;
+
   CrossEncoderConfig config_;
   Featurizer featurizer_;
   tensor::ParameterStore params_;

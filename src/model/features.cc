@@ -1,6 +1,7 @@
 #include "model/features.h"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_set>
 
 #include "text/string_metrics.h"
@@ -8,10 +9,6 @@
 namespace metablink::model {
 
 namespace {
-std::unordered_set<std::string> ToSet(const std::vector<std::string>& v) {
-  return std::unordered_set<std::string>(v.begin(), v.end());
-}
-
 float FractionIn(const std::vector<std::string>& tokens,
                  const std::unordered_set<std::string>& set) {
   if (tokens.empty()) return 0.0f;
@@ -22,20 +19,82 @@ float FractionIn(const std::vector<std::string>& tokens,
   return static_cast<float>(hits) / static_cast<float>(tokens.size());
 }
 
-/// text::TokenJaccard on prebuilt sets: identical intersection/union
-/// counts, so identical doubles.
-double SetJaccard(const std::unordered_set<std::string>& sa,
-                  const std::unordered_set<std::string>& sb) {
-  if (sa.empty() && sb.empty()) return 1.0;
-  std::size_t inter = 0;
-  for (const auto& t : sa) {
-    if (sb.count(t) > 0) ++inter;
+void ResolveTokens(const std::vector<std::string>& tokens,
+                   const TokenVocabulary& vocab, TokenCounts* out) {
+  std::vector<std::uint32_t> known;
+  std::vector<std::string_view> unknown;
+  for (const std::string& t : tokens) {
+    const auto it = vocab.find(t);
+    if (it != vocab.end()) {
+      known.push_back(it->second);
+    } else {
+      unknown.push_back(t);
+    }
   }
-  const std::size_t uni = sa.size() + sb.size() - inter;
+  std::sort(known.begin(), known.end());
+  out->ids.clear();
+  for (std::uint32_t id : known) {
+    if (!out->ids.empty() && out->ids.back().first == id) {
+      ++out->ids.back().second;
+    } else {
+      out->ids.emplace_back(id, 1u);
+    }
+  }
+  std::sort(unknown.begin(), unknown.end());
+  const std::size_t unknown_distinct = static_cast<std::size_t>(
+      std::unique(unknown.begin(), unknown.end()) - unknown.begin());
+  out->distinct = out->ids.size() + unknown_distinct;
+  out->total = tokens.size();
+}
+
+/// Matches of a mention-side field in an entity's ascending id set.
+struct Matches {
+  std::size_t distinct = 0;     // |field set ∩ entity set|
+  std::size_t occurrences = 0;  // field tokens (with repeats) in the set
+};
+
+Matches Intersect(const TokenCounts& field,
+                  const std::vector<std::uint32_t>& set) {
+  Matches m;
+  auto s = set.begin();
+  for (const auto& [id, count] : field.ids) {
+    while (s != set.end() && *s < id) ++s;
+    if (s == set.end()) break;
+    if (*s == id) {
+      ++m.distinct;
+      m.occurrences += count;
+    }
+  }
+  return m;
+}
+
+/// text::TokenJaccard from set sizes: the same intersection and union
+/// counts, so the same double.
+double Jaccard(std::size_t a, std::size_t b, std::size_t inter) {
+  if (a == 0 && b == 0) return 1.0;
+  const std::size_t uni = a + b - inter;
   return uni == 0 ? 1.0
                   : static_cast<double>(inter) / static_cast<double>(uni);
 }
+
+/// FractionIn from counts: the same integer ratio in float.
+float Fraction(std::size_t hits, std::size_t total) {
+  if (total == 0) return 0.0f;
+  return static_cast<float>(hits) / static_cast<float>(total);
+}
 }  // namespace
+
+void InternTokenSet(const std::vector<std::string>& tokens,
+                    TokenVocabulary* vocab, std::vector<std::uint32_t>* ids) {
+  ids->clear();
+  ids->reserve(tokens.size());
+  for (const std::string& t : tokens) {
+    const auto next = static_cast<std::uint32_t>(vocab->size());
+    ids->push_back(vocab->try_emplace(t, next).first->second);
+  }
+  std::sort(ids->begin(), ids->end());
+  ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+}
 
 Featurizer::Featurizer(FeatureConfig config) : hasher_(config.hasher) {}
 
@@ -89,7 +148,8 @@ std::vector<float> Featurizer::OverlapFeatures(
   for (auto& t : tokenizer_.Tokenize(example.right_context)) {
     context_tokens.push_back(std::move(t));
   }
-  const auto desc_set = ToSet(desc_tokens);
+  const std::unordered_set<std::string> desc_set(desc_tokens.begin(),
+                                                 desc_tokens.end());
 
   const auto category = text::ClassifyOverlap(example.mention, entity.title);
   std::vector<float> feats(kNumOverlapFeatures, 0.0f);
@@ -108,9 +168,11 @@ std::vector<float> Featurizer::OverlapFeatures(
 }
 
 void Featurizer::PrecomputeEntityTokens(const kb::Entity& entity,
+                                        TokenVocabulary* vocab,
                                         CachedEntityTokens* out) const {
-  out->title_set = ToSet(tokenizer_.Tokenize(entity.title));
-  out->desc_set = ToSet(tokenizer_.Tokenize(entity.description));
+  InternTokenSet(tokenizer_.Tokenize(entity.title), vocab, &out->title_ids);
+  InternTokenSet(tokenizer_.Tokenize(entity.description), vocab,
+                 &out->desc_ids);
   out->norm_title = text::NormalizeForMatch(entity.title);
   std::string phrase;
   out->norm_base =
@@ -120,20 +182,19 @@ void Featurizer::PrecomputeEntityTokens(const kb::Entity& entity,
 }
 
 void Featurizer::PrecomputeMentionTokens(const data::LinkingExample& example,
+                                         const TokenVocabulary& vocab,
                                          MentionTokens* out) const {
-  out->mention_tokens = tokenizer_.Tokenize(example.mention);
-  out->context_tokens = tokenizer_.Tokenize(example.left_context);
+  ResolveTokens(tokenizer_.Tokenize(example.mention), vocab, &out->mention);
+  auto context = tokenizer_.Tokenize(example.left_context);
   for (auto& t : tokenizer_.Tokenize(example.right_context)) {
-    out->context_tokens.push_back(std::move(t));
+    context.push_back(std::move(t));
   }
-  out->mention_set = ToSet(out->mention_tokens);
-  out->context_set = ToSet(out->context_tokens);
+  ResolveTokens(context, vocab, &out->context);
   out->norm_mention = text::NormalizeForMatch(example.mention);
 }
 
-void Featurizer::OverlapFeaturesCached(const MentionTokens& mention,
-                                       const CachedEntityTokens& entity,
-                                       float* out) const {
+void OverlapFeaturesCached(const MentionTokens& mention,
+                           const CachedEntityTokens& entity, float* out) {
   // The category branches mirror text::ClassifyOverlap on the cached
   // normalized forms.
   const std::string& m = mention.norm_mention;
@@ -151,12 +212,17 @@ void Featurizer::OverlapFeaturesCached(const MentionTokens& mention,
             category == text::OverlapCategory::kMultipleCategories)
                ? 1.0f
                : 0.0f;
-  out[2] = static_cast<float>(SetJaccard(mention.mention_set,
-                                         entity.title_set));
-  out[3] = static_cast<float>(SetJaccard(mention.context_set,
-                                         entity.desc_set));
-  out[4] = FractionIn(mention.mention_tokens, entity.desc_set);
-  out[5] = FractionIn(mention.context_tokens, entity.desc_set);
+  const Matches m_title = Intersect(mention.mention, entity.title_ids);
+  const Matches c_desc = Intersect(mention.context, entity.desc_ids);
+  const Matches m_desc = Intersect(mention.mention, entity.desc_ids);
+  out[2] = static_cast<float>(Jaccard(mention.mention.distinct,
+                                      entity.title_ids.size(),
+                                      m_title.distinct));
+  out[3] = static_cast<float>(Jaccard(mention.context.distinct,
+                                      entity.desc_ids.size(),
+                                      c_desc.distinct));
+  out[4] = Fraction(m_desc.occurrences, mention.mention.total);
+  out[5] = Fraction(c_desc.occurrences, mention.context.total);
 }
 
 void SaveFeatureConfig(const FeatureConfig& config,

@@ -3,7 +3,8 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "data/example.h"
@@ -42,13 +43,25 @@ util::Status LoadFeatureConfig(util::BinaryReader* reader, FeatureConfig* out);
 /// True when the two configs describe the same hashed feature space.
 bool FeatureConfigsMatch(const FeatureConfig& a, const FeatureConfig& b);
 
+/// Exact token -> id map over the title and description tokens of one
+/// entity set (a CrossEntityCache's). Unlike the hashed bags it never
+/// collides: two tokens share an id exactly when they are equal strings,
+/// so set intersections over ids count exactly what string sets would.
+using TokenVocabulary = std::unordered_map<std::string, std::uint32_t>;
+
+/// Interns every token into `vocab` (new tokens take the next free id) and
+/// writes the distinct ids, ascending, to `*ids`.
+void InternTokenSet(const std::vector<std::string>& tokens,
+                    TokenVocabulary* vocab, std::vector<std::uint32_t>* ids);
+
 /// Entity-side text work that does not depend on the mention, precomputed
-/// once per entity for the serving path: tokenized + set-ified title and
-/// description (for jaccard/coverage features) and the match-normalized
-/// title forms (for the overlap category).
+/// once per entity for the serving path: the distinct title and
+/// description tokens as ascending vocabulary ids (for the jaccard and
+/// coverage features) and the match-normalized title forms (for the
+/// overlap category).
 struct CachedEntityTokens {
-  std::unordered_set<std::string> title_set;
-  std::unordered_set<std::string> desc_set;
+  std::vector<std::uint32_t> title_ids;
+  std::vector<std::uint32_t> desc_ids;
   std::string norm_title;
   /// Normalized title with its trailing "(...)" phrase stripped; only
   /// meaningful when has_phrase.
@@ -56,14 +69,29 @@ struct CachedEntityTokens {
   bool has_phrase = false;
 };
 
+/// One mention-side token field resolved against a TokenVocabulary.
+struct TokenCounts {
+  /// (vocabulary id, occurrences) of the tokens the vocabulary knows,
+  /// ascending id. A token outside it matches no entity token.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> ids;
+  std::size_t distinct = 0;  // distinct tokens, known or not
+  std::size_t total = 0;     // all tokens, repeats included
+};
+
 /// Mention-side text work shared by every candidate of one request.
 struct MentionTokens {
-  std::vector<std::string> mention_tokens;
-  std::vector<std::string> context_tokens;
-  std::unordered_set<std::string> mention_set;
-  std::unordered_set<std::string> context_set;
+  TokenCounts mention;
+  TokenCounts context;  // left then right context
   std::string norm_mention;
 };
+
+/// Precomputed-overlap serving path: exactly the values of
+/// Featurizer::OverlapFeatures() for the mention and entity the two token
+/// records were built from (with the same vocabulary). Every jaccard and
+/// fraction comes from the same integer counts the string sets give, so
+/// the floats are identical.
+void OverlapFeaturesCached(const MentionTokens& mention,
+                           const CachedEntityTokens& entity, float* out);
 
 /// Converts examples and entities into hashed feature bags — the input
 /// representation of both encoders (the stand-in for BERT's tokenizer +
@@ -92,17 +120,16 @@ class Featurizer {
   void OverlapFeaturesInto(const data::LinkingExample& example,
                            const kb::Entity& entity, float* out) const;
 
-  /// Precomputed-overlap serving path. OverlapFeaturesCached produces
-  /// exactly the values of OverlapFeatures() with the entity-side
-  /// tokenization, normalization, and set construction hoisted out of the
-  /// per-(mention, candidate) loop.
+  /// Inputs of OverlapFeaturesCached: the entity side once per entity
+  /// (interning its tokens into the entity set's `vocab`), the mention side
+  /// once per request (resolved against that same vocabulary), so the
+  /// per-(mention, candidate) loop does no tokenizing or string hashing.
   void PrecomputeEntityTokens(const kb::Entity& entity,
+                              TokenVocabulary* vocab,
                               CachedEntityTokens* out) const;
   void PrecomputeMentionTokens(const data::LinkingExample& example,
+                               const TokenVocabulary& vocab,
                                MentionTokens* out) const;
-  void OverlapFeaturesCached(const MentionTokens& mention,
-                             const CachedEntityTokens& entity,
-                             float* out) const;
 
   /// Dense lexical-interaction features for the cross-encoder:
   /// [mention==title, mention substring-of title, jaccard(mention, title),

@@ -495,7 +495,8 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
                   scratch.strip[c] = cands[c].score;
                 }
                 epoch->cross->featurizer().PrecomputeMentionTokens(
-                    req.example, &scratch.cross.mention_tokens);
+                    req.example, epoch->cross_cache.vocab,
+                    &scratch.cross.mention_tokens);
                 epoch->cross->MentionVecInto(req.example, &scratch.cross);
                 const std::size_t cross_d =
                     epoch->cross_cache.entity_vec.cols();
@@ -509,7 +510,7 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
                       epoch->cross_cache.entity_vec.row_data(pos), cross_d,
                       scratch.cross.mention_tokens,
                       epoch->cross_cache.tokens[pos],
-                      epoch->cross->featurizer(), scratch.features.data());
+                      scratch.features.data());
                   scratch.scores[r] =
                       epoch->cascade.ScoreFeatures(scratch.features.data());
                 }

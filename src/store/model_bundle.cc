@@ -1,7 +1,7 @@
 #include "store/model_bundle.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <string>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -15,26 +15,37 @@ namespace {
 
 constexpr std::uint32_t kRerankTag = 0x4B4E5252u;  // "RRNK"
 
-// Sets are serialized sorted so identical caches produce identical bytes
-// (and therefore identical CRCs) regardless of hash-table iteration order.
-void SaveStringSet(const std::unordered_set<std::string>& set,
-                   util::BinaryWriter* w) {
-  std::vector<std::string> sorted(set.begin(), set.end());
-  std::sort(sorted.begin(), sorted.end());
+// The smallest framed token row: two set counts, two string lengths, and
+// the has_phrase flag. Caps how many rows a section can claim.
+constexpr std::size_t kMinTokenRowBytes = 8 + 8 + 8 + 8 + 4;
+
+// Sets are serialized as sorted strings, so identical caches produce
+// identical bytes (and therefore identical CRCs) whatever ids the
+// vocabulary happened to assign.
+void SaveTokenSet(const std::vector<std::uint32_t>& ids,
+                  const std::vector<const std::string*>& by_id,
+                  util::BinaryWriter* w) {
+  std::vector<const std::string*> sorted;
+  for (std::uint32_t id : ids) sorted.push_back(by_id[id]);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const std::string* a, const std::string* b) { return *a < *b; });
   w->WriteU64(sorted.size());
-  for (const std::string& s : sorted) w->WriteString(s);
+  for (const std::string* s : sorted) w->WriteString(*s);
 }
 
-util::Status LoadStringSet(util::BinaryReader* r,
-                           std::unordered_set<std::string>* out) {
+// Reads one serialized set, interning its strings as they are read.
+util::Status LoadTokenSet(util::BinaryReader* r, model::TokenVocabulary* vocab,
+                          std::vector<std::string>* strings,
+                          std::vector<std::uint32_t>* ids) {
   std::uint64_t n = 0;
   METABLINK_RETURN_IF_ERROR(r->ReadU64(&n));
-  out->clear();
+  strings->clear();
   for (std::uint64_t i = 0; i < n; ++i) {
     std::string s;
     METABLINK_RETURN_IF_ERROR(r->ReadString(&s));
-    out->insert(std::move(s));
+    strings->push_back(std::move(s));
   }
+  model::InternTokenSet(*strings, vocab, ids);
   return util::Status::OK();
 }
 
@@ -46,9 +57,11 @@ void SaveRerankCache(const model::CrossEntityCache& cache,
   w->WriteU64(cache.entity_vec.cols());
   w->WriteFloatVector(cache.entity_vec.data());
   w->WriteU64(cache.tokens.size());
+  std::vector<const std::string*> by_id(cache.vocab.size());
+  for (const auto& [token, id] : cache.vocab) by_id[id] = &token;
   for (const model::CachedEntityTokens& t : cache.tokens) {
-    SaveStringSet(t.title_set, w);
-    SaveStringSet(t.desc_set, w);
+    SaveTokenSet(t.title_ids, by_id, w);
+    SaveTokenSet(t.desc_ids, by_id, w);
     w->WriteString(t.norm_title);
     w->WriteString(t.norm_base);
     w->WriteU32(t.has_phrase ? 1u : 0u);
@@ -69,7 +82,8 @@ util::Status LoadRerankCache(const CheckpointReader& ckpt,
   METABLINK_RETURN_IF_ERROR(section->ReadU64(&cols));
   std::vector<float> flat;
   METABLINK_RETURN_IF_ERROR(section->ReadFloatVector(&flat));
-  if (flat.size() != rows * cols) {
+  // rows * cols == flat.size(), without the product that could wrap.
+  if (cols == 0 || flat.size() % cols != 0 || rows != flat.size() / cols) {
     return util::Status::InvalidArgument("corrupt rerank-cache shape");
   }
   std::uint64_t num_tokens = 0;
@@ -80,10 +94,17 @@ util::Status LoadRerankCache(const CheckpointReader& ckpt,
         static_cast<unsigned long long>(num_tokens),
         static_cast<unsigned long long>(rows)));
   }
+  if (num_tokens > section->Remaining() / kMinTokenRowBytes) {
+    return util::Status::OutOfRange("truncated rerank-cache token rows");
+  }
   std::vector<model::CachedEntityTokens> tokens(num_tokens);
+  model::TokenVocabulary vocab;
+  std::vector<std::string> strings;
   for (model::CachedEntityTokens& t : tokens) {
-    METABLINK_RETURN_IF_ERROR(LoadStringSet(&*section, &t.title_set));
-    METABLINK_RETURN_IF_ERROR(LoadStringSet(&*section, &t.desc_set));
+    METABLINK_RETURN_IF_ERROR(
+        LoadTokenSet(&*section, &vocab, &strings, &t.title_ids));
+    METABLINK_RETURN_IF_ERROR(
+        LoadTokenSet(&*section, &vocab, &strings, &t.desc_ids));
     METABLINK_RETURN_IF_ERROR(section->ReadString(&t.norm_title));
     METABLINK_RETURN_IF_ERROR(section->ReadString(&t.norm_base));
     std::uint32_t has_phrase = 0;
@@ -94,6 +115,7 @@ util::Status LoadRerankCache(const CheckpointReader& ckpt,
                                    static_cast<std::size_t>(cols),
                                    std::move(flat));
   out->tokens = std::move(tokens);
+  out->vocab = std::move(vocab);
   return util::Status::OK();
 }
 
@@ -226,6 +248,10 @@ util::Result<ModelBundle> LoadModelBundle(const std::string& dir) {
     if (out.rerank_cache.tokens.size() != out.index.size()) {
       return util::Status::InvalidArgument(
           "bundle rerank cache does not cover the indexed entity set");
+    }
+    if (out.rerank_cache.entity_vec.cols() != out.cross->config().dim) {
+      return util::Status::InvalidArgument(
+          "bundle rerank cache rows do not match the cross-encoder dim");
     }
     out.has_rerank_cache = true;
   }

@@ -2,6 +2,11 @@
 
 #include <algorithm>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define METABLINK_KERNELS_X86 1
+#endif
+
 #include "util/logging.h"
 #include "util/parallel_trace.h"
 #include "util/thread_pool.h"
@@ -22,7 +27,89 @@ bool AllZero(const float* p, std::size_t n) {
   return true;
 }
 
+// Output columns one GemmRowChain pass keeps in registers.
+constexpr std::size_t kChainBlock = 32;
+
+// Columns [j0, m) of GemmRowChain, kChainBlock at a time in a local array.
+void RowChainColumns(const float* a, const float* b, float* c, std::size_t k,
+                     std::size_t m, std::size_t j0) {
+  float acc[kChainBlock];
+  for (std::size_t jb = j0; jb < m; jb += kChainBlock) {
+    const std::size_t w = std::min(kChainBlock, m - jb);
+    std::copy(c + jb, c + jb + w, acc);
+    for (std::size_t p = 0; p < k; ++p) {
+      const float av = a[p];
+      if (av == 0.0f) continue;
+      const float* brow = b + p * m + jb;
+      for (std::size_t j = 0; j < w; ++j) acc[j] += av * brow[j];
+    }
+    std::copy(acc, acc + w, c + jb);
+  }
+}
+
+void GemmRowChainScalar(const float* a, const float* b, float* c,
+                        std::size_t k, std::size_t m) {
+  RowChainColumns(a, b, c, k, m, 0);
+}
+
+#ifdef METABLINK_KERNELS_X86
+
+// AVX2 only, never "avx2,fma": under an FMA target GCC may contract the
+// multiply and add below into one fused op, whose single rounding would
+// break bit-identity with GemmRaw.
+__attribute__((target("avx2"))) void GemmRowChainAvx2(const float* a,
+                                                      const float* b,
+                                                      float* c, std::size_t k,
+                                                      std::size_t m) {
+  std::size_t j = 0;
+  for (; j + kChainBlock <= m; j += kChainBlock) {
+    __m256 c0 = _mm256_loadu_ps(c + j);
+    __m256 c1 = _mm256_loadu_ps(c + j + 8);
+    __m256 c2 = _mm256_loadu_ps(c + j + 16);
+    __m256 c3 = _mm256_loadu_ps(c + j + 24);
+    for (std::size_t p = 0; p < k; ++p) {
+      const float av = a[p];
+      if (av == 0.0f) continue;
+      const __m256 va = _mm256_set1_ps(av);
+      const float* brow = b + p * m + j;
+      c0 = _mm256_add_ps(c0, _mm256_mul_ps(va, _mm256_loadu_ps(brow)));
+      c1 = _mm256_add_ps(c1, _mm256_mul_ps(va, _mm256_loadu_ps(brow + 8)));
+      c2 = _mm256_add_ps(c2, _mm256_mul_ps(va, _mm256_loadu_ps(brow + 16)));
+      c3 = _mm256_add_ps(c3, _mm256_mul_ps(va, _mm256_loadu_ps(brow + 24)));
+    }
+    _mm256_storeu_ps(c + j, c0);
+    _mm256_storeu_ps(c + j + 8, c1);
+    _mm256_storeu_ps(c + j + 16, c2);
+    _mm256_storeu_ps(c + j + 24, c3);
+  }
+  RowChainColumns(a, b, c, k, m, j);
+}
+
+#endif  // METABLINK_KERNELS_X86
+
+using RowChainFn = void (*)(const float*, const float*, float*, std::size_t,
+                            std::size_t);
+
+// One-time dispatch: the CPU's capabilities cannot change mid-process, so
+// every call (from any thread) sees the same implementation.
+RowChainFn ResolveRowChainFn() {
+#ifdef METABLINK_KERNELS_X86
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) return &GemmRowChainAvx2;
+#endif
+  return &GemmRowChainScalar;
+}
+
+const RowChainFn g_row_chain_fn = ResolveRowChainFn();
+
 }  // namespace
+
+void GemmRowChain(const float* a, const float* b, float* c, std::size_t k,
+                  std::size_t m) {
+  g_row_chain_fn(a, b, c, k, m);
+}
+
+bool GemmRowChainUsesSimd() { return g_row_chain_fn != &GemmRowChainScalar; }
 
 void GemmRaw(const float* a, const float* b, float* c, std::size_t n,
              std::size_t k, std::size_t m) {

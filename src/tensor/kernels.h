@@ -29,6 +29,24 @@ namespace metablink::tensor {
 void GemmRaw(const float* a, const float* b, float* c, std::size_t n,
              std::size_t k, std::size_t m);
 
+/// c[0,m) += a[0,k) * B[k,m] for ONE output row, continuing whatever
+/// partial sums `c` already holds: element j receives a[p] * B[p,j] for
+/// p ascending, skipping zero a[p] — exactly GemmRaw's chain for that row
+/// (separately rounded multiply and add, never fused). So a GemmRaw row
+/// over k1 + k2 inputs equals this call over the first k1 rows of B
+/// followed by this call over the remaining k2, bit for bit.
+///
+/// The x86 path keeps 32 output columns in AVX registers across the whole
+/// reduction instead of streaming `c` through memory per input; a scalar
+/// fallback serves other CPUs. One implementation is selected per process
+/// by CPU capability; both produce identical bits.
+void GemmRowChain(const float* a, const float* b, float* c, std::size_t k,
+                  std::size_t m);
+
+/// True when the runtime-dispatched AVX2 GemmRowChain is active; false on
+/// the portable scalar fallback.
+bool GemmRowChainUsesSimd();
+
 /// C[n,m] += A[n,d] * B[m,d]^T. Each output element is one Dot; B rows are
 /// tiled so a panel stays cache-resident across consecutive A rows.
 void GemmTransposeBRaw(const float* a, const float* b, float* c,

@@ -123,8 +123,8 @@ util::Result<model::CascadeModel> CalibrateCascade(
     row.cross_best_rank = ArgBest(row.hits, row.cross_scores,
                                   row.hits.size());
     row.cross_best_id = row.hits[row.cross_best_rank].id;
-    cross.featurizer().PrecomputeMentionTokens(examples[i],
-                                               &row.mention_tokens);
+    cross.featurizer().PrecomputeMentionTokens(
+        examples[i], cross_cache.vocab, &row.mention_tokens);
     cross.MentionVecInto(examples[i], &cross_scratch);
     row.mention_vec = cross_scratch.mention_vec;
   }
@@ -351,7 +351,7 @@ util::Result<model::CascadeModel> CalibrateCascade(
           cross_cache.entity_vec.row_data(entity_pos.at(row.hits[r].id)),
           cross_d, row.mention_tokens,
           cross_cache.tokens[entity_pos.at(row.hits[r].id)],
-          cross.featurizer(), features.data() + base);
+          features.data() + base);
       targets.push_back(row.cross_scores[r]);
     }
   }
@@ -425,7 +425,7 @@ util::Result<model::CascadeModel> CalibrateCascade(
             cross_cache.entity_vec.row_data(entity_pos.at(row.hits[r].id)),
             cross_d, row.mention_tokens,
             cross_cache.tokens[entity_pos.at(row.hits[r].id)],
-            cross.featurizer(), feat_row.data());
+            feat_row.data());
         distilled[r] = cascade.ScoreFeatures(feat_row.data());
       }
       distilled_best[i] = ArgBest(row.hits, distilled, head);

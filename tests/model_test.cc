@@ -83,6 +83,45 @@ TEST(FeaturizerTest, MentionInDescriptionFraction) {
   EXPECT_FLOAT_EQ(feats[4], 1.0f);
 }
 
+TEST(FeaturizerTest, CachedOverlapMatchesOverlapFeatures) {
+  // The interned-id path against the string reference, over every pair of
+  // a grid that hits each overlap category, repeated tokens on both sides,
+  // tokens no entity carries (repeated too), and empty fields.
+  Featurizer f;
+  const std::vector<kb::Entity> entities = {
+      MakeEntity("Red Dragon", "fire beast fire beast of the north"),
+      MakeEntity("Mercury (planet)", "the smallest planet"),
+      MakeEntity("Mercury (element)", ""),
+      MakeEntity("", "a beast with no name"),
+  };
+  const std::vector<data::LinkingExample> examples = {
+      MakeExample("red dragon", "the fire fire", "beast"),
+      MakeExample("Mercury", "qux qux the planet", "zork qux"),
+      MakeExample("dragon", "", ""),
+      MakeExample("", "fire", "north north"),
+      MakeExample("zzz zzz", "quux", "quux quux"),
+  };
+  TokenVocabulary vocab;
+  std::vector<CachedEntityTokens> cached(entities.size());
+  for (std::size_t i = 0; i < entities.size(); ++i) {
+    f.PrecomputeEntityTokens(entities[i], &vocab, &cached[i]);
+  }
+  MentionTokens mention;
+  float got[kNumOverlapFeatures];
+  for (std::size_t e = 0; e < examples.size(); ++e) {
+    f.PrecomputeMentionTokens(examples[e], vocab, &mention);
+    for (std::size_t i = 0; i < entities.size(); ++i) {
+      const std::vector<float> want = f.OverlapFeatures(examples[e],
+                                                        entities[i]);
+      OverlapFeaturesCached(mention, cached[i], got);
+      for (std::size_t k = 0; k < kNumOverlapFeatures; ++k) {
+        EXPECT_EQ(got[k], want[k])
+            << "example " << e << " entity " << i << " feature " << k;
+      }
+    }
+  }
+}
+
 // ---- BiEncoder -------------------------------------------------------------
 
 class BiEncoderTest : public ::testing::Test {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/few_shot_linker.h"
@@ -241,6 +242,52 @@ TEST_F(ServeTest, TapeFreeCrossScoreMatchesTape) {
   }
 }
 
+TEST_F(ServeTest, CachedCrossScoreMatchesTape) {
+  // The server's rerank (mention prefix once per request, per-pair chain,
+  // interned-id overlap features) against the tape's Score, at two hidden
+  // widths, with untrained and trained weights. Rows repeat, as the same
+  // entity does across one request's candidates and across requests.
+  const auto& ids = corpus_->kb.EntitiesInDomain("target");
+  std::vector<kb::Entity> entities;
+  std::unordered_map<kb::EntityId, std::size_t> row_of;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    entities.push_back(corpus_->kb.entity(ids[i]));
+    row_of[ids[i]] = i;
+  }
+  for (std::size_t hidden : {32, 64}) {
+    core::PipelineConfig config = TestConfig();
+    config.cross.hidden = hidden;
+    core::MetaBlinkPipeline pipeline(config);
+    for (bool trained : {false, true}) {
+      SCOPED_TRACE("hidden=" + std::to_string(hidden) +
+                   (trained ? " trained" : " untrained"));
+      if (trained) {
+        ASSERT_TRUE(pipeline.TrainSupervised(corpus_->kb, split_.train).ok());
+      }
+      const model::CrossEncoder* cross = pipeline.cross_encoder();
+      model::CrossEntityCache cache;
+      cross->PrecomputeEntities(entities, &cache);
+      model::CrossScoreScratch scratch;
+      std::vector<float> cached;
+      for (std::size_t e = 0; e < 10; ++e) {
+        const auto& ex = split_.test[e];
+        // The gold entity, whose overlap features fire, then repeats.
+        const std::size_t gold = row_of.at(ex.entity_id);
+        const std::vector<std::size_t> rows = {gold, 0, 7, 7, 0, 3 + e, gold};
+        std::vector<kb::Entity> candidates;
+        for (std::size_t r : rows) candidates.push_back(entities[r]);
+        const std::vector<float> tape = cross->Score(ex, candidates);
+        cross->ScoreCachedInference(ex, rows, cache, &scratch, &cached);
+        ASSERT_EQ(cached.size(), tape.size());
+        for (std::size_t c = 0; c < tape.size(); ++c) {
+          EXPECT_EQ(tape[c], cached[c]) << "example " << e << " candidate "
+                                        << c;
+        }
+      }
+    }
+  }
+}
+
 // ---- LinkingServer ---------------------------------------------------------
 
 TEST_F(ServeTest, ServerMatchesPipelineLink) {
@@ -262,7 +309,7 @@ TEST_F(ServeTest, ServerMatchesPipelineLink) {
     ASSERT_EQ(got->size(), want->size());
     for (std::size_t i = 0; i < want->size(); ++i) {
       EXPECT_EQ((*got)[i].entity_id, (*want)[i].id);
-      EXPECT_NEAR((*got)[i].score, (*want)[i].score, 1e-6);
+      EXPECT_EQ((*got)[i].score, (*want)[i].score);
     }
   }
 }

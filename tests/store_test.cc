@@ -482,6 +482,21 @@ TEST_F(BundleTest, SaveLoadRoundTrip) {
   ASSERT_EQ(bundle->rerank_cache.tokens.size(), cache_.tokens.size());
   EXPECT_EQ(bundle->rerank_cache.tokens[0].norm_title,
             cache_.tokens[0].norm_title);
+  EXPECT_EQ(bundle->rerank_cache.vocab.size(), cache_.vocab.size());
+
+  // The loader interns tokens in file order, so its ids differ from the
+  // ones PrecomputeEntities assigned; the artifact bytes must not.
+  const std::string again = TempPath("bundle_roundtrip_again");
+  ModelBundleParts parts;
+  parts.model_version = 3;
+  parts.domain = "target";
+  parts.bi = bi_.get();
+  parts.cross = cross_.get();
+  parts.kb = &corpus_->kb;
+  parts.index = &index_;
+  parts.rerank_cache = &bundle->rerank_cache;
+  ASSERT_TRUE(SaveModelBundle(parts, again).ok());
+  EXPECT_EQ(ReadAll(again + "/rerank.ckpt"), ReadAll(dir + "/rerank.ckpt"));
 }
 
 TEST_F(BundleTest, LoadWithoutRerankCacheArtifact) {
@@ -581,6 +596,50 @@ TEST_F(BundleTest, CorruptionAnywhereIsACleanStatus) {
   EXPECT_FALSE(LoadModelBundle(dir).ok());
   WriteAll(gone, saved);
   EXPECT_TRUE(LoadModelBundle(dir).ok());
+}
+
+TEST_F(BundleTest, CraftedRerankCountsAreAStatus) {
+  // A rerank artifact passes every CRC when its writer crafted it, so its
+  // counts are untrusted. Shapes whose product wraps or vanishes, and token
+  // row counts the section cannot hold, must each be a clean Status before
+  // anything is allocated from them.
+  struct Crafted {
+    const char* name;
+    std::uint64_t rows, cols, num_tokens;
+    std::size_t floats;
+  };
+  const std::vector<Crafted> cases = {
+      {"rows 2^40, cols 0", std::uint64_t{1} << 40, 0, std::uint64_t{1} << 40,
+       0},
+      {"rows = cols = 2^32", std::uint64_t{1} << 32, std::uint64_t{1} << 32,
+       std::uint64_t{1} << 32, 0},
+      {"token rows past the section end", 4096, 1, 4096, 4096},
+  };
+  for (const Crafted& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = TempPath("bundle_crafted_rerank");
+    BundleWriter bundle(dir);
+    CheckpointWriter bi, cross, kb, index, rerank;
+    bi_->SaveCheckpoint(&bi);
+    cross_->SaveCheckpoint(&cross);
+    corpus_->kb.Save(kb.AddSection("kb"));
+    index_.Save(index.AddSection("index"));
+    util::BinaryWriter* w = rerank.AddSection("rerank");
+    w->WriteU32(0x4B4E5252u);  // "RRNK"
+    w->WriteU64(c.rows);
+    w->WriteU64(c.cols);
+    w->WriteFloatVector(std::vector<float>(c.floats, 0.5f));
+    w->WriteU64(c.num_tokens);
+    ASSERT_TRUE(bundle.AddArtifact("bi_encoder", "bi.ckpt", bi).ok());
+    ASSERT_TRUE(bundle.AddArtifact("cross_encoder", "cross.ckpt", cross).ok());
+    ASSERT_TRUE(bundle.AddArtifact("kb", "kb.ckpt", kb).ok());
+    ASSERT_TRUE(bundle.AddArtifact("index", "index.ckpt", index).ok());
+    ASSERT_TRUE(bundle.AddArtifact("rerank_cache", "rerank.ckpt", rerank).ok());
+    ASSERT_TRUE(bundle.Finalize(3, "target").ok());
+    util::Result<ModelBundle> loaded = util::Status::Internal("not run");
+    EXPECT_NO_THROW(loaded = LoadModelBundle(dir));
+    EXPECT_FALSE(loaded.ok());
+  }
 }
 
 TEST_F(BundleTest, MissingDirectoryOrManifestIsNotFoundNotACrash) {

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "tensor/graph.h"
+#include "tensor/kernels.h"
 #include "tensor/optimizer.h"
 #include "tensor/parameter.h"
 #include "tensor/tensor.h"
@@ -11,6 +16,10 @@
 
 namespace metablink::tensor {
 namespace {
+
+/// A float's bit pattern, so +0 and -0 (and NaN payloads) compare as
+/// different values.
+std::uint32_t Bits(float v) { return std::bit_cast<std::uint32_t>(v); }
 
 // ---- Tensor ----------------------------------------------------------------
 
@@ -39,6 +48,57 @@ TEST(TensorTest, DotAndAxpy) {
   Axpy(2.0f, a, b, 3);
   EXPECT_FLOAT_EQ(b[0], 6.0f);
   EXPECT_FLOAT_EQ(b[2], 12.0f);
+}
+
+// ---- GemmRowChain ----------------------------------------------------------
+
+TEST(KernelTest, GemmRowChainMatchesGemmRawBitForBit) {
+  // One GemmRaw over every row is the reference. The chain kernel must
+  // reproduce each row bit for bit, both in one call and split at any
+  // reduction index (the factored rerank splits at the mention block).
+  RecordProperty("simd", GemmRowChainUsesSimd() ? "avx2" : "scalar");
+  util::Rng rng(2024);
+  constexpr std::size_t kRows = 3;
+  for (std::size_t h : {1, 7, 8, 31, 32, 33, 64, 100}) {
+    for (std::size_t k : {0, 1, 9, 70, 134}) {
+      SCOPED_TRACE("h=" + std::to_string(h) + " k=" + std::to_string(k));
+      std::vector<float> a(kRows * k), b(k * h), start(kRows * h, 0.0f);
+      for (float& v : a) {
+        const double u = rng.NextDouble();
+        v = u < 0.2 ? 0.0f : u < 0.35 ? -0.0f : rng.NextFloat(-1.0f, 1.0f);
+      }
+      for (float& v : b) v = rng.NextFloat(-1.0f, 1.0f);
+      // Row 0 starts from zero like a fresh GEMM; the others continue
+      // arbitrary partial sums.
+      for (std::size_t j = h; j < start.size(); ++j) {
+        start[j] = rng.NextFloat(-1.0f, 1.0f);
+      }
+      std::vector<float> want = start;
+      GemmRaw(a.data(), b.data(), want.data(), kRows, k, h);
+      for (std::size_t i = 0; i < kRows; ++i) {
+        const float* arow = a.data() + i * k;
+        const float* want_row = want.data() + i * h;
+        std::vector<float> whole(start.begin() + i * h,
+                                 start.begin() + (i + 1) * h);
+        GemmRowChain(arow, b.data(), whole.data(), k, h);
+        for (std::size_t split : {std::size_t{0}, k / 3, k}) {
+          std::vector<float> parts(start.begin() + i * h,
+                                   start.begin() + (i + 1) * h);
+          GemmRowChain(arow, b.data(), parts.data(), split, h);
+          GemmRowChain(arow + split, b.data() + split * h, parts.data(),
+                       k - split, h);
+          for (std::size_t j = 0; j < h; ++j) {
+            ASSERT_EQ(Bits(parts[j]), Bits(want_row[j]))
+                << "row " << i << " col " << j << " split " << split;
+          }
+        }
+        for (std::size_t j = 0; j < h; ++j) {
+          ASSERT_EQ(Bits(whole[j]), Bits(want_row[j]))
+              << "row " << i << " col " << j;
+        }
+      }
+    }
+  }
 }
 
 // ---- ParameterStore --------------------------------------------------------
