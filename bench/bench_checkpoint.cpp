@@ -7,10 +7,16 @@
 //                    parameter load) throughput over a full encoder
 //                    checkpoint.
 //   bundle ms:       packaging a complete serving bundle (encoders, KB,
-//                    index, rerank cache + manifest) and loading it back.
+//                    index, rerank cache + manifest) and loading it back,
+//                    with the publish path split into its stages: verify
+//                    (BundleReader::Open: read every artifact + whole-file
+//                    CRCs), artifact parse (the rest of LoadModelBundle)
+//                    and epoch build (an idle SwapModel minus the load).
+//                    Each is a p50 over the save/load iterations.
 //   swap stall p99:  Link() latency p99 observed by concurrent clients
 //                    while SwapModel publishes new versions under load —
-//                    the number that proves a swap never stalls serving.
+//                    the number that proves a swap never stalls serving —
+//                    beside the publish p50 and p99 under that load.
 //
 // Always-on correctness gates (exit 1 on violation, any scale):
 //   - checkpoint round trip is bit-identical (ValuesCrc32 equality);
@@ -213,7 +219,7 @@ int main(int argc, char** argv) {
   // ---- Bundle package / load -----------------------------------------------
   const std::string dir_a = tmp + "-bundle-a";
   const std::string dir_b = tmp + "-bundle-b";
-  double bundle_save_ms = 0.0, bundle_load_ms = 0.0;
+  double bundle_save_ms = 0.0, bundle_load_ms = 0.0, bundle_verify_ms = 0.0;
   {
     const auto& ids = kb.EntitiesInDomain("serving");
     retrieval::DenseIndex index;
@@ -255,12 +261,17 @@ int main(int argc, char** argv) {
     parts.model_version = 2;
     if (!store::SaveModelBundle(parts, dir_b).ok()) return 1;
 
-    const auto l0 = Clock::now();
-    auto loaded = store::LoadModelBundle(dir_a);
-    if (!loaded.ok()) return 1;
-    bundle_load_ms = MsSince(l0);
-    std::printf("[bundle]      save %7.2f ms  load+validate %7.2f ms\n",
-                bundle_save_ms, bundle_load_ms);
+    std::vector<double> verify_ms, load_ms;
+    for (std::size_t it = 0; it < scale.save_load_iters; ++it) {
+      const auto v0 = Clock::now();
+      if (!store::BundleReader::Open(dir_a).ok()) return 1;
+      verify_ms.push_back(MsSince(v0));
+      const auto l0 = Clock::now();
+      if (!store::LoadModelBundle(dir_a).ok()) return 1;
+      load_ms.push_back(MsSince(l0));
+    }
+    bundle_verify_ms = Percentile(verify_ms, 0.50);
+    bundle_load_ms = Percentile(load_ms, 0.50);
   }
 
   // ---- Swap stall under load -----------------------------------------------
@@ -274,6 +285,25 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", server.status().ToString().c_str());
     return 1;
   }
+  // Idle publishes: with no traffic, a swap is the load plus the epoch
+  // build, so their medians' difference is the epoch build.
+  std::vector<double> idle_publish_ms;
+  for (std::size_t it = 0; it < scale.save_load_iters; ++it) {
+    const auto p0 = Clock::now();
+    if (!(*server)->SwapModel(dir_a).ok()) return 1;
+    idle_publish_ms.push_back(MsSince(p0));
+  }
+  const double idle_publish_p50 = Percentile(idle_publish_ms, 0.50);
+  const double epoch_build_ms =
+      std::max(0.0, idle_publish_p50 - bundle_load_ms);
+  const double parse_ms = std::max(0.0, bundle_load_ms - bundle_verify_ms);
+  std::printf("[bundle]      save %7.2f ms  load+validate %7.2f ms "
+              "(verify %7.2f + parse %7.2f)  idle publish %7.2f ms "
+              "(epoch build %7.2f)\n",
+              bundle_save_ms, bundle_load_ms, bundle_verify_ms, parse_ms,
+              idle_publish_p50, epoch_build_ms);
+  const std::uint64_t swaps_before = (*server)->Stats().swaps;
+
   std::atomic<std::size_t> link_failures{0};
   std::vector<std::vector<double>> lat(scale.client_threads);
   std::vector<std::thread> clients;
@@ -307,13 +337,14 @@ int main(int argc, char** argv) {
   for (const auto& v : lat) all.insert(all.end(), v.begin(), v.end());
   const double link_p50 = Percentile(all, 0.50);
   const double link_p99 = Percentile(all, 0.99);
+  const double swap_p50 = Percentile(swap_ms, 0.50);
   const double swap_p99 = Percentile(swap_ms, 0.99);
   const serve::ServerStats stats = (*server)->Stats();
-  std::printf("[swap]        %zu swaps under load  publish p99 %7.2f ms  "
-              "Link p50 %7.3f ms  p99 %7.3f ms\n\n",
-              scale.swaps, swap_p99, link_p50, link_p99);
+  std::printf("[swap]        %zu swaps under load  publish p50 %7.2f ms  "
+              "p99 %7.2f ms  Link p50 %7.3f ms  p99 %7.3f ms\n\n",
+              scale.swaps, swap_p50, swap_p99, link_p50, link_p99);
   Gate(link_failures.load() == 0, "every Link during swaps succeeded");
-  Gate(swap_failures == 0 && stats.swaps == scale.swaps,
+  Gate(swap_failures == 0 && stats.swaps - swaps_before == scale.swaps,
        "every swap published");
 
   FILE* f = std::fopen(out_path.c_str(), "w");
@@ -334,13 +365,17 @@ int main(int argc, char** argv) {
                "\"load_mb_per_s\": %.1f},\n",
                mb, save_ms, save_mbps, load_ms, load_mbps);
   std::fprintf(f,
-               "  \"bundle\": {\"save_ms\": %.3f, \"load_ms\": %.3f},\n",
-               bundle_save_ms, bundle_load_ms);
+               "  \"bundle\": {\"save_ms\": %.3f, \"load_ms\": %.3f, "
+               "\"verify_ms\": %.3f, \"parse_ms\": %.3f, "
+               "\"idle_publish_ms\": %.3f, \"epoch_build_ms\": %.3f},\n",
+               bundle_save_ms, bundle_load_ms, bundle_verify_ms, parse_ms,
+               idle_publish_p50, epoch_build_ms);
   std::fprintf(f,
-               "  \"swap\": {\"count\": %zu, \"publish_p99_ms\": %.3f, "
+               "  \"swap\": {\"count\": %zu, \"publish_p50_ms\": %.3f, "
+               "\"publish_p99_ms\": %.3f, "
                "\"link_p50_ms\": %.4f, \"link_p99_ms\": %.4f, "
                "\"final_model_version\": %llu},\n",
-               scale.swaps, swap_p99, link_p50, link_p99,
+               scale.swaps, swap_p50, swap_p99, link_p50, link_p99,
                static_cast<unsigned long long>(stats.model_version));
   std::fprintf(f, "  \"gates_ok\": %s\n", g_ok ? "true" : "false");
   std::fprintf(f, "}\n");

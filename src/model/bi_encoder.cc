@@ -10,6 +10,15 @@
 
 namespace metablink::model {
 
+std::vector<tensor::ParameterShape> BiEncoder::ParameterShapes(
+    const BiEncoderConfig& config) {
+  const std::size_t buckets = config.features.hasher.num_buckets;
+  const std::size_t d = config.dim;
+  return {{"mention_table", buckets, d}, {"mention_proj", d, d},
+          {"mention_bias", 1, d},        {"entity_table", buckets, d},
+          {"entity_proj", d, d},         {"entity_bias", 1, d}};
+}
+
 BiEncoder::BiEncoder(BiEncoderConfig config, util::Rng* rng)
     : config_(config), featurizer_(config.features) {
   const std::size_t buckets = featurizer_.num_buckets();
@@ -184,6 +193,19 @@ util::Status BiEncoder::LoadCheckpoint(const store::CheckpointReader& ckpt) {
   auto section = ckpt.Section("bi_params");
   if (!section.ok()) return section.status();
   return params_.Load(&*section);
+}
+
+util::Result<std::unique_ptr<BiEncoder>> BiEncoder::FromCheckpoint(
+    const store::CheckpointReader& ckpt) {
+  auto config = ReadConfig(ckpt);
+  if (!config.ok()) return config.status();
+  auto section = ckpt.Section("bi_params");
+  if (!section.ok()) return section.status();
+  METABLINK_RETURN_IF_ERROR(tensor::ParameterStore::CheckSaved(
+      std::move(*section), ParameterShapes(*config)));
+  auto model = std::make_unique<BiEncoder>(*config, /*rng=*/nullptr);
+  METABLINK_RETURN_IF_ERROR(model->LoadCheckpoint(ckpt));
+  return model;
 }
 
 util::Status BiEncoder::SaveToFile(const std::string& path) const {

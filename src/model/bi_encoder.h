@@ -41,8 +41,17 @@ struct EncodeScratch {
 /// Each tower is EmbeddingBag(hashed features) -> tanh -> Linear -> L2-norm.
 class BiEncoder {
  public:
-  /// Builds a freshly initialized model.
+  /// Builds a freshly initialized model; a null `rng` leaves every weight
+  /// zero.
   BiEncoder(BiEncoderConfig config, util::Rng* rng);
+
+  /// Builds the model a SaveCheckpoint container holds, at its stored
+  /// config. The stored parameter shapes are checked against that config
+  /// and against the bytes that hold them before anything is allocated, so
+  /// a crafted config is a Status, never a huge allocation. Weights start
+  /// zero and LoadCheckpoint overwrites every one.
+  static util::Result<std::unique_ptr<BiEncoder>> FromCheckpoint(
+      const store::CheckpointReader& ckpt);
 
   /// Encodes a batch of mentions; returns a [n, dim] Var of unit rows.
   tensor::Var EncodeMentions(
@@ -108,17 +117,19 @@ class BiEncoder {
   /// stored config must match this model's (InvalidArgument otherwise).
   util::Status LoadCheckpoint(const store::CheckpointReader& ckpt);
 
-  /// Reads just the stored config, so a caller can construct a matching
-  /// model before LoadCheckpoint.
-  static util::Result<BiEncoderConfig> ReadConfig(
-      const store::CheckpointReader& ckpt);
-
   /// Writes a framed checkpoint container (see store::CheckpointWriter).
   util::Status SaveToFile(const std::string& path) const;
   /// Loads the framed container SaveToFile writes.
   util::Status LoadFromFile(const std::string& path);
 
  private:
+  static util::Result<BiEncoderConfig> ReadConfig(
+      const store::CheckpointReader& ckpt);
+  /// Names and shapes of the parameters the constructor creates at
+  /// `config`, in creation order.
+  static std::vector<tensor::ParameterShape> ParameterShapes(
+      const BiEncoderConfig& config);
+
   tensor::Var EncodeBags(tensor::Graph* graph,
                          std::vector<std::vector<std::uint32_t>> bags,
                          tensor::Parameter* table, tensor::Parameter* proj,

@@ -9,6 +9,21 @@
 
 namespace metablink::model {
 
+std::vector<tensor::ParameterShape> CrossEncoder::ParameterShapes(
+    const CrossEncoderConfig& config) {
+  const std::size_t buckets = config.features.hasher.num_buckets;
+  const std::size_t d = config.dim;
+  const std::size_t h = config.hidden;
+  // A stored dim too large for 3 * d to fit fails the check on the table
+  // before the wrapped `in` matters: the table must fit in the section.
+  const std::size_t in = 3 * d + kNumOverlapFeatures;
+  return {{"cross_table", buckets, d},
+          {"cross_w1", in, h},
+          {"cross_b1", 1, h},
+          {"cross_w2", h, 1},
+          {"cross_b2", 1, 1}};
+}
+
 CrossEncoder::CrossEncoder(CrossEncoderConfig config, util::Rng* rng)
     : config_(config), featurizer_(config.features) {
   const std::size_t buckets = featurizer_.num_buckets();
@@ -247,6 +262,19 @@ util::Status CrossEncoder::LoadCheckpoint(const store::CheckpointReader& ckpt) {
   auto section = ckpt.Section("cross_params");
   if (!section.ok()) return section.status();
   return params_.Load(&*section);
+}
+
+util::Result<std::unique_ptr<CrossEncoder>> CrossEncoder::FromCheckpoint(
+    const store::CheckpointReader& ckpt) {
+  auto config = ReadConfig(ckpt);
+  if (!config.ok()) return config.status();
+  auto section = ckpt.Section("cross_params");
+  if (!section.ok()) return section.status();
+  METABLINK_RETURN_IF_ERROR(tensor::ParameterStore::CheckSaved(
+      std::move(*section), ParameterShapes(*config)));
+  auto model = std::make_unique<CrossEncoder>(*config, /*rng=*/nullptr);
+  METABLINK_RETURN_IF_ERROR(model->LoadCheckpoint(ckpt));
+  return model;
 }
 
 util::Status CrossEncoder::SaveToFile(const std::string& path) const {

@@ -1,6 +1,7 @@
 #ifndef METABLINK_MODEL_CROSS_ENCODER_H_
 #define METABLINK_MODEL_CROSS_ENCODER_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -56,7 +57,17 @@ struct CrossEntityCache {
 /// interaction representation the bi-encoder cannot express.
 class CrossEncoder {
  public:
+  /// Builds a freshly initialized model; a null `rng` leaves every weight
+  /// zero.
   CrossEncoder(CrossEncoderConfig config, util::Rng* rng);
+
+  /// Builds the model a SaveCheckpoint container holds, at its stored
+  /// config. The stored parameter shapes are checked against that config
+  /// and against the bytes that hold them before anything is allocated, so
+  /// a crafted config is a Status, never a huge allocation. Weights start
+  /// zero and LoadCheckpoint overwrites every one.
+  static util::Result<std::unique_ptr<CrossEncoder>> FromCheckpoint(
+      const store::CheckpointReader& ckpt);
 
   /// Scores every candidate for one mention; returns a [c, 1] Var.
   tensor::Var ScoreCandidates(tensor::Graph* graph,
@@ -122,17 +133,19 @@ class CrossEncoder {
   /// stored config must match this model's (InvalidArgument otherwise).
   util::Status LoadCheckpoint(const store::CheckpointReader& ckpt);
 
-  /// Reads just the stored config, so a caller can construct a matching
-  /// model before LoadCheckpoint.
-  static util::Result<CrossEncoderConfig> ReadConfig(
-      const store::CheckpointReader& ckpt);
-
   /// Writes a framed checkpoint container (see store::CheckpointWriter).
   util::Status SaveToFile(const std::string& path) const;
   /// Loads the framed container SaveToFile writes.
   util::Status LoadFromFile(const std::string& path);
 
  private:
+  static util::Result<CrossEncoderConfig> ReadConfig(
+      const store::CheckpointReader& ckpt);
+  /// Names and shapes of the parameters the constructor creates at
+  /// `config`, in creation order.
+  static std::vector<tensor::ParameterShape> ParameterShapes(
+      const CrossEncoderConfig& config);
+
   // The tape-free MLP, factored along GemmRaw's accumulation chain. Row i
   // of W1 sees input i, and GemmRaw adds inputs in ascending order, so the
   // mention's block [0, dim) is an exact partial sum shared by every

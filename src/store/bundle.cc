@@ -121,19 +121,18 @@ util::Result<BundleReader> BundleReader::Open(const std::string& dir) {
   // Verify every artifact file against the manifest before anything else
   // reads it: a bundle is valid as a whole or not at all.
   for (const BundleArtifact& a : out.manifest_.artifacts) {
-    auto reader = util::BinaryReader::FromFile(out.dir_ + "/" + a.filename);
-    if (!reader.ok()) return reader.status();
-    std::vector<std::uint8_t> bytes;
-    METABLINK_RETURN_IF_ERROR(reader->ReadBytes(reader->Remaining(), &bytes));
-    if (bytes.size() != a.size) {
+    auto bytes = util::BinaryReader::FromFile(out.dir_ + "/" + a.filename);
+    if (!bytes.ok()) return bytes.status();
+    if (bytes->Remaining() != a.size) {
       return util::Status::DataLoss(util::StrFormat(
           "artifact '%s' is %zu bytes, manifest says %llu", a.name.c_str(),
-          bytes.size(), static_cast<unsigned long long>(a.size)));
+          bytes->Remaining(), static_cast<unsigned long long>(a.size)));
     }
-    if (util::Crc32(bytes.data(), bytes.size()) != a.crc32) {
+    if (util::Crc32(bytes->data(), bytes->Remaining()) != a.crc32) {
       return util::Status::DataLoss("artifact '" + a.name +
                                     "' failed its whole-file CRC check");
     }
+    out.contents_.push_back(std::move(*bytes));
   }
   return out;
 }
@@ -147,10 +146,16 @@ bool BundleReader::Has(const std::string& name) const {
 
 util::Result<CheckpointReader> BundleReader::OpenArtifact(
     const std::string& name) const {
-  for (const BundleArtifact& a : manifest_.artifacts) {
-    if (a.name == name) {
-      return CheckpointReader::FromFile(dir_ + "/" + a.filename);
+  for (std::size_t i = 0; i < manifest_.artifacts.size(); ++i) {
+    const BundleArtifact& a = manifest_.artifacts[i];
+    if (a.name != name) continue;
+    auto parsed = CheckpointReader::Parse(contents_[i]);
+    if (!parsed.ok()) {
+      return util::Status(parsed.status().code(),
+                          parsed.status().message() + " (" + dir_ + "/" +
+                              a.filename + ")");
     }
+    return parsed;
   }
   return util::Status::NotFound("bundle has no artifact '" + name + "'");
 }

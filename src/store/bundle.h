@@ -66,6 +66,11 @@ class BundleWriter {
 /// Opens and validates a bundle directory: parses the manifest and checks
 /// every listed artifact's size + whole-file CRC. Corruption anywhere is a
 /// clean kDataLoss/kOutOfRange/kIoError Status.
+///
+/// Each artifact file is read from disk exactly once, by Open, and its
+/// verified bytes are kept: OpenArtifact parses those bytes in place, so
+/// what is parsed is exactly what passed the whole-file CRC even if the
+/// file on disk changes afterwards.
 class BundleReader {
  public:
   static util::Result<BundleReader> Open(const std::string& dir);
@@ -73,13 +78,16 @@ class BundleReader {
   const BundleManifest& manifest() const { return manifest_; }
   bool Has(const std::string& name) const;
 
-  /// Loads and parses the named artifact's container (the whole-file CRC
-  /// was already verified by Open; the container re-verifies per-section).
+  /// Parses the named artifact's container from the bytes Open verified
+  /// (the container re-verifies per-section). The returned reader's
+  /// sections share those bytes; nothing is copied or re-read.
   util::Result<CheckpointReader> OpenArtifact(const std::string& name) const;
 
  private:
   std::string dir_;
   BundleManifest manifest_;
+  /// The verified contents of manifest_.artifacts[i], index for index.
+  std::vector<util::BinaryReader> contents_;
 };
 
 }  // namespace metablink::store

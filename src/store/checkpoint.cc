@@ -43,10 +43,7 @@ util::Result<CheckpointReader> CheckpointReader::FromFile(
     const std::string& path) {
   auto reader = util::BinaryReader::FromFile(path);
   if (!reader.ok()) return reader.status();
-  std::vector<std::uint8_t> bytes;
-  const std::size_t n = reader->Remaining();
-  METABLINK_RETURN_IF_ERROR(reader->ReadBytes(n, &bytes));
-  auto parsed = Parse(std::move(bytes));
+  auto parsed = Parse(std::move(*reader));
   if (!parsed.ok()) {
     return util::Status(parsed.status().code(),
                         parsed.status().message() + " (" + path + ")");
@@ -56,7 +53,11 @@ util::Result<CheckpointReader> CheckpointReader::FromFile(
 
 util::Result<CheckpointReader> CheckpointReader::Parse(
     std::vector<std::uint8_t> bytes) {
-  util::BinaryReader reader(std::move(bytes));
+  return Parse(util::BinaryReader(std::move(bytes)));
+}
+
+util::Result<CheckpointReader> CheckpointReader::Parse(
+    util::BinaryReader reader) {
   std::uint32_t magic = 0;
   METABLINK_RETURN_IF_ERROR(reader.ReadU32(&magic));
   if (magic != kCheckpointMagic) {
@@ -84,15 +85,13 @@ util::Result<CheckpointReader> CheckpointReader::Parse(
     METABLINK_RETURN_IF_ERROR(reader.ReadU64(&size));
     std::uint32_t want_crc = 0;
     METABLINK_RETURN_IF_ERROR(reader.ReadU32(&want_crc));
-    if (size > reader.Remaining()) {
+    auto payload = reader.ReadView(static_cast<std::size_t>(size));
+    if (!payload.ok()) {
       return util::Status::OutOfRange(
           "truncated checkpoint section '" + name + "'");
     }
-    std::vector<std::uint8_t> payload;
-    METABLINK_RETURN_IF_ERROR(
-        reader.ReadBytes(static_cast<std::size_t>(size), &payload));
     std::uint32_t got_crc = util::Crc32(name.data(), name.size());
-    got_crc = util::Crc32(payload.data(), payload.size(), got_crc);
+    got_crc = util::Crc32(payload->data(), payload->Remaining(), got_crc);
     if (got_crc != want_crc) {
       return util::Status::DataLoss(util::StrFormat(
           "checkpoint section '%s' failed its CRC check "
@@ -105,7 +104,7 @@ util::Result<CheckpointReader> CheckpointReader::Parse(
                                       name + "'");
       }
     }
-    out.sections_.emplace_back(std::move(name), std::move(payload));
+    out.sections_.emplace_back(std::move(name), std::move(*payload));
   }
   if (!reader.AtEnd()) {
     return util::Status::DataLoss(util::StrFormat(
@@ -132,7 +131,7 @@ std::vector<std::string> CheckpointReader::SectionNames() const {
 util::Result<util::BinaryReader> CheckpointReader::Section(
     const std::string& name) const {
   for (const auto& [existing, payload] : sections_) {
-    if (existing == name) return util::BinaryReader(payload);
+    if (existing == name) return payload;
   }
   return util::Status::NotFound("checkpoint has no section '" + name + "'");
 }

@@ -61,24 +61,31 @@ class CheckpointWriter {
 /// Parses and integrity-checks a checkpoint container. All validation
 /// (magic, version, bounds, CRCs, full consumption) happens in Parse /
 /// FromFile, so a constructed reader is known-good.
+///
+/// Parsing is in place: each section is a view into the container's one
+/// byte buffer (see util::BinaryReader), so no payload is copied and
+/// Section() is O(1).
 class CheckpointReader {
  public:
   static util::Result<CheckpointReader> FromFile(const std::string& path);
   static util::Result<CheckpointReader> Parse(std::vector<std::uint8_t> bytes);
+  /// Parses the container held in `bytes`' unconsumed window.
+  static util::Result<CheckpointReader> Parse(util::BinaryReader bytes);
 
   std::uint32_t version() const { return version_; }
   bool Has(const std::string& name) const;
   std::vector<std::string> SectionNames() const;
 
   /// A decoder positioned at the start of the named section's payload.
-  /// NotFound when the section is absent.
+  /// It shares the container's buffer and stays valid after this reader is
+  /// destroyed. NotFound when the section is absent.
   util::Result<util::BinaryReader> Section(const std::string& name) const;
 
  private:
   CheckpointReader() = default;
 
   std::uint32_t version_ = 0;
-  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> sections_;
+  std::vector<std::pair<std::string, util::BinaryReader>> sections_;
 };
 
 }  // namespace metablink::store

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "tensor/tensor.h"
-#include "util/rng.h"
 #include "util/serialize.h"
 #include "util/string_util.h"
 
@@ -195,23 +194,17 @@ util::Result<ModelBundle> LoadModelBundle(const std::string& dir) {
   out.domain = bundle->manifest().domain;
   out.num_shards = bundle->manifest().num_shards;
 
-  // The loader Rng only seeds throwaway initial weights; LoadCheckpoint
-  // overwrites every value.
-  util::Rng rng(0);
-
   auto bi_ckpt = bundle->OpenArtifact("bi_encoder");
   if (!bi_ckpt.ok()) return bi_ckpt.status();
-  auto bi_config = model::BiEncoder::ReadConfig(*bi_ckpt);
-  if (!bi_config.ok()) return bi_config.status();
-  out.bi = std::make_unique<model::BiEncoder>(*bi_config, &rng);
-  METABLINK_RETURN_IF_ERROR(out.bi->LoadCheckpoint(*bi_ckpt));
+  auto bi = model::BiEncoder::FromCheckpoint(*bi_ckpt);
+  if (!bi.ok()) return bi.status();
+  out.bi = std::move(*bi);
 
   auto cross_ckpt = bundle->OpenArtifact("cross_encoder");
   if (!cross_ckpt.ok()) return cross_ckpt.status();
-  auto cross_config = model::CrossEncoder::ReadConfig(*cross_ckpt);
-  if (!cross_config.ok()) return cross_config.status();
-  out.cross = std::make_unique<model::CrossEncoder>(*cross_config, &rng);
-  METABLINK_RETURN_IF_ERROR(out.cross->LoadCheckpoint(*cross_ckpt));
+  auto cross = model::CrossEncoder::FromCheckpoint(*cross_ckpt);
+  if (!cross.ok()) return cross.status();
+  out.cross = std::move(*cross);
 
   auto kb_ckpt = bundle->OpenArtifact("kb");
   if (!kb_ckpt.ok()) return kb_ckpt.status();

@@ -18,6 +18,7 @@ Parameter* ParameterStore::CreateXavier(const std::string& name,
                                         std::size_t rows, std::size_t cols,
                                         util::Rng* rng) {
   Parameter* p = Create(name, rows, cols);
+  if (rng == nullptr) return p;
   const float bound =
       std::sqrt(6.0f / static_cast<float>(rows + cols));
   for (float& v : p->value.data()) v = rng->NextFloat(-bound, bound);
@@ -28,6 +29,7 @@ Parameter* ParameterStore::CreateNormal(const std::string& name,
                                         std::size_t rows, std::size_t cols,
                                         float stddev, util::Rng* rng) {
   Parameter* p = Create(name, rows, cols);
+  if (rng == nullptr) return p;
   for (float& v : p->value.data()) {
     v = static_cast<float>(rng->NextGaussian()) * stddev;
   }
@@ -155,28 +157,88 @@ void ParameterStore::Save(util::BinaryWriter* writer) const {
   }
 }
 
-util::Status ParameterStore::Load(util::BinaryReader* reader) {
+namespace {
+
+// Reads one parameter's header (name and shape) as Save wrote it.
+util::Status ReadShape(util::BinaryReader* reader, ParameterShape* out) {
+  std::uint64_t rows = 0, cols = 0;
+  METABLINK_RETURN_IF_ERROR(reader->ReadString(&out->name));
+  METABLINK_RETURN_IF_ERROR(reader->ReadU64(&rows));
+  METABLINK_RETURN_IF_ERROR(reader->ReadU64(&cols));
+  out->rows = static_cast<std::size_t>(rows);
+  out->cols = static_cast<std::size_t>(cols);
+  return util::Status::OK();
+}
+
+util::Status CheckCount(util::BinaryReader* reader, std::uint64_t want) {
   std::uint64_t n = 0;
   METABLINK_RETURN_IF_ERROR(reader->ReadU64(&n));
-  if (n != params_.size()) {
+  if (n != want) {
     return util::Status::InvalidArgument(util::StrFormat(
-        "checkpoint has %llu parameters, model has %zu",
-        static_cast<unsigned long long>(n), params_.size()));
-  }
-  for (auto& p : params_) {
-    std::string name;
-    std::uint64_t rows = 0, cols = 0;
-    METABLINK_RETURN_IF_ERROR(reader->ReadString(&name));
-    METABLINK_RETURN_IF_ERROR(reader->ReadU64(&rows));
-    METABLINK_RETURN_IF_ERROR(reader->ReadU64(&cols));
-    if (name != p->name || rows != p->value.rows() ||
-        cols != p->value.cols()) {
-      return util::Status::InvalidArgument(
-          util::StrFormat("checkpoint mismatch at parameter %s", name.c_str()));
-    }
-    METABLINK_RETURN_IF_ERROR(reader->ReadFloatVector(&p->value.data()));
+        "checkpoint declares %llu parameters, model has %llu",
+        static_cast<unsigned long long>(n),
+        static_cast<unsigned long long>(want)));
   }
   return util::Status::OK();
+}
+
+util::Status CheckConsumed(const util::BinaryReader& reader) {
+  if (!reader.AtEnd()) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "%zu trailing bytes after the last parameter", reader.Remaining()));
+  }
+  return util::Status::OK();
+}
+
+}  // namespace
+
+util::Status ParameterStore::Load(util::BinaryReader* reader) {
+  METABLINK_RETURN_IF_ERROR(CheckCount(reader, params_.size()));
+  ParameterShape stored;
+  for (auto& p : params_) {
+    METABLINK_RETURN_IF_ERROR(ReadShape(reader, &stored));
+    if (stored.name != p->name || stored.rows != p->value.rows() ||
+        stored.cols != p->value.cols()) {
+      return util::Status::InvalidArgument(util::StrFormat(
+          "checkpoint mismatch at parameter %s", stored.name.c_str()));
+    }
+    METABLINK_RETURN_IF_ERROR(
+        reader->ReadFloatsInto(p->value.data().data(), p->value.size()));
+  }
+  return CheckConsumed(*reader);
+}
+
+util::Status ParameterStore::CheckSaved(
+    util::BinaryReader reader, const std::vector<ParameterShape>& expected) {
+  METABLINK_RETURN_IF_ERROR(CheckCount(&reader, expected.size()));
+  ParameterShape stored;
+  for (const ParameterShape& want : expected) {
+    METABLINK_RETURN_IF_ERROR(ReadShape(&reader, &stored));
+    if (stored.name != want.name || stored.rows != want.rows ||
+        stored.cols != want.cols) {
+      return util::Status::InvalidArgument(util::StrFormat(
+          "checkpoint mismatch at parameter %s", stored.name.c_str()));
+    }
+    std::uint64_t n = 0;
+    METABLINK_RETURN_IF_ERROR(reader.ReadU64(&n));
+    // The shape's floats must fit in what remains, checked without a
+    // product that could wrap.
+    const std::size_t max_floats = reader.Remaining() / sizeof(float);
+    if (want.rows == 0 || want.cols == 0 || want.rows > max_floats / want.cols) {
+      return util::Status::InvalidArgument(util::StrFormat(
+          "parameter %s declares an empty or oversized %zu x %zu shape",
+          want.name.c_str(), want.rows, want.cols));
+    }
+    const std::size_t floats = want.rows * want.cols;
+    if (n != floats) {
+      return util::Status::InvalidArgument(util::StrFormat(
+          "parameter %s holds %llu values for a %zu x %zu shape",
+          want.name.c_str(), static_cast<unsigned long long>(n), want.rows,
+          want.cols));
+    }
+    METABLINK_RETURN_IF_ERROR(reader.Skip(floats * sizeof(float)));
+  }
+  return CheckConsumed(reader);
 }
 
 GradScratch::GradScratch(const ParameterStore* store) {

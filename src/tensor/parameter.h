@@ -45,6 +45,13 @@ struct Parameter {
   }
 };
 
+/// One parameter's name and shape as a checkpoint declares it.
+struct ParameterShape {
+  std::string name;
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+};
+
 /// Owns a model's parameters. Provides the flattened-gradient views used by
 /// the meta-learning reweighting step (gradient dot products) and
 /// checkpointing.
@@ -59,7 +66,9 @@ class ParameterStore {
                     std::size_t cols);
 
   /// Creates a parameter with Xavier/Glorot uniform init:
-  /// U(-sqrt(6/(rows+cols)), +sqrt(6/(rows+cols))).
+  /// U(-sqrt(6/(rows+cols)), +sqrt(6/(rows+cols))). A null `rng` skips the
+  /// init and leaves zeros, for a model whose every value a checkpoint is
+  /// about to overwrite (the same holds for CreateNormal/CreateEmbedding).
   Parameter* CreateXavier(const std::string& name, std::size_t rows,
                           std::size_t cols, util::Rng* rng);
 
@@ -107,9 +116,19 @@ class ParameterStore {
   /// Serializes names, shapes and values.
   void Save(util::BinaryWriter* writer) const;
 
-  /// Restores values from `reader`. Parameters must already exist with
-  /// matching names and shapes (i.e. build the model first, then Load).
+  /// Restores values from `reader`, a section holding exactly what Save
+  /// wrote. Parameters must already exist with matching names and shapes
+  /// (i.e. build the model first, then Load); every float count must equal
+  /// its shape, and values are read in place, never resized.
   util::Status Load(util::BinaryReader* reader);
+
+  /// Checks, without allocating, that `reader` holds a Save section of
+  /// exactly `expected`: the same names and shapes in order, no empty
+  /// parameter, each float count equal to its shape, every float present
+  /// and nothing after the last. Lets a loader reject untrusted shapes
+  /// before it builds a model of that size.
+  static util::Status CheckSaved(util::BinaryReader reader,
+                                 const std::vector<ParameterShape>& expected);
 
  private:
   std::vector<std::unique_ptr<Parameter>> params_;

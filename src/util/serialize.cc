@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <bit>
 #include <cstdio>
 
 #include "util/string_util.h"
@@ -17,26 +18,48 @@ void AppendRaw(std::vector<std::uint8_t>* buf, T v) {
   buf->insert(buf->end(), p, p + sizeof(T));
 }
 
-std::array<std::uint32_t, 256> MakeCrc32Table() {
-  std::array<std::uint32_t, 256> table{};
+// tables[0] is the bytewise CRC-32 table. tables[k][b] is the CRC state
+// after byte b followed by k zero bytes, so one step can fold eight input
+// bytes with eight independent lookups.
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
 }  // namespace
 
 std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = MakeCrc32Table();
+  // The 8-byte step loads two words and XORs the running state into the
+  // first, which matches the stream's byte order only on a little-endian
+  // host (the one every on-disk format here assumes).
+  static_assert(std::endian::native == std::endian::little);
+  static const Crc32Tables t = MakeCrc32Tables();
   const auto* p = static_cast<const std::uint8_t*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint32_t lo = 0, hi = 0;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= c;
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -101,6 +124,12 @@ Status BinaryWriter::WriteToFile(const std::string& path) const {
   return Status::OK();
 }
 
+BinaryReader::BinaryReader(std::vector<std::uint8_t> data)
+    : buffer_(std::make_shared<const std::vector<std::uint8_t>>(
+          std::move(data))),
+      cursor_(buffer_->data()),
+      end_(buffer_->data() + buffer_->size()) {}
+
 Result<BinaryReader> BinaryReader::FromFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
@@ -125,13 +154,13 @@ Result<BinaryReader> BinaryReader::FromFile(const std::string& path) {
 }
 
 Status BinaryReader::ReadRaw(void* dst, std::size_t n) {
-  if (n > data_.size() - pos_) {  // overflow-safe bound check
+  if (n > Remaining()) {  // overflow-safe bound check
     return Status::OutOfRange("truncated input buffer");
   }
   // An empty vector's data() may be null, and memcpy from/to null is
   // undefined even for zero bytes.
-  if (n != 0) std::memcpy(dst, data_.data() + pos_, n);
-  pos_ += n;
+  if (n != 0) std::memcpy(dst, cursor_, n);
+  cursor_ += n;
   return Status::OK();
 }
 
@@ -150,29 +179,43 @@ Status BinaryReader::ReadF64(double* out) { return ReadRaw(out, sizeof(*out)); }
 Status BinaryReader::ReadString(std::string* out) {
   std::uint64_t n = 0;
   METABLINK_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > data_.size() - pos_) {
+  if (n > Remaining()) {
     return Status::OutOfRange("truncated string");
   }
-  out->assign(reinterpret_cast<const char*>(data_.data() + pos_),
+  out->assign(reinterpret_cast<const char*>(cursor_),
               static_cast<std::size_t>(n));
-  pos_ += static_cast<std::size_t>(n);
+  cursor_ += n;
   return Status::OK();
 }
 
 Status BinaryReader::ReadFloatVector(std::vector<float>* out) {
   std::uint64_t n = 0;
   METABLINK_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > (data_.size() - pos_) / sizeof(float)) {
+  if (n > Remaining() / sizeof(float)) {
     return Status::OutOfRange("truncated float vector");
   }
   out->resize(static_cast<std::size_t>(n));
   return ReadRaw(out->data(), out->size() * sizeof(float));
 }
 
+Status BinaryReader::ReadFloatsInto(float* out, std::size_t n) {
+  std::uint64_t stored = 0;
+  METABLINK_RETURN_IF_ERROR(ReadU64(&stored));
+  if (stored != n) {
+    return Status::InvalidArgument(StrFormat(
+        "float vector holds %llu values, expected %zu",
+        static_cast<unsigned long long>(stored), n));
+  }
+  if (n > Remaining() / sizeof(float)) {
+    return Status::OutOfRange("truncated float vector");
+  }
+  return ReadRaw(out, n * sizeof(float));
+}
+
 Status BinaryReader::ReadU32Vector(std::vector<std::uint32_t>* out) {
   std::uint64_t n = 0;
   METABLINK_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > (data_.size() - pos_) / sizeof(std::uint32_t)) {
+  if (n > Remaining() / sizeof(std::uint32_t)) {
     return Status::OutOfRange("truncated u32 vector");
   }
   out->resize(static_cast<std::size_t>(n));
@@ -182,19 +225,24 @@ Status BinaryReader::ReadU32Vector(std::vector<std::uint32_t>* out) {
 Status BinaryReader::ReadByteVector(std::vector<std::int8_t>* out) {
   std::uint64_t n = 0;
   METABLINK_RETURN_IF_ERROR(ReadU64(&n));
-  if (n > data_.size() - pos_) {
+  if (n > Remaining()) {
     return Status::OutOfRange("truncated byte vector");
   }
   out->resize(static_cast<std::size_t>(n));
   return ReadRaw(out->data(), out->size());
 }
 
-Status BinaryReader::ReadBytes(std::size_t n, std::vector<std::uint8_t>* out) {
-  if (n > data_.size() - pos_) {  // overflow-safe bound check
-    return Status::OutOfRange("truncated raw bytes");
+Result<BinaryReader> BinaryReader::ReadView(std::size_t n) {
+  const std::uint8_t* begin = cursor_;
+  METABLINK_RETURN_IF_ERROR(Skip(n));
+  return BinaryReader(buffer_, begin, cursor_);
+}
+
+Status BinaryReader::Skip(std::size_t n) {
+  if (n > Remaining()) {  // overflow-safe bound check
+    return Status::OutOfRange("truncated input buffer");
   }
-  out->assign(data_.begin() + pos_, data_.begin() + pos_ + n);
-  pos_ += n;
+  cursor_ += n;
   return Status::OK();
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,8 @@ namespace metablink::util {
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over `n` bytes. Pass a prior
 /// result as `seed` to continue a running checksum over multiple buffers.
 /// Used by the checkpoint container format for per-section integrity.
+/// Slice-by-8: eight bytes per step through eight 256-entry tables, with
+/// output bit-identical to the bytewise table algorithm on every input.
 std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
 
 /// Append-only little-endian binary encoder used for model checkpoints and
@@ -49,10 +52,14 @@ class BinaryWriter {
 
 /// Bounds-checked decoder matching BinaryWriter. All reads return Status and
 /// fail with kOutOfRange on truncated input instead of crashing.
+///
+/// A reader is a `[cursor, end)` window over an immutable byte buffer it
+/// shares with every view cut from it (ReadView): a container is read from
+/// disk once and its sections are parsed in place, never copied. The
+/// buffer lives as long as any reader over it.
 class BinaryReader {
  public:
-  explicit BinaryReader(std::vector<std::uint8_t> data)
-      : data_(std::move(data)) {}
+  explicit BinaryReader(std::vector<std::uint8_t> data);
 
   /// Loads the whole regular file at `path` into a reader; anything else
   /// (a directory, a missing file) is an IoError.
@@ -67,19 +74,37 @@ class BinaryReader {
   Status ReadFloatVector(std::vector<float>* out);
   Status ReadU32Vector(std::vector<std::uint32_t>* out);
   Status ReadByteVector(std::vector<std::int8_t>* out);
-  /// Reads exactly `n` raw bytes (no length prefix) into `*out`.
-  Status ReadBytes(std::size_t n, std::vector<std::uint8_t>* out);
+  /// Reads a float vector (as WriteFloatVector frames it) into the `n`
+  /// floats at `out`, without allocating. A stored count other than `n` is
+  /// InvalidArgument, so a shape mismatch cannot resize the destination.
+  Status ReadFloatsInto(float* out, std::size_t n);
 
+  /// Consumes the next `n` bytes and returns a reader over exactly those
+  /// bytes. Nothing is copied: the view shares this reader's buffer and
+  /// stays valid after this reader is gone.
+  Result<BinaryReader> ReadView(std::size_t n);
+  /// Consumes the next `n` bytes without reading them.
+  Status Skip(std::size_t n);
+
+  /// The Remaining() unconsumed bytes.
+  const std::uint8_t* data() const { return cursor_; }
   /// True when all bytes have been consumed.
-  bool AtEnd() const { return pos_ == data_.size(); }
+  bool AtEnd() const { return cursor_ == end_; }
   /// Bytes not yet consumed.
-  std::size_t Remaining() const { return data_.size() - pos_; }
+  std::size_t Remaining() const {
+    return static_cast<std::size_t>(end_ - cursor_);
+  }
 
  private:
+  BinaryReader(std::shared_ptr<const std::vector<std::uint8_t>> buffer,
+               const std::uint8_t* begin, const std::uint8_t* end)
+      : buffer_(std::move(buffer)), cursor_(begin), end_(end) {}
+
   Status ReadRaw(void* dst, std::size_t n);
 
-  std::vector<std::uint8_t> data_;
-  std::size_t pos_ = 0;
+  std::shared_ptr<const std::vector<std::uint8_t>> buffer_;
+  const std::uint8_t* cursor_ = nullptr;
+  const std::uint8_t* end_ = nullptr;
 };
 
 }  // namespace metablink::util

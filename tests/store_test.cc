@@ -2,9 +2,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <sys/stat.h>
+#include <tuple>
 #include <vector>
 
 #include "data/generator.h"
@@ -121,6 +124,26 @@ TEST(CheckpointContainerTest, FutureVersionIsRejected) {
   auto reader = CheckpointReader::Parse(std::move(bytes));
   ASSERT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(CheckpointContainerTest, SectionReaderOutlivesItsContainer) {
+  // Sections are views into the container's buffer; a section reader
+  // keeps that buffer alive after the CheckpointReader is destroyed.
+  std::optional<util::BinaryReader> alpha;
+  {
+    auto reader = CheckpointReader::Parse(TwoSectionContainer());
+    ASSERT_TRUE(reader.ok()) << reader.status().message();
+    auto section = reader->Section("alpha");
+    ASSERT_TRUE(section.ok());
+    alpha.emplace(std::move(*section));
+  }
+  std::uint64_t v = 0;
+  std::string s;
+  ASSERT_TRUE(alpha->ReadU64(&v).ok());
+  ASSERT_TRUE(alpha->ReadString(&s).ok());
+  EXPECT_EQ(v, 42u);
+  EXPECT_EQ(s, "hello");
+  EXPECT_TRUE(alpha->AtEnd());  // the view ends at its own section
 }
 
 TEST(CheckpointContainerTest, AtomicWriteReplacesAndFailsCleanly) {
@@ -678,6 +701,205 @@ TEST_F(BundleTest, ManifestShardCountRoundTrip) {
   ASSERT_FALSE(with.empty());
   ASSERT_FALSE(without.empty());
   EXPECT_EQ(with.size(), without.size() + sizeof(std::uint32_t));
+}
+
+TEST_F(BundleTest, OpenArtifactParsesTheBytesOpenVerified) {
+  // Open reads each artifact once and keeps the bytes whose whole-file CRC
+  // it checked; replacing or deleting the file afterwards changes nothing
+  // OpenArtifact returns. A fresh Open sees the replacement.
+  const std::string dir = TempPath("bundle_verified_bytes");
+  ASSERT_TRUE(Save(dir).ok());
+  auto bundle = BundleReader::Open(dir);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().message();
+
+  const std::string path = dir + "/bi.ckpt";
+  auto other = MakeBi(/*seed=*/99);
+  ASSERT_NE(other->params()->ValuesCrc32(), bi_->params()->ValuesCrc32());
+  ASSERT_TRUE(other->SaveToFile(path).ok());
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE(pass == 0 ? "file replaced" : "file deleted");
+    auto ckpt = bundle->OpenArtifact("bi_encoder");
+    ASSERT_TRUE(ckpt.ok()) << ckpt.status().message();
+    auto bi = model::BiEncoder::FromCheckpoint(*ckpt);
+    ASSERT_TRUE(bi.ok()) << bi.status().message();
+    EXPECT_EQ((*bi)->params()->ValuesCrc32(), bi_->params()->ValuesCrc32());
+    if (pass == 0) {
+      EXPECT_FALSE(BundleReader::Open(dir).ok());
+      std::remove(path.c_str());
+    }
+  }
+}
+
+// Writes a bundle of this fixture's kb and index around the given encoder
+// containers, so a test can craft either one (with valid CRCs).
+util::Status SaveCraftedBundle(const std::string& dir,
+                               const CheckpointWriter& bi,
+                               const CheckpointWriter& cross,
+                               const kb::KnowledgeBase& kb,
+                               const retrieval::DenseIndex& index) {
+  BundleWriter bundle(dir);
+  CheckpointWriter kb_ckpt, index_ckpt;
+  kb.Save(kb_ckpt.AddSection("kb"));
+  index.Save(index_ckpt.AddSection("index"));
+  METABLINK_RETURN_IF_ERROR(bundle.AddArtifact("bi_encoder", "bi.ckpt", bi));
+  METABLINK_RETURN_IF_ERROR(
+      bundle.AddArtifact("cross_encoder", "cross.ckpt", cross));
+  METABLINK_RETURN_IF_ERROR(bundle.AddArtifact("kb", "kb.ckpt", kb_ckpt));
+  METABLINK_RETURN_IF_ERROR(
+      bundle.AddArtifact("index", "index.ckpt", index_ckpt));
+  return bundle.Finalize(3, "target");
+}
+
+// Copies section `name` of a serialized container into `out` verbatim.
+void CopySection(const CheckpointWriter& from, const std::string& name,
+                 CheckpointWriter* out) {
+  auto parsed = CheckpointReader::Parse(from.Serialize());
+  ASSERT_TRUE(parsed.ok());
+  auto section = parsed->Section(name);
+  ASSERT_TRUE(section.ok());
+  out->AddSection(name)->WriteRaw(section->data(), section->Remaining());
+}
+
+TEST_F(BundleTest, ParameterFloatCountMustMatchItsShape) {
+  // A params section whose float count disagrees with its declared shape,
+  // or that carries bytes after the last parameter, passes every CRC when
+  // its writer crafted it. Loading it must fail instead of resizing the
+  // weights to the stored count (a 1-float mention_table would otherwise
+  // load, and the first encode read past it).
+  struct Crafted {
+    const char* name;
+    std::function<void(std::vector<float>*)> edit_mention_table;
+    bool trailing_bytes;
+  };
+  const std::vector<Crafted> cases = {
+      {"short count", [](std::vector<float>* v) { v->resize(1); }, false},
+      {"long count", [](std::vector<float>* v) { v->push_back(0.5f); },
+       false},
+      {"trailing bytes", [](std::vector<float>*) {}, true},
+  };
+  CheckpointWriter real_bi, cross;
+  bi_->SaveCheckpoint(&real_bi);
+  cross_->SaveCheckpoint(&cross);
+  for (const Crafted& c : cases) {
+    SCOPED_TRACE(c.name);
+    CheckpointWriter bi;
+    CopySection(real_bi, "bi_config", &bi);
+    util::BinaryWriter* w = bi.AddSection("bi_params");
+    w->WriteU64(bi_->params()->parameters().size());
+    for (const auto& p : bi_->params()->parameters()) {
+      std::vector<float> values = p->value.data();
+      if (p->name == "mention_table") c.edit_mention_table(&values);
+      w->WriteString(p->name);
+      w->WriteU64(p->value.rows());
+      w->WriteU64(p->value.cols());
+      w->WriteFloatVector(values);
+    }
+    if (c.trailing_bytes) w->WriteU32(0);
+
+    // The model-level load (fixed shapes) and the bundle load both refuse.
+    auto parsed = CheckpointReader::Parse(bi.Serialize());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    auto model = MakeBi();
+    EXPECT_FALSE(model->LoadCheckpoint(*parsed).ok());
+    EXPECT_FALSE(model::BiEncoder::FromCheckpoint(*parsed).ok());
+    const std::string dir = TempPath("bundle_crafted_params");
+    ASSERT_TRUE(
+        SaveCraftedBundle(dir, bi, cross, corpus_->kb, index_).ok());
+    util::Result<ModelBundle> loaded = util::Status::Internal("not run");
+    EXPECT_NO_THROW(loaded = LoadModelBundle(dir));
+    EXPECT_FALSE(loaded.ok());
+  }
+}
+
+TEST_F(BundleTest, CraftedEncoderConfigsAreAStatus) {
+  // An encoder's stored config sizes its weights, and a crafted container
+  // passes every CRC, so the loader must check the stored shapes against
+  // the config and the bytes that hold them before building anything. A
+  // huge dim, hidden width or bucket count, with the real params section
+  // or with one whose shape headers agree but hold no floats, must each
+  // come back as a Status (never std::bad_alloc).
+  constexpr std::uint64_t k30 = std::uint64_t{1} << 30;
+  constexpr std::uint64_t k40 = std::uint64_t{1} << 40;
+  constexpr std::uint64_t k62 = std::uint64_t{1} << 62;
+  struct Crafted {
+    const char* name;
+    bool cross;
+    std::uint64_t dim, hidden;
+    std::uint32_t buckets;
+    bool matching_headers;  // params declare the crafted shapes, no floats
+  };
+  const std::vector<Crafted> cases = {
+      {"bi dim 2^30", false, k30, 0, 2048, false},
+      {"bi dim 2^40", false, k40, 0, 2048, false},
+      {"bi dim 2^40, headers agree", false, k40, 0, 2048, true},
+      {"bi buckets 2^32-1", false, 16, 0, 0xFFFFFFFFu, false},
+      {"bi buckets 2^32-1, headers agree", false, 16, 0, 0xFFFFFFFFu, true},
+      {"cross dim 2^40", true, k40, 16, 2048, false},
+      {"cross dim 2^62, headers agree", true, k62, 16, 2048, true},
+      {"cross hidden 2^30", true, 16, k30, 2048, false},
+      {"cross hidden 2^40, headers agree", true, 16, k40, 2048, true},
+      {"cross buckets 2^31, headers agree", true, 16, 16, 1u << 31, true},
+  };
+  CheckpointWriter real_bi, real_cross;
+  bi_->SaveCheckpoint(&real_bi);
+  cross_->SaveCheckpoint(&real_cross);
+  for (const Crafted& c : cases) {
+    SCOPED_TRACE(c.name);
+    const char* prefix = c.cross ? "cross" : "bi";
+    model::FeatureConfig features =
+        c.cross ? SmallCrossConfig().features : SmallBiConfig().features;
+    features.hasher.num_buckets = c.buckets;
+    CheckpointWriter crafted;
+    util::BinaryWriter* config =
+        crafted.AddSection(std::string(prefix) + "_config");
+    config->WriteU64(c.dim);
+    if (c.cross) config->WriteU64(c.hidden);
+    model::SaveFeatureConfig(features, config);
+    const std::string params = std::string(prefix) + "_params";
+    if (c.matching_headers) {
+      const std::uint64_t b = c.buckets, d = c.dim, h = c.hidden;
+      using Shapes =
+          std::vector<std::tuple<std::string, std::uint64_t, std::uint64_t>>;
+      const Shapes shapes =
+          c.cross ? Shapes{{"cross_table", b, d},
+                           {"cross_w1", 3 * d + 6, h},
+                           {"cross_b1", 1, h},
+                           {"cross_w2", h, 1},
+                           {"cross_b2", 1, 1}}
+                  : Shapes{{"mention_table", b, d}, {"mention_proj", d, d},
+                           {"mention_bias", 1, d},  {"entity_table", b, d},
+                           {"entity_proj", d, d},   {"entity_bias", 1, d}};
+      util::BinaryWriter* w = crafted.AddSection(params);
+      w->WriteU64(shapes.size());
+      for (const auto& [name, rows, cols] : shapes) {
+        w->WriteString(name);
+        w->WriteU64(rows);
+        w->WriteU64(cols);
+        w->WriteU64(rows * cols);  // wraps for the largest shapes
+      }
+    } else {
+      CopySection(c.cross ? real_cross : real_bi, params, &crafted);
+    }
+
+    auto parsed = CheckpointReader::Parse(crafted.Serialize());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+    bool ok = true;
+    if (c.cross) {
+      EXPECT_NO_THROW(ok = model::CrossEncoder::FromCheckpoint(*parsed).ok());
+    } else {
+      EXPECT_NO_THROW(ok = model::BiEncoder::FromCheckpoint(*parsed).ok());
+    }
+    EXPECT_FALSE(ok);
+
+    const std::string dir = TempPath("bundle_crafted_config");
+    ASSERT_TRUE(SaveCraftedBundle(dir, c.cross ? real_bi : crafted,
+                                  c.cross ? crafted : real_cross,
+                                  corpus_->kb, index_)
+                    .ok());
+    util::Result<ModelBundle> loaded = util::Status::Internal("not run");
+    EXPECT_NO_THROW(loaded = LoadModelBundle(dir));
+    EXPECT_FALSE(loaded.ok());
+  }
 }
 
 }  // namespace

@@ -311,6 +311,95 @@ TEST(SerializeTest, MissingFileIsIoError) {
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
 }
 
+TEST(SerializeTest, ReadFloatsIntoRequiresTheExactCount) {
+  BinaryWriter w;
+  w.WriteFloatVector({1.0f, 2.0f, 3.0f});
+  float out[4] = {9.0f, 9.0f, 9.0f, 9.0f};
+  BinaryReader exact(w.buffer());
+  ASSERT_TRUE(exact.ReadFloatsInto(out, 3).ok());
+  EXPECT_EQ(out[0], 1.0f);
+  EXPECT_EQ(out[2], 3.0f);
+  EXPECT_EQ(out[3], 9.0f);  // nothing past the requested count is touched
+  EXPECT_TRUE(exact.AtEnd());
+  for (std::size_t n : {std::size_t{2}, std::size_t{4}}) {
+    BinaryReader wrong(w.buffer());
+    EXPECT_EQ(wrong.ReadFloatsInto(out, n).code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(SerializeTest, ViewsShareTheBufferAndOutliveTheirSource) {
+  BinaryWriter w;
+  w.WriteU32(1);
+  w.WriteString("inner");
+  w.WriteU32(2);
+  std::vector<BinaryReader> views;
+  {
+    BinaryReader outer(w.buffer());
+    std::uint32_t v = 0;
+    ASSERT_TRUE(outer.ReadU32(&v).ok());
+    auto view = outer.ReadView(8 + 5);
+    ASSERT_TRUE(view.ok());
+    EXPECT_EQ(view->Remaining(), 13u);
+    ASSERT_TRUE(outer.ReadU32(&v).ok());
+    EXPECT_EQ(v, 2u);
+    EXPECT_TRUE(outer.AtEnd());
+    EXPECT_EQ(outer.ReadView(1).status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(outer.Skip(1).code(), StatusCode::kOutOfRange);
+    views.push_back(std::move(*view));
+  }
+  // `outer` is gone; the view still owns the bytes and reads only its
+  // own window.
+  std::string s;
+  ASSERT_TRUE(views[0].ReadString(&s).ok());
+  EXPECT_EQ(s, "inner");
+  EXPECT_TRUE(views[0].AtEnd());
+  std::uint32_t past = 0;
+  EXPECT_FALSE(views[0].ReadU32(&past).ok());
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  // A running checksum over split buffers equals the one-shot checksum.
+  EXPECT_EQ(Crc32("6789", 4, Crc32("12345", 5)), 0xCBF43926u);
+}
+
+// Bit-at-a-time CRC-32, independent of any lookup table.
+std::uint32_t BitwiseCrc32(const std::uint8_t* p, std::size_t n,
+                           std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+    }
+  }
+  return ~c;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Every length 0..1100 at every start offset 0..7 covers each tail
+  // length and every alignment of the 8-byte steps; each case is seeded
+  // with the previous result, so chained checksums are covered too.
+  constexpr std::size_t kMaxLen = 1100;
+  Rng rng(20);
+  std::vector<std::uint8_t> bytes(kMaxLen + 8);
+  for (std::uint8_t& b : bytes) {
+    b = static_cast<std::uint8_t>(rng.NextUint64(256));
+  }
+  std::uint32_t seed = 0;
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const std::uint32_t want = BitwiseCrc32(bytes.data() + offset, len, seed);
+      const std::uint32_t got = Crc32(bytes.data() + offset, len, seed);
+      ASSERT_EQ(got, want) << "offset " << offset << " length " << len
+                           << " seed " << seed;
+      seed = got;
+    }
+  }
+}
+
 // ---- thread pool -----------------------------------------------------------
 
 TEST(ThreadPoolTest, RunsAllTasks) {

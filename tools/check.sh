@@ -8,7 +8,10 @@
 #                   --cascade-smoke, bench_retrieval --smoke and --pq-smoke:
 #                   tape/tape-free parity, cascade-off byte identity,
 #                   probe-all == exhaustive, KB-sharded == single index,
-#                   PQ full-pool parity, deterministic rebuilds)
+#                   PQ full-pool parity, deterministic rebuilds;
+#                   bench_checkpoint --smoke: checkpoint round-trip and
+#                   kill/resume bit-identity, and the hot-swap hammer where
+#                   every Link must succeed and every swap publish)
 #   2. asan-ubsan — METABLINK_SANITIZE=address,undefined build + full ctest
 #   3. tsan       — METABLINK_SANITIZE=thread build + full ctest
 #   4. clang-tidy — bugprone/performance/concurrency checks over src/
@@ -16,11 +19,7 @@
 #   5. graphlint  — the analyzer self-checks: analysis_test (GraphLint
 #                   seeded-defect fixtures + WriteSetChecker) from stage 1's
 #                   tree, rerun explicitly so a filtered ctest cannot hide it
-#   6. checkpoint — bench_checkpoint --smoke from stage 1's tree: checkpoint
-#                   round-trip + kill/resume bit-identity gates and the
-#                   hot-swap hammer (exit 1 if any Link fails or a swap
-#                   doesn't publish)
-#   7. traffic    — bench_traffic --smoke from stage 1's tree: the load
+#   6. traffic    — bench_traffic --smoke from stage 1's tree: the load
 #                   subsystem contracts (generator determinism across
 #                   runs/seeds, Zipf skew + LRU hit-rate ordering,
 #                   open-loop pacing sanity, max_queue=0 byte identity,
@@ -37,7 +36,7 @@ set -u -o pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
-STAGES=(default asan-ubsan tsan clang-tidy graphlint checkpoint traffic)
+STAGES=(default asan-ubsan tsan clang-tidy graphlint traffic)
 declare -A STATUS
 for s in "${STAGES[@]}"; do STATUS[$s]="not run"; done
 
@@ -96,15 +95,6 @@ echo "== stage: graphlint =="
 # WriteSetChecker race fixtures, and the instrumented-kernel proofs.
 ./build-check-default/tests/analysis_test || fail graphlint
 STATUS[graphlint]="PASS"
-
-echo
-echo "== stage: checkpoint =="
-# Reduced checkpoint/store run: framed-container round-trip and meta-reweight
-# kill/resume bit-identity gates, plus the SwapModel hammer (every Link must
-# succeed and every swap must publish).
-./build-check-default/bench/bench_checkpoint --smoke /tmp/metablink-smoke-checkpoint.json \
-  || fail checkpoint
-STATUS[checkpoint]="PASS"
 
 echo
 echo "== stage: traffic =="
