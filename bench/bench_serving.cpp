@@ -43,12 +43,14 @@
 #include "model/bi_encoder.h"
 #include "model/cascade.h"
 #include "model/cross_encoder.h"
+#include "model/entity_side.h"
 #include "retrieval/dense_index.h"
 #include "serve/linking_server.h"
 #include "train/bi_trainer.h"
 #include "train/cascade_distiller.h"
 #include "train/cross_trainer.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 using namespace metablink;
 
@@ -69,6 +71,21 @@ double Percentile(std::vector<double> v, double p) {
       std::min<double>(v.size() - 1, std::ceil(p * v.size()) - 1));
   return v[idx];
 }
+
+/// Median and range of repeated timings.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+
+  static Spread Of(const std::vector<double>& v) {
+    Spread s;
+    s.median = Percentile(v, 0.5);
+    s.min = *std::min_element(v.begin(), v.end());
+    s.max = *std::max_element(v.begin(), v.end());
+    return s;
+  }
+};
 
 struct ModeResult {
   double p50_ms = 0.0;
@@ -450,6 +467,41 @@ int main(int argc, char** argv) {
               scale.num_entities, scale.total_requests, k);
   PrintCalibration();
 
+  // ---- Server setup: LinkingServer::Create end to end, then its entity
+  // side (model::BuildEntitySide) split by stage on a pool of the server's
+  // size. The stage times are thread time summed over chunks.
+  constexpr int kSetupRepeats = 9;
+  const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<double> create_ms, chunks_ms, bi_side_ms, cross_side_ms,
+      merge_ms;
+  {
+    util::ThreadPool setup_pool(nproc);
+    tensor::Tensor emb;
+    model::CrossEntityCache side_cache;
+    model::EntitySideTimings timings;
+    for (int r = 0; r < kSetupRepeats; ++r) {
+      const auto t0 = Clock::now();
+      auto server = MakeServer(base_opts);
+      create_ms.push_back(MsSince(t0));
+      server.reset();
+      model::BuildEntitySide(&bi, cross, kb, kb.EntitiesInDomain("serving"),
+                             &setup_pool, &emb, &side_cache, &timings);
+      chunks_ms.push_back(timings.chunks_ms);
+      bi_side_ms.push_back(timings.bi_ms);
+      cross_side_ms.push_back(timings.cross_ms);
+      merge_ms.push_back(timings.merge_ms);
+    }
+  }
+  const Spread create = Spread::Of(create_ms);
+  std::printf("[setup]            Create median %7.2f ms  [%.2f, %.2f] "
+              "(%d runs, nproc %u)\n"
+              "                   entity side: chunks %.2f ms wall; "
+              "featurize+bi %.2f, cross rows %.2f thread-ms; "
+              "vocab merge %.2f ms\n",
+              create.median, create.min, create.max, kSetupRepeats, nproc,
+              Percentile(chunks_ms, 0.5), Percentile(bi_side_ms, 0.5),
+              Percentile(cross_side_ms, 0.5), Percentile(merge_ms, 0.5));
+
   // ---- Mode 1: single-query, tape forward paths. ---------------------------
   retrieval::TopKScratch topk_scratch;
   std::vector<retrieval::ScoredEntity> hits;
@@ -652,6 +704,16 @@ int main(int argc, char** argv) {
                scale.num_entities, scale.distinct_requests,
                scale.total_requests, k, scale.client_threads,
                smoke ? "true" : "false");
+  std::fprintf(f,
+               "  \"server_create\": {\"repeats\": %d, \"nproc\": %u, "
+               "\"median_ms\": %.3f, \"min_ms\": %.3f, \"max_ms\": %.3f, "
+               "\"entity_side_chunks_wall_ms\": %.3f, "
+               "\"featurize_bi_thread_ms\": %.3f, "
+               "\"cross_rows_thread_ms\": %.3f, "
+               "\"vocab_merge_ms\": %.3f},\n",
+               kSetupRepeats, nproc, create.median, create.min, create.max,
+               Percentile(chunks_ms, 0.5), Percentile(bi_side_ms, 0.5),
+               Percentile(cross_side_ms, 0.5), Percentile(merge_ms, 0.5));
   std::fprintf(f,
                "  \"tape_single\": {\"p50_ms\": %.4f, \"p99_ms\": %.4f, "
                "\"qps\": %.1f},\n",

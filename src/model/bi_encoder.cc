@@ -99,6 +99,43 @@ tensor::Tensor BiEncoder::EmbedMentions(
   return graph.value(v);
 }
 
+namespace {
+
+// The tower's first half for one bag: adds the mean of the bag's table rows
+// to row[0, d) — the same BagRowChain gather as Graph::EmbeddingBagMean's
+// forward — then applies tanh in place.
+void PoolRowInto(const tensor::Parameter& table,
+                 const std::vector<std::uint32_t>& bag, float* row,
+                 std::size_t d) {
+  if (!bag.empty()) {
+    for (std::uint32_t id : bag) {
+      METABLINK_CHECK(id < table.value.rows()) << "embedding id out of range";
+    }
+    tensor::BagRowChain(bag.data(), bag.size(),
+                        1.0f / static_cast<float>(bag.size()),
+                        table.value.data().data(), row, d);
+  }
+  for (std::size_t c = 0; c < d; ++c) row[c] = std::tanh(row[c]);
+}
+
+// The second half over n pooled rows: projection through the same serial
+// blocked kernel Graph::MatMul uses, into the zeroed `out`, then row L2
+// normalization by Graph::RowL2Normalize's formula (norm floored at the
+// same epsilon).
+void ProjectRows(const tensor::Parameter& proj, const float* hidden,
+                 std::size_t n, std::size_t d, float* out) {
+  tensor::GemmRaw(hidden, proj.value.data().data(), out, n, d, d);
+  constexpr float kEps = 1e-8f;
+  for (std::size_t i = 0; i < n; ++i) {
+    float* row = out + i * d;
+    const float n2 = tensor::Dot(row, row, d);
+    const float inv = 1.0f / std::max(std::sqrt(n2), kEps);
+    for (std::size_t c = 0; c < d; ++c) row[c] *= inv;
+  }
+}
+
+}  // namespace
+
 void BiEncoder::EncodeBagsInference(std::size_t n,
                                     const tensor::Parameter& table,
                                     const tensor::Parameter& proj,
@@ -106,33 +143,22 @@ void BiEncoder::EncodeBagsInference(std::size_t n,
                                     tensor::Tensor* out) const {
   const std::size_t d = config_.dim;
   METABLINK_CHECK(scratch->bags.size() >= n) << "not enough featurized bags";
-  // Mean-pool the embedding bags — the same ascending-id Axpy accumulation
-  // as Graph::EmbeddingBagMean's forward gather.
   scratch->hidden.Resize(n, d);
   for (std::size_t b = 0; b < n; ++b) {
-    const auto& bag = scratch->bags[b];
-    if (bag.empty()) continue;
-    const float inv = 1.0f / static_cast<float>(bag.size());
-    float* dst = scratch->hidden.row_data(b);
-    for (std::uint32_t id : bag) {
-      METABLINK_CHECK(id < table.value.rows()) << "embedding id out of range";
-      tensor::Axpy(inv, table.value.row_data(id), dst, d);
-    }
+    PoolRowInto(table, scratch->bags[b], scratch->hidden.row_data(b), d);
   }
-  for (float& v : scratch->hidden.data()) v = std::tanh(v);
-  // Projection through the same serial blocked kernel Graph::MatMul uses.
   out->Resize(n, d);
-  tensor::GemmRaw(scratch->hidden.data().data(), proj.value.data().data(),
-                  out->data().data(), n, d, d);
-  // Row L2 normalization, identical formula to Graph::RowL2Normalize
-  // (norm floored at the same epsilon).
-  constexpr float kEps = 1e-8f;
-  for (std::size_t i = 0; i < n; ++i) {
-    float* row = out->row_data(i);
-    const float n2 = tensor::Dot(row, row, d);
-    const float inv = 1.0f / std::max(std::sqrt(n2), kEps);
-    for (std::size_t c = 0; c < d; ++c) row[c] *= inv;
-  }
+  ProjectRows(proj, scratch->hidden.data().data(), n, d, out->data().data());
+}
+
+void BiEncoder::EntityHiddenRowInto(const std::vector<std::uint32_t>& bag,
+                                    float* row) const {
+  PoolRowInto(*entity_table_, bag, row, config_.dim);
+}
+
+void BiEncoder::ProjectEntityRowsInference(const float* hidden, std::size_t n,
+                                           float* out) const {
+  ProjectRows(*entity_proj_, hidden, n, config_.dim, out);
 }
 
 void BiEncoder::EncodeMentionsInference(

@@ -101,6 +101,16 @@ class BiEncoder {
   /// featurize separately from encoding.
   void EncodeMentionBagsInference(std::size_t n, EncodeScratch* scratch,
                                   tensor::Tensor* out) const;
+  /// The entity tower in its two halves, for callers that pool one bag at
+  /// a time (model::BuildEntitySide). EntityHiddenRowInto adds the mean
+  /// table row of one bag from featurizer().EntityBagInto to row[0, dim)
+  /// (zeroed by the caller) and applies tanh; ProjectEntityRowsInference
+  /// maps `n` such rows to unit embeddings in `out` ([n, dim], zeroed by
+  /// the caller). Together they equal EncodeEntitiesInference bit for bit.
+  void EntityHiddenRowInto(const std::vector<std::uint32_t>& bag,
+                           float* row) const;
+  void ProjectEntityRowsInference(const float* hidden, std::size_t n,
+                                  float* out) const;
 
   tensor::ParameterStore* params() { return &params_; }
   const tensor::ParameterStore* params() const { return &params_; }

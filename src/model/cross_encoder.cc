@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "model/entity_side.h"
 #include "tensor/kernels.h"
 #include "util/logging.h"
 #include "util/serialize.h"
@@ -141,16 +142,8 @@ void CrossEncoder::ScoreInference(const data::LinkingExample& example,
   scratch->entity_vec.Resize(c, d);
   for (std::size_t i = 0; i < c; ++i) {
     featurizer_.EntityBagInto(candidates[i], &scratch->entity_bags[i]);
-    const auto& bag = scratch->entity_bags[i];
-    if (bag.empty()) continue;
-    const float inv = 1.0f / static_cast<float>(bag.size());
-    float* dst = scratch->entity_vec.row_data(i);
-    for (std::uint32_t id : bag) {
-      METABLINK_CHECK(id < table_->value.rows()) << "embedding id out of range";
-      tensor::Axpy(inv, table_->value.row_data(id), dst, d);
-    }
+    TowerRowInto(scratch->entity_bags[i], scratch->entity_vec.row_data(i));
   }
-  for (float& v : scratch->entity_vec.data()) v = std::tanh(v);
 
   out->clear();
   out->reserve(c);
@@ -163,44 +156,32 @@ void CrossEncoder::ScoreInference(const data::LinkingExample& example,
 
 void CrossEncoder::PrecomputeEntities(const std::vector<kb::Entity>& entities,
                                       CrossEntityCache* out) const {
-  const std::size_t n = entities.size();
+  std::vector<const kb::Entity*> refs;
+  refs.reserve(entities.size());
+  for (const kb::Entity& e : entities) refs.push_back(&e);
+  BuildEntitySide(/*bi=*/nullptr, *this, refs, /*pool=*/nullptr,
+                  /*embeddings=*/nullptr, out);
+}
+
+void CrossEncoder::TowerRowInto(const std::vector<std::uint32_t>& bag,
+                                float* row) const {
   const std::size_t d = config_.dim;
-  out->entity_vec.Resize(n, d);
-  out->tokens.resize(n);
-  out->vocab.clear();
-  std::vector<std::uint32_t> bag;
-  for (std::size_t i = 0; i < n; ++i) {
-    featurizer_.EntityBagInto(entities[i], &bag);
-    if (!bag.empty()) {
-      const float inv = 1.0f / static_cast<float>(bag.size());
-      float* dst = out->entity_vec.row_data(i);
-      for (std::uint32_t id : bag) {
-        METABLINK_CHECK(id < table_->value.rows())
-            << "embedding id out of range";
-        tensor::Axpy(inv, table_->value.row_data(id), dst, d);
-      }
+  if (!bag.empty()) {
+    for (std::uint32_t id : bag) {
+      METABLINK_CHECK(id < table_->value.rows()) << "embedding id out of range";
     }
-    featurizer_.PrecomputeEntityTokens(entities[i], &out->vocab,
-                                       &out->tokens[i]);
+    tensor::BagRowChain(bag.data(), bag.size(),
+                        1.0f / static_cast<float>(bag.size()),
+                        table_->value.data().data(), row, d);
   }
-  for (float& v : out->entity_vec.data()) v = std::tanh(v);
+  for (std::size_t j = 0; j < d; ++j) row[j] = std::tanh(row[j]);
 }
 
 void CrossEncoder::MentionVecInto(const data::LinkingExample& example,
                                   CrossScoreScratch* scratch) const {
-  const std::size_t d = config_.dim;
   featurizer_.MentionBagInto(example, &scratch->mention_bag);
-  scratch->mention_vec.assign(d, 0.0f);
-  if (!scratch->mention_bag.empty()) {
-    const float inv =
-        1.0f / static_cast<float>(scratch->mention_bag.size());
-    for (std::uint32_t id : scratch->mention_bag) {
-      METABLINK_CHECK(id < table_->value.rows()) << "embedding id out of range";
-      tensor::Axpy(inv, table_->value.row_data(id),
-                   scratch->mention_vec.data(), d);
-    }
-  }
-  for (float& v : scratch->mention_vec) v = std::tanh(v);
+  scratch->mention_vec.assign(config_.dim, 0.0f);
+  TowerRowInto(scratch->mention_bag, scratch->mention_vec.data());
 }
 
 void CrossEncoder::ScoreCachedInference(const data::LinkingExample& example,

@@ -96,9 +96,15 @@ class CrossEncoder {
                       std::vector<float>* out) const;
 
   /// Builds the reusable entity-side cache for a fixed entity set (a
-  /// served domain's KB slice).
+  /// served domain's KB slice): BuildEntitySide's cross half, serially.
   void PrecomputeEntities(const std::vector<kb::Entity>& entities,
                           CrossEntityCache* out) const;
+
+  /// The tower shared by mentions and entities, for one bag featurized by
+  /// featurizer(): adds the mean of the bag's table rows to row[0, dim)
+  /// (which the caller has zeroed), then applies tanh in place. An entity
+  /// bag gives that entity's CrossEntityCache::entity_vec row.
+  void TowerRowInto(const std::vector<std::uint32_t>& bag, float* row) const;
 
   /// ScoreInference against cache rows instead of raw entities: candidate
   /// i is row `rows[i]` of `cache`. The per-candidate tokenization,

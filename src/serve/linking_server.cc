@@ -5,6 +5,7 @@
 #include <optional>
 #include <utility>
 
+#include "model/entity_side.h"
 #include "util/logging.h"
 
 namespace metablink::serve {
@@ -38,13 +39,11 @@ util::Result<std::unique_ptr<LinkingServer>> LinkingServer::Create(
   if (bi == nullptr || cross == nullptr || kb == nullptr) {
     return util::Status::InvalidArgument("null component passed to server");
   }
-  options.max_batch = std::max<std::size_t>(1, options.max_batch);
-  options.retrieve_k = std::max<std::size_t>(1, options.retrieve_k);
-  auto epoch = BuildEpoch(bi, cross, kb, domain, options);
+  std::unique_ptr<LinkingServer> server(new LinkingServer(std::move(options)));
+  auto epoch = BuildEpoch(bi, cross, kb, domain, server->options_,
+                          &server->pool_);
   if (!epoch.ok()) return epoch.status();
-  std::unique_ptr<LinkingServer> server(
-      new LinkingServer(std::move(options), *std::move(epoch)));
-  server->scheduler_ = std::thread(&LinkingServer::SchedulerLoop, server.get());
+  server->Start(*std::move(epoch));
   return server;
 }
 
@@ -62,21 +61,26 @@ util::Result<std::unique_ptr<LinkingServer>> LinkingServer::FromLinker(
 
 util::Result<std::unique_ptr<LinkingServer>> LinkingServer::FromBundle(
     const std::string& bundle_dir, ServerOptions options) {
-  options.max_batch = std::max<std::size_t>(1, options.max_batch);
-  options.retrieve_k = std::max<std::size_t>(1, options.retrieve_k);
   auto bundle = store::LoadModelBundle(bundle_dir);
   if (!bundle.ok()) return bundle.status();
-  auto epoch = BuildEpochFromBundle(std::move(*bundle), options);
+  std::unique_ptr<LinkingServer> server(new LinkingServer(std::move(options)));
+  auto epoch = BuildEpochFromBundle(std::move(*bundle), server->options_,
+                                    &server->pool_);
   if (!epoch.ok()) return epoch.status();
-  std::unique_ptr<LinkingServer> server(
-      new LinkingServer(std::move(options), *std::move(epoch)));
-  server->scheduler_ = std::thread(&LinkingServer::SchedulerLoop, server.get());
+  server->Start(*std::move(epoch));
   return server;
 }
 
-LinkingServer::LinkingServer(ServerOptions options,
-                             std::shared_ptr<ModelEpoch> epoch)
-    : options_(std::move(options)), epoch_(std::move(epoch)) {}
+LinkingServer::LinkingServer(ServerOptions options)
+    : options_(std::move(options)) {
+  options_.max_batch = std::max<std::size_t>(1, options_.max_batch);
+  options_.retrieve_k = std::max<std::size_t>(1, options_.retrieve_k);
+}
+
+void LinkingServer::Start(std::shared_ptr<ModelEpoch> epoch) {
+  epoch_ = std::move(epoch);
+  scheduler_ = std::thread(&LinkingServer::SchedulerLoop, this);
+}
 
 LinkingServer::~LinkingServer() {
   {
@@ -92,7 +96,8 @@ LinkingServer::BuildEpoch(const model::BiEncoder* bi,
                           const model::CrossEncoder* cross,
                           const kb::KnowledgeBase* kb,
                           const std::string& domain,
-                          const ServerOptions& options) {
+                          const ServerOptions& options,
+                          util::ThreadPool* pool) {
   const std::vector<kb::EntityId>& ids = kb->EntitiesInDomain(domain);
   if (ids.empty()) {
     return util::Status::NotFound("domain has no entities: " + domain);
@@ -102,33 +107,13 @@ LinkingServer::BuildEpoch(const model::BiEncoder* bi,
   epoch->bi = bi;
   epoch->cross = cross;
   epoch->kb = kb;
-  const std::size_t d = bi->dim();
-  tensor::Tensor all(ids.size(), d);
-  // Chunked so the encode scratch stays small. Cold path: local scratch.
-  const std::size_t chunk = 256;
-  model::EncodeScratch encode_scratch;
-  tensor::Tensor encoded;
-  std::vector<kb::Entity> part;
-  std::vector<kb::Entity> entities;
-  entities.reserve(ids.size());
-  for (std::size_t begin = 0; begin < ids.size(); begin += chunk) {
-    const std::size_t end = std::min(ids.size(), begin + chunk);
-    part.clear();
-    part.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      part.push_back(kb->entity(ids[i]));
-    }
-    bi->EncodeEntitiesInference(part, &encode_scratch, &encoded);
-    for (std::size_t r = 0; r < encoded.rows(); ++r) {
-      std::copy(encoded.row_data(r), encoded.row_data(r) + d,
-                all.row_data(begin + r));
-      entities.push_back(part[r]);
-    }
-  }
+  // Index rows and the entity-side rerank work, hoisted out of the serving
+  // loop.
+  tensor::Tensor all;
+  model::BuildEntitySide(bi, *cross, *kb, ids, pool, &all,
+                         &epoch->cross_cache);
   METABLINK_RETURN_IF_ERROR(epoch->index.Build(std::move(all), ids));
   METABLINK_RETURN_IF_ERROR(ResolveRetrieval(nullptr, 0, epoch.get()));
-  // Entity-side rerank work, hoisted out of the serving loop.
-  cross->PrecomputeEntities(entities, &epoch->cross_cache);
   epoch->entity_pos.reserve(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) epoch->entity_pos[ids[i]] = i;
   METABLINK_RETURN_IF_ERROR(ResolveCascade(options, nullptr, epoch.get()));
@@ -203,7 +188,8 @@ void LinkingServer::ModelEpoch::Retrieve(
 
 util::Result<std::shared_ptr<LinkingServer::ModelEpoch>>
 LinkingServer::BuildEpochFromBundle(store::ModelBundle bundle,
-                                    const ServerOptions& options) {
+                                    const ServerOptions& options,
+                                    util::ThreadPool* pool) {
   auto epoch = std::make_shared<ModelEpoch>();
   epoch->owned = std::make_unique<store::ModelBundle>(std::move(bundle));
   store::ModelBundle& b = *epoch->owned;
@@ -224,10 +210,8 @@ LinkingServer::BuildEpochFromBundle(store::ModelBundle bundle,
   } else {
     // Bundle shipped without the precomputed rerank artifact: rebuild it
     // from the KB in index-row order.
-    std::vector<kb::Entity> entities;
-    entities.reserve(ids.size());
-    for (kb::EntityId id : ids) entities.push_back(epoch->kb->entity(id));
-    epoch->cross->PrecomputeEntities(entities, &epoch->cross_cache);
+    model::BuildEntitySide(/*bi=*/nullptr, *epoch->cross, *epoch->kb, ids,
+                           pool, /*embeddings=*/nullptr, &epoch->cross_cache);
   }
   epoch->entity_pos.reserve(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) epoch->entity_pos[ids[i]] = i;
@@ -242,7 +226,7 @@ util::Status LinkingServer::SwapModel(const std::string& bundle_dir) {
   // scheduler keeps serving the current version throughout.
   auto bundle = store::LoadModelBundle(bundle_dir);
   if (!bundle.ok()) return bundle.status();
-  auto epoch = BuildEpochFromBundle(std::move(*bundle), options_);
+  auto epoch = BuildEpochFromBundle(std::move(*bundle), options_, &pool_);
   if (!epoch.ok()) return epoch.status();
   {
     std::lock_guard<std::mutex> lock(epoch_mu_);

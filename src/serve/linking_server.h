@@ -290,20 +290,27 @@ class LinkingServer {
                   std::vector<retrieval::ScoredEntity>* out) const;
   };
 
-  LinkingServer(ServerOptions options, std::shared_ptr<ModelEpoch> epoch);
+  /// Normalizes `options`; the pool starts here, before any epoch is
+  /// built, so the first epoch's entity side can run on it.
+  explicit LinkingServer(ServerOptions options);
+
+  /// Publishes the first epoch and starts the scheduler thread.
+  void Start(std::shared_ptr<ModelEpoch> epoch);
 
   /// Encodes the domain's entities, builds the index, and precomputes the
-  /// cross-encoder entity cache, over borrowed components.
+  /// cross-encoder entity cache (model::BuildEntitySide, chunks on `pool`),
+  /// over borrowed components.
   static util::Result<std::shared_ptr<ModelEpoch>> BuildEpoch(
       const model::BiEncoder* bi, const model::CrossEncoder* cross,
       const kb::KnowledgeBase* kb, const std::string& domain,
-      const ServerOptions& options);
+      const ServerOptions& options, util::ThreadPool* pool);
 
   /// Turns a loaded bundle into a servable epoch: adopts its prebuilt
-  /// index and retrieval artifacts, adopts or recomputes the rerank cache,
-  /// and derives the id -> row map.
+  /// index and retrieval artifacts, adopts the rerank cache or rebuilds it
+  /// on `pool`, and derives the id -> row map.
   static util::Result<std::shared_ptr<ModelEpoch>> BuildEpochFromBundle(
-      store::ModelBundle bundle, const ServerOptions& options);
+      store::ModelBundle bundle, const ServerOptions& options,
+      util::ThreadPool* pool);
 
   /// Installs the epoch's resolved cascade policy: `artifact` (a bundle's
   /// "cascade" section) wins over options.cascade wins over the default
@@ -386,8 +393,11 @@ class LinkingServer {
   std::vector<std::size_t> miss_idx_;
   std::vector<std::string> keys_;
 
-  /// Worker pool for the batch-parallel retrieve and rerank stages; only
-  /// the scheduler thread dispatches onto it.
+  /// Worker pool for the batch-parallel retrieve and rerank stages and for
+  /// building an epoch's entity side (Create/FromBundle before the
+  /// scheduler starts, SwapModel's rerank-cache rebuild alongside it;
+  /// ParallelFor calls from different threads each wait on their own
+  /// tasks only).
   util::ThreadPool pool_;
 
   // Stats, guarded by stats_mu_ (written by the scheduler, read anywhere).

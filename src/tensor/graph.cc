@@ -194,11 +194,8 @@ Var Graph::EmbeddingBagMean(Parameter* table,
     if (trace != nullptr) trace->OnTaskWrite(out.data().data(), b, b + 1);
     const auto& bag = (*shared_bags)[b];
     if (bag.empty()) return;
-    const float inv = 1.0f / static_cast<float>(bag.size());
-    float* dst = out.row_data(b);
-    for (std::uint32_t id : bag) {
-      Axpy(inv, table->value.row_data(id), dst, d);
-    }
+    BagRowChain(bag.data(), bag.size(), 1.0f / static_cast<float>(bag.size()),
+                table->value.data().data(), out.row_data(b), d);
   };
   if (trace != nullptr) {
     trace->OnRegionBegin(out.data().data(), n, /*expect_cover=*/true,
@@ -289,11 +286,9 @@ Var Graph::EmbeddingBagMean(Parameter* table,
       if (trace != nullptr) trace->OnTaskWrite(t.data().data(), b, b + 1);
       const auto& bag = (*shared_bags)[b];
       if (bag.empty()) return;
-      const float inv = 1.0f / static_cast<float>(bag.size());
-      float* dst = t.row_data(b);
-      for (std::uint32_t id : bag) {
-        Axpy(inv, table->grad.row_data(id), dst, d);
-      }
+      BagRowChain(bag.data(), bag.size(),
+                  1.0f / static_cast<float>(bag.size()),
+                  table->grad.data().data(), t.row_data(b), d);
     };
     if (trace != nullptr) {
       trace->OnRegionBegin(t.data().data(), shared_bags->size(),

@@ -52,6 +52,31 @@ void GemmRowChainScalar(const float* a, const float* b, float* c,
   RowChainColumns(a, b, c, k, m, 0);
 }
 
+// Columns [j0, m) of BagRowChain, kChainBlock at a time in a local array.
+void BagChainColumns(const std::uint32_t* ids, std::size_t n, float alpha,
+                     const float* table, float* c, std::size_t m,
+                     std::size_t j0) {
+  float acc[kChainBlock];
+  for (std::size_t jb = j0; jb < m; jb += kChainBlock) {
+    const std::size_t w = std::min(kChainBlock, m - jb);
+    std::copy(c + jb, c + jb + w, acc);
+    for (std::size_t t = 0; t < n; ++t) {
+      const float* row = table + static_cast<std::size_t>(ids[t]) * m + jb;
+      for (std::size_t j = 0; j < w; ++j) acc[j] += alpha * row[j];
+    }
+    std::copy(acc, acc + w, c + jb);
+  }
+}
+
+void BagRowChainScalar(const std::uint32_t* ids, std::size_t n, float alpha,
+                       const float* table, float* c, std::size_t m) {
+  BagChainColumns(ids, n, alpha, table, c, m, 0);
+}
+
+void AxpyScalar(float alpha, const float* x, float* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+}
+
 #ifdef METABLINK_KERNELS_X86
 
 // AVX2 only, never "avx2,fma": under an FMA target GCC may contract the
@@ -85,22 +110,81 @@ __attribute__((target("avx2"))) void GemmRowChainAvx2(const float* a,
   RowChainColumns(a, b, c, k, m, j);
 }
 
+// The bag gather of GemmRowChainAvx2's shape: 32 output columns stay in
+// registers while every id's table row streams past. Same no-FMA rule.
+__attribute__((target("avx2"))) void BagRowChainAvx2(const std::uint32_t* ids,
+                                                     std::size_t n,
+                                                     float alpha,
+                                                     const float* table,
+                                                     float* c, std::size_t m) {
+  const __m256 va = _mm256_set1_ps(alpha);
+  std::size_t j = 0;
+  for (; j + kChainBlock <= m; j += kChainBlock) {
+    __m256 c0 = _mm256_loadu_ps(c + j);
+    __m256 c1 = _mm256_loadu_ps(c + j + 8);
+    __m256 c2 = _mm256_loadu_ps(c + j + 16);
+    __m256 c3 = _mm256_loadu_ps(c + j + 24);
+    for (std::size_t t = 0; t < n; ++t) {
+      const float* row = table + static_cast<std::size_t>(ids[t]) * m + j;
+      c0 = _mm256_add_ps(c0, _mm256_mul_ps(va, _mm256_loadu_ps(row)));
+      c1 = _mm256_add_ps(c1, _mm256_mul_ps(va, _mm256_loadu_ps(row + 8)));
+      c2 = _mm256_add_ps(c2, _mm256_mul_ps(va, _mm256_loadu_ps(row + 16)));
+      c3 = _mm256_add_ps(c3, _mm256_mul_ps(va, _mm256_loadu_ps(row + 24)));
+    }
+    _mm256_storeu_ps(c + j, c0);
+    _mm256_storeu_ps(c + j + 8, c1);
+    _mm256_storeu_ps(c + j + 16, c2);
+    _mm256_storeu_ps(c + j + 24, c3);
+  }
+  BagChainColumns(ids, n, alpha, table, c, m, j);
+}
+
+// Elementwise, so any vector width gives the scalar loop's bits: each y[i]
+// sees one separately rounded multiply and one add.
+__attribute__((target("avx2"))) void AxpyAvx2(float alpha, const float* x,
+                                              float* y, std::size_t n) {
+  const __m256 va = _mm256_set1_ps(alpha);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, _mm256_add_ps(_mm256_loadu_ps(y + i),
+                                          _mm256_mul_ps(va,
+                                                        _mm256_loadu_ps(x + i))));
+  }
+  AxpyScalar(alpha, x + i, y + i, n - i);
+}
+
 #endif  // METABLINK_KERNELS_X86
 
 using RowChainFn = void (*)(const float*, const float*, float*, std::size_t,
                             std::size_t);
+using BagChainFn = void (*)(const std::uint32_t*, std::size_t, float,
+                            const float*, float*, std::size_t);
+using AxpyFn = void (*)(float, const float*, float*, std::size_t);
 
 // One-time dispatch: the CPU's capabilities cannot change mid-process, so
 // every call (from any thread) sees the same implementation.
-RowChainFn ResolveRowChainFn() {
+bool ResolveAvx2() {
 #ifdef METABLINK_KERNELS_X86
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) return &GemmRowChainAvx2;
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
 #endif
-  return &GemmRowChainScalar;
 }
 
-const RowChainFn g_row_chain_fn = ResolveRowChainFn();
+const bool g_avx2 = ResolveAvx2();
+
+#ifdef METABLINK_KERNELS_X86
+const RowChainFn g_row_chain_fn =
+    g_avx2 ? &GemmRowChainAvx2 : &GemmRowChainScalar;
+const BagChainFn g_bag_chain_fn =
+    g_avx2 ? &BagRowChainAvx2 : &BagRowChainScalar;
+const AxpyFn g_axpy_fn = g_avx2 ? &AxpyAvx2 : &AxpyScalar;
+#else
+const RowChainFn g_row_chain_fn = &GemmRowChainScalar;
+const BagChainFn g_bag_chain_fn = &BagRowChainScalar;
+const AxpyFn g_axpy_fn = &AxpyScalar;
+#endif
 
 }  // namespace
 
@@ -110,6 +194,19 @@ void GemmRowChain(const float* a, const float* b, float* c, std::size_t k,
 }
 
 bool GemmRowChainUsesSimd() { return g_row_chain_fn != &GemmRowChainScalar; }
+
+void BagRowChain(const std::uint32_t* ids, std::size_t n, float alpha,
+                 const float* table, float* c, std::size_t m) {
+  g_bag_chain_fn(ids, n, alpha, table, c, m);
+}
+
+bool BagRowChainUsesSimd() { return g_bag_chain_fn != &BagRowChainScalar; }
+
+void Axpy(float alpha, const float* x, float* y, std::size_t n) {
+  g_axpy_fn(alpha, x, y, n);
+}
+
+bool AxpyUsesSimd() { return g_axpy_fn != &AxpyScalar; }
 
 void GemmRaw(const float* a, const float* b, float* c, std::size_t n,
              std::size_t k, std::size_t m) {

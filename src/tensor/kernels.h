@@ -2,6 +2,7 @@
 #define METABLINK_TENSOR_KERNELS_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #include "tensor/tensor.h"
 
@@ -46,6 +47,26 @@ void GemmRowChain(const float* a, const float* b, float* c, std::size_t k,
 /// True when the runtime-dispatched AVX2 GemmRowChain is active; false on
 /// the portable scalar fallback.
 bool GemmRowChainUsesSimd();
+
+/// c[0,m) += alpha * table[ids[t]][0,m) for t = 0..n-1 ascending: the
+/// embedding-bag gather, continuing whatever `c` already holds. Element j
+/// receives one separately rounded multiply and one add per id, in id
+/// order, so the result equals the loop of Axpy(alpha, row, c, m) calls
+/// over the same ids bit for bit (repeated ids are added again; n == 0
+/// leaves `c` untouched). `table` is row-major with row stride `m`; the
+/// caller has checked every id against its row count.
+///
+/// Dispatched like GemmRowChain: the x86 path keeps 32 output columns in
+/// AVX registers across the whole bag instead of storing `c` after every
+/// id, and a scalar fallback serves other CPUs.
+void BagRowChain(const std::uint32_t* ids, std::size_t n, float alpha,
+                 const float* table, float* c, std::size_t m);
+
+/// True when the AVX2 BagRowChain is active.
+bool BagRowChainUsesSimd();
+
+/// True when Axpy (tensor.h) runs its AVX2 body.
+bool AxpyUsesSimd();
 
 /// C[n,m] += A[n,d] * B[m,d]^T. Each output element is one Dot; B rows are
 /// tiled so a panel stays cache-resident across consecutive A rows.

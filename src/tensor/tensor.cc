@@ -56,19 +56,4 @@ float Dot(const float* a, const float* b, std::size_t n) {
   return static_cast<float>((acc0 + acc1) + (acc2 + acc3));
 }
 
-void Axpy(float alpha, const float* x, float* y, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    y[i] += alpha * x[i];
-    y[i + 1] += alpha * x[i + 1];
-    y[i + 2] += alpha * x[i + 2];
-    y[i + 3] += alpha * x[i + 3];
-    y[i + 4] += alpha * x[i + 4];
-    y[i + 5] += alpha * x[i + 5];
-    y[i + 6] += alpha * x[i + 6];
-    y[i + 7] += alpha * x[i + 7];
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
 }  // namespace metablink::tensor

@@ -68,7 +68,11 @@ class Tensor {
 /// Dot product of two equal-length float spans.
 float Dot(const float* a, const float* b, std::size_t n);
 
-/// y += alpha * x over n elements.
+/// y += alpha * x over n elements: one separately rounded multiply and one
+/// add per element, never fused. `x` and `y` must be the same span or not
+/// overlap at all; a partial overlap would read elements already updated.
+/// Runtime-dispatched (AVX2 or scalar, identical bits) with the other
+/// kernels in kernels.cc.
 void Axpy(float alpha, const float* x, float* y, std::size_t n);
 
 }  // namespace metablink::tensor

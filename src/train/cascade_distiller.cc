@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "model/entity_side.h"
 #include "model/features.h"
 #include "retrieval/dense_index.h"
 #include "tensor/optimizer.h"
@@ -74,33 +75,17 @@ util::Result<model::CascadeModel> CalibrateCascade(
   // ---- Full-rerank pass: the same epoch construction a server performs
   // (chunked entity encode, exact fp32 index, cached cross rerank), so the
   // margins and scores calibrated here are the ones the server will gate on.
-  const std::size_t d = bi.dim();
-  tensor::Tensor all(ids.size(), d);
-  const std::size_t chunk = 256;
-  model::EncodeScratch encode_scratch;
-  tensor::Tensor encoded;
-  std::vector<kb::Entity> part;
-  std::vector<kb::Entity> entities;
-  entities.reserve(ids.size());
-  for (std::size_t begin = 0; begin < ids.size(); begin += chunk) {
-    const std::size_t end = std::min(ids.size(), begin + chunk);
-    part.clear();
-    for (std::size_t i = begin; i < end; ++i) part.push_back(kb.entity(ids[i]));
-    bi.EncodeEntitiesInference(part, &encode_scratch, &encoded);
-    for (std::size_t r = 0; r < encoded.rows(); ++r) {
-      std::copy(encoded.row_data(r), encoded.row_data(r) + d,
-                all.row_data(begin + r));
-      entities.push_back(part[r]);
-    }
-  }
+  tensor::Tensor all;
+  model::CrossEntityCache cross_cache;
+  model::BuildEntitySide(&bi, cross, kb, ids, /*pool=*/nullptr, &all,
+                         &cross_cache);
   retrieval::DenseIndex index;
   METABLINK_RETURN_IF_ERROR(index.Build(std::move(all), ids));
-  model::CrossEntityCache cross_cache;
-  cross.PrecomputeEntities(entities, &cross_cache);
   std::unordered_map<kb::EntityId, std::size_t> entity_pos;
   entity_pos.reserve(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) entity_pos[ids[i]] = i;
 
+  model::EncodeScratch encode_scratch;
   tensor::Tensor queries;
   bi.EncodeMentionsInference(examples, &encode_scratch, &queries);
 

@@ -3,6 +3,7 @@
 #include <sys/stat.h>
 
 #include <array>
+#include <string>
 
 namespace metablink::train {
 
@@ -18,6 +19,16 @@ util::Status LoadRngState(util::BinaryReader* r, util::Rng* rng) {
     METABLINK_RETURN_IF_ERROR(r->ReadU64(&word));
   }
   rng->set_state(state);
+  return util::Status::OK();
+}
+
+// A stored count of 8-byte values must fit in the bytes left, so a crafted
+// count is a Status before it sizes an allocation.
+util::Status CheckCount(std::uint64_t count, const util::BinaryReader& r,
+                        const char* what) {
+  if (count > r.Remaining() / 8) {
+    return util::Status::OutOfRange(std::string("truncated trainer ") + what);
+  }
   return util::Status::OK();
 }
 
@@ -71,6 +82,7 @@ util::Result<EpochCheckpointState> LoadEpochCheckpoint(
   state.next_epoch = static_cast<std::size_t>(next_epoch);
   std::uint64_t order_size = 0;
   METABLINK_RETURN_IF_ERROR(trainer->ReadU64(&order_size));
+  METABLINK_RETURN_IF_ERROR(CheckCount(order_size, *trainer, "order"));
   state.order.resize(static_cast<std::size_t>(order_size));
   for (std::uint64_t& idx : state.order) {
     METABLINK_RETURN_IF_ERROR(trainer->ReadU64(&idx));
@@ -81,6 +93,8 @@ util::Result<EpochCheckpointState> LoadEpochCheckpoint(
   METABLINK_RETURN_IF_ERROR(trainer->ReadF64(&state.result.final_epoch_loss));
   std::uint64_t num_losses = 0;
   METABLINK_RETURN_IF_ERROR(trainer->ReadU64(&num_losses));
+  METABLINK_RETURN_IF_ERROR(
+      CheckCount(num_losses, *trainer, "epoch_losses"));
   state.result.epoch_losses.resize(static_cast<std::size_t>(num_losses));
   for (double& loss : state.result.epoch_losses) {
     METABLINK_RETURN_IF_ERROR(trainer->ReadF64(&loss));

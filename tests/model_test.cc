@@ -1,13 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "data/generator.h"
 #include "model/bi_encoder.h"
 #include "model/cross_encoder.h"
+#include "model/entity_side.h"
 #include "model/features.h"
+#include "tensor/kernels.h"
 #include "tensor/optimizer.h"
+#include "util/thread_pool.h"
 
 namespace metablink::model {
 namespace {
@@ -294,6 +301,173 @@ TEST_F(CrossEncoderTest, SaveLoadPreservesScores) {
   std::vector<kb::Entity> cands = {MakeEntity("x", "y z")};
   EXPECT_FLOAT_EQ(model_.Score(ex, cands)[0], other.Score(ex, cands)[0]);
   std::remove(path.c_str());
+}
+
+// ---- Entity-side build -----------------------------------------------------
+
+// The serial pair BuildEntitySide replaced, kept verbatim as the reference:
+// BiEncoder::EncodeEntitiesInference (one Axpy per bag id, tanh, GemmRaw,
+// row normalize) and CrossEncoder::PrecomputeEntities (one Axpy per id,
+// tokens interned into one vocabulary in entity order, tanh over every
+// row). Only the private weights are reached through params().
+void ReferenceEncodeEntities(const BiEncoder& bi,
+                             const std::vector<kb::Entity>& entities,
+                             tensor::Tensor* out) {
+  const std::size_t n = entities.size();
+  const std::size_t d = bi.dim();
+  const tensor::Parameter& table = *bi.params()->Find("entity_table");
+  const tensor::Parameter& proj = *bi.params()->Find("entity_proj");
+  std::vector<std::vector<std::uint32_t>> bags(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    bi.featurizer().EntityBagInto(entities[i], &bags[i]);
+  }
+  tensor::Tensor hidden(n, d);
+  for (std::size_t b = 0; b < n; ++b) {
+    const auto& bag = bags[b];
+    if (bag.empty()) continue;
+    const float inv = 1.0f / static_cast<float>(bag.size());
+    float* dst = hidden.row_data(b);
+    for (std::uint32_t id : bag) {
+      tensor::Axpy(inv, table.value.row_data(id), dst, d);
+    }
+  }
+  for (float& v : hidden.data()) v = std::tanh(v);
+  out->Resize(n, d);
+  tensor::GemmRaw(hidden.data().data(), proj.value.data().data(),
+                  out->data().data(), n, d, d);
+  constexpr float kEps = 1e-8f;
+  for (std::size_t i = 0; i < n; ++i) {
+    float* row = out->row_data(i);
+    const float n2 = tensor::Dot(row, row, d);
+    const float inv = 1.0f / std::max(std::sqrt(n2), kEps);
+    for (std::size_t c = 0; c < d; ++c) row[c] *= inv;
+  }
+}
+
+void ReferencePrecomputeEntities(const CrossEncoder& cross,
+                                 const std::vector<kb::Entity>& entities,
+                                 CrossEntityCache* out) {
+  const std::size_t n = entities.size();
+  const std::size_t d = cross.config().dim;
+  const tensor::Parameter& table = *cross.params()->Find("cross_table");
+  out->entity_vec.Resize(n, d);
+  out->tokens.resize(n);
+  out->vocab.clear();
+  std::vector<std::uint32_t> bag;
+  for (std::size_t i = 0; i < n; ++i) {
+    cross.featurizer().EntityBagInto(entities[i], &bag);
+    if (!bag.empty()) {
+      const float inv = 1.0f / static_cast<float>(bag.size());
+      float* dst = out->entity_vec.row_data(i);
+      for (std::uint32_t id : bag) {
+        tensor::Axpy(inv, table.value.row_data(id), dst, d);
+      }
+    }
+    cross.featurizer().PrecomputeEntityTokens(entities[i], &out->vocab,
+                                              &out->tokens[i]);
+  }
+  for (float& v : out->entity_vec.data()) v = std::tanh(v);
+}
+
+bool SameBits(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+void ExpectSameCache(const CrossEntityCache& got,
+                     const CrossEntityCache& want) {
+  EXPECT_TRUE(SameBits(got.entity_vec, want.entity_vec));
+  ASSERT_EQ(got.tokens.size(), want.tokens.size());
+  for (std::size_t i = 0; i < want.tokens.size(); ++i) {
+    ASSERT_EQ(got.tokens[i].title_ids, want.tokens[i].title_ids) << i;
+    ASSERT_EQ(got.tokens[i].desc_ids, want.tokens[i].desc_ids) << i;
+    ASSERT_EQ(got.tokens[i].norm_title, want.tokens[i].norm_title) << i;
+    ASSERT_EQ(got.tokens[i].norm_base, want.tokens[i].norm_base) << i;
+    ASSERT_EQ(got.tokens[i].has_phrase, want.tokens[i].has_phrase) << i;
+  }
+  EXPECT_EQ(got.vocab, want.vocab);
+}
+
+class EntitySideTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    data::GeneratorOptions opts;
+    opts.seed = 91;
+    data::ZeshelLikeGenerator gen(opts);
+    data::DomainSpec spec;
+    spec.name = "d";
+    spec.num_entities = 1000;
+    spec.num_examples = 10;
+    spec.num_documents = 0;
+    auto corpus = gen.Generate({spec});
+    ASSERT_TRUE(corpus.ok());
+    for (kb::EntityId id : corpus->kb.EntitiesInDomain("d")) {
+      entities_.push_back(corpus->kb.entity(id));
+    }
+  }
+
+  // Every entity count against the serial pair, at every pool size.
+  static void CheckAllSizes(const BiEncoder& bi, const CrossEncoder& cross) {
+    util::ThreadPool pool1(1), pool2(2), pool4(4);
+    for (std::size_t n : {1, 255, 256, 257, 1000}) {
+      const std::vector<kb::Entity> part(entities_.begin(),
+                                         entities_.begin() + n);
+      tensor::Tensor want_emb;
+      ReferenceEncodeEntities(bi, part, &want_emb);
+      CrossEntityCache want_cache;
+      ReferencePrecomputeEntities(cross, part, &want_cache);
+      std::vector<const kb::Entity*> refs;
+      for (const kb::Entity& e : part) refs.push_back(&e);
+      for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr),
+                                     &pool1, &pool2, &pool4}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " threads=" +
+                     std::to_string(pool ? pool->num_threads() : 0));
+        tensor::Tensor emb;
+        CrossEntityCache cache;
+        BuildEntitySide(&bi, cross, refs, pool, &emb, &cache);
+        EXPECT_TRUE(SameBits(emb, want_emb));
+        ExpectSameCache(cache, want_cache);
+      }
+      // The cross-only form PrecomputeEntities runs.
+      CrossEntityCache cross_only;
+      cross.PrecomputeEntities(part, &cross_only);
+      ExpectSameCache(cross_only, want_cache);
+    }
+  }
+
+  static inline std::vector<kb::Entity> entities_;
+};
+
+TEST_F(EntitySideTest, MatchesSerialPairAtAnyPoolSize) {
+  // Equal feature configs: the cross rows reuse the bi bags.
+  BiEncoderConfig bi_cfg;
+  bi_cfg.features.hasher.num_buckets = 4096;
+  bi_cfg.dim = 64;
+  CrossEncoderConfig cross_cfg;
+  cross_cfg.features = bi_cfg.features;
+  cross_cfg.dim = 64;
+  util::Rng rng(5);
+  BiEncoder bi(bi_cfg, &rng);
+  CrossEncoder cross(cross_cfg, &rng);
+  CheckAllSizes(bi, cross);
+}
+
+TEST_F(EntitySideTest, MatchesSerialPairWithUnequalFeatureConfigs) {
+  // The cross side featurizes on its own; odd dims take the kernels' tails.
+  BiEncoderConfig bi_cfg;
+  bi_cfg.features.hasher.num_buckets = 4096;
+  bi_cfg.dim = 40;
+  CrossEncoderConfig cross_cfg;
+  cross_cfg.features.hasher.num_buckets = 2048;
+  cross_cfg.features.hasher.char_ngram_sizes = {3};
+  cross_cfg.dim = 24;
+  cross_cfg.hidden = 16;
+  ASSERT_FALSE(FeatureConfigsMatch(bi_cfg.features, cross_cfg.features));
+  util::Rng rng(6);
+  BiEncoder bi(bi_cfg, &rng);
+  CrossEncoder cross(cross_cfg, &rng);
+  CheckAllSizes(bi, cross);
 }
 
 // ---- parameterized: dims sweep ---------------------------------------------

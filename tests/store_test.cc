@@ -389,6 +389,39 @@ TEST_F(StoreTest, TrainerTagMismatchIsRejected) {
   std::remove(path.c_str());
 }
 
+TEST_F(StoreTest, TrainerCheckpointHugeCountsAreStatusNotAllocation) {
+  // CRC-valid containers whose trainer section claims far more order /
+  // loss entries than it holds: the load must fail cleanly before sizing
+  // anything from the claim.
+  const std::string path = TempPath("huge_counts.ckpt");
+  auto model = MakeBi();
+  util::Rng rng(1);
+  tensor::AdamOptimizer optimizer(0.01f);
+  for (bool in_losses : {false, true}) {
+    for (std::uint64_t count : {std::uint64_t{1} << 40,
+                                std::uint64_t{1} << 62}) {
+      SCOPED_TRACE(std::string(in_losses ? "epoch_losses" : "order") +
+                   " count " + std::to_string(count));
+      store::CheckpointWriter ckpt;
+      util::BinaryWriter* w = ckpt.AddSection("trainer");
+      w->WriteU32(0x1111u);
+      w->WriteU64(1);  // next_epoch
+      w->WriteU64(in_losses ? 0 : count);
+      w->WriteU64(3);  // steps
+      w->WriteF64(0.5);
+      w->WriteU64(in_losses ? count : 0);
+      w->WriteF64(0.25);
+      ASSERT_TRUE(ckpt.WriteToFile(path).ok());
+      util::Result<train::EpochCheckpointState> loaded =
+          train::EpochCheckpointState{};
+      EXPECT_NO_THROW(loaded = train::LoadEpochCheckpoint(
+                          0x1111u, path, model->params(), &optimizer, &rng));
+      EXPECT_FALSE(loaded.ok());
+    }
+  }
+  std::remove(path.c_str());
+}
+
 // ---- Encoder checkpoint files ----------------------------------------------
 
 TEST_F(StoreTest, EncoderFilesRoundTripAndRejectConfigMismatch) {

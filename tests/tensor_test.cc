@@ -101,6 +101,61 @@ TEST(KernelTest, GemmRowChainMatchesGemmRawBitForBit) {
   }
 }
 
+TEST(KernelTest, BagRowChainMatchesScalarLoopBitForBit) {
+  // The reference is the per-id loop the gather replaced: one separately
+  // rounded multiply and add per element, ids in bag order.
+  RecordProperty("simd", BagRowChainUsesSimd() ? "avx2" : "scalar");
+  util::Rng rng(77);
+  constexpr std::size_t kTableRows = 50;
+  const float alpha = 1.0f / 3.0f;  // not a power of two: the products round
+  const std::vector<std::vector<std::uint32_t>> bags = {
+      {}, {4}, {0, 49, 7, 7, 7, 12, 0}, {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8}};
+  for (std::size_t m : {1, 7, 8, 31, 32, 33, 64, 100}) {
+    std::vector<float> table(kTableRows * m);
+    for (float& v : table) v = rng.NextFloat(-1.0f, 1.0f);
+    for (const auto& bag : bags) {
+      SCOPED_TRACE("m=" + std::to_string(m) +
+                   " bag=" + std::to_string(bag.size()));
+      std::vector<float> start(m);
+      for (float& v : start) v = rng.NextFloat(-1.0f, 1.0f);
+      std::vector<float> want = start;
+      for (std::uint32_t id : bag) {
+        for (std::size_t j = 0; j < m; ++j) want[j] += alpha * table[id * m + j];
+      }
+      std::vector<float> got = start;
+      BagRowChain(bag.data(), bag.size(), alpha, table.data(), got.data(), m);
+      for (std::size_t j = 0; j < m; ++j) {
+        ASSERT_EQ(Bits(got[j]), Bits(want[j])) << "col " << j;
+      }
+    }
+  }
+}
+
+TEST(KernelTest, AxpyMatchesScalarLoopBitForBit) {
+  RecordProperty("simd", AxpyUsesSimd() ? "avx2" : "scalar");
+  util::Rng rng(78);
+  const float alpha = -0.7f;
+  for (std::size_t n : {0, 1, 7, 8, 31, 32, 33, 64, 100}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<float> x(n), y(n);
+    for (float& v : x) v = rng.NextFloat(-1.0f, 1.0f);
+    for (float& v : y) v = rng.NextFloat(-1.0f, 1.0f);
+    std::vector<float> want = y;
+    for (std::size_t i = 0; i < n; ++i) want[i] += alpha * x[i];
+    std::vector<float> got = y;
+    Axpy(alpha, x.data(), got.data(), n);
+    // x == y is allowed (only a partial overlap is not).
+    std::vector<float> want_self = y;
+    for (std::size_t i = 0; i < n; ++i) want_self[i] += alpha * want_self[i];
+    std::vector<float> self = y;
+    Axpy(alpha, self.data(), self.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(Bits(got[i]), Bits(want[i])) << "elem " << i;
+      ASSERT_EQ(Bits(self[i]), Bits(want_self[i])) << "elem " << i;
+    }
+  }
+}
+
 // ---- ParameterStore --------------------------------------------------------
 
 TEST(ParameterStoreTest, CreateAndFind) {

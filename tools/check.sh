@@ -11,7 +11,12 @@
 #                   PQ full-pool parity, deterministic rebuilds;
 #                   bench_checkpoint --smoke: checkpoint round-trip and
 #                   kill/resume bit-identity, and the hot-swap hammer where
-#                   every Link must succeed and every swap publish)
+#                   every Link must succeed and every swap publish;
+#                   bench_traffic --smoke: generator determinism across
+#                   runs/seeds, Zipf skew + LRU hit-rate ordering, open-loop
+#                   pacing, max_queue=0 byte identity, and both shed
+#                   policies reconciling their admission ledgers under an
+#                   8-thread hammer)
 #   2. asan-ubsan — METABLINK_SANITIZE=address,undefined build + full ctest
 #   3. tsan       — METABLINK_SANITIZE=thread build + full ctest
 #   4. clang-tidy — bugprone/performance/concurrency checks over src/
@@ -19,12 +24,6 @@
 #   5. graphlint  — the analyzer self-checks: analysis_test (GraphLint
 #                   seeded-defect fixtures + WriteSetChecker) from stage 1's
 #                   tree, rerun explicitly so a filtered ctest cannot hide it
-#   6. traffic    — bench_traffic --smoke from stage 1's tree: the load
-#                   subsystem contracts (generator determinism across
-#                   runs/seeds, Zipf skew + LRU hit-rate ordering,
-#                   open-loop pacing sanity, max_queue=0 byte identity,
-#                   and both shed policies reconciling their admission
-#                   ledgers under an 8-thread hammer)
 #
 # Fails fast: the first failing stage stops the run; a summary table of
 # per-stage PASS/FAIL/SKIP status is always printed on exit.
@@ -36,7 +35,7 @@ set -u -o pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
-STAGES=(default asan-ubsan tsan clang-tidy graphlint traffic)
+STAGES=(default asan-ubsan tsan clang-tidy graphlint)
 declare -A STATUS
 for s in "${STAGES[@]}"; do STATUS[$s]="not run"; done
 
@@ -95,19 +94,6 @@ echo "== stage: graphlint =="
 # WriteSetChecker race fixtures, and the instrumented-kernel proofs.
 ./build-check-default/tests/analysis_test || fail graphlint
 STATUS[graphlint]="PASS"
-
-echo
-echo "== stage: traffic =="
-# Reduced traffic-harness run: workload generators must be deterministic
-# per seed and differ across seeds, Zipf(0.99) must out-hit uniform on an
-# equal-size LRU, the open-loop driver must pace its no-op target, an
-# unbounded server must answer byte-identically to a never-full bounded
-# one, and both shed policies must reconcile accepted/rejected/shed with
-# completed requests under an 8-thread overload hammer (exit 1 on any
-# violation), without the full-scale latency-under-load sweep.
-./build-check-default/bench/bench_traffic --smoke /tmp/metablink-smoke-traffic.json \
-  || fail traffic
-STATUS[traffic]="PASS"
 
 echo
 echo "check.sh: all stages passed (or were skipped)"
