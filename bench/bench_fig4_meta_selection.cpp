@@ -4,9 +4,14 @@
 // population during bi-encoder meta-training on the YuGiOh domain.
 //
 // Paper: normal data selected ~50%, bad data ~20%. The reproduction target
-// is the ordering (normal selected clearly more often than bad).
+// is the ordering (normal selected clearly more often than bad), and the
+// exit status gates it: 1 unless the normal ratio is above the bad one.
+//
+//   bench_fig4_meta_selection           # 400 meta steps
+//   bench_fig4_meta_selection --smoke   # 100 steps; the ctest gate
 
 #include <cstdio>
+#include <cstring>
 
 #include "experiment_common.h"
 #include "gen/bad_data.h"
@@ -15,7 +20,8 @@
 
 using namespace metablink;
 
-int main() {
+int main(int argc, char** argv) {
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   bench::ExperimentWorld world(bench::ExperimentScale(),
                                bench::ExperimentSeed());
   const std::string domain = "yugioh";
@@ -46,7 +52,7 @@ int main() {
   model::BiEncoder* bi = pipeline.bi_encoder();
   const kb::KnowledgeBase* kb = &world.corpus().kb;
   train::MetaTrainOptions mopts = config.meta_bi;
-  mopts.steps = 400;
+  mopts.steps = smoke ? 100 : 400;
   train::MetaReweightTrainer meta(
       mopts, bi->params(),
       [bi, kb](tensor::Graph* graph,
@@ -59,8 +65,9 @@ int main() {
     return 1;
   }
 
-  std::printf("=== Fig. 4: meta-learning selection ratio (bi-encoder, %s) ===\n",
-              domain.c_str());
+  std::printf("=== Fig. 4: meta-learning selection ratio (bi-encoder, %s, "
+              "%zu steps) ===\n",
+              domain.c_str(), mopts.steps);
   std::printf("%-16s %10s %12s %12s   %s\n", "population", "examples",
               "sel. ratio", "mean weight", "paper");
   const auto& sel = result->selection;
@@ -74,6 +81,13 @@ int main() {
   };
   row("normal (syn)", data::ExampleSource::kRewritten, "~50%");
   row("bad (random)", data::ExampleSource::kInjectedBad, "~20%");
-  std::printf("\nexpected shape: normal ratio > bad ratio\n");
-  return 0;
+  auto ratio = [&](data::ExampleSource src) {
+    auto it = sel.find(src);
+    return it == sel.end() ? 0.0 : it->second.SelectedRatio();
+  };
+  const bool shape = ratio(data::ExampleSource::kRewritten) >
+                     ratio(data::ExampleSource::kInjectedBad);
+  std::printf("\nexpected shape: normal ratio > bad ratio: %s\n",
+              shape ? "PASS" : "FAIL");
+  return shape ? 0 : 1;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "train/featurized.h"
 #include "util/logging.h"
 
 namespace metablink::core {
@@ -142,17 +143,20 @@ util::Status MetaBlinkPipeline::TrainMeta(
     if (!warm_result.ok()) return warm_result.status();
   }
 
-  // Stage 1: Algorithm 1 on the bi-encoder.
+  // Stage 1: Algorithm 1 on the bi-encoder. Each example and entity is
+  // featurized once here; the meta steps only gather the stored bags.
   {
-    model::BiEncoder* bi = bi_.get();
-    const kb::KnowledgeBase* kb_ptr = &kb;
-    train::MetaReweightTrainer meta(
-        config_.meta_bi, bi->params(),
-        [bi, kb_ptr](tensor::Graph* graph,
-                     const std::vector<data::LinkingExample>& batch) {
-          return bi->InBatchLoss(graph, batch, *kb_ptr);
+    const model::BiEncoder* bi = bi_.get();
+    train::TrainingFeatures features(bi->featurizer(), kb);
+    const auto syn = features.Examples(synthetic);
+    const auto seeds = features.Examples(seed_set);
+    train::FeaturizedMetaTrainer meta(
+        config_.meta_bi, bi_->params(),
+        [bi](tensor::Graph* graph,
+             const std::vector<train::FeaturizedExample>& batch) {
+          return train::InBatchLoss(*bi, graph, batch);
         });
-    auto result = meta.Train(synthetic, seed_set);
+    auto result = meta.Train(syn, seeds);
     if (!result.ok()) return result.status();
     last_meta_bi_ = *result;
   }
@@ -171,26 +175,17 @@ util::Status MetaBlinkPipeline::TrainMeta(
     return util::Status::OK();
   }
   {
-    model::CrossEncoder* cross = cross_.get();
-    const kb::KnowledgeBase* kb_ptr = &kb;
-    train::CrossMetaTrainer meta(
-        config_.meta_cross, cross->params(),
-        [cross, kb_ptr](tensor::Graph* graph,
-                        const std::vector<train::CrossInstance>& batch) {
-          std::vector<tensor::Var> losses;
-          losses.reserve(batch.size());
-          for (const auto& inst : batch) {
-            std::vector<kb::Entity> entities;
-            entities.reserve(inst.candidates.size());
-            for (kb::EntityId id : inst.candidates) {
-              entities.push_back(kb_ptr->entity(id));
-            }
-            losses.push_back(cross->RankingLoss(graph, inst.example, entities,
-                                                inst.gold_index));
-          }
-          return graph->ConcatRows(losses);
+    const model::CrossEncoder* cross = cross_.get();
+    train::TrainingFeatures features(cross->featurizer(), kb);
+    const auto syn = features.Instances(*syn_instances);
+    const auto seeds = features.Instances(*seed_instances);
+    train::FeaturizedCrossMetaTrainer meta(
+        config_.meta_cross, cross_->params(),
+        [cross](tensor::Graph* graph,
+                const std::vector<train::FeaturizedInstance>& batch) {
+          return train::RankingLossColumn(*cross, graph, batch);
         });
-    auto result = meta.Train(*syn_instances, *seed_instances);
+    auto result = meta.Train(syn, seeds);
     if (!result.ok()) return result.status();
     last_meta_cross_ = *result;
   }

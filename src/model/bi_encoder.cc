@@ -68,16 +68,32 @@ tensor::Var BiEncoder::EncodeEntities(
 tensor::Var BiEncoder::InBatchLoss(
     tensor::Graph* graph, const std::vector<data::LinkingExample>& examples,
     const kb::KnowledgeBase& kb) const {
-  std::vector<kb::Entity> entities;
-  entities.reserve(examples.size());
-  for (const auto& ex : examples) entities.push_back(kb.entity(ex.entity_id));
-  tensor::Var mentions = EncodeMentions(graph, examples);
-  tensor::Var ents = EncodeEntities(graph, entities);
+  std::vector<std::vector<std::uint32_t>> mention_bags, entity_bags;
+  mention_bags.reserve(examples.size());
+  entity_bags.reserve(examples.size());
+  for (const auto& ex : examples) {
+    mention_bags.push_back(featurizer_.MentionBag(ex));
+    entity_bags.push_back(featurizer_.EntityBag(kb.entity(ex.entity_id)));
+  }
+  return InBatchLoss(graph, std::move(mention_bags), std::move(entity_bags));
+}
+
+tensor::Var BiEncoder::InBatchLoss(
+    tensor::Graph* graph, std::vector<std::vector<std::uint32_t>> mention_bags,
+    std::vector<std::vector<std::uint32_t>> entity_bags) const {
+  METABLINK_CHECK(mention_bags.size() == entity_bags.size())
+      << "one gold entity bag per mention bag";
+  const std::size_t n = mention_bags.size();
+  tensor::Var mentions = EncodeBags(graph, std::move(mention_bags),
+                                    mention_table_, mention_proj_,
+                                    mention_bias_);
+  tensor::Var ents = EncodeBags(graph, std::move(entity_bags), entity_table_,
+                                entity_proj_, entity_bias_);
   // Scores scaled up so softmax over unit-vector dot products (range
   // [-1, 1]) has usable dynamic range — a fixed inverse temperature.
   tensor::Var scores = graph->Scale(graph->MatMulTransposeB(mentions, ents),
                                     10.0f);
-  std::vector<std::size_t> targets(examples.size());
+  std::vector<std::size_t> targets(n);
   std::iota(targets.begin(), targets.end(), 0);
   return graph->SoftmaxCrossEntropy(scores, std::move(targets));
 }

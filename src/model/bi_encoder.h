@@ -68,6 +68,15 @@ class BiEncoder {
                           const std::vector<data::LinkingExample>& examples,
                           const kb::KnowledgeBase& kb) const;
 
+  /// The same loss over bags featurized beforehand (by featurizer()):
+  /// mention_bags[i] is example i's MentionBag and entity_bags[i] its gold
+  /// entity's EntityBag. The form above featurizes and calls this one, so
+  /// equal bags give a bit-identical tape.
+  tensor::Var InBatchLoss(
+      tensor::Graph* graph,
+      std::vector<std::vector<std::uint32_t>> mention_bags,
+      std::vector<std::vector<std::uint32_t>> entity_bags) const;
+
   /// Inference: embeds all `ids` without building gradient state the caller
   /// cares about. Returns a [ids.size(), dim] tensor.
   tensor::Tensor EmbedEntityIds(const std::vector<kb::EntityId>& ids,

@@ -81,6 +81,21 @@ class CrossEncoder {
                           const std::vector<kb::Entity>& candidates,
                           std::size_t gold_index) const;
 
+  /// The two calls above over inputs featurized beforehand (by
+  /// featurizer()): the mention's MentionBag, each candidate's EntityBag,
+  /// and `overlaps` [c, kNumOverlapFeatures] holding each candidate's
+  /// OverlapFeatures row. The forms above featurize and call these, so
+  /// equal inputs give a bit-identical tape.
+  tensor::Var ScoreCandidates(
+      tensor::Graph* graph, std::vector<std::uint32_t> mention_bag,
+      std::vector<std::vector<std::uint32_t>> entity_bags,
+      tensor::Tensor overlaps) const;
+  tensor::Var RankingLoss(tensor::Graph* graph,
+                          std::vector<std::uint32_t> mention_bag,
+                          std::vector<std::vector<std::uint32_t>> entity_bags,
+                          tensor::Tensor overlaps,
+                          std::size_t gold_index) const;
+
   /// Inference scores for the candidates (no gradients kept).
   std::vector<float> Score(const data::LinkingExample& example,
                            const std::vector<kb::Entity>& candidates) const;
@@ -164,6 +179,13 @@ class CrossEncoder {
   // scratch->pair[2*dim, 2*dim + kNumOverlapFeatures) holds the
   // candidate's overlap features.
   void PrefixInto(CrossScoreScratch* scratch) const;
+  /// Featurizes one candidate list for the bag forms of ScoreCandidates /
+  /// RankingLoss.
+  void Featurize(const data::LinkingExample& example,
+                 const std::vector<kb::Entity>& candidates,
+                 std::vector<std::uint32_t>* mention_bag,
+                 std::vector<std::vector<std::uint32_t>>* entity_bags,
+                 tensor::Tensor* overlaps) const;
   float ScorePair(const float* entity_vec, CrossScoreScratch* scratch) const;
 
   CrossEncoderConfig config_;

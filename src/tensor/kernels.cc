@@ -1,6 +1,7 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
+#include <cmath>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -75,6 +76,18 @@ void BagRowChainScalar(const std::uint32_t* ids, std::size_t n, float alpha,
 
 void AxpyScalar(float alpha, const float* x, float* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+}
+
+void AdamRowScalar(const AdamStepParams& p, const float* grad, float* val,
+                   float* m, float* v, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float g = grad[i] + p.weight_decay * val[i];
+    m[i] = p.beta1 * m[i] + (1.0f - p.beta1) * g;
+    v[i] = p.beta2 * v[i] + (1.0f - p.beta2) * g * g;
+    const float mhat = m[i] / p.bc1;
+    const float vhat = v[i] / p.bc2;
+    val[i] -= p.lr * mhat / (std::sqrt(vhat) + p.eps);
+  }
 }
 
 #ifdef METABLINK_KERNELS_X86
@@ -153,6 +166,43 @@ __attribute__((target("avx2"))) void AxpyAvx2(float alpha, const float* x,
   AxpyScalar(alpha, x + i, y + i, n - i);
 }
 
+// AdamRowScalar eight lanes at a time, op for op: vsqrtps is correctly
+// rounded like sqrtss, and the same no-FMA rule keeps every multiply and
+// add separately rounded.
+__attribute__((target("avx2"))) void AdamRowAvx2(const AdamStepParams& p,
+                                                 const float* grad,
+                                                 float* val, float* m,
+                                                 float* v, std::size_t n) {
+  const __m256 wd = _mm256_set1_ps(p.weight_decay);
+  const __m256 b1 = _mm256_set1_ps(p.beta1);
+  const __m256 b2 = _mm256_set1_ps(p.beta2);
+  const __m256 one_b1 = _mm256_set1_ps(1.0f - p.beta1);
+  const __m256 one_b2 = _mm256_set1_ps(1.0f - p.beta2);
+  const __m256 bc1 = _mm256_set1_ps(p.bc1);
+  const __m256 bc2 = _mm256_set1_ps(p.bc2);
+  const __m256 lr = _mm256_set1_ps(p.lr);
+  const __m256 eps = _mm256_set1_ps(p.eps);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 w = _mm256_loadu_ps(val + i);
+    const __m256 g =
+        _mm256_add_ps(_mm256_loadu_ps(grad + i), _mm256_mul_ps(wd, w));
+    const __m256 mi = _mm256_add_ps(_mm256_mul_ps(b1, _mm256_loadu_ps(m + i)),
+                                    _mm256_mul_ps(one_b1, g));
+    const __m256 vi = _mm256_add_ps(
+        _mm256_mul_ps(b2, _mm256_loadu_ps(v + i)),
+        _mm256_mul_ps(_mm256_mul_ps(one_b2, g), g));
+    _mm256_storeu_ps(m + i, mi);
+    _mm256_storeu_ps(v + i, vi);
+    const __m256 mhat = _mm256_div_ps(mi, bc1);
+    const __m256 vhat = _mm256_div_ps(vi, bc2);
+    const __m256 step = _mm256_div_ps(
+        _mm256_mul_ps(lr, mhat), _mm256_add_ps(_mm256_sqrt_ps(vhat), eps));
+    _mm256_storeu_ps(val + i, _mm256_sub_ps(w, step));
+  }
+  AdamRowScalar(p, grad + i, val + i, m + i, v + i, n - i);
+}
+
 #endif  // METABLINK_KERNELS_X86
 
 using RowChainFn = void (*)(const float*, const float*, float*, std::size_t,
@@ -160,6 +210,8 @@ using RowChainFn = void (*)(const float*, const float*, float*, std::size_t,
 using BagChainFn = void (*)(const std::uint32_t*, std::size_t, float,
                             const float*, float*, std::size_t);
 using AxpyFn = void (*)(float, const float*, float*, std::size_t);
+using AdamRowFn = void (*)(const AdamStepParams&, const float*, float*,
+                           float*, float*, std::size_t);
 
 // One-time dispatch: the CPU's capabilities cannot change mid-process, so
 // every call (from any thread) sees the same implementation.
@@ -180,10 +232,12 @@ const RowChainFn g_row_chain_fn =
 const BagChainFn g_bag_chain_fn =
     g_avx2 ? &BagRowChainAvx2 : &BagRowChainScalar;
 const AxpyFn g_axpy_fn = g_avx2 ? &AxpyAvx2 : &AxpyScalar;
+const AdamRowFn g_adam_row_fn = g_avx2 ? &AdamRowAvx2 : &AdamRowScalar;
 #else
 const RowChainFn g_row_chain_fn = &GemmRowChainScalar;
 const BagChainFn g_bag_chain_fn = &BagRowChainScalar;
 const AxpyFn g_axpy_fn = &AxpyScalar;
+const AdamRowFn g_adam_row_fn = &AdamRowScalar;
 #endif
 
 }  // namespace
@@ -207,6 +261,13 @@ void Axpy(float alpha, const float* x, float* y, std::size_t n) {
 }
 
 bool AxpyUsesSimd() { return g_axpy_fn != &AxpyScalar; }
+
+void AdamRow(const AdamStepParams& p, const float* grad, float* val, float* m,
+             float* v, std::size_t n) {
+  g_adam_row_fn(p, grad, val, m, v, n);
+}
+
+bool AdamRowUsesSimd() { return g_adam_row_fn != &AdamRowScalar; }
 
 void GemmRaw(const float* a, const float* b, float* c, std::size_t n,
              std::size_t k, std::size_t m) {

@@ -68,6 +68,34 @@ bool BagRowChainUsesSimd();
 /// True when Axpy (tensor.h) runs its AVX2 body.
 bool AxpyUsesSimd();
 
+/// Hyperparameters of one Adam step, with the step's bias corrections
+/// bc1 = 1 - beta1^t and bc2 = 1 - beta2^t already evaluated.
+struct AdamStepParams {
+  float lr = 0.0f;
+  float beta1 = 0.0f;
+  float beta2 = 0.0f;
+  float eps = 0.0f;
+  float weight_decay = 0.0f;
+  float bc1 = 1.0f;
+  float bc2 = 1.0f;
+};
+
+/// One Adam update of n contiguous elements (a touched embedding row, or a
+/// whole dense parameter). Element i runs exactly AdamOptimizer's scalar
+/// update, every operation separately rounded and in this order:
+///   g = grad[i] + weight_decay * val[i]
+///   m[i] = beta1 * m[i] + (1 - beta1) * g
+///   v[i] = beta2 * v[i] + (1 - beta2) * g * g
+///   val[i] -= lr * (m[i] / bc1) / (sqrt(v[i] / bc2) + eps)
+/// Elementwise, so the AVX2 body (eight elements at a time, never fused)
+/// and the scalar tail/fallback give the same bits; dispatched once per
+/// process like GemmRowChain.
+void AdamRow(const AdamStepParams& p, const float* grad, float* val, float* m,
+             float* v, std::size_t n);
+
+/// True when the AVX2 AdamRow is active.
+bool AdamRowUsesSimd();
+
 /// C[n,m] += A[n,d] * B[m,d]^T. Each output element is one Dot; B rows are
 /// tiled so a panel stays cache-resident across consecutive A rows.
 void GemmTransposeBRaw(const float* a, const float* b, float* c,

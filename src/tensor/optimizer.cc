@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "tensor/kernels.h"
 #include "util/string_util.h"
 
 namespace metablink::tensor {
@@ -44,34 +45,33 @@ void SgdOptimizer::Step(ParameterStore* store) {
 
 void AdamOptimizer::Step(ParameterStore* store) {
   ++t_;
-  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  AdamStepParams step;
+  step.lr = lr_;
+  step.beta1 = beta1_;
+  step.beta2 = beta2_;
+  step.eps = eps_;
+  step.weight_decay = weight_decay_;
+  step.bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
+  step.bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
   for (const auto& p : store->parameters()) {
-    auto& val = p->value.data();
-    const auto& grad = p->grad.data();
+    float* val = p->value.data().data();
+    const float* grad = p->grad.data().data();
     auto& mom = moments_[p.get()];
-    if (mom.m.size() != val.size()) {
-      mom.m.assign(val.size(), 0.0f);
-      mom.v.assign(val.size(), 0.0f);
+    if (mom.m.size() != p->value.size()) {
+      mom.m.assign(p->value.size(), 0.0f);
+      mom.v.assign(p->value.size(), 0.0f);
     }
-    auto update = [&](std::size_t i) {
-      const float g = grad[i] + weight_decay_ * val[i];
-      mom.m[i] = beta1_ * mom.m[i] + (1.0f - beta1_) * g;
-      mom.v[i] = beta2_ * mom.v[i] + (1.0f - beta2_) * g * g;
-      const float mhat = mom.m[i] / bc1;
-      const float vhat = mom.v[i] / bc2;
-      val[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    };
     if (p->row_sparse_grad) {
       // Lazy Adam: rows with zero gradient keep their moments unchanged
       // (standard sparse-Adam approximation for embedding tables).
       const std::size_t cols = p->grad.cols();
       for (std::uint32_t row : p->touched_rows) {
         const std::size_t base = row * cols;
-        for (std::size_t c = 0; c < cols; ++c) update(base + c);
+        AdamRow(step, grad + base, val + base, mom.m.data() + base,
+                mom.v.data() + base, cols);
       }
     } else {
-      for (std::size_t i = 0; i < val.size(); ++i) update(i);
+      AdamRow(step, grad, val, mom.m.data(), mom.v.data(), p->value.size());
     }
   }
 }

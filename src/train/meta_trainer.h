@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -28,12 +29,14 @@ namespace metablink::train {
 enum class MetaGrad {
   /// One reverse pass per example (one-hot seed over the shared tape).
   /// With a pool attached the passes run concurrently on per-thread
-  /// gradient scratch; serial order is the reference implementation.
+  /// gradient scratch. The explicitly selected reference: tests and
+  /// bench_perf_substrate measure kJvp against it.
   kPerExample,
   /// One forward-mode sweep along direction g_meta: the tangent of the
   /// loss column is exactly (raw[0], …, raw[n-1]), so the whole batch
   /// costs about one forward pass instead of n backward passes. Matches
-  /// kPerExample up to float rounding.
+  /// kPerExample up to float rounding (weights within 1e-5). The default,
+  /// so every pipeline trains with it.
   kJvp,
 };
 
@@ -55,7 +58,7 @@ struct MetaTrainOptions {
   /// Not owned; nullptr (the default) keeps everything serial.
   util::ThreadPool* pool = nullptr;
   /// Per-example gradient strategy (see MetaGrad).
-  MetaGrad meta_grad = MetaGrad::kPerExample;
+  MetaGrad meta_grad = MetaGrad::kJvp;
   /// Skip tape nodes whose gradient is identically zero during the
   /// per-example passes. Exact (skipped closures only add zeros); off is a
   /// benchmark/debugging baseline that visits every node like the
@@ -86,12 +89,34 @@ struct SelectionStats {
   }
 };
 
+/// Wall-clock seconds one trainer spent in each phase of Step, summed over
+/// the steps this process ran (a resumed run counts only its own steps;
+/// checkpoints do not carry them).
+struct MetaPhaseSeconds {
+  /// Seed-batch forward and backward: the meta gradient g_meta.
+  double seed = 0.0;
+  /// Synthetic-batch forward (plus the first step's graph lint).
+  double synthetic_forward = 0.0;
+  /// The alignments raw[j] and their eq. 13-14 normalization.
+  double alignment = 0.0;
+  /// Selection bookkeeping and the backward pass of the weighted loss.
+  double weighted_backward = 0.0;
+  /// The optimizer update.
+  double optimizer = 0.0;
+
+  double Total() const {
+    return seed + synthetic_forward + alignment + weighted_backward +
+           optimizer;
+  }
+};
+
 /// Result of a meta-training run.
 struct MetaTrainResult {
   std::size_t steps = 0;
   double final_synthetic_loss = 0.0;
   double final_seed_loss = 0.0;
   std::unordered_map<data::ExampleSource, SelectionStats> selection;
+  MetaPhaseSeconds phases;
 };
 
 /// Provenance accessor used for selection bookkeeping; overload for any
@@ -112,14 +137,16 @@ inline data::ExampleSource SourceOf(const CrossInstance& inst) {
 ///   2. compute the meta gradient g_meta = ∇_φ mean-loss(seed batch). The
 ///      meta-forward/meta-backward pair of eq. 8-12 at w = 0 reduces to
 ///      w̃_j = max(0, ⟨∇_φ l_j, g_meta⟩) (the Ren et al. dot-product form;
-///      DESIGN.md §4), computed with one-hot backward passes over one tape
-///      — serially, concurrently on per-thread scratch, or with a single
-///      forward-mode sweep, per MetaTrainOptions::meta_grad;
+///      DESIGN.md §4), computed with one forward-mode sweep (the default)
+///      or with one-hot backward passes over one tape, serially or
+///      concurrently on per-thread scratch, per MetaTrainOptions::meta_grad;
 ///   3. normalize weights per eq. 13-14;
 ///   4. take the optimizer step on the weighted synthetic loss (eq. 15).
 ///
 /// InstanceT is data::LinkingExample for the bi-encoder and CrossInstance
-/// for the cross-encoder.
+/// for the cross-encoder, or their featurized records (train/featurized.h)
+/// when each example is featurized once per run; the SourceOf overload for
+/// the type feeds the selection bookkeeping.
 template <typename InstanceT>
 class MetaReweightTrainerT {
  public:
@@ -149,6 +176,15 @@ class MetaReweightTrainerT {
       return util::Status::InvalidArgument("seed batch is empty");
     }
     const std::size_t n = synthetic_batch.size();
+    // Six clock reads per step bound the five phases of MetaPhaseSeconds.
+    using Clock = std::chrono::steady_clock;
+    auto lap = [](Clock::time_point* since, double* phase) {
+      const Clock::time_point now = Clock::now();
+      *phase += std::chrono::duration<double>(now - *since).count();
+      *since = now;
+    };
+    Clock::time_point t = Clock::now();
+    MetaPhaseSeconds& phases = result_.phases;
 
     // Meta gradient: with w initialized to 0 the meta-forward step leaves
     // φ̂_t = φ_t (Algorithm 1 lines 4-6), so the seed loss and its gradient
@@ -175,6 +211,7 @@ class MetaReweightTrainerT {
     if (options_.meta_grad != MetaGrad::kJvp) {
       g_meta = params_->FlattenGrads();
     }
+    lap(&t, &phases.seed);
 
     // Per-example gradient alignment (line 9) over one forward tape.
     tensor::Graph graph;
@@ -189,6 +226,7 @@ class MetaReweightTrainerT {
                                  << "lint:\n"
                                  << lint.Summary();
     }
+    lap(&t, &phases.synthetic_forward);
     std::vector<float> raw(n, 0.0f);
     if (options_.meta_grad == MetaGrad::kJvp) {
       // raw[j] = ⟨∇_φ l_j, g_meta⟩ is the directional derivative of l_j
@@ -240,6 +278,7 @@ class MetaReweightTrainerT {
       const float denom = total > 0.0f ? total : 1.0f;
       for (float& w : weights) w /= denom;
     }
+    lap(&t, &phases.alignment);
 
     // Selection bookkeeping (Fig. 4).
     for (std::size_t j = 0; j < n; ++j) {
@@ -253,7 +292,9 @@ class MetaReweightTrainerT {
     params_->ZeroGrads();
     graph.ResetGrads();
     graph.BackwardWithSeed(losses, weights);
+    lap(&t, &phases.weighted_backward);
     optimizer_.Step(params_);
+    lap(&t, &phases.optimizer);
 
     result_.final_synthetic_loss = 0.0;
     for (std::size_t j = 0; j < n; ++j) {

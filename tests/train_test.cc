@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <numeric>
+#include <set>
 
 #include "data/generator.h"
 #include "gen/bad_data.h"
+#include "tensor/grad_workspace.h"
 #include "train/bi_trainer.h"
 #include "train/cross_trainer.h"
 #include "train/dl4el_trainer.h"
+#include "train/featurized.h"
 #include "train/meta_trainer.h"
 
 namespace metablink::train {
@@ -272,6 +278,261 @@ TEST_F(TrainTest, MetaDownweightsInjectedBadData) {
       sel.at(data::ExampleSource::kInjectedBad).SelectedRatio();
   EXPECT_GT(good_ratio, bad_ratio + 0.05)
       << "good=" << good_ratio << " bad=" << bad_ratio;
+}
+
+// ---- Featurize-once meta training ------------------------------------------
+
+// Cross instances over examples [begin, end) of domain "d": the gold entity
+// at position i % c among c - 1 distinct distractors.
+std::vector<CrossInstance> MakeInstances(const data::Corpus& corpus,
+                                         std::size_t begin, std::size_t end,
+                                         std::size_t c) {
+  const auto& examples = corpus.ExamplesIn("d");
+  const auto& entities = corpus.kb.EntitiesInDomain("d");
+  std::vector<CrossInstance> out;
+  for (std::size_t i = begin; i < end; ++i) {
+    CrossInstance inst;
+    inst.example = examples[i];
+    for (std::size_t j = 0; inst.candidates.size() + 1 < c; ++j) {
+      const kb::EntityId id = entities[(7 * i + j) % entities.size()];
+      if (id != inst.example.entity_id) inst.candidates.push_back(id);
+    }
+    inst.gold_index = i % c;
+    inst.candidates.insert(inst.candidates.begin() + inst.gold_index,
+                           inst.example.entity_id);
+    out.push_back(std::move(inst));
+  }
+  return out;
+}
+
+// Two selection maps hold the same counts and the same weight mass, bit
+// for bit.
+void ExpectSameSelection(const MetaTrainResult& a, const MetaTrainResult& b) {
+  ASSERT_EQ(a.selection.size(), b.selection.size());
+  for (const auto& [source, stats] : a.selection) {
+    ASSERT_TRUE(b.selection.count(source));
+    const SelectionStats& other = b.selection.at(source);
+    EXPECT_EQ(stats.seen, other.seen);
+    EXPECT_EQ(stats.selected, other.selected);
+    EXPECT_EQ(stats.weight_mass, other.weight_mass);
+  }
+}
+
+TEST_F(TrainTest, FeaturizedBiMetaTrainingMatchesStringLoss) {
+  const auto& examples = corpus_->ExamplesIn("d");
+  std::vector<data::LinkingExample> syn(examples.begin(),
+                                        examples.begin() + 80);
+  for (std::size_t i = 0; i < syn.size(); i += 3) {
+    syn[i].source = data::ExampleSource::kRewritten;
+  }
+  std::vector<data::LinkingExample> seed(examples.begin() + 80,
+                                         examples.begin() + 100);
+  MetaTrainOptions opts;
+  opts.steps = 6;
+  opts.batch_size = 12;
+  opts.meta_batch_size = 6;
+  const kb::KnowledgeBase* kb = &corpus_->kb;
+
+  util::Rng plain_rng(11);
+  model::BiEncoder plain(SmallBiConfig(), &plain_rng);
+  model::BiEncoder* p = &plain;
+  MetaReweightTrainer strings(
+      opts, plain.params(),
+      [p, kb](tensor::Graph* g,
+              const std::vector<data::LinkingExample>& batch) {
+        return p->InBatchLoss(g, batch, *kb);
+      });
+  auto want = strings.Train(syn, seed);
+  ASSERT_TRUE(want.ok());
+
+  util::Rng rng(11);
+  model::BiEncoder model(SmallBiConfig(), &rng);
+  const model::BiEncoder* m = &model;
+  TrainingFeatures features(model.featurizer(), *kb);
+  FeaturizedMetaTrainer records(
+      opts, model.params(),
+      [m](tensor::Graph* g, const std::vector<FeaturizedExample>& batch) {
+        return InBatchLoss(*m, g, batch);
+      });
+  auto got = records.Train(features.Examples(syn), features.Examples(seed));
+  ASSERT_TRUE(got.ok());
+
+  EXPECT_EQ(got->steps, want->steps);
+  EXPECT_EQ(model.params()->ValuesCrc32(), plain.params()->ValuesCrc32());
+  ExpectSameSelection(*want, *got);
+}
+
+TEST_F(TrainTest, FeaturizedCrossMetaTrainingMatchesStringLoss) {
+  std::vector<CrossInstance> syn = MakeInstances(*corpus_, 0, 40, 6);
+  for (std::size_t i = 0; i < syn.size(); i += 2) {
+    syn[i].example.source = data::ExampleSource::kRewritten;
+  }
+  const std::vector<CrossInstance> seed = MakeInstances(*corpus_, 40, 52, 6);
+  MetaTrainOptions opts;
+  opts.steps = 5;
+  opts.batch_size = 6;
+  opts.meta_batch_size = 4;
+  const kb::KnowledgeBase* kb = &corpus_->kb;
+
+  util::Rng plain_rng(12);
+  model::CrossEncoder plain(SmallCrossConfig(), &plain_rng);
+  const model::CrossEncoder* p = &plain;
+  CrossMetaTrainer strings(
+      opts, plain.params(),
+      [p, kb](tensor::Graph* g, const std::vector<CrossInstance>& batch) {
+        return RankingLossColumn(*p, *kb, g, batch);
+      });
+  auto want = strings.Train(syn, seed);
+  ASSERT_TRUE(want.ok());
+
+  util::Rng rng(12);
+  model::CrossEncoder model(SmallCrossConfig(), &rng);
+  const model::CrossEncoder* m = &model;
+  TrainingFeatures features(model.featurizer(), *kb);
+  FeaturizedCrossMetaTrainer records(
+      opts, model.params(),
+      [m](tensor::Graph* g, const std::vector<FeaturizedInstance>& batch) {
+        return RankingLossColumn(*m, g, batch);
+      });
+  auto got =
+      records.Train(features.Instances(syn), features.Instances(seed));
+  ASSERT_TRUE(got.ok());
+
+  EXPECT_EQ(got->steps, want->steps);
+  EXPECT_EQ(model.params()->ValuesCrc32(), plain.params()->ValuesCrc32());
+  ExpectSameSelection(*want, *got);
+}
+
+// ---- Cross-encoder forward-mode alignments -----------------------------------
+
+TEST_F(TrainTest, CrossJvpMatchesPerExampleBackwardDots) {
+  // The cross-encoder meta loss the pipeline trains with: each instance's
+  // ranking loss over its featurized candidates, stacked into one column.
+  const auto instances = MakeInstances(*corpus_, 60, 68, 6);
+  util::Rng rng(10);
+  model::CrossEncoder model(SmallCrossConfig(), &rng);
+  TrainingFeatures features(model.featurizer(), corpus_->kb);
+  const auto batch = features.Instances(instances);
+  tensor::Graph g;
+  tensor::Var losses = RankingLossColumn(model, &g, batch);
+
+  // Every op of that closure has its forward-mode rule exercised here.
+  std::set<tensor::OpKind> kinds;
+  for (const tensor::TapeOp& op : g.DebugTape()) kinds.insert(op.kind);
+  for (tensor::OpKind kind :
+       {tensor::OpKind::kEmbeddingBagMean, tensor::OpKind::kTanh,
+        tensor::OpKind::kBroadcastRow, tensor::OpKind::kConcatCols,
+        tensor::OpKind::kMul, tensor::OpKind::kInput, tensor::OpKind::kParam,
+        tensor::OpKind::kMatMul, tensor::OpKind::kAddBiasRow,
+        tensor::OpKind::kReshape, tensor::OpKind::kSoftmaxCrossEntropy,
+        tensor::OpKind::kConcatRows}) {
+    EXPECT_TRUE(kinds.count(kind)) << tensor::OpKindName(kind);
+  }
+
+  // A deterministic dense direction in Parameter::grad: the state the meta
+  // trainer leaves after the seed-batch backward (g_meta).
+  model.params()->ZeroGrads();
+  util::Rng dir_rng(11);
+  for (const auto& p : model.params()->parameters()) {
+    for (std::size_t r = 0; r < p->grad.rows(); ++r) {
+      for (std::size_t c = 0; c < p->grad.cols(); ++c) {
+        p->grad.at(r, c) = dir_rng.NextFloat(-0.05f, 0.05f);
+      }
+      p->TouchRow(static_cast<std::uint32_t>(r));
+    }
+  }
+  const std::vector<float> direction = model.params()->FlattenGrads();
+  const tensor::Tensor tangent = g.Jvp(losses);
+  ASSERT_EQ(tangent.rows(), batch.size());
+
+  std::vector<float> one_hot(batch.size(), 0.0f);
+  tensor::GradScratch scratch(model.params());
+  for (std::size_t j = 0; j < batch.size(); ++j) {
+    one_hot[j] = 1.0f;
+    scratch.Reset();
+    tensor::GradWorkspace ws(&scratch);
+    g.BackwardWithSeed(losses, one_hot, &ws);
+    one_hot[j] = 0.0f;
+    const double reverse = scratch.Dot(direction);
+    EXPECT_NEAR(tangent.at(j, 0), reverse, 1e-4 * (1.0 + std::abs(reverse)))
+        << "instance " << j;
+  }
+}
+
+TEST_F(TrainTest, CrossJvpStepMatchesSerialPerExample) {
+  // One CrossMetaTrainer::Step in the default (kJvp) mode against the serial
+  // per-example reference: the same example weights within 1e-5. (Not the
+  // updated model: Adam's first step is ~lr * sign(g), so a gradient within
+  // rounding of zero may land either side.)
+  const auto syn = MakeInstances(*corpus_, 100, 110, 6);
+  const auto seed = MakeInstances(*corpus_, 110, 116, 6);
+  util::Rng rng(12);
+  model::CrossEncoder model(SmallCrossConfig(), &rng);
+  const model::CrossEncoder* m = &model;
+  const kb::KnowledgeBase* kb = &corpus_->kb;
+  const std::vector<float> initial = model.params()->FlattenValues();
+
+  auto step = [&](MetaGrad mode, std::vector<float>* weights) {
+    ASSERT_TRUE(model.params()->LoadValues(initial).ok());
+    MetaTrainOptions opts;
+    opts.meta_grad = mode;
+    CrossMetaTrainer meta(
+        opts, model.params(),
+        [m, kb](tensor::Graph* g, const std::vector<CrossInstance>& batch) {
+          return RankingLossColumn(*m, *kb, g, batch);
+        });
+    auto w = meta.Step(syn, seed);
+    ASSERT_TRUE(w.ok());
+    *weights = *w;
+  };
+
+  std::vector<float> serial, jvp;
+  ASSERT_NO_FATAL_FAILURE(step(MetaGrad::kPerExample, &serial));
+  ASSERT_EQ(MetaTrainOptions{}.meta_grad, MetaGrad::kJvp);
+  ASSERT_NO_FATAL_FAILURE(step(MetaGrad::kJvp, &jvp));
+
+  ASSERT_EQ(serial.size(), syn.size());
+  ASSERT_EQ(jvp.size(), syn.size());
+  // Not the δ-guarded all-zero case, so the check has teeth.
+  EXPECT_GT(*std::max_element(serial.begin(), serial.end()), 0.0f);
+  for (std::size_t j = 0; j < syn.size(); ++j) {
+    EXPECT_NEAR(serial[j], jvp[j], 1e-5f) << "instance " << j;
+  }
+}
+
+TEST_F(TrainTest, MetaPhasesAreNonNegativeAndWithinTrainWallTime) {
+  util::Rng rng(13);
+  model::BiEncoder model(SmallBiConfig(), &rng);
+  const model::BiEncoder* m = &model;
+  const auto& examples = corpus_->ExamplesIn("d");
+  std::vector<data::LinkingExample> syn(examples.begin(),
+                                        examples.begin() + 40);
+  std::vector<data::LinkingExample> seed(examples.begin() + 40,
+                                         examples.begin() + 50);
+  TrainingFeatures features(model.featurizer(), corpus_->kb);
+  MetaTrainOptions opts;
+  opts.steps = 5;
+  opts.batch_size = 8;
+  FeaturizedMetaTrainer meta(
+      opts, model.params(),
+      [m](tensor::Graph* g, const std::vector<FeaturizedExample>& batch) {
+        return InBatchLoss(*m, g, batch);
+      });
+  const auto syn_records = features.Examples(syn);
+  const auto seed_records = features.Examples(seed);
+  const auto start = std::chrono::steady_clock::now();
+  auto result = meta.Train(syn_records, seed_records);
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  ASSERT_TRUE(result.ok());
+  const MetaPhaseSeconds& ph = result->phases;
+  for (double phase : {ph.seed, ph.synthetic_forward, ph.alignment,
+                       ph.weighted_backward, ph.optimizer}) {
+    EXPECT_GE(phase, 0.0);
+  }
+  EXPECT_GT(ph.Total(), 0.0);
+  EXPECT_LE(ph.Total(), wall);
 }
 
 // ---- Dl4elTrainer ----------------------------------------------------------

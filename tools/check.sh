@@ -16,7 +16,9 @@
 #                   runs/seeds, Zipf skew + LRU hit-rate ordering, open-loop
 #                   pacing, max_queue=0 byte identity, and both shed
 #                   policies reconciling their admission ledgers under an
-#                   8-thread hammer)
+#                   8-thread hammer; bench_fig4_meta_selection --smoke: the
+#                   paper's Fig. 4 shape, normal synthetic data selected
+#                   more often than injected bad data)
 #   2. asan-ubsan — METABLINK_SANITIZE=address,undefined build + full ctest
 #   3. tsan       — METABLINK_SANITIZE=thread build + full ctest
 #   4. clang-tidy — bugprone/performance/concurrency checks over src/
