@@ -68,14 +68,12 @@ tensor::Var BiEncoder::EncodeEntities(
 tensor::Var BiEncoder::InBatchLoss(
     tensor::Graph* graph, const std::vector<data::LinkingExample>& examples,
     const kb::KnowledgeBase& kb) const {
-  std::vector<std::vector<std::uint32_t>> mention_bags, entity_bags;
-  mention_bags.reserve(examples.size());
-  entity_bags.reserve(examples.size());
-  for (const auto& ex : examples) {
-    mention_bags.push_back(featurizer_.MentionBag(ex));
-    entity_bags.push_back(featurizer_.EntityBag(kb.entity(ex.entity_id)));
-  }
-  return InBatchLoss(graph, std::move(mention_bags), std::move(entity_bags));
+  std::vector<kb::Entity> entities;
+  entities.reserve(examples.size());
+  for (const auto& ex : examples) entities.push_back(kb.entity(ex.entity_id));
+  tensor::Var mentions = EncodeMentions(graph, examples);
+  tensor::Var ents = EncodeEntities(graph, entities);
+  return InBatchSoftmax(graph, mentions, ents, examples.size());
 }
 
 tensor::Var BiEncoder::InBatchLoss(
@@ -89,6 +87,13 @@ tensor::Var BiEncoder::InBatchLoss(
                                     mention_bias_);
   tensor::Var ents = EncodeBags(graph, std::move(entity_bags), entity_table_,
                                 entity_proj_, entity_bias_);
+  return InBatchSoftmax(graph, mentions, ents, n);
+}
+
+tensor::Var BiEncoder::InBatchSoftmax(tensor::Graph* graph,
+                                      tensor::Var mentions,
+                                      tensor::Var ents,
+                                      std::size_t n) const {
   // Scores scaled up so softmax over unit-vector dot products (range
   // [-1, 1]) has usable dynamic range — a fixed inverse temperature.
   tensor::Var scores = graph->Scale(graph->MatMulTransposeB(mentions, ents),

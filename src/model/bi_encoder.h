@@ -70,8 +70,8 @@ class BiEncoder {
 
   /// The same loss over bags featurized beforehand (by featurizer()):
   /// mention_bags[i] is example i's MentionBag and entity_bags[i] its gold
-  /// entity's EntityBag. The form above featurizes and calls this one, so
-  /// equal bags give a bit-identical tape.
+  /// entity's EntityBag. Both forms end in one InBatchSoftmax, so equal
+  /// bags give a bit-identical tape.
   tensor::Var InBatchLoss(
       tensor::Graph* graph,
       std::vector<std::vector<std::uint32_t>> mention_bags,
@@ -153,6 +153,12 @@ class BiEncoder {
                          std::vector<std::vector<std::uint32_t>> bags,
                          tensor::Parameter* table, tensor::Parameter* proj,
                          tensor::Parameter* bias) const;
+
+  /// The in-batch softmax loss both InBatchLoss forms end with: each of
+  /// the `n` rows of `mentions` against every row of `ents`, target i for
+  /// row i.
+  tensor::Var InBatchSoftmax(tensor::Graph* graph, tensor::Var mentions,
+                             tensor::Var ents, std::size_t n) const;
 
   /// Tape-free tower forward over the first `n` bags in `scratch->bags`.
   void EncodeBagsInference(std::size_t n, const tensor::Parameter& table,

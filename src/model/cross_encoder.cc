@@ -37,49 +37,41 @@ CrossEncoder::CrossEncoder(CrossEncoderConfig config, util::Rng* rng)
   b2_ = params_.Create("cross_b2", 1, 1);
 }
 
-void CrossEncoder::Featurize(
-    const data::LinkingExample& example,
-    const std::vector<kb::Entity>& candidates,
-    std::vector<std::uint32_t>* mention_bag,
-    std::vector<std::vector<std::uint32_t>>* entity_bags,
-    tensor::Tensor* overlaps) const {
-  const std::size_t c = candidates.size();
-  featurizer_.MentionBagInto(example, mention_bag);
-  entity_bags->resize(c);
-  overlaps->Resize(c, kNumOverlapFeatures);
-  for (std::size_t i = 0; i < c; ++i) {
-    featurizer_.EntityBagInto(candidates[i], &(*entity_bags)[i]);
-    featurizer_.OverlapFeaturesInto(example, candidates[i],
-                                    overlaps->row_data(i));
-  }
-}
-
 tensor::Var CrossEncoder::ScoreCandidates(
     tensor::Graph* graph, const data::LinkingExample& example,
     const std::vector<kb::Entity>& candidates) const {
-  std::vector<std::uint32_t> mention_bag;
+  METABLINK_CHECK(!candidates.empty()) << "no candidates to score";
+  const std::size_t c = candidates.size();
+  std::vector<std::vector<std::uint32_t>> mention_bag(
+      1, featurizer_.MentionBag(example));
   std::vector<std::vector<std::uint32_t>> entity_bags;
-  tensor::Tensor overlaps;
-  Featurize(example, candidates, &mention_bag, &entity_bags, &overlaps);
-  return ScoreCandidates(graph, std::move(mention_bag), std::move(entity_bags),
-                         std::move(overlaps));
+  entity_bags.reserve(c);
+  tensor::Tensor overlaps(c, kNumOverlapFeatures);
+  for (std::size_t i = 0; i < c; ++i) {
+    entity_bags.push_back(featurizer_.EntityBag(candidates[i]));
+    const auto feats = featurizer_.OverlapFeatures(example, candidates[i]);
+    for (std::size_t f = 0; f < kNumOverlapFeatures; ++f) {
+      overlaps.at(i, f) = feats[f];
+    }
+  }
+  return ScoreBags(graph, std::move(mention_bag), std::move(entity_bags),
+                   std::move(overlaps));
 }
 
-tensor::Var CrossEncoder::ScoreCandidates(
-    tensor::Graph* graph, std::vector<std::uint32_t> mention_bag,
+tensor::Var CrossEncoder::ScoreBags(
+    tensor::Graph* graph, std::vector<std::vector<std::uint32_t>> mention_bag,
     std::vector<std::vector<std::uint32_t>> entity_bags,
     tensor::Tensor overlaps) const {
   const std::size_t c = entity_bags.size();
+  METABLINK_CHECK(mention_bag.size() == 1) << "one mention bag";
   METABLINK_CHECK(c > 0) << "no candidates to score";
   METABLINK_CHECK(overlaps.rows() == c &&
                   overlaps.cols() == kNumOverlapFeatures)
       << "one overlap row per candidate";
   // The mention is identical for every candidate row: encode it once and
   // broadcast.
-  std::vector<std::vector<std::uint32_t>> mention_bags(1,
-                                                       std::move(mention_bag));
   tensor::Var m = graph->BroadcastRow(
-      graph->Tanh(graph->EmbeddingBagMean(table_, std::move(mention_bags))),
+      graph->Tanh(graph->EmbeddingBagMean(table_, std::move(mention_bag))),
       c);
   tensor::Var e =
       graph->Tanh(graph->EmbeddingBagMean(table_, std::move(entity_bags)));
@@ -96,12 +88,10 @@ tensor::Var CrossEncoder::ScoreCandidates(
 tensor::Var CrossEncoder::RankingLoss(
     tensor::Graph* graph, const data::LinkingExample& example,
     const std::vector<kb::Entity>& candidates, std::size_t gold_index) const {
-  std::vector<std::uint32_t> mention_bag;
-  std::vector<std::vector<std::uint32_t>> entity_bags;
-  tensor::Tensor overlaps;
-  Featurize(example, candidates, &mention_bag, &entity_bags, &overlaps);
-  return RankingLoss(graph, std::move(mention_bag), std::move(entity_bags),
-                     std::move(overlaps), gold_index);
+  METABLINK_CHECK(gold_index < candidates.size()) << "gold index out of range";
+  tensor::Var scores = ScoreCandidates(graph, example, candidates);
+  tensor::Var row = graph->Reshape(scores, 1, candidates.size());
+  return graph->SoftmaxCrossEntropy(row, {gold_index});
 }
 
 tensor::Var CrossEncoder::RankingLoss(
@@ -110,9 +100,10 @@ tensor::Var CrossEncoder::RankingLoss(
     tensor::Tensor overlaps, std::size_t gold_index) const {
   const std::size_t c = entity_bags.size();
   METABLINK_CHECK(gold_index < c) << "gold index out of range";
-  tensor::Var scores = ScoreCandidates(graph, std::move(mention_bag),
-                                       std::move(entity_bags),
-                                       std::move(overlaps));
+  std::vector<std::vector<std::uint32_t>> mention_bags;
+  mention_bags.push_back(std::move(mention_bag));
+  tensor::Var scores = ScoreBags(graph, std::move(mention_bags),
+                                 std::move(entity_bags), std::move(overlaps));
   tensor::Var row = graph->Reshape(scores, 1, c);
   return graph->SoftmaxCrossEntropy(row, {gold_index});
 }

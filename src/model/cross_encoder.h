@@ -81,15 +81,11 @@ class CrossEncoder {
                           const std::vector<kb::Entity>& candidates,
                           std::size_t gold_index) const;
 
-  /// The two calls above over inputs featurized beforehand (by
-  /// featurizer()): the mention's MentionBag, each candidate's EntityBag,
-  /// and `overlaps` [c, kNumOverlapFeatures] holding each candidate's
-  /// OverlapFeatures row. The forms above featurize and call these, so
-  /// equal inputs give a bit-identical tape.
-  tensor::Var ScoreCandidates(
-      tensor::Graph* graph, std::vector<std::uint32_t> mention_bag,
-      std::vector<std::vector<std::uint32_t>> entity_bags,
-      tensor::Tensor overlaps) const;
+  /// RankingLoss over inputs featurized beforehand (by featurizer()): the
+  /// mention's MentionBag, each candidate's EntityBag, and `overlaps`
+  /// [c, kNumOverlapFeatures] holding each candidate's OverlapFeatures row.
+  /// Both forms score through one body (ScoreBags), so equal inputs give a
+  /// bit-identical tape.
   tensor::Var RankingLoss(tensor::Graph* graph,
                           std::vector<std::uint32_t> mention_bag,
                           std::vector<std::vector<std::uint32_t>> entity_bags,
@@ -179,13 +175,12 @@ class CrossEncoder {
   // scratch->pair[2*dim, 2*dim + kNumOverlapFeatures) holds the
   // candidate's overlap features.
   void PrefixInto(CrossScoreScratch* scratch) const;
-  /// Featurizes one candidate list for the bag forms of ScoreCandidates /
-  /// RankingLoss.
-  void Featurize(const data::LinkingExample& example,
-                 const std::vector<kb::Entity>& candidates,
-                 std::vector<std::uint32_t>* mention_bag,
-                 std::vector<std::vector<std::uint32_t>>* entity_bags,
-                 tensor::Tensor* overlaps) const;
+  /// The scoring body of ScoreCandidates and both RankingLoss forms, over
+  /// featurized inputs: `mention_bag` holds the one mention bag.
+  tensor::Var ScoreBags(tensor::Graph* graph,
+                        std::vector<std::vector<std::uint32_t>> mention_bag,
+                        std::vector<std::vector<std::uint32_t>> entity_bags,
+                        tensor::Tensor overlaps) const;
   float ScorePair(const float* entity_vec, CrossScoreScratch* scratch) const;
 
   CrossEncoderConfig config_;

@@ -6,12 +6,7 @@ namespace metablink::train {
 
 const Bag* TrainingFeatures::EntityBag(kb::EntityId id) {
   auto [it, added] = entity_bags_.try_emplace(id);
-  if (added) {
-    const kb::Entity& entity = kb_.entity(id);
-    featurizer_.EntityBagInto(entity, &it->second);
-    featurizer_.PrecomputeEntityTokens(entity, &vocab_,
-                                       &entity_tokens_[id]);
-  }
+  if (added) featurizer_.EntityBagInto(kb_.entity(id), &it->second);
   return &it->second;
 }
 
@@ -32,9 +27,16 @@ std::vector<FeaturizedExample> TrainingFeatures::Examples(
 std::vector<FeaturizedInstance> TrainingFeatures::Instances(
     const std::vector<CrossInstance>& instances) {
   // Every candidate's tokens must be in the vocabulary before a mention is
-  // resolved against it, so intern all entities first.
+  // resolved against it, so intern all entities first. Only this path reads
+  // overlaps, so only it interns.
   for (const CrossInstance& inst : instances) {
-    for (kb::EntityId id : inst.candidates) EntityBag(id);
+    for (kb::EntityId id : inst.candidates) {
+      auto [it, added] = entity_tokens_.try_emplace(id);
+      if (added) {
+        featurizer_.PrecomputeEntityTokens(kb_.entity(id), &vocab_,
+                                           &it->second);
+      }
+    }
   }
   std::vector<FeaturizedInstance> out;
   out.reserve(instances.size());
@@ -86,22 +88,6 @@ tensor::Var RankingLossColumn(const model::CrossEncoder& cross,
     losses.push_back(cross.RankingLoss(graph, *inst.mention,
                                        std::move(entity_bags), inst.overlaps,
                                        inst.gold_index));
-  }
-  return graph->ConcatRows(losses);
-}
-
-tensor::Var RankingLossColumn(const model::CrossEncoder& cross,
-                              const kb::KnowledgeBase& kb,
-                              tensor::Graph* graph,
-                              const std::vector<CrossInstance>& batch) {
-  std::vector<tensor::Var> losses;
-  losses.reserve(batch.size());
-  for (const CrossInstance& inst : batch) {
-    std::vector<kb::Entity> entities;
-    entities.reserve(inst.candidates.size());
-    for (kb::EntityId id : inst.candidates) entities.push_back(kb.entity(id));
-    losses.push_back(
-        cross.RankingLoss(graph, inst.example, entities, inst.gold_index));
   }
   return graph->ConcatRows(losses);
 }

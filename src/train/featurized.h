@@ -93,12 +93,6 @@ tensor::Var RankingLossColumn(const model::CrossEncoder& cross,
                               tensor::Graph* graph,
                               const std::vector<FeaturizedInstance>& batch);
 
-/// The same column from raw instances, featurizing every call.
-tensor::Var RankingLossColumn(const model::CrossEncoder& cross,
-                              const kb::KnowledgeBase& kb,
-                              tensor::Graph* graph,
-                              const std::vector<CrossInstance>& batch);
-
 /// Meta trainers over featurized records.
 using FeaturizedMetaTrainer = MetaReweightTrainerT<FeaturizedExample>;
 using FeaturizedCrossMetaTrainer = MetaReweightTrainerT<FeaturizedInstance>;

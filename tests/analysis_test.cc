@@ -395,21 +395,27 @@ TEST(WriteSetKernelTest, ThreadPoolChunkPartitionIsValidated) {
 
 // ---- End-to-end: a full meta-reweight step under the checker ---------------
 
-TEST_F(RealGraphTest, MetaReweightStepRunsRaceFreeUnderChecker) {
+// One pooled meta-reweight step in `mode` under the checker. kPerExample
+// runs the trainer's own per-example backward partition on the pool;
+// kJvp runs the forward-mode sweep over the graph's pooled ops.
+void StepRunsRaceFreeUnderChecker(const data::Corpus& corpus,
+                                  const model::BiEncoderConfig& config,
+                                  train::MetaGrad mode) {
   util::ThreadPool pool(3);
   util::Rng rng(4);
-  model::BiEncoder model(SmallConfig(), &rng);
-  const kb::KnowledgeBase* kb = &corpus_->kb;
+  model::BiEncoder model(config, &rng);
+  const kb::KnowledgeBase* kb = &corpus.kb;
   model::BiEncoder* m = &model;
   train::MetaTrainOptions opts;
   opts.pool = &pool;
+  opts.meta_grad = mode;
   train::MetaReweightTrainer meta(
       opts, model.params(),
       [m, kb](tensor::Graph* g,
               const std::vector<data::LinkingExample>& batch) {
         return m->InBatchLoss(g, batch, *kb);
       });
-  const auto& examples = corpus_->ExamplesIn("d");
+  const auto& examples = corpus.ExamplesIn("d");
   std::vector<data::LinkingExample> syn(examples.begin(),
                                         examples.begin() + 12);
   std::vector<data::LinkingExample> seed(examples.begin() + 12,
@@ -422,6 +428,16 @@ TEST_F(RealGraphTest, MetaReweightStepRunsRaceFreeUnderChecker) {
   }
   EXPECT_TRUE(checker.ok()) << checker.Summary();
   EXPECT_GT(checker.regions_checked(), 0u);
+}
+
+TEST_F(RealGraphTest, MetaReweightStepRunsRaceFreeUnderChecker) {
+  StepRunsRaceFreeUnderChecker(*corpus_, SmallConfig(),
+                               train::MetaGrad::kPerExample);
+}
+
+TEST_F(RealGraphTest, JvpMetaReweightStepRunsRaceFreeUnderChecker) {
+  StepRunsRaceFreeUnderChecker(*corpus_, SmallConfig(),
+                               train::MetaGrad::kJvp);
 }
 
 }  // namespace

@@ -216,11 +216,12 @@ TEST_F(TrainTest, MetaRejectsDegenerateInputs) {
   EXPECT_FALSE(meta.Train(some, {}).ok());
 }
 
-TEST_F(TrainTest, MetaDownweightsInjectedBadData) {
-  // The Fig. 4 property in miniature: after warming up on the trusted seed
-  // and meta-training on a mixture of gold-consistent and deliberately
-  // mislabeled synthetic data, the bad population must receive a lower
-  // selection ratio. Needs a roomy hash space: heavy collisions destroy
+// The Fig. 4 property in miniature, with alignments computed by `mode`:
+// after warming up on the trusted seed and meta-training on a mixture of
+// gold-consistent and deliberately mislabeled synthetic data, the bad
+// population must receive a lower selection ratio.
+void ExpectMetaDownweightsInjectedBadData(MetaGrad mode) {
+  // Needs a roomy hash space: heavy collisions destroy
   // the per-example gradient signal.
   data::GeneratorOptions gopts;
   gopts.seed = 77;
@@ -261,6 +262,7 @@ TEST_F(TrainTest, MetaDownweightsInjectedBadData) {
   MetaTrainOptions opts;
   opts.steps = 120;
   opts.batch_size = 16;
+  opts.meta_grad = mode;
   MetaReweightTrainer meta(opts, model.params(),
                            [m, kb](tensor::Graph* g,
                                    const std::vector<data::LinkingExample>&
@@ -278,6 +280,14 @@ TEST_F(TrainTest, MetaDownweightsInjectedBadData) {
       sel.at(data::ExampleSource::kInjectedBad).SelectedRatio();
   EXPECT_GT(good_ratio, bad_ratio + 0.05)
       << "good=" << good_ratio << " bad=" << bad_ratio;
+}
+
+TEST_F(TrainTest, MetaDownweightsInjectedBadData) {
+  ExpectMetaDownweightsInjectedBadData(MetaGrad::kPerExample);
+}
+
+TEST_F(TrainTest, JvpMetaDownweightsInjectedBadData) {
+  ExpectMetaDownweightsInjectedBadData(MetaGrad::kJvp);
 }
 
 // ---- Featurize-once meta training ------------------------------------------
@@ -303,6 +313,24 @@ std::vector<CrossInstance> MakeInstances(const data::Corpus& corpus,
     out.push_back(std::move(inst));
   }
   return out;
+}
+
+// The cross-encoder meta loss over raw instances, featurizing every call:
+// the reference the featurized RankingLossColumn must reproduce.
+tensor::Var StringRankingLossColumn(const model::CrossEncoder& cross,
+                                    const kb::KnowledgeBase& kb,
+                                    tensor::Graph* graph,
+                                    const std::vector<CrossInstance>& batch) {
+  std::vector<tensor::Var> losses;
+  losses.reserve(batch.size());
+  for (const CrossInstance& inst : batch) {
+    std::vector<kb::Entity> entities;
+    entities.reserve(inst.candidates.size());
+    for (kb::EntityId id : inst.candidates) entities.push_back(kb.entity(id));
+    losses.push_back(
+        cross.RankingLoss(graph, inst.example, entities, inst.gold_index));
+  }
+  return graph->ConcatRows(losses);
 }
 
 // Two selection maps hold the same counts and the same weight mass, bit
@@ -380,7 +408,7 @@ TEST_F(TrainTest, FeaturizedCrossMetaTrainingMatchesStringLoss) {
   CrossMetaTrainer strings(
       opts, plain.params(),
       [p, kb](tensor::Graph* g, const std::vector<CrossInstance>& batch) {
-        return RankingLossColumn(*p, *kb, g, batch);
+        return StringRankingLossColumn(*p, *kb, g, batch);
       });
   auto want = strings.Train(syn, seed);
   ASSERT_TRUE(want.ok());
@@ -479,7 +507,7 @@ TEST_F(TrainTest, CrossJvpStepMatchesSerialPerExample) {
     CrossMetaTrainer meta(
         opts, model.params(),
         [m, kb](tensor::Graph* g, const std::vector<CrossInstance>& batch) {
-          return RankingLossColumn(*m, *kb, g, batch);
+          return StringRankingLossColumn(*m, *kb, g, batch);
         });
     auto w = meta.Step(syn, seed);
     ASSERT_TRUE(w.ok());
