@@ -43,6 +43,7 @@
 #include "store/model_bundle.h"
 #include "train/meta_trainer.h"
 #include "util/rng.h"
+#include "util/serialize.h"
 
 using namespace metablink;
 
@@ -78,6 +79,26 @@ bool g_ok = true;
 void Gate(bool ok, const char* what) {
   std::printf("  gate %-38s %s\n", what, ok ? "PASS" : "FAIL");
   if (!ok) g_ok = false;
+}
+
+// The CPU model line of /proc/cpuinfo, so a JSON can be compared with one
+// from another host; "unknown" where there is none.
+std::string CpuModel() {
+  std::FILE* f = std::fopen("/proc/cpuinfo", "r");
+  if (f == nullptr) return "unknown";
+  char line[256];
+  std::string model = "unknown";
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strncmp(line, "model name", 10) != 0) continue;
+    const char* colon = std::strchr(line, ':');
+    if (colon == nullptr) break;
+    model = colon + 1;
+    model.erase(0, model.find_first_not_of(' '));
+    model.erase(model.find_last_not_of(" \n") + 1);
+    break;
+  }
+  std::fclose(f);
+  return model;
 }
 
 }  // namespace
@@ -359,6 +380,12 @@ int main(int argc, char** argv) {
                "\"smoke\": %s},\n",
                scale.num_buckets, scale.dim, scale.num_entities, scale.swaps,
                scale.client_threads, smoke ? "true" : "false");
+  std::fprintf(f,
+               "  \"host\": {\"cpu\": \"%s\", \"nproc\": %u, "
+               "\"crc32\": \"%s\"},\n",
+               CpuModel().c_str(),
+               std::max(1u, std::thread::hardware_concurrency()),
+               util::Crc32UsesClmul() ? "pclmul" : "slice-by-8");
   std::fprintf(f,
                "  \"checkpoint\": {\"size_mb\": %.3f, \"save_ms\": %.3f, "
                "\"save_mb_per_s\": %.1f, \"load_ms\": %.3f, "

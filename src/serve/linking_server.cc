@@ -228,9 +228,13 @@ util::Status LinkingServer::SwapModel(const std::string& bundle_dir) {
   if (!bundle.ok()) return bundle.status();
   auto epoch = BuildEpochFromBundle(std::move(*bundle), options_, &pool_);
   if (!epoch.ok()) return epoch.status();
+  // The publish is a pointer swap. The retired epoch is released after
+  // the lock, so when no batch still holds it its destructor does not stall
+  // every CurrentEpoch() on the request path.
+  std::shared_ptr<ModelEpoch> retired = *std::move(epoch);
   {
     std::lock_guard<std::mutex> lock(epoch_mu_);
-    epoch_ = *std::move(epoch);
+    epoch_.swap(retired);
     ++swaps_;
   }
   return util::Status::OK();

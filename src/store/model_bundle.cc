@@ -1,6 +1,7 @@
 #include "store/model_bundle.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -12,69 +13,134 @@ namespace metablink::store {
 
 namespace {
 
-constexpr std::uint32_t kRerankTag = 0x4B4E5252u;  // "RRNK"
+// The rerank artifact: the tag, a version, the entity-tower rows, the
+// vocabulary table (every vocabulary token, once, in ascending byte
+// order), then per entity its title and description sets as ascending
+// table positions and its normalized title forms. Identical caches produce
+// identical bytes (and therefore identical CRCs) whatever ids the
+// in-memory vocabulary happened to assign, and a load interns each
+// distinct token once instead of every occurrence.
+constexpr std::uint32_t kRerankTag = 0x324B5252u;  // "RRK2"
+constexpr std::uint32_t kRerankVersion = 1;
+// The retired layout, which stored every set as sorted strings.
+constexpr std::uint32_t kOldRerankTag = 0x4B4E5252u;  // "RRNK"
 
+// The smallest framed vocabulary entry: its string length.
+constexpr std::size_t kMinVocabEntryBytes = 8;
 // The smallest framed token row: two set counts, two string lengths, and
 // the has_phrase flag. Caps how many rows a section can claim.
 constexpr std::size_t kMinTokenRowBytes = 8 + 8 + 8 + 8 + 4;
 
-// Sets are serialized as sorted strings, so identical caches produce
-// identical bytes (and therefore identical CRCs) whatever ids the
-// vocabulary happened to assign.
-void SaveTokenSet(const std::vector<std::uint32_t>& ids,
-                  const std::vector<const std::string*>& by_id,
-                  util::BinaryWriter* w) {
-  std::vector<const std::string*> sorted;
-  for (std::uint32_t id : ids) sorted.push_back(by_id[id]);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  w->WriteU64(sorted.size());
-  for (const std::string* s : sorted) w->WriteString(*s);
+// Writes `ids` mapped to table positions through `pos`, ascending.
+void SaveIdSet(const std::vector<std::uint32_t>& ids,
+               const std::vector<std::uint32_t>& pos,
+               std::vector<std::uint32_t>* scratch, util::BinaryWriter* w) {
+  scratch->clear();
+  for (std::uint32_t id : ids) scratch->push_back(pos[id]);
+  std::sort(scratch->begin(), scratch->end());
+  w->WriteU32Vector(*scratch);
 }
 
-// Reads one serialized set, interning its strings as they are read.
-util::Status LoadTokenSet(util::BinaryReader* r, model::TokenVocabulary* vocab,
-                          std::vector<std::string>* strings,
-                          std::vector<std::uint32_t>* ids) {
-  std::uint64_t n = 0;
-  METABLINK_RETURN_IF_ERROR(r->ReadU64(&n));
-  strings->clear();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string s;
-    METABLINK_RETURN_IF_ERROR(r->ReadString(&s));
-    strings->push_back(std::move(s));
+// Reads one set of table positions, which must ascend strictly below
+// `vocab_size`: OverlapFeaturesCached intersects sets as sorted runs.
+util::Status LoadIdSet(util::BinaryReader* r, std::size_t vocab_size,
+                       std::vector<std::uint32_t>* ids) {
+  METABLINK_RETURN_IF_ERROR(r->ReadU32Vector(ids));
+  for (std::size_t i = 1; i < ids->size(); ++i) {
+    if ((*ids)[i] <= (*ids)[i - 1]) {
+      return util::Status::InvalidArgument(
+          "rerank-cache token set is not strictly ascending");
+    }
   }
-  model::InternTokenSet(*strings, vocab, ids);
+  if (!ids->empty() && ids->back() >= vocab_size) {
+    return util::Status::InvalidArgument(
+        "rerank-cache token id outside the vocabulary table");
+  }
   return util::Status::OK();
 }
 
 void SaveRerankCache(const model::CrossEntityCache& cache,
                      CheckpointWriter* ckpt) {
+  std::vector<const std::string*> by_id(cache.vocab.size());
+  for (const auto& [token, id] : cache.vocab) by_id[id] = &token;
+  // table[i] is the in-memory id of table entry i; pos inverts it.
+  std::vector<std::uint32_t> table(by_id.size());
+  std::iota(table.begin(), table.end(), 0u);
+  std::sort(table.begin(), table.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return *by_id[a] < *by_id[b];
+            });
+  std::vector<std::uint32_t> pos(table.size());
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    pos[table[i]] = static_cast<std::uint32_t>(i);
+  }
+
   util::BinaryWriter* w = ckpt->AddSection("rerank");
   w->WriteU32(kRerankTag);
+  w->WriteU32(kRerankVersion);
   w->WriteU64(cache.entity_vec.rows());
   w->WriteU64(cache.entity_vec.cols());
   w->WriteFloatVector(cache.entity_vec.data());
+  w->WriteU64(table.size());
+  for (std::uint32_t id : table) w->WriteString(*by_id[id]);
   w->WriteU64(cache.tokens.size());
-  std::vector<const std::string*> by_id(cache.vocab.size());
-  for (const auto& [token, id] : cache.vocab) by_id[id] = &token;
+  std::vector<std::uint32_t> scratch;
   for (const model::CachedEntityTokens& t : cache.tokens) {
-    SaveTokenSet(t.title_ids, by_id, w);
-    SaveTokenSet(t.desc_ids, by_id, w);
+    SaveIdSet(t.title_ids, pos, &scratch, w);
+    SaveIdSet(t.desc_ids, pos, &scratch, w);
     w->WriteString(t.norm_title);
     w->WriteString(t.norm_base);
     w->WriteU32(t.has_phrase ? 1u : 0u);
   }
 }
 
+// Loads the vocabulary table: its entries must ascend strictly, so each
+// token takes its table position as id and no two share one.
+util::Status LoadVocabularyTable(util::BinaryReader* r,
+                                 model::TokenVocabulary* vocab) {
+  std::uint64_t n = 0;
+  METABLINK_RETURN_IF_ERROR(r->ReadU64(&n));
+  if (n > r->Remaining() / kMinVocabEntryBytes) {
+    return util::Status::OutOfRange("truncated rerank-cache vocabulary");
+  }
+  // Positions are u32 ids.
+  if (n > std::uint64_t{1} << 32) {
+    return util::Status::InvalidArgument("rerank-cache vocabulary too large");
+  }
+  vocab->reserve(static_cast<std::size_t>(n));
+  const std::string* prev = nullptr;
+  std::string s;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    METABLINK_RETURN_IF_ERROR(r->ReadString(&s));
+    if (prev != nullptr && !(*prev < s)) {
+      return util::Status::InvalidArgument(
+          "rerank-cache vocabulary is not strictly ascending");
+    }
+    // Node keys stay put across rehashes, so `prev` stays valid.
+    prev = &vocab->emplace(std::move(s), static_cast<std::uint32_t>(i))
+                .first->first;
+  }
+  return util::Status::OK();
+}
+
 util::Status LoadRerankCache(const CheckpointReader& ckpt,
                              model::CrossEntityCache* out) {
   auto section = ckpt.Section("rerank");
   if (!section.ok()) return section.status();
-  std::uint32_t tag = 0;
+  std::uint32_t tag = 0, version = 0;
   METABLINK_RETURN_IF_ERROR(section->ReadU32(&tag));
+  if (tag == kOldRerankTag) {
+    return util::Status::InvalidArgument(
+        "rerank-cache artifact has the retired \"RRNK\" layout; re-save "
+        "the bundle");
+  }
   if (tag != kRerankTag) {
     return util::Status::InvalidArgument("not a rerank-cache artifact");
+  }
+  METABLINK_RETURN_IF_ERROR(section->ReadU32(&version));
+  if (version == 0 || version > kRerankVersion) {
+    return util::Status::InvalidArgument(util::StrFormat(
+        "unsupported rerank-cache version %u", version));
   }
   std::uint64_t rows = 0, cols = 0;
   METABLINK_RETURN_IF_ERROR(section->ReadU64(&rows));
@@ -85,6 +151,8 @@ util::Status LoadRerankCache(const CheckpointReader& ckpt,
   if (cols == 0 || flat.size() % cols != 0 || rows != flat.size() / cols) {
     return util::Status::InvalidArgument("corrupt rerank-cache shape");
   }
+  model::TokenVocabulary vocab;
+  METABLINK_RETURN_IF_ERROR(LoadVocabularyTable(&*section, &vocab));
   std::uint64_t num_tokens = 0;
   METABLINK_RETURN_IF_ERROR(section->ReadU64(&num_tokens));
   if (num_tokens != rows) {
@@ -97,13 +165,11 @@ util::Status LoadRerankCache(const CheckpointReader& ckpt,
     return util::Status::OutOfRange("truncated rerank-cache token rows");
   }
   std::vector<model::CachedEntityTokens> tokens(num_tokens);
-  model::TokenVocabulary vocab;
-  std::vector<std::string> strings;
   for (model::CachedEntityTokens& t : tokens) {
     METABLINK_RETURN_IF_ERROR(
-        LoadTokenSet(&*section, &vocab, &strings, &t.title_ids));
+        LoadIdSet(&*section, vocab.size(), &t.title_ids));
     METABLINK_RETURN_IF_ERROR(
-        LoadTokenSet(&*section, &vocab, &strings, &t.desc_ids));
+        LoadIdSet(&*section, vocab.size(), &t.desc_ids));
     METABLINK_RETURN_IF_ERROR(section->ReadString(&t.norm_title));
     METABLINK_RETURN_IF_ERROR(section->ReadString(&t.norm_base));
     std::uint32_t has_phrase = 0;

@@ -9,6 +9,11 @@
 
 #include "util/string_util.h"
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define METABLINK_SERIALIZE_X86 1
+#endif
+
 namespace metablink::util {
 
 namespace {
@@ -40,16 +45,15 @@ Crc32Tables MakeCrc32Tables() {
   }
   return tables;
 }
-}  // namespace
 
-std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed) {
+// Slice-by-8 over `n` bytes from the running (pre-inverted) state `c`.
+std::uint32_t Crc32SliceBy8(const std::uint8_t* p, std::size_t n,
+                            std::uint32_t c) {
   // The 8-byte step loads two words and XORs the running state into the
   // first, which matches the stream's byte order only on a little-endian
   // host (the one every on-disk format here assumes).
   static_assert(std::endian::native == std::endian::little);
   static const Crc32Tables t = MakeCrc32Tables();
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
   for (; n >= 8; p += 8, n -= 8) {
     std::uint32_t lo = 0, hi = 0;
     std::memcpy(&lo, p, 4);
@@ -60,8 +64,113 @@ std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed) {
         t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
   for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
+  return c;
 }
+
+#ifdef METABLINK_SERIALIZE_X86
+
+__attribute__((target("sse4.1"))) inline __m128i Load128(
+    const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+// One fold of `a` onto `b`: a.lo * k.lo ^ a.hi * k.hi ^ b, carry-less.
+__attribute__((target("pclmul,sse4.1"))) inline __m128i Fold128(__m128i a,
+                                                                 __m128i k,
+                                                                 __m128i b) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(a, k, 0x00),
+                                     _mm_clmulepi64_si128(a, k, 0x11)),
+                       b);
+}
+
+// Carry-less-multiply folding (Gopal et al., "Fast CRC Computation for
+// Generic Polynomials Using PCLMULQDQ Instruction", Intel 2009) over `n`
+// bytes, n >= 64 and a multiple of 16, from the running state `c`. Four
+// 128-bit lanes fold 64 bytes per step, the lanes fold into one, single
+// 16-byte folds take the rest, and a Barrett reduction brings the 128-bit
+// remainder back to 32 bits. The constants are the bit-reflected
+// x^k mod P(x) of the paper for the IEEE polynomial, so the result equals
+// the table algorithm's on every input.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t Crc32FoldClmul(
+    const std::uint8_t* p, std::size_t n, std::uint32_t c) {
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i mask32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+  __m128i x1 =
+      _mm_xor_si128(Load128(p), _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i x2 = Load128(p + 16);
+  __m128i x3 = Load128(p + 32);
+  __m128i x4 = Load128(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    x1 = Fold128(x1, k1k2, Load128(p));
+    x2 = Fold128(x2, k1k2, Load128(p + 16));
+    x3 = Fold128(x3, k1k2, Load128(p + 32));
+    x4 = Fold128(x4, k1k2, Load128(p + 48));
+  }
+  x1 = Fold128(x1, k3k4, x2);
+  x1 = Fold128(x1, k3k4, x3);
+  x1 = Fold128(x1, k3k4, x4);
+  for (; n >= 16; p += 16, n -= 16) x1 = Fold128(x1, k3k4, Load128(p));
+
+  // 128 -> 64 bits.
+  x2 = _mm_clmulepi64_si128(x1, k3k4, 0x10);
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8), x2);
+  x2 = _mm_srli_si128(x1, 4);
+  x1 = _mm_and_si128(x1, mask32);
+  x1 = _mm_xor_si128(_mm_clmulepi64_si128(x1, k5, 0x00), x2);
+
+  // Barrett reduction, 64 -> 32 bits.
+  x2 = _mm_and_si128(x1, mask32);
+  x2 = _mm_clmulepi64_si128(x2, poly, 0x10);
+  x2 = _mm_and_si128(x2, mask32);
+  x2 = _mm_clmulepi64_si128(x2, poly, 0x00);
+  x1 = _mm_xor_si128(x1, x2);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(x1, 1));
+}
+
+#endif  // METABLINK_SERIALIZE_X86
+
+using Crc32FoldFn = std::uint32_t (*)(const std::uint8_t*, std::size_t,
+                                      std::uint32_t);
+
+// One-time dispatch, as the tensor kernels do: the CPU cannot change
+// mid-process, so every call sees the same implementation. Null means
+// slice-by-8 does the whole buffer.
+Crc32FoldFn ResolveCrc32Fold() {
+#ifdef METABLINK_SERIALIZE_X86
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1")) {
+    return &Crc32FoldClmul;
+  }
+#endif
+  return nullptr;
+}
+
+const Crc32FoldFn g_crc32_fold = ResolveCrc32Fold();
+
+// The folding kernel needs four full lanes to start.
+constexpr std::size_t kCrc32FoldMinBytes = 64;
+
+}  // namespace
+
+std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  if (g_crc32_fold != nullptr && n >= kCrc32FoldMinBytes) {
+    const std::size_t body = n & ~std::size_t{15};
+    c = g_crc32_fold(p, body, c);
+    p += body;
+    n -= body;
+  }
+  return Crc32SliceBy8(p, n, c) ^ 0xFFFFFFFFu;
+}
+
+bool Crc32UsesClmul() { return g_crc32_fold != nullptr; }
 
 void BinaryWriter::WriteU32(std::uint32_t v) { AppendRaw(&buffer_, v); }
 void BinaryWriter::WriteU64(std::uint64_t v) { AppendRaw(&buffer_, v); }

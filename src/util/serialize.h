@@ -14,9 +14,15 @@ namespace metablink::util {
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over `n` bytes. Pass a prior
 /// result as `seed` to continue a running checksum over multiple buffers.
 /// Used by the checkpoint container format for per-section integrity.
-/// Slice-by-8: eight bytes per step through eight 256-entry tables, with
-/// output bit-identical to the bytewise table algorithm on every input.
+/// On a CPU with PCLMULQDQ and SSE4.1 (dispatched once per process), the
+/// 16-byte-multiple body of a buffer of >= 64 bytes goes through a carry-
+/// less-multiply folding kernel; slice-by-8 (eight bytes per step through
+/// eight 256-entry tables) takes the tail, and the whole buffer elsewhere.
+/// Both are bit-identical to the bytewise table algorithm on every input.
 std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
+
+/// True when Crc32 dispatches to the carry-less-multiply kernel.
+bool Crc32UsesClmul();
 
 /// Append-only little-endian binary encoder used for model checkpoints and
 /// knowledge-base snapshots.

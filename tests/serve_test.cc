@@ -789,30 +789,49 @@ TEST_F(ServeTest, FittedLinkerEdgeCasesAndConcurrentLink) {
 // ---- Bundles & hot swap ----------------------------------------------------
 
 TEST_F(ServeTest, FromBundleMatchesCreate) {
+  // A loaded rerank cache numbers its tokens by vocabulary-table position,
+  // not in Create's first-seen order; over the whole test split, served
+  // from the bundle directly or swapped in, every answer must still be the
+  // one Create gives: same ids, bit-identical scores, same titles.
   const std::string dir = ::testing::TempDir() + "metablink_serve_bundle_a";
   SaveBundle(*pipeline_, dir, /*version=*/11);
   ServerOptions opts;
   opts.retrieve_k = 16;
   auto from_bundle = LinkingServer::FromBundle(dir, opts);
   ASSERT_TRUE(from_bundle.ok()) << from_bundle.status().message();
-  auto direct =
-      LinkingServer::Create(pipeline_->bi_encoder(), pipeline_->cross_encoder(),
-                            &corpus_->kb, "target", opts);
+  auto create = [&] {
+    return LinkingServer::Create(pipeline_->bi_encoder(),
+                                 pipeline_->cross_encoder(), &corpus_->kb,
+                                 "target", opts);
+  };
+  auto direct = create();
   ASSERT_TRUE(direct.ok());
+  auto swapped = create();
+  ASSERT_TRUE(swapped.ok());
+  ASSERT_TRUE((*swapped)->SwapModel(dir).ok());
   EXPECT_EQ((*from_bundle)->index_size(), (*direct)->index_size());
   EXPECT_EQ((*from_bundle)->Stats().model_version, 11u);
+  EXPECT_EQ((*swapped)->Stats().model_version, 11u);
   EXPECT_EQ((*direct)->Stats().model_version, 0u);
-  for (std::size_t e = 0; e < 5; ++e) {
+  ASSERT_FALSE(split_.test.empty());
+  for (std::size_t e = 0; e < split_.test.size(); ++e) {
     const auto& ex = split_.test[e];
-    auto a = (*from_bundle)->Link(ex.mention, ex.left_context,
-                                  ex.right_context, 5);
-    auto b = (*direct)->Link(ex.mention, ex.left_context, ex.right_context, 5);
-    ASSERT_TRUE(a.ok() && b.ok());
-    ASSERT_EQ(a->size(), b->size());
-    for (std::size_t i = 0; i < a->size(); ++i) {
-      EXPECT_EQ((*a)[i].entity_id, (*b)[i].entity_id);
-      EXPECT_EQ((*a)[i].score, (*b)[i].score);
-      EXPECT_EQ((*a)[i].title, (*b)[i].title);
+    auto want = (*direct)->Link(ex.mention, ex.left_context, ex.right_context,
+                                5);
+    ASSERT_TRUE(want.ok());
+    for (LinkingServer* server : {from_bundle->get(), swapped->get()}) {
+      auto got = server->Link(ex.mention, ex.left_context, ex.right_context,
+                              5);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got->size(), want->size()) << "probe " << e;
+      for (std::size_t i = 0; i < got->size(); ++i) {
+        EXPECT_EQ((*got)[i].entity_id, (*want)[i].entity_id)
+            << "probe " << e << " rank " << i;
+        EXPECT_EQ((*got)[i].score, (*want)[i].score)
+            << "probe " << e << " rank " << i;
+        EXPECT_EQ((*got)[i].title, (*want)[i].title)
+            << "probe " << e << " rank " << i;
+      }
     }
   }
 }

@@ -488,6 +488,41 @@ TEST_F(StoreTest, EveryFileLoaderTurnsBadInputIntoAStatus) {
 
 // ---- Artifact bundles ------------------------------------------------------
 
+// A rerank artifact in the current "RRK2" layout, field by field, so a test
+// can craft any one field. The defaults (see BundleTest::ValidRerank) load.
+struct CraftedRerank {
+  std::uint32_t version = 1;
+  std::uint64_t rows = 0, cols = 0;
+  std::size_t floats = 0;
+  std::uint64_t vocab_count = 0;
+  std::vector<std::string> vocab;
+  std::uint64_t num_tokens = 0;
+  std::size_t rows_written = 0;
+  // Every written row's title set, framed with `title_count`; its
+  // description set is empty.
+  std::vector<std::uint32_t> title;
+  std::uint64_t title_count = 0;
+};
+
+void WriteCraftedRerank(const CraftedRerank& c, util::BinaryWriter* w) {
+  w->WriteU32(0x324B5252u);  // "RRK2"
+  w->WriteU32(c.version);
+  w->WriteU64(c.rows);
+  w->WriteU64(c.cols);
+  w->WriteFloatVector(std::vector<float>(c.floats, 0.5f));
+  w->WriteU64(c.vocab_count);
+  for (const std::string& s : c.vocab) w->WriteString(s);
+  w->WriteU64(c.num_tokens);
+  for (std::size_t r = 0; r < c.rows_written; ++r) {
+    w->WriteU64(c.title_count);
+    for (std::uint32_t id : c.title) w->WriteU32(id);
+    w->WriteU64(0);
+    w->WriteString("title");
+    w->WriteString("title");
+    w->WriteU32(0);
+  }
+}
+
 class BundleTest : public StoreTest {
  protected:
   void SetUp() override {
@@ -515,6 +550,46 @@ class BundleTest : public StoreTest {
     return SaveModelBundle(parts, dir);
   }
 
+  // Loads a bundle whose rerank artifact holds the one section `write`
+  // writes, beside valid bi/cross/kb/index artifacts. The artifact passes
+  // every CRC, so only its own checks stand between it and the server.
+  util::Result<ModelBundle> LoadWithRerankSection(
+      const std::string& name,
+      const std::function<void(util::BinaryWriter*)>& write) {
+    const std::string dir = TempPath(name);
+    BundleWriter bundle(dir);
+    CheckpointWriter bi, cross, kb, index, rerank;
+    bi_->SaveCheckpoint(&bi);
+    cross_->SaveCheckpoint(&cross);
+    corpus_->kb.Save(kb.AddSection("kb"));
+    index_.Save(index.AddSection("index"));
+    write(rerank.AddSection("rerank"));
+    EXPECT_TRUE(bundle.AddArtifact("bi_encoder", "bi.ckpt", bi).ok());
+    EXPECT_TRUE(bundle.AddArtifact("cross_encoder", "cross.ckpt", cross).ok());
+    EXPECT_TRUE(bundle.AddArtifact("kb", "kb.ckpt", kb).ok());
+    EXPECT_TRUE(bundle.AddArtifact("index", "index.ckpt", index).ok());
+    EXPECT_TRUE(
+        bundle.AddArtifact("rerank_cache", "rerank.ckpt", rerank).ok());
+    EXPECT_TRUE(bundle.Finalize(3, "target").ok());
+    util::Result<ModelBundle> loaded = util::Status::Internal("not run");
+    EXPECT_NO_THROW(loaded = LoadModelBundle(dir));
+    return loaded;
+  }
+
+  // A loadable crafted rerank artifact over this fixture's index: every
+  // row's title set is {0, 2} in a three-token vocabulary.
+  CraftedRerank ValidRerank() const {
+    CraftedRerank c;
+    c.rows = c.num_tokens = c.rows_written = index_.size();
+    c.cols = cross_->config().dim;
+    c.floats = index_.size() * cross_->config().dim;
+    c.vocab = {"alpha", "beta", "gamma"};
+    c.vocab_count = c.vocab.size();
+    c.title = {0, 2};
+    c.title_count = c.title.size();
+    return c;
+  }
+
   std::unique_ptr<model::BiEncoder> bi_;
   std::unique_ptr<model::CrossEncoder> cross_;
   retrieval::DenseIndex index_;
@@ -540,8 +615,9 @@ TEST_F(BundleTest, SaveLoadRoundTrip) {
             cache_.tokens[0].norm_title);
   EXPECT_EQ(bundle->rerank_cache.vocab.size(), cache_.vocab.size());
 
-  // The loader interns tokens in file order, so its ids differ from the
-  // ones PrecomputeEntities assigned; the artifact bytes must not.
+  // The loader numbers tokens by vocabulary-table position, so its ids
+  // differ from the ones PrecomputeEntities assigned; the artifact bytes
+  // must not.
   const std::string again = TempPath("bundle_roundtrip_again");
   ModelBundleParts parts;
   parts.model_version = 3;
@@ -656,46 +732,109 @@ TEST_F(BundleTest, CorruptionAnywhereIsACleanStatus) {
 
 TEST_F(BundleTest, CraftedRerankCountsAreAStatus) {
   // A rerank artifact passes every CRC when its writer crafted it, so its
-  // counts are untrusted. Shapes whose product wraps or vanishes, and token
-  // row counts the section cannot hold, must each be a clean Status before
-  // anything is allocated from them.
-  struct Crafted {
+  // counts and ids are untrusted. Each case below is the loadable artifact
+  // of the first case with one field crafted: shapes whose product wraps or
+  // vanishes, counts the section cannot hold, and id sets or a vocabulary
+  // table out of order must each be a clean Status before anything is
+  // allocated from them or served.
+  const CraftedRerank valid = ValidRerank();
+  {
+    auto loaded = LoadWithRerankSection(
+        "bundle_crafted_rerank_valid",
+        [&](util::BinaryWriter* w) { WriteCraftedRerank(valid, w); });
+    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+    ASSERT_EQ(loaded->rerank_cache.tokens.size(), valid.rows_written);
+    EXPECT_EQ(loaded->rerank_cache.tokens[0].title_ids, valid.title);
+    EXPECT_EQ(loaded->rerank_cache.vocab.at("gamma"), 2u);
+  }
+  const std::uint64_t kTwo32 = std::uint64_t{1} << 32;
+  const std::uint64_t kTwo62 = std::uint64_t{1} << 62;
+  struct Case {
     const char* name;
-    std::uint64_t rows, cols, num_tokens;
-    std::size_t floats;
+    std::function<void(CraftedRerank*)> craft;
   };
-  const std::vector<Crafted> cases = {
-      {"rows 2^40, cols 0", std::uint64_t{1} << 40, 0, std::uint64_t{1} << 40,
-       0},
-      {"rows = cols = 2^32", std::uint64_t{1} << 32, std::uint64_t{1} << 32,
-       std::uint64_t{1} << 32, 0},
-      {"token rows past the section end", 4096, 1, 4096, 4096},
+  const std::vector<Case> cases = {
+      {"rows 2^40, cols 0",
+       [](CraftedRerank* c) {
+         c->rows = c->num_tokens = std::uint64_t{1} << 40;
+         c->cols = 0;
+         c->floats = 0;
+         c->rows_written = 0;
+       }},
+      {"rows = cols = 2^32",
+       [&](CraftedRerank* c) {
+         c->rows = c->cols = c->num_tokens = kTwo32;
+         c->floats = 0;
+         c->rows_written = 0;
+       }},
+      {"token rows past the section end",
+       [](CraftedRerank* c) {
+         c->rows = c->num_tokens = 4096;
+         c->cols = 1;
+         c->floats = 4096;
+         c->rows_written = 0;
+       }},
+      {"unsupported version", [](CraftedRerank* c) { c->version = 2; }},
+      {"vocabulary count 2^32-1",
+       [&](CraftedRerank* c) { c->vocab_count = kTwo32 - 1; }},
+      {"vocabulary count 2^62",
+       [&](CraftedRerank* c) { c->vocab_count = kTwo62; }},
+      {"set length past the section end",
+       [](CraftedRerank* c) { c->title_count = std::uint64_t{1} << 40; }},
+      {"set length 2^62, whose byte size wraps",
+       [&](CraftedRerank* c) { c->title_count = kTwo62; }},
+      {"id >= vocabulary size",
+       [](CraftedRerank* c) { c->title = {0, 3}; }},
+      {"non-ascending id set", [](CraftedRerank* c) { c->title = {2, 0}; }},
+      {"repeated id", [](CraftedRerank* c) { c->title = {1, 1}; }},
+      // Ids {0, 1} stay below the two distinct strings, so only the
+      // table's own order check can reject the repeat.
+      {"duplicate vocabulary strings",
+       [](CraftedRerank* c) {
+         c->vocab = {"alpha", "alpha", "gamma"};
+         c->title = {0, 1};
+       }},
+      {"unsorted vocabulary strings",
+       [](CraftedRerank* c) { c->vocab = {"beta", "alpha", "gamma"}; }},
   };
-  for (const Crafted& c : cases) {
-    SCOPED_TRACE(c.name);
-    const std::string dir = TempPath("bundle_crafted_rerank");
-    BundleWriter bundle(dir);
-    CheckpointWriter bi, cross, kb, index, rerank;
-    bi_->SaveCheckpoint(&bi);
-    cross_->SaveCheckpoint(&cross);
-    corpus_->kb.Save(kb.AddSection("kb"));
-    index_.Save(index.AddSection("index"));
-    util::BinaryWriter* w = rerank.AddSection("rerank");
-    w->WriteU32(0x4B4E5252u);  // "RRNK"
-    w->WriteU64(c.rows);
-    w->WriteU64(c.cols);
-    w->WriteFloatVector(std::vector<float>(c.floats, 0.5f));
-    w->WriteU64(c.num_tokens);
-    ASSERT_TRUE(bundle.AddArtifact("bi_encoder", "bi.ckpt", bi).ok());
-    ASSERT_TRUE(bundle.AddArtifact("cross_encoder", "cross.ckpt", cross).ok());
-    ASSERT_TRUE(bundle.AddArtifact("kb", "kb.ckpt", kb).ok());
-    ASSERT_TRUE(bundle.AddArtifact("index", "index.ckpt", index).ok());
-    ASSERT_TRUE(bundle.AddArtifact("rerank_cache", "rerank.ckpt", rerank).ok());
-    ASSERT_TRUE(bundle.Finalize(3, "target").ok());
-    util::Result<ModelBundle> loaded = util::Status::Internal("not run");
-    EXPECT_NO_THROW(loaded = LoadModelBundle(dir));
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.name);
+    CraftedRerank c = valid;
+    k.craft(&c);
+    auto loaded = LoadWithRerankSection(
+        "bundle_crafted_rerank",
+        [&](util::BinaryWriter* w) { WriteCraftedRerank(c, w); });
     EXPECT_FALSE(loaded.ok());
   }
+}
+
+TEST_F(BundleTest, OldRerankArtifactIsRejectedNotReinterpreted) {
+  // The retired "RRNK" layout stored every token set as sorted strings.
+  // A well-formed, CRC-valid artifact in it must load as a Status that says
+  // to re-save, never be read under the new layout.
+  const std::size_t n = index_.size();
+  const std::size_t d = cross_->config().dim;
+  auto loaded = LoadWithRerankSection(
+      "bundle_old_rerank", [&](util::BinaryWriter* w) {
+        w->WriteU32(0x4B4E5252u);  // "RRNK"
+        w->WriteU64(n);
+        w->WriteU64(d);
+        w->WriteFloatVector(std::vector<float>(n * d, 0.5f));
+        w->WriteU64(n);
+        for (std::size_t r = 0; r < n; ++r) {
+          w->WriteU64(2);
+          w->WriteString("alpha");
+          w->WriteString("beta");
+          w->WriteU64(0);
+          w->WriteString("title");
+          w->WriteString("title");
+          w->WriteU32(0);
+        }
+      });
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("re-save"), std::string::npos)
+      << loaded.status().message();
 }
 
 TEST_F(BundleTest, MissingDirectoryOrManifestIsNotFoundNotACrash) {

@@ -379,17 +379,20 @@ std::uint32_t BitwiseCrc32(const std::uint8_t* p, std::size_t n,
 }
 
 TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
-  // Every length 0..1100 at every start offset 0..7 covers each tail
-  // length and every alignment of the 8-byte steps; each case is seeded
-  // with the previous result, so chained checksums are covered too.
-  constexpr std::size_t kMaxLen = 1100;
+  // Every length 0..4200 at every start offset 0..15 covers the folding
+  // kernel's 64-byte steps, its single 16-byte folds and every length of
+  // the slice-by-8 tail, at every alignment of its loads; each case is
+  // seeded with the previous result, so chained checksums are covered too.
+  RecordProperty("simd", Crc32UsesClmul() ? "pclmul" : "scalar");
+  constexpr std::size_t kMaxLen = 4200;
+  constexpr std::size_t kOffsets = 16;
   Rng rng(20);
-  std::vector<std::uint8_t> bytes(kMaxLen + 8);
+  std::vector<std::uint8_t> bytes(kMaxLen + kOffsets);
   for (std::uint8_t& b : bytes) {
     b = static_cast<std::uint8_t>(rng.NextUint64(256));
   }
   std::uint32_t seed = 0;
-  for (std::size_t offset = 0; offset < 8; ++offset) {
+  for (std::size_t offset = 0; offset < kOffsets; ++offset) {
     for (std::size_t len = 0; len <= kMaxLen; ++len) {
       const std::uint32_t want = BitwiseCrc32(bytes.data() + offset, len, seed);
       const std::uint32_t got = Crc32(bytes.data() + offset, len, seed);
@@ -398,6 +401,24 @@ TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
       seed = got;
     }
   }
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceOnAMebibyteBuffer) {
+  // One long run of 64-byte folds, with a ragged tail, split at a point
+  // that is not a multiple of 16.
+  RecordProperty("simd", Crc32UsesClmul() ? "pclmul" : "scalar");
+  constexpr std::size_t kLen = (std::size_t{1} << 20) + 77;
+  Rng rng(21);
+  std::vector<std::uint8_t> bytes(kLen);
+  for (std::uint8_t& b : bytes) {
+    b = static_cast<std::uint8_t>(rng.NextUint64(256));
+  }
+  const std::uint32_t want = BitwiseCrc32(bytes.data(), kLen, 0);
+  EXPECT_EQ(Crc32(bytes.data(), kLen), want);
+  constexpr std::size_t kSplit = 600'001;
+  EXPECT_EQ(Crc32(bytes.data() + kSplit, kLen - kSplit,
+                  Crc32(bytes.data(), kSplit)),
+            want);
 }
 
 // ---- thread pool -----------------------------------------------------------
