@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "data/generator.h"
+#include "experiment_common.h"
 #include "model/bi_encoder.h"
 #include "model/cross_encoder.h"
 #include "retrieval/dense_index.h"
@@ -79,26 +80,6 @@ bool g_ok = true;
 void Gate(bool ok, const char* what) {
   std::printf("  gate %-38s %s\n", what, ok ? "PASS" : "FAIL");
   if (!ok) g_ok = false;
-}
-
-// The CPU model line of /proc/cpuinfo, so a JSON can be compared with one
-// from another host; "unknown" where there is none.
-std::string CpuModel() {
-  std::FILE* f = std::fopen("/proc/cpuinfo", "r");
-  if (f == nullptr) return "unknown";
-  char line[256];
-  std::string model = "unknown";
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, "model name", 10) != 0) continue;
-    const char* colon = std::strchr(line, ':');
-    if (colon == nullptr) break;
-    model = colon + 1;
-    model.erase(0, model.find_first_not_of(' '));
-    model.erase(model.find_last_not_of(" \n") + 1);
-    break;
-  }
-  std::fclose(f);
-  return model;
 }
 
 }  // namespace
@@ -383,7 +364,7 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "  \"host\": {\"cpu\": \"%s\", \"nproc\": %u, "
                "\"crc32\": \"%s\"},\n",
-               CpuModel().c_str(),
+               bench::HostCpuModel().c_str(),
                std::max(1u, std::thread::hardware_concurrency()),
                util::Crc32UsesClmul() ? "pclmul" : "slice-by-8");
   std::fprintf(f,

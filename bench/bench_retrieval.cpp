@@ -40,10 +40,13 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "experiment_common.h"
 #include "retrieval/clustered_index.h"
 #include "retrieval/dense_index.h"
+#include "retrieval/score_kernel.h"
 #include "retrieval/sharded_index.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -535,6 +538,13 @@ int main(int argc, char** argv) {
                "  \"config\": {\"dim\": %zu, \"queries\": %zu, \"k\": %zu, "
                "\"smoke\": %s},\n",
                dim, num_queries, kTopK, smoke ? "true" : "false");
+  std::fprintf(f,
+               "  \"host\": {\"cpu\": \"%s\", \"nproc\": %u, "
+               "\"tile_kernel\": \"%s\", \"int8_kernel\": \"%s\"},\n",
+               bench::HostCpuModel().c_str(),
+               std::max(1u, std::thread::hardware_concurrency()),
+               retrieval::internal::ScoreTileUsesSimd() ? "avx2+fma" : "scalar",
+               retrieval::internal::DotInt8UsesSimd() ? "avx2" : "scalar");
   std::fprintf(f, "  \"scales\": [\n");
   for (std::size_t s = 0; s < results.size(); ++s) {
     const ScaleResult& r = results[s];

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "util/logging.h"
 
@@ -20,6 +21,24 @@ std::uint64_t ExperimentSeed() {
   const char* env = std::getenv("METABLINK_SEED");
   if (env != nullptr) return std::strtoull(env, nullptr, 10);
   return 42;
+}
+
+std::string HostCpuModel() {
+  std::FILE* f = std::fopen("/proc/cpuinfo", "r");
+  if (f == nullptr) return "unknown";
+  char line[256];
+  std::string model = "unknown";
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strncmp(line, "model name", 10) != 0) continue;
+    const char* colon = std::strchr(line, ':');
+    if (colon == nullptr) break;
+    model = colon + 1;
+    model.erase(0, model.find_first_not_of(' '));
+    model.erase(model.find_last_not_of(" \n") + 1);
+    break;
+  }
+  std::fclose(f);
+  return model;
 }
 
 data::Corpus BuildPaperCorpus(double scale, std::uint64_t seed) {

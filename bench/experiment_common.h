@@ -20,6 +20,10 @@ double ExperimentScale();
 /// Base RNG seed, from METABLINK_SEED (default 42).
 std::uint64_t ExperimentSeed();
 
+/// The CPU model line of /proc/cpuinfo, so a bench JSON can be compared
+/// with one from another host; "unknown" where there is none.
+std::string HostCpuModel();
+
 /// Generates the 16-domain paper corpus at `scale`.
 data::Corpus BuildPaperCorpus(double scale, std::uint64_t seed);
 

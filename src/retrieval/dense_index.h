@@ -51,12 +51,14 @@ struct BatchTopKScratch {
 
 /// Exact top-k dense retrieval over an entity embedding matrix (stage 1 of
 /// the two-stage protocol). Inner-product scores; embeddings are typically
-/// L2-normalized so this is cosine ranking. Brute force — exact by
-/// construction, which keeps R@64 measurements free of ANN artifacts — but
-/// engineered for throughput: selection uses a bounded heap (no O(N)
-/// score materialization or partial_sort), batch scoring is blocked
-/// query×entity GEMM tiles for cache locality, and queries parallelize
-/// over an optional thread pool.
+/// L2-normalized so this is cosine ranking. Brute force — exact, which
+/// keeps R@64 measurements free of ANN artifacts — but engineered for
+/// throughput: every scan scores blocked query×entity tiles with a SIMD
+/// fp32 kernel, keeps a bounded candidate pool per query, and re-scores
+/// the pool with tensor::Dot. A certificate proves that pool holds the
+/// exact top-k (else the query is rescanned exactly), so the hits are
+/// those of a tensor::Dot scan over every row, bit for bit. Queries
+/// parallelize over an optional thread pool.
 ///
 /// An optional int8 symmetric-quantized form (Quantize) serves the same
 /// queries at 4× memory bandwidth savings: the full scan runs on integer
@@ -78,7 +80,13 @@ class DenseIndex {
 
   /// Top-k by inner product for one query of length dim(), appending the
   /// hits (best first; ties broken by ascending id) to `*out` after
-  /// clearing it. Allocation-free when `scratch` and `out` are reused.
+  /// clearing it. The hits and their scores are exactly those of ranking
+  /// every row by tensor::Dot(query, row): a one-query BatchTopKInto block
+  /// (fp32 tile scan, candidate pool, exact re-score) whose pool is
+  /// accepted only under the exactness certificate, with a full exact scan
+  /// when the certificate fails. k >= size() ranks every row; k == 0
+  /// returns no hits without scanning. Allocation-free when `scratch` and
+  /// `out` are reused.
   void TopKInto(const float* query, std::size_t k, TopKScratch* scratch,
                 std::vector<ScoredEntity>* out) const;
 
@@ -87,10 +95,16 @@ class DenseIndex {
 
   /// Top-k for every row of `queries` ([n, dim]); parallelized over `pool`
   /// when provided. Scores are computed in blocked query×entity tiles by a
-  /// SIMD fp32 kernel; the best (k + margin) candidates per query are then
-  /// exactly re-scored with tensor::Dot, so the returned scores are
-  /// identical to TopKInto's. Query blocks are distributed to workers via
-  /// an atomic work-stealing cursor, and per-worker tiles/heaps come from
+  /// SIMD fp32 kernel, and the best (k + margin) row positions per query
+  /// are exactly re-scored with tensor::Dot. Each query's pool is then
+  /// certified: the best approximate score left outside it, plus the
+  /// kernel's worst-case fp32 error for this query (from dim() and the
+  /// query and max row norms), must lie strictly below the k-th exact
+  /// score, which proves no outside row can enter the top-k. A query that
+  /// fails (exact ties straddling the pool boundary, say) is rescanned
+  /// exactly over every row. Either way the hits equal TopKInto's, ids,
+  /// scores and tie order. Query blocks are distributed to workers via an
+  /// atomic work-stealing cursor, and per-worker tiles/heaps come from
   /// `scratch` (sized once per tile shape, reused across calls).
   /// k == 0 returns n empty hit lists without scanning.
   void BatchTopKInto(const tensor::Tensor& queries, std::size_t k,
@@ -170,18 +184,37 @@ class DenseIndex {
                   std::size_t count, std::size_t k,
                   TopKScratch* scratch) const;
 
-  /// Scores queries [q0, q0 + block) against every entity and selects each
-  /// query's exact top-k into `out` (approximate fp32 tile scan, bounded
-  /// position pool, exact re-score). One block of BatchTopKInto.
-  void BatchBlock(const tensor::Tensor& queries, std::size_t q0,
-                  std::size_t k, BatchTopKScratch::Chunk* chunk,
-                  std::vector<std::vector<ScoredEntity>>* out) const;
+  /// Selects the exact top-k (1 <= k <= size()) of each of the `qn` <=
+  /// kQueryBlock row-major queries at `queries` into out[0, qn): fp32 tile
+  /// scan through `tile` (qn × entity-block floats), bounded position pool
+  /// in per_query[qi], exact re-score, certificate, exact rescan on
+  /// failure. The one scan protocol behind TopKInto and BatchTopKInto.
+  void BatchBlock(const float* queries, std::size_t qn, std::size_t k,
+                  float* tile, TopKScratch* per_query,
+                  std::vector<ScoredEntity>* out) const;
+
+  /// Fills the selection heap in `scratch` with the exact top-k of
+  /// `query` over every row (tensor::Dot per row): the certificate's
+  /// fallback.
+  void ExactScan(const float* query, std::size_t k,
+                 TopKScratch* scratch) const;
+
+  /// Upper bound on |ScoreTileF32 score - tensor::Dot score| over every
+  /// row for `query`; +inf when the query or a row is non-finite or the
+  /// fp32 kernel could overflow, which fails every certificate.
+  double ScanErrorBound(const float* query) const;
+
+  /// Recomputes max_row_norm_ from embeddings_ (Build and Load).
+  void UpdateMaxRowNorm();
 
   /// Sorts the heap contents into `*out` (best first).
   static void DrainHeap(TopKScratch* scratch, std::vector<ScoredEntity>* out);
 
   tensor::Tensor embeddings_;
   std::vector<kb::EntityId> ids_;
+  /// Largest L2 norm of any stored row (+inf if a row is non-finite);
+  /// derived from embeddings_, never serialized.
+  double max_row_norm_ = 0.0;
   /// Int8 rows, row-major [size, dim]; empty until Quantize().
   std::vector<std::int8_t> q_rows_;
   /// Per-row dequantization scales.

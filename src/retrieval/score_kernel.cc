@@ -140,7 +140,58 @@ __attribute__((target("avx2,fma"))) void ScoreTileAvx2(
   for (; i < qn; ++i) {
     const float* q = queries + i * d;
     float* trow = tile + i * en;
-    for (std::size_t j = 0; j < en; ++j) {
+    // Four entities at a time, each through exactly the operation sequence
+    // of the one-entity loop below, so a score is bit-identical whichever
+    // loop computes it (a one-query score never depends on the entity's
+    // position in the panel). Interleaving gives eight independent FMA
+    // chains: a single query row (TopKInto's strip) runs at FMA throughput
+    // instead of waiting on one chain pair's latency per entity.
+    std::size_t j = 0;
+    for (; j + 4 <= en; j += 4) {
+      const float* e0 = entities + j * d;
+      const float* e1 = e0 + d;
+      const float* e2 = e1 + d;
+      const float* e3 = e2 + d;
+      __m256 a0 = _mm256_setzero_ps(), b0 = _mm256_setzero_ps();
+      __m256 a1 = _mm256_setzero_ps(), b1 = _mm256_setzero_ps();
+      __m256 a2 = _mm256_setzero_ps(), b2 = _mm256_setzero_ps();
+      __m256 a3 = _mm256_setzero_ps(), b3 = _mm256_setzero_ps();
+      std::size_t p = 0;
+      for (; p + 16 <= d; p += 16) {
+        const __m256 qa = _mm256_loadu_ps(q + p);
+        const __m256 qb = _mm256_loadu_ps(q + p + 8);
+        a0 = _mm256_fmadd_ps(qa, _mm256_loadu_ps(e0 + p), a0);
+        b0 = _mm256_fmadd_ps(qb, _mm256_loadu_ps(e0 + p + 8), b0);
+        a1 = _mm256_fmadd_ps(qa, _mm256_loadu_ps(e1 + p), a1);
+        b1 = _mm256_fmadd_ps(qb, _mm256_loadu_ps(e1 + p + 8), b1);
+        a2 = _mm256_fmadd_ps(qa, _mm256_loadu_ps(e2 + p), a2);
+        b2 = _mm256_fmadd_ps(qb, _mm256_loadu_ps(e2 + p + 8), b2);
+        a3 = _mm256_fmadd_ps(qa, _mm256_loadu_ps(e3 + p), a3);
+        b3 = _mm256_fmadd_ps(qb, _mm256_loadu_ps(e3 + p + 8), b3);
+      }
+      for (; p + 8 <= d; p += 8) {
+        const __m256 qa = _mm256_loadu_ps(q + p);
+        a0 = _mm256_fmadd_ps(qa, _mm256_loadu_ps(e0 + p), a0);
+        a1 = _mm256_fmadd_ps(qa, _mm256_loadu_ps(e1 + p), a1);
+        a2 = _mm256_fmadd_ps(qa, _mm256_loadu_ps(e2 + p), a2);
+        a3 = _mm256_fmadd_ps(qa, _mm256_loadu_ps(e3 + p), a3);
+      }
+      float s0 = HorizontalSum(_mm256_add_ps(a0, b0));
+      float s1 = HorizontalSum(_mm256_add_ps(a1, b1));
+      float s2 = HorizontalSum(_mm256_add_ps(a2, b2));
+      float s3 = HorizontalSum(_mm256_add_ps(a3, b3));
+      for (; p < d; ++p) {
+        s0 += q[p] * e0[p];
+        s1 += q[p] * e1[p];
+        s2 += q[p] * e2[p];
+        s3 += q[p] * e3[p];
+      }
+      trow[j] = s0;
+      trow[j + 1] = s1;
+      trow[j + 2] = s2;
+      trow[j + 3] = s3;
+    }
+    for (; j < en; ++j) {
       const float* e = entities + j * d;
       __m256 acc0 = _mm256_setzero_ps();
       __m256 acc1 = _mm256_setzero_ps();

@@ -16,17 +16,20 @@ namespace {
 /// re-score.
 constexpr std::size_t kQuantizedPool = 4096;
 
-/// Cache key for one (mention, context) request. '\x1f' (unit separator)
-/// cannot appear in tokenized text, so the key is collision-free.
+/// Cache key for one (mention, context) request. Each field is prefixed
+/// with its decimal byte length and a ':', so the key is collision-free
+/// whatever bytes the fields hold: a separator byte inside one field can
+/// never be mistaken for a field boundary.
 std::string CacheKey(const data::LinkingExample& ex) {
   std::string key;
   key.reserve(ex.mention.size() + ex.left_context.size() +
-              ex.right_context.size() + 2);
-  key += ex.mention;
-  key += '\x1f';
-  key += ex.left_context;
-  key += '\x1f';
-  key += ex.right_context;
+              ex.right_context.size() + 3 * 8);
+  for (const std::string* field :
+       {&ex.mention, &ex.left_context, &ex.right_context}) {
+    key += std::to_string(field->size());
+    key += ':';
+    key += *field;
+  }
   return key;
 }
 
@@ -328,111 +331,99 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
   // alive until its last in-flight batch completes.
   const std::shared_ptr<ModelEpoch> epoch = CurrentEpoch();
   const std::size_t m = batch->size();
-  const std::size_t d = epoch->bi->dim();
-  std::size_t hits = 0;
-  std::size_t misses = 0;
+  const bool use_cache = options_.cache_capacity > 0;
+  // Outcomes are held back and promises fulfilled only after the stats
+  // update below, so a caller that returns from Link() and immediately
+  // reads Stats() always sees its own batch counted.
+  std::vector<util::Result<std::vector<core::LinkPrediction>>> outcomes(
+      m, util::Status::NotFound("no candidates retrieved"));
+  // Tier taken by each request. Tier selection depends only on the
+  // request's own retrieval result and the epoch's immutable cascade
+  // config, and a hit replays the tier of the miss that filled its entry,
+  // so assignments (and responses) are identical whatever the batch
+  // composition, chunking or cache state — the counters summed from this
+  // vector always total m.
+  std::vector<Tier> tiers(m, Tier::kFull);
 
-  // ---- Stage 1: batched mention encode (tape-free), LRU-deduplicated.
-  // A cache hit restores both the mention embedding and its retrieved
-  // top-k (each a pure function of the request text and the version's
-  // index), so hits skip stage 2 entirely.
+  // ---- Answer cache. A hit's answer is a pure function of the request
+  // text and this version, so it skips every stage below: it is truncated
+  // to its own top_k and titled here.
   const auto t0 = Clock::now();
-  queries_.Resize(m, d);
   batch_hits_.resize(m);
   miss_idx_.clear();
-  keys_.clear();
   keys_.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
-    (*batch)[i].example.domain = epoch->domain;
-    if (options_.cache_capacity > 0) {
-      keys_[i] = CacheKey((*batch)[i].example);
-      if (CacheLookup(epoch.get(), keys_[i], queries_.row_data(i),
-                      &batch_hits_[i])) {
-        ++hits;
+    Request& req = (*batch)[i];
+    req.example.domain = epoch->domain;
+    if (use_cache) {
+      keys_[i] = CacheKey(req.example);
+      if (const CachedAnswer* hit = CacheLookup(epoch.get(), keys_[i])) {
+        tiers[i] = hit->tier;
+        outcomes[i] = Respond(*epoch, hit->ranked, req.top_k);
         continue;
       }
-      ++misses;
     }
     miss_idx_.push_back(i);
   }
-  if (!miss_idx_.empty()) {
-    if (encode_scratch_.bags.size() < miss_idx_.size()) {
-      encode_scratch_.bags.resize(miss_idx_.size());
+  const std::size_t misses = use_cache ? miss_idx_.size() : 0;
+  const std::size_t hits = use_cache ? m - miss_idx_.size() : 0;
+
+  // ---- Stage 1: batched mention encode (tape-free) of the misses.
+  const std::size_t num_misses = miss_idx_.size();
+  if (num_misses > 0) {
+    if (encode_scratch_.bags.size() < num_misses) {
+      encode_scratch_.bags.resize(num_misses);
     }
-    for (std::size_t j = 0; j < miss_idx_.size(); ++j) {
+    for (std::size_t j = 0; j < num_misses; ++j) {
       epoch->bi->featurizer().MentionBagInto((*batch)[miss_idx_[j]].example,
                                              &encode_scratch_.bags[j]);
     }
-    epoch->bi->EncodeMentionBagsInference(miss_idx_.size(), &encode_scratch_,
+    epoch->bi->EncodeMentionBagsInference(num_misses, &encode_scratch_,
                                           &encoded_);
-    for (std::size_t j = 0; j < miss_idx_.size(); ++j) {
-      const std::size_t i = miss_idx_[j];
-      std::copy(encoded_.row_data(j), encoded_.row_data(j) + d,
-                queries_.row_data(i));
-    }
   }
 
-  // ---- Stage 2: top-k retrieval against the version's prebuilt domain
-  // index for the cache misses, parallel across queries (each query's
-  // top-k is independent, so the parallel results are identical to
-  // serial).
+  // ---- Stage 2: top-k retrieval of each miss's embedding (row j of
+  // encoded_) against the version's prebuilt domain index, parallel across
+  // queries (each query's top-k is independent, so the parallel results
+  // are identical to serial).
   const auto t1 = Clock::now();
   const std::size_t k = options_.retrieve_k;
-  if (retrieval_scratch_.size() <
-      std::max<std::size_t>(1, pool_.num_threads())) {
-    retrieval_scratch_.resize(std::max<std::size_t>(1, pool_.num_threads()));
-  }
-  if (!miss_idx_.empty()) {
+  const std::size_t chunks = std::max<std::size_t>(1, pool_.num_threads());
+  if (retrieval_scratch_.size() < chunks) retrieval_scratch_.resize(chunks);
+  if (num_misses > 0) {
     pool_.ParallelForChunks(
-        miss_idx_.size(), 0,
+        num_misses, 0,
         [this, &epoch, k](std::size_t chunk, std::size_t begin,
                           std::size_t end) {
           for (std::size_t j = begin; j < end; ++j) {
-            const std::size_t i = miss_idx_[j];
-            epoch->Retrieve(queries_.row_data(i), k, &pool_,
-                            &retrieval_scratch_[chunk], &batch_hits_[i]);
+            epoch->Retrieve(encoded_.row_data(j), k, &pool_,
+                            &retrieval_scratch_[chunk],
+                            &batch_hits_[miss_idx_[j]]);
           }
         });
-    if (options_.cache_capacity > 0) {
-      for (std::size_t i : miss_idx_) {
-        CacheInsert(epoch.get(), keys_[i], queries_.row_data(i),
-                    batch_hits_[i]);
-      }
-    }
   }
 
-  // ---- Stage 3: cross-encoder re-rank, parallel across requests with
-  // per-chunk scratch. Outcomes are held back and promises fulfilled only
-  // after the stats update below, so a caller that returns from Link()
-  // and immediately reads Stats() always sees its own batch counted.
+  // ---- Stage 3: cross-encoder re-rank of the misses, parallel across
+  // requests with per-chunk scratch. Each miss's candidate list is
+  // re-ranked in place, whole, so the answer cache can store it before
+  // the top_k cut.
   const auto t2 = Clock::now();
-  std::vector<util::Result<std::vector<core::LinkPrediction>>> outcomes(
-      m, util::Status::NotFound("no candidates retrieved"));
-  if (rerank_scratch_.size() < std::max<std::size_t>(1, pool_.num_threads())) {
-    rerank_scratch_.resize(std::max<std::size_t>(1, pool_.num_threads()));
-  }
-  // Tier taken by each request: 0 exited, 1 distilled, 2 full. Tier
-  // selection depends only on the request's own retrieval result and the
-  // epoch's immutable cascade config, so assignments (and responses) are
-  // identical whatever the batch composition or chunking — the counters
-  // summed from this vector always total m.
-  constexpr std::uint8_t kTierExited = 0;
-  constexpr std::uint8_t kTierDistilled = 1;
-  constexpr std::uint8_t kTierFull = 2;
+  if (rerank_scratch_.size() < chunks) rerank_scratch_.resize(chunks);
   const bool use_cascade = options_.use_cascade;
-  std::vector<std::uint8_t> tiers(m, kTierFull);
   pool_.ParallelForChunks(
-      m, 0, [this, &epoch, batch, &outcomes, &tiers, use_cascade](
-                std::size_t chunk, std::size_t begin, std::size_t end) {
+      num_misses, 0, [this, &epoch, batch, &outcomes, &tiers, use_cascade](
+                         std::size_t chunk, std::size_t begin,
+                         std::size_t end) {
         RerankScratch& scratch = rerank_scratch_[chunk];
         const model::CascadeConfig& config = epoch->cascade.config;
-        for (std::size_t i = begin; i < end; ++i) {
+        for (std::size_t j = begin; j < end; ++j) {
+          const std::size_t i = miss_idx_[j];
           Request& req = (*batch)[i];
           std::vector<retrieval::ScoredEntity>& cands = batch_hits_[i];
           if (cands.empty()) {
             // Nothing to rerank: under the cascade this counts as an
             // exit; off-cascade it stays a (vacuous) full rerank.
-            if (use_cascade) tiers[i] = kTierExited;
+            if (use_cascade) tiers[i] = Tier::kExited;
             continue;  // keep the NotFound outcome
           }
           if (!use_cascade) {
@@ -463,7 +454,7 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
             if (margin >= config.margin_tau) {
               // Tier 1 — early exit: retrieval is confident enough that
               // calibration proved rerank would not change the answer.
-              tiers[i] = kTierExited;
+              tiers[i] = Tier::kExited;
             } else {
               // Ambiguous head: candidates within band_epsilon of top1,
               // capped at rerank_head_k, never empty. The tail keeps its
@@ -477,7 +468,7 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
               if (margin >= config.distill_tau &&
                   epoch->cascade.has_scorer()) {
                 // Tier 2 — distilled scorer over the head.
-                tiers[i] = kTierDistilled;
+                tiers[i] = Tier::kDistilled;
                 scratch.strip.resize(cands.size());
                 for (std::size_t c = 0; c < cands.size(); ++c) {
                   scratch.strip[c] = cands[c].score;
@@ -504,7 +495,7 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
                 }
               } else {
                 // Tier 3 — full cross-encoder, but only over the head.
-                tiers[i] = kTierFull;
+                tiers[i] = Tier::kFull;
                 scratch.rows.clear();
                 scratch.rows.reserve(head);
                 for (std::size_t r = 0; r < head; ++r) {
@@ -525,19 +516,16 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
                         });
             }
           }
-          if (cands.size() > req.top_k) cands.resize(req.top_k);
-          std::vector<core::LinkPrediction> predictions;
-          predictions.reserve(cands.size());
-          for (const auto& c : cands) {
-            core::LinkPrediction p;
-            p.entity_id = c.id;
-            p.title = epoch->kb->entity(c.id).title;
-            p.score = c.score;
-            predictions.push_back(std::move(p));
-          }
-          outcomes[i] = std::move(predictions);
+          outcomes[i] = Respond(*epoch, cands, req.top_k);
         }
       });
+  // Fill the answer cache on the scheduler thread, after every lookup of
+  // this batch, in miss order.
+  if (use_cache) {
+    for (std::size_t i : miss_idx_) {
+      CacheInsert(epoch.get(), keys_[i], batch_hits_[i], tiers[i]);
+    }
+  }
   const auto t3 = Clock::now();
 
   {
@@ -552,11 +540,11 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
         std::chrono::duration<double, std::milli>(t2 - t1).count();
     stats_.rerank_ms +=
         std::chrono::duration<double, std::milli>(t3 - t2).count();
-    for (std::size_t i = 0; i < m; ++i) {
-      switch (tiers[i]) {
-        case kTierExited: ++stats_.rerank_exited; break;
-        case kTierDistilled: ++stats_.rerank_distilled; break;
-        default: ++stats_.rerank_full; break;
+    for (const Tier tier : tiers) {
+      switch (tier) {
+        case Tier::kExited: ++stats_.rerank_exited; break;
+        case Tier::kDistilled: ++stats_.rerank_distilled; break;
+        case Tier::kFull: ++stats_.rerank_full; break;
       }
     }
   }
@@ -572,33 +560,41 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
   }
 }
 
-bool LinkingServer::CacheLookup(
-    ModelEpoch* epoch, const std::string& key, float* vec_out,
-    std::vector<retrieval::ScoredEntity>* hits_out) {
+util::Result<std::vector<core::LinkPrediction>> LinkingServer::Respond(
+    const ModelEpoch& epoch,
+    const std::vector<retrieval::ScoredEntity>& ranked, std::size_t top_k) {
+  if (ranked.empty()) {
+    return util::Status::NotFound("no candidates retrieved");
+  }
+  const std::size_t n = std::min(ranked.size(), top_k);
+  std::vector<core::LinkPrediction> predictions(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    predictions[r].entity_id = ranked[r].id;
+    predictions[r].title = epoch.kb->entity(ranked[r].id).title;
+    predictions[r].score = ranked[r].score;
+  }
+  return predictions;
+}
+
+const LinkingServer::CachedAnswer* LinkingServer::CacheLookup(
+    ModelEpoch* epoch, const std::string& key) {
   auto it = epoch->lru_map.find(key);
-  if (it == epoch->lru_map.end()) return false;
+  if (it == epoch->lru_map.end()) return nullptr;
   // Refresh recency.
   epoch->lru.splice(epoch->lru.begin(), epoch->lru, it->second);
-  const CachedFeature& feature = it->second->second;
-  std::copy(feature.vec.begin(), feature.vec.end(), vec_out);
-  *hits_out = feature.hits;
-  return true;
+  return &it->second->second;
 }
 
 void LinkingServer::CacheInsert(
-    ModelEpoch* epoch, const std::string& key, const float* vec,
-    const std::vector<retrieval::ScoredEntity>& hits) {
-  if (options_.cache_capacity == 0) return;
+    ModelEpoch* epoch, const std::string& key,
+    const std::vector<retrieval::ScoredEntity>& ranked, Tier tier) {
   auto it = epoch->lru_map.find(key);
   if (it != epoch->lru_map.end()) {
     // Duplicate miss within one batch: refresh, keep the existing entry.
     epoch->lru.splice(epoch->lru.begin(), epoch->lru, it->second);
     return;
   }
-  CachedFeature feature;
-  feature.vec.assign(vec, vec + epoch->bi->dim());
-  feature.hits = hits;
-  epoch->lru.emplace_front(key, std::move(feature));
+  epoch->lru.emplace_front(key, CachedAnswer{ranked, tier});
   epoch->lru_map[key] = epoch->lru.begin();
   while (epoch->lru.size() > options_.cache_capacity) {
     epoch->lru_map.erase(epoch->lru.back().first);

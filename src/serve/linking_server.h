@@ -51,11 +51,14 @@ struct ServerOptions {
   /// Stage-1 candidates per request (paper: 64).
   std::size_t retrieve_k = 64;
   /// LRU entries for repeated (mention, context) requests; 0 disables.
-  /// Each entry holds the mention embedding and its retrieved top-k (both
-  /// pure functions of the request text and the fixed index), so a hit
-  /// skips encode + retrieval. Re-ranking always runs. The cache lives
-  /// inside the model version it was filled against, so a SwapModel never
-  /// serves stale features.
+  /// Each entry holds the request's final ranked candidate list (all
+  /// retrieve_k of them, before the top_k cut) and the rerank tier that
+  /// produced it: a pure function of the request text and the frozen model
+  /// version. A hit skips encode, retrieval and rerank, and only truncates
+  /// to its own top_k and fills in titles, so it answers byte-identically
+  /// to a cache-off server. The cache lives inside the model version it
+  /// was filled against, so a SwapModel never serves an old version's
+  /// answer.
   std::size_t cache_capacity = 1024;
   /// Serve re-ranking through the three-tier adaptive cascade (see
   /// model::CascadeConfig): confident requests exit on the retrieval
@@ -90,8 +93,13 @@ struct ServerStats {
   std::uint64_t batches = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  /// Answer-cache lookups, hit answers, and the mention encode of the
+  /// misses.
   double encode_ms = 0.0;
+  /// Stage-1 retrieval of the misses.
   double retrieve_ms = 0.0;
+  /// Re-ranking of the misses and their answer-cache inserts; cache hits
+  /// never re-rank, so this covers misses only.
   double rerank_ms = 0.0;
   /// Version of the currently published model (a bundle's model_version;
   /// 0 when serving in-process components).
@@ -102,7 +110,8 @@ struct ServerStats {
   /// rerank_exited + rerank_distilled + rerank_full == requests — always.
   /// With the cascade off every request counts as rerank_full; a request
   /// with no retrieved candidates counts as rerank_exited when the cascade
-  /// is on (there is nothing to rerank).
+  /// is on (there is nothing to rerank). A cache hit counts the tier that
+  /// produced its stored answer, so the counts equal a cache-off server's.
   std::uint64_t rerank_exited = 0;
   std::uint64_t rerank_distilled = 0;
   std::uint64_t rerank_full = 0;
@@ -144,16 +153,16 @@ struct ServerStats {
 /// Concurrent callers block in Link() while a single scheduler thread
 /// coalesces their requests into bounded-latency micro-batches: a batch is
 /// flushed when it reaches `max_batch` requests or when the oldest request
-/// has waited `flush_deadline_us`, whichever comes first. Each flush runs
-/// the tape-free pipeline — batched mention encode (BiEncoder::
-/// EncodeMentionBagsInference) over the cache misses, top-k retrieval
-/// against a prebuilt domain index, and cross-encoder re-ranking
-/// (CrossEncoder::ScoreCachedInference against a precomputed entity-side
-/// cache) — so steady-state serving does no Graph construction, no
-/// per-request index rebuild, no per-candidate entity tokenization, and no
-/// allocations beyond request bookkeeping.
+/// has waited `flush_deadline_us`, whichever comes first. Each flush
+/// answers repeated requests from the version's answer cache and runs the
+/// tape-free pipeline over the rest — batched mention encode (BiEncoder::
+/// EncodeMentionBagsInference), top-k retrieval against a prebuilt domain
+/// index, and cross-encoder re-ranking (CrossEncoder::ScoreCachedInference
+/// against a precomputed entity-side cache) — so steady-state serving does
+/// no Graph construction, no per-request index rebuild, no per-candidate
+/// entity tokenization, and no allocations beyond request bookkeeping.
 ///
-/// Everything a batch touches (encoders, KB, index, rerank cache, feature
+/// Everything a batch touches (encoders, KB, index, rerank cache, answer
 /// LRU) lives in one immutable-once-published ModelEpoch behind a
 /// shared_ptr. SwapModel() loads a new artifact bundle off the request
 /// path and publishes it atomically: in-flight batches finish on the
@@ -233,11 +242,16 @@ class LinkingServer {
     std::promise<util::Result<std::vector<core::LinkPrediction>>> promise;
   };
 
-  struct CachedFeature {
-    std::vector<float> vec;                      // mention embedding [dim]
-    std::vector<retrieval::ScoredEntity> hits;   // its retrieved top-k
+  /// Rerank tier that answered a request (ServerStats::rerank_*).
+  enum class Tier : std::uint8_t { kExited, kDistilled, kFull };
+
+  /// One answer-cache entry: the request's final ranking before the top_k
+  /// cut, and the tier that produced it.
+  struct CachedAnswer {
+    std::vector<retrieval::ScoredEntity> ranked;
+    Tier tier = Tier::kFull;
   };
-  using LruList = std::list<std::pair<std::string, CachedFeature>>;
+  using LruList = std::list<std::pair<std::string, CachedAnswer>>;
 
   /// The structure that answers stage 1 for one epoch.
   enum class RetrievalPath {
@@ -250,7 +264,7 @@ class LinkingServer {
   /// One published model version: every component a batch touches, owned
   /// (or borrowed, for Create/FromLinker) in one place. The index /
   /// rerank-cache / entity-position members are immutable after
-  /// publication; the feature LRU is mutated by the scheduler thread only,
+  /// publication; the answer LRU is mutated by the scheduler thread only,
   /// and dies with its epoch — swap invalidation for free.
   struct ModelEpoch {
     std::uint64_t version = 0;
@@ -277,7 +291,7 @@ class LinkingServer {
     /// uncalibrated default. Read only when ServerOptions::use_cascade.
     model::CascadeModel cascade;
     std::unordered_map<kb::EntityId, std::size_t> entity_pos;
-    // Feature LRU: key -> list node of (key, feature).
+    // Answer LRU: key -> list node of (key, answer).
     LruList lru;
     std::unordered_map<std::string, LruList::iterator> lru_map;
 
@@ -335,15 +349,23 @@ class LinkingServer {
   /// Current epoch snapshot (the only way batches reach model state).
   std::shared_ptr<ModelEpoch> CurrentEpoch() const;
 
-  /// LRU lookup within `epoch`; on hit copies the cached embedding into
-  /// `vec_out` and the cached retrieval into `*hits_out`. Scheduler-thread
+  /// LRU lookup within `epoch`: the cached answer, refreshed to most
+  /// recent, or null. The pointer is valid until the next CacheInsert.
+  /// Scheduler-thread only.
+  static const CachedAnswer* CacheLookup(ModelEpoch* epoch,
+                                         const std::string& key);
+  /// Stores a miss's final ranking and tier; a key already present (a
+  /// duplicate miss within one batch) is only refreshed. Scheduler-thread
   /// only.
-  static bool CacheLookup(ModelEpoch* epoch, const std::string& key,
-                          float* vec_out,
-                          std::vector<retrieval::ScoredEntity>* hits_out);
   void CacheInsert(ModelEpoch* epoch, const std::string& key,
-                   const float* vec,
-                   const std::vector<retrieval::ScoredEntity>& hits);
+                   const std::vector<retrieval::ScoredEntity>& ranked,
+                   Tier tier);
+
+  /// The response for a ranked candidate list: its first `top_k` entries,
+  /// titled from the epoch's KB; NotFound when `ranked` is empty.
+  static util::Result<std::vector<core::LinkPrediction>> Respond(
+      const ModelEpoch& epoch,
+      const std::vector<retrieval::ScoredEntity>& ranked, std::size_t top_k);
 
   ServerOptions options_;
 
@@ -376,8 +398,8 @@ class LinkingServer {
   // retrieve/rerank stages: chunk ids from ParallelForChunks are dense, so
   // chunk i owns element i.
   model::EncodeScratch encode_scratch_;
+  // Mention embeddings of the batch's misses: row j is miss_idx_[j].
   tensor::Tensor encoded_;
-  tensor::Tensor queries_;
   std::vector<std::vector<retrieval::ScoredEntity>> batch_hits_;
   std::vector<retrieval::ShardedIndexScratch> retrieval_scratch_;
   struct RerankScratch {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -223,6 +224,83 @@ TEST_F(CascadeTest, TierCountersAlwaysSumToRequests) {
                 run.stats.rerank_full,
             run.stats.requests);
   EXPECT_EQ(run.stats.requests, corpus_->ExamplesIn("serving").size());
+}
+
+TEST_F(CascadeTest, AnswerCacheReplaysResponsesAndTiers) {
+  // A repeated request stream through a cascade whose thresholds split
+  // the requests over all three tiers: with the answer cache on, every
+  // response and every per-tier count must equal a cache-off server's — a
+  // hit counts the tier its stored answer came from.
+  const auto& examples = corpus_->ExamplesIn("serving");
+  std::vector<float> margins;
+  {
+    // Exit-everything serving returns retrieval scores: top1 - top2 is
+    // each request's routing margin.
+    model::CascadeModel exit_all;
+    exit_all.config.margin_tau = 0.0f;
+    serve::ServerOptions opts = BaseOptions();
+    opts.use_cascade = true;
+    opts.cascade = &exit_all;
+    auto server = MakeServer(opts);
+    const Responses retrieval_order = Drive(server.get());
+    for (const auto& scores : retrieval_order.scores) {
+      ASSERT_GE(scores.size(), 2u);
+      margins.push_back(scores[0] - scores[1]);
+    }
+  }
+  std::sort(margins.begin(), margins.end());
+  model::CascadeConfig config;
+  config.distill_tau = margins[margins.size() / 3];
+  config.margin_tau = margins[2 * margins.size() / 3];
+  config.rerank_head_k = 6;
+  config.band_epsilon = kInf;
+  const model::CascadeModel cascade = WithScorer(config);
+  serve::ServerOptions on = BaseOptions();
+  on.use_cascade = true;
+  on.cascade = &cascade;
+  on.cache_capacity = 12;
+  serve::ServerOptions off = on;
+  off.cache_capacity = 0;
+  std::vector<std::size_t> stream;
+  util::Rng rng(616);
+  for (std::size_t r = 0; r < 4 * examples.size(); ++r) {
+    const double u = rng.NextDouble();
+    stream.push_back(static_cast<std::size_t>(examples.size() * u * u));
+  }
+  const auto drive = [&](serve::LinkingServer* server) {
+    Responses out;
+    for (std::size_t i : stream) {
+      const auto& ex = examples[i];
+      auto got =
+          server->Link(ex.mention, ex.left_context, ex.right_context, 5);
+      EXPECT_TRUE(got.ok()) << got.status().message();
+      out.ids.emplace_back();
+      out.scores.emplace_back();
+      if (!got.ok()) continue;
+      for (const auto& p : *got) {
+        out.ids.back().push_back(p.entity_id);
+        out.scores.back().push_back(p.score);
+      }
+    }
+    out.stats = server->Stats();
+    return out;
+  };
+  auto cached_server = MakeServer(on);
+  auto plain_server = MakeServer(off);
+  const Responses cached = drive(cached_server.get());
+  const Responses plain = drive(plain_server.get());
+  EXPECT_TRUE(cached == plain);
+  EXPECT_GT(cached.stats.cache_hits, stream.size() / 4);
+  EXPECT_EQ(plain.stats.cache_hits, 0u);
+  EXPECT_EQ(cached.stats.rerank_exited, plain.stats.rerank_exited);
+  EXPECT_EQ(cached.stats.rerank_distilled, plain.stats.rerank_distilled);
+  EXPECT_EQ(cached.stats.rerank_full, plain.stats.rerank_full);
+  EXPECT_EQ(cached.stats.rerank_exited + cached.stats.rerank_distilled +
+                cached.stats.rerank_full,
+            stream.size());
+  EXPECT_GT(plain.stats.rerank_exited, 0u);
+  EXPECT_GT(plain.stats.rerank_distilled, 0u);
+  EXPECT_GT(plain.stats.rerank_full, 0u);
 }
 
 TEST_F(CascadeTest, ZeroMarginTauExitsEveryRequest) {

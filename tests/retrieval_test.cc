@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <functional>
 #include <set>
 
 #include "retrieval/dense_index.h"
+#include "retrieval/score_kernel.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 
@@ -23,6 +26,65 @@ std::vector<kb::EntityId> Iota(std::size_t n) {
   std::vector<kb::EntityId> ids(n);
   for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<kb::EntityId>(i);
   return ids;
+}
+
+/// Independent top-k oracle: tensor::Dot over every row, then a full sort
+/// by (score desc, id asc). Shares no selection code with DenseIndex.
+std::vector<ScoredEntity> BruteForceTopK(const tensor::Tensor& emb,
+                                         const std::vector<kb::EntityId>& ids,
+                                         const float* query, std::size_t k) {
+  std::vector<ScoredEntity> all(ids.size());
+  for (std::size_t r = 0; r < ids.size(); ++r) {
+    all[r] = {ids[r], tensor::Dot(query, emb.row_data(r), emb.cols())};
+  }
+  std::sort(all.begin(), all.end(),
+            [](const ScoredEntity& a, const ScoredEntity& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.id < b.id;
+            });
+  all.resize(std::min(k, all.size()));
+  return all;
+}
+
+/// A random permutation of [0, n): ids whose order has nothing to do with
+/// row position.
+std::vector<kb::EntityId> ShuffledIds(std::size_t n, std::uint64_t seed) {
+  std::vector<kb::EntityId> ids = Iota(n);
+  util::Rng rng(seed);
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(ids[i - 1], ids[rng.NextUint64(i)]);
+  }
+  return ids;
+}
+
+/// Asserts TopKInto, serial BatchTopKInto and pooled BatchTopKInto all
+/// return exactly the oracle's hits (ids, bitwise scores, order) for every
+/// row of `queries`. The batch holds enough queries for several blocks.
+void ExpectMatchesOracle(const tensor::Tensor& emb,
+                         const std::vector<kb::EntityId>& ids,
+                         const tensor::Tensor& queries, std::size_t k) {
+  DenseIndex index;
+  ASSERT_TRUE(index.Build(emb, ids).ok());
+  util::ThreadPool pool(3);
+  BatchTopKScratch batch_scratch;
+  std::vector<std::vector<ScoredEntity>> serial, pooled;
+  index.BatchTopKInto(queries, k, nullptr, &batch_scratch, &serial);
+  index.BatchTopKInto(queries, k, &pool, &batch_scratch, &pooled);
+  TopKScratch scratch;
+  std::vector<ScoredEntity> single;
+  for (std::size_t i = 0; i < queries.rows(); ++i) {
+    const std::vector<ScoredEntity> want =
+        BruteForceTopK(emb, ids, queries.row_data(i), k);
+    index.TopKInto(queries.row_data(i), k, &scratch, &single);
+    for (const auto* got : {&single, &serial[i], &pooled[i]}) {
+      ASSERT_EQ(got->size(), want.size()) << "query " << i;
+      for (std::size_t r = 0; r < want.size(); ++r) {
+        EXPECT_EQ((*got)[r].id, want[r].id) << "query " << i << " rank " << r;
+        EXPECT_EQ((*got)[r].score, want[r].score)
+            << "query " << i << " rank " << r;
+      }
+    }
+  }
 }
 
 TEST(DenseIndexTest, BuildValidatesInput) {
@@ -63,6 +125,97 @@ TEST(DenseIndexTest, TopKMatchesBruteForce) {
     }
     EXPECT_EQ(top[0].id, best_id);
     EXPECT_NEAR(top[0].score, best, 1e-5);
+  }
+}
+
+TEST(DenseIndexTest, OracleRandomQueries) {
+  // More rows than one 512-entity block and a k that leaves most rows
+  // outside the pool, so every query exercises the certified pool.
+  const std::size_t n = 1500, d = 24;
+  const tensor::Tensor queries = RandomEmbeddings(37, d, 52);
+  ExpectMatchesOracle(RandomEmbeddings(n, d, 51), ShuffledIds(n, 53),
+                      queries, 64);
+  ExpectMatchesOracle(RandomEmbeddings(n, d, 51), ShuffledIds(n, 53),
+                      queries, 1);
+}
+
+TEST(DenseIndexTest, OracleDuplicateRowsStraddlingRankK) {
+  // 40 identical rows whose shared score sits at rank k - 10: the tie runs
+  // past the k + 16 pool boundary, and their ids are shuffled relative to
+  // their row positions, so the position-keyed pool keeps the wrong
+  // duplicates. Only the exact rescan (the certificate cannot hold at an
+  // exact tie across the boundary) returns the smallest ids.
+  const std::size_t n = 900, d = 16, k = 32, dups = 40;
+  tensor::Tensor emb = RandomEmbeddings(n, d, 61);
+  const tensor::Tensor queries = RandomEmbeddings(20, d, 62);
+  const float* q = queries.row_data(0);
+  std::vector<float> scores(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    scores[r] = tensor::Dot(q, emb.row_data(r), d);
+  }
+  std::sort(scores.begin(), scores.end(), std::greater<float>());
+  const float target = scores[k - 10];
+  const double qq = tensor::Dot(q, q, d);
+  std::vector<float> dup(d);
+  for (std::size_t j = 0; j < d; ++j) {
+    dup[j] = static_cast<float>(q[j] * (target / qq));
+  }
+  for (std::size_t c = 0; c < dups; ++c) {
+    // Distinct rows spread over both entity blocks (37 is coprime to n).
+    std::copy(dup.begin(), dup.end(), emb.row_data((5 + 37 * c) % n));
+  }
+  ExpectMatchesOracle(emb, ShuffledIds(n, 64), queries, k);
+}
+
+TEST(DenseIndexTest, OracleNearTiesWithinOneUlp) {
+  // Query e0 scores row r exactly r[0], so rows whose first component
+  // steps by one fp32 ulp have exact scores one ulp apart — well inside the
+  // kernel's error bound. 60 such rows around rank k, with shuffled ids,
+  // decide the boundary; a second query in a general direction sees the
+  // same rows as ulp-scale near-ties of a non-trivial dot product.
+  const std::size_t n = 700, d = 8, k = 20;
+  tensor::Tensor emb = RandomEmbeddings(n, d, 71);
+  for (std::size_t r = 0; r < n; ++r) emb.at(r, 0) *= 0.5f;
+  float v = 0.75f;
+  for (std::size_t r = 100; r < 160; ++r) {
+    emb.at(r, 0) = v;
+    v = std::nextafter(v, 1.0f);
+  }
+  tensor::Tensor queries = RandomEmbeddings(3, d, 72);
+  for (std::size_t j = 0; j < d; ++j) queries.at(0, j) = j == 0 ? 1.0f : 0.0f;
+  for (std::size_t j = 1; j < d; ++j) queries.at(1, j) *= 1e-3f;
+  ExpectMatchesOracle(emb, ShuffledIds(n, 73), queries, k);
+  ExpectMatchesOracle(emb, ShuffledIds(n, 73), queries, 60);
+}
+
+TEST(DenseIndexTest, OracleKAtOrBeyondSizeAndKZero) {
+  const std::size_t n = 45, d = 6;
+  const tensor::Tensor emb = RandomEmbeddings(n, d, 81);
+  const std::vector<kb::EntityId> ids = ShuffledIds(n, 82);
+  const tensor::Tensor queries = RandomEmbeddings(18, d, 83);
+  ExpectMatchesOracle(emb, ids, queries, n);
+  ExpectMatchesOracle(emb, ids, queries, n + 7);
+  ExpectMatchesOracle(emb, ids, queries, n - 1);
+  ExpectMatchesOracle(emb, ids, queries, 0);
+}
+
+TEST(DenseIndexTest, OneQueryTileScoreIgnoresPanelPosition) {
+  // A one-query strip interleaves entities four at a time; every score must
+  // still be bit-identical to scoring that entity alone, whatever d's
+  // remainders against the 16-, 8- and 1-wide steps.
+  for (const std::size_t d : {1u, 3u, 8u, 13u, 16u, 24u, 37u, 64u}) {
+    const std::size_t n = 23;
+    const tensor::Tensor rows = RandomEmbeddings(n, d, 90 + d);
+    const tensor::Tensor query = RandomEmbeddings(1, d, 91 + d);
+    std::vector<float> strip(n);
+    internal::ScoreTileF32(query.row_data(0), rows.row_data(0), strip.data(),
+                           1, d, n);
+    for (std::size_t j = 0; j < n; ++j) {
+      float alone = 0.0f;
+      internal::ScoreTileF32(query.row_data(0), rows.row_data(j), &alone, 1,
+                             d, 1);
+      EXPECT_EQ(strip[j], alone) << "d " << d << " entity " << j;
+    }
   }
 }
 

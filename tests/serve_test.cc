@@ -15,6 +15,7 @@
 #include "data/generator.h"
 #include "serve/linking_server.h"
 #include "store/model_bundle.h"
+#include "util/rng.h"
 
 namespace metablink::serve {
 namespace {
@@ -161,6 +162,20 @@ class ServeTest : public ::testing::Test {
     EXPECT_EQ(stats.num_shards, form.num_shards < 2 ? 1u : form.num_shards);
     EXPECT_EQ(stats.pq_active, form.pq);
     *out = std::move(*server);
+  }
+
+  /// Asserts two responses are byte-identical: same entities, bit-identical
+  /// fp32 scores, same titles.
+  static void ExpectSamePredictions(
+      const std::vector<core::LinkPrediction>& got,
+      const std::vector<core::LinkPrediction>& want,
+      const std::string& where) {
+    ASSERT_EQ(got.size(), want.size()) << where;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].entity_id, want[i].entity_id) << where << " rank " << i;
+      EXPECT_EQ(got[i].score, want[i].score) << where << " rank " << i;
+      EXPECT_EQ(got[i].title, want[i].title) << where << " rank " << i;
+    }
   }
 
   static ServerOptions ServingOptions() {
@@ -454,6 +469,136 @@ TEST_F(ServeTest, ServerCachesRepeatedRequests) {
   EXPECT_EQ(stats.requests, 2u);
   EXPECT_GE(stats.cache_hits, 1u);
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, 2u);
+}
+
+TEST_F(ServeTest, CacheKeyFieldsCannotCollide) {
+  // Two requests whose fields differ only in where a '\x1f' byte falls:
+  // joined with that byte as a separator they would be one cache key, and
+  // the second caller would get the first one's answer. Each must get the
+  // answer a cache-off server gives it, whichever fills the cache first.
+  const auto& ex = split_.test[0];
+  const std::string sep(1, '\x1f');
+  const std::string extra = split_.test[1].left_context;
+  data::LinkingExample a, b;
+  a.mention = ex.mention + sep + ex.left_context;
+  a.left_context = extra;
+  a.right_context = ex.right_context;
+  b.mention = ex.mention;
+  b.left_context = ex.left_context + sep + extra;
+  b.right_context = ex.right_context;
+  ServerOptions on = ServingOptions();
+  on.cache_capacity = 16;
+  ServerOptions off = on;
+  off.cache_capacity = 0;
+  const auto create = [&](const ServerOptions& opts) {
+    auto server =
+        LinkingServer::Create(pipeline_->bi_encoder(),
+                              pipeline_->cross_encoder(), &corpus_->kb,
+                              "target", opts);
+    EXPECT_TRUE(server.ok());
+    return std::move(*server);
+  };
+  auto reference = create(off);
+  const auto link = [](LinkingServer* server, const data::LinkingExample& e) {
+    auto got = server->Link(e.mention, e.left_context, e.right_context, 5);
+    EXPECT_TRUE(got.ok());
+    return got.ok() ? *std::move(got) : std::vector<core::LinkPrediction>{};
+  };
+  const auto want_a = link(reference.get(), a);
+  const auto want_b = link(reference.get(), b);
+  ASSERT_FALSE(want_a.empty());
+  // The pair must link differently for a shared entry to be observable.
+  bool differ = want_a.size() != want_b.size();
+  for (std::size_t i = 0; !differ && i < want_a.size(); ++i) {
+    differ = want_a[i].entity_id != want_b[i].entity_id ||
+             want_a[i].score != want_b[i].score;
+  }
+  ASSERT_TRUE(differ);
+  for (const bool a_first : {true, false}) {
+    auto cached = create(on);
+    const data::LinkingExample& first = a_first ? a : b;
+    const data::LinkingExample& second = a_first ? b : a;
+    ExpectSamePredictions(link(cached.get(), first), a_first ? want_a : want_b,
+                          "first");
+    ExpectSamePredictions(link(cached.get(), second),
+                          a_first ? want_b : want_a, "second");
+    EXPECT_EQ(cached->Stats().cache_hits, 0u);
+  }
+}
+
+TEST_F(ServeTest, AnswerCacheMatchesCacheOffServer) {
+  // A Zipf-like request stream over the test split, each request with its
+  // own top_k (some above retrieve_k), served through a small answer cache
+  // that keeps evicting: every response must be byte-identical to a
+  // cache-off server's, serially and with concurrent clients (whose
+  // batches mix hits with duplicate misses).
+  ServerOptions on = ServingOptions();
+  on.max_batch = 8;
+  on.flush_deadline_us = 200;
+  on.cache_capacity = 8;
+  ServerOptions off = on;
+  off.cache_capacity = 0;
+  const std::size_t probes = std::min<std::size_t>(24, split_.test.size());
+  std::vector<std::pair<std::size_t, std::size_t>> stream;  // (probe, top_k)
+  // A hit asking for more than the miss that filled its entry, and for
+  // more than retrieve_k.
+  stream.push_back({0, 1});
+  stream.push_back({0, 12});
+  stream.push_back({0, 40});
+  util::Rng rng(2024);
+  for (std::size_t r = 0; r < 240; ++r) {
+    const double u = rng.NextDouble();
+    stream.push_back({static_cast<std::size_t>(probes * u * u * u),
+                      1 + rng.NextUint64(20)});
+  }
+  auto reference = LinkingServer::Create(pipeline_->bi_encoder(),
+                                         pipeline_->cross_encoder(),
+                                         &corpus_->kb, "target", off);
+  ASSERT_TRUE(reference.ok());
+  std::vector<std::vector<core::LinkPrediction>> want(stream.size());
+  for (std::size_t r = 0; r < stream.size(); ++r) {
+    const auto& ex = split_.test[stream[r].first];
+    auto got = (*reference)->Link(ex.mention, ex.left_context,
+                                  ex.right_context, stream[r].second);
+    ASSERT_TRUE(got.ok());
+    want[r] = *std::move(got);
+  }
+  EXPECT_EQ((*reference)->Stats().cache_hits, 0u);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(threads == 1 ? "serial" : "concurrent");
+    auto cached = LinkingServer::Create(pipeline_->bi_encoder(),
+                                        pipeline_->cross_encoder(),
+                                        &corpus_->kb, "target", on);
+    ASSERT_TRUE(cached.ok());
+    std::vector<std::vector<core::LinkPrediction>> got(stream.size());
+    std::atomic<std::size_t> failures{0};
+    std::vector<std::thread> clients;
+    for (std::size_t t = 0; t < threads; ++t) {
+      clients.emplace_back([&, t] {
+        for (std::size_t r = t; r < stream.size(); r += threads) {
+          const auto& ex = split_.test[stream[r].first];
+          auto res = (*cached)->Link(ex.mention, ex.left_context,
+                                     ex.right_context, stream[r].second);
+          if (!res.ok()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          got[r] = *std::move(res);
+        }
+      });
+    }
+    for (auto& c : clients) c.join();
+    EXPECT_EQ(failures.load(), 0u);
+    for (std::size_t r = 0; r < stream.size(); ++r) {
+      ExpectSamePredictions(got[r], want[r], "request " + std::to_string(r));
+    }
+    const ServerStats stats = (*cached)->Stats();
+    EXPECT_EQ(stats.requests, stream.size());
+    EXPECT_EQ(stats.cache_hits + stats.cache_misses, stream.size());
+    EXPECT_GT(stats.cache_hits, stream.size() / 4);
+    EXPECT_EQ(stats.rerank_full, stream.size());
+  }
 }
 
 TEST_F(ServeTest, EightThreadHammer) {
@@ -870,6 +1015,59 @@ TEST_F(ServeTest, SwapModelServesTheNewModel) {
     EXPECT_EQ((*after)[i].entity_id, (*want)[i].entity_id);
     EXPECT_EQ((*after)[i].score, (*want)[i].score);
   }
+}
+
+TEST_F(ServeTest, AnswerCacheNeverOutlivesItsModelVersion) {
+  // A server fills its answer cache on version A, swaps to B and replays
+  // the same requests twice: every answer after the swap — misses first,
+  // then hits of B's own cache — must be B's, never A's cached answer.
+  core::PipelineConfig other_config = TestConfig();
+  other_config.seed = 999;
+  core::MetaBlinkPipeline other(other_config);
+  const std::string dir_a = ::testing::TempDir() + "metablink_serve_cache_a";
+  const std::string dir_b = ::testing::TempDir() + "metablink_serve_cache_b";
+  SaveBundle(*pipeline_, dir_a, /*version=*/1);
+  SaveBundle(other, dir_b, /*version=*/2);
+  ServerOptions on = ServingOptions();
+  on.cache_capacity = 64;
+  ServerOptions off = on;
+  off.cache_capacity = 0;
+  auto server = LinkingServer::FromBundle(dir_a, on);
+  auto ref_a = LinkingServer::FromBundle(dir_a, off);
+  auto ref_b = LinkingServer::FromBundle(dir_b, off);
+  ASSERT_TRUE(server.ok() && ref_a.ok() && ref_b.ok());
+
+  constexpr std::size_t kProbes = 10;
+  const auto link = [&](LinkingServer* s, std::size_t p) {
+    const auto& ex = split_.test[p];
+    auto got = s->Link(ex.mention, ex.left_context, ex.right_context, 5);
+    EXPECT_TRUE(got.ok());
+    return got.ok() ? *std::move(got) : std::vector<core::LinkPrediction>{};
+  };
+  bool versions_differ = false;
+  for (std::size_t p = 0; p < kProbes; ++p) {
+    const auto a = link(ref_a->get(), p);
+    const auto b = link(ref_b->get(), p);
+    for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+      versions_differ = versions_differ || a[i].entity_id != b[i].entity_id ||
+                        a[i].score != b[i].score;
+    }
+    ExpectSamePredictions(link(server->get(), p), a,
+                          "before swap, probe " + std::to_string(p));
+  }
+  ASSERT_TRUE(versions_differ);
+  ASSERT_TRUE((*server)->SwapModel(dir_b).ok());
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t p = 0; p < kProbes; ++p) {
+      ExpectSamePredictions(link(server->get(), p), link(ref_b->get(), p),
+                            "after swap, pass " + std::to_string(pass) +
+                                ", probe " + std::to_string(p));
+    }
+  }
+  // The second pass after the swap is served from B's own cache.
+  const ServerStats stats = (*server)->Stats();
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 3 * kProbes);
+  EXPECT_GE(stats.cache_hits, kProbes);
 }
 
 TEST_F(ServeTest, SwapHammerEveryResponseMatchesOldOrNewModel) {
