@@ -1,20 +1,21 @@
 // Performance-substrate benchmark: times the blocked GEMM kernels, one
-// meta-reweighting Step() under each gradient strategy, and batched dense
-// retrieval, then writes the measurements as JSON (default
+// meta-reweighting Step() under each alignment mode, and batched dense
+// retrieval, then writes the measurements and the host as JSON (default
 // BENCH_perf_substrate.json in the current directory, argv[1] overrides).
 //
-// The headline number is the meta Step speedup of the fast path (JVP +
-// 8-thread pool) over the baseline configuration that mirrors the original
-// implementation (per-example backward passes, dense tape traversal,
-// serial); the ISSUE acceptance bar is >= 3x.
+// The gate is the meta Step speedup of the product mode, serial kJvp (how
+// FewShotLinker::Fit runs), over the serial kPerExample reference: it must
+// be >= 3x, else the bench prints FAIL and exits 1.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/generator.h"
+#include "experiment_common.h"
 #include "model/bi_encoder.h"
 #include "retrieval/dense_index.h"
 #include "tensor/kernels.h"
@@ -127,11 +128,10 @@ struct MetaBench {
     return std::move(*gen.Generate(specs));
   }
 
-  double TimeStep(train::MetaGrad mode, bool sparse, util::ThreadPool* pool,
+  double TimeStep(train::MetaGrad mode, util::ThreadPool* pool,
                   int reps = 5) {
     train::MetaTrainOptions opts;
     opts.meta_grad = mode;
-    opts.sparse_backward = sparse;
     opts.pool = pool;
     model::BiEncoder* m = &model;
     const kb::KnowledgeBase* kb = &corpus.kb;
@@ -241,27 +241,21 @@ int main(int argc, char** argv) {
 
   util::Rng model_rng(9);
   MetaBench meta(&model_rng);
-  const double base_ms =
-      meta.TimeStep(train::MetaGrad::kPerExample, false, nullptr);
-  const double sparse_ms =
-      meta.TimeStep(train::MetaGrad::kPerExample, true, nullptr);
-  const double par_ms =
-      meta.TimeStep(train::MetaGrad::kPerExample, true, &pool);
-  const double jvp_ms = meta.TimeStep(train::MetaGrad::kJvp, true, nullptr);
-  const double jvp_pool_ms = meta.TimeStep(train::MetaGrad::kJvp, true, &pool);
-  const double meta_speedup = base_ms / jvp_pool_ms;
+  const double reference_ms =
+      meta.TimeStep(train::MetaGrad::kPerExample, nullptr);
+  const double jvp_ms = meta.TimeStep(train::MetaGrad::kJvp, nullptr);
+  const double jvp_pool_ms = meta.TimeStep(train::MetaGrad::kJvp, &pool);
+  const double meta_speedup = reference_ms / jvp_ms;
+  const bool meets_3x = meta_speedup >= 3.0;
   std::printf("[meta step, n=64 synthetic / m=16 seed, dim=64]\n");
-  std::printf("  baseline (per-example, dense, serial) %8.2f ms\n", base_ms);
-  std::printf("  + sparsity-aware backward             %8.2f ms  (%.2fx)\n",
-              sparse_ms, base_ms / sparse_ms);
-  std::printf("  + pool(8) per-example passes          %8.2f ms  (%.2fx)\n",
-              par_ms, base_ms / par_ms);
-  std::printf("  JVP fast path (serial)                %8.2f ms  (%.2fx)\n",
-              jvp_ms, base_ms / jvp_ms);
+  std::printf("  per-example reference (serial)        %8.2f ms\n",
+              reference_ms);
+  std::printf("  JVP (serial, as Fit runs)             %8.2f ms  (%.2fx)\n",
+              jvp_ms, meta_speedup);
   std::printf("  JVP + pool(8)                         %8.2f ms  (%.2fx)\n",
-              jvp_pool_ms, meta_speedup);
-  std::printf("  acceptance (>= 3x): %s\n\n",
-              meta_speedup >= 3.0 ? "PASS" : "FAIL");
+              jvp_pool_ms, reference_ms / jvp_pool_ms);
+  std::printf("  acceptance (reference / JVP serial >= 3x): %s\n\n",
+              meets_3x ? "PASS" : "FAIL");
 
   const TopKTimes topk = BenchTopK(&pool);
   std::printf("[retrieval, 128 queries x 20000 entities x d=128, k=64]\n");
@@ -279,16 +273,23 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f,
+               "  \"host\": {\"cpu\": \"%s\", \"nproc\": %u, "
+               "\"gemm_row_chain\": \"%s\", \"adam_row\": \"%s\"},\n",
+               bench::HostCpuModel().c_str(),
+               std::max(1u, std::thread::hardware_concurrency()),
+               tensor::GemmRowChainUsesSimd() ? "avx2" : "scalar",
+               tensor::AdamRowUsesSimd() ? "avx2" : "scalar");
+  std::fprintf(f,
                "  \"gemm_384\": {\"naive_ms\": %.3f, \"kernel_ms\": %.3f, "
                "\"pooled_ms\": %.3f},\n",
                gemm.naive_ms, gemm.kernel_ms, gemm.pooled_ms);
   std::fprintf(
       f,
-      "  \"meta_step\": {\"baseline_ms\": %.3f, \"sparse_ms\": %.3f, "
-      "\"parallel_ms\": %.3f, \"jvp_ms\": %.3f, \"jvp_pool8_ms\": %.3f, "
-      "\"speedup_jvp_pool8_vs_baseline\": %.2f, \"meets_3x\": %s},\n",
-      base_ms, sparse_ms, par_ms, jvp_ms, jvp_pool_ms, meta_speedup,
-      meta_speedup >= 3.0 ? "true" : "false");
+      "  \"meta_step\": {\"per_example_ms\": %.3f, \"jvp_ms\": %.3f, "
+      "\"jvp_pool8_ms\": %.3f, \"speedup_jvp_vs_per_example\": %.2f, "
+      "\"meets_3x\": %s},\n",
+      reference_ms, jvp_ms, jvp_pool_ms, meta_speedup,
+      meets_3x ? "true" : "false");
   std::fprintf(f,
                "  \"batch_topk\": {\"old_style_ms\": %.3f, "
                "\"batch_serial_ms\": %.3f, \"batch_pool8_ms\": %.3f, "
@@ -299,5 +300,5 @@ int main(int argc, char** argv) {
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return meets_3x ? 0 : 1;
 }

@@ -15,6 +15,12 @@
 //                    rerank cascade (early exit / distilled / partial full
 //                    rerank), reported with per-tier counts and the
 //                    exact-match accuracy delta vs full rerank.
+//   server_exit_head: the same cascade with its distilled scorer cleared,
+//                    so the requests it would score cross-encode the same
+//                    head instead (two tiers: exit + head rerank). Run in
+//                    interleaved repetitions with server_cascade on the
+//                    same stream; both rows report the median-QPS rep and
+//                    the QPS range.
 //
 // Also verifies the serving-path contracts the speedup is not allowed to
 // buy with accuracy: tape vs tape-free scores match to 1e-6 and int8
@@ -39,6 +45,7 @@
 #include <vector>
 
 #include "data/generator.h"
+#include "experiment_common.h"
 #include "load/workload.h"
 #include "model/bi_encoder.h"
 #include "model/cascade.h"
@@ -184,6 +191,23 @@ bool SameTop1(const StreamResult& a, const StreamResult& b) {
   return a.top1_id == b.top1_id &&
          std::memcmp(a.top1_score.data(), b.top1_score.data(),
                      a.top1_score.size() * sizeof(float)) == 0;
+}
+
+/// The run with the median QPS of `runs` (the upper median of an even
+/// count).
+const StreamResult& MedianQpsRun(const std::vector<StreamResult>& runs) {
+  std::vector<std::size_t> order(runs.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return runs[a].mode.qps < runs[b].mode.qps;
+  });
+  return runs[order[order.size() / 2]];
+}
+
+Spread QpsSpread(const std::vector<StreamResult>& runs) {
+  std::vector<double> qps;
+  for (const StreamResult& r : runs) qps.push_back(r.mode.qps);
+  return Spread::Of(qps);
 }
 
 bool TiersSum(const serve::ServerStats& s) {
@@ -614,26 +638,56 @@ int main(int argc, char** argv) {
               stats.queue_depth_high_water,
               static_cast<unsigned long long>(stats.accepted));
 
-  // ---- Mode 4: the batched server behind the calibrated cascade. -----------
+  // ---- Mode 4: the batched server behind the calibrated cascade, in
+  // interleaved repetitions with server_exit_head (the same cascade without
+  // its distilled scorer), fresh servers on the same stream. Each pair
+  // alternates which mode runs first.
   serve::ServerOptions cascade_opts = base_opts;
   cascade_opts.use_cascade = true;
   cascade_opts.cascade = &cascade;
-  const StreamResult server_cascade =
-      DriveServer(MakeServer(cascade_opts).get(), requests,
-                  scale.client_threads);
+  model::CascadeModel exit_head_cascade = cascade;
+  exit_head_cascade.weights.clear();
+  exit_head_cascade.bias = 0.0f;
+  serve::ServerOptions exit_head_opts = cascade_opts;
+  exit_head_opts.cascade = &exit_head_cascade;
+  const int cascade_reps = smoke ? 1 : 7;
+  std::vector<StreamResult> cascade_runs, exit_head_runs;
+  int cascade_wins = 0;
+  auto drive = [&](const serve::ServerOptions& opts) {
+    return DriveServer(MakeServer(opts).get(), requests, scale.client_threads);
+  };
+  for (int r = 0; r < cascade_reps; ++r) {
+    if (r % 2 == 0) {
+      cascade_runs.push_back(drive(cascade_opts));
+      exit_head_runs.push_back(drive(exit_head_opts));
+    } else {
+      exit_head_runs.push_back(drive(exit_head_opts));
+      cascade_runs.push_back(drive(cascade_opts));
+    }
+    if (cascade_runs.back().mode.qps > exit_head_runs.back().mode.qps) {
+      ++cascade_wins;
+    }
+  }
+  const StreamResult& server_cascade = MedianQpsRun(cascade_runs);
+  const StreamResult& exit_head = MedianQpsRun(exit_head_runs);
+  const Spread cascade_qps = QpsSpread(cascade_runs);
+  const Spread exit_head_qps = QpsSpread(exit_head_runs);
   const double acc_full =
       static_cast<double>(server.correct) / requests.size();
   const double acc_cascade =
       static_cast<double>(server_cascade.correct) / requests.size();
+  const double acc_exit_head =
+      static_cast<double>(exit_head.correct) / requests.size();
   const double accuracy_delta_pts = (acc_full - acc_cascade) * 100.0;
   const double cascade_speedup = server.mode.qps > 0.0
                                      ? server_cascade.mode.qps /
                                            server.mode.qps
                                      : 0.0;
   std::printf("[server_cascade]   p50 %7.3f ms  p99 %7.3f ms  %8.1f qps  "
-              "(%.2fx over full rerank)\n",
+              "(%.2fx over full rerank; qps [%.1f, %.1f] over %d reps)\n",
               server_cascade.mode.p50_ms, server_cascade.mode.p99_ms,
-              server_cascade.mode.qps, cascade_speedup);
+              server_cascade.mode.qps, cascade_speedup, cascade_qps.min,
+              cascade_qps.max, cascade_reps);
   std::printf("  tiers: exited=%llu distilled=%llu full=%llu | "
               "accuracy full=%.4f cascade=%.4f delta=%.3f pts\n",
               static_cast<unsigned long long>(
@@ -643,6 +697,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   server_cascade.stats.rerank_full),
               acc_full, acc_cascade, accuracy_delta_pts);
+  std::printf("[server_exit_head] p50 %7.3f ms  p99 %7.3f ms  %8.1f qps  "
+              "(qps [%.1f, %.1f]; three-tier faster in %d/%d reps)\n",
+              exit_head.mode.p50_ms, exit_head.mode.p99_ms,
+              exit_head.mode.qps, exit_head_qps.min, exit_head_qps.max,
+              cascade_wins, cascade_reps);
+  std::printf("  tiers: exited=%llu distilled=%llu full=%llu | "
+              "accuracy=%.4f\n",
+              static_cast<unsigned long long>(exit_head.stats.rerank_exited),
+              static_cast<unsigned long long>(
+                  exit_head.stats.rerank_distilled),
+              static_cast<unsigned long long>(exit_head.stats.rerank_full),
+              acc_exit_head);
 
   // ---- Mode 5: the cascade under a Zipf-skewed request stream. -------------
   // Same server configuration, same pool, but requests drawn Zipf(0.99)
@@ -675,6 +741,8 @@ int main(int argc, char** argv) {
   const double speedup = server.mode.qps / tape.qps;
   const bool parity_ok = max_score_diff <= 1e-6 && int8_overlap == 1.0;
   const bool counters_ok = TiersSum(server_cascade.stats) &&
+                           TiersSum(exit_head.stats) &&
+                           exit_head.stats.rerank_distilled == 0 &&
                            TiersSum(server.stats) &&
                            server.stats.rerank_full == server.stats.requests;
   const bool cascade_ok = counters_ok && accuracy_delta_pts <= 0.2;
@@ -704,6 +772,8 @@ int main(int argc, char** argv) {
                scale.num_entities, scale.distinct_requests,
                scale.total_requests, k, scale.client_threads,
                smoke ? "true" : "false");
+  std::fprintf(f, "  \"host\": {\"cpu\": \"%s\", \"nproc\": %u},\n",
+               bench::HostCpuModel().c_str(), nproc);
   std::fprintf(f,
                "  \"server_create\": {\"repeats\": %d, \"nproc\": %u, "
                "\"median_ms\": %.3f, \"min_ms\": %.3f, \"max_ms\": %.3f, "
@@ -734,15 +804,17 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(stats.accepted),
                stats.queue_depth_high_water, stats.oldest_wait_us);
   std::fprintf(f,
-               "  \"server_cascade\": {\"p50_ms\": %.4f, \"p99_ms\": %.4f, "
-               "\"qps\": %.1f, \"rerank_exited\": %llu, "
+               "  \"server_cascade\": {\"reps\": %d, \"p50_ms\": %.4f, "
+               "\"p99_ms\": %.4f, \"qps\": %.1f, \"qps_min\": %.1f, "
+               "\"qps_max\": %.1f, \"rerank_exited\": %llu, "
                "\"rerank_distilled\": %llu, \"rerank_full\": %llu, "
                "\"margin_tau\": %.6g, \"distill_tau\": %.6g, "
                "\"band_epsilon\": %.6g, \"rerank_head_k\": %zu, "
                "\"accuracy_full\": %.4f, \"accuracy_cascade\": %.4f, "
                "\"accuracy_delta_pts\": %.4f},\n",
-               server_cascade.mode.p50_ms, server_cascade.mode.p99_ms,
-               server_cascade.mode.qps,
+               cascade_reps, server_cascade.mode.p50_ms,
+               server_cascade.mode.p99_ms, server_cascade.mode.qps,
+               cascade_qps.min, cascade_qps.max,
                static_cast<unsigned long long>(
                    server_cascade.stats.rerank_exited),
                static_cast<unsigned long long>(
@@ -752,6 +824,19 @@ int main(int argc, char** argv) {
                cascade.config.margin_tau, cascade.config.distill_tau,
                cascade.config.band_epsilon, cascade.config.rerank_head_k,
                acc_full, acc_cascade, accuracy_delta_pts);
+  std::fprintf(f,
+               "  \"server_exit_head\": {\"reps\": %d, \"p50_ms\": %.4f, "
+               "\"p99_ms\": %.4f, \"qps\": %.1f, \"qps_min\": %.1f, "
+               "\"qps_max\": %.1f, \"rerank_exited\": %llu, "
+               "\"rerank_distilled\": %llu, \"rerank_full\": %llu, "
+               "\"accuracy\": %.4f, \"cascade_faster_reps\": %d},\n",
+               cascade_reps, exit_head.mode.p50_ms, exit_head.mode.p99_ms,
+               exit_head.mode.qps, exit_head_qps.min, exit_head_qps.max,
+               static_cast<unsigned long long>(exit_head.stats.rerank_exited),
+               static_cast<unsigned long long>(
+                   exit_head.stats.rerank_distilled),
+               static_cast<unsigned long long>(exit_head.stats.rerank_full),
+               acc_exit_head, cascade_wins);
   std::fprintf(f,
                "  \"server_cascade_zipf\": {\"theta\": 0.99, \"p50_ms\": "
                "%.4f, \"p99_ms\": %.4f, \"qps\": %.1f, "

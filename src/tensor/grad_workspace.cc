@@ -41,25 +41,12 @@ bool GradWorkspace::dirty(Var v) const {
   return id < dirty_.size() && dirty_[id] != 0;
 }
 
-Tensor& GradWorkspace::ParamGrad(Parameter* p) {
-  return scratch_ != nullptr ? scratch_->GradFor(p) : p->grad;
-}
-
-void GradWorkspace::TouchParamRow(Parameter* p, std::uint32_t row) {
-  if (scratch_ != nullptr) {
-    scratch_->TouchRow(p, row);
-  } else {
-    p->TouchRow(row);
-  }
-}
-
 void GradWorkspace::Reset() {
   for (std::int32_t id : dirty_list_) {
     grads_[static_cast<std::size_t>(id)].SetZero();
     dirty_[static_cast<std::size_t>(id)] = 0;
   }
   dirty_list_.clear();
-  if (scratch_ != nullptr) scratch_->Reset();
 }
 
 const Tensor& JvpWorkspace::tangent(const Graph& g, Var v) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "tensor/parameter.h"
 #include "tensor/tensor.h"
 
 namespace metablink::tensor {
@@ -14,17 +13,12 @@ struct Var;
 
 /// Holds the node gradients for one backward traversal of a Graph.
 ///
-/// Moving gradients out of the tape itself means several backward passes
-/// (with different seeds) can run concurrently over one shared, read-only
-/// Graph — each pass brings its own workspace. Two modes:
-///
-///  * Direct mode (default constructor): parameter gradients go to
-///    Parameter::grad / Parameter::TouchRow, exactly like the classic
-///    single-threaded flow. Every Graph owns one direct-mode workspace
-///    backing Graph::Backward / Graph::grad.
-///  * Scratch mode (constructed with a GradScratch*): parameter gradients
-///    go to the per-thread GradScratch, leaving Parameter::grad untouched.
-///    This is what the meta trainer's parallel per-example passes use.
+/// Keeping node gradients out of the tape itself lets one forward tape
+/// serve several backward passes with different seeds (the meta trainer's
+/// one-hot reference passes, then its weighted pass), each over a fresh or
+/// Reset workspace. Parameter gradients always go to Parameter::grad /
+/// Parameter::TouchRow. Every Graph owns one workspace backing
+/// Graph::Backward / Graph::grad.
 ///
 /// Node-gradient buffers allocate lazily on first write and are recycled by
 /// Reset() (which zeroes only the buffers dirtied since the previous
@@ -34,13 +28,7 @@ struct Var;
 /// changing any result.
 class GradWorkspace {
  public:
-  /// Direct mode: parameter gradients accumulate into Parameter::grad.
   GradWorkspace() = default;
-
-  /// Scratch mode: parameter gradients accumulate into `scratch`
-  /// (not owned; must outlive the workspace).
-  explicit GradWorkspace(GradScratch* scratch) : scratch_(scratch) {}
-
   GradWorkspace(const GradWorkspace&) = delete;
   GradWorkspace& operator=(const GradWorkspace&) = delete;
 
@@ -55,29 +43,21 @@ class GradWorkspace {
   /// True when `v`'s gradient has been written since the last Reset.
   bool dirty(Var v) const;
 
-  /// Destination for a parameter gradient (Parameter::grad in direct mode,
-  /// the scratch buffer in scratch mode).
-  Tensor& ParamGrad(Parameter* p);
-
-  /// Row-sparse bookkeeping for `p` routed per mode. Not thread-safe;
-  /// parallel op implementations must touch rows from a single thread.
-  void TouchParamRow(Parameter* p, std::uint32_t row);
-
   /// When true (default), BackwardWithSeed skips closures of nodes whose
-  /// gradient was never written. Turning it off forces the classic
-  /// visit-every-node traversal (benchmark baseline / debugging).
+  /// gradient was never written. Off forces the visit-every-node
+  /// traversal: the reference that
+  /// ParallelGraphTest.SparsitySkipBackwardMatchesDenseTraversal holds the
+  /// skip to, bit for bit.
   void set_sparsity_skip(bool on) { sparsity_skip_ = on; }
   bool sparsity_skip() const { return sparsity_skip_; }
 
-  /// Zeroes every node gradient dirtied since the last Reset and, in
-  /// scratch mode, resets the scratch parameter gradients too.
+  /// Zeroes every node gradient dirtied since the last Reset.
   void Reset();
 
  private:
   void EnsureSize(std::size_t n);
 
-  GradScratch* scratch_ = nullptr;  // null ⇒ direct mode
-  std::vector<Tensor> grads_;       // indexed by node id, lazily shaped
+  std::vector<Tensor> grads_;  // indexed by node id, lazily shaped
   std::vector<std::uint8_t> dirty_;
   std::vector<std::int32_t> dirty_list_;
   bool sparsity_skip_ = true;

@@ -82,10 +82,9 @@ struct TapeOp {
 ///   optimizer.Step(&store);
 ///
 /// Node gradients live in a GradWorkspace, not on the tape: after the
-/// forward pass the tape is read-only, so independent backward passes with
-/// different seeds can run concurrently, each with its own workspace (see
-/// BackwardWithSeed below). Backward()/grad() use the graph's built-in
-/// direct-mode workspace and behave exactly like the classic flow.
+/// forward pass the tape is read-only, so it can serve several backward
+/// passes with different seeds (see BackwardWithSeed below).
+/// Backward()/grad() use the graph's built-in workspace.
 ///
 /// Heavy ops (MatMul, MatMulTransposeB, EmbeddingBagMean, RowL2Normalize)
 /// split their work across a util::ThreadPool when one is attached via
@@ -192,12 +191,11 @@ class Graph {
   /// Runs backward from `v` with an explicit seed (same size as v's value).
   void BackwardWithSeed(Var v, const std::vector<float>& seed);
 
-  /// Backward into a caller-provided workspace. The tape itself is not
-  /// mutated, so concurrent calls with DISTINCT workspaces (scratch mode,
-  /// so parameter gradients do not collide either) are safe. When
-  /// ws->sparsity_skip() is set (the default), nodes whose gradient was
-  /// never written are skipped — their closures would only add exact
-  /// zeros.
+  /// Backward into a caller-provided workspace; parameter gradients
+  /// accumulate into Parameter::grad. The tape itself is not mutated, so
+  /// one tape serves any number of passes. When ws->sparsity_skip() is set
+  /// (the default), nodes whose gradient was never written are skipped —
+  /// their closures would only add exact zeros.
   void BackwardWithSeed(Var v, const std::vector<float>& seed,
                         GradWorkspace* ws) const;
 

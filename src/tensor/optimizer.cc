@@ -96,7 +96,8 @@ util::Status SgdOptimizer::Load(const ParameterStore& store,
   if (tag != kSgdStateTag) {
     return util::Status::InvalidArgument("not an SGD optimizer state");
   }
-  METABLINK_RETURN_IF_ERROR(reader->ReadF32(&lr_));
+  float lr = 0.0f;
+  METABLINK_RETURN_IF_ERROR(reader->ReadF32(&lr));
   std::uint64_t n = 0;
   METABLINK_RETURN_IF_ERROR(reader->ReadU64(&n));
   if (n != store.parameters().size()) {
@@ -104,7 +105,7 @@ util::Status SgdOptimizer::Load(const ParameterStore& store,
         "optimizer state has %llu parameters, model has %zu",
         static_cast<unsigned long long>(n), store.parameters().size()));
   }
-  velocity_.clear();
+  std::unordered_map<const Parameter*, std::vector<float>> velocity;
   for (const auto& p : store.parameters()) {
     std::uint32_t live = 0;
     METABLINK_RETURN_IF_ERROR(reader->ReadU32(&live));
@@ -115,8 +116,10 @@ util::Status SgdOptimizer::Load(const ParameterStore& store,
       return util::Status::InvalidArgument(
           "optimizer velocity shape mismatch at parameter " + p->name);
     }
-    velocity_[p.get()] = std::move(vel);
+    velocity[p.get()] = std::move(vel);
   }
+  lr_ = lr;
+  velocity_ = std::move(velocity);
   return util::Status::OK();
 }
 
@@ -144,8 +147,10 @@ util::Status AdamOptimizer::Load(const ParameterStore& store,
   if (tag != kAdamStateTag) {
     return util::Status::InvalidArgument("not an Adam optimizer state");
   }
-  METABLINK_RETURN_IF_ERROR(reader->ReadF32(&lr_));
-  METABLINK_RETURN_IF_ERROR(reader->ReadI64(&t_));
+  float lr = 0.0f;
+  std::int64_t t = 0;
+  METABLINK_RETURN_IF_ERROR(reader->ReadF32(&lr));
+  METABLINK_RETURN_IF_ERROR(reader->ReadI64(&t));
   std::uint64_t n = 0;
   METABLINK_RETURN_IF_ERROR(reader->ReadU64(&n));
   if (n != store.parameters().size()) {
@@ -153,7 +158,7 @@ util::Status AdamOptimizer::Load(const ParameterStore& store,
         "optimizer state has %llu parameters, model has %zu",
         static_cast<unsigned long long>(n), store.parameters().size()));
   }
-  moments_.clear();
+  std::unordered_map<const Parameter*, Moments> moments;
   for (const auto& p : store.parameters()) {
     std::uint32_t live = 0;
     METABLINK_RETURN_IF_ERROR(reader->ReadU32(&live));
@@ -165,8 +170,11 @@ util::Status AdamOptimizer::Load(const ParameterStore& store,
       return util::Status::InvalidArgument(
           "optimizer moment shape mismatch at parameter " + p->name);
     }
-    moments_[p.get()] = std::move(mom);
+    moments[p.get()] = std::move(mom);
   }
+  lr_ = lr;
+  t_ = t;
+  moments_ = std::move(moments);
   return util::Status::OK();
 }
 

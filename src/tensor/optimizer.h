@@ -26,7 +26,9 @@ class Optimizer {
   /// Serializes the full update state (step counters, per-parameter moment
   /// buffers) in `store`'s parameter order, so a restored optimizer resumes
   /// bit-identically — Parameter::Save alone drops this state. `store` must
-  /// be the same model the optimizer has been stepping.
+  /// be the same model the optimizer has been stepping. Load parses the
+  /// whole state before it replaces any of its own, so a failed Load
+  /// leaves the optimizer as it was.
   virtual void Save(const ParameterStore& store,
                     util::BinaryWriter* writer) const = 0;
   virtual util::Status Load(const ParameterStore& store,

@@ -119,8 +119,13 @@ class ParameterStore {
   /// Restores values from `reader`, a section holding exactly what Save
   /// wrote. Parameters must already exist with matching names and shapes
   /// (i.e. build the model first, then Load); every float count must equal
-  /// its shape, and values are read in place, never resized.
+  /// its shape, and values are read in place, never resized. The whole
+  /// section is checked (CheckSaved against Shapes()) before the first
+  /// value is written, so a failed Load leaves every parameter untouched.
   util::Status Load(util::BinaryReader* reader);
+
+  /// Every parameter's name and shape, in registration order.
+  std::vector<ParameterShape> Shapes() const;
 
   /// Checks, without allocating, that `reader` holds a Save section of
   /// exactly `expected`: the same names and shapes in order, no empty
@@ -132,51 +137,6 @@ class ParameterStore {
 
  private:
   std::vector<std::unique_ptr<Parameter>> params_;
-};
-
-/// Per-thread parameter-gradient buffers mirroring a ParameterStore.
-///
-/// The meta trainer runs many independent backward passes over one tape
-/// (one per synthetic example); routing each pass's parameter gradients
-/// into its own GradScratch instead of the shared Parameter::grad lets the
-/// passes run concurrently. Buffers allocate lazily on first write and are
-/// reused across Reset() calls, so the per-example loop is allocation-free
-/// after warm-up. Row-sparse parameters get the same touched-row tracking
-/// as Parameter itself.
-class GradScratch {
- public:
-  explicit GradScratch(const ParameterStore* store);
-  GradScratch(const GradScratch&) = delete;
-  GradScratch& operator=(const GradScratch&) = delete;
-
-  /// The scratch gradient tensor for `p` (lazily allocated to p's shape).
-  Tensor& GradFor(const Parameter* p);
-
-  /// Marks `row` of `p`'s scratch gradient as (potentially) non-zero.
-  /// No-op unless p->row_sparse_grad.
-  void TouchRow(const Parameter* p, std::uint32_t row);
-
-  /// Zeroes every gradient written since the last Reset (touched rows only
-  /// for row-sparse parameters). Keeps the buffers for reuse.
-  void Reset();
-
-  /// Dot product of the scratch gradients with a flattened gradient vector
-  /// in ParameterStore::FlattenGrads layout. Pre: flat.size() ==
-  /// store->TotalSize().
-  double Dot(const std::vector<float>& flat) const;
-
- private:
-  struct Entry {
-    const Parameter* param = nullptr;
-    Tensor grad;  // empty until first GradFor/TouchRow
-    bool active = false;
-    std::vector<std::uint32_t> touched_rows;
-    std::vector<std::uint8_t> touched_mask;
-  };
-
-  Entry& EntryFor(const Parameter* p);
-
-  std::vector<Entry> entries_;  // aligned with store parameter order
 };
 
 }  // namespace metablink::tensor

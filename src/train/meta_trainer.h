@@ -2,7 +2,6 @@
 #define METABLINK_TRAIN_META_TRAINER_H_
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <functional>
 #include <string>
@@ -12,7 +11,6 @@
 #include "analysis/graph_lint.h"
 #include "data/example.h"
 #include "store/checkpoint.h"
-#include "tensor/grad_workspace.h"
 #include "tensor/graph.h"
 #include "tensor/optimizer.h"
 #include "tensor/parameter.h"
@@ -27,16 +25,15 @@ namespace metablink::train {
 
 /// How Step computes the per-example alignments raw[j] = ⟨∇_φ l_j, g_meta⟩.
 enum class MetaGrad {
-  /// One reverse pass per example (one-hot seed over the shared tape).
-  /// With a pool attached the passes run concurrently on per-thread
-  /// gradient scratch. The explicitly selected reference: tests and
-  /// bench_perf_substrate measure kJvp against it.
+  /// One serial reverse pass per example (one-hot seed over the shared
+  /// tape) dotted with a flattened g_meta. The explicitly selected
+  /// reference: tests and bench_perf_substrate measure kJvp against it.
   kPerExample,
   /// One forward-mode sweep along direction g_meta: the tangent of the
   /// loss column is exactly (raw[0], …, raw[n-1]), so the whole batch
   /// costs about one forward pass instead of n backward passes. Matches
-  /// kPerExample up to float rounding (weights within 1e-5). The default,
-  /// so every pipeline trains with it.
+  /// kPerExample up to float rounding (weights within 1e-5). The default
+  /// and the only mode the pipelines train with.
   kJvp,
 };
 
@@ -54,16 +51,12 @@ struct MetaTrainOptions {
   /// the weight sum, with the δ(·) guard when the sum is zero). Turning
   /// this off is an ablation knob.
   bool normalize_weights = true;
-  /// Optional pool for graph ops and concurrent per-example passes.
-  /// Not owned; nullptr (the default) keeps everything serial.
+  /// Optional pool for the graph ops of every forward, JVP and backward
+  /// pass; results are bit-identical to serial. Not owned; nullptr (the
+  /// default) keeps everything serial.
   util::ThreadPool* pool = nullptr;
-  /// Per-example gradient strategy (see MetaGrad).
+  /// How the alignments are computed (see MetaGrad).
   MetaGrad meta_grad = MetaGrad::kJvp;
-  /// Skip tape nodes whose gradient is identically zero during the
-  /// per-example passes. Exact (skipped closures only add zeros); off is a
-  /// benchmark/debugging baseline that visits every node like the
-  /// original implementation.
-  bool sparse_backward = true;
   /// When non-empty, Train() writes the full trainer state (model
   /// parameters, Adam moments, Rng stream, step counter, selection stats)
   /// to this path every `checkpoint_every` steps and auto-resumes from it
@@ -138,8 +131,8 @@ inline data::ExampleSource SourceOf(const CrossInstance& inst) {
 ///      meta-forward/meta-backward pair of eq. 8-12 at w = 0 reduces to
 ///      w̃_j = max(0, ⟨∇_φ l_j, g_meta⟩) (the Ren et al. dot-product form;
 ///      DESIGN.md §4), computed with one forward-mode sweep (the default)
-///      or with one-hot backward passes over one tape, serially or
-///      concurrently on per-thread scratch, per MetaTrainOptions::meta_grad;
+///      or, as the reference, with serial one-hot backward passes over one
+///      tape, per MetaTrainOptions::meta_grad;
 ///   3. normalize weights per eq. 13-14;
 ///   4. take the optimizer step on the weighted synthetic loss (eq. 15).
 ///
@@ -203,12 +196,12 @@ class MetaReweightTrainerT {
       }
       result_.final_seed_loss /= static_cast<double>(seed_batch.size());
     }
-    // The reverse-mode paths dot per-example gradients against a flattened
+    // The reference path dots per-example gradients against a flattened
     // snapshot of g_meta; the forward-mode path reads the direction
     // straight from Parameter::grad (left in place by the seed backward),
     // so it skips the snapshot copy entirely.
     std::vector<float> g_meta;
-    if (options_.meta_grad != MetaGrad::kJvp) {
+    if (options_.meta_grad == MetaGrad::kPerExample) {
       g_meta = params_->FlattenGrads();
     }
     lap(&t, &phases.seed);
@@ -233,35 +226,14 @@ class MetaReweightTrainerT {
       // along g_meta, so one JVP sweep yields the whole batch at once.
       const tensor::Tensor tangent = graph.Jvp(losses);
       for (std::size_t j = 0; j < n; ++j) raw[j] = tangent.at(j, 0);
-    } else if (options_.pool != nullptr && n >= 2) {
-      // Concurrent one-hot backward passes over the shared (read-only)
-      // tape; each chunk routes parameter gradients into its own scratch.
-      options_.pool->ParallelForChunks(
-          n, options_.pool->num_threads(),
-          [&](std::size_t, std::size_t begin, std::size_t end) {
-            tensor::GradScratch scratch(params_);
-            tensor::GradWorkspace ws(&scratch);
-            ws.set_sparsity_skip(options_.sparse_backward);
-            std::vector<float> one_hot(n, 0.0f);
-            for (std::size_t j = begin; j < end; ++j) {
-              ws.Reset();
-              one_hot[j] = 1.0f;
-              graph.BackwardWithSeed(losses, one_hot, &ws);
-              one_hot[j] = 0.0f;
-              raw[j] = static_cast<float>(scratch.Dot(g_meta));
-            }
-          });
     } else {
-      // Serial reference path: one-hot backward per example into
-      // Parameter::grad, exactly the classic flow.
-      tensor::GradWorkspace ws;
-      ws.set_sparsity_skip(options_.sparse_backward);
+      // Reference path: one-hot backward per example into Parameter::grad.
       std::vector<float> one_hot(n, 0.0f);
       for (std::size_t j = 0; j < n; ++j) {
         params_->ZeroGrads();
-        ws.Reset();
+        graph.ResetGrads();
         one_hot[j] = 1.0f;
-        graph.BackwardWithSeed(losses, one_hot, &ws);
+        graph.BackwardWithSeed(losses, one_hot);
         one_hot[j] = 0.0f;
         raw[j] = static_cast<float>(params_->GradDot(g_meta));
       }
@@ -329,13 +301,11 @@ class MetaReweightTrainerT {
       w->WriteU64(stats.selected);
       w->WriteF64(stats.weight_mass);
     }
-    params_->Save(ckpt->AddSection("model_params"));
-    optimizer_.Save(*params_, ckpt->AddSection("optimizer"));
-    util::BinaryWriter* rng = ckpt->AddSection("rng");
-    for (std::uint64_t word : rng_.state()) rng->WriteU64(word);
+    SaveTrainingState(*params_, optimizer_, rng_, ckpt);
   }
 
-  /// Restores what SaveCheckpoint wrote, in place.
+  /// Restores what SaveCheckpoint wrote, in place. All or nothing: on any
+  /// error the trainer, its model and its optimizer are left untouched.
   util::Status LoadCheckpoint(const store::CheckpointReader& ckpt) {
     auto trainer = ckpt.Section("meta_trainer");
     if (!trainer.ok()) return trainer.status();
@@ -366,21 +336,8 @@ class MetaReweightTrainerT {
       result.selection[static_cast<data::ExampleSource>(source)] = stats;
     }
 
-    auto model_params = ckpt.Section("model_params");
-    if (!model_params.ok()) return model_params.status();
-    METABLINK_RETURN_IF_ERROR(params_->Load(&*model_params));
-
-    auto opt = ckpt.Section("optimizer");
-    if (!opt.ok()) return opt.status();
-    METABLINK_RETURN_IF_ERROR(optimizer_.Load(*params_, &*opt));
-
-    auto rng = ckpt.Section("rng");
-    if (!rng.ok()) return rng.status();
-    std::array<std::uint64_t, 4> state{};
-    for (std::uint64_t& word : state) {
-      METABLINK_RETURN_IF_ERROR(rng->ReadU64(&word));
-    }
-    rng_.set_state(state);
+    METABLINK_RETURN_IF_ERROR(
+        LoadTrainingState(ckpt, params_, &optimizer_, &rng_));
     result_ = std::move(result);
     return util::Status::OK();
   }

@@ -9,19 +9,6 @@ namespace metablink::train {
 
 namespace {
 
-void SaveRngState(const util::Rng& rng, util::BinaryWriter* w) {
-  for (std::uint64_t word : rng.state()) w->WriteU64(word);
-}
-
-util::Status LoadRngState(util::BinaryReader* r, util::Rng* rng) {
-  std::array<std::uint64_t, 4> state{};
-  for (std::uint64_t& word : state) {
-    METABLINK_RETURN_IF_ERROR(r->ReadU64(&word));
-  }
-  rng->set_state(state);
-  return util::Status::OK();
-}
-
 // A stored count of 8-byte values must fit in the bytes left, so a crafted
 // count is a Status before it sizes an allocation.
 util::Status CheckCount(std::uint64_t count, const util::BinaryReader& r,
@@ -37,6 +24,39 @@ util::Status CheckCount(std::uint64_t count, const util::BinaryReader& r,
 bool CheckpointExists(const std::string& path) {
   struct stat st {};
   return ::stat(path.c_str(), &st) == 0;
+}
+
+void SaveTrainingState(const tensor::ParameterStore& params,
+                       const tensor::Optimizer& optimizer,
+                       const util::Rng& rng, store::CheckpointWriter* ckpt) {
+  params.Save(ckpt->AddSection("model_params"));
+  optimizer.Save(params, ckpt->AddSection("optimizer"));
+  util::BinaryWriter* w = ckpt->AddSection("rng");
+  for (std::uint64_t word : rng.state()) w->WriteU64(word);
+}
+
+util::Status LoadTrainingState(const store::CheckpointReader& ckpt,
+                               tensor::ParameterStore* params,
+                               tensor::Optimizer* optimizer, util::Rng* rng) {
+  auto model_params = ckpt.Section("model_params");
+  if (!model_params.ok()) return model_params.status();
+  auto opt = ckpt.Section("optimizer");
+  if (!opt.ok()) return opt.status();
+  auto rng_section = ckpt.Section("rng");
+  if (!rng_section.ok()) return rng_section.status();
+  std::array<std::uint64_t, 4> rng_state{};
+  for (std::uint64_t& word : rng_state) {
+    METABLINK_RETURN_IF_ERROR(rng_section->ReadU64(&word));
+  }
+  // The parameters are checked before the optimizer commits; each Load
+  // leaves its target untouched on failure, and the parameter one cannot
+  // fail once its section has passed this check.
+  METABLINK_RETURN_IF_ERROR(
+      tensor::ParameterStore::CheckSaved(*model_params, params->Shapes()));
+  METABLINK_RETURN_IF_ERROR(optimizer->Load(*params, &*opt));
+  METABLINK_RETURN_IF_ERROR(params->Load(&*model_params));
+  rng->set_state(rng_state);
+  return util::Status::OK();
 }
 
 util::Status SaveEpochCheckpoint(std::uint32_t tag,
@@ -55,9 +75,7 @@ util::Status SaveEpochCheckpoint(std::uint32_t tag,
   w->WriteF64(state.result.final_epoch_loss);
   w->WriteU64(state.result.epoch_losses.size());
   for (double loss : state.result.epoch_losses) w->WriteF64(loss);
-  params.Save(ckpt.AddSection("model_params"));
-  optimizer.Save(params, ckpt.AddSection("optimizer"));
-  SaveRngState(rng, ckpt.AddSection("rng"));
+  SaveTrainingState(params, optimizer, rng, &ckpt);
   return ckpt.WriteToFile(path);
 }
 
@@ -100,17 +118,7 @@ util::Result<EpochCheckpointState> LoadEpochCheckpoint(
     METABLINK_RETURN_IF_ERROR(trainer->ReadF64(&loss));
   }
 
-  auto model_params = ckpt->Section("model_params");
-  if (!model_params.ok()) return model_params.status();
-  METABLINK_RETURN_IF_ERROR(params->Load(&*model_params));
-
-  auto opt = ckpt->Section("optimizer");
-  if (!opt.ok()) return opt.status();
-  METABLINK_RETURN_IF_ERROR(optimizer->Load(*params, &*opt));
-
-  auto rng_section = ckpt->Section("rng");
-  if (!rng_section.ok()) return rng_section.status();
-  METABLINK_RETURN_IF_ERROR(LoadRngState(&*rng_section, rng));
+  METABLINK_RETURN_IF_ERROR(LoadTrainingState(*ckpt, params, optimizer, rng));
   return state;
 }
 

@@ -19,6 +19,21 @@ namespace metablink::train {
 /// file must fail the run, not silently restart it).
 bool CheckpointExists(const std::string& path);
 
+/// Appends the sections every trainer checkpoint ends with: the model
+/// parameters ("model_params"), the optimizer state ("optimizer") and the
+/// Rng stream ("rng").
+void SaveTrainingState(const tensor::ParameterStore& params,
+                       const tensor::Optimizer& optimizer,
+                       const util::Rng& rng, store::CheckpointWriter* ckpt);
+
+/// Restores what SaveTrainingState wrote, all or nothing: every section is
+/// parsed and checked against `params` before any of `params`,
+/// `optimizer` or `rng` is written, so a failed resume leaves the caller's
+/// trainer exactly as it was.
+util::Status LoadTrainingState(const store::CheckpointReader& ckpt,
+                               tensor::ParameterStore* params,
+                               tensor::Optimizer* optimizer, util::Rng* rng);
+
 /// Epoch-granular state shared by the supervised bi-/cross-encoder
 /// trainers, which checkpoint at epoch boundaries. The Rng stream and the
 /// in-flight shuffle order are part of the state: epoch e+1 shuffles the
@@ -42,8 +57,9 @@ util::Status SaveEpochCheckpoint(std::uint32_t tag,
                                  const std::string& path);
 
 /// Restores what SaveEpochCheckpoint wrote, loading parameters, optimizer
-/// moments, and the Rng stream in place. Wrong tag → InvalidArgument;
-/// corruption → the container's kOutOfRange / kDataLoss.
+/// moments, and the Rng stream in place (LoadTrainingState: on any error
+/// none of them changes). Wrong tag → InvalidArgument; corruption → the
+/// container's kOutOfRange / kDataLoss.
 util::Result<EpochCheckpointState> LoadEpochCheckpoint(
     std::uint32_t tag, const std::string& path,
     tensor::ParameterStore* params, tensor::Optimizer* optimizer,

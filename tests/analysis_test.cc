@@ -395,27 +395,24 @@ TEST(WriteSetKernelTest, ThreadPoolChunkPartitionIsValidated) {
 
 // ---- End-to-end: a full meta-reweight step under the checker ---------------
 
-// One pooled meta-reweight step in `mode` under the checker. kPerExample
-// runs the trainer's own per-example backward partition on the pool;
-// kJvp runs the forward-mode sweep over the graph's pooled ops.
-void StepRunsRaceFreeUnderChecker(const data::Corpus& corpus,
-                                  const model::BiEncoderConfig& config,
-                                  train::MetaGrad mode) {
+// One pooled meta-reweight step in the default (kJvp) mode under the
+// checker: the forward-mode sweep and every backward over the graph's
+// pooled ops.
+TEST_F(RealGraphTest, JvpMetaReweightStepRunsRaceFreeUnderChecker) {
   util::ThreadPool pool(3);
   util::Rng rng(4);
-  model::BiEncoder model(config, &rng);
-  const kb::KnowledgeBase* kb = &corpus.kb;
+  model::BiEncoder model(SmallConfig(), &rng);
+  const kb::KnowledgeBase* kb = &corpus_->kb;
   model::BiEncoder* m = &model;
   train::MetaTrainOptions opts;
   opts.pool = &pool;
-  opts.meta_grad = mode;
   train::MetaReweightTrainer meta(
       opts, model.params(),
       [m, kb](tensor::Graph* g,
               const std::vector<data::LinkingExample>& batch) {
         return m->InBatchLoss(g, batch, *kb);
       });
-  const auto& examples = corpus.ExamplesIn("d");
+  const auto& examples = corpus_->ExamplesIn("d");
   std::vector<data::LinkingExample> syn(examples.begin(),
                                         examples.begin() + 12);
   std::vector<data::LinkingExample> seed(examples.begin() + 12,
@@ -428,16 +425,6 @@ void StepRunsRaceFreeUnderChecker(const data::Corpus& corpus,
   }
   EXPECT_TRUE(checker.ok()) << checker.Summary();
   EXPECT_GT(checker.regions_checked(), 0u);
-}
-
-TEST_F(RealGraphTest, MetaReweightStepRunsRaceFreeUnderChecker) {
-  StepRunsRaceFreeUnderChecker(*corpus_, SmallConfig(),
-                               train::MetaGrad::kPerExample);
-}
-
-TEST_F(RealGraphTest, JvpMetaReweightStepRunsRaceFreeUnderChecker) {
-  StepRunsRaceFreeUnderChecker(*corpus_, SmallConfig(),
-                               train::MetaGrad::kJvp);
 }
 
 }  // namespace

@@ -239,41 +239,6 @@ TEST(ParallelGraphTest, SparsitySkipBackwardMatchesDenseTraversal) {
   EXPECT_EQ(dense, sparse);
 }
 
-TEST(ParallelGraphTest, ScratchModeBackwardMatchesDirectMode) {
-  data::Corpus corpus = MakeCorpus(23);
-  const auto& examples = corpus.ExamplesIn("d");
-  std::vector<data::LinkingExample> batch(examples.begin(),
-                                          examples.begin() + 16);
-  util::Rng rng(5);
-  model::BiEncoder model(SmallBiConfig(), &rng);
-  tensor::Graph g;
-  tensor::Var losses = model.InBatchLoss(&g, batch, corpus.kb);
-
-  std::vector<float> direction(model.params()->TotalSize());
-  util::Rng dir_rng(6);
-  for (float& v : direction) v = dir_rng.NextFloat(-0.1f, 0.1f);
-
-  tensor::GradScratch scratch(model.params());
-  std::vector<float> one_hot(batch.size(), 0.0f);
-  for (std::size_t j = 0; j < batch.size(); ++j) {
-    one_hot[j] = 1.0f;
-
-    model.params()->ZeroGrads();
-    tensor::GradWorkspace direct_ws;
-    g.BackwardWithSeed(losses, one_hot, &direct_ws);
-    const double direct = model.params()->GradDot(direction);
-
-    scratch.Reset();
-    tensor::GradWorkspace scratch_ws(&scratch);
-    g.BackwardWithSeed(losses, one_hot, &scratch_ws);
-    const double via_scratch = scratch.Dot(direction);
-
-    one_hot[j] = 0.0f;
-    EXPECT_NEAR(direct, via_scratch, 1e-6 * (1.0 + std::abs(direct)))
-        << "example " << j;
-  }
-}
-
 TEST(ParallelGraphTest, JvpMatchesPerExampleBackwardDots) {
   data::Corpus corpus = MakeCorpus(24);
   const auto& examples = corpus.ExamplesIn("d");
@@ -302,14 +267,13 @@ TEST(ParallelGraphTest, JvpMatchesPerExampleBackwardDots) {
   ASSERT_EQ(tangent.rows(), batch.size());
 
   std::vector<float> one_hot(batch.size(), 0.0f);
-  tensor::GradScratch scratch(model.params());
   for (std::size_t j = 0; j < batch.size(); ++j) {
     one_hot[j] = 1.0f;
-    scratch.Reset();
-    tensor::GradWorkspace ws(&scratch);
+    model.params()->ZeroGrads();
+    tensor::GradWorkspace ws;
     g.BackwardWithSeed(losses, one_hot, &ws);
     one_hot[j] = 0.0f;
-    const double reverse = scratch.Dot(direction);
+    const double reverse = model.params()->GradDot(direction);
     EXPECT_NEAR(tangent.at(j, 0), reverse, 1e-4 * (1.0 + std::abs(reverse)))
         << "example " << j;
   }
@@ -332,8 +296,11 @@ TEST(MetaStepTest, ParallelAndJvpWeightsMatchSerial) {
   const std::vector<float> initial = model.params()->FlattenValues();
 
   util::ThreadPool pool(4);
-  auto step_weights = [&](train::MetaGrad mode, util::ThreadPool* p,
-                          std::vector<float>* out) {
+  struct Stepped {
+    std::vector<float> weights;
+    std::vector<float> values;  // the model after the step
+  };
+  auto step = [&](train::MetaGrad mode, util::ThreadPool* p, Stepped* out) {
     ASSERT_TRUE(model.params()->LoadValues(initial).ok());
     train::MetaTrainOptions opts;
     opts.meta_grad = mode;
@@ -346,23 +313,26 @@ TEST(MetaStepTest, ParallelAndJvpWeightsMatchSerial) {
         });
     auto w = meta.Step(syn, seed);
     ASSERT_TRUE(w.ok());
-    *out = *w;
+    out->weights = *w;
+    out->values = model.params()->FlattenValues();
   };
 
-  std::vector<float> serial, parallel, jvp;
+  Stepped reference, jvp, jvp_pooled;
   ASSERT_NO_FATAL_FAILURE(
-      step_weights(train::MetaGrad::kPerExample, nullptr, &serial));
-  ASSERT_NO_FATAL_FAILURE(
-      step_weights(train::MetaGrad::kPerExample, &pool, &parallel));
-  ASSERT_NO_FATAL_FAILURE(step_weights(train::MetaGrad::kJvp, nullptr, &jvp));
+      step(train::MetaGrad::kPerExample, nullptr, &reference));
+  ASSERT_NO_FATAL_FAILURE(step(train::MetaGrad::kJvp, nullptr, &jvp));
+  ASSERT_NO_FATAL_FAILURE(step(train::MetaGrad::kJvp, &pool, &jvp_pooled));
 
-  ASSERT_EQ(serial.size(), syn.size());
-  ASSERT_EQ(parallel.size(), syn.size());
-  ASSERT_EQ(jvp.size(), syn.size());
+  ASSERT_EQ(reference.weights.size(), syn.size());
+  ASSERT_EQ(jvp.weights.size(), syn.size());
   for (std::size_t j = 0; j < syn.size(); ++j) {
-    EXPECT_NEAR(serial[j], parallel[j], 1e-5f) << "example " << j;
-    EXPECT_NEAR(serial[j], jvp[j], 1e-5f) << "example " << j;
+    EXPECT_NEAR(reference.weights[j], jvp.weights[j], 1e-5f)
+        << "example " << j;
   }
+  // The pool only splits the graph ops' disjoint output rows, so a pooled
+  // step is the serial one bit for bit: weights and the updated model.
+  EXPECT_EQ(jvp_pooled.weights, jvp.weights);
+  EXPECT_EQ(jvp_pooled.values, jvp.values);
 }
 
 // ---- Retrieval -------------------------------------------------------------

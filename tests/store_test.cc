@@ -422,6 +422,107 @@ TEST_F(StoreTest, TrainerCheckpointHugeCountsAreStatusNotAllocation) {
   std::remove(path.c_str());
 }
 
+// A CRC-valid copy of the checkpoint at `path` whose "optimizer" section
+// lost its last eight bytes: every other section is intact, and the
+// optimizer's header and all but its last moment vector still parse.
+std::vector<std::uint8_t> WithTruncatedOptimizer(const std::string& path) {
+  auto ckpt = CheckpointReader::FromFile(path);
+  EXPECT_TRUE(ckpt.ok());
+  CheckpointWriter out;
+  for (const std::string& name : ckpt->SectionNames()) {
+    const util::BinaryReader in = *ckpt->Section(name);
+    const std::size_t keep = in.Remaining() - (name == "optimizer" ? 8 : 0);
+    out.AddSection(name)->WriteRaw(in.data(), keep);
+  }
+  return out.Serialize();
+}
+
+TEST_F(StoreTest, FailedMetaResumeLeavesTheTrainerUntouched) {
+  const std::vector<data::LinkingExample> syn(examples_.begin(),
+                                              examples_.begin() + 8);
+  const std::vector<data::LinkingExample> seed(examples_.begin() + 8,
+                                               examples_.begin() + 12);
+  const std::string path = TempPath("meta_donor.ckpt");
+  std::remove(path.c_str());
+  auto make_trainer = [&](model::BiEncoder* model, std::size_t steps,
+                          const std::string& ckpt_path) {
+    train::MetaTrainOptions opts;
+    opts.steps = steps;
+    opts.checkpoint_every = steps;
+    opts.checkpoint_path = ckpt_path;
+    return std::make_unique<train::MetaReweightTrainer>(
+        opts, model->params(),
+        [model, this](tensor::Graph* g,
+                      const std::vector<data::LinkingExample>& batch) {
+          return model->InBatchLoss(g, batch, corpus_->kb);
+        });
+  };
+  // A different model three steps in writes the checkpoint, so loading any
+  // of its sections would show.
+  auto donor = MakeBi(/*seed=*/9);
+  ASSERT_TRUE(make_trainer(donor.get(), 3, path)->Train(syn, seed).ok());
+  auto bad = CheckpointReader::Parse(WithTruncatedOptimizer(path));
+  ASSERT_TRUE(bad.ok());
+  std::remove(path.c_str());
+
+  // Twins one step in; the failed resume must leave one exactly like the
+  // other, so Train's next (Rng-sampled) step matches too.
+  auto untouched = MakeBi();
+  auto resumed = MakeBi();
+  auto untouched_trainer = make_trainer(untouched.get(), 2, "");
+  auto resumed_trainer = make_trainer(resumed.get(), 2, "");
+  ASSERT_TRUE(untouched_trainer->Step(syn, seed).ok());
+  ASSERT_TRUE(resumed_trainer->Step(syn, seed).ok());
+  EXPECT_FALSE(resumed_trainer->LoadCheckpoint(*bad).ok());
+  EXPECT_EQ(resumed->params()->ValuesCrc32(),
+            untouched->params()->ValuesCrc32());
+  auto expected = untouched_trainer->Train(syn, seed);
+  auto got = resumed_trainer->Train(syn, seed);
+  ASSERT_TRUE(expected.ok() && got.ok());
+  EXPECT_EQ(got->steps, 2u);
+  EXPECT_EQ(got->final_synthetic_loss, expected->final_synthetic_loss);
+  EXPECT_EQ(resumed->params()->ValuesCrc32(),
+            untouched->params()->ValuesCrc32());
+}
+
+TEST_F(StoreTest, FailedEpochResumeLeavesTheTrainerUntouched) {
+  train::TrainOptions opts;
+  opts.epochs = 1;
+  opts.batch_size = 16;
+  opts.seed = 21;
+  // A different model one epoch in writes the checkpoint.
+  train::TrainOptions save = opts;
+  save.checkpoint_path = TempPath("epoch_good.ckpt");
+  std::remove(save.checkpoint_path.c_str());
+  auto donor = MakeBi(/*seed=*/9);
+  ASSERT_TRUE(train::BiEncoderTrainer(save)
+                  .Train(donor.get(), corpus_->kb, examples_)
+                  .ok());
+  train::TrainOptions from_bad = opts;
+  from_bad.checkpoint_path = TempPath("epoch_bad_optimizer.ckpt");
+  WriteAll(from_bad.checkpoint_path,
+           WithTruncatedOptimizer(save.checkpoint_path));
+
+  // The failed resume fails Train and leaves the model as it was, so a
+  // following epoch matches one from an untouched model.
+  auto untouched = MakeBi();
+  auto resumed = MakeBi();
+  EXPECT_FALSE(train::BiEncoderTrainer(from_bad)
+                   .Train(resumed.get(), corpus_->kb, examples_)
+                   .ok());
+  EXPECT_EQ(resumed->params()->ValuesCrc32(),
+            untouched->params()->ValuesCrc32());
+  for (model::BiEncoder* model : {resumed.get(), untouched.get()}) {
+    ASSERT_TRUE(train::BiEncoderTrainer(opts)
+                    .Train(model, corpus_->kb, examples_)
+                    .ok());
+  }
+  EXPECT_EQ(resumed->params()->ValuesCrc32(),
+            untouched->params()->ValuesCrc32());
+  std::remove(save.checkpoint_path.c_str());
+  std::remove(from_bad.checkpoint_path.c_str());
+}
+
 // ---- Encoder checkpoint files ----------------------------------------------
 
 TEST_F(StoreTest, EncoderFilesRoundTripAndRejectConfigMismatch) {

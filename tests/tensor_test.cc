@@ -331,13 +331,18 @@ TEST(ParameterStoreTest, LoadRejectsShapeMismatch) {
   util::Rng rng(5);
   ParameterStore a;
   a.CreateNormal("w", 4, 4, 1.0f, &rng);
+  a.CreateNormal("v", 4, 4, 1.0f, &rng);
   util::BinaryWriter writer;
   a.Save(&writer);
 
   ParameterStore b;
-  b.Create("w", 2, 2);
+  b.Create("w", 4, 4);
+  b.Create("v", 2, 2);
+  const std::vector<float> before = b.FlattenValues();
   util::BinaryReader reader(writer.buffer());
   EXPECT_FALSE(b.Load(&reader).ok());
+  // Nothing is written before the whole section checks out, not even "w".
+  EXPECT_EQ(b.FlattenValues(), before);
 }
 
 TEST(ParameterStoreTest, SparseGradTrackingMatchesDense) {

@@ -474,14 +474,13 @@ TEST_F(TrainTest, CrossJvpMatchesPerExampleBackwardDots) {
   ASSERT_EQ(tangent.rows(), batch.size());
 
   std::vector<float> one_hot(batch.size(), 0.0f);
-  tensor::GradScratch scratch(model.params());
   for (std::size_t j = 0; j < batch.size(); ++j) {
     one_hot[j] = 1.0f;
-    scratch.Reset();
-    tensor::GradWorkspace ws(&scratch);
+    model.params()->ZeroGrads();
+    tensor::GradWorkspace ws;
     g.BackwardWithSeed(losses, one_hot, &ws);
     one_hot[j] = 0.0f;
-    const double reverse = scratch.Dot(direction);
+    const double reverse = model.params()->GradDot(direction);
     EXPECT_NEAR(tangent.at(j, 0), reverse, 1e-4 * (1.0 + std::abs(reverse)))
         << "instance " << j;
   }
