@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -45,24 +44,16 @@
 #include "train/meta_trainer.h"
 #include "util/rng.h"
 #include "util/serialize.h"
+#include "util/string_util.h"
 
 using namespace metablink;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t idx = static_cast<std::size_t>(
-      std::min<double>(v.size() - 1, std::ceil(p * v.size()) - 1));
-  return v[idx];
-}
+using bench::Clock;
+using bench::Gate;
+using bench::MsSince;
+using bench::Percentile;
 
 struct BenchScale {
   std::size_t num_buckets = 32768;
@@ -74,13 +65,6 @@ struct BenchScale {
   std::size_t requests_per_thread = 120;
   std::size_t meta_steps = 16;
 };
-
-bool g_ok = true;
-
-void Gate(bool ok, const char* what) {
-  std::printf("  gate %-38s %s\n", what, ok ? "PASS" : "FAIL");
-  if (!ok) g_ok = false;
-}
 
 }  // namespace
 
@@ -361,12 +345,9 @@ int main(int argc, char** argv) {
                "\"smoke\": %s},\n",
                scale.num_buckets, scale.dim, scale.num_entities, scale.swaps,
                scale.client_threads, smoke ? "true" : "false");
-  std::fprintf(f,
-               "  \"host\": {\"cpu\": \"%s\", \"nproc\": %u, "
-               "\"crc32\": \"%s\"},\n",
-               bench::HostCpuModel().c_str(),
-               std::max(1u, std::thread::hardware_concurrency()),
-               util::Crc32UsesClmul() ? "pclmul" : "slice-by-8");
+  bench::WriteHostJson(
+      f, util::StrFormat(", \"crc32\": \"%s\"",
+                         util::Crc32UsesClmul() ? "pclmul" : "slice-by-8"));
   std::fprintf(f,
                "  \"checkpoint\": {\"size_mb\": %.3f, \"save_ms\": %.3f, "
                "\"save_mb_per_s\": %.1f, \"load_ms\": %.3f, "
@@ -385,9 +366,10 @@ int main(int argc, char** argv) {
                "\"final_model_version\": %llu},\n",
                scale.swaps, swap_p50, swap_p99, link_p50, link_p99,
                static_cast<unsigned long long>(stats.model_version));
-  std::fprintf(f, "  \"gates_ok\": %s\n", g_ok ? "true" : "false");
+  std::fprintf(f, "  \"gates_ok\": %s\n",
+               bench::GatesOk() ? "true" : "false");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
-  return g_ok ? 0 : 1;
+  return bench::GatesOk() ? 0 : 1;
 }

@@ -8,10 +8,8 @@
 // be >= 3x, else the bench prints FAIL and exits 1.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "data/generator.h"
@@ -22,6 +20,7 @@
 #include "tensor/tensor.h"
 #include "train/meta_trainer.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 using namespace metablink;
@@ -34,11 +33,9 @@ template <typename Fn>
 double BestOfMs(int reps, Fn&& fn) {
   double best = 1e100;
   for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
+    const auto t0 = bench::Clock::now();
     fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(
-        best, std::chrono::duration<double, std::milli>(t1 - t0).count());
+    best = std::min(best, bench::MsSince(t0));
   }
   return best;
 }
@@ -149,17 +146,16 @@ struct MetaBench {
     double best = 1e100;
     for (int r = 0; r < reps; ++r) {
       (void)model.params()->LoadValues(initial);
-      const auto t0 = std::chrono::steady_clock::now();
+      const auto t0 = bench::Clock::now();
       auto w = meta.Step(syn, seed);
-      const auto t1 = std::chrono::steady_clock::now();
+      const double ms = bench::MsSince(t0);
       if (!w.ok()) {
         std::fprintf(stderr, "meta step failed: %s\n",
                      w.status().ToString().c_str());
         std::exit(1);
       }
       g_sink += (*w)[0];
-      best = std::min(
-          best, std::chrono::duration<double, std::milli>(t1 - t0).count());
+      best = std::min(best, ms);
     }
     return best;
   }
@@ -272,13 +268,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f,
-               "  \"host\": {\"cpu\": \"%s\", \"nproc\": %u, "
-               "\"gemm_row_chain\": \"%s\", \"adam_row\": \"%s\"},\n",
-               bench::HostCpuModel().c_str(),
-               std::max(1u, std::thread::hardware_concurrency()),
-               tensor::GemmRowChainUsesSimd() ? "avx2" : "scalar",
-               tensor::AdamRowUsesSimd() ? "avx2" : "scalar");
+  bench::WriteHostJson(
+      f, util::StrFormat(", \"gemm_row_chain\": \"%s\", "
+                         "\"adam_row\": \"%s\"",
+                         tensor::GemmRowChainUsesSimd() ? "avx2" : "scalar",
+                         tensor::AdamRowUsesSimd() ? "avx2" : "scalar"));
   std::fprintf(f,
                "  \"gemm_384\": {\"naive_ms\": %.3f, \"kernel_ms\": %.3f, "
                "\"pooled_ms\": %.3f},\n",

@@ -6,8 +6,8 @@
 // the data has cluster structure for a coarse probe to exploit):
 //   build ms:        seeded k-means + inverted-list construction;
 //   latency ms/q:    exhaustive fp32 TopKInto, exhaustive int8
-//                    TopKQuantizedInto, clustered probe at the default
-//                    nprobe, and the KB-sharded probe over a thread pool;
+//                    TopKQuantizedInto, and the clustered probe at the
+//                    default nprobe;
 //   R@64 vs nprobe:  mean overlap with the exact fp32 top-64 across a
 //                    sweep of nprobe values up to probe-all.
 //
@@ -15,8 +15,6 @@
 //   - probe-all (nprobe == num_clusters) is bit-identical to the
 //     exhaustive fp32 scan — ids, scores, and tie order;
 //   - the same holds for the PQ scan with a full re-score pool;
-//   - the KB-sharded index (ShardedIndex, 4 shards) is bit-identical to
-//     the single index at equal nprobe, serial and pool-parallel;
 //   - the int8 entry point dispatches to the exact scan below the
 //     crossover size (bit-identical results there);
 //   - rebuilding with the same seed yields byte-identical serialization;
@@ -35,32 +33,28 @@
 // subsystem rather than the base retrieval stage.
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "experiment_common.h"
 #include "retrieval/clustered_index.h"
 #include "retrieval/dense_index.h"
 #include "retrieval/score_kernel.h"
-#include "retrieval/sharded_index.h"
 #include "util/rng.h"
 #include "util/serialize.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 using namespace metablink;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
+using bench::Clock;
+using bench::Gate;
+using bench::MsSince;
 
 // Mixture-of-Gaussians rows: well-separated centers with isotropic noise
 // (same recipe as the recall tests — uniform random data has no cluster
@@ -149,17 +143,7 @@ struct ScaleResult {
   double int8_bytes_per_entity = 0.0;
   double pq_bytes_per_entity = 0.0;
   double pq_code_bytes_per_entity = 0.0;
-  // KB-sharded (ShardedIndex) probe over the PQ form, pool-parallel.
-  std::size_t sharded_index_shards = 0;
-  double sharded_index_ms_per_query = 0.0;
 };
-
-bool g_ok = true;
-
-void Gate(bool ok, const char* what) {
-  std::printf("  gate %-46s %s\n", what, ok ? "PASS" : "FAIL");
-  if (!ok) g_ok = false;
-}
 
 constexpr std::size_t kTopK = 64;
 
@@ -180,7 +164,7 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
       MixtureEmbeddings(n, d, components, 0.10f, 0xB0B0 + n, &centers);
   retrieval::DenseIndex base;
   if (!base.Build(std::move(rows), Iota(n)).ok()) {
-    g_ok = false;
+    Gate(false, "base index builds");
     return r;
   }
   base.Quantize();
@@ -201,7 +185,7 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
   {
     const auto t0 = Clock::now();
     if (!clustered.Build(base, {}, pool).ok()) {
-      g_ok = false;
+      Gate(false, "clustered index builds");
       return r;
     }
     r.build_ms = MsSince(t0);
@@ -216,7 +200,7 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
     popts.use_pq = true;
     const auto t0 = Clock::now();
     if (!pq.Build(base, popts, pool).ok()) {
-      g_ok = false;
+      Gate(false, "pq index builds");
       return r;
     }
     r.pq_build_ms = MsSince(t0);
@@ -233,7 +217,7 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
 
   if (check_determinism) {
     retrieval::ClusteredIndex again;
-    if (!again.Build(base, {}, nullptr).ok()) g_ok = false;
+    if (!again.Build(base, {}, nullptr).ok()) Gate(false, "rebuild runs");
     util::BinaryWriter wa, wb;
     clustered.Save(&wa);
     again.Save(&wb);
@@ -242,7 +226,9 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
     retrieval::ClusteredIndexOptions popts;
     popts.use_pq = true;
     retrieval::ClusteredIndex pq_again;
-    if (!pq_again.Build(base, popts, nullptr).ok()) g_ok = false;
+    if (!pq_again.Build(base, popts, nullptr).ok()) {
+      Gate(false, "pq rebuild runs");
+    }
     util::BinaryWriter pa, pb;
     pq.Save(&pa);
     pq_again.Save(&pb);
@@ -395,38 +381,6 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
       r.pq_operating = pt;
   Gate(r.pq_operating.nprobe != 0, "pq reaches R@64 >= 0.98 at some nprobe");
 
-  // ---- KB-sharded index: bit-for-bit + timing -------------------------------
-  {
-    r.sharded_index_shards = 4;
-    retrieval::ShardedIndex shards_fp32, shards_pq;
-    retrieval::ShardedIndexScratch sh;
-    bool same = true;
-    if (!shards_fp32.Build(&clustered, r.sharded_index_shards).ok() ||
-        !shards_pq.Build(&pq, r.sharded_index_shards).ok()) {
-      same = false;
-    }
-    std::vector<retrieval::ScoredEntity> serial;
-    for (std::size_t i = 0; i < num_queries && same; ++i) {
-      clustered.TopKInto(queries.row_data(i), k, 0, &cscratch, &serial);
-      shards_fp32.TopKInto(queries.row_data(i), k, 0, &sh, &hits);
-      same = same && SameHits(serial, hits);
-      shards_fp32.TopKParallel(queries.row_data(i), k, 0, pool, &sh, &hits);
-      same = same && SameHits(serial, hits);
-      pq.TopKInto(queries.row_data(i), k, 0, &cscratch, &serial);
-      shards_pq.TopKInto(queries.row_data(i), k, 0, &sh, &hits);
-      same = same && SameHits(serial, hits);
-      shards_pq.TopKParallel(queries.row_data(i), k, 0, pool, &sh, &hits);
-      same = same && SameHits(serial, hits);
-    }
-    Gate(same, "KB-sharded (4) == single index bit-for-bit");
-    const auto t0 = Clock::now();
-    for (std::size_t it = 0; it < rounds; ++it)
-      for (std::size_t i = 0; i < num_queries; ++i)
-        shards_pq.TopKParallel(queries.row_data(i), k, 0, pool, &sh, &hits);
-    r.sharded_index_ms_per_query =
-        MsSince(t0) / static_cast<double>(rounds * num_queries);
-  }
-
   std::printf(
       "[%7zu x %zu]  build %8.1f ms  kc %4zu  nprobe %3zu  |  "
       "fp32 %8.3f  int8 %8.3f  clustered %8.3f ms/q  |  "
@@ -440,10 +394,10 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
               r.operating.ms_per_query, r.operating_speedup_vs_int8);
   std::printf(
       "    pq: build %8.1f ms  M %zu  |  %8.3f ms/q  R@%zu %.4f @ default  "
-      "|  op nprobe %zu  R %.4f  %8.3f ms/q  |  kb-sharded(4) %8.3f ms/q\n",
+      "|  op nprobe %zu  R %.4f  %8.3f ms/q\n",
       r.pq_build_ms, pq.pq_m(), r.pq_ms_per_query, k, r.pq_recall_at_default,
       r.pq_operating.nprobe, r.pq_operating.recall,
-      r.pq_operating.ms_per_query, r.sharded_index_ms_per_query);
+      r.pq_operating.ms_per_query);
   std::printf(
       "    bytes/entity: fp32 %.1f  int8 %.1f  pq_total %.2f  "
       "pq_marginal %.1f  (pq %.1f%% of int8)\n",
@@ -538,13 +492,11 @@ int main(int argc, char** argv) {
                "  \"config\": {\"dim\": %zu, \"queries\": %zu, \"k\": %zu, "
                "\"smoke\": %s},\n",
                dim, num_queries, kTopK, smoke ? "true" : "false");
-  std::fprintf(f,
-               "  \"host\": {\"cpu\": \"%s\", \"nproc\": %u, "
-               "\"tile_kernel\": \"%s\", \"int8_kernel\": \"%s\"},\n",
-               bench::HostCpuModel().c_str(),
-               std::max(1u, std::thread::hardware_concurrency()),
-               retrieval::internal::ScoreTileUsesSimd() ? "avx2+fma" : "scalar",
-               retrieval::internal::DotInt8UsesSimd() ? "avx2" : "scalar");
+  bench::WriteHostJson(
+      f, util::StrFormat(
+             ", \"tile_kernel\": \"%s\", \"int8_kernel\": \"%s\"",
+             retrieval::internal::ScoreTileUsesSimd() ? "avx2+fma" : "scalar",
+             retrieval::internal::DotInt8UsesSimd() ? "avx2" : "scalar"));
   std::fprintf(f, "  \"scales\": [\n");
   for (std::size_t s = 0; s < results.size(); ++s) {
     const ScaleResult& r = results[s];
@@ -588,16 +540,13 @@ int main(int argc, char** argv) {
                    "\"ms_per_query\": %.4f}",
                    i == 0 ? "" : ", ", r.pq_sweep[i].nprobe,
                    r.pq_sweep[i].recall, r.pq_sweep[i].ms_per_query);
-    std::fprintf(f,
-                 "]},\n     \"sharded_index\": {\"num_shards\": %zu, "
-                 "\"ms_per_query\": %.4f}}%s\n",
-                 r.sharded_index_shards, r.sharded_index_ms_per_query,
-                 s + 1 == results.size() ? "" : ",");
+    std::fprintf(f, "]}}%s\n", s + 1 == results.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"gates_ok\": %s\n", g_ok ? "true" : "false");
+  std::fprintf(f, "  \"gates_ok\": %s\n",
+               bench::GatesOk() ? "true" : "false");
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path.c_str());
-  return g_ok ? 0 : 1;
+  return bench::GatesOk() ? 0 : 1;
 }

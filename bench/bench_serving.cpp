@@ -34,7 +34,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -65,19 +64,9 @@ namespace {
 
 double g_sink = 0.0;
 
-using Clock = std::chrono::steady_clock;
-
-double MsSince(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-}
-
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t idx = static_cast<std::size_t>(
-      std::min<double>(v.size() - 1, std::ceil(p * v.size()) - 1));
-  return v[idx];
-}
+using bench::Clock;
+using bench::MsSince;
+using bench::Percentile;
 
 /// Median and range of repeated timings.
 struct Spread {
@@ -772,8 +761,7 @@ int main(int argc, char** argv) {
                scale.num_entities, scale.distinct_requests,
                scale.total_requests, k, scale.client_threads,
                smoke ? "true" : "false");
-  std::fprintf(f, "  \"host\": {\"cpu\": \"%s\", \"nproc\": %u},\n",
-               bench::HostCpuModel().c_str(), nproc);
+  bench::WriteHostJson(f);
   std::fprintf(f,
                "  \"server_create\": {\"repeats\": %d, \"nproc\": %u, "
                "\"median_ms\": %.3f, \"min_ms\": %.3f, \"max_ms\": %.3f, "

@@ -30,7 +30,6 @@
 // an overloaded unbounded server shows its queueing collapse honestly.
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -41,6 +40,7 @@
 #include <vector>
 
 #include "data/generator.h"
+#include "experiment_common.h"
 #include "load/histogram.h"
 #include "load/open_loop.h"
 #include "load/workload.h"
@@ -160,9 +160,8 @@ ClosedLoopResult DriveClosed(serve::LinkingServer* server,
                              const std::vector<data::LinkingExample>& pool,
                              const std::vector<std::size_t>& stream_idx,
                              std::size_t threads) {
-  using Clock = std::chrono::steady_clock;
   const std::size_t per = stream_idx.size() / threads;
-  const auto t0 = Clock::now();
+  const auto t0 = bench::Clock::now();
   std::vector<std::thread> clients;
   for (std::size_t t = 0; t < threads; ++t) {
     clients.emplace_back([&, t] {
@@ -175,8 +174,7 @@ ClosedLoopResult DriveClosed(serve::LinkingServer* server,
     });
   }
   for (auto& c : clients) c.join();
-  const double wall_s =
-      std::chrono::duration<double>(Clock::now() - t0).count();
+  const double wall_s = bench::MsSince(t0) / 1000.0;
   ClosedLoopResult out;
   out.stats = server->Stats();
   out.qps = wall_s > 0.0 ? per * threads / wall_s : 0.0;
@@ -638,6 +636,7 @@ int main(int argc, char** argv) {
                scale.num_entities, scale.pool_size, scale.stream_len,
                scale.retrieve_k, scale.cache_capacity, scale.client_threads,
                smoke ? "true" : "false");
+  bench::WriteHostJson(f);
   std::fprintf(f,
                "  \"generator_gates\": {\"same_seed_identical\": %s, "
                "\"diff_seed_differs\": %s, \"zipf_top_share\": %.4f, "

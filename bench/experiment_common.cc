@@ -1,8 +1,11 @@
 #include "experiment_common.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 
 #include "util/logging.h"
 
@@ -23,6 +26,22 @@ std::uint64_t ExperimentSeed() {
   return 42;
 }
 
+double MsSince(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
+double Percentile(std::vector<double> v, double p) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const std::size_t idx = static_cast<std::size_t>(
+      std::min<double>(v.size() - 1, std::ceil(p * v.size()) - 1));
+  return v[idx];
+}
+
+namespace {
+
+bool g_gates_ok = true;
+
 std::string HostCpuModel() {
   std::FILE* f = std::fopen("/proc/cpuinfo", "r");
   if (f == nullptr) return "unknown";
@@ -39,6 +58,22 @@ std::string HostCpuModel() {
   }
   std::fclose(f);
   return model;
+}
+
+}  // namespace
+
+void Gate(bool ok, const char* what) {
+  std::printf("  gate %-46s %s\n", what, ok ? "PASS" : "FAIL");
+  if (!ok) g_gates_ok = false;
+}
+
+bool GatesOk() { return g_gates_ok; }
+
+void WriteHostJson(std::FILE* f, const std::string& extra_fields) {
+  std::fprintf(f, "  \"host\": {\"cpu\": \"%s\", \"nproc\": %u%s},\n",
+               HostCpuModel().c_str(),
+               std::max(1u, std::thread::hardware_concurrency()),
+               extra_fields.c_str());
 }
 
 data::Corpus BuildPaperCorpus(double scale, std::uint64_t seed) {

@@ -1,7 +1,9 @@
 #ifndef METABLINK_BENCH_EXPERIMENT_COMMON_H_
 #define METABLINK_BENCH_EXPERIMENT_COMMON_H_
 
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,9 +22,28 @@ double ExperimentScale();
 /// Base RNG seed, from METABLINK_SEED (default 42).
 std::uint64_t ExperimentSeed();
 
-/// The CPU model line of /proc/cpuinfo, so a bench JSON can be compared
-/// with one from another host; "unknown" where there is none.
-std::string HostCpuModel();
+// ---- Timers, gates and the host record of the trajectory benches ---------
+
+using Clock = std::chrono::steady_clock;
+
+/// Wall milliseconds since `t0`.
+double MsSince(Clock::time_point t0);
+
+/// Nearest-rank percentile of `v` (p in (0, 1]); 0 for an empty sample.
+double Percentile(std::vector<double> v, double p);
+
+/// Prints one "gate <what> PASS|FAIL" line; a failure clears GatesOk().
+void Gate(bool ok, const char* what);
+
+/// False once any Gate in this process failed.
+bool GatesOk();
+
+/// Writes the `"host": {"cpu": ..., "nproc": ...}` line of a bench JSON:
+/// the CPU model line of /proc/cpuinfo ("unknown" where there is none), so
+/// a bench JSON can be compared with one from another host.
+/// `extra_fields` (e.g. `, "crc32": "pclmul"`) goes in before the closing
+/// brace, for the kernels each bench dispatches.
+void WriteHostJson(std::FILE* f, const std::string& extra_fields = "");
 
 /// Generates the 16-domain paper corpus at `scale`.
 data::Corpus BuildPaperCorpus(double scale, std::uint64_t seed);

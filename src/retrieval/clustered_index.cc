@@ -33,8 +33,7 @@ constexpr std::size_t kAssignBlock = 32;
 
 // Strict total order on hits: higher score first, ascending id on ties.
 // Shared by every selection in this file so the probe-all result is
-// identical to DenseIndex's exhaustive scan and sharded merges are
-// insertion-order independent.
+// identical to DenseIndex's exhaustive scan, whatever the offer order.
 bool Better(const ScoredEntity& a, const ScoredEntity& b) {
   if (a.score != b.score) return a.score > b.score;
   return a.id < b.id;
@@ -438,11 +437,6 @@ void ClusteredIndex::SelectProbe(const std::vector<float>& scores,
   probe->resize(nprobe);
 }
 
-void ClusteredIndex::Offer(const ScoredEntity& cand, std::size_t cap,
-                           std::vector<ScoredEntity>* heap) {
-  OfferCandidate(cand, cap, heap);
-}
-
 void ClusteredIndex::PreparePqLut(const float* query,
                                   std::vector<float>* lut) const {
   lut->resize(pq_m_ * kPqSlots);
@@ -457,80 +451,69 @@ void ClusteredIndex::PreparePqLut(const float* query,
   }
 }
 
-void ClusteredIndex::PrepareScan(const float* query, std::size_t k,
-                                 ClusteredScratch* scratch,
-                                 ScanContext* ctx) const {
-  ctx->query = query;
-  ctx->k = k;
-  ctx->pool_cap = ResolvePoolCap(k);
+void ClusteredIndex::ScanLists(const float* query, std::size_t k,
+                               ClusteredScratch* scratch) const {
+  const std::vector<std::uint32_t>& probe = scratch->probe;
+  TopKScratch* topk = &scratch->topk;
+  topk->heap.clear();
+  topk->pool.clear();
+  const std::size_t pool_cap = ResolvePoolCap(k);
   if (pq_built()) {
-    PreparePqLut(query, &scratch->lut);
-    ctx->lut = scratch->lut.data();
-    ctx->cluster_scores = &scratch->cluster_scores;
-  } else if (base_->quantized()) {
-    ctx->qscale = base_->QuantizeQueryInto(query, &scratch->topk.qquery);
-    ctx->qquery = scratch->topk.qquery.data();
-  }
-}
-
-ClusteredIndex::ListView ClusteredIndex::OwnView() const {
-  return ListView{list_offsets_.data(), list_entries_.data(),
-                  pq_codes_.empty() ? nullptr : pq_codes_.data()};
-}
-
-void ClusteredIndex::ScanLists(const ScanContext& ctx,
-                               const std::vector<std::uint32_t>& probe,
-                               const ListView& view,
-                               TopKScratch* scratch) const {
-  const std::size_t d = base_->dim();
-  if (ctx.lut != nullptr) {
     // PQ ADC scan keyed by row POSITION: per-list base term q·c (recovered
     // from the adjusted centroid score) plus pq_m table lookups per entry,
     // strip-scored by the dispatched kernel and offered to the bounded
     // pool, which RescoreAndSelect re-scores in fp32. One kernel per
-    // process, so serial, pooled, and sharded scans build identical pools.
+    // process, so serial and pooled scans build identical pools.
+    PreparePqLut(query, &scratch->lut);
     for (const std::uint32_t c : probe) {
-      const std::uint32_t lo = view.offsets[c];
-      const std::uint32_t hi = view.offsets[c + 1];
+      const std::uint32_t lo = list_offsets_[c];
+      const std::uint32_t hi = list_offsets_[c + 1];
       if (lo == hi) continue;
-      const float base_term = (*ctx.cluster_scores)[c] + half_cnorm_[c];
+      const float base_term = scratch->cluster_scores[c] + half_cnorm_[c];
       const std::size_t count = hi - lo;
-      if (scratch->scores.size() < count) scratch->scores.resize(count);
+      if (topk->scores.size() < count) topk->scores.resize(count);
       internal::PqAdcScores(
-          ctx.lut,
-          reinterpret_cast<const std::uint8_t*>(view.codes) +
+          scratch->lut.data(),
+          reinterpret_cast<const std::uint8_t*>(pq_codes_.data()) +
               std::size_t{lo} * pq_m_,
-          count, pq_m_, base_term, scratch->scores.data());
+          count, pq_m_, base_term, topk->scores.data());
       for (std::size_t i = 0; i < count; ++i) {
-        OfferCandidate({view.entries[lo + i], scratch->scores[i]},
-                       ctx.pool_cap, &scratch->pool);
+        OfferCandidate({list_entries_[lo + i], topk->scores[i]}, pool_cap,
+                       &topk->pool);
       }
     }
     return;
   }
-  for (const std::uint32_t c : probe) {
-    const std::uint32_t lo = view.offsets[c];
-    const std::uint32_t hi = view.offsets[c + 1];
-    for (std::uint32_t idx = lo; idx < hi; ++idx) {
-      const std::uint32_t pos = view.entries[idx];
-      if (ctx.qquery != nullptr) {
-        // Integer scan keyed by row POSITION: approximate scores feed the
-        // bounded candidate pool, which RescoreAndSelect re-scores in fp32.
-        // DotInt8 dispatches to AVX2 when available and is exact either
-        // way, so the pool is bit-identical to the scalar scan.
-        const std::int8_t* row = base_->QuantizedRowAt(pos);
-        const std::int32_t acc = internal::DotInt8(ctx.qquery, row, d);
-        const float score = static_cast<float>(acc) * ctx.qscale *
-                            base_->QuantizedScaleAt(pos);
-        OfferCandidate({pos, score}, ctx.pool_cap, &scratch->pool);
-      } else {
-        // fp32 scan keyed by entity ID with exact Dot scores: selection is
-        // final here, which is what makes probe-all identical to the base
-        // index's exhaustive TopKInto.
+  const std::size_t d = base_->dim();
+  if (base_->quantized()) {
+    // Integer scan keyed by row POSITION: approximate scores feed the
+    // bounded candidate pool, which RescoreAndSelect re-scores in fp32.
+    // DotInt8 dispatches to AVX2 when available and is exact either way,
+    // so the pool is bit-identical to the scalar scan.
+    const float qscale = base_->QuantizeQueryInto(query, &topk->qquery);
+    const std::int8_t* qquery = topk->qquery.data();
+    for (const std::uint32_t c : probe) {
+      const std::uint32_t hi = list_offsets_[c + 1];
+      for (std::uint32_t idx = list_offsets_[c]; idx < hi; ++idx) {
+        const std::uint32_t pos = list_entries_[idx];
+        const std::int32_t acc =
+            internal::DotInt8(qquery, base_->QuantizedRowAt(pos), d);
         const float score =
-            tensor::Dot(ctx.query, base_->EmbeddingAt(pos), d);
-        OfferCandidate({base_->ids()[pos], score}, ctx.k, &scratch->heap);
+            static_cast<float>(acc) * qscale * base_->QuantizedScaleAt(pos);
+        OfferCandidate({pos, score}, pool_cap, &topk->pool);
       }
+    }
+    return;
+  }
+  // fp32 scan keyed by entity ID with exact Dot scores: selection is final
+  // here, which is what makes probe-all identical to the base index's
+  // exhaustive TopKInto.
+  for (const std::uint32_t c : probe) {
+    const std::uint32_t hi = list_offsets_[c + 1];
+    for (std::uint32_t idx = list_offsets_[c]; idx < hi; ++idx) {
+      const std::uint32_t pos = list_entries_[idx];
+      const float score = tensor::Dot(query, base_->EmbeddingAt(pos), d);
+      OfferCandidate({base_->ids()[pos], score}, k, &topk->heap);
     }
   }
 }
@@ -559,14 +542,9 @@ void ClusteredIndex::TopKInto(const float* query, std::size_t k,
   out->clear();
   k = std::min(k, size());
   if (k == 0) return;
-  nprobe = ResolveNprobe(nprobe);
   ScoreClusters(query, &scratch->cluster_scores);
-  SelectProbe(scratch->cluster_scores, nprobe, &scratch->probe);
-  ScanContext ctx;
-  PrepareScan(query, k, scratch, &ctx);
-  scratch->topk.heap.clear();
-  scratch->topk.pool.clear();
-  ScanLists(ctx, scratch->probe, OwnView(), &scratch->topk);
+  SelectProbe(scratch->cluster_scores, ResolveNprobe(nprobe), &scratch->probe);
+  ScanLists(query, k, scratch);
   RescoreAndSelect(query, k, &scratch->topk, out);
 }
 

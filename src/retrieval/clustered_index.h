@@ -197,31 +197,6 @@ class ClusteredIndex {
   }
 
  private:
-  friend class ShardedIndex;
-
-  /// A CSR view of inverted lists to scan: ShardedIndex substitutes its
-  /// per-shard row-range restrictions for the index's own full lists.
-  /// `codes` is null when the view carries no PQ form.
-  struct ListView {
-    const std::uint32_t* offsets = nullptr;  // [num_clusters + 1]
-    const std::uint32_t* entries = nullptr;  // global row positions
-    const std::int8_t* codes = nullptr;      // pq_m bytes per entry
-  };
-
-  /// Read-only per-query state shared by every list scan of one probe.
-  struct ScanContext {
-    const float* query = nullptr;
-    std::size_t k = 0;
-    std::size_t pool_cap = 0;
-    // int8 path:
-    float qscale = 0.0f;
-    const std::int8_t* qquery = nullptr;
-    // PQ path:
-    const float* lut = nullptr;  // [pq_m × 256] ADC tables
-    /// Adjusted centroid scores (ScoreClusters output); the PQ scan
-    /// recovers the raw q·c base term as scores[c] + ½‖c‖².
-    const std::vector<float>* cluster_scores = nullptr;
-  };
   /// Adjusted centroid scores (x·c − ½‖c‖²) for one query.
   void ScoreClusters(const float* query, std::vector<float>* scores) const;
   /// Top-`nprobe` cluster ids by adjusted score (desc, ties by id asc).
@@ -230,26 +205,13 @@ class ClusteredIndex {
   /// Fills the per-query ADC tables: lut[m * 256 + j] = q_sub(m)·cb[m][j].
   /// Pre: pq_built().
   void PreparePqLut(const float* query, std::vector<float>* lut) const;
-  /// Scans the probed lists of `view` into `scratch`:
-  /// PQ ADC candidates keyed by position when the context carries a lut,
-  /// int8 candidates keyed by position when it carries a quantized query
-  /// (both bounded by pool_cap), exact fp32 hits keyed by id otherwise
-  /// (bounded by k). The per-entry scores depend only on (entry, context),
-  /// never on which view presented the entry — the property that makes
-  /// sharded scans mergeable bit-identically.
-  void ScanLists(const ScanContext& ctx,
-                 const std::vector<std::uint32_t>& probe, const ListView& view,
-                 TopKScratch* scratch) const;
-  /// Fills `ctx` for one query: pool cap, ADC tables or quantized query.
-  void PrepareScan(const float* query, std::size_t k,
-                   ClusteredScratch* scratch, ScanContext* ctx) const;
-  /// The index's own full inverted lists as a scan view.
-  ListView OwnView() const;
-  /// Bounded offer under the strict (score desc, id asc) total order — the
-  /// same selection primitive every scan in the .cc uses; exposed to the
-  /// friend so sharded merges re-offer under the identical order.
-  static void Offer(const ScoredEntity& cand, std::size_t cap,
-                    std::vector<ScoredEntity>* heap);
+  /// Scans the lists of `scratch->probe` into `scratch->topk`: PQ ADC
+  /// candidates keyed by position when the index carries a PQ form, int8
+  /// candidates keyed by position when the base is quantized (both bounded
+  /// by the rescore pool), exact fp32 hits keyed by id otherwise (bounded
+  /// by k). Pre: `scratch->cluster_scores` holds this query's scores.
+  void ScanLists(const float* query, std::size_t k,
+                 ClusteredScratch* scratch) const;
   /// Exact fp32 re-score of pooled positions + final top-k selection.
   void RescoreAndSelect(const float* query, std::size_t k,
                         TopKScratch* scratch,

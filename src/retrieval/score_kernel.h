@@ -48,8 +48,8 @@ bool DotInt8UsesSimd();
 /// (table gathers + one vector accumulator) sums in a different order than
 /// the scalar loop, so the two may differ in final-ulp rounding — callers
 /// re-score survivors with tensor::Dot before surfacing scores. One
-/// implementation is dispatched per process, so serial, pooled, and
-/// sharded scans over the same codes produce bit-identical strips.
+/// implementation is dispatched per process, so serial and pooled scans
+/// over the same codes produce bit-identical strips.
 void PqAdcScores(const float* lut, const std::uint8_t* codes,
                  std::size_t count, std::size_t m_sub, float base,
                  float* out);

@@ -116,7 +116,7 @@ LinkingServer::BuildEpoch(const model::BiEncoder* bi,
   model::BuildEntitySide(bi, *cross, *kb, ids, pool, &all,
                          &epoch->cross_cache);
   METABLINK_RETURN_IF_ERROR(epoch->index.Build(std::move(all), ids));
-  METABLINK_RETURN_IF_ERROR(ResolveRetrieval(nullptr, 0, epoch.get()));
+  METABLINK_RETURN_IF_ERROR(ResolveRetrieval(nullptr, epoch.get()));
   epoch->entity_pos.reserve(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) epoch->entity_pos[ids[i]] = i;
   METABLINK_RETURN_IF_ERROR(ResolveCascade(options, nullptr, epoch.get()));
@@ -144,8 +144,7 @@ util::Status LinkingServer::ResolveCascade(const ServerOptions& options,
 }
 
 util::Status LinkingServer::ResolveRetrieval(
-    retrieval::ClusteredIndex* clustered, std::uint32_t manifest_shards,
-    ModelEpoch* epoch) {
+    retrieval::ClusteredIndex* clustered, ModelEpoch* epoch) {
   if (clustered == nullptr) {
     epoch->retrieval = epoch->index.quantized() ? RetrievalPath::kQuantized
                                                 : RetrievalPath::kExhaustive;
@@ -155,36 +154,22 @@ util::Status LinkingServer::ResolveRetrieval(
   // was attached to, so re-bind it to the epoch's own copy.
   epoch->clustered = std::move(*clustered);
   METABLINK_RETURN_IF_ERROR(epoch->clustered.Attach(&epoch->index));
-  if (manifest_shards < 2) {
-    epoch->retrieval = RetrievalPath::kClustered;
-    return util::Status::OK();
-  }
-  METABLINK_RETURN_IF_ERROR(
-      epoch->sharded.Build(&epoch->clustered, manifest_shards));
-  epoch->retrieval = RetrievalPath::kSharded;
+  epoch->retrieval = RetrievalPath::kClustered;
   return util::Status::OK();
 }
 
 void LinkingServer::ModelEpoch::Retrieve(
-    const float* query, std::size_t k, util::ThreadPool* pool,
-    retrieval::ShardedIndexScratch* scratch,
+    const float* query, std::size_t k, retrieval::ClusteredScratch* scratch,
     std::vector<retrieval::ScoredEntity>* out) const {
   switch (retrieval) {
     case RetrievalPath::kExhaustive:
-      index.TopKInto(query, k, &scratch->main.topk, out);
+      index.TopKInto(query, k, &scratch->topk, out);
       return;
     case RetrievalPath::kQuantized:
-      index.TopKQuantizedInto(query, k, kQuantizedPool, &scratch->main.topk,
-                              out);
+      index.TopKQuantizedInto(query, k, kQuantizedPool, &scratch->topk, out);
       return;
     case RetrievalPath::kClustered:
-      clustered.TopKInto(query, k, /*nprobe=*/0, &scratch->main, out);
-      return;
-    case RetrievalPath::kSharded:
-      // TopKParallel's nested ParallelForChunks degrades to a serial shard
-      // loop inside the batch-parallel retrieve stage, so shards run
-      // concurrently exactly when the batch doesn't.
-      sharded.TopKParallel(query, k, /*nprobe=*/0, pool, scratch, out);
+      clustered.TopKInto(query, k, /*nprobe=*/0, scratch, out);
       return;
   }
 }
@@ -206,7 +191,7 @@ LinkingServer::BuildEpochFromBundle(store::ModelBundle bundle,
     return util::Status::InvalidArgument("bundle index has no entities");
   }
   METABLINK_RETURN_IF_ERROR(ResolveRetrieval(
-      b.has_clustered ? &b.clustered : nullptr, b.num_shards, epoch.get()));
+      b.has_clustered ? &b.clustered : nullptr, epoch.get()));
   const std::vector<kb::EntityId>& ids = epoch->index.ids();
   if (b.has_rerank_cache) {
     epoch->cross_cache = std::move(b.rerank_cache);
@@ -396,7 +381,7 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
         [this, &epoch, k](std::size_t chunk, std::size_t begin,
                           std::size_t end) {
           for (std::size_t j = begin; j < end; ++j) {
-            epoch->Retrieve(encoded_.row_data(j), k, &pool_,
+            epoch->Retrieve(encoded_.row_data(j), k,
                             &retrieval_scratch_[chunk],
                             &batch_hits_[miss_idx_[j]]);
           }
@@ -627,8 +612,6 @@ ServerStats LinkingServer::Stats() const {
     std::lock_guard<std::mutex> lock(epoch_mu_);
     out.model_version = epoch_->version;
     out.swaps = swaps_;
-    out.num_shards =
-        epoch_->sharded.built() ? epoch_->sharded.num_shards() : 1;
     out.pq_active = epoch_->clustered.built() && epoch_->clustered.pq_built();
   }
   return out;

@@ -21,7 +21,6 @@
 #include "model/cross_encoder.h"
 #include "retrieval/clustered_index.h"
 #include "retrieval/dense_index.h"
-#include "retrieval/sharded_index.h"
 #include "store/model_bundle.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -115,12 +114,9 @@ struct ServerStats {
   std::uint64_t rerank_exited = 0;
   std::uint64_t rerank_distilled = 0;
   std::uint64_t rerank_full = 0;
-  /// Retrieval layout of the currently published epoch, as its bundle
-  /// shipped it: shard count of the probe path (1 = single index) and
-  /// whether the clustered scan reads PQ codes. Sharding never changes
-  /// responses — these exist so operators (and tests) can tell which path
-  /// answered.
-  std::uint64_t num_shards = 1;
+  /// Whether the currently published epoch's clustered scan reads PQ
+  /// codes, as its bundle shipped it — so operators (and tests) can tell
+  /// which path answered.
   bool pq_active = false;
   /// Admission control. Every Link call lands in exactly one of
   /// accepted/rejected, and every accepted request is eventually either
@@ -171,13 +167,13 @@ struct ServerStats {
 /// (missing or corrupt bundle) returns a Status and leaves the old
 /// version serving.
 ///
-/// Stage 1 takes one of four paths, fixed per model version by what its
+/// Stage 1 takes one of three paths, fixed per model version by what its
 /// artifacts ship (ResolveRetrieval): the exhaustive fp32 scan, the int8
-/// scan of a quantized index, the clustered (IVF / IVF-PQ) probe of a
-/// bundle's "clustered" artifact, or that probe split over the manifest's
-/// KB shards. Every approximate path re-scores its candidates in fp32, so
-/// scores are identical to MetaBlinkPipeline::Link whenever the true top-k
-/// is found: the tape-free kernels are bit-compatible with the tape path.
+/// scan of a quantized index, or the clustered (IVF / IVF-PQ) probe of a
+/// bundle's "clustered" artifact. Every approximate path re-scores its
+/// candidates in fp32, so scores are identical to MetaBlinkPipeline::Link
+/// whenever the true top-k is found: the tape-free kernels are
+/// bit-compatible with the tape path.
 class LinkingServer {
  public:
   /// Builds a server over raw components. `bi`, `cross`, and `kb` must
@@ -258,7 +254,6 @@ class LinkingServer {
     kExhaustive,  // DenseIndex::TopKInto over the fp32 rows
     kQuantized,   // DenseIndex::TopKQuantizedInto: the shipped index is int8
     kClustered,   // ClusteredIndex::TopKInto at the artifact's default_nprobe
-    kSharded,     // ShardedIndex over that clustered probe
   };
 
   /// One published model version: every component a batch touches, owned
@@ -276,14 +271,10 @@ class LinkingServer {
     const model::CrossEncoder* cross = nullptr;
     const kb::KnowledgeBase* kb = nullptr;
     retrieval::DenseIndex index;
-    /// The bundle's clustered artifact; built() only on the kClustered and
-    /// kSharded paths. Always attached to this epoch's `index` member
-    /// (re-attached after the bundle move).
+    /// The bundle's clustered artifact; built() only on the kClustered
+    /// path. Always attached to this epoch's `index` member (re-attached
+    /// after the bundle move).
     retrieval::ClusteredIndex clustered;
-    /// Sharded view over `clustered`; built() only on the kSharded path.
-    /// Borrows this epoch's `clustered` member, whose address is stable
-    /// once the epoch is constructed.
-    retrieval::ShardedIndex sharded;
     RetrievalPath retrieval = RetrievalPath::kExhaustive;
     model::CrossEntityCache cross_cache;
     /// Resolved cascade policy for this epoch: the bundle's "cascade"
@@ -296,11 +287,11 @@ class LinkingServer {
     std::unordered_map<std::string, LruList::iterator> lru_map;
 
     /// Stage-1 top-k of one query along this epoch's retrieval path. The
-    /// sharded scratch nests the clustered scratch, which nests the
-    /// exhaustive scan's, so one scratch type serves every path.
-    /// Allocation-free once `scratch` and `out` are warm.
-    void Retrieve(const float* query, std::size_t k, util::ThreadPool* pool,
-                  retrieval::ShardedIndexScratch* scratch,
+    /// clustered scratch nests the exhaustive scan's, so one scratch type
+    /// serves every path. Allocation-free once `scratch` and `out` are
+    /// warm.
+    void Retrieve(const float* query, std::size_t k,
+                  retrieval::ClusteredScratch* scratch,
                   std::vector<retrieval::ScoredEntity>* out) const;
   };
 
@@ -338,9 +329,8 @@ class LinkingServer {
   /// the exhaustive scan, int8 when `epoch->index` is quantized. A shipped
   /// clustering is moved into the epoch and attached to its index; it
   /// probes at its saved default_nprobe, through PQ codes exactly when it
-  /// carries them, and is sharded when `manifest_shards` >= 2.
+  /// carries them.
   static util::Status ResolveRetrieval(retrieval::ClusteredIndex* clustered,
-                                       std::uint32_t manifest_shards,
                                        ModelEpoch* epoch);
 
   void SchedulerLoop();
@@ -401,7 +391,7 @@ class LinkingServer {
   // Mention embeddings of the batch's misses: row j is miss_idx_[j].
   tensor::Tensor encoded_;
   std::vector<std::vector<retrieval::ScoredEntity>> batch_hits_;
-  std::vector<retrieval::ShardedIndexScratch> retrieval_scratch_;
+  std::vector<retrieval::ClusteredScratch> retrieval_scratch_;
   struct RerankScratch {
     model::CrossScoreScratch cross;
     std::vector<float> scores;

@@ -64,8 +64,7 @@ util::Status BundleWriter::AddArtifact(const std::string& name,
 }
 
 util::Status BundleWriter::Finalize(std::uint64_t model_version,
-                                    const std::string& domain,
-                                    std::uint32_t num_shards) {
+                                    const std::string& domain) {
   METABLINK_RETURN_IF_ERROR(EnsureDirectory(dir_));
   CheckpointWriter manifest;
   util::BinaryWriter* w = manifest.AddSection(kManifestSection);
@@ -79,10 +78,6 @@ util::Status BundleWriter::Finalize(std::uint64_t model_version,
     w->WriteU64(a.size);
     w->WriteU32(a.crc32);
   }
-  // Trailing optional field: pre-shard readers stop at the artifact table,
-  // and Open tolerates its absence. Unsharded bundles skip it entirely so
-  // their manifests stay byte-identical to pre-shard packaging.
-  if (num_shards != 0) w->WriteU32(num_shards);
   return manifest.WriteToFile(dir_ + "/" + kManifestFilename);
 }
 
@@ -113,9 +108,12 @@ util::Result<BundleReader> BundleReader::Open(const std::string& dir) {
     METABLINK_RETURN_IF_ERROR(ValidFilename(a.filename));
     out.manifest_.artifacts.push_back(std::move(a));
   }
-  // Optional trailing shard count (absent in pre-shard manifests → 0).
-  if (section->Remaining() >= 4) {
-    METABLINK_RETURN_IF_ERROR(section->ReadU32(&out.manifest_.num_shards));
+  // Manifests written while bundles could declare a KB shard count end
+  // with that u32. It never changed a response, so it is accepted and
+  // ignored; any other tail is corruption.
+  if (section->Remaining() != 0 && section->Remaining() != 4) {
+    return util::Status::DataLoss(util::StrFormat(
+        "bundle manifest has %zu stray trailing bytes", section->Remaining()));
   }
 
   // Verify every artifact file against the manifest before anything else

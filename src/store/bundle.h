@@ -28,12 +28,6 @@ struct BundleManifest {
   std::uint64_t model_version = 0;
   std::string domain;
   std::vector<BundleArtifact> artifacts;
-  /// KB shard count the bundle was packaged for (how many contiguous
-  /// entity-id slices the serving tier probes in parallel). 0 on manifests
-  /// written before the field existed and on unsharded bundles — servers
-  /// treat 0 as 1. The value is a packaging declaration, not a correctness
-  /// constraint (sharded probes are bit-identical at any N).
-  std::uint32_t num_shards = 0;
 };
 
 /// Writes a versioned artifact bundle: a directory of checkpoint-container
@@ -53,10 +47,8 @@ class BundleWriter {
                            const CheckpointWriter& ckpt);
 
   /// Writes the MANIFEST. Call exactly once, after every AddArtifact.
-  /// `num_shards` declares the KB shard count the bundle targets (0 →
-  /// unsharded); readers of pre-shard manifests see 0.
-  util::Status Finalize(std::uint64_t model_version, const std::string& domain,
-                        std::uint32_t num_shards = 0);
+  util::Status Finalize(std::uint64_t model_version,
+                        const std::string& domain);
 
  private:
   std::string dir_;

@@ -247,8 +247,7 @@ util::Status SaveModelBundle(const ModelBundleParts& parts,
     METABLINK_RETURN_IF_ERROR(bundle.AddArtifact("cascade", "cascade.ckpt",
                                                  ckpt));
   }
-  return bundle.Finalize(parts.model_version, parts.domain,
-                         parts.num_shards);
+  return bundle.Finalize(parts.model_version, parts.domain);
 }
 
 util::Result<ModelBundle> LoadModelBundle(const std::string& dir) {
@@ -258,7 +257,6 @@ util::Result<ModelBundle> LoadModelBundle(const std::string& dir) {
   ModelBundle out;
   out.model_version = bundle->manifest().model_version;
   out.domain = bundle->manifest().domain;
-  out.num_shards = bundle->manifest().num_shards;
 
   auto bi_ckpt = bundle->OpenArtifact("bi_encoder");
   if (!bi_ckpt.ok()) return bi_ckpt.status();

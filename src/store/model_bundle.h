@@ -35,10 +35,6 @@ struct ModelBundleParts {
   /// nullptr skips the artifact and a cascade-serving loader falls back to
   /// ServerOptions::cascade or the uncalibrated default.
   const model::CascadeModel* cascade = nullptr;
-  /// KB shard count declared in the manifest (0 → unsharded). A server
-  /// splits the clustered probe over this many shards when it is >= 2;
-  /// any count answers bit-identically.
-  std::uint32_t num_shards = 0;
 };
 
 /// A fully loaded serving model: everything LinkingServer needs to answer
@@ -62,8 +58,6 @@ struct ModelBundle {
   /// Calibrated cascade policy, present when the bundle shipped one.
   bool has_cascade = false;
   model::CascadeModel cascade;
-  /// Manifest-declared KB shard count (0 → unsharded).
-  std::uint32_t num_shards = 0;
 };
 
 /// Packages `parts` into the bundle directory `dir`: one checkpoint

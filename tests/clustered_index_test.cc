@@ -10,7 +10,6 @@
 
 #include "retrieval/clustered_index.h"
 #include "retrieval/dense_index.h"
-#include "retrieval/sharded_index.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 #include "util/thread_pool.h"
@@ -443,33 +442,47 @@ TEST(ClusteredIndexPqTest, PqRecallAt64AtDefaultNprobe) {
 }
 
 TEST(ClusteredIndexPqTest, PqScanPrecedenceOverInt8) {
-  // A PQ form on a quantized base must probe through ADC, and the
-  // KB-sharded probe must still match the single index, bit for bit.
-  const std::size_t n = 1500, d = 16;
-  DenseIndex base;
-  ASSERT_TRUE(
-      base.Build(MixtureEmbeddings(n, d, 8, 0.2f, 121), Iota(n)).ok());
-  base.Quantize();
+  // A PQ form on a quantized base must probe through ADC, not the int8
+  // rows. The re-score pool is as narrow as k, so the approximate scans'
+  // candidate pools show through in the hits: the quantized-base PQ index
+  // must answer exactly like the same PQ build over an unquantized copy,
+  // and unlike the int8-scan index over the same clustering.
+  const std::size_t n = 1500, d = 16, k = 8;
+  const tensor::Tensor emb = MixtureEmbeddings(n, d, 8, 0.2f, 121);
+  DenseIndex quantized, fp32;
+  ASSERT_TRUE(quantized.Build(emb, Iota(n)).ok());
+  ASSERT_TRUE(fp32.Build(emb, Iota(n)).ok());
+  quantized.Quantize();
   ClusteredIndexOptions options;
+  options.rescore_pool = k;
+  ClusteredIndex int8_scan;
+  ASSERT_TRUE(int8_scan.Build(quantized, options).ok());
   options.use_pq = true;
-  ClusteredIndex clustered;
-  ASSERT_TRUE(clustered.Build(base, options).ok());
+  ClusteredIndex pq_on_int8, pq_on_fp32;
+  ASSERT_TRUE(pq_on_int8.Build(quantized, options).ok());
+  ASSERT_TRUE(pq_on_fp32.Build(fp32, options).ok());
 
-  ShardedIndex shards;
-  ASSERT_TRUE(shards.Build(&clustered, 4).ok());
-  util::ThreadPool pool(4);
   util::Rng rng(122);
-  ClusteredScratch serial_scratch;
-  ShardedIndexScratch sharded_scratch;
-  std::vector<ScoredEntity> serial_hits, sharded_hits;
-  for (int trial = 0; trial < 10; ++trial) {
+  ClusteredScratch scratch;
+  std::vector<ScoredEntity> pq_hits, reference_hits, int8_hits;
+  int differs_from_int8 = 0;
+  for (int trial = 0; trial < 40; ++trial) {
     std::vector<float> q(d);
     for (float& v : q) v = rng.NextFloat(-1, 1);
-    clustered.TopKInto(q.data(), 16, 0, &serial_scratch, &serial_hits);
-    shards.TopKParallel(q.data(), 16, 0, &pool, &sharded_scratch,
-                        &sharded_hits);
-    ExpectSameHits(serial_hits, sharded_hits);
+    pq_on_int8.TopKInto(q.data(), k, 0, &scratch, &pq_hits);
+    pq_on_fp32.TopKInto(q.data(), k, 0, &scratch, &reference_hits);
+    int8_scan.TopKInto(q.data(), k, 0, &scratch, &int8_hits);
+    ExpectSameHits(pq_hits, reference_hits);
+    const bool same = pq_hits.size() == int8_hits.size() &&
+                      std::equal(pq_hits.begin(), pq_hits.end(),
+                                 int8_hits.begin(),
+                                 [](const ScoredEntity& a,
+                                    const ScoredEntity& b) {
+                                   return a.id == b.id && a.score == b.score;
+                                 });
+    if (!same) ++differs_from_int8;
   }
+  EXPECT_GT(differs_from_int8, 0);
 }
 
 TEST(ClusteredIndexPqTest, PqDeterministicBuildIsByteIdentical) {

@@ -48,8 +48,6 @@ struct RetrievalForm {
   /// ... carrying PQ codes (the test KB fits in the default re-score
   /// pool, so the PQ probe stays exact).
   bool pq = false;
-  /// KB shards declared in the manifest (0 = unsharded).
-  std::uint32_t num_shards = 0;
   /// Save the clustered artifact with a default nprobe that probes every
   /// cell; false keeps ClusteredIndexOptions' default nprobe.
   bool probe_all = true;
@@ -113,7 +111,6 @@ class ServeTest : public ::testing::Test {
       ASSERT_TRUE(clustered.Build(index, copts).ok());
       parts.clustered = &clustered;
     }
-    parts.num_shards = form.num_shards;
     ASSERT_TRUE(store::SaveModelBundle(parts, dir).ok());
   }
 
@@ -143,7 +140,6 @@ class ServeTest : public ::testing::Test {
                               pipeline_->cross_encoder(), &corpus_->kb,
                               "target", ServingOptions());
     ASSERT_TRUE(server.ok()) << server.status().message();
-    EXPECT_EQ((*server)->Stats().num_shards, 1u);
     EXPECT_FALSE((*server)->Stats().pq_active);
     *out = std::move(*server);
   }
@@ -159,7 +155,6 @@ class ServeTest : public ::testing::Test {
     ASSERT_TRUE(server.ok()) << server.status().message();
     const ServerStats stats = (*server)->Stats();
     EXPECT_EQ(stats.model_version, version);
-    EXPECT_EQ(stats.num_shards, form.num_shards < 2 ? 1u : form.num_shards);
     EXPECT_EQ(stats.pq_active, form.pq);
     *out = std::move(*server);
   }
@@ -331,9 +326,9 @@ TEST_F(ServeTest, ServerMatchesPipelineLink) {
 
 // The bundle decides how stage 1 retrieves. Every form below is exact on
 // this KB — int8 dispatches to the fp32 scan below its crossover size, the
-// clustered artifacts probe every cell, PQ keeps a full re-score pool, and
-// sharding never changes a response — so each must answer bit-identically
-// to the plain server, while Stats() reports which layout answered.
+// clustered artifacts probe every cell, and PQ keeps a full re-score pool
+// — so each must answer bit-identically to the plain server, while Stats()
+// reports which layout answered.
 
 TEST_F(ServeTest, QuantizedServerMatchesFp32Server) {
   RetrievalForm int8;
@@ -385,28 +380,6 @@ TEST_F(ServeTest, ClusteredBundleRoundTripServes) {
   ExpectSameServing(plain.get(), clustered.get());
 }
 
-TEST_F(ServeTest, ShardedServerMatchesSingleIndexServer) {
-  // A manifest shard count splits the probe path into contiguous entity
-  // slices scanned in parallel; the deterministic re-offer merge keeps
-  // every response bit-identical to the single-index server. Sharding is a
-  // memory/parallelism layout, never a quality knob — for both the fp32
-  // clustered scan and the PQ scan.
-  for (const bool pq : {false, true}) {
-    SCOPED_TRACE(pq ? "pq" : "fp32");
-    RetrievalForm single;
-    single.name = pq ? "pq_single" : "clustered_single";
-    single.clustered = true;
-    single.pq = pq;
-    RetrievalForm sharded = single;
-    sharded.name = pq ? "pq_4_shards" : "clustered_4_shards";
-    sharded.num_shards = 4;
-    std::unique_ptr<LinkingServer> a, b;
-    ASSERT_NO_FATAL_FAILURE(ServeForm(single, /*version=*/9, &a));
-    ASSERT_NO_FATAL_FAILURE(ServeForm(sharded, /*version=*/9, &b));
-    ExpectSameServing(a.get(), b.get());
-  }
-}
-
 TEST_F(ServeTest, PqBundleAdoptionAndPqFreeServing) {
   // A bundle shipping the PQ form of the clustered artifact is adopted
   // as-is; the test KB is small enough that the re-score pool covers the
@@ -426,26 +399,6 @@ TEST_F(ServeTest, PqBundleAdoptionAndPqFreeServing) {
   ASSERT_NO_FATAL_FAILURE(ServeForm(pq_free, /*version=*/12, &unquantized));
   ExpectSameServing(plain.get(), adopted.get());
   ExpectSameServing(plain.get(), unquantized.get());
-}
-
-TEST_F(ServeTest, ManifestShardCountAdoptedAndOverridable) {
-  // A bundle whose manifest declares 4 shards shards the serving epoch; the
-  // same artifacts re-packaged with a manifest of 1 shard serve from a
-  // single index. The manifest is the only place the count is set, and
-  // both serve bit-identically.
-  RetrievalForm four;
-  four.name = "manifest_4_shards";
-  four.clustered = true;
-  four.num_shards = 4;
-  RetrievalForm one = four;
-  one.name = "manifest_1_shard";
-  one.num_shards = 1;
-  std::unique_ptr<LinkingServer> sharded, single;
-  ASSERT_NO_FATAL_FAILURE(ServeForm(four, /*version=*/13, &sharded));
-  ASSERT_NO_FATAL_FAILURE(ServeForm(one, /*version=*/13, &single));
-  EXPECT_EQ(sharded->Stats().num_shards, 4u);
-  EXPECT_EQ(single->Stats().num_shards, 1u);
-  ExpectSameServing(sharded.get(), single.get());
 }
 
 TEST_F(ServeTest, ServerCachesRepeatedRequests) {

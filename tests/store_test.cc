@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -942,38 +943,64 @@ TEST_F(BundleTest, MissingDirectoryOrManifestIsNotFoundNotACrash) {
   EXPECT_FALSE(LoadModelBundle(TempPath("no_such_bundle")).ok());
 }
 
-TEST_F(BundleTest, ManifestShardCountRoundTrip) {
-  // A sharded bundle records its shard count in the manifest; an unsharded
-  // save omits the field entirely so its manifest bytes stay identical to
-  // the pre-sharding format, and reads back as 0.
-  const std::string sharded_dir = TempPath("bundle_sharded");
-  const std::string plain_dir = TempPath("bundle_unsharded");
-  ModelBundleParts parts;
-  parts.model_version = 9;
-  parts.domain = "target";
-  parts.bi = bi_.get();
-  parts.cross = cross_.get();
-  parts.kb = &corpus_->kb;
-  parts.index = &index_;
-  parts.num_shards = 4;
-  ASSERT_TRUE(SaveModelBundle(parts, sharded_dir).ok());
-  parts.num_shards = 0;
-  ASSERT_TRUE(SaveModelBundle(parts, plain_dir).ok());
-
-  auto sharded = LoadModelBundle(sharded_dir);
-  ASSERT_TRUE(sharded.ok()) << sharded.status().message();
-  EXPECT_EQ(sharded->num_shards, 4u);
-  auto plain = LoadModelBundle(plain_dir);
+TEST_F(BundleTest, RetiredManifestShardCountIsIgnored) {
+  // Manifests written while bundles could declare a KB shard count end with
+  // that u32 after the artifact table. It never changed a response, so a
+  // loader accepts it and ignores it; any other tail after the table is
+  // corruption, even inside a CRC-valid container.
+  const std::string dir = TempPath("bundle_retired_shards");
+  ASSERT_TRUE(Save(dir).ok());
+  auto plain = LoadModelBundle(dir);
   ASSERT_TRUE(plain.ok()) << plain.status().message();
-  EXPECT_EQ(plain->num_shards, 0u);
+  const std::string path = dir + "/MANIFEST";
+  auto saved = CheckpointReader::FromFile(path);
+  ASSERT_TRUE(saved.ok()) << saved.status().message();
+  ASSERT_EQ(saved->SectionNames(), std::vector<std::string>{"manifest"});
+  const util::BinaryReader table = *saved->Section("manifest");
 
-  // The unsharded manifest must not have grown the trailing field: the
-  // otherwise-identical saves differ by exactly the one optional u32.
-  const std::vector<std::uint8_t> with = ReadAll(sharded_dir + "/MANIFEST");
-  const std::vector<std::uint8_t> without = ReadAll(plain_dir + "/MANIFEST");
-  ASSERT_FALSE(with.empty());
-  ASSERT_FALSE(without.empty());
-  EXPECT_EQ(with.size(), without.size() + sizeof(std::uint32_t));
+  // The saved section plus `extra` trailing bytes: a retired shard count
+  // (4) first, then stray bytes.
+  const auto reframe = [&](std::size_t extra) {
+    CheckpointWriter out;
+    util::BinaryWriter* w = out.AddSection("manifest");
+    w->WriteRaw(table.data(), table.Remaining());
+    if (extra >= 4) w->WriteU32(4);
+    const std::uint8_t stray[8] = {0x5A, 0x5A, 0x5A, 0x5A,
+                                   0x5A, 0x5A, 0x5A, 0x5A};
+    w->WriteRaw(stray, extra >= 4 ? extra - 4 : extra);
+    WriteAll(path, out.Serialize());
+  };
+
+  reframe(4);
+  auto old = LoadModelBundle(dir);
+  ASSERT_TRUE(old.ok()) << old.status().message();
+  EXPECT_EQ(old->model_version, plain->model_version);
+  EXPECT_EQ(old->domain, plain->domain);
+  EXPECT_EQ(old->bi->params()->ValuesCrc32(),
+            plain->bi->params()->ValuesCrc32());
+  EXPECT_EQ(old->cross->params()->ValuesCrc32(),
+            plain->cross->params()->ValuesCrc32());
+  EXPECT_EQ(old->kb->num_entities(), plain->kb->num_entities());
+  EXPECT_EQ(old->index.ids(), plain->index.ids());
+  for (std::size_t r = 0; r < plain->index.size(); ++r) {
+    EXPECT_TRUE(std::equal(plain->index.EmbeddingAt(r),
+                           plain->index.EmbeddingAt(r) + plain->index.dim(),
+                           old->index.EmbeddingAt(r)))
+        << "row " << r;
+  }
+  EXPECT_EQ(old->has_rerank_cache, plain->has_rerank_cache);
+  EXPECT_EQ(old->rerank_cache.tokens.size(), plain->rerank_cache.tokens.size());
+  EXPECT_EQ(old->rerank_cache.vocab.size(), plain->rerank_cache.vocab.size());
+  EXPECT_EQ(old->has_clustered, plain->has_clustered);
+  EXPECT_EQ(old->has_cascade, plain->has_cascade);
+
+  for (const std::size_t extra : {1u, 2u, 3u, 5u, 8u}) {
+    SCOPED_TRACE(extra);
+    reframe(extra);
+    util::Result<ModelBundle> loaded = util::Status::Internal("not run");
+    EXPECT_NO_THROW(loaded = LoadModelBundle(dir));
+    EXPECT_FALSE(loaded.ok());
+  }
 }
 
 TEST_F(BundleTest, OpenArtifactParsesTheBytesOpenVerified) {

@@ -7,7 +7,7 @@
 #                   label "smoke" bench gates (bench_serving --smoke and
 #                   --cascade-smoke, bench_retrieval --smoke and --pq-smoke:
 #                   tape/tape-free parity, cascade-off byte identity,
-#                   probe-all == exhaustive, KB-sharded == single index,
+#                   probe-all == exhaustive,
 #                   PQ full-pool parity, deterministic rebuilds;
 #                   bench_checkpoint --smoke: checkpoint round-trip and
 #                   kill/resume bit-identity, and the hot-swap hammer where
