@@ -137,20 +137,29 @@ int main() {
       {"the ranking engine", "clicks dropped after", "deployed new features"},
       {"cascade", "ingestion lag alarms from", "paged the data team"},
   };
-  std::printf("\nlinking new mentions:\n");
+  std::vector<data::LinkingExample> mentions;
   for (const Probe& p : probes) {
     data::LinkingExample ex;
     ex.mention = p.mention;
     ex.left_context = p.left;
     ex.right_context = p.right;
     ex.domain = "projects";
-    auto ranked = pipeline.Link(kb, "projects", ex, 2);
-    if (!ranked.ok()) {
-      std::fprintf(stderr, "%s\n", ranked.status().ToString().c_str());
-      continue;
-    }
-    std::printf("  \"%s\"\n", p.mention);
-    for (const auto& c : *ranked) {
+    mentions.push_back(ex);
+  }
+  // The domain's entity side is built once and links every mention.
+  eval::DomainSide side;
+  if (auto s = side.Build(pipeline.bi_encoder(), pipeline.cross_encoder(),
+                          &kb, "projects", /*pool=*/nullptr);
+      !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
+  }
+  const auto ranked = side.Link(mentions, config.eval.k, /*pool=*/nullptr);
+  std::printf("\nlinking new mentions:\n");
+  for (std::size_t m = 0; m < mentions.size(); ++m) {
+    std::printf("  \"%s\"\n", mentions[m].mention.c_str());
+    for (std::size_t r = 0; r < 2 && r < ranked[m].size(); ++r) {
+      const auto& c = ranked[m][r];
       std::printf("    -> %-24s score=%.3f\n", kb.entity(c.id).title.c_str(),
                   c.score);
     }

@@ -67,14 +67,22 @@ int main() {
               100.0 * meta_result->normalized_acc,
               100.0 * meta_result->unnormalized_acc, syn->size());
 
+  // Link from the domain's entity side, built once for every mention.
+  eval::DomainSide side;
+  if (auto s = side.Build(meta.bi_encoder(), meta.cross_encoder(),
+                          &corpus->kb, "lego", /*pool=*/nullptr);
+      !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
+  }
+  const auto ranked = side.Link(split.test, config.eval.k, /*pool=*/nullptr);
   std::printf("\nsample links (MetaBLINK):\n");
   for (std::size_t i = 0; i < 3 && i < split.test.size(); ++i) {
     const auto& ex = split.test[i];
-    auto ranked = meta.Link(corpus->kb, "lego", ex, 1);
-    if (!ranked.ok() || ranked->empty()) continue;
-    const auto& top = corpus->kb.entity((*ranked)[0].id);
+    if (ranked[i].empty()) continue;
+    const auto& top = corpus->kb.entity(ranked[i][0].id);
     std::printf("  \"%s\" -> %s %s\n", ex.mention.c_str(), top.title.c_str(),
-                (*ranked)[0].id == ex.entity_id ? "[correct]" : "[wrong]");
+                ranked[i][0].id == ex.entity_id ? "[correct]" : "[wrong]");
   }
   return 0;
 }

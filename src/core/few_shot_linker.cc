@@ -1,6 +1,22 @@
 #include "core/few_shot_linker.h"
 
+#include <algorithm>
+
 namespace metablink::core {
+
+util::Result<std::vector<LinkPrediction>> MakePredictions(
+    const kb::KnowledgeBase& kb,
+    const std::vector<retrieval::ScoredEntity>& ranked, std::size_t top_k) {
+  if (ranked.empty()) {
+    return util::Status::NotFound("no candidates retrieved");
+  }
+  std::vector<LinkPrediction> predictions(std::min(ranked.size(), top_k));
+  for (std::size_t r = 0; r < predictions.size(); ++r) {
+    predictions[r] = {ranked[r].id, kb.entity(ranked[r].id).title,
+                      ranked[r].score};
+  }
+  return predictions;
+}
 
 FewShotLinker::FewShotLinker(PipelineConfig config)
     : pipeline_(std::move(config)) {}
@@ -15,6 +31,7 @@ util::Status FewShotLinker::Fit(
     return util::Status::NotFound("target domain has no entities: " +
                                   target_domain);
   }
+  fitted_ = false;
   METABLINK_RETURN_IF_ERROR(pipeline_.TrainRewriter(corpus, source_domains));
   auto synthetic = pipeline_.BuildSyntheticData(corpus, target_domain,
                                                 /*adapt_to_domain=*/true);
@@ -35,8 +52,9 @@ util::Status FewShotLinker::Fit(
 
   METABLINK_RETURN_IF_ERROR(
       pipeline_.TrainMeta(corpus.kb, *synthetic, seeds));
-  corpus_ = &corpus;
-  target_domain_ = target_domain;
+  METABLINK_RETURN_IF_ERROR(pipeline_.evaluator().BuildSide(
+      *pipeline_.bi_encoder(), pipeline_.cross_encoder(), corpus.kb,
+      target_domain, &side_));
   fitted_ = true;
   return util::Status::OK();
 }
@@ -51,20 +69,10 @@ util::Result<std::vector<LinkPrediction>> FewShotLinker::Link(
   ex.mention = mention;
   ex.left_context = left_context;
   ex.right_context = right_context;
-  ex.domain = target_domain_;
-  auto ranked =
-      pipeline_.Link(corpus_->kb, target_domain_, ex, top_k);
-  if (!ranked.ok()) return ranked.status();
-  std::vector<LinkPrediction> out;
-  out.reserve(ranked->size());
-  for (const auto& c : *ranked) {
-    LinkPrediction p;
-    p.entity_id = c.id;
-    p.title = corpus_->kb.entity(c.id).title;
-    p.score = c.score;
-    out.push_back(std::move(p));
-  }
-  return out;
+  ex.domain = side_.domain;
+  return MakePredictions(
+      *side_.kb, side_.Link({ex}, pipeline_.config().eval.k, nullptr)[0],
+      top_k);
 }
 
 util::Result<eval::EvalResult> FewShotLinker::Evaluate(
@@ -72,7 +80,7 @@ util::Result<eval::EvalResult> FewShotLinker::Evaluate(
   if (!fitted_) {
     return util::Status::FailedPrecondition("call Fit before Evaluate");
   }
-  return pipeline_.Evaluate(corpus_->kb, target_domain_, examples);
+  return pipeline_.evaluator().Evaluate(side_, examples);
 }
 
 }  // namespace metablink::core

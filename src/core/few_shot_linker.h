@@ -19,6 +19,12 @@ struct LinkPrediction {
   float score = 0.0f;
 };
 
+/// The first `top_k` of a best-first candidate list, titled from `kb`;
+/// NotFound when `ranked` is empty. Every Link answers through it.
+util::Result<std::vector<LinkPrediction>> MakePredictions(
+    const kb::KnowledgeBase& kb,
+    const std::vector<retrieval::ScoredEntity>& ranked, std::size_t top_k);
+
 /// High-level façade over MetaBlinkPipeline — the five-line API a
 /// downstream user adopts:
 ///
@@ -30,7 +36,9 @@ struct LinkPrediction {
 /// domains, builds domain-adapted synthetic data for the target domain, and
 /// meta-trains both encoders with the provided seed examples. When
 /// `seed_examples` is empty, the zero-shot heuristics (filtered synthetic +
-/// self-match, Sec. VI-C) construct the seed set instead.
+/// self-match, Sec. VI-C) construct the seed set instead. Fit ends by
+/// building the target domain's eval::DomainSide, which Link and Evaluate
+/// answer from: a Link's cost does not grow with the domain.
 class FewShotLinker {
  public:
   explicit FewShotLinker(PipelineConfig config = {});
@@ -45,10 +53,10 @@ class FewShotLinker {
                    std::size_t max_heuristic_seeds = 50);
 
   bool fitted() const { return fitted_; }
-  const std::string& target_domain() const { return target_domain_; }
+  const std::string& target_domain() const { return side_.domain; }
 
   /// Links a mention given its surface form and context. Returns up to
-  /// `top_k` predictions, best first.
+  /// `top_k` predictions, best first, as LinkingServer::FromLinker would.
   util::Result<std::vector<LinkPrediction>> Link(
       const std::string& mention, const std::string& left_context,
       const std::string& right_context, std::size_t top_k = 5) const;
@@ -62,15 +70,14 @@ class FewShotLinker {
   /// Size of the seed set actually used (provided or heuristic).
   std::size_t num_seeds() const { return num_seeds_; }
 
-  MetaBlinkPipeline* pipeline() { return &pipeline_; }
+  /// Read-only: changing the encoders would leave Fit's side stale.
   const MetaBlinkPipeline* pipeline() const { return &pipeline_; }
-  /// The corpus Fit was called with (null before Fit).
-  const data::Corpus* corpus() const { return corpus_; }
+  /// The target domain's side Fit built (empty before Fit).
+  const eval::DomainSide& side() const { return side_; }
 
  private:
   MetaBlinkPipeline pipeline_;
-  const data::Corpus* corpus_ = nullptr;
-  std::string target_domain_;
+  eval::DomainSide side_;
   bool fitted_ = false;
   std::size_t num_synthetic_ = 0;
   std::size_t num_seeds_ = 0;

@@ -1,6 +1,5 @@
 #include "core/pipeline.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "train/featurized.h"
@@ -196,31 +195,6 @@ util::Result<eval::EvalResult> MetaBlinkPipeline::Evaluate(
     const kb::KnowledgeBase& kb, const std::string& domain,
     const std::vector<data::LinkingExample>& examples) const {
   return evaluator_.Evaluate(*bi_, cross_.get(), kb, domain, examples);
-}
-
-util::Result<std::vector<retrieval::ScoredEntity>> MetaBlinkPipeline::Link(
-    const kb::KnowledgeBase& kb, const std::string& domain,
-    const data::LinkingExample& mention, std::size_t top_k) const {
-  std::vector<data::LinkingExample> one{mention};
-  auto candidates = evaluator_.RetrieveCandidates(*bi_, kb, domain, one);
-  if (!candidates.ok()) return candidates.status();
-  std::vector<retrieval::ScoredEntity> cands = (*candidates)[0];
-  if (cands.empty()) {
-    return util::Status::NotFound("no candidates retrieved");
-  }
-  std::vector<kb::Entity> entities;
-  entities.reserve(cands.size());
-  for (const auto& c : cands) entities.push_back(kb.entity(c.id));
-  const std::vector<float> scores = cross_->Score(mention, entities);
-  for (std::size_t i = 0; i < cands.size(); ++i) cands[i].score = scores[i];
-  std::sort(cands.begin(), cands.end(),
-            [](const retrieval::ScoredEntity& a,
-               const retrieval::ScoredEntity& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.id < b.id;
-            });
-  if (cands.size() > top_k) cands.resize(top_k);
-  return cands;
 }
 
 util::Status MetaBlinkPipeline::Save(const std::string& prefix) const {

@@ -116,14 +116,6 @@ class MetaBlinkPipeline {
       const kb::KnowledgeBase& kb, const std::string& domain,
       const std::vector<data::LinkingExample>& examples) const;
 
-  /// Links one mention end-to-end: stage-1 retrieval over the domain, then
-  /// cross-encoder reranking. Returns candidates best-first. Const and
-  /// thread-safe (see Evaluate). Note this rebuilds the domain index per
-  /// call; serve::LinkingServer amortizes that for repeated queries.
-  util::Result<std::vector<retrieval::ScoredEntity>> Link(
-      const kb::KnowledgeBase& kb, const std::string& domain,
-      const data::LinkingExample& mention, std::size_t top_k) const;
-
   // ---- Accessors -----------------------------------------------------------
 
   model::BiEncoder* bi_encoder() { return bi_.get(); }
@@ -131,6 +123,7 @@ class MetaBlinkPipeline {
   model::CrossEncoder* cross_encoder() { return cross_.get(); }
   const model::CrossEncoder* cross_encoder() const { return cross_.get(); }
   gen::MentionRewriter* rewriter() { return &rewriter_; }
+  const eval::TwoStageEvaluator& evaluator() const { return evaluator_; }
   const train::MetaTrainResult& last_meta_bi_result() const {
     return last_meta_bi_;
   }

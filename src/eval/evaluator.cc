@@ -1,49 +1,108 @@
 #include "eval/evaluator.h"
 
 #include <algorithm>
-#include <atomic>
+
+#include "model/entity_side.h"
 
 namespace metablink::eval {
 
+void SortBestFirst(std::vector<retrieval::ScoredEntity>::iterator begin,
+                   std::vector<retrieval::ScoredEntity>::iterator end) {
+  std::sort(begin, end, [](const auto& a, const auto& b) {
+    return a.score != b.score ? a.score > b.score : a.id < b.id;
+  });
+}
+
+util::Status DomainSide::Build(const model::BiEncoder* bi,
+                               const model::CrossEncoder* cross,
+                               const kb::KnowledgeBase* kb,
+                               const std::string& domain,
+                               util::ThreadPool* pool) {
+  const std::vector<kb::EntityId>& ids = kb->EntitiesInDomain(domain);
+  if (ids.empty()) {
+    return util::Status::NotFound("domain has no entities: " + domain);
+  }
+  this->domain = domain;
+  this->bi = bi;
+  this->cross = cross;
+  this->kb = kb;
+  tensor::Tensor rows;
+  model::BuildEntitySide(bi, cross, *kb, ids, pool, &rows, &cross_cache);
+  METABLINK_RETURN_IF_ERROR(index.Build(std::move(rows), ids));
+  MapRows();
+  return util::Status::OK();
+}
+
+void DomainSide::MapRows() {
+  const std::vector<kb::EntityId>& ids = index.ids();
+  entity_pos.clear();
+  entity_pos.reserve(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) entity_pos[ids[i]] = i;
+}
+
+void DomainSide::Rescore(const data::LinkingExample& example,
+                         retrieval::ScoredEntity* cands, std::size_t n,
+                         RescoreScratch* scratch) const {
+  scratch->rows.clear();
+  for (std::size_t c = 0; c < n; ++c) {
+    scratch->rows.push_back(entity_pos.at(cands[c].id));
+  }
+  cross->ScoreCachedInference(example, scratch->rows, cross_cache,
+                              &scratch->cross, &scratch->scores);
+  for (std::size_t c = 0; c < n; ++c) cands[c].score = scratch->scores[c];
+}
+
+std::vector<std::vector<retrieval::ScoredEntity>> DomainSide::Rank(
+    const std::vector<data::LinkingExample>& examples, std::size_t k,
+    util::ThreadPool* pool) const {
+  model::EncodeScratch encode_scratch;
+  tensor::Tensor queries;
+  bi->EncodeMentionsInference(examples, &encode_scratch, &queries);
+  std::vector<std::vector<retrieval::ScoredEntity>> lists =
+      index.BatchTopK(queries, k, pool);
+  if (cross == nullptr) return lists;
+  auto rescore = [&](std::size_t, std::size_t begin, std::size_t end) {
+    RescoreScratch scratch;
+    for (std::size_t i = begin; i < end; ++i) {
+      Rescore(examples[i], lists[i].data(), lists[i].size(), &scratch);
+    }
+  };
+  if (pool != nullptr) {
+    pool->ParallelForChunks(lists.size(), 0, rescore);
+  } else {
+    rescore(0, 0, lists.size());
+  }
+  return lists;
+}
+
+std::vector<std::vector<retrieval::ScoredEntity>> DomainSide::Link(
+    const std::vector<data::LinkingExample>& examples, std::size_t k,
+    util::ThreadPool* pool) const {
+  std::vector<std::vector<retrieval::ScoredEntity>> lists =
+      Rank(examples, k, pool);
+  for (auto& list : lists) SortBestFirst(list.begin(), list.end());
+  return lists;
+}
+
 TwoStageEvaluator::TwoStageEvaluator(EvaluatorOptions options)
     : options_(options), pool_(options.num_threads) {}
+
+util::Status TwoStageEvaluator::BuildSide(
+    const model::BiEncoder& bi_encoder,
+    const model::CrossEncoder* cross_encoder, const kb::KnowledgeBase& kb,
+    const std::string& domain, DomainSide* side) const {
+  return side->Build(&bi_encoder, cross_encoder, &kb, domain, &pool_);
+}
 
 util::Result<std::vector<std::vector<retrieval::ScoredEntity>>>
 TwoStageEvaluator::RetrieveCandidates(
     const model::BiEncoder& bi_encoder, const kb::KnowledgeBase& kb,
     const std::string& domain,
     const std::vector<data::LinkingExample>& examples) const {
-  const std::vector<kb::EntityId>& ids = kb.EntitiesInDomain(domain);
-  if (ids.empty()) {
-    return util::Status::NotFound("domain has no entities: " + domain);
-  }
-  // Embed the domain's entities in chunks (keeps per-graph memory small).
-  tensor::Tensor all(ids.size(), bi_encoder.dim());
-  const std::size_t chunk = 256;
-  for (std::size_t begin = 0; begin < ids.size(); begin += chunk) {
-    const std::size_t end = std::min(ids.size(), begin + chunk);
-    std::vector<kb::EntityId> part(ids.begin() + begin, ids.begin() + end);
-    tensor::Tensor emb = bi_encoder.EmbedEntityIds(part, kb);
-    for (std::size_t r = 0; r < emb.rows(); ++r) {
-      std::copy(emb.row_data(r), emb.row_data(r) + emb.cols(),
-                all.row_data(begin + r));
-    }
-  }
-  retrieval::DenseIndex index;
-  METABLINK_RETURN_IF_ERROR(index.Build(std::move(all), ids));
-
-  tensor::Tensor queries(examples.size(), bi_encoder.dim());
-  for (std::size_t begin = 0; begin < examples.size(); begin += chunk) {
-    const std::size_t end = std::min(examples.size(), begin + chunk);
-    std::vector<data::LinkingExample> part(examples.begin() + begin,
-                                           examples.begin() + end);
-    tensor::Tensor emb = bi_encoder.EmbedMentions(part);
-    for (std::size_t r = 0; r < emb.rows(); ++r) {
-      std::copy(emb.row_data(r), emb.row_data(r) + emb.cols(),
-                queries.row_data(begin + r));
-    }
-  }
-  return index.BatchTopK(queries, options_.k, &pool_);
+  DomainSide side;
+  METABLINK_RETURN_IF_ERROR(
+      BuildSide(bi_encoder, /*cross_encoder=*/nullptr, kb, domain, &side));
+  return side.Rank(examples, options_.k, &pool_);
 }
 
 util::Result<EvalResult> TwoStageEvaluator::Evaluate(
@@ -51,41 +110,33 @@ util::Result<EvalResult> TwoStageEvaluator::Evaluate(
     const model::CrossEncoder* cross_encoder, const kb::KnowledgeBase& kb,
     const std::string& domain,
     const std::vector<data::LinkingExample>& examples) const {
+  DomainSide side;
+  METABLINK_RETURN_IF_ERROR(
+      BuildSide(bi_encoder, cross_encoder, kb, domain, &side));
+  return Evaluate(side, examples);
+}
+
+util::Result<EvalResult> TwoStageEvaluator::Evaluate(
+    const DomainSide& side,
+    const std::vector<data::LinkingExample>& examples) const {
   if (examples.empty()) {
     return util::Status::InvalidArgument("no examples to evaluate");
   }
-  auto candidates =
-      RetrieveCandidates(bi_encoder, kb, domain, examples);
-  if (!candidates.ok()) return candidates.status();
-
-  std::atomic<std::size_t> in_candidates{0};
-  std::atomic<std::size_t> top1{0};
-  pool_.ParallelFor(examples.size(), [&](std::size_t i) {
-    const auto& cands = (*candidates)[i];
-    const kb::EntityId gold = examples[i].entity_id;
-    std::size_t gold_pos = cands.size();
-    for (std::size_t c = 0; c < cands.size(); ++c) {
-      if (cands[c].id == gold) {
-        gold_pos = c;
-        break;
-      }
-    }
-    if (gold_pos == cands.size()) return;  // stage-1 miss
-    in_candidates.fetch_add(1);
-    std::size_t best = 0;
-    if (cross_encoder != nullptr) {
-      std::vector<kb::Entity> entities;
-      entities.reserve(cands.size());
-      for (const auto& c : cands) entities.push_back(kb.entity(c.id));
-      const std::vector<float> scores =
-          cross_encoder->Score(examples[i], entities);
-      best = static_cast<std::size_t>(
-          std::max_element(scores.begin(), scores.end()) - scores.begin());
-    }
-    // With no cross-encoder, stage-1 order ranks (best = 0 already).
-    if (cands[best].id == gold) top1.fetch_add(1);
-  });
-  return MakeEvalResult(examples.size(), in_candidates.load(), top1.load());
+  const auto lists = side.Rank(examples, options_.k, &pool_);
+  std::size_t in_candidates = 0;
+  std::size_t top1 = 0;
+  for (std::size_t i = 0; i < examples.size(); ++i) {
+    const auto& cands = lists[i];
+    auto gold = [&](const auto& c) { return c.id == examples[i].entity_id; };
+    if (std::none_of(cands.begin(), cands.end(), gold)) continue;
+    ++in_candidates;
+    // The first maximum in retrieval order wins. Stage-1 lists come best
+    // first, so without a cross-encoder that is the top hit.
+    top1 += gold(*std::max_element(
+        cands.begin(), cands.end(),
+        [](const auto& a, const auto& b) { return a.score < b.score; }));
+  }
+  return MakeEvalResult(examples.size(), in_candidates, top1);
 }
 
 double NameMatchingAccuracy(const kb::KnowledgeBase& kb,

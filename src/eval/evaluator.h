@@ -2,6 +2,7 @@
 #define METABLINK_EVAL_EVALUATOR_H_
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "data/example.h"
@@ -25,6 +26,60 @@ struct EvaluatorOptions {
   std::size_t num_threads = 0;
 };
 
+/// Reusable buffers for DomainSide::Rescore.
+struct RescoreScratch {
+  model::CrossScoreScratch cross;
+  std::vector<std::size_t> rows;
+  std::vector<float> scores;
+};
+
+/// Sorts best first: score descending, ties by ascending id.
+void SortBestFirst(std::vector<retrieval::ScoredEntity>::iterator begin,
+                   std::vector<retrieval::ScoredEntity>::iterator end);
+
+/// One domain's tape-free entity side over borrowed encoders and KB: the
+/// bi-encoder index and cross-encoder rerank cache (model::BuildEntitySide)
+/// of its entities. Built once, it ranks any number of mentions, bit-
+/// identically to the tape forms; serving, evaluation, candidate mining and
+/// offline linking all rank against one. The encoders and KB must outlive
+/// it and must not change while it is in use.
+struct DomainSide {
+  std::string domain;
+  const model::BiEncoder* bi = nullptr;
+  /// Null: retrieval only, `cross_cache` stays empty.
+  const model::CrossEncoder* cross = nullptr;
+  const kb::KnowledgeBase* kb = nullptr;
+  retrieval::DenseIndex index;
+  model::CrossEntityCache cross_cache;
+  std::unordered_map<kb::EntityId, std::size_t> entity_pos;  // id -> row
+
+  /// Builds `domain`'s side, chunked on `pool` (nullptr: serially).
+  util::Status Build(const model::BiEncoder* bi,
+                     const model::CrossEncoder* cross,
+                     const kb::KnowledgeBase* kb, const std::string& domain,
+                     util::ThreadPool* pool);
+  /// Fills `entity_pos` from the index's row ids.
+  void MapRows();
+
+  /// Sets the scores of cands[0, n) to the cross-encoder's, in place
+  /// (CrossEncoder::ScoreCachedInference). Pre: `cross` is set.
+  void Rescore(const data::LinkingExample& example,
+               retrieval::ScoredEntity* cands, std::size_t n,
+               RescoreScratch* scratch) const;
+
+  /// Each example's top-`k` entities (DenseIndex::BatchTopK) in retrieval
+  /// order, rescored when there is a cross-encoder. Runs on `pool`
+  /// (nullptr: serially).
+  std::vector<std::vector<retrieval::ScoredEntity>> Rank(
+      const std::vector<data::LinkingExample>& examples, std::size_t k,
+      util::ThreadPool* pool) const;
+
+  /// Rank, with each list sorted best first.
+  std::vector<std::vector<retrieval::ScoredEntity>> Link(
+      const std::vector<data::LinkingExample>& examples, std::size_t k,
+      util::ThreadPool* pool) const;
+};
+
 /// Runs the paper's two-stage evaluation protocol: bi-encoder retrieval of
 /// the top-k entities of the mention's domain, then cross-encoder ranking of
 /// the retrieved candidates.
@@ -42,6 +97,18 @@ class TwoStageEvaluator {
       const model::CrossEncoder* cross_encoder, const kb::KnowledgeBase& kb,
       const std::string& domain,
       const std::vector<data::LinkingExample>& examples) const;
+
+  /// Evaluate against a prebuilt side (ranked by its cross-encoder, if
+  /// any). The first best score in retrieval order is the prediction.
+  util::Result<EvalResult> Evaluate(
+      const DomainSide& side,
+      const std::vector<data::LinkingExample>& examples) const;
+
+  /// DomainSide::Build on this evaluator's pool.
+  util::Status BuildSide(const model::BiEncoder& bi_encoder,
+                         const model::CrossEncoder* cross_encoder,
+                         const kb::KnowledgeBase& kb,
+                         const std::string& domain, DomainSide* side) const;
 
   /// Stage-1 only: builds the domain index and returns per-example
   /// candidate lists (used by cross-encoder training to mine candidates).

@@ -187,7 +187,7 @@ void CrossEncoder::PrecomputeEntities(const std::vector<kb::Entity>& entities,
   std::vector<const kb::Entity*> refs;
   refs.reserve(entities.size());
   for (const kb::Entity& e : entities) refs.push_back(&e);
-  BuildEntitySide(/*bi=*/nullptr, *this, refs, /*pool=*/nullptr,
+  BuildEntitySide(/*bi=*/nullptr, this, refs, /*pool=*/nullptr,
                   /*embeddings=*/nullptr, out);
 }
 

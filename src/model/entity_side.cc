@@ -67,20 +67,21 @@ void MergeVocabularies(std::vector<ChunkState>* chunks,
 
 }  // namespace
 
-void BuildEntitySide(const BiEncoder* bi, const CrossEncoder& cross,
+void BuildEntitySide(const BiEncoder* bi, const CrossEncoder* cross,
                      const std::vector<const kb::Entity*>& entities,
                      util::ThreadPool* pool, tensor::Tensor* embeddings,
                      CrossEntityCache* cache, EntitySideTimings* timings) {
   const auto t_start = Clock::now();
   const std::size_t n = entities.size();
-  cache->entity_vec.Resize(n, cross.config().dim);
-  cache->tokens.assign(n, CachedEntityTokens{});
-  cache->vocab.clear();
+  if (cross != nullptr) {
+    cache->entity_vec.Resize(n, cross->config().dim);
+    cache->tokens.assign(n, CachedEntityTokens{});
+    cache->vocab.clear();
+  }
   if (bi != nullptr) embeddings->Resize(n, bi->dim());
   const bool share_bags =
-      bi != nullptr &&
-      FeatureConfigsMatch(bi->config().features, cross.config().features);
-  const Featurizer& cross_features = cross.featurizer();
+      bi != nullptr && cross != nullptr &&
+      FeatureConfigsMatch(bi->config().features, cross->config().features);
 
   // Pooled bi rows for the whole set, allocated here so that the chunk
   // tasks allocate little: what a worker frees stays cached in its own
@@ -108,11 +109,14 @@ void BuildEntitySide(const BiEncoder* bi, const CrossEncoder& cross,
         bi->EntityHiddenRowInto(bi_bag, hidden.row_data(i));
       }
       const auto t1 = Clock::now();
-      if (!share_bags) cross_features.EntityBagInto(entity, &cross_bag);
-      cross.TowerRowInto(share_bags ? bi_bag : cross_bag,
-                         cache->entity_vec.row_data(i));
-      cross_features.PrecomputeEntityTokens(entity, &state.vocab,
-                                            &cache->tokens[i]);
+      if (cross != nullptr) {
+        const Featurizer& cross_features = cross->featurizer();
+        if (!share_bags) cross_features.EntityBagInto(entity, &cross_bag);
+        cross->TowerRowInto(share_bags ? bi_bag : cross_bag,
+                            cache->entity_vec.row_data(i));
+        cross_features.PrecomputeEntityTokens(entity, &state.vocab,
+                                              &cache->tokens[i]);
+      }
       state.bi_ms += Ms(t0, t1);
       state.cross_ms += Ms(t1);
     }
@@ -134,7 +138,7 @@ void BuildEntitySide(const BiEncoder* bi, const CrossEncoder& cross,
   const double chunks_ms = Ms(t_start);
 
   const auto t_merge = Clock::now();
-  MergeVocabularies(&chunks, cache);
+  if (cross != nullptr) MergeVocabularies(&chunks, cache);
   if (timings != nullptr) {
     *timings = EntitySideTimings{};
     timings->chunks_ms = chunks_ms;
@@ -146,7 +150,7 @@ void BuildEntitySide(const BiEncoder* bi, const CrossEncoder& cross,
   }
 }
 
-void BuildEntitySide(const BiEncoder* bi, const CrossEncoder& cross,
+void BuildEntitySide(const BiEncoder* bi, const CrossEncoder* cross,
                      const kb::KnowledgeBase& kb,
                      const std::vector<kb::EntityId>& ids,
                      util::ThreadPool* pool, tensor::Tensor* embeddings,

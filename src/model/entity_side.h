@@ -41,17 +41,18 @@ struct EntitySideTimings {
 /// to BiEncoder::EncodeEntitiesInference plus a serial token interning at
 /// any pool size.
 ///
-/// Chunks run on `pool` (nullptr runs the same loop serially). `bi` may be
-/// null to build only the cross side; `embeddings` is then not touched.
+/// Chunks run on `pool` (nullptr runs the same loop serially). Either
+/// encoder may be null to build only the other's side: a null `bi` leaves
+/// `embeddings` untouched, a null `cross` leaves `cache` untouched.
 /// `timings` (optional) receives the stage split.
-void BuildEntitySide(const BiEncoder* bi, const CrossEncoder& cross,
+void BuildEntitySide(const BiEncoder* bi, const CrossEncoder* cross,
                      const std::vector<const kb::Entity*>& entities,
                      util::ThreadPool* pool, tensor::Tensor* embeddings,
                      CrossEntityCache* cache,
                      EntitySideTimings* timings = nullptr);
 
 /// BuildEntitySide over the entities `ids` name in `kb`, in that order.
-void BuildEntitySide(const BiEncoder* bi, const CrossEncoder& cross,
+void BuildEntitySide(const BiEncoder* bi, const CrossEncoder* cross,
                      const kb::KnowledgeBase& kb,
                      const std::vector<kb::EntityId>& ids,
                      util::ThreadPool* pool, tensor::Tensor* embeddings,

@@ -43,10 +43,14 @@ util::Result<std::unique_ptr<LinkingServer>> LinkingServer::Create(
     return util::Status::InvalidArgument("null component passed to server");
   }
   std::unique_ptr<LinkingServer> server(new LinkingServer(std::move(options)));
-  auto epoch = BuildEpoch(bi, cross, kb, domain, server->options_,
-                          &server->pool_);
-  if (!epoch.ok()) return epoch.status();
-  server->Start(*std::move(epoch));
+  // The entity side is built on the server's pool, before it serves.
+  auto epoch = std::make_shared<ModelEpoch>();
+  METABLINK_RETURN_IF_ERROR(
+      epoch->Build(bi, cross, kb, domain, &server->pool_));
+  METABLINK_RETURN_IF_ERROR(ResolveRetrieval(nullptr, epoch.get()));
+  METABLINK_RETURN_IF_ERROR(
+      ResolveCascade(server->options_, nullptr, epoch.get()));
+  server->Start(std::move(epoch));
   return server;
 }
 
@@ -56,10 +60,8 @@ util::Result<std::unique_ptr<LinkingServer>> LinkingServer::FromLinker(
     return util::Status::FailedPrecondition(
         "call FewShotLinker::Fit before serving it");
   }
-  const core::MetaBlinkPipeline* pipeline = linker.pipeline();
-  return Create(pipeline->bi_encoder(), pipeline->cross_encoder(),
-                &linker.corpus()->kb, linker.target_domain(),
-                std::move(options));
+  const eval::DomainSide& side = linker.side();
+  return Create(side.bi, side.cross, side.kb, side.domain, std::move(options));
 }
 
 util::Result<std::unique_ptr<LinkingServer>> LinkingServer::FromBundle(
@@ -92,35 +94,6 @@ LinkingServer::~LinkingServer() {
   }
   queue_cv_.notify_all();
   if (scheduler_.joinable()) scheduler_.join();
-}
-
-util::Result<std::shared_ptr<LinkingServer::ModelEpoch>>
-LinkingServer::BuildEpoch(const model::BiEncoder* bi,
-                          const model::CrossEncoder* cross,
-                          const kb::KnowledgeBase* kb,
-                          const std::string& domain,
-                          const ServerOptions& options,
-                          util::ThreadPool* pool) {
-  const std::vector<kb::EntityId>& ids = kb->EntitiesInDomain(domain);
-  if (ids.empty()) {
-    return util::Status::NotFound("domain has no entities: " + domain);
-  }
-  auto epoch = std::make_shared<ModelEpoch>();
-  epoch->domain = domain;
-  epoch->bi = bi;
-  epoch->cross = cross;
-  epoch->kb = kb;
-  // Index rows and the entity-side rerank work, hoisted out of the serving
-  // loop.
-  tensor::Tensor all;
-  model::BuildEntitySide(bi, *cross, *kb, ids, pool, &all,
-                         &epoch->cross_cache);
-  METABLINK_RETURN_IF_ERROR(epoch->index.Build(std::move(all), ids));
-  METABLINK_RETURN_IF_ERROR(ResolveRetrieval(nullptr, epoch.get()));
-  epoch->entity_pos.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) epoch->entity_pos[ids[i]] = i;
-  METABLINK_RETURN_IF_ERROR(ResolveCascade(options, nullptr, epoch.get()));
-  return epoch;
 }
 
 util::Status LinkingServer::ResolveCascade(const ServerOptions& options,
@@ -192,17 +165,16 @@ LinkingServer::BuildEpochFromBundle(store::ModelBundle bundle,
   }
   METABLINK_RETURN_IF_ERROR(ResolveRetrieval(
       b.has_clustered ? &b.clustered : nullptr, epoch.get()));
-  const std::vector<kb::EntityId>& ids = epoch->index.ids();
   if (b.has_rerank_cache) {
     epoch->cross_cache = std::move(b.rerank_cache);
   } else {
     // Bundle shipped without the precomputed rerank artifact: rebuild it
     // from the KB in index-row order.
-    model::BuildEntitySide(/*bi=*/nullptr, *epoch->cross, *epoch->kb, ids,
-                           pool, /*embeddings=*/nullptr, &epoch->cross_cache);
+    model::BuildEntitySide(/*bi=*/nullptr, epoch->cross, *epoch->kb,
+                           epoch->index.ids(), pool, /*embeddings=*/nullptr,
+                           &epoch->cross_cache);
   }
-  epoch->entity_pos.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) epoch->entity_pos[ids[i]] = i;
+  epoch->MapRows();
   METABLINK_RETURN_IF_ERROR(
       ResolveCascade(options, b.has_cascade ? &b.cascade : nullptr,
                      epoch.get()));
@@ -344,7 +316,8 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
       keys_[i] = CacheKey(req.example);
       if (const CachedAnswer* hit = CacheLookup(epoch.get(), keys_[i])) {
         tiers[i] = hit->tier;
-        outcomes[i] = Respond(*epoch, hit->ranked, req.top_k);
+        outcomes[i] =
+            core::MakePredictions(*epoch->kb, hit->ranked, req.top_k);
         continue;
       }
     }
@@ -414,23 +387,8 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
           if (!use_cascade) {
             // The pre-cascade serving path, byte for byte: cross-encode
             // and re-sort the entire candidate list.
-            scratch.rows.clear();
-            scratch.rows.reserve(cands.size());
-            for (const auto& c : cands) {
-              scratch.rows.push_back(epoch->entity_pos.at(c.id));
-            }
-            epoch->cross->ScoreCachedInference(
-                req.example, scratch.rows, epoch->cross_cache,
-                &scratch.cross, &scratch.scores);
-            for (std::size_t c = 0; c < cands.size(); ++c) {
-              cands[c].score = scratch.scores[c];
-            }
-            std::sort(cands.begin(), cands.end(),
-                      [](const retrieval::ScoredEntity& a,
-                         const retrieval::ScoredEntity& b) {
-                        if (a.score != b.score) return a.score > b.score;
-                        return a.id < b.id;
-                      });
+            epoch->Rescore(req.example, cands.data(), cands.size(), &scratch);
+            eval::SortBestFirst(cands.begin(), cands.end());
           } else {
             const float margin =
                 cands.size() > 1
@@ -465,7 +423,6 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
                 const std::size_t cross_d =
                     epoch->cross_cache.entity_vec.cols();
                 scratch.features.resize(model::CascadeFeatureCount(cross_d));
-                scratch.scores.resize(head);
                 for (std::size_t r = 0; r < head; ++r) {
                   const std::size_t pos = epoch->entity_pos.at(cands[r].id);
                   model::CascadeFeaturesInto(
@@ -475,33 +432,18 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
                       scratch.cross.mention_tokens,
                       epoch->cross_cache.tokens[pos],
                       scratch.features.data());
-                  scratch.scores[r] =
+                  cands[r].score =
                       epoch->cascade.ScoreFeatures(scratch.features.data());
                 }
               } else {
                 // Tier 3 — full cross-encoder, but only over the head.
                 tiers[i] = Tier::kFull;
-                scratch.rows.clear();
-                scratch.rows.reserve(head);
-                for (std::size_t r = 0; r < head; ++r) {
-                  scratch.rows.push_back(epoch->entity_pos.at(cands[r].id));
-                }
-                epoch->cross->ScoreCachedInference(
-                    req.example, scratch.rows, epoch->cross_cache,
-                    &scratch.cross, &scratch.scores);
+                epoch->Rescore(req.example, cands.data(), head, &scratch);
               }
-              for (std::size_t r = 0; r < head; ++r) {
-                cands[r].score = scratch.scores[r];
-              }
-              std::sort(cands.begin(), cands.begin() + head,
-                        [](const retrieval::ScoredEntity& a,
-                           const retrieval::ScoredEntity& b) {
-                          if (a.score != b.score) return a.score > b.score;
-                          return a.id < b.id;
-                        });
+              eval::SortBestFirst(cands.begin(), cands.begin() + head);
             }
           }
-          outcomes[i] = Respond(*epoch, cands, req.top_k);
+          outcomes[i] = core::MakePredictions(*epoch->kb, cands, req.top_k);
         }
       });
   // Fill the answer cache on the scheduler thread, after every lookup of
@@ -543,22 +485,6 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
   for (std::size_t i = 0; i < m; ++i) {
     (*batch)[i].promise.set_value(std::move(outcomes[i]));
   }
-}
-
-util::Result<std::vector<core::LinkPrediction>> LinkingServer::Respond(
-    const ModelEpoch& epoch,
-    const std::vector<retrieval::ScoredEntity>& ranked, std::size_t top_k) {
-  if (ranked.empty()) {
-    return util::Status::NotFound("no candidates retrieved");
-  }
-  const std::size_t n = std::min(ranked.size(), top_k);
-  std::vector<core::LinkPrediction> predictions(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    predictions[r].entity_id = ranked[r].id;
-    predictions[r].title = epoch.kb->entity(ranked[r].id).title;
-    predictions[r].score = ranked[r].score;
-  }
-  return predictions;
 }
 
 const LinkingServer::CachedAnswer* LinkingServer::CacheLookup(

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/few_shot_linker.h"
+#include "eval/evaluator.h"
 #include "kb/knowledge_base.h"
 #include "model/bi_encoder.h"
 #include "model/cascade.h"
@@ -171,9 +172,8 @@ struct ServerStats {
 /// artifacts ship (ResolveRetrieval): the exhaustive fp32 scan, the int8
 /// scan of a quantized index, or the clustered (IVF / IVF-PQ) probe of a
 /// bundle's "clustered" artifact. Every approximate path re-scores its
-/// candidates in fp32, so scores are identical to MetaBlinkPipeline::Link
-/// whenever the true top-k is found: the tape-free kernels are
-/// bit-compatible with the tape path.
+/// candidates in fp32, so scores are identical to eval::DomainSide::Link's
+/// (FewShotLinker::Link's) whenever the true top-k is found.
 class LinkingServer {
  public:
   /// Builds a server over raw components. `bi`, `cross`, and `kb` must
@@ -257,31 +257,25 @@ class LinkingServer {
   };
 
   /// One published model version: every component a batch touches, owned
-  /// (or borrowed, for Create/FromLinker) in one place. The index /
-  /// rerank-cache / entity-position members are immutable after
-  /// publication; the answer LRU is mutated by the scheduler thread only,
-  /// and dies with its epoch — swap invalidation for free.
-  struct ModelEpoch {
+  /// (or borrowed, for Create/FromLinker) in one place. The entity side
+  /// (the eval::DomainSide base: encoders, KB, index, rerank cache, entity
+  /// positions) is immutable after publication; the answer LRU is mutated
+  /// by the scheduler thread only, and dies with its epoch — swap
+  /// invalidation for free.
+  struct ModelEpoch : eval::DomainSide {
     std::uint64_t version = 0;
-    std::string domain;
-    /// Set when the epoch came from a bundle; null when the raw component
-    /// pointers borrow caller-owned objects.
+    /// Set when the epoch came from a bundle; null when the base's
+    /// component pointers borrow caller-owned objects.
     std::unique_ptr<store::ModelBundle> owned;
-    const model::BiEncoder* bi = nullptr;
-    const model::CrossEncoder* cross = nullptr;
-    const kb::KnowledgeBase* kb = nullptr;
-    retrieval::DenseIndex index;
     /// The bundle's clustered artifact; built() only on the kClustered
     /// path. Always attached to this epoch's `index` member (re-attached
     /// after the bundle move).
     retrieval::ClusteredIndex clustered;
     RetrievalPath retrieval = RetrievalPath::kExhaustive;
-    model::CrossEntityCache cross_cache;
     /// Resolved cascade policy for this epoch: the bundle's "cascade"
     /// artifact when present, else ServerOptions::cascade, else the
     /// uncalibrated default. Read only when ServerOptions::use_cascade.
     model::CascadeModel cascade;
-    std::unordered_map<kb::EntityId, std::size_t> entity_pos;
     // Answer LRU: key -> list node of (key, answer).
     LruList lru;
     std::unordered_map<std::string, LruList::iterator> lru_map;
@@ -301,14 +295,6 @@ class LinkingServer {
 
   /// Publishes the first epoch and starts the scheduler thread.
   void Start(std::shared_ptr<ModelEpoch> epoch);
-
-  /// Encodes the domain's entities, builds the index, and precomputes the
-  /// cross-encoder entity cache (model::BuildEntitySide, chunks on `pool`),
-  /// over borrowed components.
-  static util::Result<std::shared_ptr<ModelEpoch>> BuildEpoch(
-      const model::BiEncoder* bi, const model::CrossEncoder* cross,
-      const kb::KnowledgeBase* kb, const std::string& domain,
-      const ServerOptions& options, util::ThreadPool* pool);
 
   /// Turns a loaded bundle into a servable epoch: adopts its prebuilt
   /// index and retrieval artifacts, adopts the rerank cache or rebuilds it
@@ -351,12 +337,6 @@ class LinkingServer {
                    const std::vector<retrieval::ScoredEntity>& ranked,
                    Tier tier);
 
-  /// The response for a ranked candidate list: its first `top_k` entries,
-  /// titled from the epoch's KB; NotFound when `ranked` is empty.
-  static util::Result<std::vector<core::LinkPrediction>> Respond(
-      const ModelEpoch& epoch,
-      const std::vector<retrieval::ScoredEntity>& ranked, std::size_t top_k);
-
   ServerOptions options_;
 
   // Published model version; guarded by epoch_mu_. Batches snapshot the
@@ -392,10 +372,7 @@ class LinkingServer {
   tensor::Tensor encoded_;
   std::vector<std::vector<retrieval::ScoredEntity>> batch_hits_;
   std::vector<retrieval::ClusteredScratch> retrieval_scratch_;
-  struct RerankScratch {
-    model::CrossScoreScratch cross;
-    std::vector<float> scores;
-    std::vector<std::size_t> rows;
+  struct RerankScratch : eval::RescoreScratch {
     /// Cascade-only buffers: the retrieval-score strip feeding
     /// CascadeFeaturesInto and one distilled feature row.
     std::vector<float> strip;

@@ -5,9 +5,8 @@
 #include <cstdint>
 #include <limits>
 
-#include "model/entity_side.h"
+#include "eval/evaluator.h"
 #include "model/features.h"
-#include "retrieval/dense_index.h"
 #include "tensor/optimizer.h"
 #include "tensor/parameter.h"
 #include "tensor/tensor.h"
@@ -67,23 +66,15 @@ util::Result<model::CascadeModel> CalibrateCascade(
     return util::Status::InvalidArgument(
         "cascade calibration needs at least one example");
   }
-  const std::vector<kb::EntityId>& ids = kb.EntitiesInDomain(domain);
-  if (ids.empty()) {
-    return util::Status::NotFound("domain has no entities: " + domain);
-  }
-
-  // ---- Full-rerank pass: the same epoch construction a server performs
-  // (chunked entity encode, exact fp32 index, cached cross rerank), so the
-  // margins and scores calibrated here are the ones the server will gate on.
-  tensor::Tensor all;
-  model::CrossEntityCache cross_cache;
-  model::BuildEntitySide(&bi, cross, kb, ids, /*pool=*/nullptr, &all,
-                         &cross_cache);
-  retrieval::DenseIndex index;
-  METABLINK_RETURN_IF_ERROR(index.Build(std::move(all), ids));
-  std::unordered_map<kb::EntityId, std::size_t> entity_pos;
-  entity_pos.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) entity_pos[ids[i]] = i;
+  // ---- Full-rerank pass: the same entity side a server builds (chunked
+  // entity encode, exact fp32 index, cached cross rerank), so the margins
+  // and scores calibrated here are the ones the server will gate on.
+  eval::DomainSide side;
+  METABLINK_RETURN_IF_ERROR(
+      side.Build(&bi, &cross, &kb, domain, /*pool=*/nullptr));
+  const retrieval::DenseIndex& index = side.index;
+  const model::CrossEntityCache& cross_cache = side.cross_cache;
+  const auto& entity_pos = side.entity_pos;
 
   model::EncodeScratch encode_scratch;
   tensor::Tensor queries;

@@ -96,12 +96,17 @@ TEST_F(PipelineTest, FullMetaPipelineBeatsSeedOnlyBlink) {
 TEST_F(PipelineTest, LinkReturnsRankedCandidates) {
   MetaBlinkPipeline pipeline(TestConfig());
   ASSERT_TRUE(pipeline.TrainSupervised(corpus_->kb, split_.train).ok());
-  auto ranked =
-      pipeline.Link(corpus_->kb, "target", split_.test.front(), 5);
-  ASSERT_TRUE(ranked.ok());
-  ASSERT_EQ(ranked->size(), 5u);
-  for (std::size_t i = 1; i < ranked->size(); ++i) {
-    EXPECT_GE((*ranked)[i - 1].score, (*ranked)[i].score);
+  eval::DomainSide side;
+  ASSERT_TRUE(pipeline.evaluator()
+                  .BuildSide(*pipeline.bi_encoder(), pipeline.cross_encoder(),
+                             corpus_->kb, "target", &side)
+                  .ok());
+  const auto ranked =
+      side.Link({split_.test.front()}, TestConfig().eval.k, nullptr);
+  ASSERT_EQ(ranked.size(), 1u);
+  ASSERT_EQ(ranked[0].size(), TestConfig().eval.k);
+  for (std::size_t i = 1; i < ranked[0].size(); ++i) {
+    EXPECT_GE(ranked[0][i - 1].score, ranked[0][i].score);
   }
 }
 
@@ -166,6 +171,13 @@ TEST_F(PipelineTest, FewShotLinkerEndToEnd) {
   auto result = linker.Evaluate(split_.test);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->recall_at_k, 0.2);
+
+  // A failed refit leaves the linker unfitted: it must not answer from the
+  // side the last Fit built once training has started again.
+  EXPECT_FALSE(
+      linker.Fit(*corpus_, {"no_such_source"}, "target", split_.train).ok());
+  EXPECT_FALSE(linker.fitted());
+  EXPECT_FALSE(linker.Link(probe.mention, "", "").ok());
 }
 
 TEST_F(PipelineTest, FewShotLinkerZeroShotHeuristicSeeds) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "data/generator.h"
 #include "eval/evaluator.h"
 #include "eval/metrics.h"
+#include "model/cross_encoder.h"
 #include "train/bi_trainer.h"
 
 namespace metablink::eval {
@@ -182,6 +185,76 @@ TEST_F(EvaluatorTest, RetrieveCandidatesShapes) {
     for (const auto& c : l) {
       EXPECT_EQ(corpus_->kb.entity(c.id).domain, "d");
     }
+  }
+}
+
+// The tape-form reference of Evaluate: EmbedEntityIds rows, EmbedMentions
+// queries, DenseIndex::TopK, then CrossEncoder::Score over the candidates,
+// with the first maximum in retrieval order as the prediction (the top hit
+// without a cross-encoder).
+EvalResult TapeReference(const model::BiEncoder& bi,
+                         const model::CrossEncoder* cross,
+                         const kb::KnowledgeBase& kb,
+                         const std::vector<data::LinkingExample>& examples,
+                         std::size_t k) {
+  const auto& ids = kb.EntitiesInDomain("d");
+  retrieval::DenseIndex index;
+  EXPECT_TRUE(index.Build(bi.EmbedEntityIds(ids, kb), ids).ok());
+  const tensor::Tensor queries = bi.EmbedMentions(examples);
+  std::size_t in_candidates = 0;
+  std::size_t top1 = 0;
+  for (std::size_t i = 0; i < examples.size(); ++i) {
+    const auto cands = index.TopK(queries.row_data(i), k);
+    bool found = false;
+    for (const auto& c : cands) found = found || c.id == examples[i].entity_id;
+    if (!found) continue;
+    ++in_candidates;
+    std::size_t best = 0;
+    if (cross != nullptr) {
+      std::vector<kb::Entity> entities;
+      for (const auto& c : cands) entities.push_back(kb.entity(c.id));
+      const std::vector<float> scores = cross->Score(examples[i], entities);
+      best = static_cast<std::size_t>(
+          std::max_element(scores.begin(), scores.end()) - scores.begin());
+    }
+    if (cands[best].id == examples[i].entity_id) ++top1;
+  }
+  return MakeEvalResult(examples.size(), in_candidates, top1);
+}
+
+TEST_F(EvaluatorTest, MatchesTapeReference) {
+  model::BiEncoderConfig bi_cfg;
+  bi_cfg.features.hasher.num_buckets = 2048;
+  bi_cfg.dim = 16;
+  util::Rng rng(3);
+  model::BiEncoder bi(bi_cfg, &rng);
+  auto split = data::MakeFewShotSplit(corpus_->ExamplesIn("d"), 120, 0, 5);
+  train::TrainOptions topt;
+  topt.epochs = 3;
+  ASSERT_TRUE(
+      train::BiEncoderTrainer(topt).Train(&bi, corpus_->kb, split.train).ok());
+  model::CrossEncoderConfig cross_cfg;
+  cross_cfg.features.hasher.num_buckets = 2048;
+  cross_cfg.dim = 16;
+  cross_cfg.hidden = 16;
+  model::CrossEncoder cross(cross_cfg, &rng);
+
+  constexpr std::size_t kK = 8;
+  TwoStageEvaluator evaluator(EvaluatorOptions{.k = kK, .num_threads = 3});
+  for (const model::CrossEncoder* c :
+       std::vector<const model::CrossEncoder*>{nullptr, &cross}) {
+    SCOPED_TRACE(c == nullptr ? "bi only" : "with cross-encoder");
+    auto got = evaluator.Evaluate(bi, c, corpus_->kb, "d", split.test);
+    ASSERT_TRUE(got.ok());
+    const EvalResult want =
+        TapeReference(bi, c, corpus_->kb, split.test, kK);
+    EXPECT_GT(want.num_in_candidates, 0u);
+    EXPECT_EQ(got->num_examples, want.num_examples);
+    EXPECT_EQ(got->num_in_candidates, want.num_in_candidates);
+    EXPECT_EQ(got->num_top1, want.num_top1);
+    EXPECT_EQ(got->recall_at_k, want.recall_at_k);
+    EXPECT_EQ(got->normalized_acc, want.normalized_acc);
+    EXPECT_EQ(got->unnormalized_acc, want.unnormalized_acc);
   }
 }
 

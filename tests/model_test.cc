@@ -425,7 +425,7 @@ class EntitySideTest : public ::testing::Test {
                      std::to_string(pool ? pool->num_threads() : 0));
         tensor::Tensor emb;
         CrossEntityCache cache;
-        BuildEntitySide(&bi, cross, refs, pool, &emb, &cache);
+        BuildEntitySide(&bi, &cross, refs, pool, &emb, &cache);
         EXPECT_TRUE(SameBits(emb, want_emb));
         ExpectSameCache(cache, want_cache);
       }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -300,26 +301,44 @@ TEST_F(ServeTest, CachedCrossScoreMatchesTape) {
 
 // ---- LinkingServer ---------------------------------------------------------
 
-TEST_F(ServeTest, ServerMatchesPipelineLink) {
+// The tape forms are the reference the tape-free serving path is certified
+// against: EmbedEntityIds rows, EmbedMentions queries, DenseIndex::TopK,
+// CrossEncoder::Score over the candidates, then best first (score desc,
+// id asc), cut to 5.
+TEST_F(ServeTest, ServerMatchesTapeReference) {
+  constexpr std::size_t kRetrieve = 16;
   ServerOptions opts;
-  opts.retrieve_k = 16;  // same stage-1 k as the pipeline's eval config
+  opts.retrieve_k = kRetrieve;
+  const model::BiEncoder* bi = pipeline_->bi_encoder();
+  const model::CrossEncoder* cross = pipeline_->cross_encoder();
   auto server =
-      LinkingServer::Create(pipeline_->bi_encoder(), pipeline_->cross_encoder(),
-                            &corpus_->kb, "target", opts);
+      LinkingServer::Create(bi, cross, &corpus_->kb, "target", opts);
   ASSERT_TRUE(server.ok());
-  for (std::size_t e = 0; e < 5; ++e) {
+  const auto& ids = corpus_->kb.EntitiesInDomain("target");
+  retrieval::DenseIndex index;
+  ASSERT_TRUE(index.Build(bi->EmbedEntityIds(ids, corpus_->kb), ids).ok());
+  const tensor::Tensor queries = bi->EmbedMentions(split_.test);
+  for (std::size_t e = 0; e < split_.test.size(); ++e) {
     const auto& ex = split_.test[e];
+    std::vector<retrieval::ScoredEntity> want =
+        index.TopK(queries.row_data(e), kRetrieve);
+    std::vector<kb::Entity> entities;
+    for (const auto& c : want) entities.push_back(corpus_->kb.entity(c.id));
+    const std::vector<float> scores = cross->Score(ex, entities);
+    for (std::size_t c = 0; c < want.size(); ++c) want[c].score = scores[c];
+    std::sort(want.begin(), want.end(),
+              [](const retrieval::ScoredEntity& a,
+                 const retrieval::ScoredEntity& b) {
+                return a.score != b.score ? a.score > b.score : a.id < b.id;
+              });
+    want.resize(std::min<std::size_t>(want.size(), 5));
     auto got = (*server)->Link(ex.mention, ex.left_context, ex.right_context,
                                /*top_k=*/5);
     ASSERT_TRUE(got.ok());
-    data::LinkingExample probe = ex;
-    probe.entity_id = kb::kInvalidEntityId;
-    auto want = pipeline_->Link(corpus_->kb, "target", probe, 5);
-    ASSERT_TRUE(want.ok());
-    ASSERT_EQ(got->size(), want->size());
-    for (std::size_t i = 0; i < want->size(); ++i) {
-      EXPECT_EQ((*got)[i].entity_id, (*want)[i].id);
-      EXPECT_EQ((*got)[i].score, (*want)[i].score);
+    ASSERT_EQ(got->size(), want.size()) << "mention " << e;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ((*got)[i].entity_id, want[i].id) << "mention " << e;
+      EXPECT_EQ((*got)[i].score, want[i].score) << "mention " << e;
     }
   }
 }
@@ -866,21 +885,26 @@ TEST_F(ServeTest, FittedLinkerEdgeCasesAndConcurrentLink) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0u);
 
-  // FromLinker serves the same answers the linker computes directly (same
-  // stage-1 k so both rerank the same candidate set).
+  // FromLinker serves, bit for bit, the answers the linker computes
+  // directly from its Fit-built side, for every test mention (same stage-1
+  // k, so both rerank the same candidate set).
   ServerOptions opts;
   opts.retrieve_k = TestConfig().eval.k;
   auto server = LinkingServer::FromLinker(linker, opts);
   ASSERT_TRUE(server.ok());
-  auto direct = linker.Link(probe.mention, probe.left_context,
-                            probe.right_context, 5);
-  auto served = (*server)->Link(probe.mention, probe.left_context,
-                                probe.right_context, 5);
-  ASSERT_TRUE(direct.ok() && served.ok());
-  ASSERT_EQ(direct->size(), served->size());
-  for (std::size_t i = 0; i < direct->size(); ++i) {
-    EXPECT_EQ((*direct)[i].entity_id, (*served)[i].entity_id);
-    EXPECT_NEAR((*direct)[i].score, (*served)[i].score, 1e-6);
+  for (std::size_t e = 0; e < split_.test.size(); ++e) {
+    const auto& ex = split_.test[e];
+    auto direct = linker.Link(ex.mention, ex.left_context, ex.right_context);
+    auto served =
+        (*server)->Link(ex.mention, ex.left_context, ex.right_context);
+    ASSERT_TRUE(direct.ok() && served.ok());
+    ASSERT_EQ(direct->size(), served->size()) << "mention " << e;
+    for (std::size_t i = 0; i < direct->size(); ++i) {
+      EXPECT_EQ((*direct)[i].entity_id, (*served)[i].entity_id)
+          << "mention " << e;
+      EXPECT_EQ((*direct)[i].score, (*served)[i].score) << "mention " << e;
+      EXPECT_EQ((*direct)[i].title, (*served)[i].title) << "mention " << e;
+    }
   }
 }
 
