@@ -620,9 +620,14 @@ int main(int argc, char** argv) {
           ? static_cast<double>(stats.cache_hits) /
                 (stats.cache_hits + stats.cache_misses)
           : 0.0;
-  std::printf("  batches=%llu cache_hit_rate=%.2f encode=%.1fms retrieve=%.1fms "
+  std::printf("  batches=%llu (full=%llu deadline=%llu early=%llu) "
+              "cache_hit_rate=%.2f encode=%.1fms retrieve=%.1fms "
               "rerank=%.1fms queue_hw=%zu accepted=%llu\n",
-              static_cast<unsigned long long>(stats.batches), cache_hit_rate,
+              static_cast<unsigned long long>(stats.batches),
+              static_cast<unsigned long long>(stats.batches_full),
+              static_cast<unsigned long long>(stats.batches_deadline),
+              static_cast<unsigned long long>(stats.batches_early),
+              cache_hit_rate,
               stats.encode_ms, stats.retrieve_ms, stats.rerank_ms,
               stats.queue_depth_high_water,
               static_cast<unsigned long long>(stats.accepted));
@@ -677,8 +682,16 @@ int main(int argc, char** argv) {
               server_cascade.mode.p50_ms, server_cascade.mode.p99_ms,
               server_cascade.mode.qps, cascade_speedup, cascade_qps.min,
               cascade_qps.max, cascade_reps);
-  std::printf("  tiers: exited=%llu distilled=%llu full=%llu | "
+  std::printf("  batches=%llu (full=%llu deadline=%llu early=%llu) "
+              "tiers: exited=%llu distilled=%llu full=%llu | "
               "accuracy full=%.4f cascade=%.4f delta=%.3f pts\n",
+              static_cast<unsigned long long>(server_cascade.stats.batches),
+              static_cast<unsigned long long>(
+                  server_cascade.stats.batches_full),
+              static_cast<unsigned long long>(
+                  server_cascade.stats.batches_deadline),
+              static_cast<unsigned long long>(
+                  server_cascade.stats.batches_early),
               static_cast<unsigned long long>(
                   server_cascade.stats.rerank_exited),
               static_cast<unsigned long long>(

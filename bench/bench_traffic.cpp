@@ -199,6 +199,7 @@ struct LoadPoint {
   double p999_ms = 0.0;
   double max_start_lag_ms = 0.0;
   double achieved_qps = 0.0;
+  serve::ServerStats stats;
 };
 
 double QuantMs(const load::LatencyHistogram& h, double q) {
@@ -249,7 +250,17 @@ LoadPoint MeasureLoadPoint(serve::LinkingServer* server,
   p.p999_ms = QuantMs(result.latency_ns, 0.999);
   p.max_start_lag_ms = result.max_start_lag_ms;
   p.achieved_qps = result.achieved_qps;
+  p.stats = server->Stats();
   return p;
+}
+
+/// The server's batch count and why its batches closed.
+void PrintBatches(const serve::ServerStats& s) {
+  std::printf("  batches=%llu (full=%llu deadline=%llu early=%llu)\n",
+              static_cast<unsigned long long>(s.batches),
+              static_cast<unsigned long long>(s.batches_full),
+              static_cast<unsigned long long>(s.batches_deadline),
+              static_cast<unsigned long long>(s.batches_early));
 }
 
 void PrintLoadPoint(const char* tag, const LoadPoint& p) {
@@ -257,6 +268,7 @@ void PrintLoadPoint(const char* tag, const LoadPoint& p) {
               "p99 %8.2f  p999 %8.2f ms  shed %.3f  lag %8.2f ms\n",
               tag, p.qps_frac, p.target_qps, p.total, p.p50_ms, p.p90_ms,
               p.p99_ms, p.p999_ms, p.shed_rate, p.max_start_lag_ms);
+  PrintBatches(p.stats);
 }
 
 void JsonLoadPoint(FILE* f, const LoadPoint& p, bool last) {
@@ -474,6 +486,7 @@ int main(int argc, char** argv) {
               "huge-bound byte-identical: %s\n",
               ident_deterministic ? "PASS" : "FAIL",
               ident_bounded ? "PASS" : "FAIL");
+  PrintBatches(replay_unbounded_a.stats);
 
   // ---- Group 4b: shed policies reconcile under an 8-thread hammer. ---------
   // max_batch=1 + immediate flush makes service slow relative to 8
@@ -574,11 +587,13 @@ int main(int argc, char** argv) {
     const auto sat_stream = Draw(
         MakeConfig(load::MixKind::kZipfian, scale.pool_size, 17),
         scale.stream_len);
-    saturation_qps = DriveClosed(MakeServer(base_opts).get(), pool,
-                                 sat_stream, scale.client_threads)
-                         .qps;
+    const ClosedLoopResult saturation =
+        DriveClosed(MakeServer(base_opts).get(), pool, sat_stream,
+                    scale.client_threads);
+    saturation_qps = saturation.qps;
     std::printf("[saturation] closed-loop %zu clients: %.0f qps\n",
                 scale.client_threads, saturation_qps);
+    PrintBatches(saturation.stats);
 
     // The sweep. Bounded: small queue + reject-new keeps admitted latency
     // bounded and sheds the excess. Unbounded: the pre-PR behavior —

@@ -47,10 +47,7 @@ util::Result<std::unique_ptr<LinkingServer>> LinkingServer::Create(
   auto epoch = std::make_shared<ModelEpoch>();
   METABLINK_RETURN_IF_ERROR(
       epoch->Build(bi, cross, kb, domain, &server->pool_));
-  METABLINK_RETURN_IF_ERROR(ResolveRetrieval(nullptr, epoch.get()));
-  METABLINK_RETURN_IF_ERROR(
-      ResolveCascade(server->options_, nullptr, epoch.get()));
-  server->Start(std::move(epoch));
+  METABLINK_RETURN_IF_ERROR(server->StartBorrowed(std::move(epoch)));
   return server;
 }
 
@@ -60,8 +57,13 @@ util::Result<std::unique_ptr<LinkingServer>> LinkingServer::FromLinker(
     return util::Status::FailedPrecondition(
         "call FewShotLinker::Fit before serving it");
   }
-  const eval::DomainSide& side = linker.side();
-  return Create(side.bi, side.cross, side.kb, side.domain, std::move(options));
+  std::unique_ptr<LinkingServer> server(new LinkingServer(std::move(options)));
+  // Fit already built this domain's side over these encoders and KB; the
+  // epoch copies it rather than embedding every entity again.
+  auto epoch = std::make_shared<ModelEpoch>();
+  static_cast<eval::DomainSide&>(*epoch) = linker.side();
+  METABLINK_RETURN_IF_ERROR(server->StartBorrowed(std::move(epoch)));
+  return server;
 }
 
 util::Result<std::unique_ptr<LinkingServer>> LinkingServer::FromBundle(
@@ -85,6 +87,13 @@ LinkingServer::LinkingServer(ServerOptions options)
 void LinkingServer::Start(std::shared_ptr<ModelEpoch> epoch) {
   epoch_ = std::move(epoch);
   scheduler_ = std::thread(&LinkingServer::SchedulerLoop, this);
+}
+
+util::Status LinkingServer::StartBorrowed(std::shared_ptr<ModelEpoch> epoch) {
+  METABLINK_RETURN_IF_ERROR(ResolveRetrieval(nullptr, epoch.get()));
+  METABLINK_RETURN_IF_ERROR(ResolveCascade(options_, nullptr, epoch.get()));
+  Start(std::move(epoch));
+  return util::Status::OK();
 }
 
 LinkingServer::~LinkingServer() {
@@ -216,7 +225,6 @@ util::Result<std::vector<core::LinkPrediction>> LinkingServer::Link(
   // example.domain is stamped by ServeBatch from the version that serves
   // the batch.
   req.top_k = top_k;
-  req.enqueued = Clock::now();
   auto future = req.promise.get_future();
   // Holds a drop-oldest victim so its promise is fulfilled off the lock.
   std::optional<Request> shed_victim;
@@ -236,6 +244,21 @@ util::Result<std::vector<core::LinkPrediction>> LinkingServer::Link(
       queue_.pop_front();
       ++shed_;
     }
+    // Stamped under mu_, so arrival times rise in queue order.
+    req.enqueued = Clock::now();
+    if (arrivals_ > 0) {
+      // RFC 6298's SRTT update, gap += (sample - gap) / 8, seeded by the
+      // first sample. A sample is clipped at the deadline, so one idle
+      // spell cannot mask a later burst.
+      const Clock::duration sample = std::min<Clock::duration>(
+          req.enqueued - last_arrival_,
+          std::chrono::microseconds(options_.flush_deadline_us));
+      arrival_gap_ = arrivals_ == 1
+                         ? sample
+                         : arrival_gap_ + (sample - arrival_gap_) / 8;
+    }
+    last_arrival_ = req.enqueued;
+    ++arrivals_;
     queue_.push_back(std::move(req));
     ++accepted_;
     queue_high_water_ = std::max(queue_high_water_, queue_.size());
@@ -258,13 +281,26 @@ void LinkingServer::SchedulerLoop() {
     std::unique_lock<std::mutex> lock(mu_);
     queue_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
     if (queue_.empty()) return;  // stop_ with nothing left to drain
-    // Let the batch fill until the oldest request's deadline. On stop,
-    // flush immediately so pending requests still complete.
-    const auto deadline =
+    // Let the batch fill while a batch-mate is still expected before the
+    // oldest request's deadline: until deadline - gap, with the gap re-read
+    // on every wake. Without an estimate the hold runs to the deadline. On
+    // stop, flush immediately so pending requests still complete; that
+    // drain counts as a deadline close.
+    const Clock::time_point deadline =
         queue_.front().enqueued +
         std::chrono::microseconds(options_.flush_deadline_us);
-    while (!stop_ && queue_.size() < options_.max_batch) {
-      if (queue_cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
+    BatchClose close = BatchClose::kDeadline;
+    while (!stop_) {
+      if (queue_.size() >= options_.max_batch) {
+        close = BatchClose::kFull;
+        break;
+      }
+      const Clock::duration gap =
+          arrivals_ >= 2 ? arrival_gap_ : Clock::duration::zero();
+      if (queue_cv_.wait_until(lock, deadline - gap) ==
+          std::cv_status::timeout) {
+        close = gap > Clock::duration::zero() ? BatchClose::kEarly
+                                              : BatchClose::kDeadline;
         break;
       }
     }
@@ -277,11 +313,11 @@ void LinkingServer::SchedulerLoop() {
     }
     in_flight_ += n;
     lock.unlock();
-    ServeBatch(&batch);
+    ServeBatch(&batch, close);
   }
 }
 
-void LinkingServer::ServeBatch(std::vector<Request>* batch) {
+void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close) {
   // One model version serves the whole batch: every stage below reads
   // through this snapshot, so a concurrent SwapModel can never produce a
   // response that mixes versions. The snapshot also keeps the old version
@@ -459,6 +495,11 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.requests += m;
     stats_.batches += 1;
+    switch (close) {
+      case BatchClose::kFull: ++stats_.batches_full; break;
+      case BatchClose::kDeadline: ++stats_.batches_deadline; break;
+      case BatchClose::kEarly: ++stats_.batches_early; break;
+    }
     stats_.cache_hits += hits;
     stats_.cache_misses += misses;
     stats_.encode_ms +=

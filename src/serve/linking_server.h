@@ -44,9 +44,14 @@ enum class LoadShedPolicy {
 /// is not among them: the served model's artifacts decide that (see
 /// LinkingServer::ResolveRetrieval).
 struct ServerOptions {
-  /// Flush a batch as soon as this many requests are pending.
+  /// A batch is full, and flushes at once, when this many requests are
+  /// pending.
   std::size_t max_batch = 16;
-  /// ... or as soon as the oldest pending request has waited this long.
+  /// The longest a partial batch is held open for batch-mates: its oldest
+  /// request's deadline. The scheduler closes it sooner, at deadline minus
+  /// the smoothed inter-arrival gap, once no further arrival is expected
+  /// before the deadline (see LinkingServer); until two requests have
+  /// arrived there is no gap estimate and the hold runs to the deadline.
   std::uint64_t flush_deadline_us = 500;
   /// Stage-1 candidates per request (paper: 64).
   std::size_t retrieve_k = 64;
@@ -91,6 +96,15 @@ struct ServerOptions {
 struct ServerStats {
   std::uint64_t requests = 0;
   std::uint64_t batches = 0;
+  /// Why each batch closed, by the scheduler path that closed it, so
+  /// batches_full + batches_deadline + batches_early == batches — always.
+  /// full: max_batch requests were pending. deadline: the hold reached the
+  /// oldest request's deadline with no gap estimate (or a zero one), or
+  /// the server was draining at shutdown. early: the hold ended at deadline
+  /// minus the inter-arrival gap, no batch-mate being expected in time.
+  std::uint64_t batches_full = 0;
+  std::uint64_t batches_deadline = 0;
+  std::uint64_t batches_early = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// Answer-cache lookups, hit answers, and the mention encode of the
@@ -148,16 +162,24 @@ struct ServerStats {
 /// Production-style serving front-end for a fitted MetaBLINK system.
 ///
 /// Concurrent callers block in Link() while a single scheduler thread
-/// coalesces their requests into bounded-latency micro-batches: a batch is
-/// flushed when it reaches `max_batch` requests or when the oldest request
-/// has waited `flush_deadline_us`, whichever comes first. Each flush
-/// answers repeated requests from the version's answer cache and runs the
-/// tape-free pipeline over the rest — batched mention encode (BiEncoder::
-/// EncodeMentionBagsInference), top-k retrieval against a prebuilt domain
-/// index, and cross-encoder re-ranking (CrossEncoder::ScoreCachedInference
-/// against a precomputed entity-side cache) — so steady-state serving does
-/// no Graph construction, no per-request index rebuild, no per-candidate
-/// entity tokenization, and no allocations beyond request bookkeeping.
+/// coalesces their requests into bounded-latency micro-batches. A batch is
+/// flushed when it reaches `max_batch` requests, or when no batch-mate is
+/// expected before the oldest request's deadline (`flush_deadline_us` after
+/// it arrived), whichever comes first. Link() keeps a smoothed inter-arrival
+/// gap (an EWMA of weight 1/8, RFC 6298's SRTT constant, over samples
+/// clipped at `flush_deadline_us`), and the scheduler holds a partial batch
+/// only until deadline - gap, re-reading the gap on every wake: past that
+/// point the next expected arrival would land after the deadline. Before
+/// two requests have arrived there is no estimate and the hold runs to the
+/// deadline. Under load batches still form, because requests queue while
+/// the previous batch is served. Each flush answers repeated requests from
+/// the version's answer cache and runs the tape-free pipeline over the
+/// rest — batched mention encode (BiEncoder::EncodeMentionBagsInference),
+/// top-k retrieval against a prebuilt domain index, and cross-encoder
+/// re-ranking (CrossEncoder::ScoreCachedInference against a precomputed
+/// entity-side cache) — so steady-state serving does no Graph construction,
+/// no per-request index rebuild, no per-candidate entity tokenization, and
+/// no allocations beyond request bookkeeping.
 ///
 /// Everything a batch touches (encoders, KB, index, rerank cache, answer
 /// LRU) lives in one immutable-once-published ModelEpoch behind a
@@ -241,6 +263,9 @@ class LinkingServer {
   /// Rerank tier that answered a request (ServerStats::rerank_*).
   enum class Tier : std::uint8_t { kExited, kDistilled, kFull };
 
+  /// Why the scheduler closed a batch (ServerStats::batches_*).
+  enum class BatchClose : std::uint8_t { kFull, kDeadline, kEarly };
+
   /// One answer-cache entry: the request's final ranking before the top_k
   /// cut, and the tier that produced it.
   struct CachedAnswer {
@@ -295,6 +320,9 @@ class LinkingServer {
 
   /// Publishes the first epoch and starts the scheduler thread.
   void Start(std::shared_ptr<ModelEpoch> epoch);
+  /// Start for an epoch over caller-owned components (Create, FromLinker):
+  /// resolves its exhaustive stage-1 path and ServerOptions::cascade first.
+  util::Status StartBorrowed(std::shared_ptr<ModelEpoch> epoch);
 
   /// Turns a loaded bundle into a servable epoch: adopts its prebuilt
   /// index and retrieval artifacts, adopts the rerank cache or rebuilds it
@@ -320,7 +348,7 @@ class LinkingServer {
                                        ModelEpoch* epoch);
 
   void SchedulerLoop();
-  void ServeBatch(std::vector<Request>* batch);
+  void ServeBatch(std::vector<Request>* batch, BatchClose close);
 
   /// Current epoch snapshot (the only way batches reach model state).
   std::shared_ptr<ModelEpoch> CurrentEpoch() const;
@@ -361,6 +389,12 @@ class LinkingServer {
   std::uint64_t shed_ = 0;
   std::size_t queue_high_water_ = 0;
   std::size_t in_flight_ = 0;
+  // Arrival-rate estimate, guarded by mu_ (updated by Link at admission,
+  // read by the scheduler on every wake): the smoothed gap between
+  // admitted arrivals, valid once arrivals_ >= 2.
+  std::uint64_t arrivals_ = 0;
+  Clock::time_point last_arrival_;
+  Clock::duration arrival_gap_{0};
   std::thread scheduler_;
 
   // Scheduler-thread-only scratch (never touched by callers; model-version

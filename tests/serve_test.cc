@@ -731,6 +731,100 @@ TEST_F(ServeTest, BoundedQueueDropOldestShedsTheOldest) {
   }
 }
 
+// ---- Batch-close rule -------------------------------------------------------
+
+TEST_F(ServeTest, SerialReplayClosesEveryBatchButTheFirstEarly) {
+  // One caller at a time: the first request has no gap estimate and is
+  // held to its deadline; from the second on the gap exists, so each batch
+  // closes at deadline - gap instead.
+  ServerOptions opts;
+  opts.retrieve_k = 8;
+  opts.flush_deadline_us = 2000;
+  auto server =
+      LinkingServer::Create(pipeline_->bi_encoder(), pipeline_->cross_encoder(),
+                            &corpus_->kb, "target", opts);
+  ASSERT_TRUE(server.ok());
+  constexpr std::size_t kRequests = 8;
+  for (std::size_t r = 0; r < kRequests; ++r) {
+    const auto& ex = split_.test[r];
+    ASSERT_TRUE(
+        (*server)->Link(ex.mention, ex.left_context, ex.right_context, 3).ok());
+  }
+  const ServerStats stats = (*server)->Stats();
+  EXPECT_EQ(stats.requests, kRequests);
+  EXPECT_EQ(stats.batches, kRequests);
+  EXPECT_EQ(stats.batches_full, 0u);
+  EXPECT_EQ(stats.batches_deadline, 1u);
+  EXPECT_EQ(stats.batches_early, kRequests - 1);
+}
+
+TEST_F(ServeTest, ConcurrentBurstStillClosesFull) {
+  // 16 callers at once against max_batch 16 and a far-off deadline: the
+  // gap between their arrivals is tiny, so the batch is held until it is
+  // full, exactly as before the early-close rule.
+  ServerOptions opts;
+  opts.retrieve_k = 8;
+  opts.max_batch = 16;
+  opts.flush_deadline_us = 10'000'000;
+  auto server =
+      LinkingServer::Create(pipeline_->bi_encoder(), pipeline_->cross_encoder(),
+                            &corpus_->kb, "target", opts);
+  ASSERT_TRUE(server.ok());
+  constexpr std::size_t kThreads = 16;
+  std::atomic<std::size_t> ok_count{0};
+  std::vector<std::thread> clients;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      const auto& ex = split_.test[t];
+      if ((*server)->Link(ex.mention, ex.left_context, ex.right_context, 3)
+              .ok()) {
+        ok_count.fetch_add(1);
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(ok_count.load(), kThreads);
+  const ServerStats stats = (*server)->Stats();
+  EXPECT_EQ(stats.requests, kThreads);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.batches_full, 1u);
+  EXPECT_EQ(stats.batches_deadline + stats.batches_early, 0u);
+}
+
+TEST_F(ServeTest, CloseReasonsAddUpUnderConcurrentLoad) {
+  // Every batch is booked under exactly one close reason, whichever path
+  // closed it, so the three add up to the batch count at quiescence.
+  ServerOptions opts;
+  opts.retrieve_k = 4;
+  opts.max_batch = 4;
+  opts.flush_deadline_us = 300;
+  auto server =
+      LinkingServer::Create(pipeline_->bi_encoder(), pipeline_->cross_encoder(),
+                            &corpus_->kb, "target", opts);
+  ASSERT_TRUE(server.ok());
+  constexpr std::size_t kThreads = 6;
+  constexpr std::size_t kPerThread = 10;
+  std::atomic<std::size_t> ok_count{0};
+  std::vector<std::thread> clients;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (std::size_t r = 0; r < kPerThread; ++r) {
+        const auto& ex = split_.test[(t + 5 * r) % split_.test.size()];
+        if ((*server)->Link(ex.mention, ex.left_context, ex.right_context, 3)
+                .ok()) {
+          ok_count.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(ok_count.load(), kThreads * kPerThread);
+  const ServerStats stats = (*server)->Stats();
+  EXPECT_EQ(stats.requests, kThreads * kPerThread);
+  EXPECT_EQ(stats.batches_full + stats.batches_deadline + stats.batches_early,
+            stats.batches);
+}
+
 TEST_F(ServeTest, UnboundedAdmissionPathIsByteIdentical) {
   // max_queue=0 must serve exactly like a bound that never triggers: the
   // admission bookkeeping cannot perturb responses.
