@@ -203,6 +203,11 @@ bool TiersSum(const serve::ServerStats& s) {
   return s.rerank_exited + s.rerank_distilled + s.rerank_full == s.requests;
 }
 
+/// Mean server-side hold of a batch: oldest arrival to close.
+double HoldPerBatchMs(const serve::ServerStats& s) {
+  return s.batches > 0 ? s.hold_ms / s.batches : 0.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -621,13 +626,13 @@ int main(int argc, char** argv) {
                 (stats.cache_hits + stats.cache_misses)
           : 0.0;
   std::printf("  batches=%llu (full=%llu deadline=%llu early=%llu) "
-              "cache_hit_rate=%.2f encode=%.1fms retrieve=%.1fms "
-              "rerank=%.1fms queue_hw=%zu accepted=%llu\n",
+              "hold=%.3fms/batch cache_hit_rate=%.2f encode=%.1fms "
+              "retrieve=%.1fms rerank=%.1fms queue_hw=%zu accepted=%llu\n",
               static_cast<unsigned long long>(stats.batches),
               static_cast<unsigned long long>(stats.batches_full),
               static_cast<unsigned long long>(stats.batches_deadline),
               static_cast<unsigned long long>(stats.batches_early),
-              cache_hit_rate,
+              HoldPerBatchMs(stats), cache_hit_rate,
               stats.encode_ms, stats.retrieve_ms, stats.rerank_ms,
               stats.queue_depth_high_water,
               static_cast<unsigned long long>(stats.accepted));
@@ -683,8 +688,8 @@ int main(int argc, char** argv) {
               server_cascade.mode.qps, cascade_speedup, cascade_qps.min,
               cascade_qps.max, cascade_reps);
   std::printf("  batches=%llu (full=%llu deadline=%llu early=%llu) "
-              "tiers: exited=%llu distilled=%llu full=%llu | "
-              "accuracy full=%.4f cascade=%.4f delta=%.3f pts\n",
+              "hold=%.3fms/batch tiers: exited=%llu distilled=%llu "
+              "full=%llu | accuracy full=%.4f cascade=%.4f delta=%.3f pts\n",
               static_cast<unsigned long long>(server_cascade.stats.batches),
               static_cast<unsigned long long>(
                   server_cascade.stats.batches_full),
@@ -692,6 +697,7 @@ int main(int argc, char** argv) {
                   server_cascade.stats.batches_deadline),
               static_cast<unsigned long long>(
                   server_cascade.stats.batches_early),
+              HoldPerBatchMs(server_cascade.stats),
               static_cast<unsigned long long>(
                   server_cascade.stats.rerank_exited),
               static_cast<unsigned long long>(

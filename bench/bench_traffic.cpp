@@ -254,13 +254,16 @@ LoadPoint MeasureLoadPoint(serve::LinkingServer* server,
   return p;
 }
 
-/// The server's batch count and why its batches closed.
+/// The server's batch count, why its batches closed, and their mean hold
+/// (oldest arrival to close, measured by the server).
 void PrintBatches(const serve::ServerStats& s) {
-  std::printf("  batches=%llu (full=%llu deadline=%llu early=%llu)\n",
+  std::printf("  batches=%llu (full=%llu deadline=%llu early=%llu) "
+              "hold=%.3fms/batch\n",
               static_cast<unsigned long long>(s.batches),
               static_cast<unsigned long long>(s.batches_full),
               static_cast<unsigned long long>(s.batches_deadline),
-              static_cast<unsigned long long>(s.batches_early));
+              static_cast<unsigned long long>(s.batches_early),
+              s.batches > 0 ? s.hold_ms / s.batches : 0.0);
 }
 
 void PrintLoadPoint(const char* tag, const LoadPoint& p) {
@@ -583,12 +586,18 @@ int main(int argc, char** argv) {
                 scale.cache_capacity, scale.pool_size, srv_hit_uniform,
                 srv_hit_zipf, srv_hit_shift, srv_lru_ok ? "PASS" : "FAIL");
 
-    // Saturation: closed-loop throughput of the swept configuration.
+    // Saturation: closed-loop throughput of the swept configuration. It
+    // runs with the answer cache off, like the [shed] group: a hit is
+    // answered on its caller's thread and never queues, so with the cache
+    // on a hit-heavy stream at 2x this rate would not load the queue the
+    // sweep exists to overload.
+    serve::ServerOptions load_opts = base_opts;
+    load_opts.cache_capacity = 0;
     const auto sat_stream = Draw(
         MakeConfig(load::MixKind::kZipfian, scale.pool_size, 17),
         scale.stream_len);
     const ClosedLoopResult saturation =
-        DriveClosed(MakeServer(base_opts).get(), pool, sat_stream,
+        DriveClosed(MakeServer(load_opts).get(), pool, sat_stream,
                     scale.client_threads);
     saturation_qps = saturation.qps;
     std::printf("[saturation] closed-loop %zu clients: %.0f qps\n",
@@ -599,7 +608,7 @@ int main(int argc, char** argv) {
     // bounded and sheds the excess. Unbounded: the pre-PR behavior —
     // everything queues, and the coordinated-omission-corrected latency
     // shows the backlog growing for as long as the overload lasts.
-    serve::ServerOptions shed_opts = base_opts;
+    serve::ServerOptions shed_opts = load_opts;
     shed_opts.max_queue = 32;
     shed_opts.shed_policy = serve::LoadShedPolicy::kRejectNew;
     for (double frac : {0.5, 0.75, 1.0, 1.5, 2.0}) {
@@ -610,7 +619,7 @@ int main(int argc, char** argv) {
       PrintLoadPoint("bounded  ", bounded_curve.back());
     }
     for (double frac : {0.5, 1.0, 2.0}) {
-      auto server = MakeServer(base_opts);
+      auto server = MakeServer(load_opts);
       unbounded_curve.push_back(MeasureLoadPoint(server.get(), pool,
                                                  sat_stream, frac,
                                                  saturation_qps));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "model/entity_side.h"
@@ -20,12 +21,11 @@ constexpr std::size_t kQuantizedPool = 4096;
 /// with its decimal byte length and a ':', so the key is collision-free
 /// whatever bytes the fields hold: a separator byte inside one field can
 /// never be mistaken for a field boundary.
-std::string CacheKey(const data::LinkingExample& ex) {
+std::string CacheKey(const std::string& mention, const std::string& left,
+                     const std::string& right) {
   std::string key;
-  key.reserve(ex.mention.size() + ex.left_context.size() +
-              ex.right_context.size() + 3 * 8);
-  for (const std::string* field :
-       {&ex.mention, &ex.left_context, &ex.right_context}) {
+  key.reserve(mention.size() + left.size() + right.size() + 3 * 8);
+  for (const std::string* field : {&mention, &left, &right}) {
     key += std::to_string(field->size());
     key += ':';
     key += *field;
@@ -218,12 +218,41 @@ std::shared_ptr<LinkingServer::ModelEpoch> LinkingServer::CurrentEpoch()
 util::Result<std::vector<core::LinkPrediction>> LinkingServer::Link(
     const std::string& mention, const std::string& left_context,
     const std::string& right_context, std::size_t top_k) {
+  std::string key;
+  if (options_.cache_capacity > 0) {
+    key = CacheKey(mention, left_context, right_context);
+    // A hit is answered here, on the caller's thread, by the version
+    // current now. It never queues, so it bypasses the queue bound and
+    // the arrival-gap estimate (it can never be a batch-mate), and it is
+    // counted before it returns, so the ledger and the
+    // completed-before-returned rule hold as for a batch.
+    const std::shared_ptr<ModelEpoch> epoch = CurrentEpoch();
+    std::vector<retrieval::ScoredEntity> head;
+    Tier tier = Tier::kFull;
+    if (CacheLookup(epoch.get(), key, top_k, &head, &tier)) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (stop_) {
+          return util::Status::FailedPrecondition("server is shutting down");
+        }
+        ++accepted_;
+      }
+      {
+        std::lock_guard<std::mutex> lock(stats_mu_);
+        ++stats_.requests;
+        ++stats_.cache_hits;
+        CountTier(tier, &stats_);
+      }
+      return core::MakePredictions(*epoch->kb, head, top_k);
+    }
+  }
   Request req;
   req.example.mention = mention;
   req.example.left_context = left_context;
   req.example.right_context = right_context;
   // example.domain is stamped by ServeBatch from the version that serves
   // the batch.
+  req.key = std::move(key);
   req.top_k = top_k;
   auto future = req.promise.get_future();
   // Holds a drop-oldest victim so its promise is fulfilled off the lock.
@@ -304,6 +333,7 @@ void LinkingServer::SchedulerLoop() {
         break;
       }
     }
+    const Clock::duration hold = Clock::now() - queue_.front().enqueued;
     std::vector<Request> batch;
     const std::size_t n = std::min(queue_.size(), options_.max_batch);
     batch.reserve(n);
@@ -313,11 +343,12 @@ void LinkingServer::SchedulerLoop() {
     }
     in_flight_ += n;
     lock.unlock();
-    ServeBatch(&batch, close);
+    ServeBatch(&batch, close, hold);
   }
 }
 
-void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close) {
+void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close,
+                               Clock::duration hold) {
   // One model version serves the whole batch: every stage below reads
   // through this snapshot, so a concurrent SwapModel can never produce a
   // response that mixes versions. The snapshot also keeps the old version
@@ -338,22 +369,33 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close) {
   // vector always total m.
   std::vector<Tier> tiers(m, Tier::kFull);
 
-  // ---- Answer cache. A hit's answer is a pure function of the request
-  // text and this version, so it skips every stage below: it is truncated
-  // to its own top_k and titled here.
+  // ---- Answer cache. Link already answered the hits it saw; this lookup
+  // catches a key filled while its request sat in the queue. A hit's
+  // answer is a pure function of the request text and this version, so it
+  // skips every stage below: it is truncated to its own top_k and titled
+  // here, its head copied into its own candidate slot. A repeat of an
+  // earlier miss in this batch is a hit on the entry that miss fills: it
+  // is answered from that miss's ranking after stage 3, not computed
+  // twice (concurrent callers replaying one stream arrive in lockstep).
   const auto t0 = Clock::now();
   batch_hits_.resize(m);
   miss_idx_.clear();
-  keys_.resize(m);
+  first_miss_.clear();
+  repeats_.clear();
   for (std::size_t i = 0; i < m; ++i) {
     Request& req = (*batch)[i];
     req.example.domain = epoch->domain;
     if (use_cache) {
-      keys_[i] = CacheKey(req.example);
-      if (const CachedAnswer* hit = CacheLookup(epoch.get(), keys_[i])) {
-        tiers[i] = hit->tier;
+      if (CacheLookup(epoch.get(), req.key, req.top_k, &batch_hits_[i],
+                      &tiers[i])) {
         outcomes[i] =
-            core::MakePredictions(*epoch->kb, hit->ranked, req.top_k);
+            core::MakePredictions(*epoch->kb, batch_hits_[i], req.top_k);
+        continue;
+      }
+      const auto [first, is_first] =
+          first_miss_.try_emplace(std::string_view(req.key), i);
+      if (!is_first) {
+        repeats_.emplace_back(i, first->second);
         continue;
       }
     }
@@ -482,11 +524,17 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close) {
           outcomes[i] = core::MakePredictions(*epoch->kb, cands, req.top_k);
         }
       });
-  // Fill the answer cache on the scheduler thread, after every lookup of
-  // this batch, in miss order.
+  // Repeats take their first miss's ranking and tier.
+  for (const auto& [i, first] : repeats_) {
+    tiers[i] = tiers[first];
+    outcomes[i] = core::MakePredictions(*epoch->kb, batch_hits_[first],
+                                        (*batch)[i].top_k);
+  }
+  // Fill the answer cache after every lookup of this batch, in miss
+  // order.
   if (use_cache) {
     for (std::size_t i : miss_idx_) {
-      CacheInsert(epoch.get(), keys_[i], batch_hits_[i], tiers[i]);
+      CacheInsert(epoch.get(), (*batch)[i].key, batch_hits_[i], tiers[i]);
     }
   }
   const auto t3 = Clock::now();
@@ -500,6 +548,7 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close) {
       case BatchClose::kDeadline: ++stats_.batches_deadline; break;
       case BatchClose::kEarly: ++stats_.batches_early; break;
     }
+    stats_.hold_ms += std::chrono::duration<double, std::milli>(hold).count();
     stats_.cache_hits += hits;
     stats_.cache_misses += misses;
     stats_.encode_ms +=
@@ -508,13 +557,7 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close) {
         std::chrono::duration<double, std::milli>(t2 - t1).count();
     stats_.rerank_ms +=
         std::chrono::duration<double, std::milli>(t3 - t2).count();
-    for (const Tier tier : tiers) {
-      switch (tier) {
-        case Tier::kExited: ++stats_.rerank_exited; break;
-        case Tier::kDistilled: ++stats_.rerank_distilled; break;
-        case Tier::kFull: ++stats_.rerank_full; break;
-      }
-    }
+    for (const Tier tier : tiers) CountTier(tier, &stats_);
   }
   {
     // Completed-before-fulfilled: once any promise below is visible to its
@@ -528,21 +571,33 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close) {
   }
 }
 
-const LinkingServer::CachedAnswer* LinkingServer::CacheLookup(
-    ModelEpoch* epoch, const std::string& key) {
+bool LinkingServer::CacheLookup(ModelEpoch* epoch, const std::string& key,
+                                std::size_t top_k,
+                                std::vector<retrieval::ScoredEntity>* head,
+                                Tier* tier) {
+  std::lock_guard<std::mutex> lock(epoch->cache_mu);
   auto it = epoch->lru_map.find(key);
-  if (it == epoch->lru_map.end()) return nullptr;
+  if (it == epoch->lru_map.end()) return false;
   // Refresh recency.
   epoch->lru.splice(epoch->lru.begin(), epoch->lru, it->second);
-  return &it->second->second;
+  const CachedAnswer& answer = it->second->second;
+  // At least one entry, so a top_k of 0 still answers an empty list rather
+  // than MakePredictions' NotFound for an empty ranking.
+  const std::size_t n =
+      std::min(answer.ranked.size(), std::max<std::size_t>(top_k, 1));
+  head->assign(answer.ranked.begin(), answer.ranked.begin() + n);
+  *tier = answer.tier;
+  return true;
 }
 
 void LinkingServer::CacheInsert(
     ModelEpoch* epoch, const std::string& key,
     const std::vector<retrieval::ScoredEntity>& ranked, Tier tier) {
+  std::lock_guard<std::mutex> lock(epoch->cache_mu);
   auto it = epoch->lru_map.find(key);
   if (it != epoch->lru_map.end()) {
-    // Duplicate miss within one batch: refresh, keep the existing entry.
+    // Already present: refresh, keep the existing entry, so the map and
+    // the list stay one-to-one.
     epoch->lru.splice(epoch->lru.begin(), epoch->lru, it->second);
     return;
   }
@@ -551,6 +606,14 @@ void LinkingServer::CacheInsert(
   while (epoch->lru.size() > options_.cache_capacity) {
     epoch->lru_map.erase(epoch->lru.back().first);
     epoch->lru.pop_back();
+  }
+}
+
+void LinkingServer::CountTier(Tier tier, ServerStats* stats) {
+  switch (tier) {
+    case Tier::kExited: ++stats->rerank_exited; break;
+    case Tier::kDistilled: ++stats->rerank_distilled; break;
+    case Tier::kFull: ++stats->rerank_full; break;
   }
 }
 

@@ -10,7 +10,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <unordered_map>
 #include <vector>
 
@@ -61,9 +63,10 @@ struct ServerOptions {
   /// produced it: a pure function of the request text and the frozen model
   /// version. A hit skips encode, retrieval and rerank, and only truncates
   /// to its own top_k and fills in titles, so it answers byte-identically
-  /// to a cache-off server. The cache lives inside the model version it
-  /// was filled against, so a SwapModel never serves an old version's
-  /// answer.
+  /// to a cache-off server. Link answers a hit on the calling thread,
+  /// without queueing it; only misses wait for a batch. The cache lives
+  /// inside the model version it was filled against, so a SwapModel never
+  /// serves an old version's answer.
   std::size_t cache_capacity = 1024;
   /// Serve re-ranking through the three-tier adaptive cascade (see
   /// model::CascadeConfig): confident requests exit on the retrieval
@@ -73,12 +76,13 @@ struct ServerOptions {
   /// byte for byte.
   bool use_cascade = false;
   /// Admission control: maximum depth of the pending-request queue. 0
-  /// keeps the queue unbounded — every Link blocks until served and
+  /// keeps the queue unbounded — every queued Link blocks until served and
   /// responses are byte-identical to pre-admission-control builds. With a
   /// bound, a Link arriving at a full queue is shed per `shed_policy`
   /// instead of queueing, so overload degrades into prompt kUnavailable
   /// errors with bounded latency for the admitted requests rather than
-  /// into unbounded queue growth.
+  /// into unbounded queue growth. An answer-cache hit never queues, so the
+  /// bound never sheds or rejects it.
   std::size_t max_queue = 0;
   /// Which request a full queue sheds. Only read when max_queue > 0.
   LoadShedPolicy shed_policy = LoadShedPolicy::kRejectNew;
@@ -105,10 +109,19 @@ struct ServerStats {
   std::uint64_t batches_full = 0;
   std::uint64_t batches_deadline = 0;
   std::uint64_t batches_early = 0;
+  /// Cumulative hold: for each batch, the time from its oldest request's
+  /// arrival to the scheduler closing it. Measured inside the server, so
+  /// it carries no client-side lag; hold_ms / batches is the mean hold.
+  double hold_ms = 0.0;
+  /// Answer-cache hits, whether Link answered them on the calling thread
+  /// or a batch found the key filled while the request sat in the queue.
+  /// A repeat of a miss in the same batch is a hit: it is answered from
+  /// that miss's ranking, not computed again.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Answer-cache lookups, hit answers, and the mention encode of the
-  /// misses.
+  /// In batches: answer-cache lookups, the answers of keys filled while
+  /// their request was queued, and the mention encode of the misses. Hits
+  /// answered in Link are not timed here.
   double encode_ms = 0.0;
   /// Stage-1 retrieval of the misses.
   double retrieve_ms = 0.0;
@@ -135,8 +148,9 @@ struct ServerStats {
   bool pq_active = false;
   /// Admission control. Every Link call lands in exactly one of
   /// accepted/rejected, and every accepted request is eventually either
-  /// completed by a batch (counted in `requests`) or shed by kDropOldest —
-  /// so the books always balance:
+  /// completed (counted in `requests`: by a batch, or at once as an
+  /// answer-cache hit in Link) or shed by kDropOldest — so the books
+  /// always balance:
   ///   accepted == requests + shed + queue_depth + in_flight
   /// with the last two zero at quiescence. (Stats() reads the stats, queue
   /// and epoch mutexes one after another, so a snapshot taken mid-batch
@@ -161,7 +175,10 @@ struct ServerStats {
 
 /// Production-style serving front-end for a fitted MetaBLINK system.
 ///
-/// Concurrent callers block in Link() while a single scheduler thread
+/// A request already in the current version's answer cache is answered
+/// inside Link(), on the calling thread: a key lookup, a copy of the top_k
+/// prefix and its titles, with no queueing and no scheduler handoff. Every
+/// other caller blocks in Link() while a single scheduler thread
 /// coalesces their requests into bounded-latency micro-batches. A batch is
 /// flushed when it reaches `max_batch` requests, or when no batch-mate is
 /// expected before the oldest request's deadline (`flush_deadline_us` after
@@ -170,23 +187,25 @@ struct ServerStats {
 /// clipped at `flush_deadline_us`), and the scheduler holds a partial batch
 /// only until deadline - gap, re-reading the gap on every wake: past that
 /// point the next expected arrival would land after the deadline. Before
-/// two requests have arrived there is no estimate and the hold runs to the
+/// two requests have queued there is no estimate and the hold runs to the
 /// deadline. Under load batches still form, because requests queue while
-/// the previous batch is served. Each flush answers repeated requests from
-/// the version's answer cache and runs the tape-free pipeline over the
-/// rest — batched mention encode (BiEncoder::EncodeMentionBagsInference),
-/// top-k retrieval against a prebuilt domain index, and cross-encoder
-/// re-ranking (CrossEncoder::ScoreCachedInference against a precomputed
-/// entity-side cache) — so steady-state serving does no Graph construction,
-/// no per-request index rebuild, no per-candidate entity tokenization, and
-/// no allocations beyond request bookkeeping.
+/// the previous batch is served. Each flush answers from the answer cache
+/// the requests whose key was filled while they queued, and runs the
+/// tape-free pipeline over the rest — batched mention encode
+/// (BiEncoder::EncodeMentionBagsInference), top-k retrieval against a
+/// prebuilt domain index, and cross-encoder re-ranking
+/// (CrossEncoder::ScoreCachedInference against a precomputed entity-side
+/// cache) — so steady-state serving does no Graph construction, no
+/// per-request index rebuild, no per-candidate entity tokenization, and no
+/// allocations beyond request bookkeeping.
 ///
-/// Everything a batch touches (encoders, KB, index, rerank cache, answer
+/// Everything a request touches (encoders, KB, index, rerank cache, answer
 /// LRU) lives in one immutable-once-published ModelEpoch behind a
-/// shared_ptr. SwapModel() loads a new artifact bundle off the request
-/// path and publishes it atomically: in-flight batches finish on the
-/// version they started with, later batches see the new one, and the old
-/// version is destroyed when its last batch completes. A failed swap
+/// shared_ptr; only its answer LRU changes, under the epoch's own mutex.
+/// SwapModel() loads a new artifact bundle off the request path and
+/// publishes it atomically: in-flight batches and hit lookups finish on
+/// the version they started with, later ones see the new one, and the old
+/// version is destroyed when its last user completes. A failed swap
 /// (missing or corrupt bundle) returns a Status and leaves the old
 /// version serving.
 ///
@@ -224,13 +243,14 @@ class LinkingServer {
   LinkingServer(const LinkingServer&) = delete;
   LinkingServer& operator=(const LinkingServer&) = delete;
 
-  /// Links one mention, blocking until its batch is served. Thread-safe:
-  /// any number of threads may call concurrently; concurrency is what
-  /// creates batching opportunities. Returns up to `top_k` predictions,
-  /// best first. With a bounded queue (ServerOptions::max_queue) an
-  /// overloaded server returns kUnavailable instead of blocking — either
-  /// immediately (kRejectNew refused this call) or after a wait
-  /// (kDropOldest shed this request to admit a newer one).
+  /// Links one mention: an answer-cache hit returns at once, anything
+  /// else blocks until its batch is served. Thread-safe: any number of
+  /// threads may call concurrently; concurrency is what creates batching
+  /// opportunities. Returns up to `top_k` predictions, best first. With a
+  /// bounded queue (ServerOptions::max_queue) an overloaded server returns
+  /// kUnavailable for a miss instead of blocking — either immediately
+  /// (kRejectNew refused this call) or after a wait (kDropOldest shed this
+  /// request to admit a newer one).
   util::Result<std::vector<core::LinkPrediction>> Link(
       const std::string& mention, const std::string& left_context,
       const std::string& right_context, std::size_t top_k = 5);
@@ -255,6 +275,8 @@ class LinkingServer {
 
   struct Request {
     data::LinkingExample example;
+    /// Answer-cache key; empty when the cache is off.
+    std::string key;
     std::size_t top_k = 0;
     Clock::time_point enqueued;
     std::promise<util::Result<std::vector<core::LinkPrediction>>> promise;
@@ -284,9 +306,9 @@ class LinkingServer {
   /// One published model version: every component a batch touches, owned
   /// (or borrowed, for Create/FromLinker) in one place. The entity side
   /// (the eval::DomainSide base: encoders, KB, index, rerank cache, entity
-  /// positions) is immutable after publication; the answer LRU is mutated
-  /// by the scheduler thread only, and dies with its epoch — swap
-  /// invalidation for free.
+  /// positions) is immutable after publication; the answer LRU is read and
+  /// refreshed by Link's hit path and the scheduler under `cache_mu`, and
+  /// dies with its epoch — swap invalidation for free.
   struct ModelEpoch : eval::DomainSide {
     std::uint64_t version = 0;
     /// Set when the epoch came from a bundle; null when the base's
@@ -301,7 +323,8 @@ class LinkingServer {
     /// artifact when present, else ServerOptions::cascade, else the
     /// uncalibrated default. Read only when ServerOptions::use_cascade.
     model::CascadeModel cascade;
-    // Answer LRU: key -> list node of (key, answer).
+    // Answer LRU: key -> list node of (key, answer); guarded by cache_mu.
+    std::mutex cache_mu;
     LruList lru;
     std::unordered_map<std::string, LruList::iterator> lru_map;
 
@@ -348,22 +371,31 @@ class LinkingServer {
                                        ModelEpoch* epoch);
 
   void SchedulerLoop();
-  void ServeBatch(std::vector<Request>* batch, BatchClose close);
+  /// Serves one popped batch; `hold` is the time from its oldest request's
+  /// arrival to its close (ServerStats::hold_ms).
+  void ServeBatch(std::vector<Request>* batch, BatchClose close,
+                  Clock::duration hold);
 
-  /// Current epoch snapshot (the only way batches reach model state).
+  /// Current epoch snapshot (the only way requests reach model state).
   std::shared_ptr<ModelEpoch> CurrentEpoch() const;
 
-  /// LRU lookup within `epoch`: the cached answer, refreshed to most
-  /// recent, or null. The pointer is valid until the next CacheInsert.
-  /// Scheduler-thread only.
-  static const CachedAnswer* CacheLookup(ModelEpoch* epoch,
-                                         const std::string& key);
-  /// Stores a miss's final ranking and tier; a key already present (a
-  /// duplicate miss within one batch) is only refreshed. Scheduler-thread
-  /// only.
+  /// LRU lookup within `epoch`, under its cache_mu: on a hit, refreshes
+  /// the entry to most recent, copies the head of its ranking that a
+  /// top_k answer reads into `*head` and its tier into `*tier`, and
+  /// returns true. Titling the head (core::MakePredictions) happens off
+  /// the lock.
+  static bool CacheLookup(ModelEpoch* epoch, const std::string& key,
+                          std::size_t top_k,
+                          std::vector<retrieval::ScoredEntity>* head,
+                          Tier* tier);
+  /// Stores a miss's final ranking and tier under epoch->cache_mu; a key
+  /// already present is only refreshed.
   void CacheInsert(ModelEpoch* epoch, const std::string& key,
                    const std::vector<retrieval::ScoredEntity>& ranked,
                    Tier tier);
+  /// Books one answer under the tier that produced it (the caller holds
+  /// stats_mu_).
+  static void CountTier(Tier tier, ServerStats* stats);
 
   ServerOptions options_;
 
@@ -391,7 +423,8 @@ class LinkingServer {
   std::size_t in_flight_ = 0;
   // Arrival-rate estimate, guarded by mu_ (updated by Link at admission,
   // read by the scheduler on every wake): the smoothed gap between
-  // admitted arrivals, valid once arrivals_ >= 2.
+  // queued arrivals, valid once arrivals_ >= 2. Cache hits never queue,
+  // never become batch-mates, and so never feed it.
   std::uint64_t arrivals_ = 0;
   Clock::time_point last_arrival_;
   Clock::duration arrival_gap_{0};
@@ -414,7 +447,10 @@ class LinkingServer {
   };
   std::vector<RerankScratch> rerank_scratch_;
   std::vector<std::size_t> miss_idx_;
-  std::vector<std::string> keys_;
+  // Answer-cache misses of the batch by key (viewing Request::key), and
+  // each repeat of one as (request, first miss with its key).
+  std::unordered_map<std::string_view, std::size_t> first_miss_;
+  std::vector<std::pair<std::size_t, std::size_t>> repeats_;
 
   /// Worker pool for the batch-parallel retrieve and rerank stages and for
   /// building an epoch's entity side (Create/FromBundle before the
@@ -423,7 +459,8 @@ class LinkingServer {
   /// tasks only).
   util::ThreadPool pool_;
 
-  // Stats, guarded by stats_mu_ (written by the scheduler, read anywhere).
+  // Stats, guarded by stats_mu_ (written by the scheduler and by Link's
+  // hit path, read anywhere).
   mutable std::mutex stats_mu_;
   ServerStats stats_;
 };
