@@ -8,6 +8,7 @@
 // row/domain (it is identical across them).
 
 #include <cstdio>
+#include <filesystem>
 
 #include "experiment_common.h"
 #include "gen/seed_selector.h"
@@ -97,7 +98,6 @@ int main() {
       bench::PrintRow("MetaBLINK", "Syn+Seed", *r, ref.meta);
     }
   }
-  std::remove((std::string(kCkpt) + ".bi").c_str());
-  std::remove((std::string(kCkpt) + ".cross").c_str());
+  std::filesystem::remove_all(kCkpt);
   return 0;
 }

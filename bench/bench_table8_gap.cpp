@@ -8,6 +8,7 @@
 // for the 500-sample fine-tuning split.
 
 #include <cstdio>
+#include <filesystem>
 
 #include "experiment_common.h"
 
@@ -61,8 +62,9 @@ int main() {
   core::PipelineConfig config;
   config.seed = bench::ExperimentSeed() ^ 0xBEEF;
 
-  // Train the general model once and checkpoint it; each domain restores it
-  // for the base evaluation and for the 500-sample fine-tune.
+  // Train the general model once and checkpoint it as a bundle directory;
+  // each domain restores it for the base evaluation and for the 500-sample
+  // fine-tune.
   const char* ckpt = "/tmp/metablink_table8_general";
   {
     core::MetaBlinkPipeline base(config);
@@ -112,5 +114,6 @@ int main() {
   std::printf(
       "\nexpected shape: gap(lego), gap(yugioh) > gap(forgotten_realms), "
       "gap(star_trek)\n");
+  std::filesystem::remove_all(ckpt);
   return 0;
 }

@@ -4,6 +4,7 @@
 // general-pretrained model is checkpointed once and reused across rows.
 
 #include <cstdio>
+#include <filesystem>
 
 #include "experiment_common.h"
 #include "gen/seed_selector.h"
@@ -105,7 +106,6 @@ int main() {
                       *p->Evaluate(kb, domain, test), note[5]);
     }
   }
-  std::remove((std::string(kCkpt) + ".bi").c_str());
-  std::remove((std::string(kCkpt) + ".cross").c_str());
+  std::filesystem::remove_all(kCkpt);
   return 0;
 }

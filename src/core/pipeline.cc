@@ -2,6 +2,7 @@
 
 #include <unordered_map>
 
+#include "store/bundle.h"
 #include "train/featurized.h"
 #include "util/logging.h"
 
@@ -197,14 +198,32 @@ util::Result<eval::EvalResult> MetaBlinkPipeline::Evaluate(
   return evaluator_.Evaluate(*bi_, cross_.get(), kb, domain, examples);
 }
 
-util::Status MetaBlinkPipeline::Save(const std::string& prefix) const {
-  METABLINK_RETURN_IF_ERROR(bi_->SaveToFile(prefix + ".bi"));
-  return cross_->SaveToFile(prefix + ".cross");
+util::Status MetaBlinkPipeline::Save(const std::string& dir) const {
+  store::BundleWriter bundle(dir);
+  store::CheckpointWriter bi, cross;
+  bi_->SaveCheckpoint(&bi);
+  cross_->SaveCheckpoint(&cross);
+  METABLINK_RETURN_IF_ERROR(bundle.AddArtifact("bi_encoder", "bi.ckpt", bi));
+  METABLINK_RETURN_IF_ERROR(
+      bundle.AddArtifact("cross_encoder", "cross.ckpt", cross));
+  return bundle.Finalize(/*model_version=*/0, /*domain=*/"");
 }
 
-util::Status MetaBlinkPipeline::Load(const std::string& prefix) {
-  METABLINK_RETURN_IF_ERROR(bi_->LoadFromFile(prefix + ".bi"));
-  return cross_->LoadFromFile(prefix + ".cross");
+util::Status MetaBlinkPipeline::Load(const std::string& dir) {
+  auto bundle = store::BundleReader::Open(dir);
+  if (!bundle.ok()) return bundle.status();
+  auto bi_ckpt = bundle->OpenArtifact("bi_encoder");
+  if (!bi_ckpt.ok()) return bi_ckpt.status();
+  auto bi = std::make_unique<model::BiEncoder>(config_.bi, /*rng=*/nullptr);
+  METABLINK_RETURN_IF_ERROR(bi->LoadCheckpoint(*bi_ckpt));
+  auto cross_ckpt = bundle->OpenArtifact("cross_encoder");
+  if (!cross_ckpt.ok()) return cross_ckpt.status();
+  auto cross =
+      std::make_unique<model::CrossEncoder>(config_.cross, /*rng=*/nullptr);
+  METABLINK_RETURN_IF_ERROR(cross->LoadCheckpoint(*cross_ckpt));
+  bi_ = std::move(bi);
+  cross_ = std::move(cross);
+  return util::Status::OK();
 }
 
 }  // namespace metablink::core

@@ -136,9 +136,13 @@ class MetaBlinkPipeline {
   /// each call), so one pipeline can train several regimes in sequence.
   void ResetModels();
 
-  /// Checkpointing: writes `<prefix>.bi` and `<prefix>.cross`.
-  util::Status Save(const std::string& prefix) const;
-  util::Status Load(const std::string& prefix);
+  /// Checkpointing: Save writes both encoders as one bundle directory
+  /// (store::SaveModelBundle's "bi_encoder" and "cross_encoder" artifacts,
+  /// manifest last). Load is all or nothing: on any error — a torn save's
+  /// CRC mismatch, or a config other than this pipeline's
+  /// (InvalidArgument) — both encoders are left untouched.
+  util::Status Save(const std::string& dir) const;
+  util::Status Load(const std::string& dir);
 
  private:
   /// Builds cross-encoder instances by mining candidates with the current

@@ -1,6 +1,5 @@
 #include "kb/knowledge_base.h"
 
-#include "store/checkpoint.h"
 #include "util/string_util.h"
 
 namespace metablink::kb {
@@ -145,21 +144,6 @@ util::Result<KnowledgeBase> KnowledgeBase::Load(util::BinaryReader* reader) {
     METABLINK_RETURN_IF_ERROR(kb.AddTriple(h, r, t));
   }
   return kb;
-}
-
-util::Status KnowledgeBase::SaveToFile(const std::string& path) const {
-  store::CheckpointWriter ckpt;
-  Save(ckpt.AddSection("kb"));
-  return ckpt.WriteToFile(path);
-}
-
-util::Result<KnowledgeBase> KnowledgeBase::LoadFromFile(
-    const std::string& path) {
-  auto ckpt = store::CheckpointReader::FromFile(path);
-  if (!ckpt.ok()) return ckpt.status();
-  auto section = ckpt->Section("kb");
-  if (!section.ok()) return section.status();
-  return Load(&*section);
 }
 
 }  // namespace metablink::kb

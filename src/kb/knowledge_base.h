@@ -86,11 +86,6 @@ class KnowledgeBase {
   void Save(util::BinaryWriter* writer) const;
   static util::Result<KnowledgeBase> Load(util::BinaryReader* reader);
 
-  /// Writes a framed checkpoint container with one "kb" section.
-  util::Status SaveToFile(const std::string& path) const;
-  /// Loads the framed container SaveToFile writes.
-  static util::Result<KnowledgeBase> LoadFromFile(const std::string& path);
-
  private:
   std::vector<Entity> entities_;
   std::unordered_map<std::string, std::vector<EntityId>> domain_entities_;

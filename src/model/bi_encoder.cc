@@ -255,16 +255,4 @@ util::Result<std::unique_ptr<BiEncoder>> BiEncoder::FromCheckpoint(
   return model;
 }
 
-util::Status BiEncoder::SaveToFile(const std::string& path) const {
-  store::CheckpointWriter ckpt;
-  SaveCheckpoint(&ckpt);
-  return ckpt.WriteToFile(path);
-}
-
-util::Status BiEncoder::LoadFromFile(const std::string& path) {
-  auto ckpt = store::CheckpointReader::FromFile(path);
-  if (!ckpt.ok()) return ckpt.status();
-  return LoadCheckpoint(*ckpt);
-}
-
 }  // namespace metablink::model

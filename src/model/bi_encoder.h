@@ -136,11 +136,6 @@ class BiEncoder {
   /// stored config must match this model's (InvalidArgument otherwise).
   util::Status LoadCheckpoint(const store::CheckpointReader& ckpt);
 
-  /// Writes a framed checkpoint container (see store::CheckpointWriter).
-  util::Status SaveToFile(const std::string& path) const;
-  /// Loads the framed container SaveToFile writes.
-  util::Status LoadFromFile(const std::string& path);
-
  private:
   static util::Result<BiEncoderConfig> ReadConfig(
       const store::CheckpointReader& ckpt);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "store/checkpoint.h"
 #include "tensor/tensor.h"
 
 namespace metablink::model {
@@ -83,20 +82,6 @@ util::Status CascadeModel::Load(util::BinaryReader* reader) {
   }
   *this = std::move(loaded);
   return util::Status::OK();
-}
-
-util::Status CascadeModel::SaveToFile(const std::string& path) const {
-  store::CheckpointWriter ckpt;
-  Save(ckpt.AddSection("cascade"));
-  return ckpt.WriteToFile(path);
-}
-
-util::Status CascadeModel::LoadFromFile(const std::string& path) {
-  auto ckpt = store::CheckpointReader::FromFile(path);
-  if (!ckpt.ok()) return ckpt.status();
-  auto section = ckpt->Section("cascade");
-  if (!section.ok()) return section.status();
-  return Load(&*section);
 }
 
 void CascadeFeaturesInto(const float* scores, std::size_t n, std::size_t rank,

@@ -82,10 +82,6 @@ struct CascadeModel {
   void Save(util::BinaryWriter* writer) const;
   /// Loads and validates a payload (tag, threshold sanity, weight shape).
   util::Status Load(util::BinaryReader* reader);
-  /// Writes a framed checkpoint container with one "cascade" section.
-  util::Status SaveToFile(const std::string& path) const;
-  /// Loads the framed container SaveToFile writes.
-  util::Status LoadFromFile(const std::string& path);
 };
 
 /// Fills `out[0..CascadeFeatureCount(d))` for candidate `rank` of one

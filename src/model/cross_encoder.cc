@@ -286,16 +286,4 @@ util::Result<std::unique_ptr<CrossEncoder>> CrossEncoder::FromCheckpoint(
   return model;
 }
 
-util::Status CrossEncoder::SaveToFile(const std::string& path) const {
-  store::CheckpointWriter ckpt;
-  SaveCheckpoint(&ckpt);
-  return ckpt.WriteToFile(path);
-}
-
-util::Status CrossEncoder::LoadFromFile(const std::string& path) {
-  auto ckpt = store::CheckpointReader::FromFile(path);
-  if (!ckpt.ok()) return ckpt.status();
-  return LoadCheckpoint(*ckpt);
-}
-
 }  // namespace metablink::model

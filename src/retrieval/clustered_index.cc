@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "retrieval/score_kernel.h"
-#include "store/checkpoint.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -726,22 +725,6 @@ util::Status ClusteredIndex::Attach(const DenseIndex* base) {
   }
   base_ = base;
   return util::Status::OK();
-}
-
-util::Status ClusteredIndex::SaveToFile(const std::string& path) const {
-  store::CheckpointWriter ckpt;
-  Save(ckpt.AddSection("clustered"));
-  return ckpt.WriteToFile(path);
-}
-
-util::Status ClusteredIndex::LoadFromFile(const std::string& path,
-                                          const DenseIndex* base) {
-  auto ckpt = store::CheckpointReader::FromFile(path);
-  if (!ckpt.ok()) return ckpt.status();
-  auto section = ckpt->Section("clustered");
-  if (!section.ok()) return section.status();
-  METABLINK_RETURN_IF_ERROR(Load(&*section));
-  return Attach(base);
 }
 
 }  // namespace metablink::retrieval

@@ -153,12 +153,6 @@ class ClusteredIndex {
   /// its base index, validating row count and dimension.
   util::Status Attach(const DenseIndex* base);
 
-  /// Writes a framed checkpoint container with one "clustered" section.
-  util::Status SaveToFile(const std::string& path) const;
-  /// Loads the framed container SaveToFile writes, then attaches to
-  /// `base`.
-  util::Status LoadFromFile(const std::string& path, const DenseIndex* base);
-
   // ---- Product-quantized residual form ------------------------------------
 
   /// True when the index carries trained PQ codebooks + codes (probes then

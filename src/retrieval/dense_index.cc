@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "retrieval/score_kernel.h"
-#include "store/checkpoint.h"
 #include "util/logging.h"
 #include "util/serialize.h"
 #include "util/string_util.h"
@@ -512,20 +511,6 @@ util::Status DenseIndex::Load(util::BinaryReader* reader) {
   q_scales_ = std::move(q_scales);
   UpdateMaxRowNorm();
   return util::Status::OK();
-}
-
-util::Status DenseIndex::SaveToFile(const std::string& path) const {
-  store::CheckpointWriter ckpt;
-  Save(ckpt.AddSection("index"));
-  return ckpt.WriteToFile(path);
-}
-
-util::Status DenseIndex::LoadFromFile(const std::string& path) {
-  auto ckpt = store::CheckpointReader::FromFile(path);
-  if (!ckpt.ok()) return ckpt.status();
-  auto section = ckpt->Section("index");
-  if (!section.ok()) return section.status();
-  return Load(&*section);
 }
 
 }  // namespace metablink::retrieval

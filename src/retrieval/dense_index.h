@@ -152,10 +152,6 @@ class DenseIndex {
   /// a served KB reloads without re-encoding entities.
   void Save(util::BinaryWriter* writer) const;
   util::Status Load(util::BinaryReader* reader);
-  /// Writes a framed checkpoint container with one "index" section.
-  util::Status SaveToFile(const std::string& path) const;
-  /// Loads the framed container SaveToFile writes.
-  util::Status LoadFromFile(const std::string& path);
 
   /// The raw stored embedding row for position `i` (test/diagnostic use).
   const float* EmbeddingAt(std::size_t i) const {

@@ -358,8 +358,7 @@ class MetaReweightTrainerT {
     }
     if (!options_.checkpoint_path.empty() &&
         CheckpointExists(options_.checkpoint_path)) {
-      auto ckpt =
-          store::CheckpointReader::FromFile(options_.checkpoint_path);
+      auto ckpt = ReadTrainerCheckpoint(options_.checkpoint_path);
       if (!ckpt.ok()) return ckpt.status();
       METABLINK_RETURN_IF_ERROR(LoadCheckpoint(*ckpt));
     }

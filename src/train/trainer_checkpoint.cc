@@ -26,6 +26,11 @@ bool CheckpointExists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
+util::Result<store::CheckpointReader> ReadTrainerCheckpoint(
+    const std::string& path) {
+  return store::CheckpointReader::FromFile(path);
+}
+
 void SaveTrainingState(const tensor::ParameterStore& params,
                        const tensor::Optimizer& optimizer,
                        const util::Rng& rng, store::CheckpointWriter* ckpt) {
@@ -83,7 +88,7 @@ util::Result<EpochCheckpointState> LoadEpochCheckpoint(
     std::uint32_t tag, const std::string& path,
     tensor::ParameterStore* params, tensor::Optimizer* optimizer,
     util::Rng* rng) {
-  auto ckpt = store::CheckpointReader::FromFile(path);
+  auto ckpt = ReadTrainerCheckpoint(path);
   if (!ckpt.ok()) return ckpt.status();
 
   auto trainer = ckpt->Section("trainer");

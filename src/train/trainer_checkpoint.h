@@ -19,6 +19,11 @@ namespace metablink::train {
 /// file must fail the run, not silently restart it).
 bool CheckpointExists(const std::string& path);
 
+/// Reads and integrity-checks the trainer checkpoint container at `path`
+/// (see store::CheckpointReader). Every trainer resume reads its file here.
+util::Result<store::CheckpointReader> ReadTrainerCheckpoint(
+    const std::string& path);
+
 /// Appends the sections every trainer checkpoint ends with: the model
 /// parameters ("model_params"), the optimizer state ("optimizer") and the
 /// Rng stream ("rng").

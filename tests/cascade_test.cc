@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -16,6 +15,7 @@
 #include "model/cross_encoder.h"
 #include "retrieval/dense_index.h"
 #include "serve/linking_server.h"
+#include "store/checkpoint.h"
 #include "store/model_bundle.h"
 #include "train/cascade_distiller.h"
 #include "util/rng.h"
@@ -400,13 +400,28 @@ TEST_F(CascadeTest, SerialAndPooledClientsAreByteIdentical) {
 
 // ---- Artifact persistence --------------------------------------------------
 
-TEST_F(CascadeTest, ArtifactRoundTripsThroughFile) {
+// The policy framed as a checkpoint container: the bytes of a bundle's
+// "cascade" artifact.
+std::vector<std::uint8_t> Framed(const model::CascadeModel& model) {
+  store::CheckpointWriter ckpt;
+  model.Save(ckpt.AddSection("cascade"));
+  return ckpt.Serialize();
+}
+
+// Parses `bytes` as a container and loads its "cascade" section into `out`.
+util::Status LoadFramed(std::vector<std::uint8_t> bytes,
+                        model::CascadeModel* out) {
+  auto ckpt = store::CheckpointReader::Parse(std::move(bytes));
+  if (!ckpt.ok()) return ckpt.status();
+  auto section = ckpt->Section("cascade");
+  return section.ok() ? out->Load(&*section) : section.status();
+}
+
+TEST_F(CascadeTest, ArtifactRoundTripsThroughContainer) {
   train::CascadeCalibrationReport report;
   const model::CascadeModel saved = Calibrate(&report);
-  const std::string path = TempPath("roundtrip.ckpt");
-  ASSERT_TRUE(saved.SaveToFile(path).ok());
   model::CascadeModel loaded;
-  ASSERT_TRUE(loaded.LoadFromFile(path).ok());
+  ASSERT_TRUE(LoadFramed(Framed(saved), &loaded).ok());
   EXPECT_EQ(loaded.config.margin_tau, saved.config.margin_tau);
   EXPECT_EQ(loaded.config.distill_tau, saved.config.distill_tau);
   EXPECT_EQ(loaded.config.band_epsilon, saved.config.band_epsilon);
@@ -422,22 +437,13 @@ TEST_F(CascadeTest, EverySingleBitFlipInArtifactIsRejected) {
   model.config.rerank_head_k = 4;
   model.weights.assign(model::CascadeFeatureCount(8), 0.125f);
   model.bias = -0.5f;
-  const std::string path = TempPath("bitflip.ckpt");
-  ASSERT_TRUE(model.SaveToFile(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  in.close();
+  const std::vector<std::uint8_t> bytes = Framed(model);
   for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
-    for (char bit : {char(0x01), char(0x80)}) {
-      std::vector<char> flipped = bytes;
+    for (std::uint8_t bit : {std::uint8_t{0x01}, std::uint8_t{0x80}}) {
+      std::vector<std::uint8_t> flipped = bytes;
       flipped[byte] ^= bit;
-      const std::string bad = TempPath("bitflip_bad.ckpt");
-      std::ofstream out(bad, std::ios::binary | std::ios::trunc);
-      out.write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
-      out.close();
       model::CascadeModel reloaded;
-      EXPECT_FALSE(reloaded.LoadFromFile(bad).ok())
+      EXPECT_FALSE(LoadFramed(std::move(flipped), &reloaded).ok())
           << "bit flip at byte " << byte << " went undetected";
     }
   }

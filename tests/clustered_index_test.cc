@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <set>
 #include <thread>
 
 #include "retrieval/clustered_index.h"
 #include "retrieval/dense_index.h"
+#include "store/checkpoint.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 #include "util/thread_pool.h"
@@ -60,6 +59,26 @@ void ExpectSameHits(const std::vector<ScoredEntity>& a,
     EXPECT_EQ(a[i].id, b[i].id) << "rank " << i;
     EXPECT_EQ(a[i].score, b[i].score) << "rank " << i;  // bit-identical fp32
   }
+}
+
+// The clustering framed as a checkpoint container: the bytes of a bundle's
+// "clustered" artifact.
+std::vector<std::uint8_t> Framed(const ClusteredIndex& clustered) {
+  store::CheckpointWriter ckpt;
+  clustered.Save(ckpt.AddSection("clustered"));
+  return ckpt.Serialize();
+}
+
+// Parses `bytes` as a container, loads its "clustered" section into `out`
+// and attaches it to `base`, as a bundle load does.
+util::Status LoadFramed(std::vector<std::uint8_t> bytes,
+                        const DenseIndex* base, ClusteredIndex* out) {
+  auto ckpt = store::CheckpointReader::Parse(std::move(bytes));
+  if (!ckpt.ok()) return ckpt.status();
+  auto section = ckpt->Section("clustered");
+  if (!section.ok()) return section.status();
+  METABLINK_RETURN_IF_ERROR(out->Load(&*section));
+  return out->Attach(base);
 }
 
 TEST(ClusteredIndexTest, BuildValidatesInput) {
@@ -227,11 +246,8 @@ TEST(ClusteredIndexTest, SaveLoadRoundTripAndAttach) {
   ClusteredIndex clustered;
   ASSERT_TRUE(clustered.Build(base, {}).ok());
 
-  const std::string path = "/tmp/metablink_clustered_index_test.ckpt";
-  ASSERT_TRUE(clustered.SaveToFile(path).ok());
   ClusteredIndex restored;
-  ASSERT_TRUE(restored.LoadFromFile(path, &base).ok());
-  std::remove(path.c_str());
+  ASSERT_TRUE(LoadFramed(Framed(clustered), &base, &restored).ok());
 
   EXPECT_EQ(restored.num_clusters(), clustered.num_clusters());
   EXPECT_EQ(restored.default_nprobe(), clustered.default_nprobe());
@@ -261,38 +277,23 @@ TEST(ClusteredIndexTest, LoadSurvivesBitFlipsWithCleanStatus) {
   ASSERT_TRUE(base.Build(RandomEmbeddings(200, 8, 71), Iota(200)).ok());
   ClusteredIndex clustered;
   ASSERT_TRUE(clustered.Build(base, {}).ok());
-  const std::string path = "/tmp/metablink_clustered_corrupt_test.ckpt";
-  ASSERT_TRUE(clustered.SaveToFile(path).ok());
-
-  std::vector<char> bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
+  const std::vector<std::uint8_t> bytes = Framed(clustered);
   ASSERT_GT(bytes.size(), 64u);
   // Flip one bit at positions spread across header, section table, and
   // payload: each corruption must surface as a clean non-OK Status (CRC,
   // magic, or shape validation), never a crash or a silently wrong index.
   for (std::size_t pos = 0; pos < bytes.size(); pos += bytes.size() / 23 + 1) {
-    std::vector<char> corrupt = bytes;
+    std::vector<std::uint8_t> corrupt = bytes;
     corrupt[pos] ^= 0x20;
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
-    }
     ClusteredIndex victim;
-    EXPECT_FALSE(victim.LoadFromFile(path, &base).ok())
+    EXPECT_FALSE(LoadFramed(std::move(corrupt), &base, &victim).ok())
         << "bit flip at byte " << pos << " was not detected";
   }
   // Truncation is also a clean failure.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
-  }
+  const std::vector<std::uint8_t> half(bytes.begin(),
+                                       bytes.begin() + bytes.size() / 2);
   ClusteredIndex victim;
-  EXPECT_FALSE(victim.LoadFromFile(path, &base).ok());
-  std::remove(path.c_str());
+  EXPECT_FALSE(LoadFramed(half, &base, &victim).ok());
 }
 
 TEST(ClusteredIndexTest, LoadRejectsGarbage) {
@@ -516,11 +517,8 @@ TEST(ClusteredIndexPqTest, PqSaveLoadRoundTripBitIdentity) {
   ClusteredIndex clustered;
   ASSERT_TRUE(clustered.Build(base, options).ok());
 
-  const std::string path = "/tmp/metablink_clustered_pq_roundtrip.ckpt";
-  ASSERT_TRUE(clustered.SaveToFile(path).ok());
   ClusteredIndex restored;
-  ASSERT_TRUE(restored.LoadFromFile(path, &base).ok());
-  std::remove(path.c_str());
+  ASSERT_TRUE(LoadFramed(Framed(clustered), &base, &restored).ok());
 
   EXPECT_TRUE(restored.pq_built());
   EXPECT_EQ(restored.pq_m(), clustered.pq_m());
@@ -553,28 +551,15 @@ TEST(ClusteredIndexPqTest, PqLoadSurvivesBitFlipsWithCleanStatus) {
   options.pq_m = 4;
   ClusteredIndex clustered;
   ASSERT_TRUE(clustered.Build(base, options).ok());
-  const std::string path = "/tmp/metablink_clustered_pq_corrupt.ckpt";
-  ASSERT_TRUE(clustered.SaveToFile(path).ok());
-
-  std::vector<char> bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
+  const std::vector<std::uint8_t> bytes = Framed(clustered);
   ASSERT_GT(bytes.size(), 64u);
   for (std::size_t pos = 0; pos < bytes.size(); pos += bytes.size() / 37 + 1) {
-    std::vector<char> corrupt = bytes;
+    std::vector<std::uint8_t> corrupt = bytes;
     corrupt[pos] ^= 0x10;
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
-    }
     ClusteredIndex victim;
-    EXPECT_FALSE(victim.LoadFromFile(path, &base).ok())
+    EXPECT_FALSE(LoadFramed(std::move(corrupt), &base, &victim).ok())
         << "bit flip at byte " << pos << " was not detected";
   }
-  std::remove(path.c_str());
 }
 
 // Handcrafted version-2 payloads: each corruption targets one PQ

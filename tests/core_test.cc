@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstdint>
+#include <filesystem>
+#include <utility>
 
 #include "core/few_shot_linker.h"
 #include "core/pipeline.h"
 #include "data/generator.h"
+#include "store/checkpoint.h"
 
 namespace metablink::core {
 namespace {
@@ -113,18 +116,71 @@ TEST_F(PipelineTest, LinkReturnsRankedCandidates) {
 TEST_F(PipelineTest, SaveLoadRoundTrip) {
   MetaBlinkPipeline pipeline(TestConfig());
   ASSERT_TRUE(pipeline.TrainSupervised(corpus_->kb, split_.train).ok());
-  const std::string prefix = "/tmp/metablink_pipeline_test";
-  ASSERT_TRUE(pipeline.Save(prefix).ok());
+  const std::string dir = ::testing::TempDir() + "metablink_pipeline_test";
+  ASSERT_TRUE(pipeline.Save(dir).ok());
 
   MetaBlinkPipeline restored(TestConfig());
-  ASSERT_TRUE(restored.Load(prefix).ok());
+  ASSERT_TRUE(restored.Load(dir).ok());
   auto a = pipeline.Evaluate(corpus_->kb, "target", split_.dev);
   auto b = restored.Evaluate(corpus_->kb, "target", split_.dev);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_DOUBLE_EQ(a->unnormalized_acc, b->unnormalized_acc);
   EXPECT_DOUBLE_EQ(a->recall_at_k, b->recall_at_k);
-  std::remove((prefix + ".bi").c_str());
-  std::remove((prefix + ".cross").c_str());
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(PipelineTest, LoadFromMissingDirectoryFails) {
+  MetaBlinkPipeline pipeline(TestConfig());
+  EXPECT_FALSE(pipeline.Load("/nonexistent/bundle").ok());
+}
+
+// The bi- and cross-encoder weight checksums of `pipeline`.
+std::pair<std::uint32_t, std::uint32_t> EncoderCrcs(
+    const MetaBlinkPipeline& pipeline) {
+  return {pipeline.bi_encoder()->params()->ValuesCrc32(),
+          pipeline.cross_encoder()->params()->ValuesCrc32()};
+}
+
+// TestConfig with its own seed, so each pipeline starts from other weights.
+PipelineConfig SeededConfig(std::uint64_t seed) {
+  PipelineConfig config = TestConfig();
+  config.seed = seed;
+  return config;
+}
+
+TEST_F(PipelineTest, FailedLoadLeavesBothEncodersUntouched) {
+  // A bundle whose bi-encoder fits TestConfig but whose cross-encoder has
+  // another dim; every CRC in it is valid.
+  PipelineConfig narrow = SeededConfig(1);
+  narrow.cross.dim = 16;
+  const std::string dir = ::testing::TempDir() + "metablink_pipeline_narrow";
+  ASSERT_TRUE(MetaBlinkPipeline(narrow).Save(dir).ok());
+
+  MetaBlinkPipeline pipeline(SeededConfig(2));
+  const auto before = EncoderCrcs(pipeline);
+  const util::Status status = pipeline.Load(dir);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(EncoderCrcs(pipeline), before);
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(PipelineTest, TornSaveFailsLoad) {
+  // Model A saved whole, then model B's bi.ckpt written over A's without a
+  // new manifest: what a save cut short after its first artifact leaves.
+  const std::string dir = ::testing::TempDir() + "metablink_pipeline_torn";
+  ASSERT_TRUE(MetaBlinkPipeline(SeededConfig(1)).Save(dir).ok());
+  {
+    store::CheckpointWriter ckpt;
+    MetaBlinkPipeline(SeededConfig(2)).bi_encoder()->SaveCheckpoint(&ckpt);
+    ASSERT_TRUE(ckpt.WriteToFile(dir + "/bi.ckpt").ok());
+  }
+
+  MetaBlinkPipeline pipeline(SeededConfig(3));
+  const auto before = EncoderCrcs(pipeline);
+  EXPECT_FALSE(pipeline.Load(dir).ok());
+  EXPECT_EQ(EncoderCrcs(pipeline), before);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(PipelineTest, ResetModelsChangesPredictions) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -12,6 +11,7 @@
 #include "model/cross_encoder.h"
 #include "model/entity_side.h"
 #include "model/features.h"
+#include "store/checkpoint.h"
 #include "tensor/kernels.h"
 #include "tensor/optimizer.h"
 #include "util/thread_pool.h"
@@ -221,13 +221,15 @@ TEST_F(BiEncoderTest, EmbedApisMatchGraphEncoding) {
 }
 
 TEST_F(BiEncoderTest, SaveLoadPreservesEmbeddings) {
-  const std::string path = "/tmp/metablink_bi_test.bin";
-  ASSERT_TRUE(model_.SaveToFile(path).ok());
+  store::CheckpointWriter ckpt;
+  model_.SaveCheckpoint(&ckpt);
+  auto parsed = store::CheckpointReader::Parse(ckpt.Serialize());
+  ASSERT_TRUE(parsed.ok());
   util::Rng rng2(777);  // different init
   BiEncoder other(MakeConfig(), &rng2);
   std::vector<data::LinkingExample> ex = {MakeExample("a", "b", "c")};
   tensor::Tensor before = other.EmbedMentions(ex);
-  ASSERT_TRUE(other.LoadFromFile(path).ok());
+  ASSERT_TRUE(other.LoadCheckpoint(*parsed).ok());
   tensor::Tensor after = other.EmbedMentions(ex);
   tensor::Tensor original = model_.EmbedMentions(ex);
   bool changed = false;
@@ -236,11 +238,6 @@ TEST_F(BiEncoderTest, SaveLoadPreservesEmbeddings) {
     if (after.data()[i] != before.data()[i]) changed = true;
   }
   EXPECT_TRUE(changed);
-  std::remove(path.c_str());
-}
-
-TEST_F(BiEncoderTest, LoadFromMissingFileFails) {
-  EXPECT_FALSE(model_.LoadFromFile("/nonexistent/ckpt.bin").ok());
 }
 
 // ---- CrossEncoder ----------------------------------------------------------
@@ -292,15 +289,16 @@ TEST_F(CrossEncoderTest, RankingLossTrainsTowardGold) {
 }
 
 TEST_F(CrossEncoderTest, SaveLoadPreservesScores) {
-  const std::string path = "/tmp/metablink_cross_test.bin";
-  ASSERT_TRUE(model_.SaveToFile(path).ok());
+  store::CheckpointWriter ckpt;
+  model_.SaveCheckpoint(&ckpt);
+  auto parsed = store::CheckpointReader::Parse(ckpt.Serialize());
+  ASSERT_TRUE(parsed.ok());
   util::Rng rng2(888);
   CrossEncoder other(MakeConfig(), &rng2);
-  ASSERT_TRUE(other.LoadFromFile(path).ok());
+  ASSERT_TRUE(other.LoadCheckpoint(*parsed).ok());
   auto ex = MakeExample("a", "b", "c");
   std::vector<kb::Entity> cands = {MakeEntity("x", "y z")};
   EXPECT_FLOAT_EQ(model_.Score(ex, cands)[0], other.Score(ex, cands)[0]);
-  std::remove(path.c_str());
 }
 
 // ---- Entity-side build -----------------------------------------------------

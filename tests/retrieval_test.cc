@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <functional>
 #include <set>
 
 #include "retrieval/dense_index.h"
 #include "retrieval/score_kernel.h"
+#include "store/checkpoint.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 
@@ -429,12 +429,15 @@ TEST(DenseIndexTest, SaveLoadRoundTrip) {
   DenseIndex index;
   ASSERT_TRUE(index.Build(RandomEmbeddings(n, d, 21), Iota(n)).ok());
   index.Quantize();
-  const std::string path = "/tmp/metablink_dense_index_test.bin";
-  ASSERT_TRUE(index.SaveToFile(path).ok());
+  store::CheckpointWriter ckpt;
+  index.Save(ckpt.AddSection("index"));
+  auto parsed = store::CheckpointReader::Parse(ckpt.Serialize());
+  ASSERT_TRUE(parsed.ok());
+  auto section = parsed->Section("index");
+  ASSERT_TRUE(section.ok());
 
   DenseIndex restored;
-  ASSERT_TRUE(restored.LoadFromFile(path).ok());
-  std::remove(path.c_str());
+  ASSERT_TRUE(restored.Load(&*section).ok());
   EXPECT_EQ(restored.size(), n);
   EXPECT_EQ(restored.dim(), d);
   EXPECT_TRUE(restored.quantized());

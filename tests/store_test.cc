@@ -11,6 +11,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/pipeline.h"
 #include "data/generator.h"
 #include "kb/knowledge_base.h"
 #include "model/bi_encoder.h"
@@ -524,68 +525,90 @@ TEST_F(StoreTest, FailedEpochResumeLeavesTheTrainerUntouched) {
   std::remove(from_bad.checkpoint_path.c_str());
 }
 
-// ---- Encoder checkpoint files ----------------------------------------------
+// ---- Encoder checkpoints ---------------------------------------------------
 
-TEST_F(StoreTest, EncoderFilesRoundTripAndRejectConfigMismatch) {
-  const std::string path = TempPath("bi.ckpt");
+TEST_F(StoreTest, EncoderCheckpointsRoundTripAndRejectConfigMismatch) {
   auto original = MakeBi(/*seed=*/7);
-  ASSERT_TRUE(original->SaveToFile(path).ok());
+  CheckpointWriter writer;
+  original->SaveCheckpoint(&writer);
+  auto ckpt = CheckpointReader::Parse(writer.Serialize());
+  ASSERT_TRUE(ckpt.ok());
   auto other = MakeBi(/*seed=*/8);  // different init, same config
   ASSERT_NE(original->params()->ValuesCrc32(), other->params()->ValuesCrc32());
-  ASSERT_TRUE(other->LoadFromFile(path).ok());
+  ASSERT_TRUE(other->LoadCheckpoint(*ckpt).ok());
   EXPECT_EQ(original->params()->ValuesCrc32(), other->params()->ValuesCrc32());
 
   model::BiEncoderConfig different = SmallBiConfig();
   different.dim = 24;
   util::Rng rng(9);
   model::BiEncoder mismatched(different, &rng);
-  auto status = mismatched.LoadFromFile(path);
+  auto status = mismatched.LoadCheckpoint(*ckpt);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
-  std::remove(path.c_str());
 }
 
-// ---- File loaders never throw --------------------------------------------
+// ---- Loaders never throw ---------------------------------------------------
 
 TEST_F(StoreTest, EveryFileLoaderTurnsBadInputIntoAStatus) {
-  // Every LoadFromFile goes through the framed container. A directory, a
-  // container claiming 0xFFFFFFFF sections, and a headerless raw stream
-  // must each come back as a non-OK Status — never an exception or an
-  // allocation sized by the bad input.
+  // A directory, a container claiming 0xFFFFFFFF sections, and a headerless
+  // raw stream must each come back as a non-OK Status — never an exception
+  // or an allocation sized by the bad input — from every file entry point
+  // and, in memory, from every component's loader.
   const auto& ids = corpus_->kb.EntitiesInDomain("target");
-  auto bi = MakeBi();
-  auto cross = MakeCross();
   retrieval::DenseIndex base;
-  ASSERT_TRUE(base.Build(bi->EmbedEntityIds(ids, corpus_->kb), ids).ok());
+  ASSERT_TRUE(base.Build(MakeBi()->EmbedEntityIds(ids, corpus_->kb), ids).ok());
+  util::BinaryWriter huge_count, raw;
+  huge_count.WriteU32(kCheckpointMagic);
+  huge_count.WriteU32(kCheckpointVersion);
+  huge_count.WriteU32(0xFFFFFFFFu);
+  base.Save(&raw);  // a section payload without the container around it
 
-  const std::string huge_count = TempPath("huge_count.ckpt");
-  {
-    util::BinaryWriter w;
-    w.WriteU32(kCheckpointMagic);
-    w.WriteU32(kCheckpointVersion);
-    w.WriteU32(0xFFFFFFFFu);
-    ASSERT_TRUE(w.WriteToFile(huge_count).ok());
-  }
-  const std::string raw = TempPath("raw_index.bin");
-  {
-    util::BinaryWriter w;
-    base.Save(&w);  // a section payload without the container around it
-    ASSERT_TRUE(w.WriteToFile(raw).ok());
-  }
-  for (const std::string& path : {::testing::TempDir(), huge_count, raw}) {
+  // The file entry points: the container, the bundle, the pipeline bundle.
+  const std::string huge_count_path = TempPath("huge_count.ckpt");
+  const std::string raw_path = TempPath("raw_index.bin");
+  ASSERT_TRUE(huge_count.WriteToFile(huge_count_path).ok());
+  ASSERT_TRUE(raw.WriteToFile(raw_path).ok());
+  core::PipelineConfig config;
+  config.bi = SmallBiConfig();
+  config.cross = SmallCrossConfig();
+  core::MetaBlinkPipeline pipeline(config);
+  for (const std::string& path :
+       {::testing::TempDir(), huge_count_path, raw_path}) {
     SCOPED_TRACE(path);
-    retrieval::DenseIndex index;
-    EXPECT_FALSE(index.LoadFromFile(path).ok());
-    retrieval::ClusteredIndex clustered;
-    EXPECT_FALSE(clustered.LoadFromFile(path, &base).ok());
-    model::CascadeModel cascade;
-    EXPECT_FALSE(cascade.LoadFromFile(path).ok());
-    EXPECT_FALSE(bi->LoadFromFile(path).ok());
-    EXPECT_FALSE(cross->LoadFromFile(path).ok());
-    EXPECT_FALSE(kb::KnowledgeBase::LoadFromFile(path).ok());
+    EXPECT_FALSE(CheckpointReader::FromFile(path).ok());
+    EXPECT_FALSE(BundleReader::Open(path).ok());
+    EXPECT_FALSE(pipeline.Load(path).ok());
   }
-  std::remove(huge_count.c_str());
-  std::remove(raw.c_str());
+  std::remove(huge_count_path.c_str());
+  std::remove(raw_path.c_str());
+
+  // In memory every component loader starts at CheckpointReader::Parse,
+  // which rejects both streams. Framed as the payload of every section the
+  // components read, they reach the section loaders themselves.
+  for (const util::BinaryWriter* bytes : {&huge_count, &raw}) {
+    SCOPED_TRACE(bytes == &raw ? "raw" : "huge count");
+    EXPECT_FALSE(CheckpointReader::Parse(bytes->buffer()).ok());
+    CheckpointWriter every;
+    for (const char* name : {"bi_config", "bi_params", "cross_config",
+                             "cross_params", "index", "clustered", "cascade",
+                             "kb"}) {
+      every.AddSection(name)->WriteRaw(bytes->buffer().data(),
+                                       bytes->buffer().size());
+    }
+    auto ckpt = CheckpointReader::Parse(every.Serialize());
+    ASSERT_TRUE(ckpt.ok());
+    EXPECT_FALSE(model::BiEncoder::FromCheckpoint(*ckpt).ok());
+    EXPECT_FALSE(model::CrossEncoder::FromCheckpoint(*ckpt).ok());
+    util::BinaryReader index = *ckpt->Section("index");
+    util::BinaryReader clustered = *ckpt->Section("clustered");
+    util::BinaryReader cascade = *ckpt->Section("cascade");
+    util::BinaryReader kb = *ckpt->Section("kb");
+    // The raw stream is an index payload, so as a section it loads.
+    EXPECT_EQ(retrieval::DenseIndex().Load(&index).ok(), bytes == &raw);
+    EXPECT_FALSE(retrieval::ClusteredIndex().Load(&clustered).ok());
+    EXPECT_FALSE(model::CascadeModel().Load(&cascade).ok());
+    EXPECT_FALSE(kb::KnowledgeBase::Load(&kb).ok());
+  }
 }
 
 // ---- Artifact bundles ------------------------------------------------------
@@ -1015,7 +1038,11 @@ TEST_F(BundleTest, OpenArtifactParsesTheBytesOpenVerified) {
   const std::string path = dir + "/bi.ckpt";
   auto other = MakeBi(/*seed=*/99);
   ASSERT_NE(other->params()->ValuesCrc32(), bi_->params()->ValuesCrc32());
-  ASSERT_TRUE(other->SaveToFile(path).ok());
+  {
+    CheckpointWriter ckpt;
+    other->SaveCheckpoint(&ckpt);
+    ASSERT_TRUE(ckpt.WriteToFile(path).ok());
+  }
   for (int pass = 0; pass < 2; ++pass) {
     SCOPED_TRACE(pass == 0 ? "file replaced" : "file deleted");
     auto ckpt = bundle->OpenArtifact("bi_encoder");
