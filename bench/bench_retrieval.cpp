@@ -1,13 +1,12 @@
 // Clustered-retrieval benchmark: measures the IVF index against the
-// exhaustive scans it replaces and writes BENCH_retrieval.json (argv
+// exhaustive fp32 scan it replaces and writes BENCH_retrieval.json (argv
 // override; --smoke shrinks every dimension for the CI smoke stage).
 //
 // Per scale (4k / 100k / 1M entities, mixture-of-Gaussians embeddings so
 // the data has cluster structure for a coarse probe to exploit):
 //   build ms:        seeded k-means + inverted-list construction;
-//   latency ms/q:    exhaustive fp32 TopKInto, exhaustive int8
-//                    TopKQuantizedInto, and the clustered probe at the
-//                    default nprobe;
+//   latency ms/q:    exhaustive fp32 TopKInto and the clustered probe at
+//                    the default nprobe;
 //   R@64 vs nprobe:  mean overlap with the exact fp32 top-64 across a
 //                    sweep of nprobe values up to probe-all.
 //
@@ -15,15 +14,13 @@
 //   - probe-all (nprobe == num_clusters) is bit-identical to the
 //     exhaustive fp32 scan — ids, scores, and tie order;
 //   - the same holds for the PQ scan with a full re-score pool;
-//   - the int8 entry point dispatches to the exact scan below the
-//     crossover size (bit-identical results there);
 //   - rebuilding with the same seed yields byte-identical serialization;
 //   - R@64 >= 0.98 at the default nprobe on the gate scale;
 //   - PQ marginal bytes/entity (the M code bytes) <= 25% of int8's d+4.
 // Full mode additionally gates the headline numbers: at 100k entities the
 // clustered probe, at its cheapest nprobe meeting R@64 >= 0.98 (the
-// operating point a deployment would pick from the sweep), must be >= 5x
-// faster than the exhaustive int8 scan; at 100k+ the PQ index total
+// operating point a deployment would pick from the sweep), must be
+// >= 12.1x faster than the exhaustive fp32 scan; at 100k+ the PQ index total
 // bytes/entity (codes + codebooks) must be <= 25% of int8's, with an
 // operating point at R@64 >= 0.98 and, at 1M, ms/query <= 1.5x the
 // non-PQ clustered operating point.
@@ -118,16 +115,15 @@ struct ScaleResult {
   std::size_t default_nprobe = 0;
   double build_ms = 0.0;
   double fp32_ms_per_query = 0.0;
-  double int8_ms_per_query = 0.0;
   double clustered_ms_per_query = 0.0;
   double recall_at_default = 0.0;
-  double speedup_vs_int8 = 0.0;
+  double speedup_vs_fp32 = 0.0;
   /// Cheapest sweep point meeting the R@64 >= 0.98 target — the operating
   /// point an IVF deployment would actually pick. The default nprobe
   /// (ceil(sqrt(kc))) is deliberately conservative; on clusterable data
   /// recall saturates well below it.
   SweepPoint operating;
-  double operating_speedup_vs_int8 = 0.0;
+  double operating_speedup_vs_fp32 = 0.0;
   std::vector<SweepPoint> sweep;
   // PQ (product-quantized residual) form of the same clustered index.
   double pq_build_ms = 0.0;
@@ -247,30 +243,7 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
     r.fp32_ms_per_query =
         MsSince(t0) / static_cast<double>(rounds * num_queries);
   }
-  // Pool width matched to the clustered probe's default re-score pool so
-  // the comparison isolates the scan, not the re-score budget.
-  const std::size_t int8_pool = std::max<std::size_t>(2 * k, k + 64);
   std::vector<retrieval::ScoredEntity> hits;
-  {
-    const auto t0 = Clock::now();
-    for (std::size_t it = 0; it < rounds; ++it)
-      for (std::size_t i = 0; i < num_queries; ++i)
-        base.TopKQuantizedInto(queries.row_data(i), k, int8_pool,
-                               &flat_scratch, &hits);
-    r.int8_ms_per_query =
-        MsSince(t0) / static_cast<double>(rounds * num_queries);
-  }
-  if (n < retrieval::DenseIndex::kQuantizedDispatchMinRows) {
-    // Below the crossover the int8 entry point must have answered with the
-    // exact scan (the small-KB regression fix): bit-identical to fp32.
-    bool same = true;
-    for (std::size_t i = 0; i < num_queries; ++i) {
-      base.TopKQuantizedInto(queries.row_data(i), k, int8_pool,
-                             &flat_scratch, &hits);
-      if (!SameHits(truth[i], hits)) same = false;
-    }
-    Gate(same, "int8 entry dispatches to exact below crossover");
-  }
 
   // ---- Probe-all parity gate ------------------------------------------------
   retrieval::ClusteredScratch cscratch;
@@ -342,8 +315,8 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
       r.recall_at_default = pt.recall;
     }
   }
-  r.speedup_vs_int8 = r.clustered_ms_per_query > 0.0
-                          ? r.int8_ms_per_query / r.clustered_ms_per_query
+  r.speedup_vs_fp32 = r.clustered_ms_per_query > 0.0
+                          ? r.fp32_ms_per_query / r.clustered_ms_per_query
                           : 0.0;
   for (const SweepPoint& pt : r.sweep)
     if (pt.recall >= 0.98 &&
@@ -351,8 +324,8 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
          pt.ms_per_query < r.operating.ms_per_query))
       r.operating = pt;
   if (r.operating.nprobe != 0 && r.operating.ms_per_query > 0.0)
-    r.operating_speedup_vs_int8 =
-        r.int8_ms_per_query / r.operating.ms_per_query;
+    r.operating_speedup_vs_fp32 =
+        r.fp32_ms_per_query / r.operating.ms_per_query;
 
   // ---- PQ nprobe sweep ------------------------------------------------------
   for (std::size_t np : nprobes) {
@@ -383,15 +356,15 @@ ScaleResult RunScale(std::size_t n, std::size_t d, std::size_t num_queries,
 
   std::printf(
       "[%7zu x %zu]  build %8.1f ms  kc %4zu  nprobe %3zu  |  "
-      "fp32 %8.3f  int8 %8.3f  clustered %8.3f ms/q  |  "
-      "R@%zu %.4f  speedup_vs_int8 %.2fx\n",
+      "fp32 %8.3f  clustered %8.3f ms/q  |  "
+      "R@%zu %.4f  speedup_vs_fp32 %.2fx\n",
       n, d, r.build_ms, r.num_clusters, r.default_nprobe,
-      r.fp32_ms_per_query, r.int8_ms_per_query, r.clustered_ms_per_query,
-      k, r.recall_at_default, r.speedup_vs_int8);
+      r.fp32_ms_per_query, r.clustered_ms_per_query, k, r.recall_at_default,
+      r.speedup_vs_fp32);
   std::printf("    operating point: nprobe %zu  R@%zu %.4f  %8.3f ms/q  "
-              "speedup_vs_int8 %.2fx\n",
+              "speedup_vs_fp32 %.2fx\n",
               r.operating.nprobe, k, r.operating.recall,
-              r.operating.ms_per_query, r.operating_speedup_vs_int8);
+              r.operating.ms_per_query, r.operating_speedup_vs_fp32);
   std::printf(
       "    pq: build %8.1f ms  M %zu  |  %8.3f ms/q  R@%zu %.4f @ default  "
       "|  op nprobe %zu  R %.4f  %8.3f ms/q\n",
@@ -456,8 +429,8 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // Headline gates: recall on every scale; the 5x-vs-int8 latency gate on
-  // the 100k scale (full mode only — the smoke scale is too small for the
+  // Headline gates: recall on every scale; the latency gate on the 100k
+  // scale (full mode only — the smoke scale is too small for the
   // probe to amortize the centroid pass, and CI boxes are noisy).
   const ScaleResult* gate_scale = nullptr;
   for (const ScaleResult& r : results)
@@ -465,9 +438,13 @@ int main(int argc, char** argv) {
   for (const ScaleResult& r : results)
     Gate(r.recall_at_default >= 0.98,
          "R@64 >= 0.98 at default nprobe");
+  // The bar was 5x over the exhaustive int8 scan until that scan was
+  // removed. At 100k the int8 scan ran 2.40x faster than the fp32 scan
+  // (median of 5 full runs, 4-core Xeon, AVX2+FMA), so the same bar over
+  // fp32 is 5 * 2.40, rounded up to 12.1x.
   if (gate_scale != nullptr)
-    Gate(gate_scale->operating_speedup_vs_int8 >= 5.0,
-         "clustered >= 5x exhaustive int8 @ 100k (R@64 >= 0.98)");
+    Gate(gate_scale->operating_speedup_vs_fp32 >= 12.1,
+         "clustered >= 12.1x exhaustive fp32 @ 100k (R@64 >= 0.98)");
   // PQ memory gate: at 100k+ the shared codebooks amortize away and the
   // TOTAL PQ bytes/entity must undercut int8 by 4x. The latency guardrail
   // binds at the memory-bound 1M scale.
@@ -504,18 +481,17 @@ int main(int argc, char** argv) {
                  "    {\"entities\": %zu, \"num_clusters\": %zu, "
                  "\"default_nprobe\": %zu, \"build_ms\": %.1f,\n"
                  "     \"fp32_ms_per_query\": %.4f, "
-                 "\"int8_ms_per_query\": %.4f, "
                  "\"clustered_ms_per_query\": %.4f,\n"
-                 "     \"recall_at_64\": %.4f, \"speedup_vs_int8\": %.2f,\n"
+                 "     \"recall_at_64\": %.4f, \"speedup_vs_fp32\": %.2f,\n"
                  "     \"operating_point\": {\"nprobe\": %zu, "
                  "\"recall\": %.4f, \"ms_per_query\": %.4f, "
-                 "\"speedup_vs_int8\": %.2f},\n"
+                 "\"speedup_vs_fp32\": %.2f},\n"
                  "     \"recall_vs_nprobe\": [",
                  r.entities, r.num_clusters, r.default_nprobe, r.build_ms,
-                 r.fp32_ms_per_query, r.int8_ms_per_query,
-                 r.clustered_ms_per_query, r.recall_at_default,
-                 r.speedup_vs_int8, r.operating.nprobe, r.operating.recall,
-                 r.operating.ms_per_query, r.operating_speedup_vs_int8);
+                 r.fp32_ms_per_query, r.clustered_ms_per_query,
+                 r.recall_at_default, r.speedup_vs_fp32, r.operating.nprobe,
+                 r.operating.recall, r.operating.ms_per_query,
+                 r.operating_speedup_vs_fp32);
     for (std::size_t i = 0; i < r.sweep.size(); ++i)
       std::fprintf(f, "%s{\"nprobe\": %zu, \"recall\": %.4f, "
                    "\"ms_per_query\": %.4f}",

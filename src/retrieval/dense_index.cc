@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "retrieval/score_kernel.h"
-#include "util/logging.h"
 #include "util/serialize.h"
 #include "util/string_util.h"
 
@@ -62,11 +61,11 @@ void ReplaceWorst(const ScoredEntity& cand, std::vector<ScoredEntity>* heap) {
 }
 
 // Bounded-heap selection keyed by row POSITION (ascending position breaks
-// exact ties), shared by the fp32 scan and the int8 scan so both pools
-// are insertion-order independent: under a strict total order the surviving
-// pool is the global top-`cap` regardless of visit order. A non-null
-// `outside` is raised to every score the pool rejects or evicts, so after
-// a full scan it holds the best score of any row left out of the pool.
+// exact ties), so the pool is insertion-order independent: under a strict
+// total order the surviving pool is the global top-`cap` regardless of
+// visit order. `*outside` is raised to every score the pool rejects or
+// evicts, so after a full scan it holds the best score of any row left out
+// of the pool.
 void OfferPositions(const float* scores, std::size_t e_begin,
                     std::size_t count, std::size_t cap,
                     std::vector<ScoredEntity>* pool, float* outside) {
@@ -76,12 +75,10 @@ void OfferPositions(const float* scores, std::size_t e_begin,
     std::push_heap(pool->begin(), pool->end(), Better);
   }
   // Full pool: a score below the root's cannot displace it, so most rows
-  // cost one compare. Locals, not *outside, in the loop: the heap writes
+  // cost one compare. A local, not *outside, in the loop: the heap writes
   // below may alias it.
   float threshold = pool->empty() ? 0.0f : pool->front().score;
-  float best_out = outside != nullptr
-                       ? *outside
-                       : -std::numeric_limits<float>::infinity();
+  float best_out = *outside;
   for (; i < count; ++i) {
     const ScoredEntity cand{static_cast<kb::EntityId>(e_begin + i),
                             scores[i]};
@@ -93,7 +90,7 @@ void OfferPositions(const float* scores, std::size_t e_begin,
     ReplaceWorst(cand, pool);
     threshold = pool->front().score;
   }
-  if (outside != nullptr) *outside = best_out;
+  *outside = best_out;
 }
 
 // L2 norm accumulated in double (four chains, like tensor::Dot).
@@ -401,66 +398,6 @@ float DenseIndex::QuantizeQueryInto(const float* query,
         std::clamp(std::nearbyint(query[j] * inv), -127.0f, 127.0f));
   }
   return qscale;
-}
-
-void DenseIndex::TopKQuantizedInto(const float* query, std::size_t k,
-                                   std::size_t pool_size,
-                                   TopKScratch* scratch,
-                                   std::vector<ScoredEntity>* out) const {
-  METABLINK_CHECK(quantized()) << "call Quantize() before TopKQuantizedInto";
-  // Small KBs lose on the int8 path: the quantize/pool/re-score fixed cost
-  // dwarfs the bandwidth it saves when every fp32 row already fits in
-  // cache. Below the threshold the fp32 scan is both faster and exact, so
-  // dispatch there — output is identical because the re-scored quantized
-  // result equals the exact scan whenever the true top-k survives the
-  // pool, and the bench pins the crossover.
-  if (ids_.size() < kQuantizedDispatchMinRows) {
-    TopKInto(query, k, scratch, out);
-    return;
-  }
-  out->clear();
-  const std::size_t total = ids_.size();
-  const std::size_t d = embeddings_.cols();
-  k = std::min(k, total);
-  if (k == 0) return;
-  pool_size = std::clamp(pool_size, k, total);
-
-  // Symmetric per-query quantization, same scheme as the rows.
-  const float qscale = QuantizeQueryInto(query, &scratch->qquery);
-
-  // Phase 1: integer scan. Approximate scores select a candidate pool of
-  // row POSITIONS (so phase 2 can address the fp32 rows directly) via the
-  // same bounded-heap selection the fp32 path uses.
-  scratch->heap.clear();
-  scratch->scores.resize(std::min(kEntityBlock, total));
-  const std::int8_t* qq = scratch->qquery.data();
-  std::vector<ScoredEntity>& pool = scratch->pool;
-  pool.clear();
-  for (std::size_t e0 = 0; e0 < total; e0 += kEntityBlock) {
-    const std::size_t count = std::min(kEntityBlock, total - e0);
-    for (std::size_t i = 0; i < count; ++i) {
-      // Exact int8 dot (AVX2 when available): the approximate scores — and
-      // hence the surviving pool — are bit-identical to the scalar scan.
-      const std::int8_t* row = q_rows_.data() + (e0 + i) * d;
-      const std::int32_t acc = internal::DotInt8(qq, row, d);
-      scratch->scores[i] =
-          static_cast<float>(acc) * qscale * q_scales_[e0 + i];
-    }
-    OfferPositions(scratch->scores.data(), e0, count, pool_size, &pool,
-                   /*outside=*/nullptr);
-  }
-
-  // Phase 2: exact fp32 re-score of the surviving positions, then final
-  // top-k selection — the returned scores carry no quantization error.
-  scratch->heap.clear();
-  scratch->scores.resize(1);
-  for (const ScoredEntity& cand : pool) {
-    const std::size_t position = cand.id;
-    scratch->scores[0] =
-        tensor::Dot(query, embeddings_.row_data(position), d);
-    OfferBlock(scratch->scores.data(), position, 1, k, scratch);
-  }
-  DrainHeap(scratch, out);
 }
 
 void DenseIndex::Save(util::BinaryWriter* writer) const {

@@ -31,7 +31,7 @@ struct TopKScratch {
   std::vector<ScoredEntity> heap;
   /// Per-block score strip used by the single-query scans.
   std::vector<float> scores;
-  /// Symmetric-quantized query (int8 path).
+  /// Symmetric-quantized query (ClusteredIndex's int8 list scan).
   std::vector<std::int8_t> qquery;
   /// Candidate pool surviving the approximate scan, before exact re-scoring.
   std::vector<ScoredEntity> pool;
@@ -60,10 +60,10 @@ struct BatchTopKScratch {
 /// those of a tensor::Dot scan over every row, bit for bit. Queries
 /// parallelize over an optional thread pool.
 ///
-/// An optional int8 symmetric-quantized form (Quantize) serves the same
-/// queries at 4× memory bandwidth savings: the full scan runs on integer
-/// dot products, then a bounded candidate pool is exactly re-scored in
-/// fp32, so the final top-k comes from true fp32 scores.
+/// An optional int8 symmetric-quantized form (Quantize) is stored beside
+/// the fp32 rows and persisted with them. This class never scans it: it is
+/// the row storage of ClusteredIndex's int8 list scan, which re-scores its
+/// candidate pool in fp32 from the rows here.
 class DenseIndex {
  public:
   DenseIndex() = default;
@@ -123,28 +123,12 @@ class DenseIndex {
   void Quantize();
   bool quantized() const { return !q_rows_.empty(); }
 
-  /// Below this row count TopKQuantizedInto dispatches to the exact fp32
-  /// scan: small KBs fit in cache, so the int8 path's quantize + pool +
-  /// re-score overhead loses to the straight scan (the 4k-entity operating
-  /// point regressed ~1.5× before this gate; bench_retrieval pins it).
-  static constexpr std::size_t kQuantizedDispatchMinRows = 65536;
-
   /// Heap bytes of the int8 form (rows + per-row scales); 0 until
   /// Quantize(). The bench's bytes/entity column divides this by size().
   std::size_t QuantizedMemoryBytes() const {
     return q_rows_.size() * sizeof(std::int8_t) +
            q_scales_.size() * sizeof(float);
   }
-
-  /// Top-k via the int8 scan: every entity is scored with an integer dot
-  /// product, the best `pool_size` survivors (clamped to [k, size()]) are
-  /// exactly re-scored in fp32, and the final top-k is selected from those
-  /// fp32 scores — identical output to TopKInto whenever the true top-k
-  /// survives the quantized scan (guaranteed when pool_size == size()).
-  /// Pre: Quantize() was called.
-  void TopKQuantizedInto(const float* query, std::size_t k,
-                         std::size_t pool_size, TopKScratch* scratch,
-                         std::vector<ScoredEntity>* out) const;
 
   // ---- Persistence --------------------------------------------------------
 

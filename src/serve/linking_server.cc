@@ -13,10 +13,6 @@ namespace metablink::serve {
 
 namespace {
 
-/// Survivor pool of the int8 exhaustive scan before its exact fp32
-/// re-score.
-constexpr std::size_t kQuantizedPool = 4096;
-
 /// Cache key for one (mention, context) request. Each field is prefixed
 /// with its decimal byte length and a ':', so the key is collision-free
 /// whatever bytes the fields hold: a separator byte inside one field can
@@ -90,7 +86,6 @@ void LinkingServer::Start(std::shared_ptr<ModelEpoch> epoch) {
 }
 
 util::Status LinkingServer::StartBorrowed(std::shared_ptr<ModelEpoch> epoch) {
-  METABLINK_RETURN_IF_ERROR(ResolveRetrieval(nullptr, epoch.get()));
   METABLINK_RETURN_IF_ERROR(ResolveCascade(options_, nullptr, epoch.get()));
   Start(std::move(epoch));
   return util::Status::OK();
@@ -125,34 +120,13 @@ util::Status LinkingServer::ResolveCascade(const ServerOptions& options,
   return util::Status::OK();
 }
 
-util::Status LinkingServer::ResolveRetrieval(
-    retrieval::ClusteredIndex* clustered, ModelEpoch* epoch) {
-  if (clustered == nullptr) {
-    epoch->retrieval = epoch->index.quantized() ? RetrievalPath::kQuantized
-                                                : RetrievalPath::kExhaustive;
-    return util::Status::OK();
-  }
-  // Moving the bundle into the epoch relocated the index the clustering
-  // was attached to, so re-bind it to the epoch's own copy.
-  epoch->clustered = std::move(*clustered);
-  METABLINK_RETURN_IF_ERROR(epoch->clustered.Attach(&epoch->index));
-  epoch->retrieval = RetrievalPath::kClustered;
-  return util::Status::OK();
-}
-
 void LinkingServer::ModelEpoch::Retrieve(
     const float* query, std::size_t k, retrieval::ClusteredScratch* scratch,
     std::vector<retrieval::ScoredEntity>* out) const {
-  switch (retrieval) {
-    case RetrievalPath::kExhaustive:
-      index.TopKInto(query, k, &scratch->topk, out);
-      return;
-    case RetrievalPath::kQuantized:
-      index.TopKQuantizedInto(query, k, kQuantizedPool, &scratch->topk, out);
-      return;
-    case RetrievalPath::kClustered:
-      clustered.TopKInto(query, k, /*nprobe=*/0, scratch, out);
-      return;
+  if (clustered.built()) {
+    clustered.TopKInto(query, k, /*nprobe=*/0, scratch, out);
+  } else {
+    index.TopKInto(query, k, &scratch->topk, out);
   }
 }
 
@@ -172,8 +146,12 @@ LinkingServer::BuildEpochFromBundle(store::ModelBundle bundle,
   if (!epoch->index.built()) {
     return util::Status::InvalidArgument("bundle index has no entities");
   }
-  METABLINK_RETURN_IF_ERROR(ResolveRetrieval(
-      b.has_clustered ? &b.clustered : nullptr, epoch.get()));
+  if (b.has_clustered) {
+    // Moving the bundle into the epoch relocated the index the clustering
+    // was attached to, so re-bind it to the epoch's own copy.
+    epoch->clustered = std::move(b.clustered);
+    METABLINK_RETURN_IF_ERROR(epoch->clustered.Attach(&epoch->index));
+  }
   if (b.has_rerank_cache) {
     epoch->cross_cache = std::move(b.rerank_cache);
   } else {

@@ -44,7 +44,7 @@ enum class LoadShedPolicy {
 
 /// Knobs for the micro-batching request scheduler. How stage 1 retrieves
 /// is not among them: the served model's artifacts decide that (see
-/// LinkingServer::ResolveRetrieval).
+/// LinkingServer).
 struct ServerOptions {
   /// A batch is full, and flushes at once, when this many requests are
   /// pending.
@@ -209,12 +209,13 @@ struct ServerStats {
 /// (missing or corrupt bundle) returns a Status and leaves the old
 /// version serving.
 ///
-/// Stage 1 takes one of three paths, fixed per model version by what its
-/// artifacts ship (ResolveRetrieval): the exhaustive fp32 scan, the int8
-/// scan of a quantized index, or the clustered (IVF / IVF-PQ) probe of a
-/// bundle's "clustered" artifact. Every approximate path re-scores its
-/// candidates in fp32, so scores are identical to eval::DomainSide::Link's
-/// (FewShotLinker::Link's) whenever the true top-k is found.
+/// Stage 1 takes one of two paths, fixed per model version by what its
+/// artifacts ship: the clustered (IVF / IVF-PQ) probe of a bundle's
+/// "clustered" artifact, else the exact fp32 scan of the index (also for
+/// a quantized index: its int8 rows serve only the clustered probe). The
+/// probe re-scores its candidates in fp32, so scores are identical to
+/// eval::DomainSide::Link's (FewShotLinker::Link's) whenever the true
+/// top-k is found.
 class LinkingServer {
  public:
   /// Builds a server over raw components. `bi`, `cross`, and `kb` must
@@ -296,13 +297,6 @@ class LinkingServer {
   };
   using LruList = std::list<std::pair<std::string, CachedAnswer>>;
 
-  /// The structure that answers stage 1 for one epoch.
-  enum class RetrievalPath {
-    kExhaustive,  // DenseIndex::TopKInto over the fp32 rows
-    kQuantized,   // DenseIndex::TopKQuantizedInto: the shipped index is int8
-    kClustered,   // ClusteredIndex::TopKInto at the artifact's default_nprobe
-  };
-
   /// One published model version: every component a batch touches, owned
   /// (or borrowed, for Create/FromLinker) in one place. The entity side
   /// (the eval::DomainSide base: encoders, KB, index, rerank cache, entity
@@ -314,11 +308,10 @@ class LinkingServer {
     /// Set when the epoch came from a bundle; null when the base's
     /// component pointers borrow caller-owned objects.
     std::unique_ptr<store::ModelBundle> owned;
-    /// The bundle's clustered artifact; built() only on the kClustered
-    /// path. Always attached to this epoch's `index` member (re-attached
-    /// after the bundle move).
+    /// The bundle's clustered artifact; built() exactly when the bundle
+    /// shipped one, and then attached to this epoch's `index` member
+    /// (re-attached after the bundle move).
     retrieval::ClusteredIndex clustered;
-    RetrievalPath retrieval = RetrievalPath::kExhaustive;
     /// Resolved cascade policy for this epoch: the bundle's "cascade"
     /// artifact when present, else ServerOptions::cascade, else the
     /// uncalibrated default. Read only when ServerOptions::use_cascade.
@@ -328,10 +321,10 @@ class LinkingServer {
     LruList lru;
     std::unordered_map<std::string, LruList::iterator> lru_map;
 
-    /// Stage-1 top-k of one query along this epoch's retrieval path. The
-    /// clustered scratch nests the exhaustive scan's, so one scratch type
-    /// serves every path. Allocation-free once `scratch` and `out` are
-    /// warm.
+    /// Stage-1 top-k of one query: the clustered probe when the epoch has
+    /// one, else the exact fp32 scan of `index`. The clustered scratch
+    /// nests the exhaustive scan's, so one scratch type serves both.
+    /// Allocation-free once `scratch` and `out` are warm.
     void Retrieve(const float* query, std::size_t k,
                   retrieval::ClusteredScratch* scratch,
                   std::vector<retrieval::ScoredEntity>* out) const;
@@ -343,13 +336,16 @@ class LinkingServer {
 
   /// Publishes the first epoch and starts the scheduler thread.
   void Start(std::shared_ptr<ModelEpoch> epoch);
-  /// Start for an epoch over caller-owned components (Create, FromLinker):
-  /// resolves its exhaustive stage-1 path and ServerOptions::cascade first.
+  /// Start for an epoch over caller-owned components (Create, FromLinker),
+  /// which retrieve by the exhaustive scan: resolves ServerOptions::cascade
+  /// first.
   util::Status StartBorrowed(std::shared_ptr<ModelEpoch> epoch);
 
   /// Turns a loaded bundle into a servable epoch: adopts its prebuilt
-  /// index and retrieval artifacts, adopts the rerank cache or rebuilds it
-  /// on `pool`, and derives the id -> row map.
+  /// index and clustered artifact (which then answers stage 1 at its saved
+  /// default_nprobe, through PQ codes exactly when it carries them), adopts
+  /// the rerank cache or rebuilds it on `pool`, and derives the id -> row
+  /// map.
   static util::Result<std::shared_ptr<ModelEpoch>> BuildEpochFromBundle(
       store::ModelBundle bundle, const ServerOptions& options,
       util::ThreadPool* pool);
@@ -360,15 +356,6 @@ class LinkingServer {
   static util::Status ResolveCascade(const ServerOptions& options,
                                      const model::CascadeModel* artifact,
                                      ModelEpoch* epoch);
-
-  /// Plans the epoch's stage-1 path from what the model ships, once per
-  /// epoch. No `clustered` artifact (always the case for raw components):
-  /// the exhaustive scan, int8 when `epoch->index` is quantized. A shipped
-  /// clustering is moved into the epoch and attached to its index; it
-  /// probes at its saved default_nprobe, through PQ codes exactly when it
-  /// carries them.
-  static util::Status ResolveRetrieval(retrieval::ClusteredIndex* clustered,
-                                       ModelEpoch* epoch);
 
   void SchedulerLoop();
   /// Serves one popped batch; `hold` is the time from its oldest request's

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -547,6 +548,7 @@ TEST_F(CascadeTest, BundleShipsAndServesTheCascadeArtifact) {
   on.use_cascade = true;
   on.cascade = &never_exit;
   auto server = serve::LinkingServer::FromBundle(dir, on);
+  std::filesystem::remove_all(dir);
   ASSERT_TRUE(server.ok()) << server.status().message();
   const Responses run = Drive(server->get());
   EXPECT_EQ(run.stats.rerank_exited, run.stats.requests);

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
-#include <set>
 
 #include "retrieval/dense_index.h"
 #include "retrieval/score_kernel.h"
@@ -240,11 +240,7 @@ TEST(DenseIndexTest, EdgeCaseKZeroAndKOversizedAllPaths) {
   std::vector<ScoredEntity> out{{3, 1.0f}};  // stale contents must be cleared
   index.TopKInto(q, 0, &scratch, &out);
   EXPECT_TRUE(out.empty());
-  index.TopKQuantizedInto(q, 0, n, &scratch, &out);
-  EXPECT_TRUE(out.empty());
   index.TopKInto(q, n + 50, &scratch, &out);
-  EXPECT_EQ(out.size(), n);
-  index.TopKQuantizedInto(q, n + 50, n, &scratch, &out);
   EXPECT_EQ(out.size(), n);
 
   tensor::Tensor queries = RandomEmbeddings(5, d, 42);
@@ -325,103 +321,30 @@ TEST(DenseIndexTest, BatchTopKMatchesSingle) {
   }
 }
 
-TEST(DenseIndexTest, QuantizedFullPoolMatchesExact) {
-  // With pool_size == size(), every entity survives the int8 scan, the
-  // final top-k is selected from true fp32 scores, and the result must be
-  // identical (ids AND scores) to the exact path.
-  const std::size_t n = 500, d = 16;
-  DenseIndex index;
-  ASSERT_TRUE(index.Build(RandomEmbeddings(n, d, 11), Iota(n)).ok());
-  EXPECT_FALSE(index.quantized());
-  index.Quantize();
-  ASSERT_TRUE(index.quantized());
-
-  util::Rng rng(12);
-  TopKScratch scratch;
-  std::vector<ScoredEntity> exact, quant;
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<float> q(d);
-    for (float& v : q) v = rng.NextFloat(-1, 1);
-    index.TopKInto(q.data(), 10, &scratch, &exact);
-    index.TopKQuantizedInto(q.data(), 10, n, &scratch, &quant);
-    ASSERT_EQ(exact.size(), quant.size());
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_EQ(exact[i].id, quant[i].id);
-      EXPECT_EQ(exact[i].score, quant[i].score);  // bit-identical fp32
-    }
-  }
-}
-
-TEST(DenseIndexTest, QuantizedRecallAt64MatchesExact) {
-  // The serving configuration: k=64 out of a 4x-larger pool. The int8
-  // scan only has to land the true top-64 inside the top-256 pool, which
-  // symmetric per-row int8 achieves on random data; R@64 must not move.
-  const std::size_t n = 2000, d = 32;
-  DenseIndex index;
-  ASSERT_TRUE(index.Build(RandomEmbeddings(n, d, 13), Iota(n)).ok());
-  index.Quantize();
-
-  util::Rng rng(14);
-  TopKScratch scratch;
-  std::vector<ScoredEntity> exact, quant;
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<float> q(d);
-    for (float& v : q) v = rng.NextFloat(-1, 1);
-    index.TopKInto(q.data(), 64, &scratch, &exact);
-    index.TopKQuantizedInto(q.data(), 64, 256, &scratch, &quant);
-    std::set<kb::EntityId> exact_ids, quant_ids;
-    for (const auto& e : exact) exact_ids.insert(e.id);
-    for (const auto& e : quant) quant_ids.insert(e.id);
-    EXPECT_EQ(exact_ids, quant_ids);
-  }
-}
-
-TEST(DenseIndexTest, SmallIndexQuantizedDispatchIsExact) {
-  // Below kQuantizedDispatchMinRows the int8 scan is slower than the exact
-  // fp32 scan (the 4k-entity bench point regressed 0.13 -> 0.19 ms/query),
-  // so TopKQuantizedInto dispatches straight to the exact kernel. The
-  // observable contract: ids, scores, and order are bit-identical to
-  // TopKInto, even with a pool far too small for the approximate scan to
-  // guarantee that.
-  static_assert(DenseIndex::kQuantizedDispatchMinRows == 65536,
-                "dispatch crossover moved; re-run bench_retrieval before "
-                "changing this test");
-  const std::size_t n = 3000, d = 24, k = 16;
-  DenseIndex index;
-  ASSERT_TRUE(index.Build(RandomEmbeddings(n, d, 17), Iota(n)).ok());
-  index.Quantize();
-  ASSERT_TRUE(index.quantized());
-
-  util::Rng rng(18);
-  TopKScratch scratch;
-  std::vector<ScoredEntity> exact, dispatched;
-  for (int trial = 0; trial < 40; ++trial) {
-    std::vector<float> q(d);
-    for (float& v : q) v = rng.NextFloat(-1, 1);
-    index.TopKInto(q.data(), k, &scratch, &exact);
-    index.TopKQuantizedInto(q.data(), k, /*pool_size=*/k, &scratch,
-                            &dispatched);
-    ASSERT_EQ(exact.size(), dispatched.size());
-    for (std::size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_EQ(exact[i].id, dispatched[i].id);
-      EXPECT_EQ(exact[i].score, dispatched[i].score);
-    }
-  }
-}
-
 TEST(DenseIndexTest, QuantizeHandlesZeroRows) {
   tensor::Tensor emb(3, 4);
   emb.at(1, 2) = 0.5f;  // rows 0 and 2 stay all-zero
   DenseIndex index;
   ASSERT_TRUE(index.Build(emb, Iota(3)).ok());
+  EXPECT_FALSE(index.quantized());
   index.Quantize();
-  float q[4] = {0, 0, 1, 0};
-  TopKScratch scratch;
-  std::vector<ScoredEntity> out;
-  index.TopKQuantizedInto(q, 3, 3, &scratch, &out);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].id, 1u);
-  EXPECT_FLOAT_EQ(out[0].score, 0.5f);
+  ASSERT_TRUE(index.quantized());
+  EXPECT_EQ(index.QuantizedMemoryBytes(),
+            3 * 4 * sizeof(std::int8_t) + 3 * sizeof(float));
+  // An all-zero row gets scale 0 and zero codes.
+  for (const std::size_t r : {0u, 2u}) {
+    EXPECT_EQ(index.QuantizedScaleAt(r), 0.0f) << "row " << r;
+    for (std::size_t j = 0; j < 4; ++j) {
+      EXPECT_EQ(index.QuantizedRowAt(r)[j], 0) << "row " << r;
+    }
+  }
+  // Row 1's only nonzero entry is its max |x|: scale 0.5/127, code 127.
+  EXPECT_EQ(index.QuantizedScaleAt(1), 0.5f / 127.0f);
+  const std::int8_t* row1 = index.QuantizedRowAt(1);
+  EXPECT_EQ(row1[0], 0);
+  EXPECT_EQ(row1[1], 0);
+  EXPECT_EQ(row1[2], 127);
+  EXPECT_EQ(row1[3], 0);
 }
 
 TEST(DenseIndexTest, SaveLoadRoundTrip) {
@@ -454,11 +377,17 @@ TEST(DenseIndexTest, SaveLoadRoundTrip) {
     EXPECT_EQ(a[i].id, b[i].id);
     EXPECT_EQ(a[i].score, b[i].score);
   }
-  // The int8 form round-trips too.
-  index.TopKQuantizedInto(q.data(), 9, 32, &scratch, &a);
-  restored.TopKQuantizedInto(q.data(), 9, 32, &scratch, &b);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].id, b[i].id);
+  // The int8 form round-trips byte for byte.
+  for (std::size_t r = 0; r < n; ++r) {
+    EXPECT_EQ(std::memcmp(restored.QuantizedRowAt(r), index.QuantizedRowAt(r),
+                          d * sizeof(std::int8_t)),
+              0)
+        << "row " << r;
+    const float scale_a = index.QuantizedScaleAt(r);
+    const float scale_b = restored.QuantizedScaleAt(r);
+    EXPECT_EQ(std::memcmp(&scale_a, &scale_b, sizeof(float)), 0)
+        << "row " << r;
+  }
 }
 
 TEST(DenseIndexTest, SaveLoadWithoutQuantizedForm) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -78,10 +79,18 @@ class ServeTest : public ::testing::Test {
     pipeline_ = std::make_unique<core::MetaBlinkPipeline>(TestConfig());
   }
 
-  /// Packages one pipeline's components as an artifact bundle under `dir`.
+  void TearDown() override {
+    for (const std::string& dir : bundle_dirs_) {
+      std::filesystem::remove_all(dir);
+    }
+  }
+
+  /// Packages one pipeline's components as an artifact bundle under `dir`,
+  /// which TearDown removes.
   void SaveBundle(const core::MetaBlinkPipeline& pipeline,
                   const std::string& dir, std::uint64_t version,
                   const RetrievalForm& form = {}) {
+    bundle_dirs_.push_back(dir);
     const auto& ids = corpus_->kb.EntitiesInDomain("target");
     retrieval::DenseIndex index;
     ASSERT_TRUE(index
@@ -301,6 +310,8 @@ class ServeTest : public ::testing::Test {
   std::unique_ptr<data::Corpus> corpus_;
   data::DomainSplit split_;
   std::unique_ptr<core::MetaBlinkPipeline> pipeline_;
+  /// Every directory SaveBundle wrote in this test.
+  std::vector<std::string> bundle_dirs_;
 };
 
 // ---- Tape vs tape-free parity ----------------------------------------------
@@ -462,10 +473,10 @@ TEST_F(ServeTest, ServerMatchesTapeReference) {
 }
 
 // The bundle decides how stage 1 retrieves. Every form below is exact on
-// this KB — int8 dispatches to the fp32 scan below its crossover size, the
-// clustered artifacts probe every cell, and PQ keeps a full re-score pool
-// — so each must answer bit-identically to the plain server, while Stats()
-// reports which layout answered.
+// this KB — a quantized index without a clustered artifact is served by the
+// fp32 scan, the clustered artifacts probe every cell, and PQ keeps a full
+// re-score pool — so each must answer bit-identically to the plain server,
+// while Stats() reports which layout answered.
 
 TEST_F(ServeTest, QuantizedServerMatchesFp32Server) {
   RetrievalForm int8;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -662,6 +663,18 @@ class BundleTest : public StoreTest {
     cross_->PrecomputeEntities(entities, &cache_);
   }
 
+  void TearDown() override {
+    for (const std::string& dir : bundle_dirs_) {
+      std::filesystem::remove_all(dir);
+    }
+  }
+
+  /// TempPath(name) for a bundle directory, which TearDown removes.
+  std::string BundleDir(const std::string& name) {
+    bundle_dirs_.push_back(TempPath(name));
+    return bundle_dirs_.back();
+  }
+
   util::Status Save(const std::string& dir, std::uint64_t version = 3,
                     bool with_cache = true) {
     ModelBundleParts parts;
@@ -681,7 +694,7 @@ class BundleTest : public StoreTest {
   util::Result<ModelBundle> LoadWithRerankSection(
       const std::string& name,
       const std::function<void(util::BinaryWriter*)>& write) {
-    const std::string dir = TempPath(name);
+    const std::string dir = BundleDir(name);
     BundleWriter bundle(dir);
     CheckpointWriter bi, cross, kb, index, rerank;
     bi_->SaveCheckpoint(&bi);
@@ -719,10 +732,12 @@ class BundleTest : public StoreTest {
   std::unique_ptr<model::CrossEncoder> cross_;
   retrieval::DenseIndex index_;
   model::CrossEntityCache cache_;
+  /// Every directory BundleDir named in this test.
+  std::vector<std::string> bundle_dirs_;
 };
 
 TEST_F(BundleTest, SaveLoadRoundTrip) {
-  const std::string dir = TempPath("bundle_roundtrip");
+  const std::string dir = BundleDir("bundle_roundtrip");
   ASSERT_TRUE(Save(dir).ok());
   auto bundle = LoadModelBundle(dir);
   ASSERT_TRUE(bundle.ok()) << bundle.status().message();
@@ -743,7 +758,7 @@ TEST_F(BundleTest, SaveLoadRoundTrip) {
   // The loader numbers tokens by vocabulary-table position, so its ids
   // differ from the ones PrecomputeEntities assigned; the artifact bytes
   // must not.
-  const std::string again = TempPath("bundle_roundtrip_again");
+  const std::string again = BundleDir("bundle_roundtrip_again");
   ModelBundleParts parts;
   parts.model_version = 3;
   parts.domain = "target";
@@ -757,7 +772,7 @@ TEST_F(BundleTest, SaveLoadRoundTrip) {
 }
 
 TEST_F(BundleTest, LoadWithoutRerankCacheArtifact) {
-  const std::string dir = TempPath("bundle_nocache");
+  const std::string dir = BundleDir("bundle_nocache");
   ASSERT_TRUE(Save(dir, /*version=*/4, /*with_cache=*/false).ok());
   auto bundle = LoadModelBundle(dir);
   ASSERT_TRUE(bundle.ok()) << bundle.status().message();
@@ -767,7 +782,7 @@ TEST_F(BundleTest, LoadWithoutRerankCacheArtifact) {
 TEST_F(BundleTest, ClusteredArtifactRoundTripAndCorruption) {
   retrieval::ClusteredIndex clustered;
   ASSERT_TRUE(clustered.Build(index_, {}).ok());
-  const std::string dir = TempPath("bundle_clustered");
+  const std::string dir = BundleDir("bundle_clustered");
   {
     ModelBundleParts parts;
     parts.model_version = 7;
@@ -819,7 +834,7 @@ TEST_F(BundleTest, ClusteredArtifactRoundTripAndCorruption) {
 }
 
 TEST_F(BundleTest, CorruptionAnywhereIsACleanStatus) {
-  const std::string dir = TempPath("bundle_corrupt");
+  const std::string dir = BundleDir("bundle_corrupt");
   ASSERT_TRUE(Save(dir).ok());
   // Every artifact plus the manifest: a single flipped byte in any file
   // fails the whole bundle open, and a truncated file does too.
@@ -971,7 +986,7 @@ TEST_F(BundleTest, RetiredManifestShardCountIsIgnored) {
   // that u32 after the artifact table. It never changed a response, so a
   // loader accepts it and ignores it; any other tail after the table is
   // corruption, even inside a CRC-valid container.
-  const std::string dir = TempPath("bundle_retired_shards");
+  const std::string dir = BundleDir("bundle_retired_shards");
   ASSERT_TRUE(Save(dir).ok());
   auto plain = LoadModelBundle(dir);
   ASSERT_TRUE(plain.ok()) << plain.status().message();
@@ -1030,7 +1045,7 @@ TEST_F(BundleTest, OpenArtifactParsesTheBytesOpenVerified) {
   // Open reads each artifact once and keeps the bytes whose whole-file CRC
   // it checked; replacing or deleting the file afterwards changes nothing
   // OpenArtifact returns. A fresh Open sees the replacement.
-  const std::string dir = TempPath("bundle_verified_bytes");
+  const std::string dir = BundleDir("bundle_verified_bytes");
   ASSERT_TRUE(Save(dir).ok());
   auto bundle = BundleReader::Open(dir);
   ASSERT_TRUE(bundle.ok()) << bundle.status().message();
@@ -1129,7 +1144,7 @@ TEST_F(BundleTest, ParameterFloatCountMustMatchItsShape) {
     auto model = MakeBi();
     EXPECT_FALSE(model->LoadCheckpoint(*parsed).ok());
     EXPECT_FALSE(model::BiEncoder::FromCheckpoint(*parsed).ok());
-    const std::string dir = TempPath("bundle_crafted_params");
+    const std::string dir = BundleDir("bundle_crafted_params");
     ASSERT_TRUE(
         SaveCraftedBundle(dir, bi, cross, corpus_->kb, index_).ok());
     util::Result<ModelBundle> loaded = util::Status::Internal("not run");
@@ -1218,7 +1233,7 @@ TEST_F(BundleTest, CraftedEncoderConfigsAreAStatus) {
     }
     EXPECT_FALSE(ok);
 
-    const std::string dir = TempPath("bundle_crafted_config");
+    const std::string dir = BundleDir("bundle_crafted_config");
     ASSERT_TRUE(SaveCraftedBundle(dir, c.cross ? real_bi : crafted,
                                   c.cross ? crafted : real_cross,
                                   corpus_->kb, index_)
