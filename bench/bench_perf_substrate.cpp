@@ -1,6 +1,7 @@
 // Performance-substrate benchmark: times the blocked GEMM kernels, one
-// meta-reweighting Step() under each alignment mode, and batched dense
-// retrieval, then writes the measurements and the host as JSON (default
+// meta-reweighting Step() under each alignment mode, batched dense
+// retrieval, and tanh (libm's against both bodies of tensor::Tanh), then
+// writes the measurements and the host as JSON (default
 // BENCH_perf_substrate.json in the current directory, argv[1] overrides).
 //
 // The gate is the meta Step speedup of the product mode, serial kJvp (how
@@ -8,6 +9,7 @@
 // be >= 3x, else the bench prints FAIL and exits 1.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -218,6 +220,43 @@ TopKTimes BenchTopK(util::ThreadPool* pool) {
   return t;
 }
 
+// ---- Section 4: tanh -------------------------------------------------------
+
+struct TanhTimes {
+  double std_ns = 0.0;
+  double scalar_ns = 0.0;
+  double avx2_ns = -1.0;  // < 0: no AVX2 body on this CPU
+};
+
+// ns/element of one in-place pass over N(0, 1.5) pre-activations (the
+// spread of the rerank MLP's hidden units), best of 20; the input is
+// restored before each pass.
+TanhTimes BenchTanh() {
+  constexpr std::size_t kN = 1 << 16;
+  util::Rng rng(404);
+  std::vector<float> input(kN);
+  for (float& v : input) v = static_cast<float>(1.5 * rng.NextGaussian());
+  std::vector<float> work(kN);
+  const auto ns_per_elem = [&](auto&& pass) {
+    double best = 1e100;
+    for (int r = 0; r < 20; ++r) {
+      work = input;
+      const auto t0 = bench::Clock::now();
+      pass(work.data(), kN);
+      best = std::min(best, bench::MsSince(t0));
+      g_sink += work[r];
+    }
+    return best * 1e6 / static_cast<double>(kN);
+  };
+  TanhTimes t;
+  t.std_ns = ns_per_elem([](float* x, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) x[i] = std::tanh(x[i]);
+  });
+  t.scalar_ns = ns_per_elem(tensor::TanhScalar);
+  if (tensor::TanhUsesSimd()) t.avx2_ns = ns_per_elem(tensor::TanhAvx2);
+  return t;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -262,6 +301,20 @@ int main(int argc, char** argv) {
   std::printf("  blocked BatchTopK + pool(8)           %8.2f ms  (%.2fx)\n\n",
               topk.batch_pooled_ms, topk.old_style_ms / topk.batch_pooled_ms);
 
+  const TanhTimes tanh_t = BenchTanh();
+  std::printf("[tanh, 65536 elements ~ N(0, 1.5), in place]\n");
+  std::printf("  std::tanh (libm)                      %8.2f ns/elem\n",
+              tanh_t.std_ns);
+  std::printf("  tensor::Tanh scalar body              %8.2f ns/elem\n",
+              tanh_t.scalar_ns);
+  if (tanh_t.avx2_ns >= 0.0) {
+    std::printf("  tensor::Tanh AVX2 body                %8.2f ns/elem  "
+                "(%.2fx vs std::tanh)\n\n",
+                tanh_t.avx2_ns, tanh_t.std_ns / tanh_t.avx2_ns);
+  } else {
+    std::printf("  tensor::Tanh AVX2 body                (no AVX2)\n\n");
+  }
+
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
@@ -270,9 +323,10 @@ int main(int argc, char** argv) {
   std::fprintf(f, "{\n");
   bench::WriteHostJson(
       f, util::StrFormat(", \"gemm_row_chain\": \"%s\", "
-                         "\"adam_row\": \"%s\"",
+                         "\"adam_row\": \"%s\", \"tanh\": \"%s\"",
                          tensor::GemmRowChainUsesSimd() ? "avx2" : "scalar",
-                         tensor::AdamRowUsesSimd() ? "avx2" : "scalar"));
+                         tensor::AdamRowUsesSimd() ? "avx2" : "scalar",
+                         tensor::TanhUsesSimd() ? "avx2" : "scalar"));
   std::fprintf(f,
                "  \"gemm_384\": {\"naive_ms\": %.3f, \"kernel_ms\": %.3f, "
                "\"pooled_ms\": %.3f},\n",
@@ -290,6 +344,13 @@ int main(int argc, char** argv) {
                "\"speedup_serial\": %.2f},\n",
                topk.old_style_ms, topk.batch_serial_ms, topk.batch_pooled_ms,
                topk.old_style_ms / topk.batch_serial_ms);
+  std::fprintf(f,
+               "  \"tanh\": {\"std_tanh_ns_per_elem\": %.2f, "
+               "\"scalar_ns_per_elem\": %.2f, \"avx2_ns_per_elem\": %s},\n",
+               tanh_t.std_ns, tanh_t.scalar_ns,
+               tanh_t.avx2_ns >= 0.0
+                   ? util::StrFormat("%.2f", tanh_t.avx2_ns).c_str()
+                   : "null");
   std::fprintf(f, "  \"checksum\": %.6f\n", g_sink);
   std::fprintf(f, "}\n");
   std::fclose(f);

@@ -136,7 +136,7 @@ void PoolRowInto(const tensor::Parameter& table,
                         1.0f / static_cast<float>(bag.size()),
                         table.value.data().data(), row, d);
   }
-  for (std::size_t c = 0; c < d; ++c) row[c] = std::tanh(row[c]);
+  tensor::Tanh(row, d);
 }
 
 // The second half over n pooled rows: projection through the same serial

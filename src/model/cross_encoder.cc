@@ -141,14 +141,16 @@ float CrossEncoder::ScorePair(const float* entity_vec,
   std::copy(scratch->prefix.begin(), scratch->prefix.end(), hidden);
   tensor::GemmRowChain(pair, w1_->value.row_data(d), hidden,
                        2 * d + kNumOverlapFeatures, h);
-  // The [1, hidden] x [hidden, 1] GEMM of the tape, in its order: ascending
-  // hidden unit from 0, zero activations skipped, then the bias.
+  // tanh(hidden + b1), then the [1, hidden] x [hidden, 1] GEMM of the tape,
+  // in its order: ascending hidden unit from 0, zero activations skipped,
+  // then the bias.
   const float* b1 = b1_->value.data().data();
   const float* w2 = w2_->value.data().data();
+  for (std::size_t j = 0; j < h; ++j) hidden[j] += b1[j];
+  tensor::Tanh(hidden, h);
   float score = 0.0f;
   for (std::size_t j = 0; j < h; ++j) {
-    const float v = std::tanh(hidden[j] + b1[j]);
-    if (v != 0.0f) score += v * w2[j];
+    if (hidden[j] != 0.0f) score += hidden[j] * w2[j];
   }
   return score + b2_->value.at(0, 0);
 }
@@ -202,7 +204,7 @@ void CrossEncoder::TowerRowInto(const std::vector<std::uint32_t>& bag,
                         1.0f / static_cast<float>(bag.size()),
                         table_->value.data().data(), row, d);
   }
-  for (std::size_t j = 0; j < d; ++j) row[j] = std::tanh(row[j]);
+  tensor::Tanh(row, d);
 }
 
 void CrossEncoder::MentionVecInto(const data::LinkingExample& example,

@@ -521,6 +521,7 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close,
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.requests += m;
     stats_.batches += 1;
+    stats_.batched_requests += m;
     switch (close) {
       case BatchClose::kFull: ++stats_.batches_full; break;
       case BatchClose::kDeadline: ++stats_.batches_deadline; break;

@@ -100,6 +100,10 @@ struct ServerOptions {
 struct ServerStats {
   std::uint64_t requests = 0;
   std::uint64_t batches = 0;
+  /// Requests a batch completed. Link answers an answer-cache hit on the
+  /// calling thread without a batch, so requests - batched_requests is the
+  /// number of those hits, and batched_requests / batches the mean batch.
+  std::uint64_t batched_requests = 0;
   /// Why each batch closed, by the scheduler path that closed it, so
   /// batches_full + batches_deadline + batches_early == batches — always.
   /// full: max_batch requests were pending. deadline: the hold reached the

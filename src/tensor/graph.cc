@@ -524,7 +524,7 @@ Var Graph::Scale(Var x, float s) {
 
 Var Graph::Tanh(Var x) {
   Tensor out = node(x).value;
-  for (float& v : out.data()) v = std::tanh(v);
+  tensor::Tanh(out.data().data(), out.size());
   Var v = AddNode(std::move(out), OpKind::kTanh, {x.id});
   Var self = v;
   node(v).backward = [self, x](const Graph* g, GradWorkspace* ws) {

@@ -37,8 +37,9 @@ void GemmRaw(const float* a, const float* b, float* c, std::size_t n,
 /// over k1 + k2 inputs equals this call over the first k1 rows of B
 /// followed by this call over the remaining k2, bit for bit.
 ///
-/// The x86 path keeps 32 output columns in AVX registers across the whole
-/// reduction instead of streaming `c` through memory per input; a scalar
+/// The x86 path keeps 64 output columns at a time (then 32) in AVX registers
+/// across the whole reduction instead of streaming `c` through memory per
+/// input; a scalar
 /// fallback serves other CPUs. One implementation is selected per process
 /// by CPU capability; both produce identical bits.
 void GemmRowChain(const float* a, const float* b, float* c, std::size_t k,
@@ -56,9 +57,9 @@ bool GemmRowChainUsesSimd();
 /// leaves `c` untouched). `table` is row-major with row stride `m`; the
 /// caller has checked every id against its row count.
 ///
-/// Dispatched like GemmRowChain: the x86 path keeps 32 output columns in
-/// AVX registers across the whole bag instead of storing `c` after every
-/// id, and a scalar fallback serves other CPUs.
+/// Dispatched like GemmRowChain: the x86 path keeps 64 output columns at a
+/// time (then 32) in AVX registers across the whole bag instead of storing
+/// `c` after every id, and a scalar fallback serves other CPUs.
 void BagRowChain(const std::uint32_t* ids, std::size_t n, float alpha,
                  const float* table, float* c, std::size_t m);
 
@@ -95,6 +96,24 @@ void AdamRow(const AdamStepParams& p, const float* grad, float* val, float* m,
 
 /// True when the AVX2 AdamRow is active.
 bool AdamRowUsesSimd();
+
+/// x[i] = tanh(x[i]) for i in [0, n), in place: the single tanh of every
+/// forward pass (Graph::Tanh and both encoders' tape-free towers and rerank
+/// MLP). Each element is computed by a port of fdlibm's float `__tanhf` and
+/// `__expm1f` (the algorithm glibc 2.36's `tanhf` runs), so the results do
+/// not depend on the host's libm. The AVX2 body evaluates every
+/// branch of that algorithm for eight lanes and blends, with the same
+/// separately rounded operations as the scalar body (never fused), so both
+/// produce identical bits; dispatched once per process like GemmRowChain.
+void Tanh(float* x, std::size_t n);
+
+/// True when Tanh runs its AVX2 body.
+bool TanhUsesSimd();
+
+/// Tanh's two bodies, for tests and benches that run one against the
+/// other. TanhAvx2 may only be called when TanhUsesSimd() is true.
+void TanhScalar(float* x, std::size_t n);
+void TanhAvx2(float* x, std::size_t n);
 
 /// C[n,m] += A[n,d] * B[m,d]^T. Each output element is one Dot; B rows are
 /// tiled so a panel stays cache-resident across consecutive A rows.

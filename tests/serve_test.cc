@@ -572,6 +572,29 @@ TEST_F(ServeTest, ServerCachesRepeatedRequests) {
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, 2u);
 }
 
+TEST_F(ServeTest, LinkHitIsNotCountedAsBatched) {
+  // A miss goes through a batch; the repeat is answered in Link from the
+  // answer cache and forms none.
+  ServerOptions opts;
+  opts.retrieve_k = 8;
+  opts.cache_capacity = 64;
+  auto server =
+      LinkingServer::Create(pipeline_->bi_encoder(), pipeline_->cross_encoder(),
+                            &corpus_->kb, "target", opts);
+  ASSERT_TRUE(server.ok());
+  const auto& ex = split_.test.front();
+  ASSERT_TRUE(
+      (*server)->Link(ex.mention, ex.left_context, ex.right_context).ok());
+  ASSERT_TRUE(
+      (*server)->Link(ex.mention, ex.left_context, ex.right_context).ok());
+  const ServerStats stats = (*server)->Stats();
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.batched_requests, 1u);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+}
+
 TEST_F(ServeTest, CacheKeyFieldsCannotCollide) {
   // Two requests whose fields differ only in where a '\x1f' byte falls:
   // joined with that byte as a separator they would be one cache key, and

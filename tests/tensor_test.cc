@@ -276,6 +276,101 @@ TEST(OptimizerTest, AdamStepMatchesScalarLoopOnSparseAndDenseParameters) {
   }
 }
 
+// ---- Tanh ------------------------------------------------------------------
+
+// Tanh's probe set, in order: each branch boundary of fdlibm's tanhf and
+// expm1f (the expm1 thresholds also at half their value, where +-2|x| meets
+// them) with its neighbours and both signs, then every 257th bit pattern.
+// Calls fn(inputs, n) one chunk at a time.
+template <typename Fn>
+void ForEachTanhProbe(Fn fn) {
+  std::vector<float> chunk;
+  auto push = [&chunk](std::uint32_t bits) {
+    chunk.push_back(std::bit_cast<float>(bits));
+    chunk.push_back(std::bit_cast<float>(bits ^ 0x80000000u));
+  };
+  for (std::uint32_t b : {0x24000000u, 0x33000000u, 0x3eb17218u, 0x3f800000u,
+                          0x3f851592u, 0x4195b844u, 0x41b00000u}) {
+    for (std::uint32_t base : {b, b - 0x00800000u}) {
+      for (std::uint32_t near : {base - 1, base, base + 1}) push(near);
+    }
+  }
+  // Where expm1's rounded k of 2|x| steps to 3, 23 and 57 (from below
+  // and above), and where -2|x|'s steps to -3.
+  for (float m : {2.5f, 22.5f, 56.5f}) {
+    const std::uint32_t at =
+        std::bit_cast<std::uint32_t>(m * 0.6931471805599453f / 2.0f);
+    for (std::uint32_t near = at - 2; near <= at + 2; ++near) push(near);
+  }
+  // Zeros, denormals, the largest finite, infinities and NaNs.
+  for (std::uint32_t bits : {0x00000000u, 0x00000001u, 0x00400000u,
+                             0x007fffffu, 0x7f7fffffu, 0x7f800000u,
+                             0x7f800001u, 0x7fc00000u, 0x7fffffffu}) {
+    push(bits);
+  }
+  fn(chunk.data(), chunk.size());
+  constexpr std::uint64_t kStride = 257;
+  constexpr std::size_t kChunk = 1 << 16;
+  chunk.resize(kChunk);
+  std::size_t n = 0;
+  for (std::uint64_t bits = 0; bits <= 0xffffffffu; bits += kStride) {
+    chunk[n++] = std::bit_cast<float>(static_cast<std::uint32_t>(bits));
+    if (n == kChunk) {
+      fn(chunk.data(), n);
+      n = 0;
+    }
+  }
+  fn(chunk.data(), n);
+}
+
+// FNV-1a over the outputs' bit patterns, every NaN as 0x7fc00000 so a
+// host's NaN payload rules cannot move it.
+struct OutputHash {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::size_t count = 0;
+  void Add(float v) {
+    const std::uint32_t bits =
+        std::isnan(v) ? 0x7fc00000u : std::bit_cast<std::uint32_t>(v);
+    for (int i = 0; i < 4; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+    ++count;
+  }
+};
+
+TEST(KernelTest, TanhMatchesFdlibmBitForBit) {
+  // The scalar body's outputs over the probe set hash to what std::tanh
+  // (glibc 2.36's fdlibm tanhf) gave on an x86-64 host, so this pins the
+  // port without calling libm. The AVX2 body and the dispatched Tanh must
+  // equal the scalar body bit for bit, NaN payloads included.
+  RecordProperty("simd", TanhUsesSimd() ? "avx2" : "scalar");
+  constexpr std::uint64_t kStdTanhHash = 0x950533d944e41982ull;
+  constexpr std::size_t kProbes = 16712068;
+  OutputHash hash;
+  std::vector<float> scalar, avx2, dispatched;
+  ForEachTanhProbe([&](const float* in, std::size_t n) {
+    if (HasFatalFailure()) return;
+    scalar.assign(in, in + n);
+    TanhScalar(scalar.data(), n);
+    for (float v : scalar) hash.Add(v);
+    dispatched.assign(in, in + n);
+    Tanh(dispatched.data(), n);
+    if (TanhUsesSimd()) {
+      avx2.assign(in, in + n);
+      TanhAvx2(avx2.data(), n);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(Bits(dispatched[i]), Bits(scalar[i])) << Bits(in[i]);
+      if (TanhUsesSimd()) {
+        ASSERT_EQ(Bits(avx2[i]), Bits(scalar[i])) << Bits(in[i]);
+      }
+    }
+  });
+  EXPECT_EQ(hash.count, kProbes);
+  EXPECT_EQ(hash.h, kStdTanhHash);
+}
+
 // ---- ParameterStore --------------------------------------------------------
 
 TEST(ParameterStoreTest, CreateAndFind) {

@@ -2,7 +2,13 @@
 # Full local CI matrix: builds and tests metablink under every supported
 # hardening configuration, then runs the static analyzers.
 #
-# Stages (each in its own build tree, so they never poison each other):
+# Stages (each build in its own tree, so they never poison each other):
+#   0. lint       — no libm tanh call (std::tanh, tanhf, tanh, ::tanh or
+#                   __builtin_tanh, outside // comments) in src/ except
+#                   tensor/kernels.cc, whose tensor::Tanh is the one tanh of
+#                   every forward pass: a libm call would tie scores to the
+#                   host's libm again and could break tape/tape-free bit
+#                   parity on another host
 #   1. default    — RelWithDebInfo build + full ctest suite, including the
 #                   label "smoke" bench gates (bench_serving --smoke and
 #                   --cascade-smoke, bench_retrieval --smoke and --pq-smoke:
@@ -37,7 +43,7 @@ set -u -o pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
-STAGES=(default asan-ubsan tsan clang-tidy graphlint)
+STAGES=(lint default asan-ubsan tsan clang-tidy graphlint)
 declare -A STATUS
 for s in "${STAGES[@]}"; do STATUS[$s]="not run"; done
 
@@ -68,6 +74,20 @@ build_and_test() {
   (cd "$dir" && ctest --output-on-failure -j "$JOBS") || fail "$stage"
   STATUS[$stage]="PASS"
 }
+
+echo
+echo "== stage: lint =="
+# Code only: the text after // on each line is dropped before matching.
+LIBM_TANH='std::tanh|(^|[^[:alnum:]_])tanhf?[[:space:]]*[(]|__builtin_tanh'
+find src \( -name '*.h' -o -name '*.cc' \) ! -path src/tensor/kernels.cc \
+    -print0 | sort -z | xargs -0 awk -v re="$LIBM_TANH" '
+  { code = $0; sub(/\/\/.*/, "", code) }
+  code ~ re { print FILENAME ":" FNR ": " $0; bad = 1 }
+  END { exit bad }' || {
+  echo "libm tanh in src/: call tensor::Tanh (tensor/kernels.h) instead" >&2
+  fail lint
+}
+STATUS[lint]="PASS"
 
 build_and_test default build-check-default
 
