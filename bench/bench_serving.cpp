@@ -599,12 +599,14 @@ int main(int argc, char** argv) {
                 (stats.cache_hits + stats.cache_misses)
           : 0.0;
   std::printf("  batches=%llu (full=%llu deadline=%llu early=%llu) "
-              "hold=%.3fms/batch cache_hit_rate=%.2f encode=%.1fms "
-              "retrieve=%.1fms rerank=%.1fms queue_hw=%zu accepted=%llu\n",
+              "caller_batches=%llu hold=%.3fms/batch cache_hit_rate=%.2f "
+              "encode=%.1fms retrieve=%.1fms rerank=%.1fms queue_hw=%zu "
+              "accepted=%llu\n",
               static_cast<unsigned long long>(stats.batches),
               static_cast<unsigned long long>(stats.batches_full),
               static_cast<unsigned long long>(stats.batches_deadline),
               static_cast<unsigned long long>(stats.batches_early),
+              static_cast<unsigned long long>(stats.caller_batches),
               HoldPerBatchMs(stats), cache_hit_rate,
               stats.encode_ms, stats.retrieve_ms, stats.rerank_ms,
               stats.queue_depth_high_water,
@@ -661,8 +663,9 @@ int main(int argc, char** argv) {
               server_cascade.mode.qps, cascade_speedup, cascade_qps.min,
               cascade_qps.max, cascade_reps);
   std::printf("  batches=%llu (full=%llu deadline=%llu early=%llu) "
-              "hold=%.3fms/batch tiers: exited=%llu distilled=%llu "
-              "full=%llu | accuracy full=%.4f cascade=%.4f delta=%.3f pts\n",
+              "caller_batches=%llu hold=%.3fms/batch tiers: exited=%llu "
+              "distilled=%llu full=%llu | accuracy full=%.4f cascade=%.4f "
+              "delta=%.3f pts\n",
               static_cast<unsigned long long>(server_cascade.stats.batches),
               static_cast<unsigned long long>(
                   server_cascade.stats.batches_full),
@@ -670,6 +673,8 @@ int main(int argc, char** argv) {
                   server_cascade.stats.batches_deadline),
               static_cast<unsigned long long>(
                   server_cascade.stats.batches_early),
+              static_cast<unsigned long long>(
+                  server_cascade.stats.caller_batches),
               HoldPerBatchMs(server_cascade.stats),
               static_cast<unsigned long long>(
                   server_cascade.stats.rerank_exited),

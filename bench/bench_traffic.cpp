@@ -254,15 +254,17 @@ LoadPoint MeasureLoadPoint(serve::LinkingServer* server,
   return p;
 }
 
-/// The server's batch count, why its batches closed, and their mean hold
-/// (oldest arrival to close, measured by the server).
+/// The server's batch count, why its batches closed, how many of the
+/// early ones ran on their caller's thread, and their mean hold (oldest
+/// arrival to close, measured by the server).
 void PrintBatches(const serve::ServerStats& s) {
   std::printf("  batches=%llu (full=%llu deadline=%llu early=%llu) "
-              "hold=%.3fms/batch\n",
+              "caller_batches=%llu hold=%.3fms/batch\n",
               static_cast<unsigned long long>(s.batches),
               static_cast<unsigned long long>(s.batches_full),
               static_cast<unsigned long long>(s.batches_deadline),
               static_cast<unsigned long long>(s.batches_early),
+              static_cast<unsigned long long>(s.caller_batches),
               s.batches > 0 ? s.hold_ms / s.batches : 0.0);
 }
 

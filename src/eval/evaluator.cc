@@ -41,14 +41,15 @@ void DomainSide::MapRows() {
 }
 
 void DomainSide::Rescore(const data::LinkingExample& example,
+                         const std::vector<std::uint32_t>& mention_bag,
                          retrieval::ScoredEntity* cands, std::size_t n,
                          RescoreScratch* scratch) const {
   scratch->rows.clear();
   for (std::size_t c = 0; c < n; ++c) {
     scratch->rows.push_back(entity_pos.at(cands[c].id));
   }
-  cross->ScoreCachedInference(example, scratch->rows, cross_cache,
-                              &scratch->cross, &scratch->scores);
+  cross->ScoreCachedInference(example, mention_bag, scratch->rows,
+                              cross_cache, &scratch->cross, &scratch->scores);
   for (std::size_t c = 0; c < n; ++c) cands[c].score = scratch->scores[c];
 }
 
@@ -64,7 +65,10 @@ std::vector<std::vector<retrieval::ScoredEntity>> DomainSide::Rank(
   auto rescore = [&](std::size_t, std::size_t begin, std::size_t end) {
     RescoreScratch scratch;
     for (std::size_t i = begin; i < end; ++i) {
-      Rescore(examples[i], lists[i].data(), lists[i].size(), &scratch);
+      cross->featurizer().MentionBagInto(examples[i],
+                                         &scratch.cross.mention_bag);
+      Rescore(examples[i], scratch.cross.mention_bag, lists[i].data(),
+              lists[i].size(), &scratch);
     }
   };
   if (pool != nullptr) {

@@ -219,13 +219,24 @@ void CrossEncoder::ScoreCachedInference(const data::LinkingExample& example,
                                         const CrossEntityCache& cache,
                                         CrossScoreScratch* scratch,
                                         std::vector<float>* out) const {
+  featurizer_.MentionBagInto(example, &scratch->mention_bag);
+  ScoreCachedInference(example, scratch->mention_bag, rows, cache, scratch,
+                       out);
+}
+
+void CrossEncoder::ScoreCachedInference(
+    const data::LinkingExample& example,
+    const std::vector<std::uint32_t>& mention_bag,
+    const std::vector<std::size_t>& rows, const CrossEntityCache& cache,
+    CrossScoreScratch* scratch, std::vector<float>* out) const {
   METABLINK_CHECK(!rows.empty()) << "no candidates to score";
   METABLINK_CHECK(cache.entity_vec.cols() == config_.dim)
       << "cache rows do not match the model dimension";
   const std::size_t d = config_.dim;
 
   // Everything mention-side once per request: tower, W1 prefix, tokens.
-  MentionVecInto(example, scratch);
+  scratch->mention_vec.assign(d, 0.0f);
+  TowerRowInto(mention_bag, scratch->mention_vec.data());
   PrefixInto(scratch);
   featurizer_.PrecomputeMentionTokens(example, cache.vocab,
                                       &scratch->mention_tokens);

@@ -127,6 +127,17 @@ class CrossEncoder {
                             const CrossEntityCache& cache,
                             CrossScoreScratch* scratch,
                             std::vector<float>* out) const;
+  /// The same, over the example's mention bag featurized beforehand: by
+  /// featurizer(), or by any featurizer whose FeatureConfig matches (the
+  /// bi-encoder's, when FeatureConfigsMatch), so a server that already
+  /// hashed the mention for stage 1 does not hash it again. The example
+  /// form forwards here; equal bags give bit-identical scores.
+  void ScoreCachedInference(const data::LinkingExample& example,
+                            const std::vector<std::uint32_t>& mention_bag,
+                            const std::vector<std::size_t>& rows,
+                            const CrossEntityCache& cache,
+                            CrossScoreScratch* scratch,
+                            std::vector<float>* out) const;
 
   /// Runs just the mention tower (bag gather + tanh) into
   /// scratch->mention_vec — the per-request half of ScoreCachedInference,

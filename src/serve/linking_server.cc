@@ -235,6 +235,8 @@ util::Result<std::vector<core::LinkPrediction>> LinkingServer::Link(
   auto future = req.promise.get_future();
   // Holds a drop-oldest victim so its promise is fulfilled off the lock.
   std::optional<Request> shed_victim;
+  // Set when this miss is served on this thread instead of queueing.
+  bool on_caller = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_) {
@@ -266,14 +268,38 @@ util::Result<std::vector<core::LinkPrediction>> LinkingServer::Link(
     }
     last_arrival_ = req.enqueued;
     ++arrivals_;
-    queue_.push_back(std::move(req));
     ++accepted_;
-    queue_high_water_ = std::max(queue_high_water_, queue_.size());
-    // Notify while still holding mu_: the destructor's shutdown drain also
-    // takes mu_, so once it fulfills this request's promise no further
-    // touch of queue_cv_ from this call is possible — destroying the
-    // server with callers still blocked in Link stays well-defined.
-    queue_cv_.notify_all();
+    // A lone miss on an idle server would be held from now until
+    // deadline - gap, while its batch-mate is expected at now + gap: when
+    // 2 * gap > deadline the hold ends first and buys nothing, so serve it
+    // here as an early-closed batch of one, with no scheduler wake, no hold
+    // and no hand-back. A drop-oldest shed above can leave the queue empty
+    // (max_queue == 1); that arrival still queues, so its victim is
+    // fulfilled below and a scheduler holding for the victim wakes to a
+    // non-empty queue.
+    on_caller =
+        !shed_victim.has_value() && queue_.empty() && !serving_ &&
+        arrivals_ >= 2 &&
+        2 * arrival_gap_ >
+            std::chrono::microseconds(options_.flush_deadline_us);
+    if (on_caller) {
+      serving_ = true;
+      ++in_flight_;
+    } else {
+      queue_.push_back(std::move(req));
+      queue_high_water_ = std::max(queue_high_water_, queue_.size());
+      // Notify while still holding mu_: the destructor's shutdown drain
+      // also takes mu_, so once it fulfills this request's promise no
+      // further touch of queue_cv_ from this call is possible — destroying
+      // the server with callers still blocked in Link stays well-defined.
+      queue_cv_.notify_all();
+    }
+  }
+  if (on_caller) {
+    std::vector<Request> batch;
+    batch.push_back(std::move(req));
+    ServeBatch(&batch, BatchClose::kCaller, Clock::duration::zero());
+    return future.get();
   }
   if (shed_victim.has_value()) {
     shed_victim->promise.set_value(util::Status::Unavailable(
@@ -286,7 +312,11 @@ util::Result<std::vector<core::LinkPrediction>> LinkingServer::Link(
 void LinkingServer::SchedulerLoop() {
   for (;;) {
     std::unique_lock<std::mutex> lock(mu_);
-    queue_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+    // A caller serving its own miss owns the serving scratch: neither hold
+    // nor pop until it is done, and at shutdown do not return (letting the
+    // destructor free the scratch) while it runs.
+    queue_cv_.wait(lock,
+                   [&] { return !serving_ && (stop_ || !queue_.empty()); });
     if (queue_.empty()) return;  // stop_ with nothing left to drain
     // Let the batch fill while a batch-mate is still expected before the
     // oldest request's deadline: until deadline - gap, with the gap re-read
@@ -320,6 +350,7 @@ void LinkingServer::SchedulerLoop() {
       queue_.pop_front();
     }
     in_flight_ += n;
+    serving_ = true;
     lock.unlock();
     ServeBatch(&batch, close, hold);
   }
@@ -424,16 +455,30 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close,
   const auto t2 = Clock::now();
   if (rerank_scratch_.size() < chunks) rerank_scratch_.resize(chunks);
   const bool use_cascade = options_.use_cascade;
+  // When both encoders hash one feature space, stage 1's mention bag is
+  // the cross tower's too (as BuildEntitySide shares entity bags), so a
+  // miss is featurized once; otherwise the cross featurizer hashes it.
+  const bool share_bags = model::FeatureConfigsMatch(
+      epoch->bi->config().features, epoch->cross->config().features);
   pool_.ParallelForChunks(
-      num_misses, 0, [this, &epoch, batch, &outcomes, &tiers, use_cascade](
-                         std::size_t chunk, std::size_t begin,
-                         std::size_t end) {
+      num_misses, 0,
+      [this, &epoch, batch, &outcomes, &tiers, use_cascade, share_bags](
+          std::size_t chunk, std::size_t begin, std::size_t end) {
         RerankScratch& scratch = rerank_scratch_[chunk];
         const model::CascadeConfig& config = epoch->cascade.config;
         for (std::size_t j = begin; j < end; ++j) {
           const std::size_t i = miss_idx_[j];
           Request& req = (*batch)[i];
           std::vector<retrieval::ScoredEntity>& cands = batch_hits_[i];
+          // The miss's bag in the cross feature space: stage 1's when the
+          // encoders share one, else hashed here once by the cross
+          // featurizer.
+          const auto cross_bag = [&]() -> const std::vector<std::uint32_t>& {
+            if (share_bags) return encode_scratch_.bags[j];
+            epoch->cross->featurizer().MentionBagInto(
+                req.example, &scratch.cross.mention_bag);
+            return scratch.cross.mention_bag;
+          };
           if (cands.empty()) {
             // Nothing to rerank: under the cascade this counts as an
             // exit; off-cascade it stays a (vacuous) full rerank.
@@ -443,7 +488,8 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close,
           if (!use_cascade) {
             // The pre-cascade serving path, byte for byte: cross-encode
             // and re-sort the entire candidate list.
-            epoch->Rescore(req.example, cands.data(), cands.size(), &scratch);
+            epoch->Rescore(req.example, cross_bag(), cands.data(),
+                           cands.size(), &scratch);
             eval::SortBestFirst(cands.begin(), cands.end());
           } else {
             const float margin =
@@ -475,9 +521,11 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close,
                 epoch->cross->featurizer().PrecomputeMentionTokens(
                     req.example, epoch->cross_cache.vocab,
                     &scratch.cross.mention_tokens);
-                epoch->cross->MentionVecInto(req.example, &scratch.cross);
                 const std::size_t cross_d =
                     epoch->cross_cache.entity_vec.cols();
+                scratch.cross.mention_vec.assign(cross_d, 0.0f);
+                epoch->cross->TowerRowInto(cross_bag(),
+                                           scratch.cross.mention_vec.data());
                 scratch.features.resize(model::CascadeFeatureCount(cross_d));
                 for (std::size_t r = 0; r < head; ++r) {
                   const std::size_t pos = epoch->entity_pos.at(cands[r].id);
@@ -494,7 +542,8 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close,
               } else {
                 // Tier 3 — full cross-encoder, but only over the head.
                 tiers[i] = Tier::kFull;
-                epoch->Rescore(req.example, cands.data(), head, &scratch);
+                epoch->Rescore(req.example, cross_bag(), cands.data(), head,
+                               &scratch);
               }
               eval::SortBestFirst(cands.begin(), cands.begin() + head);
             }
@@ -526,6 +575,10 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close,
       case BatchClose::kFull: ++stats_.batches_full; break;
       case BatchClose::kDeadline: ++stats_.batches_deadline; break;
       case BatchClose::kEarly: ++stats_.batches_early; break;
+      case BatchClose::kCaller:
+        ++stats_.batches_early;
+        ++stats_.caller_batches;
+        break;
     }
     stats_.hold_ms += std::chrono::duration<double, std::milli>(hold).count();
     stats_.cache_hits += hits;
@@ -541,9 +594,15 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close,
   {
     // Completed-before-fulfilled: once any promise below is visible to its
     // caller, this batch is already out of the in-flight gauge and counted
-    // in stats_.requests.
+    // in stats_.requests, and the serving scratch is free, so a serial
+    // caller's next miss can take the caller-run path. Nothing below
+    // touches a member. The notify wakes a scheduler waiting out a caller
+    // batch; it is sent under mu_ because the destructor's drain takes mu_
+    // too, so the server cannot be gone before it.
     std::lock_guard<std::mutex> lock(mu_);
     in_flight_ -= m;
+    serving_ = false;
+    queue_cv_.notify_all();
   }
   for (std::size_t i = 0; i < m; ++i) {
     (*batch)[i].promise.set_value(std::move(outcomes[i]));

@@ -104,18 +104,27 @@ struct ServerStats {
   /// calling thread without a batch, so requests - batched_requests is the
   /// number of those hits, and batched_requests / batches the mean batch.
   std::uint64_t batched_requests = 0;
-  /// Why each batch closed, by the scheduler path that closed it, so
+  /// Why each batch closed, by the path that closed it, so
   /// batches_full + batches_deadline + batches_early == batches — always.
   /// full: max_batch requests were pending. deadline: the hold reached the
   /// oldest request's deadline with no gap estimate (or a zero one), or
   /// the server was draining at shutdown. early: the hold ended at deadline
-  /// minus the inter-arrival gap, no batch-mate being expected in time.
+  /// minus the inter-arrival gap, no batch-mate being expected in time, or
+  /// there was no hold at all because the batch ran on its caller's thread.
   std::uint64_t batches_full = 0;
   std::uint64_t batches_deadline = 0;
   std::uint64_t batches_early = 0;
+  /// The early batches Link served on their caller's thread: a lone miss
+  /// that found the server idle, with the next arrival expected after the
+  /// hold would have ended (2 * gap > flush_deadline_us), ran as a batch of
+  /// one with zero hold and no scheduler hand-off. A subset of
+  /// batches_early, so batches - caller_batches is what the scheduler
+  /// served.
+  std::uint64_t caller_batches = 0;
   /// Cumulative hold: for each batch, the time from its oldest request's
-  /// arrival to the scheduler closing it. Measured inside the server, so
-  /// it carries no client-side lag; hold_ms / batches is the mean hold.
+  /// arrival to its close (zero for a caller batch). Measured inside the
+  /// server, so it carries no client-side lag; hold_ms / batches is the
+  /// mean hold.
   double hold_ms = 0.0;
   /// Answer-cache hits, whether Link answered them on the calling thread
   /// or a batch found the key filled while the request sat in the queue.
@@ -181,9 +190,18 @@ struct ServerStats {
 ///
 /// A request already in the current version's answer cache is answered
 /// inside Link(), on the calling thread: a key lookup, a copy of the top_k
-/// prefix and its titles, with no queueing and no scheduler handoff. Every
-/// other caller blocks in Link() while a single scheduler thread
-/// coalesces their requests into bounded-latency micro-batches. A batch is
+/// prefix and its titles, with no queueing and no scheduler handoff. So is
+/// a lone miss when holding it could gain no batch-mate: no request is
+/// queued (and its arrival shed none), no batch is being served, and the
+/// gap estimate says the next arrival is due after the hold would end (a
+/// request arriving at t is held until t + deadline - gap, its batch-mate
+/// is expected at t + gap, so 2 * gap > flush_deadline_us). It runs
+/// through the same ServeBatch as a batch of one, closed early with zero
+/// hold (ServerStats::caller_batches), and whoever runs a batch owns the
+/// serving scratch until it ends. Every other caller blocks in Link()
+/// while a single scheduler thread coalesces their requests into
+/// bounded-latency micro-batches; requests that arrive while any batch
+/// runs queue for the scheduler, so bursts keep their batches. A batch is
 /// flushed when it reaches `max_batch` requests, or when no batch-mate is
 /// expected before the oldest request's deadline (`flush_deadline_us` after
 /// it arrived), whichever comes first. Link() keeps a smoothed inter-arrival
@@ -248,8 +266,9 @@ class LinkingServer {
   LinkingServer(const LinkingServer&) = delete;
   LinkingServer& operator=(const LinkingServer&) = delete;
 
-  /// Links one mention: an answer-cache hit returns at once, anything
-  /// else blocks until its batch is served. Thread-safe: any number of
+  /// Links one mention: an answer-cache hit returns at once, a lone miss
+  /// on an idle server is served on this thread, anything else blocks
+  /// until its batch is served. Thread-safe: any number of
   /// threads may call concurrently; concurrency is what creates batching
   /// opportunities. Returns up to `top_k` predictions, best first. With a
   /// bounded queue (ServerOptions::max_queue) an overloaded server returns
@@ -290,8 +309,9 @@ class LinkingServer {
   /// Rerank tier that answered a request (ServerStats::rerank_*).
   enum class Tier : std::uint8_t { kExited, kDistilled, kFull };
 
-  /// Why the scheduler closed a batch (ServerStats::batches_*).
-  enum class BatchClose : std::uint8_t { kFull, kDeadline, kEarly };
+  /// Why a batch closed (ServerStats::batches_*). kCaller is an early
+  /// close served on its caller's thread (also ServerStats::caller_batches).
+  enum class BatchClose : std::uint8_t { kFull, kDeadline, kEarly, kCaller };
 
   /// One answer-cache entry: the request's final ranking before the top_k
   /// cut, and the tier that produced it.
@@ -362,8 +382,10 @@ class LinkingServer {
                                      ModelEpoch* epoch);
 
   void SchedulerLoop();
-  /// Serves one popped batch; `hold` is the time from its oldest request's
-  /// arrival to its close (ServerStats::hold_ms).
+  /// Serves one batch with the serving scratch, on the scheduler or (for
+  /// kCaller) on the caller's thread, which set serving_ to own it; clears
+  /// serving_ before it fulfils the promises. `hold` is the time from its
+  /// oldest request's arrival to its close (ServerStats::hold_ms).
   void ServeBatch(std::vector<Request>* batch, BatchClose close,
                   Clock::duration hold);
 
@@ -402,6 +424,11 @@ class LinkingServer {
   std::condition_variable queue_cv_;
   std::deque<Request> queue_;
   bool stop_ = false;
+  // Set while a thread runs ServeBatch, by the scheduler when it pops a
+  // batch or by Link when it serves a lone miss itself; cleared by
+  // ServeBatch. The scheduler neither holds nor pops while it is set, and
+  // does not exit at shutdown until it is clear.
+  bool serving_ = false;
   // Admission bookkeeping, guarded by mu_ (updated on the Link path and at
   // batch pop/completion, which already hold it). in_flight_ is decremented
   // by ServeBatch *before* it fulfills the batch's promises, so a caller
@@ -413,15 +440,17 @@ class LinkingServer {
   std::size_t queue_high_water_ = 0;
   std::size_t in_flight_ = 0;
   // Arrival-rate estimate, guarded by mu_ (updated by Link at admission,
-  // read by the scheduler on every wake): the smoothed gap between
-  // queued arrivals, valid once arrivals_ >= 2. Cache hits never queue,
-  // never become batch-mates, and so never feed it.
+  // read there for the caller-run rule and by the scheduler on every
+  // wake): the smoothed gap between admitted misses, valid once
+  // arrivals_ >= 2. Cache hits never queue, never become batch-mates, and
+  // so never feed it.
   std::uint64_t arrivals_ = 0;
   Clock::time_point last_arrival_;
   Clock::duration arrival_gap_{0};
   std::thread scheduler_;
 
-  // Scheduler-thread-only scratch (never touched by callers; model-version
+  // Serving scratch, used only by the thread that set serving_ (the
+  // scheduler, or a caller serving its own lone miss; model-version
   // independent). The per-chunk vectors back the pool-parallel
   // retrieve/rerank stages: chunk ids from ParallelForChunks are dense, so
   // chunk i owns element i.

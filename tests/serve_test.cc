@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -1102,6 +1103,327 @@ TEST_F(ServeTest, CloseReasonsAddUpUnderConcurrentLoad) {
   EXPECT_EQ(stats.requests, kThreads * kPerThread);
   EXPECT_EQ(stats.batches_full + stats.batches_deadline + stats.batches_early,
             stats.batches);
+}
+
+TEST_F(ServeTest, LoneMissIsServedOnItsCallersThread) {
+  // A serial caller's first miss has no gap estimate: it queues and is
+  // held to its deadline. Its second arrives at least a deadline later, so
+  // the clipped gap is the whole deadline, 2 * gap > deadline, and the
+  // server is idle: Link serves it itself, as an early close with no hold.
+  ServerOptions opts;
+  opts.retrieve_k = 8;
+  opts.flush_deadline_us = 2000;
+  ServerOptions off = opts;
+  off.cache_capacity = 0;
+  off.flush_deadline_us = 0;
+  auto server =
+      LinkingServer::Create(pipeline_->bi_encoder(), pipeline_->cross_encoder(),
+                            &corpus_->kb, "target", opts);
+  auto reference =
+      LinkingServer::Create(pipeline_->bi_encoder(), pipeline_->cross_encoder(),
+                            &corpus_->kb, "target", off);
+  ASSERT_TRUE(server.ok() && reference.ok());
+  for (std::size_t r = 0; r < 2; ++r) {
+    const auto& ex = split_.test[r];
+    auto got =
+        (*server)->Link(ex.mention, ex.left_context, ex.right_context, 5);
+    auto want =
+        (*reference)->Link(ex.mention, ex.left_context, ex.right_context, 5);
+    ASSERT_TRUE(got.ok() && want.ok());
+    ExpectSamePredictions(*got, *want, "request " + std::to_string(r));
+  }
+  const ServerStats stats = (*server)->Stats();
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.caller_batches, 1u);
+  EXPECT_EQ(stats.batches_deadline, 1u);
+  EXPECT_EQ(stats.batches_early, 1u);
+  EXPECT_EQ(stats.batches_full, 0u);
+  EXPECT_EQ(stats.cache_misses, 2u);
+  EXPECT_EQ(stats.accepted, 2u);
+  EXPECT_EQ(stats.accepted, stats.requests + stats.shed + stats.queue_depth +
+                                stats.in_flight);
+  EXPECT_EQ(stats.in_flight, 0u);
+  EXPECT_EQ((*reference)->Stats().caller_batches, 0u);
+}
+
+/// Misses from `threads` client threads on one shared open-loop schedule:
+/// the gap between consecutive calls is drawn uniformly from {0, 1/4, ...,
+/// 2} deadlines, and call i goes to thread i % threads, which sleeps until
+/// its start time. The mean clipped gap (13/18 of the deadline) sends many
+/// calls to an idle server down the caller-run path; a zero gap puts two
+/// calls on the server at once, so the second queues. Which path a call
+/// takes depends on timing. Returns each call's answer (empty unless OK)
+/// and, in codes[i], call i's status code.
+std::vector<std::vector<core::LinkPrediction>> PacedMisses(
+    LinkingServer* server, const std::vector<data::LinkingExample>& probes,
+    std::size_t calls, std::size_t threads, std::uint64_t seed,
+    std::vector<util::StatusCode>* codes) {
+  const auto deadline =
+      std::chrono::microseconds(server->options().flush_deadline_us);
+  util::Rng rng(seed);
+  std::vector<std::chrono::microseconds> start(calls);
+  std::chrono::microseconds at{0};
+  for (std::size_t i = 0; i < calls; ++i) {
+    at += deadline * static_cast<std::int64_t>(rng.NextUint64(9)) / 4;
+    start[i] = at;
+  }
+  std::vector<std::vector<core::LinkPrediction>> got(calls);
+  codes->assign(calls, util::StatusCode::kOk);
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::thread> clients;
+  for (std::size_t t = 0; t < threads; ++t) {
+    clients.emplace_back([&, t] {
+      for (std::size_t i = t; i < calls; i += threads) {
+        std::this_thread::sleep_until(t0 + start[i]);
+        const auto& ex = probes[i % probes.size()];
+        auto res = server->Link(ex.mention, ex.left_context, ex.right_context,
+                                3);
+        (*codes)[i] = res.status().code();
+        if (res.ok()) got[i] = *std::move(res);
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  return got;
+}
+
+/// Two serial misses on a fresh server, a deadline apart, whose paths do
+/// not depend on timing: the first has no gap estimate, so it queues for
+/// the scheduler; the second finds the server idle with a clipped gap of
+/// the whole deadline (2 * gap > deadline), so its caller serves it.
+void SerialMissPair(LinkingServer* server,
+                    const std::vector<data::LinkingExample>& probes) {
+  for (std::size_t r = 0; r < 2; ++r) {
+    if (r > 0) {
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(server->options().flush_deadline_us));
+    }
+    const auto& ex = probes[r];
+    ASSERT_TRUE(
+        server->Link(ex.mention, ex.left_context, ex.right_context, 3).ok());
+  }
+}
+
+TEST_F(ServeTest, CallerRunAndQueuedBatchesInterleave) {
+  // A serial pair pins one batch on each path; then six threads on one
+  // paced schedule mix them: a call that finds the server idle with a long
+  // gap estimate is served on its caller's thread, a call that lands while
+  // a batch runs (or is held) queues for the scheduler. Whatever the
+  // timing, the books must balance and every answer must equal a
+  // cache-off reference's.
+  ServerOptions opts;
+  opts.retrieve_k = 8;
+  opts.max_batch = 4;
+  opts.flush_deadline_us = 2000;
+  opts.cache_capacity = 0;
+  ServerOptions off = opts;
+  off.flush_deadline_us = 0;
+  auto server =
+      LinkingServer::Create(pipeline_->bi_encoder(), pipeline_->cross_encoder(),
+                            &corpus_->kb, "target", opts);
+  auto reference =
+      LinkingServer::Create(pipeline_->bi_encoder(), pipeline_->cross_encoder(),
+                            &corpus_->kb, "target", off);
+  ASSERT_TRUE(server.ok() && reference.ok());
+  SerialMissPair(server->get(), split_.test);
+  const ServerStats pair = (*server)->Stats();
+  EXPECT_EQ(pair.batches, 2u);
+  EXPECT_EQ(pair.caller_batches, 1u);
+
+  constexpr std::size_t kCalls = 72;
+  std::vector<util::StatusCode> codes;
+  const auto got = PacedMisses(server->get(), split_.test, kCalls,
+                               /*threads=*/6, /*seed=*/27, &codes);
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    EXPECT_EQ(codes[i], util::StatusCode::kOk) << "call " << i;
+    const auto& ex = split_.test[i % split_.test.size()];
+    auto want =
+        (*reference)->Link(ex.mention, ex.left_context, ex.right_context, 3);
+    ASSERT_TRUE(want.ok());
+    ExpectSamePredictions(got[i], *want, "call " + std::to_string(i));
+  }
+  const ServerStats stats = (*server)->Stats();
+  EXPECT_EQ(stats.requests, kCalls + 2);
+  EXPECT_LE(stats.caller_batches, stats.batches_early);
+  EXPECT_EQ(stats.batches_full + stats.batches_deadline + stats.batches_early,
+            stats.batches);
+  EXPECT_EQ(stats.batched_requests, kCalls + 2);
+  EXPECT_EQ(stats.accepted, kCalls + 2);
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(stats.in_flight, 0u);
+  EXPECT_EQ(stats.accepted, stats.requests + stats.shed + stats.queue_depth +
+                                stats.in_flight);
+}
+
+TEST_F(ServeTest, DropOldestShedOfALoneQueuedMissStillQueuesTheArrival) {
+  // max_queue = 1, drop-oldest. A fresh server's first miss has no gap
+  // estimate, so it queues and is held to its deadline. The second arrives
+  // after more than half the deadline, sheds the first and leaves the
+  // queue empty on an idle server with 2 * gap > deadline: the caller-run
+  // rule would hold but for the shed. It must queue instead, so the victim
+  // gets Unavailable (not a broken promise) and the held scheduler wakes
+  // to a non-empty queue. Paced callers then press the one-slot bound on
+  // both paths: every Link returns OK or Unavailable and the books
+  // balance.
+  ServerOptions opts;
+  opts.retrieve_k = 8;
+  opts.max_batch = 4;
+  opts.flush_deadline_us = 400'000;
+  opts.cache_capacity = 0;
+  opts.max_queue = 1;
+  opts.shed_policy = LoadShedPolicy::kDropOldest;
+  ServerOptions off = opts;
+  off.flush_deadline_us = 0;
+  off.max_queue = 0;
+  auto server =
+      LinkingServer::Create(pipeline_->bi_encoder(), pipeline_->cross_encoder(),
+                            &corpus_->kb, "target", opts);
+  auto reference =
+      LinkingServer::Create(pipeline_->bi_encoder(), pipeline_->cross_encoder(),
+                            &corpus_->kb, "target", off);
+  ASSERT_TRUE(server.ok() && reference.ok());
+  const auto& victim = split_.test[0];
+  util::Status victim_status = util::Status::Internal("not run");
+  std::thread first([&] {
+    try {
+      victim_status =
+          (*server)
+              ->Link(victim.mention, victim.left_context, victim.right_context,
+                     3)
+              .status();
+    } catch (const std::future_error& e) {
+      victim_status = util::Status::Internal(e.what());
+    }
+  });
+  while ((*server)->Stats().queue_depth < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  const auto& ex = split_.test[1];
+  auto got = (*server)->Link(ex.mention, ex.left_context, ex.right_context, 3);
+  first.join();
+  EXPECT_EQ(victim_status.code(), util::StatusCode::kUnavailable)
+      << victim_status;
+  ASSERT_TRUE(got.ok()) << got.status();
+  auto want =
+      (*reference)->Link(ex.mention, ex.left_context, ex.right_context, 3);
+  ASSERT_TRUE(want.ok());
+  ExpectSamePredictions(*got, *want, "arrival that shed");
+  ServerStats stats = (*server)->Stats();
+  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_EQ(stats.caller_batches, 0u);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.accepted, stats.requests + stats.shed + stats.queue_depth +
+                                stats.in_flight);
+
+  // A short deadline now, on a fresh server, so the paced phase is quick.
+  opts.flush_deadline_us = 1000;
+  server =
+      LinkingServer::Create(pipeline_->bi_encoder(), pipeline_->cross_encoder(),
+                            &corpus_->kb, "target", opts);
+  ASSERT_TRUE(server.ok());
+  constexpr std::size_t kCalls = 96;
+  std::vector<util::StatusCode> codes;
+  const auto answers = PacedMisses(server->get(), split_.test, kCalls,
+                                   /*threads=*/6, /*seed=*/41, &codes);
+  std::size_t unavailable = 0;
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    if (codes[i] == util::StatusCode::kUnavailable) {
+      ++unavailable;
+      continue;
+    }
+    ASSERT_EQ(codes[i], util::StatusCode::kOk) << "call " << i;
+    const auto& probe = split_.test[i % split_.test.size()];
+    auto ref = (*reference)->Link(probe.mention, probe.left_context,
+                                  probe.right_context, 3);
+    ASSERT_TRUE(ref.ok());
+    ExpectSamePredictions(answers[i], *ref, "call " + std::to_string(i));
+  }
+  stats = (*server)->Stats();
+  EXPECT_EQ(stats.shed, unavailable);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.accepted, kCalls);
+  EXPECT_EQ(stats.requests, kCalls - unavailable);
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(stats.in_flight, 0u);
+  EXPECT_EQ(stats.accepted, stats.requests + stats.shed + stats.queue_depth +
+                                stats.in_flight);
+}
+
+TEST_F(ServeTest, DestroyAfterInterleavedCallersLeavesNoPromiseUnset) {
+  // Shutdown while both paths are busy or just done. First, a serial pair
+  // pins a batch on each path, paced callers mix them, and the server is
+  // destroyed as soon as they return, while the scheduler may still be
+  // finishing its last batch. Then a lone miss is caught on its caller's
+  // thread and the server destroyed under it: the scheduler must not
+  // exit, and the destructor not free the serving scratch, until that
+  // batch ends. Every Link must return its answer; an unset promise would
+  // surface as a broken-promise exception or a hang. Under the sanitizers
+  // this also vets the hand-off at teardown.
+  ServerOptions opts;
+  opts.retrieve_k = 8;
+  opts.max_batch = 4;
+  opts.flush_deadline_us = 1000;
+  opts.cache_capacity = 0;
+  const auto create = [&] {
+    auto server =
+        LinkingServer::Create(pipeline_->bi_encoder(),
+                              pipeline_->cross_encoder(), &corpus_->kb,
+                              "target", opts);
+    EXPECT_TRUE(server.ok());
+    std::unique_ptr<LinkingServer> out;
+    if (server.ok()) out = std::move(*server);
+    return out;
+  };
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    auto server = create();
+    ASSERT_NE(server, nullptr);
+    SerialMissPair(server.get(), split_.test);
+    constexpr std::size_t kCalls = 24;
+    std::vector<util::StatusCode> codes;
+    const auto got = PacedMisses(server.get(), split_.test, kCalls,
+                                 /*threads=*/4, /*seed=*/100 + round, &codes);
+    const ServerStats stats = server->Stats();
+    EXPECT_GE(stats.caller_batches, 1u);
+    EXPECT_GE(stats.batches - stats.caller_batches, 1u);
+    server.reset();
+    for (std::size_t i = 0; i < kCalls; ++i) {
+      EXPECT_EQ(codes[i], util::StatusCode::kOk) << "call " << i;
+      EXPECT_FALSE(got[i].empty());
+    }
+    EXPECT_EQ(stats.requests, kCalls + 2);
+    EXPECT_EQ(stats.in_flight, 0u);
+  }
+  for (std::size_t round = 0; round < 5; ++round) {
+    auto server = create();
+    ASSERT_NE(server, nullptr);
+    // The first miss queues (no gap estimate) and is held to its
+    // deadline; after a further deadline of quiet the second is a lone
+    // miss with a full-deadline gap, which its caller serves (the path
+    // SerialMissPair pins and LoneMissIsServedOnItsCallersThread counts).
+    const auto& first = split_.test[0];
+    ASSERT_TRUE(
+        server->Link(first.mention, first.left_context, first.right_context, 3)
+            .ok());
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(opts.flush_deadline_us));
+    const auto& ex = split_.test[1 + round];
+    util::Status status = util::Status::Internal("not run");
+    std::size_t answers = 0;
+    std::thread caller([&] {
+      auto res = server->Link(ex.mention, ex.left_context, ex.right_context, 3);
+      status = res.status();
+      if (res.ok()) answers = res->size();
+    });
+    // Destroy as soon as the caller's batch is admitted (or done).
+    while (server->Stats().requests < 2 && server->Stats().in_flight == 0) {
+    }
+    server.reset();
+    caller.join();
+    EXPECT_TRUE(status.ok()) << status;
+    EXPECT_GT(answers, 0u);
+  }
 }
 
 TEST_F(ServeTest, UnboundedAdmissionPathIsByteIdentical) {

@@ -26,7 +26,12 @@
 #                   paper's Fig. 4 shape, normal synthetic data selected
 #                   more often than injected bad data)
 #   2. asan-ubsan — METABLINK_SANITIZE=address,undefined build + full ctest
-#   3. tsan       — METABLINK_SANITIZE=thread build + full ctest
+#   3. tsan       — METABLINK_SANITIZE=thread build + full ctest, then
+#                   serve_test's concurrency tests again, ten times over
+#                   (--gtest_filter='*Interleave*:*Hammer*:*LoneMiss*'
+#                   --gtest_repeat=10): the hand-off of the serving scratch
+#                   between the scheduler and callers that serve a lone miss
+#                   themselves races rarely, so it gets more chances to show
 #   4. clang-tidy — bugprone/performance/concurrency checks over src/
 #                   (SKIPped when clang-tidy is not installed)
 #   5. graphlint  — the analyzer self-checks: analysis_test (GraphLint
@@ -95,6 +100,11 @@ build_and_test asan-ubsan build-check-asan-ubsan \
   "-DMETABLINK_SANITIZE=address,undefined"
 
 build_and_test tsan build-check-tsan "-DMETABLINK_SANITIZE=thread"
+echo
+echo "== stage: tsan (serve_test concurrency tests, repeated) =="
+./build-check-tsan/tests/serve_test \
+  --gtest_filter='*Interleave*:*Hammer*:*LoneMiss*' --gtest_repeat=10 \
+  || fail tsan
 
 echo
 echo "== stage: clang-tidy =="
