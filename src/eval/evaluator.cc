@@ -41,6 +41,7 @@ void DomainSide::MapRows() {
 }
 
 void DomainSide::Rescore(const data::LinkingExample& example,
+                         const model::MentionText& text,
                          const std::vector<std::uint32_t>& mention_bag,
                          retrieval::ScoredEntity* cands, std::size_t n,
                          RescoreScratch* scratch) const {
@@ -48,7 +49,7 @@ void DomainSide::Rescore(const data::LinkingExample& example,
   for (std::size_t c = 0; c < n; ++c) {
     scratch->rows.push_back(entity_pos.at(cands[c].id));
   }
-  cross->ScoreCachedInference(example, mention_bag, scratch->rows,
+  cross->ScoreCachedInference(example, text, mention_bag, scratch->rows,
                               cross_cache, &scratch->cross, &scratch->scores);
   for (std::size_t c = 0; c < n; ++c) cands[c].score = scratch->scores[c];
 }
@@ -64,11 +65,13 @@ std::vector<std::vector<retrieval::ScoredEntity>> DomainSide::Rank(
   if (cross == nullptr) return lists;
   auto rescore = [&](std::size_t, std::size_t begin, std::size_t end) {
     RescoreScratch scratch;
+    model::MentionText text;
+    std::vector<std::uint32_t> bag;
     for (std::size_t i = begin; i < end; ++i) {
-      cross->featurizer().MentionBagInto(examples[i],
-                                         &scratch.cross.mention_bag);
-      Rescore(examples[i], scratch.cross.mention_bag, lists[i].data(),
-              lists[i].size(), &scratch);
+      model::TokenizeMention(examples[i], &text);
+      cross->featurizer().MentionBagInto(text, &bag);
+      Rescore(examples[i], text, bag, lists[i].data(), lists[i].size(),
+              &scratch);
     }
   };
   if (pool != nullptr) {

@@ -62,11 +62,12 @@ struct DomainSide {
   void MapRows();
 
   /// Sets the scores of cands[0, n) to the cross-encoder's, in place
-  /// (CrossEncoder::ScoreCachedInference). `mention_bag` is the example's
-  /// bag in the cross-encoder's feature space, already hashed (by
-  /// cross->featurizer(), or by a featurizer whose FeatureConfig matches).
-  /// Pre: `cross` is set.
+  /// (CrossEncoder::ScoreCachedInference). `text` is the example's
+  /// TokenizeMention and `mention_bag` its bag in the cross-encoder's
+  /// feature space, already hashed (by cross->featurizer(), or by a
+  /// featurizer whose FeatureConfig matches). Pre: `cross` is set.
   void Rescore(const data::LinkingExample& example,
+               const model::MentionText& text,
                const std::vector<std::uint32_t>& mention_bag,
                retrieval::ScoredEntity* cands, std::size_t n,
                RescoreScratch* scratch) const;

@@ -125,34 +125,38 @@ void CrossEncoder::PrefixInto(CrossScoreScratch* scratch) const {
   tensor::GemmRowChain(scratch->mention_vec.data(),
                        w1_->value.data().data(), scratch->prefix.data(),
                        config_.dim, config_.hidden);
-  scratch->pair.resize(2 * config_.dim + kNumOverlapFeatures);
-  scratch->hidden.resize(config_.hidden);
 }
 
-float CrossEncoder::ScorePair(const float* entity_vec,
-                              CrossScoreScratch* scratch) const {
+void CrossEncoder::ScoreBlock(CrossScoreScratch* scratch,
+                              std::vector<float>* out) const {
   const std::size_t d = config_.dim;
   const std::size_t h = config_.hidden;
+  const std::size_t c = scratch->entity_rows.size();
   const float* m = scratch->mention_vec.data();
-  float* pair = scratch->pair.data();
-  std::copy(entity_vec, entity_vec + d, pair);
-  for (std::size_t j = 0; j < d; ++j) pair[d + j] = m[j] * entity_vec[j];
-  float* hidden = scratch->hidden.data();
-  std::copy(scratch->prefix.begin(), scratch->prefix.end(), hidden);
-  tensor::GemmRowChain(pair, w1_->value.row_data(d), hidden,
-                       2 * d + kNumOverlapFeatures, h);
-  // tanh(hidden + b1), then the [1, hidden] x [hidden, 1] GEMM of the tape,
-  // in its order: ascending hidden unit from 0, zero activations skipped,
-  // then the bias.
   const float* b1 = b1_->value.data().data();
-  const float* w2 = w2_->value.data().data();
-  for (std::size_t j = 0; j < h; ++j) hidden[j] += b1[j];
-  tensor::Tanh(hidden, h);
-  float score = 0.0f;
-  for (std::size_t j = 0; j < h; ++j) {
-    if (hidden[j] != 0.0f) score += hidden[j] * w2[j];
+  scratch->pair.resize(2 * d + kNumOverlapFeatures);
+  scratch->hidden.resize(c * h);
+  float* pair = scratch->pair.data();
+  float* hidden = scratch->hidden.data();
+  for (std::size_t i = 0; i < c; ++i) {
+    const float* e = scratch->entity_rows[i];
+    std::copy(e, e + d, pair);
+    for (std::size_t j = 0; j < d; ++j) pair[d + j] = m[j] * e[j];
+    const float* ov = scratch->overlaps.data() + i * kNumOverlapFeatures;
+    std::copy(ov, ov + kNumOverlapFeatures, pair + 2 * d);
+    float* row = hidden + i * h;
+    std::copy(scratch->prefix.begin(), scratch->prefix.end(), row);
+    tensor::GemmRowChain(pair, w1_->value.row_data(d), row,
+                         2 * d + kNumOverlapFeatures, h);
+    for (std::size_t j = 0; j < h; ++j) row[j] += b1[j];
   }
-  return score + b2_->value.at(0, 0);
+  // tanh is elementwise, so one pass over the block gives every row's.
+  tensor::Tanh(hidden, c * h);
+  // Each row's [1, hidden] x [hidden, 1] GEMM of the tape, in its order:
+  // ascending hidden unit from 0, zero activations skipped, then the bias.
+  out->resize(c);
+  tensor::RowDotsSkipZero(hidden, w2_->value.data().data(), c, h,
+                          b2_->value.at(0, 0), out->data());
 }
 
 void CrossEncoder::ScoreInference(const data::LinkingExample& example,
@@ -167,21 +171,21 @@ void CrossEncoder::ScoreInference(const data::LinkingExample& example,
   MentionVecInto(example, scratch);
   PrefixInto(scratch);
 
-  // Entity tower: same gather + tanh per candidate row.
+  // Entity tower (the same gather + tanh per candidate row) and the string
+  // overlap features.
   if (scratch->entity_bags.size() < c) scratch->entity_bags.resize(c);
   scratch->entity_vec.Resize(c, d);
+  scratch->entity_rows.clear();
+  scratch->overlaps.resize(c * kNumOverlapFeatures);
   for (std::size_t i = 0; i < c; ++i) {
     featurizer_.EntityBagInto(candidates[i], &scratch->entity_bags[i]);
     TowerRowInto(scratch->entity_bags[i], scratch->entity_vec.row_data(i));
+    scratch->entity_rows.push_back(scratch->entity_vec.row_data(i));
+    featurizer_.OverlapFeaturesInto(
+        example, candidates[i],
+        scratch->overlaps.data() + i * kNumOverlapFeatures);
   }
-
-  out->clear();
-  out->reserve(c);
-  for (std::size_t i = 0; i < c; ++i) {
-    featurizer_.OverlapFeaturesInto(example, candidates[i],
-                                    scratch->pair.data() + 2 * d);
-    out->push_back(ScorePair(scratch->entity_vec.row_data(i), scratch));
-  }
+  ScoreBlock(scratch, out);
 }
 
 void CrossEncoder::PrecomputeEntities(const std::vector<kb::Entity>& entities,
@@ -209,7 +213,8 @@ void CrossEncoder::TowerRowInto(const std::vector<std::uint32_t>& bag,
 
 void CrossEncoder::MentionVecInto(const data::LinkingExample& example,
                                   CrossScoreScratch* scratch) const {
-  featurizer_.MentionBagInto(example, &scratch->mention_bag);
+  TokenizeMention(example, &scratch->text);
+  featurizer_.MentionBagInto(scratch->text, &scratch->mention_bag);
   scratch->mention_vec.assign(config_.dim, 0.0f);
   TowerRowInto(scratch->mention_bag, scratch->mention_vec.data());
 }
@@ -219,13 +224,14 @@ void CrossEncoder::ScoreCachedInference(const data::LinkingExample& example,
                                         const CrossEntityCache& cache,
                                         CrossScoreScratch* scratch,
                                         std::vector<float>* out) const {
-  featurizer_.MentionBagInto(example, &scratch->mention_bag);
-  ScoreCachedInference(example, scratch->mention_bag, rows, cache, scratch,
-                       out);
+  TokenizeMention(example, &scratch->text);
+  featurizer_.MentionBagInto(scratch->text, &scratch->mention_bag);
+  ScoreCachedInference(example, scratch->text, scratch->mention_bag, rows,
+                       cache, scratch, out);
 }
 
 void CrossEncoder::ScoreCachedInference(
-    const data::LinkingExample& example,
+    const data::LinkingExample& example, const MentionText& text,
     const std::vector<std::uint32_t>& mention_bag,
     const std::vector<std::size_t>& rows, const CrossEntityCache& cache,
     CrossScoreScratch* scratch, std::vector<float>* out) const {
@@ -238,17 +244,19 @@ void CrossEncoder::ScoreCachedInference(
   scratch->mention_vec.assign(d, 0.0f);
   TowerRowInto(mention_bag, scratch->mention_vec.data());
   PrefixInto(scratch);
-  featurizer_.PrecomputeMentionTokens(example, cache.vocab,
+  featurizer_.PrecomputeMentionTokens(example, text, cache.vocab,
                                       &scratch->mention_tokens);
 
-  out->clear();
-  out->reserve(rows.size());
-  for (std::size_t r : rows) {
+  scratch->entity_rows.clear();
+  scratch->overlaps.resize(rows.size() * kNumOverlapFeatures);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::size_t r = rows[i];
     METABLINK_CHECK(r < cache.entity_vec.rows()) << "cache row out of range";
+    scratch->entity_rows.push_back(cache.entity_vec.row_data(r));
     OverlapFeaturesCached(scratch->mention_tokens, cache.tokens[r],
-                          scratch->pair.data() + 2 * d);
-    out->push_back(ScorePair(cache.entity_vec.row_data(r), scratch));
+                          scratch->overlaps.data() + i * kNumOverlapFeatures);
   }
+  ScoreBlock(scratch, out);
 }
 
 void CrossEncoder::SaveCheckpoint(store::CheckpointWriter* ckpt) const {

@@ -28,13 +28,16 @@ struct CrossEncoderConfig {
 /// Caller-owned scratch for ScoreInference / ScoreCachedInference. Reused
 /// across calls, the numeric path is allocation-free after warm-up.
 struct CrossScoreScratch {
+  MentionText text;  // the example forms' tokens of the mention
   std::vector<std::uint32_t> mention_bag;
   std::vector<std::vector<std::uint32_t>> entity_bags;
   std::vector<float> mention_vec;  // [dim] pooled + tanh'd mention tower
   tensor::Tensor entity_vec;       // [c, dim] pooled + tanh'd entities
   std::vector<float> prefix;       // [hidden] mention_vec · W1[0, dim)
   std::vector<float> pair;         // [2*dim + kNumOverlapFeatures] e, m*e, ov
-  std::vector<float> hidden;       // [hidden] one candidate's hidden layer
+  std::vector<const float*> entity_rows;  // [c] each candidate's tower row
+  std::vector<float> overlaps;     // [c, kNumOverlapFeatures]
+  std::vector<float> hidden;       // [c, hidden] the block's hidden layer
   MentionTokens mention_tokens;    // used by ScoreCachedInference only
 };
 
@@ -121,18 +124,21 @@ class CrossEncoder {
   /// i is row `rows[i]` of `cache`. The per-candidate tokenization,
   /// hashing, and embedding-bag gather all disappear, and the overlap
   /// features come from interned ids; scores are bit-identical to
-  /// ScoreInference / Score on the same entities.
+  /// ScoreInference / Score on the same entities. The example is tokenized
+  /// once, for its bag and its overlap tokens.
   void ScoreCachedInference(const data::LinkingExample& example,
                             const std::vector<std::size_t>& rows,
                             const CrossEntityCache& cache,
                             CrossScoreScratch* scratch,
                             std::vector<float>* out) const;
-  /// The same, over the example's mention bag featurized beforehand: by
-  /// featurizer(), or by any featurizer whose FeatureConfig matches (the
-  /// bi-encoder's, when FeatureConfigsMatch), so a server that already
-  /// hashed the mention for stage 1 does not hash it again. The example
-  /// form forwards here; equal bags give bit-identical scores.
+  /// The same, over the example featurized beforehand: `text` is its
+  /// TokenizeMention and `mention_bag` its bag, hashed by featurizer() or by
+  /// any featurizer whose FeatureConfig matches (the bi-encoder's, when
+  /// FeatureConfigsMatch), so a server that already featurized the mention
+  /// for stage 1 neither tokenizes nor hashes it again. The example form
+  /// forwards here; equal inputs give bit-identical scores.
   void ScoreCachedInference(const data::LinkingExample& example,
+                            const MentionText& text,
                             const std::vector<std::uint32_t>& mention_bag,
                             const std::vector<std::size_t>& rows,
                             const CrossEntityCache& cache,
@@ -173,13 +179,14 @@ class CrossEncoder {
   // of W1 sees input i, and GemmRaw adds inputs in ascending order, so the
   // mention's block [0, dim) is an exact partial sum shared by every
   // candidate of a request:
-  //   PrefixInto:  scratch->prefix = m · W1[0, dim), once per request;
-  //                also sizes scratch->pair and ->hidden.
-  //   ScorePair:   continues that chain over [e, m*e, overlaps] (rows
-  //                [dim, in) of W1), then tanh(+b1) · w2 + b2.
-  // Pre for ScorePair: scratch->mention_vec and ->prefix are current and
-  // scratch->pair[2*dim, 2*dim + kNumOverlapFeatures) holds the
-  // candidate's overlap features.
+  //   PrefixInto:  scratch->prefix = m · W1[0, dim), once per request.
+  //   ScoreBlock:  per candidate, continues that chain over
+  //                [e, m*e, overlaps] (rows [dim, in) of W1) into its own
+  //                row of a [c, hidden] block; then one tanh(+b1) over the
+  //                block, then each row's · w2 + b2.
+  // Pre for ScoreBlock: scratch->mention_vec and ->prefix are current,
+  // scratch->entity_rows holds candidate i's entity-tower row and
+  // scratch->overlaps row i its overlap features.
   void PrefixInto(CrossScoreScratch* scratch) const;
   /// The scoring body of ScoreCandidates and both RankingLoss forms, over
   /// featurized inputs: `mention_bag` holds the one mention bag.
@@ -187,7 +194,7 @@ class CrossEncoder {
                         std::vector<std::vector<std::uint32_t>> mention_bag,
                         std::vector<std::vector<std::uint32_t>> entity_bags,
                         tensor::Tensor overlaps) const;
-  float ScorePair(const float* entity_vec, CrossScoreScratch* scratch) const;
+  void ScoreBlock(CrossScoreScratch* scratch, std::vector<float>* out) const;
 
   CrossEncoderConfig config_;
   Featurizer featurizer_;

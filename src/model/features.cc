@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "text/string_metrics.h"
+#include "util/logging.h"
 
 namespace metablink::model {
 
@@ -17,55 +18,6 @@ float FractionIn(const std::vector<std::string>& tokens,
     if (set.count(t) > 0) ++hits;
   }
   return static_cast<float>(hits) / static_cast<float>(tokens.size());
-}
-
-void ResolveTokens(const std::vector<std::string>& tokens,
-                   const TokenVocabulary& vocab, TokenCounts* out) {
-  std::vector<std::uint32_t> known;
-  std::vector<std::string_view> unknown;
-  for (const std::string& t : tokens) {
-    const auto it = vocab.find(t);
-    if (it != vocab.end()) {
-      known.push_back(it->second);
-    } else {
-      unknown.push_back(t);
-    }
-  }
-  std::sort(known.begin(), known.end());
-  out->ids.clear();
-  for (std::uint32_t id : known) {
-    if (!out->ids.empty() && out->ids.back().first == id) {
-      ++out->ids.back().second;
-    } else {
-      out->ids.emplace_back(id, 1u);
-    }
-  }
-  std::sort(unknown.begin(), unknown.end());
-  const std::size_t unknown_distinct = static_cast<std::size_t>(
-      std::unique(unknown.begin(), unknown.end()) - unknown.begin());
-  out->distinct = out->ids.size() + unknown_distinct;
-  out->total = tokens.size();
-}
-
-/// Matches of a mention-side field in an entity's ascending id set.
-struct Matches {
-  std::size_t distinct = 0;     // |field set ∩ entity set|
-  std::size_t occurrences = 0;  // field tokens (with repeats) in the set
-};
-
-Matches Intersect(const TokenCounts& field,
-                  const std::vector<std::uint32_t>& set) {
-  Matches m;
-  auto s = set.begin();
-  for (const auto& [id, count] : field.ids) {
-    while (s != set.end() && *s < id) ++s;
-    if (s == set.end()) break;
-    if (*s == id) {
-      ++m.distinct;
-      m.occurrences += count;
-    }
-  }
-  return m;
 }
 
 /// text::TokenJaccard from set sizes: the same intersection and union
@@ -96,6 +48,13 @@ void InternTokenSet(const std::vector<std::string>& tokens,
   ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
 }
 
+void TokenizeMention(const data::LinkingExample& example, MentionText* out) {
+  const text::Tokenizer tokenizer;
+  tokenizer.TokenizeInto(example.mention, &out->mention);
+  tokenizer.TokenizeInto(example.left_context, &out->left_context);
+  tokenizer.TokenizeInto(example.right_context, &out->right_context);
+}
+
 Featurizer::Featurizer(FeatureConfig config) : hasher_(config.hasher) {}
 
 std::vector<std::uint32_t> Featurizer::MentionBag(
@@ -114,13 +73,17 @@ std::vector<std::uint32_t> Featurizer::EntityBag(
 
 void Featurizer::MentionBagInto(const data::LinkingExample& example,
                                 std::vector<std::uint32_t>* out) const {
+  MentionText text;
+  TokenizeMention(example, &text);
+  MentionBagInto(text, out);
+}
+
+void Featurizer::MentionBagInto(const MentionText& text,
+                                std::vector<std::uint32_t>* out) const {
   out->clear();
-  hasher_.AppendHashedTokens(tokenizer_.Tokenize(example.mention),
-                             kFieldMention, out);
-  hasher_.AppendHashedTokens(tokenizer_.Tokenize(example.left_context),
-                             kFieldContext, out);
-  hasher_.AppendHashedTokens(tokenizer_.Tokenize(example.right_context),
-                             kFieldContext, out);
+  hasher_.AppendHashedTokens(text.mention, kFieldMention, out);
+  hasher_.AppendHashedTokens(text.left_context, kFieldContext, out);
+  hasher_.AppendHashedTokens(text.right_context, kFieldContext, out);
 }
 
 void Featurizer::EntityBagInto(const kb::Entity& entity,
@@ -184,12 +147,55 @@ void Featurizer::PrecomputeEntityTokens(const kb::Entity& entity,
 void Featurizer::PrecomputeMentionTokens(const data::LinkingExample& example,
                                          const TokenVocabulary& vocab,
                                          MentionTokens* out) const {
-  ResolveTokens(tokenizer_.Tokenize(example.mention), vocab, &out->mention);
-  auto context = tokenizer_.Tokenize(example.left_context);
-  for (auto& t : tokenizer_.Tokenize(example.right_context)) {
-    context.push_back(std::move(t));
-  }
-  ResolveTokens(context, vocab, &out->context);
+  MentionText text;
+  TokenizeMention(example, &text);
+  PrecomputeMentionTokens(example, text, vocab, out);
+}
+
+void Featurizer::PrecomputeMentionTokens(const data::LinkingExample& example,
+                                         const MentionText& text,
+                                         const TokenVocabulary& vocab,
+                                         MentionTokens* out) const {
+  for (std::uint32_t id : out->ids) out->counts[id] = {};
+  out->ids.clear();
+  if (out->counts.size() < vocab.size()) out->counts.resize(vocab.size());
+  // Distinct known tokens are counted as their entries leave zero; the
+  // unknown ones, which have no entry, by sorting their strings.
+  std::vector<std::string_view> unknown;
+  const auto count = [&](const std::vector<std::string>& tokens,
+                         std::uint32_t MentionTokens::Counts::*field,
+                         std::size_t* distinct) {
+    for (const std::string& t : tokens) {
+      const auto it = vocab.find(t);
+      if (it == vocab.end()) {
+        unknown.push_back(t);
+        continue;
+      }
+      METABLINK_CHECK(it->second < out->counts.size())
+          << "token id outside its vocabulary";
+      MentionTokens::Counts& c = out->counts[it->second];
+      if (c.mention == 0 && c.context == 0) out->ids.push_back(it->second);
+      if ((c.*field)++ == 0) ++*distinct;
+    }
+  };
+  const auto distinct_unknown = [&unknown] {
+    std::sort(unknown.begin(), unknown.end());
+    const auto n = static_cast<std::size_t>(
+        std::unique(unknown.begin(), unknown.end()) - unknown.begin());
+    unknown.clear();
+    return n;
+  };
+  out->mention_distinct = 0;
+  count(text.mention, &MentionTokens::Counts::mention, &out->mention_distinct);
+  out->mention_distinct += distinct_unknown();
+  out->mention_total = text.mention.size();
+  out->context_distinct = 0;
+  count(text.left_context, &MentionTokens::Counts::context,
+        &out->context_distinct);
+  count(text.right_context, &MentionTokens::Counts::context,
+        &out->context_distinct);
+  out->context_distinct += distinct_unknown();
+  out->context_total = text.left_context.size() + text.right_context.size();
   out->norm_mention = text::NormalizeForMatch(example.mention);
 }
 
@@ -212,17 +218,32 @@ void OverlapFeaturesCached(const MentionTokens& mention,
             category == text::OverlapCategory::kMultipleCategories)
                ? 1.0f
                : 0.0f;
-  const Matches m_title = Intersect(mention.mention, entity.title_ids);
-  const Matches c_desc = Intersect(mention.context, entity.desc_ids);
-  const Matches m_desc = Intersect(mention.mention, entity.desc_ids);
-  out[2] = static_cast<float>(Jaccard(mention.mention.distinct,
-                                      entity.title_ids.size(),
-                                      m_title.distinct));
-  out[3] = static_cast<float>(Jaccard(mention.context.distinct,
-                                      entity.desc_ids.size(),
-                                      c_desc.distinct));
-  out[4] = Fraction(m_desc.occurrences, mention.mention.total);
-  out[5] = Fraction(c_desc.occurrences, mention.context.total);
+  // Entity ids are distinct and ascending, so each set's last id bounds it.
+  const std::size_t vocab = mention.counts.size();
+  METABLINK_CHECK(
+      (entity.title_ids.empty() || entity.title_ids.back() < vocab) &&
+      (entity.desc_ids.empty() || entity.desc_ids.back() < vocab))
+      << "entity token id outside the mention's vocabulary";
+  const MentionTokens::Counts* counts = mention.counts.data();
+  // |mention ∩ title|, |context ∩ desc|, and the mention and context
+  // tokens (repeats included) found in the description.
+  std::size_t m_title = 0;
+  for (std::uint32_t id : entity.title_ids) {
+    m_title += counts[id].mention != 0 ? 1 : 0;
+  }
+  std::size_t c_desc = 0, c_hits = 0, m_hits = 0;
+  for (std::uint32_t id : entity.desc_ids) {
+    const MentionTokens::Counts k = counts[id];
+    c_desc += k.context != 0 ? 1 : 0;
+    c_hits += k.context;
+    m_hits += k.mention;
+  }
+  out[2] = static_cast<float>(Jaccard(mention.mention_distinct,
+                                      entity.title_ids.size(), m_title));
+  out[3] = static_cast<float>(Jaccard(mention.context_distinct,
+                                      entity.desc_ids.size(), c_desc));
+  out[4] = Fraction(m_hits, mention.mention_total);
+  out[5] = Fraction(c_hits, mention.context_total);
 }
 
 void SaveFeatureConfig(const FeatureConfig& config,

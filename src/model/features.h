@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "data/example.h"
@@ -69,27 +68,48 @@ struct CachedEntityTokens {
   bool has_phrase = false;
 };
 
-/// One mention-side token field resolved against a TokenVocabulary.
-struct TokenCounts {
-  /// (vocabulary id, occurrences) of the tokens the vocabulary knows,
-  /// ascending id. A token outside it matches no entity token.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> ids;
-  std::size_t distinct = 0;  // distinct tokens, known or not
-  std::size_t total = 0;     // all tokens, repeats included
+/// An example's mention and context tokens. Every Featurizer tokenizes
+/// alike, so one MentionText, tokenized once, serves every featurization of
+/// the example: the bi- and cross-encoder bags (MentionBagInto) and the
+/// overlap features' mention side (PrecomputeMentionTokens).
+struct MentionText {
+  std::vector<std::string> mention;
+  std::vector<std::string> left_context;
+  std::vector<std::string> right_context;
 };
 
-/// Mention-side text work shared by every candidate of one request.
+/// Tokenizes `example` into `*out`, reusing its buffers.
+void TokenizeMention(const data::LinkingExample& example, MentionText* out);
+
+/// Mention-side text work shared by every candidate of one request, resolved
+/// against one TokenVocabulary.
 struct MentionTokens {
-  TokenCounts mention;
-  TokenCounts context;  // left then right context
+  /// Occurrences of a vocabulary id in the mention and in the context
+  /// (left then right). A token outside the vocabulary matches no entity
+  /// token and has no entry.
+  struct Counts {
+    std::uint32_t mention = 0;
+    std::uint32_t context = 0;
+  };
+  /// Indexed by vocabulary id, at least the vocabulary's size; zero except
+  /// at `ids`. Kept across requests: each resolve clears only the entries
+  /// the previous one set, so its cost follows the text, not the
+  /// vocabulary.
+  std::vector<Counts> counts;
+  std::vector<std::uint32_t> ids;  // the ids set in `counts`
+  std::size_t mention_distinct = 0;  // distinct tokens, known or not
+  std::size_t mention_total = 0;     // all tokens, repeats included
+  std::size_t context_distinct = 0;
+  std::size_t context_total = 0;
   std::string norm_mention;
 };
 
 /// Precomputed-overlap serving path: exactly the values of
 /// Featurizer::OverlapFeatures() for the mention and entity the two token
-/// records were built from (with the same vocabulary). Every jaccard and
-/// fraction comes from the same integer counts the string sets give, so
-/// the floats are identical.
+/// records were built from (with the same vocabulary). One pass over the
+/// entity's ids reads the mention's counts, giving the same integer
+/// intersection sizes and hit counts the string sets give, so the floats
+/// are identical.
 void OverlapFeaturesCached(const MentionTokens& mention,
                            const CachedEntityTokens& entity, float* out);
 
@@ -113,6 +133,9 @@ class Featurizer {
   /// and refill it, keeping its capacity across calls.
   void MentionBagInto(const data::LinkingExample& example,
                       std::vector<std::uint32_t>* out) const;
+  /// The same bag from the example's tokens (TokenizeMention).
+  void MentionBagInto(const MentionText& text,
+                      std::vector<std::uint32_t>* out) const;
   void EntityBagInto(const kb::Entity& entity,
                      std::vector<std::uint32_t>* out) const;
 
@@ -128,6 +151,11 @@ class Featurizer {
                               TokenVocabulary* vocab,
                               CachedEntityTokens* out) const;
   void PrecomputeMentionTokens(const data::LinkingExample& example,
+                               const TokenVocabulary& vocab,
+                               MentionTokens* out) const;
+  /// The same, from the example's tokens (TokenizeMention).
+  void PrecomputeMentionTokens(const data::LinkingExample& example,
+                               const MentionText& text,
                                const TokenVocabulary& vocab,
                                MentionTokens* out) const;
 

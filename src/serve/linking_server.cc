@@ -413,14 +413,17 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close,
   const std::size_t misses = use_cache ? miss_idx_.size() : 0;
   const std::size_t hits = use_cache ? m - miss_idx_.size() : 0;
 
-  // ---- Stage 1: batched mention encode (tape-free) of the misses.
+  // ---- Stage 1: batched mention encode (tape-free) of the misses. Each
+  // miss is tokenized here once; its tokens serve stage 3 too.
   const std::size_t num_misses = miss_idx_.size();
   if (num_misses > 0) {
     if (encode_scratch_.bags.size() < num_misses) {
       encode_scratch_.bags.resize(num_misses);
     }
+    if (miss_text_.size() < num_misses) miss_text_.resize(num_misses);
     for (std::size_t j = 0; j < num_misses; ++j) {
-      epoch->bi->featurizer().MentionBagInto((*batch)[miss_idx_[j]].example,
+      model::TokenizeMention((*batch)[miss_idx_[j]].example, &miss_text_[j]);
+      epoch->bi->featurizer().MentionBagInto(miss_text_[j],
                                              &encode_scratch_.bags[j]);
     }
     epoch->bi->EncodeMentionBagsInference(num_misses, &encode_scratch_,
@@ -470,13 +473,14 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close,
           const std::size_t i = miss_idx_[j];
           Request& req = (*batch)[i];
           std::vector<retrieval::ScoredEntity>& cands = batch_hits_[i];
+          const model::MentionText& text = miss_text_[j];
           // The miss's bag in the cross feature space: stage 1's when the
           // encoders share one, else hashed here once by the cross
           // featurizer.
           const auto cross_bag = [&]() -> const std::vector<std::uint32_t>& {
             if (share_bags) return encode_scratch_.bags[j];
             epoch->cross->featurizer().MentionBagInto(
-                req.example, &scratch.cross.mention_bag);
+                text, &scratch.cross.mention_bag);
             return scratch.cross.mention_bag;
           };
           if (cands.empty()) {
@@ -488,7 +492,7 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close,
           if (!use_cascade) {
             // The pre-cascade serving path, byte for byte: cross-encode
             // and re-sort the entire candidate list.
-            epoch->Rescore(req.example, cross_bag(), cands.data(),
+            epoch->Rescore(req.example, text, cross_bag(), cands.data(),
                            cands.size(), &scratch);
             eval::SortBestFirst(cands.begin(), cands.end());
           } else {
@@ -519,7 +523,7 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close,
                   scratch.strip[c] = cands[c].score;
                 }
                 epoch->cross->featurizer().PrecomputeMentionTokens(
-                    req.example, epoch->cross_cache.vocab,
+                    req.example, text, epoch->cross_cache.vocab,
                     &scratch.cross.mention_tokens);
                 const std::size_t cross_d =
                     epoch->cross_cache.entity_vec.cols();
@@ -542,8 +546,8 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close,
               } else {
                 // Tier 3 — full cross-encoder, but only over the head.
                 tiers[i] = Tier::kFull;
-                epoch->Rescore(req.example, cross_bag(), cands.data(), head,
-                               &scratch);
+                epoch->Rescore(req.example, text, cross_bag(), cands.data(),
+                               head, &scratch);
               }
               eval::SortBestFirst(cands.begin(), cands.begin() + head);
             }

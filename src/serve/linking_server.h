@@ -455,6 +455,8 @@ class LinkingServer {
   // retrieve/rerank stages: chunk ids from ParallelForChunks are dense, so
   // chunk i owns element i.
   model::EncodeScratch encode_scratch_;
+  // Tokens of the batch's misses: element j is miss_idx_[j]'s.
+  std::vector<model::MentionText> miss_text_;
   // Mention embeddings of the batch's misses: row j is miss_idx_[j].
   tensor::Tensor encoded_;
   std::vector<std::vector<retrieval::ScoredEntity>> batch_hits_;

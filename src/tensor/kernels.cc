@@ -568,6 +568,29 @@ bool AdamRowUsesSimd() { return g_adam_row_fn != &AdamRowScalar; }
 
 void Tanh(float* x, std::size_t n) { g_tanh_fn(x, n); }
 
+void RowDotsSkipZero(const float* x, const float* w, std::size_t n,
+                     std::size_t m, float bias, float* out) {
+  constexpr std::size_t kRows = 8;
+  std::size_t i = 0;
+  for (; i + kRows <= n; i += kRows) {
+    float acc[kRows] = {};
+    for (std::size_t j = 0; j < m; ++j) {
+      for (std::size_t r = 0; r < kRows; ++r) {
+        const float v = x[(i + r) * m + j];
+        if (v != 0.0f) acc[r] += v * w[j];
+      }
+    }
+    for (std::size_t r = 0; r < kRows; ++r) out[i + r] = acc[r] + bias;
+  }
+  for (; i < n; ++i) {
+    float acc = 0.0f;
+    for (std::size_t j = 0; j < m; ++j) {
+      if (x[i * m + j] != 0.0f) acc += x[i * m + j] * w[j];
+    }
+    out[i] = acc + bias;
+  }
+}
+
 bool TanhUsesSimd() { return g_tanh_fn != &TanhScalarBody; }
 
 void TanhScalar(float* x, std::size_t n) { TanhScalarBody(x, n); }

@@ -115,6 +115,14 @@ bool TanhUsesSimd();
 void TanhScalar(float* x, std::size_t n);
 void TanhAvx2(float* x, std::size_t n);
 
+/// out[i] = (x[i,0,m) · w[0,m)) + bias for each of the n rows of x [n, m]:
+/// every row's [1, m] x [m, 1] GemmRaw (its products added in ascending
+/// column order from +0, zero x[i,j] skipped, separately rounded) followed
+/// by the bias add. Rows are independent chains, so they run eight at a
+/// time, each in its own order; the bits equal a GemmRaw of each row.
+void RowDotsSkipZero(const float* x, const float* w, std::size_t n,
+                     std::size_t m, float bias, float* out);
+
 /// C[n,m] += A[n,d] * B[m,d]^T. Each output element is one Dot; B rows are
 /// tiled so a panel stays cache-resident across consecutive A rows.
 void GemmTransposeBRaw(const float* a, const float* b, float* c,

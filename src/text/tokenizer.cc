@@ -1,40 +1,58 @@
 #include "text/tokenizer.h"
 
-#include <cctype>
-
 namespace metablink::text {
 
 namespace {
-bool IsWordChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '\'' ||
-         c == '_';
+// The classes std::isalnum, std::ispunct and std::tolower give in the "C"
+// locale, the one a program that never calls setlocale runs in: ASCII
+// only, every byte >= 0x80 in no class. Spelled out, they make no library
+// call per byte and do not follow a locale a host program might set.
+bool IsAlnum(char c) {
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+         (c >= 'A' && c <= 'Z');
 }
+
+bool IsPunct(char c) { return c >= '!' && c <= '~' && !IsAlnum(c); }
+
+char ToLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+bool IsWordChar(char c) { return IsAlnum(c) || c == '\'' || c == '_'; }
 }  // namespace
 
 std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
   std::vector<std::string> tokens;
+  TokenizeInto(text, &tokens);
+  return tokens;
+}
+
+void Tokenizer::TokenizeInto(std::string_view text,
+                             std::vector<std::string>* out) const {
+  std::size_t n = 0;
+  const auto next = [&]() -> std::string& {
+    if (n == out->size()) out->emplace_back();
+    return (*out)[n++];
+  };
   std::size_t i = 0;
   while (i < text.size()) {
     char c = text[i];
     if (IsWordChar(c)) {
       std::size_t start = i;
       while (i < text.size() && IsWordChar(text[i])) ++i;
-      std::string tok(text.substr(start, i - start));
+      std::string& tok = next();
+      tok.assign(text.substr(start, i - start));
       if (options_.lowercase) {
-        for (char& t : tok) {
-          t = static_cast<char>(std::tolower(static_cast<unsigned char>(t)));
-        }
+        for (char& t : tok) t = ToLower(t);
       }
-      tokens.push_back(std::move(tok));
     } else {
-      if (options_.keep_punctuation &&
-          std::ispunct(static_cast<unsigned char>(c))) {
-        tokens.emplace_back(1, c);
+      if (options_.keep_punctuation && IsPunct(c)) {
+        next().assign(1, c);
       }
       ++i;
     }
   }
-  return tokens;
+  out->resize(n);
 }
 
 std::string NormalizeForMatch(std::string_view text) {
@@ -42,8 +60,8 @@ std::string NormalizeForMatch(std::string_view text) {
   out.reserve(text.size());
   bool last_space = true;
   for (char c : text) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    if (IsAlnum(c)) {
+      out += ToLower(c);
       last_space = false;
     } else if (!last_space) {
       out += ' ';

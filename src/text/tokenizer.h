@@ -25,6 +25,12 @@ class Tokenizer {
   /// Tokenizes `text` into word tokens.
   std::vector<std::string> Tokenize(std::string_view text) const;
 
+  /// Tokenize into `*out`, replacing its contents. The strings already in
+  /// `*out` are reassigned in place, so a buffer reused across calls keeps
+  /// its allocations.
+  void TokenizeInto(std::string_view text,
+                    std::vector<std::string>* out) const;
+
   const TokenizerOptions& options() const { return options_; }
 
  private:

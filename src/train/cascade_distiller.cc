@@ -24,7 +24,6 @@ struct CalibrationRow {
   float margin = kInf;                        // top1 - top2 (inf when k=1)
   std::size_t cross_best_rank = 0;            // retrieval rank of full winner
   kb::EntityId cross_best_id = kb::kInvalidEntityId;
-  model::MentionTokens mention_tokens;
   std::vector<float> mention_vec;  // cross-encoder mention tower output
 };
 
@@ -99,8 +98,6 @@ util::Result<model::CascadeModel> CalibrateCascade(
     row.cross_best_rank = ArgBest(row.hits, row.cross_scores,
                                   row.hits.size());
     row.cross_best_id = row.hits[row.cross_best_rank].id;
-    cross.featurizer().PrecomputeMentionTokens(
-        examples[i], cross_cache.vocab, &row.mention_tokens);
     cross.MentionVecInto(examples[i], &cross_scratch);
     row.mention_vec = cross_scratch.mention_vec;
   }
@@ -311,8 +308,13 @@ util::Result<model::CascadeModel> CalibrateCascade(
   std::vector<float> features;   // [rows x n_features]
   std::vector<float> targets;
   std::vector<float> strip;      // per-example retrieval score strip
+  // Resolved per example where its features are built: a MentionTokens
+  // holds counts over the whole vocabulary, so rows do not keep one each.
+  model::MentionTokens mention_tokens;
   for (std::size_t i : nonexit) {
     const CalibrationRow& row = rows[i];
+    cross.featurizer().PrecomputeMentionTokens(examples[i], cross_cache.vocab,
+                                               &mention_tokens);
     const std::size_t head =
         HeadSize(row.hits, cascade.config.band_epsilon, head_k);
     strip.resize(row.hits.size());
@@ -325,7 +327,7 @@ util::Result<model::CascadeModel> CalibrateCascade(
       model::CascadeFeaturesInto(
           strip.data(), row.hits.size(), r, row.mention_vec.data(),
           cross_cache.entity_vec.row_data(entity_pos.at(row.hits[r].id)),
-          cross_d, row.mention_tokens,
+          cross_d, mention_tokens,
           cross_cache.tokens[entity_pos.at(row.hits[r].id)],
           features.data() + base);
       targets.push_back(row.cross_scores[r]);
@@ -390,6 +392,8 @@ util::Result<model::CascadeModel> CalibrateCascade(
           row.hits[ArgBest(row.hits, row.cross_scores, head)].id ==
           examples[i].entity_id;
       if (!cascade.has_scorer()) continue;
+      cross.featurizer().PrecomputeMentionTokens(
+          examples[i], cross_cache.vocab, &mention_tokens);
       strip.resize(row.hits.size());
       for (std::size_t r = 0; r < row.hits.size(); ++r) {
         strip[r] = row.hits[r].score;
@@ -399,7 +403,7 @@ util::Result<model::CascadeModel> CalibrateCascade(
         model::CascadeFeaturesInto(
             strip.data(), row.hits.size(), r, row.mention_vec.data(),
             cross_cache.entity_vec.row_data(entity_pos.at(row.hits[r].id)),
-            cross_d, row.mention_tokens,
+            cross_d, mention_tokens,
             cross_cache.tokens[entity_pos.at(row.hits[r].id)],
             feat_row.data());
         distilled[r] = cascade.ScoreFeatures(feat_row.data());

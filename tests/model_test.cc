@@ -3,17 +3,21 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/generator.h"
 #include "model/bi_encoder.h"
+#include "model/cascade.h"
 #include "model/cross_encoder.h"
 #include "model/entity_side.h"
 #include "model/features.h"
 #include "store/checkpoint.h"
 #include "tensor/kernels.h"
 #include "tensor/optimizer.h"
+#include "text/tokenizer.h"
 #include "util/thread_pool.h"
 
 namespace metablink::model {
@@ -124,6 +128,152 @@ TEST(FeaturizerTest, CachedOverlapMatchesOverlapFeatures) {
       for (std::size_t k = 0; k < kNumOverlapFeatures; ++k) {
         EXPECT_EQ(got[k], want[k])
             << "example " << e << " entity " << i << " feature " << k;
+      }
+    }
+  }
+}
+
+// OverlapFeaturesCached's integer features as they were computed before
+// the dense counts, kept as the reference: each mention-side field resolved
+// to ascending (id, count) pairs, then three sorted-list merges against the
+// entity's ascending id sets. Writes out[2..5].
+struct MergeField {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> ids;
+  std::size_t distinct = 0;
+  std::size_t total = 0;
+};
+
+MergeField MergeResolve(const std::vector<std::string>& tokens,
+                        const TokenVocabulary& vocab) {
+  MergeField f;
+  std::vector<std::uint32_t> known;
+  std::vector<std::string> unknown;
+  for (const std::string& t : tokens) {
+    const auto it = vocab.find(t);
+    if (it != vocab.end()) {
+      known.push_back(it->second);
+    } else {
+      unknown.push_back(t);
+    }
+  }
+  std::sort(known.begin(), known.end());
+  for (std::uint32_t id : known) {
+    if (!f.ids.empty() && f.ids.back().first == id) {
+      ++f.ids.back().second;
+    } else {
+      f.ids.emplace_back(id, 1u);
+    }
+  }
+  std::sort(unknown.begin(), unknown.end());
+  f.distinct = f.ids.size() + static_cast<std::size_t>(
+      std::unique(unknown.begin(), unknown.end()) - unknown.begin());
+  f.total = tokens.size();
+  return f;
+}
+
+std::pair<std::size_t, std::size_t> MergeIntersect(
+    const MergeField& field, const std::vector<std::uint32_t>& set) {
+  std::size_t distinct = 0, occurrences = 0;
+  auto s = set.begin();
+  for (const auto& [id, count] : field.ids) {
+    while (s != set.end() && *s < id) ++s;
+    if (s == set.end()) break;
+    if (*s == id) {
+      ++distinct;
+      occurrences += count;
+    }
+  }
+  return {distinct, occurrences};
+}
+
+void MergeOverlap(const data::LinkingExample& ex, const TokenVocabulary& vocab,
+                  const CachedEntityTokens& entity, float* out) {
+  const text::Tokenizer tok;
+  std::vector<std::string> context = tok.Tokenize(ex.left_context);
+  for (auto& t : tok.Tokenize(ex.right_context)) context.push_back(t);
+  const MergeField mention = MergeResolve(tok.Tokenize(ex.mention), vocab);
+  const MergeField ctx = MergeResolve(context, vocab);
+  const auto jaccard = [](std::size_t a, std::size_t b, std::size_t inter) {
+    if (a == 0 && b == 0) return 1.0;
+    const std::size_t uni = a + b - inter;
+    return uni == 0 ? 1.0
+                    : static_cast<double>(inter) / static_cast<double>(uni);
+  };
+  const auto fraction = [](std::size_t hits, std::size_t total) {
+    return total == 0 ? 0.0f
+                      : static_cast<float>(hits) / static_cast<float>(total);
+  };
+  const auto m_title = MergeIntersect(mention, entity.title_ids);
+  const auto c_desc = MergeIntersect(ctx, entity.desc_ids);
+  const auto m_desc = MergeIntersect(mention, entity.desc_ids);
+  out[2] = static_cast<float>(
+      jaccard(mention.distinct, entity.title_ids.size(), m_title.first));
+  out[3] = static_cast<float>(
+      jaccard(ctx.distinct, entity.desc_ids.size(), c_desc.first));
+  out[4] = fraction(m_desc.second, mention.total);
+  out[5] = fraction(c_desc.second, ctx.total);
+}
+
+TEST(FeaturizerTest, DenseCountOverlapMatchesMergeForm) {
+  // Every (mention, entity) pair of a generated domain, then hand cases:
+  // empty mention or context, repeated and out-of-vocabulary tokens, an
+  // empty description. One MentionTokens serves every example, so each
+  // resolve must clear what the previous one set. The distiller's feature
+  // row (CascadeFeaturesInto) carries the same overlap block.
+  data::GeneratorOptions opts;
+  opts.seed = 29;
+  data::ZeshelLikeGenerator gen(opts);
+  data::DomainSpec spec;
+  spec.name = "d";
+  spec.num_entities = 60;
+  spec.num_examples = 40;
+  spec.num_documents = 0;
+  auto corpus = gen.Generate({spec});
+  ASSERT_TRUE(corpus.ok());
+  std::vector<kb::Entity> entities;
+  for (kb::EntityId id : corpus->kb.EntitiesInDomain("d")) {
+    entities.push_back(corpus->kb.entity(id));
+  }
+  std::vector<data::LinkingExample> examples = corpus->ExamplesIn("d");
+  entities.push_back(MakeEntity("Red Dragon (beast)", ""));
+  entities.push_back(MakeEntity("", "a beast with no name"));
+  examples.push_back(MakeExample("", "the fire fire", "beast"));
+  examples.push_back(MakeExample("red dragon red", "", ""));
+  examples.push_back(MakeExample("zzz qqq zzz", "xyzzy xyzzy", "plugh"));
+  examples.push_back(MakeExample("", "", ""));
+  examples.push_back(examples.front());
+  const Featurizer f;
+  TokenVocabulary vocab;
+  std::vector<CachedEntityTokens> cached(entities.size());
+  for (std::size_t i = 0; i < entities.size(); ++i) {
+    f.PrecomputeEntityTokens(entities[i], &vocab, &cached[i]);
+  }
+  constexpr std::size_t kD = 3;
+  const float strip[2] = {0.9f, 0.4f};
+  const float vec[kD] = {0.5f, -1.0f, 0.25f};
+  std::vector<float> row(CascadeFeatureCount(kD));
+  MentionTokens mention;
+  float got[kNumOverlapFeatures];
+  float merge[kNumOverlapFeatures];
+  for (std::size_t e = 0; e < examples.size(); ++e) {
+    f.PrecomputeMentionTokens(examples[e], vocab, &mention);
+    for (std::size_t i = 0; i < entities.size(); ++i) {
+      SCOPED_TRACE("example " + std::to_string(e) + " entity " +
+                   std::to_string(i));
+      OverlapFeaturesCached(mention, cached[i], got);
+      MergeOverlap(examples[e], vocab, cached[i], merge);
+      const std::vector<float> strings =
+          f.OverlapFeatures(examples[e], entities[i]);
+      CascadeFeaturesInto(strip, 2, 1, vec, vec, kD, mention, cached[i],
+                          row.data());
+      const float* cascade_overlap = row.data() + row.size() -
+                                     kNumOverlapFeatures;
+      for (std::size_t k = 0; k < kNumOverlapFeatures; ++k) {
+        if (k >= 2) {
+          EXPECT_EQ(got[k], merge[k]) << "feature " << k;
+        }
+        EXPECT_EQ(got[k], strings[k]) << "feature " << k;
+        EXPECT_EQ(cascade_overlap[k], got[k]) << "feature " << k;
       }
     }
   }
@@ -299,6 +449,75 @@ TEST_F(CrossEncoderTest, SaveLoadPreservesScores) {
   auto ex = MakeExample("a", "b", "c");
   std::vector<kb::Entity> cands = {MakeEntity("x", "y z")};
   EXPECT_FLOAT_EQ(model_.Score(ex, cands)[0], other.Score(ex, cands)[0]);
+}
+
+TEST(CrossEncoderBlockTest, BlockScoresEqualTapeScores) {
+  // The block rerank (every candidate's W1 chain into its own row, one tanh
+  // over the block, then the w2 dots eight rows at a time) against the
+  // tape's Score, at 1, 7 and 64 candidates. dim 20 / hidden 36 leaves
+  // tails in the 64/32-column chains, the 8-lane tanh and the 8-row dots.
+  // Hidden unit 3 is exactly 0 for every pair (a zero W1 column and bias),
+  // and its w2 weight is NaN: the tape's GEMM skips the zero activation,
+  // so the block must too, or every score reads NaN.
+  data::GeneratorOptions opts;
+  opts.seed = 37;
+  data::ZeshelLikeGenerator gen(opts);
+  data::DomainSpec spec;
+  spec.name = "d";
+  spec.num_entities = 80;
+  spec.num_examples = 6;
+  spec.num_documents = 0;
+  auto corpus = gen.Generate({spec});
+  ASSERT_TRUE(corpus.ok());
+  std::vector<kb::Entity> entities;
+  for (kb::EntityId id : corpus->kb.EntitiesInDomain("d")) {
+    entities.push_back(corpus->kb.entity(id));
+  }
+  const std::vector<data::LinkingExample>& examples = corpus->ExamplesIn("d");
+  for (const auto& [dim, hidden] :
+       {std::pair<std::size_t, std::size_t>{16, 16}, {20, 36}, {64, 64}}) {
+    CrossEncoderConfig cfg;
+    cfg.features.hasher.num_buckets = 1024;
+    cfg.dim = dim;
+    cfg.hidden = hidden;
+    util::Rng rng(41);
+    CrossEncoder cross(cfg, &rng);
+    constexpr std::size_t kZeroUnit = 3;
+    tensor::Parameter* w1 = cross.params()->Find("cross_w1");
+    for (std::size_t i = 0; i < w1->value.rows(); ++i) {
+      w1->value.at(i, kZeroUnit) = 0.0f;
+    }
+    cross.params()->Find("cross_b1")->value.at(0, kZeroUnit) = 0.0f;
+    cross.params()->Find("cross_w2")->value.at(kZeroUnit, 0) =
+        std::numeric_limits<float>::quiet_NaN();
+    CrossEntityCache cache;
+    cross.PrecomputeEntities(entities, &cache);
+    CrossScoreScratch scratch;
+    std::vector<float> block, free;
+    for (std::size_t c : {1, 7, 64}) {
+      for (std::size_t e = 0; e < examples.size(); ++e) {
+        SCOPED_TRACE("dim " + std::to_string(dim) + " hidden " +
+                     std::to_string(hidden) + " candidates " +
+                     std::to_string(c) + " example " + std::to_string(e));
+        std::vector<std::size_t> rows;
+        std::vector<kb::Entity> candidates;
+        for (std::size_t i = 0; i < c; ++i) {
+          rows.push_back((e * 13 + i * 5) % entities.size());
+          candidates.push_back(entities[rows.back()]);
+        }
+        const std::vector<float> tape = cross.Score(examples[e], candidates);
+        cross.ScoreCachedInference(examples[e], rows, cache, &scratch, &block);
+        cross.ScoreInference(examples[e], candidates, &scratch, &free);
+        ASSERT_EQ(block.size(), c);
+        ASSERT_EQ(free.size(), c);
+        for (std::size_t i = 0; i < c; ++i) {
+          ASSERT_FALSE(std::isnan(tape[i])) << "candidate " << i;
+          EXPECT_EQ(block[i], tape[i]) << "candidate " << i;
+          EXPECT_EQ(free[i], tape[i]) << "candidate " << i;
+        }
+      }
+    }
+  }
 }
 
 // ---- Entity-side build -----------------------------------------------------

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <set>
 
+#include "data/generator.h"
 #include "text/feature_hashing.h"
 #include "text/rouge.h"
 #include "text/string_metrics.h"
@@ -172,6 +174,135 @@ TEST(FeatureHasherTest, CharNgramsSharedAcrossSimilarWords) {
 TEST(FeatureHasherTest, EmptyTokensYieldEmptyBag) {
   FeatureHasher hasher;
   EXPECT_TRUE(hasher.HashTokens({}, 0).empty());
+}
+
+// AppendHashedTokens as it was before it streamed its features: one
+// std::string per bigram and per "#tok#", each hashed with HashBytes and
+// reduced with %.
+std::vector<std::uint32_t> ReferenceHashTokens(
+    const FeatureHasherOptions& o, const std::vector<std::string>& tokens,
+    std::uint64_t field_seed) {
+  std::vector<std::uint32_t> out;
+  auto emit = [&](std::string_view data, std::uint64_t sub_seed) {
+    out.push_back(static_cast<std::uint32_t>(
+        HashBytes(data, field_seed * 1315423911ULL + sub_seed) %
+        o.num_buckets));
+  };
+  if (o.word_unigrams) {
+    for (const auto& t : tokens) emit(t, 1);
+  }
+  if (o.word_bigrams) {
+    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
+      emit(tokens[i] + '\x1f' + tokens[i + 1], 2);
+    }
+  }
+  for (const auto& t : tokens) {
+    const std::string padded = "#" + t + "#";
+    for (int n : o.char_ngram_sizes) {
+      const auto len = static_cast<std::size_t>(n);
+      if (n <= 0 || padded.size() < len) continue;
+      for (std::size_t i = 0; i + len <= padded.size(); ++i) {
+        emit(std::string_view(padded).substr(i, len),
+             100 + static_cast<std::uint64_t>(n));
+      }
+    }
+  }
+  return out;
+}
+
+TEST(FeatureHasherTest, StreamedFeaturesEqualStringBuildingReference) {
+  Tokenizer tok;
+  std::vector<std::vector<std::string>> fields = {
+      {},
+      {"x"},
+      {"misgarth's", "satellite", "of", "the", "north", "42"},
+      {std::string(300, 'q'), "ab", std::string(257, 'z')},
+      {"caf\xc3\xa9", "\xff\x80", "na\xefve", "\x1f"},
+      tok.Tokenize("The Curse of Varnath (Star Trek) ruled the Vale, "
+                   "and its 3 heirs fled north in 1204."),
+  };
+  // Every mention, context, title and description field of a generated
+  // corpus.
+  data::GeneratorOptions gen_opts;
+  gen_opts.seed = 17;
+  data::ZeshelLikeGenerator gen(gen_opts);
+  const std::vector<data::DomainSpec> specs = {
+      {.name = "d", .num_entities = 40, .num_examples = 60,
+       .num_documents = 20}};
+  const data::Corpus corpus = std::move(*gen.Generate(specs));
+  for (const auto& ex : corpus.ExamplesIn("d")) {
+    fields.push_back(tok.Tokenize(ex.mention));
+    fields.push_back(tok.Tokenize(ex.left_context));
+    fields.push_back(tok.Tokenize(ex.right_context));
+  }
+  for (kb::EntityId id : corpus.kb.EntitiesInDomain("d")) {
+    fields.push_back(tok.Tokenize(corpus.kb.entity(id).title));
+    fields.push_back(tok.Tokenize(corpus.kb.entity(id).description));
+  }
+  for (std::uint32_t buckets : {1u, 1000u, 1u << 14}) {
+    for (const std::vector<int>& sizes :
+         {std::vector<int>{3, 4}, std::vector<int>{1, 2, 5, 0, -1},
+          std::vector<int>{}}) {
+      FeatureHasherOptions opts;
+      opts.num_buckets = buckets;
+      opts.char_ngram_sizes = sizes;
+      const FeatureHasher hasher(opts);
+      for (std::size_t f = 0; f < fields.size(); ++f) {
+        for (std::uint64_t seed : {0ull, 11ull, 44ull}) {
+          EXPECT_EQ(hasher.HashTokens(fields[f], seed),
+                    ReferenceHashTokens(opts, fields[f], seed))
+              << "buckets " << buckets << " field " << f << " seed " << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(TokenizerTest, EveryByteClassifiedAsTheCLocaleClassifiesIt) {
+  // The tokenizer spells out the "C" locale's classes; this program never
+  // calls setlocale, so the <cctype> calls give the reference.
+  std::string all;
+  for (int b = 1; b < 256; ++b) {
+    all += 'A';
+    all += static_cast<char>(b);
+    all += 'b';
+  }
+  for (bool keep_punctuation : {false, true}) {
+    std::vector<std::string> want;
+    std::string word;
+    for (char c : all) {
+      const auto u = static_cast<unsigned char>(c);
+      if (std::isalnum(u) != 0 || c == '\'' || c == '_') {
+        word += static_cast<char>(std::tolower(u));
+        continue;
+      }
+      if (!word.empty()) want.push_back(word);
+      word.clear();
+      if (keep_punctuation && std::ispunct(u) != 0) want.emplace_back(1, c);
+    }
+    if (!word.empty()) want.push_back(word);
+    TokenizerOptions opts;
+    opts.keep_punctuation = keep_punctuation;
+    EXPECT_EQ(Tokenizer(opts).Tokenize(all), want);
+  }
+  for (int b = 0; b < 256; ++b) {
+    const std::string s(1, static_cast<char>(b));
+    const auto u = static_cast<unsigned char>(b);
+    std::string want;
+    if (std::isalnum(u) != 0) want += static_cast<char>(std::tolower(u));
+    EXPECT_EQ(NormalizeForMatch(s), want) << "byte " << b;
+  }
+}
+
+TEST(TokenizerTest, TokenizeIntoReusesAndReplacesContents) {
+  Tokenizer tok;
+  std::vector<std::string> out = {"stale", "entries", "here", "too"};
+  tok.TokenizeInto("Hello, World!", &out);
+  EXPECT_EQ(out, tok.Tokenize("Hello, World!"));
+  tok.TokenizeInto("a much longer line of several words", &out);
+  EXPECT_EQ(out, tok.Tokenize("a much longer line of several words"));
+  tok.TokenizeInto("", &out);
+  EXPECT_TRUE(out.empty());
 }
 
 // ---- string metrics --------------------------------------------------------

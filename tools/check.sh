@@ -22,7 +22,11 @@
 #                   runs/seeds, Zipf skew + LRU hit-rate ordering, open-loop
 #                   pacing, max_queue=0 byte identity, and both shed
 #                   policies reconciling their admission ledgers under an
-#                   8-thread hammer; bench_fig4_meta_selection --smoke: the
+#                   8-thread hammer; bench_perf_substrate --smoke: every
+#                   featurized mention bag equals the string-building
+#                   reference hasher's and every block-reranked score equals
+#                   the tape's CrossEncoder::Score, bit for bit;
+#                   bench_fig4_meta_selection --smoke: the
 #                   paper's Fig. 4 shape, normal synthetic data selected
 #                   more often than injected bad data)
 #   2. asan-ubsan — METABLINK_SANITIZE=address,undefined build + full ctest
