@@ -403,16 +403,6 @@ std::size_t ClusteredIndex::ResolveNprobe(std::size_t nprobe) const {
   return std::clamp<std::size_t>(nprobe, 1, num_clusters());
 }
 
-std::size_t ClusteredIndex::ResolvePoolCap(std::size_t k) const {
-  std::size_t cap = options_.rescore_pool;
-  if (cap == 0) {
-    // PQ distortion is coarser than int8's, so its default pool carries a
-    // wider safety margin before the exact re-score.
-    cap = pq_built() ? std::max(4 * k, k + 192) : std::max(2 * k, k + 64);
-  }
-  return std::clamp(cap, k, size());
-}
-
 void ClusteredIndex::ScoreClusters(const float* query,
                                    std::vector<float>* scores) const {
   const std::size_t kc = num_clusters();
@@ -456,13 +446,17 @@ void ClusteredIndex::ScanLists(const float* query, std::size_t k,
   TopKScratch* topk = &scratch->topk;
   topk->heap.clear();
   topk->pool.clear();
-  const std::size_t pool_cap = ResolvePoolCap(k);
   if (pq_built()) {
     // PQ ADC scan keyed by row POSITION: per-list base term q·c (recovered
     // from the adjusted centroid score) plus pq_m table lookups per entry,
     // strip-scored by the dispatched kernel and offered to the bounded
     // pool, which RescoreAndSelect re-scores in fp32. One kernel per
-    // process, so serial and pooled scans build identical pools.
+    // process, so serial and pooled scans build identical pools. PQ
+    // distortion is coarse, so the default pool carries a wide margin.
+    const std::size_t pool_cap = std::clamp(
+        options_.rescore_pool != 0 ? options_.rescore_pool
+                                   : std::max(4 * k, k + 192),
+        k, size());
     PreparePqLut(query, &scratch->lut);
     for (const std::uint32_t c : probe) {
       const std::uint32_t lo = list_offsets_[c];
@@ -484,26 +478,6 @@ void ClusteredIndex::ScanLists(const float* query, std::size_t k,
     return;
   }
   const std::size_t d = base_->dim();
-  if (base_->quantized()) {
-    // Integer scan keyed by row POSITION: approximate scores feed the
-    // bounded candidate pool, which RescoreAndSelect re-scores in fp32.
-    // DotInt8 dispatches to AVX2 when available and is exact either way,
-    // so the pool is bit-identical to the scalar scan.
-    const float qscale = base_->QuantizeQueryInto(query, &topk->qquery);
-    const std::int8_t* qquery = topk->qquery.data();
-    for (const std::uint32_t c : probe) {
-      const std::uint32_t hi = list_offsets_[c + 1];
-      for (std::uint32_t idx = list_offsets_[c]; idx < hi; ++idx) {
-        const std::uint32_t pos = list_entries_[idx];
-        const std::int32_t acc =
-            internal::DotInt8(qquery, base_->QuantizedRowAt(pos), d);
-        const float score =
-            static_cast<float>(acc) * qscale * base_->QuantizedScaleAt(pos);
-        OfferCandidate({pos, score}, pool_cap, &topk->pool);
-      }
-    }
-    return;
-  }
   // fp32 scan keyed by entity ID with exact Dot scores: selection is final
   // here, which is what makes probe-all identical to the base index's
   // exhaustive TopKInto.
@@ -520,7 +494,7 @@ void ClusteredIndex::ScanLists(const float* query, std::size_t k,
 void ClusteredIndex::RescoreAndSelect(const float* query, std::size_t k,
                                       TopKScratch* scratch,
                                       std::vector<ScoredEntity>* out) const {
-  if (pq_built() || base_->quantized()) {
+  if (pq_built()) {
     const std::size_t d = base_->dim();
     scratch->heap.clear();
     for (const ScoredEntity& cand : scratch->pool) {

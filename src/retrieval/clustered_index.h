@@ -35,15 +35,15 @@ struct ClusteredIndexOptions {
   /// Clusters probed per query when the caller passes nprobe == 0.
   /// 0 → ceil(sqrt(num_clusters)).
   std::size_t default_nprobe = 0;
-  /// Candidate-pool width for the approximate list scan (int8 or PQ)
-  /// before exact fp32 re-scoring. 0 → max(2k, k + 64) at query time for
-  /// the int8 scan, max(4k, k + 192) for the PQ scan (PQ distortion is
-  /// coarser than int8's, so the pool carries a wider safety margin).
+  /// Candidate-pool width for the PQ list scan before exact fp32
+  /// re-scoring. 0 → max(4k, k + 192) at query time (PQ distortion is
+  /// coarse, so the pool carries a wide safety margin). The fp32 list scan
+  /// scores exactly and pools nothing, so it ignores this.
   std::size_t rescore_pool = 0;
   /// Train a product-quantized residual form during Build: per-subspace
   /// codebooks over (row − assigned centroid), one 8-bit code per subspace
   /// per entry. Probes then scan M-byte codes via per-query ADC tables
-  /// instead of d-byte int8 rows — the FAISS-style IVF-PQ memory layout.
+  /// instead of 4d-byte fp32 rows — the FAISS-style IVF-PQ memory layout.
   bool use_pq = false;
   /// PQ subspaces (codes per entry), each one 8-bit code (256 centroids).
   /// Clamped to [1, dim] at Build; dim need not divide evenly (subspace m
@@ -57,7 +57,7 @@ struct ClusteredScratch {
   std::vector<float> cluster_scores;
   /// Probed cluster ids, best centroid first.
   std::vector<std::uint32_t> probe;
-  /// Heap / pool / quantized-query buffers for the list scans.
+  /// Heap / pool / score-strip buffers for the list scans.
   TopKScratch topk;
   /// Per-query ADC lookup tables ([pq_m × 256] partial inner products),
   /// filled once per query when the index carries a PQ form.
@@ -73,11 +73,12 @@ struct ClusteredScratch {
 ///
 /// Probe protocol: score the query against every centroid (adjusted inner
 /// product, x·c − ½‖c‖², equivalent to nearest-centroid in Euclidean
-/// distance), visit the top-`nprobe` inverted lists, scan their rows — an
-/// ADC table scan over M-byte PQ codes when the index carries a PQ form,
-/// an integer int8 scan when the base index is quantized, fp32 otherwise —
-/// and exactly re-score the bounded candidate pool with tensor::Dot so the
-/// returned scores are true fp32 regardless of scan precision.
+/// distance), visit the top-`nprobe` inverted lists and scan their rows.
+/// With a PQ form the scan is an ADC table scan over M-byte codes whose
+/// bounded candidate pool is exactly re-scored with tensor::Dot, so the
+/// returned scores are true fp32; without one it scores the fp32 rows
+/// with tensor::Dot directly and selects the exact top-k of the probed
+/// lists.
 ///
 /// PQ form (options.use_pq): Build additionally trains per-subspace
 /// codebooks on the row residuals (row − assigned centroid) and stores one
@@ -85,8 +86,8 @@ struct ClusteredScratch {
 /// q·row ≈ q·c + Σ_m lut[m][code_m] with lut[m][j] = q_sub(m)·codebook[m][j]
 /// — M table lookups per entry instead of a d-wide dot — and the exact
 /// re-score of the pool removes the quantization error from everything it
-/// returns. The codes replace the int8 rows in the scan's working set:
-/// M + 4 bytes of scan payload per entry instead of d + 4.
+/// returns. The codes replace the fp32 rows in the scan's working set:
+/// M bytes of scan payload per entry instead of 4d.
 ///
 /// Exactness invariant: with nprobe == num_clusters() every row is visited
 /// and the result is identical (ids, scores, tie order) to the base
@@ -95,8 +96,8 @@ struct ClusteredScratch {
 /// latency; the R@64 overlap gate lives in bench_retrieval.
 ///
 /// The index borrows its base: Build/Load/Attach bind it to a DenseIndex
-/// that must stay alive and unmodified (Build()/Quantize() on the base
-/// invalidate the attachment). Serialization stores only the clustering
+/// that must stay alive and unmodified (Build() on the base invalidates
+/// the attachment). Serialization stores only the clustering
 /// (centroids + lists), never the rows — reload the base first, then
 /// Attach.
 ///
@@ -156,7 +157,7 @@ class ClusteredIndex {
   // ---- Product-quantized residual form ------------------------------------
 
   /// True when the index carries trained PQ codebooks + codes (probes then
-  /// use the ADC scan regardless of base quantization).
+  /// use the ADC scan).
   bool pq_built() const { return !pq_codebooks_.empty(); }
   /// Subspaces per entry (codes per row). 0 when !pq_built().
   std::size_t pq_m() const { return pq_m_; }
@@ -200,10 +201,9 @@ class ClusteredIndex {
   /// Pre: pq_built().
   void PreparePqLut(const float* query, std::vector<float>* lut) const;
   /// Scans the lists of `scratch->probe` into `scratch->topk`: PQ ADC
-  /// candidates keyed by position when the index carries a PQ form, int8
-  /// candidates keyed by position when the base is quantized (both bounded
-  /// by the rescore pool), exact fp32 hits keyed by id otherwise (bounded
-  /// by k). Pre: `scratch->cluster_scores` holds this query's scores.
+  /// candidates keyed by position, bounded by the rescore pool, when the
+  /// index carries a PQ form; exact fp32 hits keyed by id, bounded by k,
+  /// otherwise. Pre: `scratch->cluster_scores` holds this query's scores.
   void ScanLists(const float* query, std::size_t k,
                  ClusteredScratch* scratch) const;
   /// Exact fp32 re-score of pooled positions + final top-k selection.
@@ -211,7 +211,6 @@ class ClusteredIndex {
                         TopKScratch* scratch,
                         std::vector<ScoredEntity>* out) const;
   std::size_t ResolveNprobe(std::size_t nprobe) const;
-  std::size_t ResolvePoolCap(std::size_t k) const;
   /// Trains the residual codebooks and encodes every inverted-list entry.
   /// `assign` is the final per-row cluster assignment from Build.
   util::Status BuildPq(const DenseIndex& base,

@@ -121,8 +121,6 @@ util::Status DenseIndex::Build(tensor::Tensor embeddings,
   }
   embeddings_ = std::move(embeddings);
   ids_ = std::move(ids);
-  q_rows_.clear();
-  q_scales_.clear();
   UpdateMaxRowNorm();
   return util::Status::OK();
 }
@@ -355,62 +353,13 @@ std::vector<std::vector<ScoredEntity>> DenseIndex::BatchTopK(
   return out;
 }
 
-void DenseIndex::Quantize() {
-  const std::size_t n = ids_.size();
-  const std::size_t d = embeddings_.cols();
-  q_rows_.assign(n * d, 0);
-  q_scales_.assign(n, 0.0f);
-  for (std::size_t r = 0; r < n; ++r) {
-    const float* row = embeddings_.row_data(r);
-    float max_abs = 0.0f;
-    for (std::size_t j = 0; j < d; ++j) {
-      max_abs = std::max(max_abs, std::fabs(row[j]));
-    }
-    if (max_abs == 0.0f) continue;  // all-zero row quantizes to zeros
-    const float scale = max_abs / 127.0f;
-    q_scales_[r] = scale;
-    const float inv = 1.0f / scale;
-    std::int8_t* qrow = q_rows_.data() + r * d;
-    for (std::size_t j = 0; j < d; ++j) {
-      const float q = std::nearbyint(row[j] * inv);
-      qrow[j] = static_cast<std::int8_t>(
-          std::clamp(q, -127.0f, 127.0f));
-    }
-  }
-}
-
-float DenseIndex::QuantizeQueryInto(const float* query,
-                                    std::vector<std::int8_t>* out) const {
-  const std::size_t d = embeddings_.cols();
-  float qmax = 0.0f;
-  for (std::size_t j = 0; j < d; ++j) {
-    qmax = std::max(qmax, std::fabs(query[j]));
-  }
-  out->resize(d);
-  if (qmax == 0.0f) {
-    std::fill(out->begin(), out->end(), static_cast<std::int8_t>(0));
-    return 0.0f;
-  }
-  const float qscale = qmax / 127.0f;
-  const float inv = 1.0f / qscale;
-  for (std::size_t j = 0; j < d; ++j) {
-    (*out)[j] = static_cast<std::int8_t>(
-        std::clamp(std::nearbyint(query[j] * inv), -127.0f, 127.0f));
-  }
-  return qscale;
-}
-
 void DenseIndex::Save(util::BinaryWriter* writer) const {
   writer->WriteU32(kIndexTag);
   writer->WriteU64(ids_.size());
   writer->WriteU64(embeddings_.cols());
   writer->WriteU32Vector(ids_);
   writer->WriteFloatVector(embeddings_.data());
-  writer->WriteU32(quantized() ? 1u : 0u);
-  if (quantized()) {
-    writer->WriteByteVector(q_rows_);
-    writer->WriteFloatVector(q_scales_);
-  }
+  writer->WriteU32(0u);
 }
 
 util::Status DenseIndex::Load(util::BinaryReader* reader) {
@@ -429,11 +378,15 @@ util::Status DenseIndex::Load(util::BinaryReader* reader) {
   if (ids.size() != n || flat.size() != n * d || n == 0) {
     return util::Status::InvalidArgument("corrupt DenseIndex snapshot");
   }
-  std::uint32_t has_quant = 0;
-  METABLINK_RETURN_IF_ERROR(reader->ReadU32(&has_quant));
-  std::vector<std::int8_t> q_rows;
-  std::vector<float> q_scales;
-  if (has_quant != 0) {
+  // Flag 1 marks a legacy int8 row form: bounds-check it, then drop it.
+  std::uint32_t legacy_int8 = 0;
+  METABLINK_RETURN_IF_ERROR(reader->ReadU32(&legacy_int8));
+  if (legacy_int8 > 1) {
+    return util::Status::InvalidArgument("unknown DenseIndex payload flag");
+  }
+  if (legacy_int8 == 1) {
+    std::vector<std::int8_t> q_rows;
+    std::vector<float> q_scales;
     METABLINK_RETURN_IF_ERROR(reader->ReadByteVector(&q_rows));
     METABLINK_RETURN_IF_ERROR(reader->ReadFloatVector(&q_scales));
     if (q_rows.size() != n * d || q_scales.size() != n) {
@@ -444,8 +397,6 @@ util::Status DenseIndex::Load(util::BinaryReader* reader) {
   embeddings_ = tensor::Tensor(static_cast<std::size_t>(n),
                                static_cast<std::size_t>(d), std::move(flat));
   ids_ = std::move(ids);
-  q_rows_ = std::move(q_rows);
-  q_scales_ = std::move(q_scales);
   UpdateMaxRowNorm();
   return util::Status::OK();
 }

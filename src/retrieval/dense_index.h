@@ -31,8 +31,6 @@ struct TopKScratch {
   std::vector<ScoredEntity> heap;
   /// Per-block score strip used by the single-query scans.
   std::vector<float> scores;
-  /// Symmetric-quantized query (ClusteredIndex's int8 list scan).
-  std::vector<std::int8_t> qquery;
   /// Candidate pool surviving the approximate scan, before exact re-scoring.
   std::vector<ScoredEntity> pool;
 };
@@ -60,16 +58,14 @@ struct BatchTopKScratch {
 /// those of a tensor::Dot scan over every row, bit for bit. Queries
 /// parallelize over an optional thread pool.
 ///
-/// An optional int8 symmetric-quantized form (Quantize) is stored beside
-/// the fp32 rows and persisted with them. This class never scans it: it is
-/// the row storage of ClusteredIndex's int8 list scan, which re-scores its
-/// candidate pool in fp32 from the rows here.
+/// The fp32 rows are the only stored form: ClusteredIndex's list scans and
+/// its exact re-score read them from here.
 class DenseIndex {
  public:
   DenseIndex() = default;
 
   /// Builds the index. `embeddings` row i is the vector of `ids[i]`.
-  /// Pre: embeddings.rows() == ids.size(). Drops any previous int8 form.
+  /// Pre: embeddings.rows() == ids.size().
   util::Status Build(tensor::Tensor embeddings, std::vector<kb::EntityId> ids);
 
   std::size_t size() const { return ids_.size(); }
@@ -116,46 +112,21 @@ class DenseIndex {
       const tensor::Tensor& queries, std::size_t k,
       util::ThreadPool* pool = nullptr) const;
 
-  // ---- Int8 symmetric quantization ---------------------------------------
-
-  /// Builds the per-row symmetric int8 form: q[r][j] = round(x[r][j] / s_r)
-  /// with s_r = max_j |x[r][j]| / 127. Idempotent; rebuilt by Build.
-  void Quantize();
-  bool quantized() const { return !q_rows_.empty(); }
-
-  /// Heap bytes of the int8 form (rows + per-row scales); 0 until
-  /// Quantize(). The bench's bytes/entity column divides this by size().
-  std::size_t QuantizedMemoryBytes() const {
-    return q_rows_.size() * sizeof(std::int8_t) +
-           q_scales_.size() * sizeof(float);
-  }
-
   // ---- Persistence --------------------------------------------------------
 
-  /// Serializes the index (fp32 rows, ids, and the int8 form if built), so
-  /// a served KB reloads without re-encoding entities.
+  /// Serializes the index (fp32 rows and ids), so a served KB reloads
+  /// without re-encoding entities. The trailing u32 flag word is always 0.
   void Save(util::BinaryWriter* writer) const;
+  /// Loads a Save payload. Older snapshots set the flag to 1 and append an
+  /// int8 row form (n·d bytes, then n float scales); that payload is
+  /// bounds-checked and dropped. Any other flag is InvalidArgument.
   util::Status Load(util::BinaryReader* reader);
 
-  /// The raw stored embedding row for position `i` (test/diagnostic use).
+  /// The raw stored embedding row for position `i` (ClusteredIndex's list
+  /// scans and re-score, tests).
   const float* EmbeddingAt(std::size_t i) const {
     return embeddings_.row_data(i);
   }
-
-  // ---- Row access for layered indexes (ClusteredIndex) -------------------
-
-  /// Int8 row at position `i`. Pre: quantized().
-  const std::int8_t* QuantizedRowAt(std::size_t i) const {
-    return q_rows_.data() + i * embeddings_.cols();
-  }
-  /// Dequantization scale of row `i`. Pre: quantized().
-  float QuantizedScaleAt(std::size_t i) const { return q_scales_[i]; }
-
-  /// Symmetric int8 quantization of one query (the same scheme as the
-  /// stored rows), written into `*out` (resized to dim()). Returns the
-  /// query's dequantization scale (0 for an all-zero query).
-  float QuantizeQueryInto(const float* query,
-                          std::vector<std::int8_t>* out) const;
 
  private:
   /// Offers entities [e_begin, e_begin + count) with the given scores to
@@ -195,10 +166,6 @@ class DenseIndex {
   /// Largest L2 norm of any stored row (+inf if a row is non-finite);
   /// derived from embeddings_, never serialized.
   double max_row_norm_ = 0.0;
-  /// Int8 rows, row-major [size, dim]; empty until Quantize().
-  std::vector<std::int8_t> q_rows_;
-  /// Per-row dequantization scales.
-  std::vector<float> q_scales_;
 };
 
 }  // namespace metablink::retrieval

@@ -215,50 +215,6 @@ __attribute__((target("avx2,fma"))) void ScoreTileAvx2(
 
 #endif  // METABLINK_SCORE_KERNEL_X86
 
-// Portable int8 dot: plain int32 accumulation — integer arithmetic is
-// associative, so any re-ordering (including the SIMD path's) yields the
-// same value exactly.
-std::int32_t DotInt8Scalar(const std::int8_t* a, const std::int8_t* b,
-                           std::size_t d) {
-  std::int32_t acc = 0;
-  for (std::size_t p = 0; p < d; ++p) {
-    acc += static_cast<std::int32_t>(a[p]) * static_cast<std::int32_t>(b[p]);
-  }
-  return acc;
-}
-
-#ifdef METABLINK_SCORE_KERNEL_X86
-
-// 16 int8 lanes per step: sign-extend both operands to int16, multiply and
-// pairwise-add into int32 with vpmaddwd. Each madd lane holds the exact sum
-// of two int16 products (max magnitude 2 * 127 * 127, far inside int16-pair
-// -> int32 range), and the int32 accumulator is exact for any realistic d,
-// so the result is bit-identical to DotInt8Scalar.
-__attribute__((target("avx2"))) std::int32_t DotInt8Avx2(
-    const std::int8_t* a, const std::int8_t* b, std::size_t d) {
-  const std::size_t d16 = d & ~std::size_t{15};
-  __m256i acc = _mm256_setzero_si256();
-  for (std::size_t p = 0; p < d16; p += 16) {
-    const __m256i av = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + p)));
-    const __m256i bv = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + p)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, bv));
-  }
-  const __m128i lo = _mm256_castsi256_si128(acc);
-  const __m128i hi = _mm256_extracti128_si256(acc, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4E));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xB1));
-  std::int32_t sum = _mm_cvtsi128_si32(s);
-  for (std::size_t p = d16; p < d; ++p) {
-    sum += static_cast<std::int32_t>(a[p]) * static_cast<std::int32_t>(b[p]);
-  }
-  return sum;
-}
-
-#endif  // METABLINK_SCORE_KERNEL_X86
-
 // Portable ADC fallback: one table lookup per (entry, subspace). The adds
 // run left-to-right over subspaces — a fixed order, so repeated scans of
 // the same codes are bit-identical.
@@ -310,8 +266,6 @@ __attribute__((target("avx2,fma"))) void PqAdcScoresAvx2(
 
 using TileFn = void (*)(const float*, const float*, float*, std::size_t,
                         std::size_t, std::size_t);
-using DotInt8Fn = std::int32_t (*)(const std::int8_t*, const std::int8_t*,
-                                   std::size_t);
 
 // One-time dispatch: the CPU's capabilities cannot change mid-process, so
 // every call (from any thread) sees the same implementation.
@@ -325,17 +279,6 @@ TileFn ResolveTileFn() {
 }
 
 const TileFn g_tile_fn = ResolveTileFn();
-
-DotInt8Fn ResolveDotInt8Fn() {
-#ifdef METABLINK_SCORE_KERNEL_X86
-  if (__builtin_cpu_supports("avx2")) {
-    return &DotInt8Avx2;
-  }
-#endif
-  return &DotInt8Scalar;
-}
-
-const DotInt8Fn g_dot_int8_fn = ResolveDotInt8Fn();
 
 using PqAdcFn = void (*)(const float*, const std::uint8_t*, std::size_t,
                          std::size_t, float, float*);
@@ -360,13 +303,6 @@ void ScoreTileF32(const float* queries, const float* entities, float* tile,
 }
 
 bool ScoreTileUsesSimd() { return g_tile_fn != &ScoreTileScalar; }
-
-std::int32_t DotInt8(const std::int8_t* a, const std::int8_t* b,
-                     std::size_t d) {
-  return g_dot_int8_fn(a, b, d);
-}
-
-bool DotInt8UsesSimd() { return g_dot_int8_fn != &DotInt8Scalar; }
 
 void PqAdcScores(const float* lut, const std::uint8_t* codes,
                  std::size_t count, std::size_t m_sub, float base,

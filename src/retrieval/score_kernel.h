@@ -14,7 +14,7 @@ namespace metablink::retrieval::internal {
 /// Selection-grade numerics: scores are accumulated in fp32 with a
 /// SIMD-friendly order that differs from tensor::Dot's double-chain sum.
 /// Callers that surface scores re-score their survivors with tensor::Dot
-/// (the same approximate-scan → exact-re-score protocol as the int8 path),
+/// (the same approximate-scan → exact-re-score protocol as the PQ scan),
 /// so returned scores carry no kernel-dependent error. The kernel is
 /// deterministic on a given machine: one implementation is selected at
 /// process start and used for every call, so serial and pooled scans
@@ -25,18 +25,6 @@ void ScoreTileF32(const float* queries, const float* entities, float* tile,
 /// True when the runtime-dispatched AVX2+FMA tile kernel is active (x86
 /// with AVX2/FMA support); false on the portable scalar fallback.
 bool ScoreTileUsesSimd();
-
-/// Exact int8 inner product: sum of a[p] * b[p] widened to int32. Both the
-/// SIMD and scalar implementations compute the identical integer (widening
-/// products cannot overflow int16*2 -> int32 for any d <= 2^16), so the
-/// quantized candidate pool is bit-identical whichever kernel is dispatched
-/// — the same contract the clustered-index probe and TopKQuantized rely on.
-std::int32_t DotInt8(const std::int8_t* a, const std::int8_t* b,
-                     std::size_t d);
-
-/// True when the runtime-dispatched AVX2 int8 dot kernel is active; false
-/// on the portable scalar fallback.
-bool DotInt8UsesSimd();
 
 /// ADC (asymmetric distance computation) strip for a product-quantized
 /// inverted list: out[i] = base + sum_m lut[m * 256 + codes[i * m_sub + m]],

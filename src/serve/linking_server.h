@@ -233,9 +233,8 @@ struct ServerStats {
 ///
 /// Stage 1 takes one of two paths, fixed per model version by what its
 /// artifacts ship: the clustered (IVF / IVF-PQ) probe of a bundle's
-/// "clustered" artifact, else the exact fp32 scan of the index (also for
-/// a quantized index: its int8 rows serve only the clustered probe). The
-/// probe re-scores its candidates in fp32, so scores are identical to
+/// "clustered" artifact, else the exact fp32 scan of the index. The probe
+/// scores its hits in fp32, so scores are identical to
 /// eval::DomainSide::Link's (FewShotLinker::Link's) whenever the true
 /// top-k is found.
 class LinkingServer {

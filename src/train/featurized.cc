@@ -40,12 +40,16 @@ std::vector<FeaturizedInstance> TrainingFeatures::Instances(
   }
   std::vector<FeaturizedInstance> out;
   out.reserve(instances.size());
+  model::MentionText text;
   model::MentionTokens mention_tokens;
   for (const CrossInstance& inst : instances) {
+    // One tokenization feeds both the bag and the overlap rows.
+    model::TokenizeMention(inst.example, &text);
     FeaturizedInstance rec;
-    rec.mention =
-        &mention_bags_.emplace_back(featurizer_.MentionBag(inst.example));
-    featurizer_.PrecomputeMentionTokens(inst.example, vocab_,
+    Bag& bag = mention_bags_.emplace_back();
+    featurizer_.MentionBagInto(text, &bag);
+    rec.mention = &bag;
+    featurizer_.PrecomputeMentionTokens(inst.example, text, vocab_,
                                         &mention_tokens);
     const std::size_t c = inst.candidates.size();
     rec.candidates.reserve(c);

@@ -36,7 +36,7 @@ class BinaryWriter {
   void WriteString(const std::string& s);
   void WriteFloatVector(const std::vector<float>& v);
   void WriteU32Vector(const std::vector<std::uint32_t>& v);
-  /// Length-prefixed raw byte blob (int8 index payloads, packed structs).
+  /// Length-prefixed raw byte blob (PQ codes, packed structs).
   void WriteByteVector(const std::vector<std::int8_t>& v);
   /// Appends `n` bytes verbatim — no length prefix. Used by the checkpoint
   /// container to splice already-encoded section payloads.

@@ -129,33 +129,6 @@ TEST(ClusteredIndexTest, ProbeAllMatchesExhaustiveExactly) {
   }
 }
 
-TEST(ClusteredIndexTest, QuantizedProbeAllFullPoolMatchesExact) {
-  // Int8 per-cell scan + full-size rescore pool + probe-all: the true top-k
-  // cannot fall out of the pool, so the fp32-rescored result equals the
-  // exhaustive fp32 scan exactly.
-  const std::size_t n = 500, d = 24;
-  DenseIndex base;
-  ASSERT_TRUE(base.Build(RandomEmbeddings(n, d, 7), Iota(n)).ok());
-  base.Quantize();
-  ClusteredIndexOptions options;
-  options.rescore_pool = n;
-  ClusteredIndex clustered;
-  ASSERT_TRUE(clustered.Build(base, options).ok());
-
-  util::Rng rng(8);
-  TopKScratch base_scratch;
-  ClusteredScratch probe_scratch;
-  std::vector<ScoredEntity> exact, probed;
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<float> q(d);
-    for (float& v : q) v = rng.NextFloat(-1, 1);
-    base.TopKInto(q.data(), 12, &base_scratch, &exact);
-    clustered.TopKInto(q.data(), 12, clustered.num_clusters(), &probe_scratch,
-                       &probed);
-    ExpectSameHits(exact, probed);
-  }
-}
-
 TEST(ClusteredIndexTest, RecallAt64AtDefaultNprobe) {
   // The acceptance gate in miniature: clustered data, default nprobe, R@64
   // overlap with the exhaustive top-64 must stay >= 0.98.
@@ -305,49 +278,57 @@ TEST(ClusteredIndexTest, LoadRejectsGarbage) {
 TEST(ClusteredIndexTest, ConcurrentQueryHammer) {
   // 8 threads hammer the same immutable index concurrently, each with
   // private scratch, and check their results against precomputed answers;
-  // under TSan this doubles as the data-race check for the probe path.
+  // under TSan this doubles as the data-race check for both list scans:
+  // the exact fp32 lists and the pooled PQ codes.
   const std::size_t n = 2000, d = 16, k = 12;
   DenseIndex base;
   ASSERT_TRUE(base.Build(MixtureEmbeddings(n, d, 8, 0.2f, 81), Iota(n)).ok());
-  base.Quantize();
-  ClusteredIndex clustered;
-  ASSERT_TRUE(clustered.Build(base, {}).ok());
-
   const std::size_t num_queries = 32;
   tensor::Tensor queries = RandomEmbeddings(num_queries, d, 82);
-  std::vector<std::vector<ScoredEntity>> expected(num_queries);
-  {
-    ClusteredScratch scratch;
-    for (std::size_t i = 0; i < num_queries; ++i) {
-      clustered.TopKInto(queries.row_data(i), k, 0, &scratch, &expected[i]);
-    }
-  }
 
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
+  for (const bool use_pq : {false, true}) {
+    SCOPED_TRACE(use_pq ? "pq codes" : "fp32 lists");
+    ClusteredIndexOptions options;
+    options.use_pq = use_pq;
+    ClusteredIndex clustered;
+    ASSERT_TRUE(clustered.Build(base, options).ok());
+    ASSERT_EQ(clustered.pq_built(), use_pq);
+
+    std::vector<std::vector<ScoredEntity>> expected(num_queries);
+    {
       ClusteredScratch scratch;
-      std::vector<ScoredEntity> hits;
-      for (int round = 0; round < 25; ++round) {
-        const std::size_t i = (t * 25 + round) % num_queries;
-        clustered.TopKInto(queries.row_data(i), k, 0, &scratch, &hits);
-        if (hits.size() != expected[i].size()) {
-          ++mismatches;
-          continue;
-        }
-        for (std::size_t r = 0; r < hits.size(); ++r) {
-          if (hits[r].id != expected[i][r].id ||
-              hits[r].score != expected[i][r].score) {
+      for (std::size_t i = 0; i < num_queries; ++i) {
+        clustered.TopKInto(queries.row_data(i), k, 0, &scratch,
+                           &expected[i]);
+      }
+    }
+
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 8; ++t) {
+      threads.emplace_back([&, t] {
+        ClusteredScratch scratch;
+        std::vector<ScoredEntity> hits;
+        for (int round = 0; round < 25; ++round) {
+          const std::size_t i = (t * 25 + round) % num_queries;
+          clustered.TopKInto(queries.row_data(i), k, 0, &scratch, &hits);
+          if (hits.size() != expected[i].size()) {
             ++mismatches;
-            break;
+            continue;
+          }
+          for (std::size_t r = 0; r < hits.size(); ++r) {
+            if (hits[r].id != expected[i][r].id ||
+                hits[r].score != expected[i][r].score) {
+              ++mismatches;
+              break;
+            }
           }
         }
-      }
-    });
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(mismatches.load(), 0);
   }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(ClusteredIndexPqTest, BuildValidatesPqOptions) {
@@ -440,50 +421,6 @@ TEST(ClusteredIndexPqTest, PqRecallAt64AtDefaultNprobe) {
     overlap_sum += static_cast<double>(overlap) / static_cast<double>(k);
   }
   EXPECT_GE(overlap_sum / trials, 0.98);
-}
-
-TEST(ClusteredIndexPqTest, PqScanPrecedenceOverInt8) {
-  // A PQ form on a quantized base must probe through ADC, not the int8
-  // rows. The re-score pool is as narrow as k, so the approximate scans'
-  // candidate pools show through in the hits: the quantized-base PQ index
-  // must answer exactly like the same PQ build over an unquantized copy,
-  // and unlike the int8-scan index over the same clustering.
-  const std::size_t n = 1500, d = 16, k = 8;
-  const tensor::Tensor emb = MixtureEmbeddings(n, d, 8, 0.2f, 121);
-  DenseIndex quantized, fp32;
-  ASSERT_TRUE(quantized.Build(emb, Iota(n)).ok());
-  ASSERT_TRUE(fp32.Build(emb, Iota(n)).ok());
-  quantized.Quantize();
-  ClusteredIndexOptions options;
-  options.rescore_pool = k;
-  ClusteredIndex int8_scan;
-  ASSERT_TRUE(int8_scan.Build(quantized, options).ok());
-  options.use_pq = true;
-  ClusteredIndex pq_on_int8, pq_on_fp32;
-  ASSERT_TRUE(pq_on_int8.Build(quantized, options).ok());
-  ASSERT_TRUE(pq_on_fp32.Build(fp32, options).ok());
-
-  util::Rng rng(122);
-  ClusteredScratch scratch;
-  std::vector<ScoredEntity> pq_hits, reference_hits, int8_hits;
-  int differs_from_int8 = 0;
-  for (int trial = 0; trial < 40; ++trial) {
-    std::vector<float> q(d);
-    for (float& v : q) v = rng.NextFloat(-1, 1);
-    pq_on_int8.TopKInto(q.data(), k, 0, &scratch, &pq_hits);
-    pq_on_fp32.TopKInto(q.data(), k, 0, &scratch, &reference_hits);
-    int8_scan.TopKInto(q.data(), k, 0, &scratch, &int8_hits);
-    ExpectSameHits(pq_hits, reference_hits);
-    const bool same = pq_hits.size() == int8_hits.size() &&
-                      std::equal(pq_hits.begin(), pq_hits.end(),
-                                 int8_hits.begin(),
-                                 [](const ScoredEntity& a,
-                                    const ScoredEntity& b) {
-                                   return a.id == b.id && a.score == b.score;
-                                 });
-    if (!same) ++differs_from_int8;
-  }
-  EXPECT_GT(differs_from_int8, 0);
 }
 
 TEST(ClusteredIndexPqTest, PqDeterministicBuildIsByteIdentical) {

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <functional>
+#include <tuple>
 
 #include "retrieval/dense_index.h"
 #include "retrieval/score_kernel.h"
@@ -232,7 +232,6 @@ TEST(DenseIndexTest, EdgeCaseKZeroAndKOversizedAllPaths) {
   const std::size_t n = 15, d = 4;
   DenseIndex index;
   ASSERT_TRUE(index.Build(RandomEmbeddings(n, d, 41), Iota(n)).ok());
-  index.Quantize();
   float q[4] = {1, 0, -1, 0};
 
   EXPECT_TRUE(index.TopK(q, 0).empty());
@@ -321,37 +320,10 @@ TEST(DenseIndexTest, BatchTopKMatchesSingle) {
   }
 }
 
-TEST(DenseIndexTest, QuantizeHandlesZeroRows) {
-  tensor::Tensor emb(3, 4);
-  emb.at(1, 2) = 0.5f;  // rows 0 and 2 stay all-zero
-  DenseIndex index;
-  ASSERT_TRUE(index.Build(emb, Iota(3)).ok());
-  EXPECT_FALSE(index.quantized());
-  index.Quantize();
-  ASSERT_TRUE(index.quantized());
-  EXPECT_EQ(index.QuantizedMemoryBytes(),
-            3 * 4 * sizeof(std::int8_t) + 3 * sizeof(float));
-  // An all-zero row gets scale 0 and zero codes.
-  for (const std::size_t r : {0u, 2u}) {
-    EXPECT_EQ(index.QuantizedScaleAt(r), 0.0f) << "row " << r;
-    for (std::size_t j = 0; j < 4; ++j) {
-      EXPECT_EQ(index.QuantizedRowAt(r)[j], 0) << "row " << r;
-    }
-  }
-  // Row 1's only nonzero entry is its max |x|: scale 0.5/127, code 127.
-  EXPECT_EQ(index.QuantizedScaleAt(1), 0.5f / 127.0f);
-  const std::int8_t* row1 = index.QuantizedRowAt(1);
-  EXPECT_EQ(row1[0], 0);
-  EXPECT_EQ(row1[1], 0);
-  EXPECT_EQ(row1[2], 127);
-  EXPECT_EQ(row1[3], 0);
-}
-
 TEST(DenseIndexTest, SaveLoadRoundTrip) {
   const std::size_t n = 64, d = 8;
   DenseIndex index;
   ASSERT_TRUE(index.Build(RandomEmbeddings(n, d, 21), Iota(n)).ok());
-  index.Quantize();
   store::CheckpointWriter ckpt;
   index.Save(ckpt.AddSection("index"));
   auto parsed = store::CheckpointReader::Parse(ckpt.Serialize());
@@ -363,7 +335,6 @@ TEST(DenseIndexTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(restored.Load(&*section).ok());
   EXPECT_EQ(restored.size(), n);
   EXPECT_EQ(restored.dim(), d);
-  EXPECT_TRUE(restored.quantized());
 
   util::Rng rng(22);
   TopKScratch scratch;
@@ -377,29 +348,95 @@ TEST(DenseIndexTest, SaveLoadRoundTrip) {
     EXPECT_EQ(a[i].id, b[i].id);
     EXPECT_EQ(a[i].score, b[i].score);
   }
-  // The int8 form round-trips byte for byte.
-  for (std::size_t r = 0; r < n; ++r) {
-    EXPECT_EQ(std::memcmp(restored.QuantizedRowAt(r), index.QuantizedRowAt(r),
-                          d * sizeof(std::int8_t)),
-              0)
-        << "row " << r;
-    const float scale_a = index.QuantizedScaleAt(r);
-    const float scale_b = restored.QuantizedScaleAt(r);
-    EXPECT_EQ(std::memcmp(&scale_a, &scale_b, sizeof(float)), 0)
-        << "row " << r;
-  }
+  // Re-saving the restored index reproduces the snapshot byte for byte.
+  util::BinaryWriter first, second;
+  index.Save(&first);
+  restored.Save(&second);
+  EXPECT_EQ(first.buffer(), second.buffer());
 }
 
-TEST(DenseIndexTest, SaveLoadWithoutQuantizedForm) {
-  DenseIndex index;
-  ASSERT_TRUE(index.Build(RandomEmbeddings(10, 4, 23), Iota(10)).ok());
-  util::BinaryWriter writer;
-  index.Save(&writer);
-  util::BinaryReader reader(writer.TakeBuffer());
-  DenseIndex restored;
-  ASSERT_TRUE(restored.Load(&reader).ok());
-  EXPECT_FALSE(restored.quantized());
-  EXPECT_EQ(restored.size(), 10u);
+// The snapshot layout older builds wrote for a quantized index: the fp32
+// snapshot with flag 1, then an int8 row form of `int8_bytes` bytes and
+// `scales` per-row floats.
+void WriteLegacySnapshot(const tensor::Tensor& emb,
+                         const std::vector<kb::EntityId>& ids,
+                         std::uint32_t flag, std::size_t int8_bytes,
+                         std::size_t scales, util::BinaryWriter* writer) {
+  writer->WriteU32(0x44584e49u);  // "INXD"
+  writer->WriteU64(ids.size());
+  writer->WriteU64(emb.cols());
+  writer->WriteU32Vector(ids);
+  writer->WriteFloatVector(emb.data());
+  writer->WriteU32(flag);
+  writer->WriteByteVector(std::vector<std::int8_t>(int8_bytes, 7));
+  writer->WriteFloatVector(std::vector<float>(scales, 0.25f));
+}
+
+TEST(DenseIndexTest, LegacyInt8SnapshotLoadsAsFp32) {
+  const std::size_t n = 6, d = 4;
+  const tensor::Tensor emb = RandomEmbeddings(n, d, 25);
+  DenseIndex fp32;
+  ASSERT_TRUE(fp32.Build(emb, Iota(n)).ok());
+  const auto load = [&](std::uint32_t flag, std::size_t int8_bytes,
+                        std::size_t scales, DenseIndex* out) {
+    util::BinaryWriter writer;
+    WriteLegacySnapshot(emb, Iota(n), flag, int8_bytes, scales, &writer);
+    util::BinaryReader reader(writer.TakeBuffer());
+    return out->Load(&reader);
+  };
+
+  // The int8 payload is checked and dropped: the index answers and
+  // re-saves exactly as the fp32 one.
+  DenseIndex legacy;
+  ASSERT_TRUE(load(1, n * d, n, &legacy).ok());
+  util::Rng rng(26);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<float> q(d);
+    for (float& v : q) v = rng.NextFloat(-1, 1);
+    const auto want = fp32.TopK(q.data(), 4);
+    const auto got = legacy.TopK(q.data(), 4);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].id, want[i].id);
+      EXPECT_EQ(got[i].score, want[i].score);
+    }
+  }
+  util::BinaryWriter want_bytes, got_bytes;
+  fp32.Save(&want_bytes);
+  legacy.Save(&got_bytes);
+  EXPECT_EQ(got_bytes.buffer(), want_bytes.buffer());
+
+  // A payload of the wrong shape, or an unknown flag, is rejected.
+  for (const auto& [flag, int8_bytes, scales] :
+       {std::tuple<std::uint32_t, std::size_t, std::size_t>{1, n * d - 1, n},
+        {1, n * d, n - 1},
+        {2, n * d, n}}) {
+    DenseIndex victim;
+    EXPECT_EQ(load(flag, int8_bytes, scales, &victim).code(),
+              util::StatusCode::kInvalidArgument)
+        << "flag " << flag << " bytes " << int8_bytes << " scales " << scales;
+  }
+
+  // Framed as a bundle's "index" artifact, every single bit flip fails
+  // with a clean Status.
+  store::CheckpointWriter ckpt;
+  WriteLegacySnapshot(emb, Iota(n), 1, n * d, n, ckpt.AddSection("index"));
+  const std::vector<std::uint8_t> bytes = ckpt.Serialize();
+  for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
+    for (std::uint8_t bit : {std::uint8_t{0x01}, std::uint8_t{0x80}}) {
+      std::vector<std::uint8_t> flipped = bytes;
+      flipped[byte] ^= bit;
+      auto parsed = store::CheckpointReader::Parse(std::move(flipped));
+      util::Status status = parsed.status();
+      if (parsed.ok()) {
+        auto section = parsed->Section("index");
+        DenseIndex victim;
+        status = section.ok() ? victim.Load(&*section) : section.status();
+      }
+      EXPECT_FALSE(status.ok())
+          << "bit flip at byte " << byte << " went undetected";
+    }
+  }
 }
 
 TEST(DenseIndexTest, LoadRejectsGarbage) {

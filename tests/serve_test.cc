@@ -43,8 +43,6 @@ core::PipelineConfig TestConfig() {
 /// retrieves.
 struct RetrievalForm {
   const char* name = "plain";
-  /// Ship the dense index with its int8 form.
-  bool quantized = false;
   /// Ship a "clustered" artifact whose saved default nprobe probes every
   /// cell, so the probe path answers exactly like the exhaustive scan.
   bool clustered = false;
@@ -99,7 +97,6 @@ class ServeTest : public ::testing::Test {
                                ids, corpus_->kb),
                            ids)
                     .ok());
-    if (form.quantized) index.Quantize();
     std::vector<kb::Entity> entities;
     for (kb::EntityId id : ids) entities.push_back(corpus_->kb.entity(id));
     model::CrossEntityCache cache;
@@ -474,20 +471,9 @@ TEST_F(ServeTest, ServerMatchesTapeReference) {
 }
 
 // The bundle decides how stage 1 retrieves. Every form below is exact on
-// this KB — a quantized index without a clustered artifact is served by the
-// fp32 scan, the clustered artifacts probe every cell, and PQ keeps a full
+// this KB — the clustered artifacts probe every cell, and PQ keeps a full
 // re-score pool — so each must answer bit-identically to the plain server,
 // while Stats() reports which layout answered.
-
-TEST_F(ServeTest, QuantizedServerMatchesFp32Server) {
-  RetrievalForm int8;
-  int8.name = "quantized";
-  int8.quantized = true;
-  std::unique_ptr<LinkingServer> plain, quantized;
-  ASSERT_NO_FATAL_FAILURE(ServePlain(&plain));
-  ASSERT_NO_FATAL_FAILURE(ServeForm(int8, /*version=*/9, &quantized));
-  ExpectSameServing(plain.get(), quantized.get());
-}
 
 TEST_F(ServeTest, ClusteredServerProbeAllMatchesFp32Server) {
   // A clustered artifact saved with a probe-all default nprobe visits every

@@ -11,10 +11,10 @@
 #                   parity on another host
 #   1. default    — RelWithDebInfo build + full ctest suite, including the
 #                   label "smoke" bench gates (bench_serving --smoke and
-#                   --cascade-smoke, bench_retrieval --smoke and --pq-smoke:
+#                   --cascade-smoke, bench_retrieval --smoke:
 #                   tape/tape-free parity, cascade-off byte identity,
 #                   probe-all == exhaustive,
-#                   PQ full-pool parity, deterministic rebuilds;
+#                   PQ full-pool parity, deterministic rebuilds, PQ bytes;
 #                   bench_checkpoint --smoke: checkpoint round-trip and
 #                   kill/resume bit-identity, and the hot-swap hammer where
 #                   every Link must succeed and every swap publish;
