@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <tuple>
 
@@ -353,6 +354,34 @@ TEST(DenseIndexTest, SaveLoadRoundTrip) {
   index.Save(&first);
   restored.Save(&second);
   EXPECT_EQ(first.buffer(), second.buffer());
+}
+
+TEST(DenseIndexTest, SaveLoadWithoutQuantizedForm) {
+  DenseIndex index;
+  ASSERT_TRUE(index.Build(RandomEmbeddings(10, 4, 23), Iota(10)).ok());
+  util::BinaryWriter writer;
+  index.Save(&writer);
+  // The payload ends with flag 0: no int8 row form follows the fp32 rows.
+  const std::vector<std::uint8_t>& bytes = writer.buffer();
+  ASSERT_GE(bytes.size(), sizeof(std::uint32_t));
+  std::uint32_t flag = 1;
+  std::memcpy(&flag, bytes.data() + bytes.size() - sizeof(flag), sizeof(flag));
+  EXPECT_EQ(flag, 0u);
+
+  util::BinaryReader reader(writer.TakeBuffer());
+  DenseIndex restored;
+  ASSERT_TRUE(restored.Load(&reader).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(restored.size(), 10u);
+  EXPECT_EQ(restored.dim(), 4u);
+  const std::vector<float> q = {0.5f, -0.25f, 1.0f, 0.125f};
+  const auto want = index.TopK(q.data(), 10);
+  const auto got = restored.TopK(q.data(), 10);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id);
+    EXPECT_EQ(got[i].score, want[i].score);
+  }
 }
 
 // The snapshot layout older builds wrote for a quantized index: the fp32
