@@ -48,24 +48,19 @@ int ExpectedArity(OpKind kind) {
       return 0;
     case OpKind::kScale:
     case OpKind::kTanh:
-    case OpKind::kRelu:
-    case OpKind::kSigmoid:
     case OpKind::kRowL2Normalize:
     case OpKind::kBroadcastRow:
     case OpKind::kReshape:
     case OpKind::kSoftmaxCrossEntropy:
     case OpKind::kMean:
-    case OpKind::kWeightedSum:
     case OpKind::kSum:
       return 1;
     case OpKind::kMatMul:
     case OpKind::kMatMulTransposeB:
     case OpKind::kAddBiasRow:
     case OpKind::kAdd:
-    case OpKind::kSub:
     case OpKind::kMul:
     case OpKind::kConcatCols:
-    case OpKind::kRowDot:
       return 2;
     case OpKind::kConcatRows:
       return -1;
@@ -164,7 +159,6 @@ void CheckShapes(const std::vector<TapeOp>& tape, const TapeOp& op,
       }
       break;
     case OpKind::kAdd:
-    case OpKind::kSub:
     case OpKind::kMul:
       if (in(0).rows != in(1).rows || in(0).cols != in(1).cols) {
         bad(util::StrFormat("operand shapes differ: %s vs %s",
@@ -176,8 +170,6 @@ void CheckShapes(const std::vector<TapeOp>& tape, const TapeOp& op,
       break;
     case OpKind::kScale:
     case OpKind::kTanh:
-    case OpKind::kRelu:
-    case OpKind::kSigmoid:
     case OpKind::kRowL2Normalize:
       expect_out(in(0).rows, in(0).cols);
       break;
@@ -220,25 +212,8 @@ void CheckShapes(const std::vector<TapeOp>& tape, const TapeOp& op,
                             ShapeStr(op).c_str(), ShapeStr(in(0)).c_str()));
       }
       break;
-    case OpKind::kRowDot:
-      if (in(0).rows != in(1).rows || in(0).cols != in(1).cols) {
-        bad(util::StrFormat("operand shapes differ: %s vs %s",
-                            ShapeStr(in(0)).c_str(),
-                            ShapeStr(in(1)).c_str()));
-      } else {
-        expect_out(in(0).rows, 1);
-      }
-      break;
     case OpKind::kSoftmaxCrossEntropy:
       expect_out(in(0).rows, 1);
-      break;
-    case OpKind::kWeightedSum:
-      if (in(0).cols != 1) {
-        bad(util::StrFormat("input %s is not a column",
-                            ShapeStr(in(0)).c_str()));
-      } else {
-        expect_out(1, 1);
-      }
       break;
     case OpKind::kMean:
     case OpKind::kSum:

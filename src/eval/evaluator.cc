@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "model/entity_side.h"
+#include "model/features.h"
 
 namespace metablink::eval {
 
@@ -11,6 +12,16 @@ void SortBestFirst(std::vector<retrieval::ScoredEntity>::iterator begin,
   std::sort(begin, end, [](const auto& a, const auto& b) {
     return a.score != b.score ? a.score > b.score : a.id < b.id;
   });
+}
+
+std::size_t HeadSize(const std::vector<retrieval::ScoredEntity>& hits,
+                     float band, std::size_t head_k) {
+  std::size_t h = 1;
+  while (h < hits.size() && h < head_k &&
+         hits[0].score - hits[h].score <= band) {
+    ++h;
+  }
+  return h;
 }
 
 util::Status DomainSide::Build(const model::BiEncoder* bi,
@@ -57,21 +68,32 @@ void DomainSide::Rescore(const data::LinkingExample& example,
 std::vector<std::vector<retrieval::ScoredEntity>> DomainSide::Rank(
     const std::vector<data::LinkingExample>& examples, std::size_t k,
     util::ThreadPool* pool) const {
+  // Each mention is tokenized once, as LinkingServer::ServeBatch does: its
+  // tokens give the stage-1 bag and serve the rescore.
+  const std::size_t n = examples.size();
+  std::vector<model::MentionText> texts(n);
   model::EncodeScratch encode_scratch;
+  encode_scratch.bags.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    model::TokenizeMention(examples[i], &texts[i]);
+    bi->featurizer().MentionBagInto(texts[i], &encode_scratch.bags[i]);
+  }
   tensor::Tensor queries;
-  bi->EncodeMentionsInference(examples, &encode_scratch, &queries);
+  bi->EncodeMentionBagsInference(n, &encode_scratch, &queries);
   std::vector<std::vector<retrieval::ScoredEntity>> lists =
       index.BatchTopK(queries, k, pool);
   if (cross == nullptr) return lists;
+  // Stage 1's bag is the cross tower's too when both hash one feature space.
+  const bool share_bags = model::FeatureConfigsMatch(bi->config().features,
+                                                     cross->config().features);
   auto rescore = [&](std::size_t, std::size_t begin, std::size_t end) {
     RescoreScratch scratch;
-    model::MentionText text;
     std::vector<std::uint32_t> bag;
     for (std::size_t i = begin; i < end; ++i) {
-      model::TokenizeMention(examples[i], &text);
-      cross->featurizer().MentionBagInto(text, &bag);
-      Rescore(examples[i], text, bag, lists[i].data(), lists[i].size(),
-              &scratch);
+      if (!share_bags) cross->featurizer().MentionBagInto(texts[i], &bag);
+      Rescore(examples[i], texts[i],
+              share_bags ? encode_scratch.bags[i] : bag, lists[i].data(),
+              lists[i].size(), &scratch);
     }
   };
   if (pool != nullptr) {

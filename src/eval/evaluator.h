@@ -37,6 +37,12 @@ struct RescoreScratch {
 void SortBestFirst(std::vector<retrieval::ScoredEntity>::iterator begin,
                    std::vector<retrieval::ScoredEntity>::iterator end);
 
+/// The rerank cascade's ambiguous head, the one rule serving and
+/// calibration share: the prefix of retrieval-ordered (score descending)
+/// `hits` within `band` of the top score, capped at `head_k`, never empty.
+std::size_t HeadSize(const std::vector<retrieval::ScoredEntity>& hits,
+                     float band, std::size_t head_k);
+
 /// One domain's tape-free entity side over borrowed encoders and KB: the
 /// bi-encoder index and cross-encoder rerank cache (model::BuildEntitySide)
 /// of its entities. Built once, it ranks any number of mentions, bit-

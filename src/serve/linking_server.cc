@@ -505,15 +505,10 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close,
               // calibration proved rerank would not change the answer.
               tiers[i] = Tier::kExited;
             } else {
-              // Ambiguous head: candidates within band_epsilon of top1,
-              // capped at rerank_head_k, never empty. The tail keeps its
-              // retrieval order and scores.
-              std::size_t head = 1;
-              while (head < cands.size() && head < config.rerank_head_k &&
-                     cands[0].score - cands[head].score <=
-                         config.band_epsilon) {
-                ++head;
-              }
+              // Ambiguous head (eval::HeadSize, the rule calibration
+              // used). The tail keeps its retrieval order and scores.
+              const std::size_t head = eval::HeadSize(
+                  cands, config.band_epsilon, config.rerank_head_k);
               if (margin >= config.distill_tau &&
                   epoch->cascade.has_scorer()) {
                 // Tier 2 — distilled scorer over the head.

@@ -86,18 +86,12 @@ const char* OpKindName(OpKind kind) {
       return "AddBiasRow";
     case OpKind::kAdd:
       return "Add";
-    case OpKind::kSub:
-      return "Sub";
     case OpKind::kMul:
       return "Mul";
     case OpKind::kScale:
       return "Scale";
     case OpKind::kTanh:
       return "Tanh";
-    case OpKind::kRelu:
-      return "Relu";
-    case OpKind::kSigmoid:
-      return "Sigmoid";
     case OpKind::kRowL2Normalize:
       return "RowL2Normalize";
     case OpKind::kConcatCols:
@@ -108,14 +102,10 @@ const char* OpKindName(OpKind kind) {
       return "BroadcastRow";
     case OpKind::kReshape:
       return "Reshape";
-    case OpKind::kRowDot:
-      return "RowDot";
     case OpKind::kSoftmaxCrossEntropy:
       return "SoftmaxCrossEntropy";
     case OpKind::kMean:
       return "Mean";
-    case OpKind::kWeightedSum:
-      return "WeightedSum";
     case OpKind::kSum:
       return "Sum";
   }
@@ -428,33 +418,6 @@ Var Graph::Add(Var a, Var b) {
   return v;
 }
 
-Var Graph::Sub(Var a, Var b) {
-  const Tensor& ta = node(a).value;
-  const Tensor& tb = node(b).value;
-  METABLINK_CHECK(ta.rows() == tb.rows() && ta.cols() == tb.cols())
-      << "Sub shape mismatch";
-  Tensor out = ta;
-  Axpy(-1.0f, tb.data().data(), out.data().data(), out.size());
-  Var v = AddNode(std::move(out), OpKind::kSub, {a.id, b.id});
-  Var self = v;
-  node(v).backward = [self, a, b](const Graph* g, GradWorkspace* ws) {
-    const Tensor& gr = ws->grad(*g, self);
-    if (AllZero(gr)) return;
-    Tensor& ga = ws->GradForWrite(*g, a);
-    Tensor& gb = ws->GradForWrite(*g, b);
-    Axpy(1.0f, gr.data().data(), ga.data().data(), gr.size());
-    Axpy(-1.0f, gr.data().data(), gb.data().data(), gr.size());
-  };
-  node(v).jvp = [self, a, b](const Graph* g, JvpWorkspace* ws) {
-    const Tensor& da = ws->tangent(*g, a);
-    const Tensor& db = ws->tangent(*g, b);
-    Tensor& t = ws->TangentForWrite(*g, self);
-    std::copy(da.data().begin(), da.data().end(), t.data().begin());
-    Axpy(-1.0f, db.data().data(), t.data().data(), t.size());
-  };
-  return v;
-}
-
 Var Graph::Mul(Var a, Var b) {
   const Tensor& ta = node(a).value;
   const Tensor& tb = node(b).value;
@@ -549,71 +512,6 @@ Var Graph::Tanh(Var x) {
     Tensor& t = ws->TangentForWrite(*g, self);
     for (std::size_t i = 0; i < t.size(); ++i) {
       t.data()[i] = dx.data()[i] * (1.0f - val.data()[i] * val.data()[i]);
-    }
-  };
-  return v;
-}
-
-Var Graph::Relu(Var x) {
-  Tensor out = node(x).value;
-  for (float& v : out.data()) v = v > 0.0f ? v : 0.0f;
-  Var v = AddNode(std::move(out), OpKind::kRelu, {x.id});
-  Var self = v;
-  node(v).backward = [self, x](const Graph* g, GradWorkspace* ws) {
-    const Tensor& gr = ws->grad(*g, self);
-    const Tensor& val = g->node(self).value;
-    const std::size_t c = gr.cols();
-    Tensor* gx = nullptr;
-    for (std::size_t i = 0; i < gr.rows(); ++i) {
-      const float* row = gr.row_data(i);
-      if (AllZero(row, c)) continue;
-      if (gx == nullptr) gx = &ws->GradForWrite(*g, x);
-      float* gxr = gx->row_data(i);
-      const float* vr = val.row_data(i);
-      for (std::size_t j = 0; j < c; ++j) {
-        if (vr[j] > 0.0f) gxr[j] += row[j];
-      }
-    }
-  };
-  node(v).jvp = [self, x](const Graph* g, JvpWorkspace* ws) {
-    const Tensor& val = g->node(self).value;
-    const Tensor& dx = ws->tangent(*g, x);
-    Tensor& t = ws->TangentForWrite(*g, self);
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      t.data()[i] = val.data()[i] > 0.0f ? dx.data()[i] : 0.0f;
-    }
-  };
-  return v;
-}
-
-Var Graph::Sigmoid(Var x) {
-  Tensor out = node(x).value;
-  for (float& v : out.data()) v = 1.0f / (1.0f + std::exp(-v));
-  Var v = AddNode(std::move(out), OpKind::kSigmoid, {x.id});
-  Var self = v;
-  node(v).backward = [self, x](const Graph* g, GradWorkspace* ws) {
-    const Tensor& gr = ws->grad(*g, self);
-    const Tensor& val = g->node(self).value;
-    const std::size_t c = gr.cols();
-    Tensor* gx = nullptr;
-    for (std::size_t i = 0; i < gr.rows(); ++i) {
-      const float* row = gr.row_data(i);
-      if (AllZero(row, c)) continue;
-      if (gx == nullptr) gx = &ws->GradForWrite(*g, x);
-      float* gxr = gx->row_data(i);
-      const float* vr = val.row_data(i);
-      for (std::size_t j = 0; j < c; ++j) {
-        gxr[j] += row[j] * vr[j] * (1.0f - vr[j]);
-      }
-    }
-  };
-  node(v).jvp = [self, x](const Graph* g, JvpWorkspace* ws) {
-    const Tensor& val = g->node(self).value;
-    const Tensor& dx = ws->tangent(*g, x);
-    Tensor& t = ws->TangentForWrite(*g, self);
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      const float s = val.data()[i];
-      t.data()[i] = dx.data()[i] * s * (1.0f - s);
     }
   };
   return v;
@@ -824,48 +722,6 @@ Var Graph::Reshape(Var x, std::size_t rows, std::size_t cols) {
   return v;
 }
 
-Var Graph::RowDot(Var a, Var b) {
-  const Tensor& ta = node(a).value;
-  const Tensor& tb = node(b).value;
-  METABLINK_CHECK(ta.rows() == tb.rows() && ta.cols() == tb.cols())
-      << "RowDot shape mismatch";
-  Tensor out(ta.rows(), 1);
-  for (std::size_t i = 0; i < ta.rows(); ++i) {
-    out.at(i, 0) = Dot(ta.row_data(i), tb.row_data(i), ta.cols());
-  }
-  Var v = AddNode(std::move(out), OpKind::kRowDot, {a.id, b.id});
-  Var self = v;
-  node(v).backward = [self, a, b](const Graph* g, GradWorkspace* ws) {
-    const Tensor& gr = ws->grad(*g, self);
-    const Tensor& ta = g->node(a).value;
-    const Tensor& tb = g->node(b).value;
-    Tensor* ga = nullptr;
-    Tensor* gb = nullptr;
-    for (std::size_t i = 0; i < gr.rows(); ++i) {
-      const float gv = gr.at(i, 0);
-      if (gv == 0.0f) continue;
-      if (ga == nullptr) {
-        ga = &ws->GradForWrite(*g, a);
-        gb = &ws->GradForWrite(*g, b);
-      }
-      Axpy(gv, tb.row_data(i), ga->row_data(i), ta.cols());
-      Axpy(gv, ta.row_data(i), gb->row_data(i), ta.cols());
-    }
-  };
-  node(v).jvp = [self, a, b](const Graph* g, JvpWorkspace* ws) {
-    const Tensor& ta = g->node(a).value;
-    const Tensor& tb = g->node(b).value;
-    const Tensor& da = ws->tangent(*g, a);
-    const Tensor& db = ws->tangent(*g, b);
-    Tensor& t = ws->TangentForWrite(*g, self);
-    for (std::size_t i = 0; i < t.rows(); ++i) {
-      t.at(i, 0) = Dot(da.row_data(i), tb.row_data(i), ta.cols()) +
-                   Dot(ta.row_data(i), db.row_data(i), ta.cols());
-    }
-  };
-  return v;
-}
-
 Var Graph::SoftmaxCrossEntropy(Var logits, std::vector<std::size_t> targets) {
   const Tensor& tl = node(logits).value;
   METABLINK_CHECK(targets.size() == tl.rows())
@@ -972,39 +828,6 @@ Var Graph::Sum(Var x) {
     const Tensor& dx = ws->tangent(*g, x);
     double acc = 0.0;
     for (float d : dx.data()) acc += d;
-    ws->TangentForWrite(*g, self).at(0, 0) = static_cast<float>(acc);
-  };
-  return v;
-}
-
-Var Graph::WeightedSum(Var column, std::vector<float> weights) {
-  const Tensor& tc = node(column).value;
-  METABLINK_CHECK(tc.cols() == 1 && tc.rows() == weights.size())
-      << "WeightedSum shape mismatch";
-  double acc = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    acc += static_cast<double>(weights[i]) * tc.at(i, 0);
-  }
-  Tensor out(1, 1);
-  out.at(0, 0) = static_cast<float>(acc);
-  Var v = AddNode(std::move(out), OpKind::kWeightedSum, {column.id});
-  Var self = v;
-  auto shared_w = std::make_shared<std::vector<float>>(std::move(weights));
-  node(v).backward = [self, column, shared_w](const Graph* g,
-                                              GradWorkspace* ws) {
-    const float gv = ws->grad(*g, self).at(0, 0);
-    if (gv == 0.0f) return;
-    Tensor& gc = ws->GradForWrite(*g, column);
-    for (std::size_t i = 0; i < shared_w->size(); ++i) {
-      gc.at(i, 0) += gv * (*shared_w)[i];
-    }
-  };
-  node(v).jvp = [self, column, shared_w](const Graph* g, JvpWorkspace* ws) {
-    const Tensor& dc = ws->tangent(*g, column);
-    double acc = 0.0;
-    for (std::size_t i = 0; i < shared_w->size(); ++i) {
-      acc += static_cast<double>((*shared_w)[i]) * dc.at(i, 0);
-    }
     ws->TangentForWrite(*g, self).at(0, 0) = static_cast<float>(acc);
   };
   return v;

@@ -32,21 +32,16 @@ enum class OpKind : std::uint8_t {
   kMatMulTransposeB,
   kAddBiasRow,
   kAdd,
-  kSub,
   kMul,
   kScale,
   kTanh,
-  kRelu,
-  kSigmoid,
   kRowL2Normalize,
   kConcatCols,
   kConcatRows,
   kBroadcastRow,
   kReshape,
-  kRowDot,
   kSoftmaxCrossEntropy,
   kMean,
-  kWeightedSum,
   kSum,
 };
 
@@ -133,13 +128,10 @@ class Graph {
   Var AddBiasRow(Var x, Var bias);
 
   Var Add(Var a, Var b);
-  Var Sub(Var a, Var b);
   /// Elementwise (Hadamard) product; shapes must match.
   Var Mul(Var a, Var b);
   Var Scale(Var x, float s);
   Var Tanh(Var x);
-  Var Relu(Var x);
-  Var Sigmoid(Var x);
 
   /// Row-wise L2 normalization: out[r] = x[r] / max(||x[r]||, eps).
   Var RowL2Normalize(Var x, float eps = 1e-8f);
@@ -158,9 +150,6 @@ class Graph {
   /// Reinterprets the buffer with a new shape (rows*cols must match).
   Var Reshape(Var x, std::size_t rows, std::size_t cols);
 
-  /// Per-row dot product: [n,d],[n,d] -> [n,1].
-  Var RowDot(Var a, Var b);
-
   /// Per-row softmax cross entropy against integer targets:
   /// out[r,0] = -logits[r,targets[r]] + log sum_c exp(logits[r,c]).
   /// This is exactly the in-batch-negatives loss of eq. (6) when `logits` is
@@ -169,10 +158,6 @@ class Graph {
 
   /// Mean over all elements -> [1,1].
   Var Mean(Var x);
-
-  /// Weighted sum of rows of a [n,1] column: sum_r w[r]*x[r,0] -> [1,1].
-  /// This is the weighted loss of eq. (7)/(15).
-  Var WeightedSum(Var column, std::vector<float> weights);
 
   /// Sum of all elements -> [1,1].
   Var Sum(Var x);

@@ -1,11 +1,8 @@
 #include "train/bi_trainer.h"
 
-#include <algorithm>
-#include <numeric>
+#include <utility>
 
-#include "analysis/graph_lint.h"
-#include "train/trainer_checkpoint.h"
-#include "util/logging.h"
+#include "train/featurized.h"
 
 namespace metablink::train {
 
@@ -14,108 +11,41 @@ namespace {
 constexpr std::uint32_t kBiTrainerTag = 0x52544942u;
 }  // namespace
 
+util::Result<TrainResult> TrainInBatch(
+    model::BiEncoder* model, const kb::KnowledgeBase& kb,
+    const std::vector<data::LinkingExample>& examples,
+    const TrainOptions& options, std::uint32_t tag, std::uint64_t seed,
+    std::function<std::vector<float>(const std::vector<float>&)> weights) {
+  if (examples.empty()) {
+    return util::Status::InvalidArgument("no training examples");
+  }
+  TrainingFeatures features(model->featurizer(), kb);
+  const std::vector<FeaturizedExample> records = features.Examples(examples);
+  std::vector<FeaturizedExample> batch;
+  EpochLoop loop;
+  loop.tag = tag;
+  loop.seed = seed;
+  loop.num_records = records.size();
+  loop.step_rows = options.batch_size;
+  loop.losses = [&](tensor::Graph* graph,
+                    const std::vector<std::size_t>& rows) {
+    if (rows.size() < 2) return tensor::Var{};  // in-batch negatives
+    batch.clear();
+    for (std::size_t r : rows) batch.push_back(records[r]);
+    return InBatchLoss(*model, graph, batch);
+  };
+  loop.weights = std::move(weights);
+  return RunEpochLoop(loop, options, model->params());
+}
+
 BiEncoderTrainer::BiEncoderTrainer(TrainOptions options)
     : options_(std::move(options)) {}
 
 util::Result<TrainResult> BiEncoderTrainer::Train(
     model::BiEncoder* model, const kb::KnowledgeBase& kb,
-    const std::vector<data::LinkingExample>& examples,
-    const std::vector<float>& weights) {
-  if (examples.empty()) {
-    return util::Status::InvalidArgument("no training examples");
-  }
-  if (!weights.empty() && weights.size() != examples.size()) {
-    return util::Status::InvalidArgument(
-        "weights must align with examples");
-  }
-  util::Rng rng(options_.seed);
-  tensor::AdamOptimizer optimizer(options_.learning_rate);
-  TrainResult result;
-
-  std::vector<std::size_t> order(examples.size());
-  std::iota(order.begin(), order.end(), 0);
-
-  std::size_t start_epoch = 0;
-  if (!options_.checkpoint_path.empty() &&
-      CheckpointExists(options_.checkpoint_path)) {
-    auto state = LoadEpochCheckpoint(kBiTrainerTag, options_.checkpoint_path,
-                                     model->params(), &optimizer, &rng);
-    if (!state.ok()) return state.status();
-    if (state->order.size() != examples.size()) {
-      return util::Status::InvalidArgument(
-          "checkpoint shuffle order does not match the example count");
-    }
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      order[i] = static_cast<std::size_t>(state->order[i]);
-    }
-    start_epoch = state->next_epoch;
-    result = std::move(state->result);
-  }
-
-  for (std::size_t epoch = start_epoch; epoch < options_.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    double epoch_loss = 0.0;
-    std::size_t epoch_batches = 0;
-    for (std::size_t begin = 0; begin < order.size();
-         begin += options_.batch_size) {
-      const std::size_t end =
-          std::min(order.size(), begin + options_.batch_size);
-      if (end - begin < 2) continue;  // in-batch negatives need >= 2 rows
-      std::vector<data::LinkingExample> batch;
-      std::vector<float> batch_weights;
-      batch.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) {
-        batch.push_back(examples[order[i]]);
-        if (!weights.empty()) batch_weights.push_back(weights[order[i]]);
-      }
-      tensor::Graph graph;
-      tensor::Var losses = model->InBatchLoss(&graph, batch, kb);
-      if (result.steps == 0) {
-        // First-step graph lint; see meta_trainer.h for the rationale.
-        const analysis::LintReport lint = analysis::LintGraph(graph, losses);
-        METABLINK_CHECK(lint.ok())
-            << "bi-encoder training graph failed lint:\n" << lint.Summary();
-      }
-      model->params()->ZeroGrads();
-      if (batch_weights.empty()) {
-        batch_weights.assign(batch.size(), 1.0f / batch.size());
-      } else {
-        float total = std::accumulate(batch_weights.begin(),
-                                      batch_weights.end(), 0.0f);
-        if (total <= 0.0f) continue;  // fully down-weighted batch
-        for (float& w : batch_weights) w /= total;
-      }
-      // Seeding each loss row with its weight backpropagates the weighted
-      // mean without extra graph nodes.
-      graph.BackwardWithSeed(losses, batch_weights);
-      optimizer.Step(model->params());
-
-      double batch_loss = 0.0;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        batch_loss += graph.value(losses).at(i, 0) * batch_weights[i];
-      }
-      epoch_loss += batch_loss;
-      ++epoch_batches;
-      ++result.steps;
-      if (options_.max_steps > 0 && result.steps >= options_.max_steps) break;
-    }
-    if (epoch_batches > 0) {
-      result.epoch_losses.push_back(epoch_loss /
-                                    static_cast<double>(epoch_batches));
-      result.final_epoch_loss = result.epoch_losses.back();
-    }
-    if (!options_.checkpoint_path.empty()) {
-      EpochCheckpointState state;
-      state.next_epoch = epoch + 1;
-      state.order.assign(order.begin(), order.end());
-      state.result = result;
-      METABLINK_RETURN_IF_ERROR(
-          SaveEpochCheckpoint(kBiTrainerTag, state, *model->params(),
-                              optimizer, rng, options_.checkpoint_path));
-    }
-    if (options_.max_steps > 0 && result.steps >= options_.max_steps) break;
-  }
-  return result;
+    const std::vector<data::LinkingExample>& examples) {
+  return TrainInBatch(model, kb, examples, options_, kBiTrainerTag,
+                      options_.seed, nullptr);
 }
 
 }  // namespace metablink::train

@@ -2,40 +2,16 @@
 #define METABLINK_TRAIN_BI_TRAINER_H_
 
 #include <cstdint>
-#include <string>
+#include <functional>
 #include <vector>
 
 #include "data/example.h"
 #include "kb/knowledge_base.h"
 #include "model/bi_encoder.h"
-#include "tensor/optimizer.h"
-#include "util/rng.h"
+#include "train/epoch_loop.h"
 #include "util/status.h"
 
 namespace metablink::train {
-
-/// Shared trainer knobs.
-struct TrainOptions {
-  std::size_t batch_size = 32;
-  std::size_t epochs = 3;
-  float learning_rate = 0.01f;
-  std::uint64_t seed = 7;
-  /// Optional cap on total optimization steps (0 = no cap).
-  std::size_t max_steps = 0;
-  /// When non-empty, Train() writes its full state (model parameters,
-  /// optimizer moments, Rng stream, loop counters) to this path at every
-  /// epoch boundary and auto-resumes from it when the file already exists,
-  /// replaying the remaining epochs bit-identically to an uninterrupted
-  /// run. A present-but-corrupt file fails the run instead of restarting.
-  std::string checkpoint_path{};
-};
-
-/// Summary returned by trainers.
-struct TrainResult {
-  std::size_t steps = 0;
-  double final_epoch_loss = 0.0;
-  std::vector<double> epoch_losses;
-};
 
 /// Standard supervised trainer for the bi-encoder: Adam on the in-batch
 /// negatives loss (eq. 6), uniform example weights. This is the "BLINK"
@@ -45,18 +21,26 @@ class BiEncoderTrainer {
  public:
   explicit BiEncoderTrainer(TrainOptions options = {});
 
-  /// Trains in place. `weights`, when non-empty, gives a fixed per-example
-  /// weight (aligned with `examples`); the per-batch loss is the weighted
-  /// mean. Used directly by the DL4EL baseline and ablations.
+  /// Trains in place on batches of `batch_size` examples, featurized once
+  /// per call; a batch of fewer than 2 examples is skipped.
   util::Result<TrainResult> Train(model::BiEncoder* model,
                                   const kb::KnowledgeBase& kb,
                                   const std::vector<data::LinkingExample>&
-                                      examples,
-                                  const std::vector<float>& weights = {});
+                                      examples);
 
  private:
   TrainOptions options_;
 };
+
+/// The bi-encoder epoch loop both BiEncoderTrainer and Dl4elTrainer run:
+/// `options.batch_size` examples a step through train::InBatchLoss,
+/// weighted by `weights` (unset: uniform), checkpointed under `tag` and
+/// shuffled by an Rng seeded with `seed`.
+util::Result<TrainResult> TrainInBatch(
+    model::BiEncoder* model, const kb::KnowledgeBase& kb,
+    const std::vector<data::LinkingExample>& examples,
+    const TrainOptions& options, std::uint32_t tag, std::uint64_t seed,
+    std::function<std::vector<float>(const std::vector<float>&)> weights);
 
 }  // namespace metablink::train
 

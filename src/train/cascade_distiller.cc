@@ -27,19 +27,6 @@ struct CalibrationRow {
   std::vector<float> mention_vec;  // cross-encoder mention tower output
 };
 
-/// The serving-time head rule: the prefix of the (desc-sorted) retrieval
-/// scores within `band` of top1, capped at `head_k`, never empty. Must stay
-/// in lockstep with LinkingServer's copy of this rule.
-std::size_t HeadSize(const std::vector<retrieval::ScoredEntity>& hits,
-                     float band, std::size_t head_k) {
-  std::size_t h = 1;
-  while (h < hits.size() && h < head_k &&
-         hits[0].score - hits[h].score <= band) {
-    ++h;
-  }
-  return h;
-}
-
 /// Index of the best (score desc, id asc) candidate among ranks [0, n).
 std::size_t ArgBest(const std::vector<retrieval::ScoredEntity>& hits,
                     const std::vector<float>& scores, std::size_t n) {
@@ -146,7 +133,7 @@ util::Result<model::CascadeModel> CalibrateCascade(
     double harm = 0.0;
     for (std::size_t i : subset) {
       const CalibrationRow& row = rows[i];
-      const std::size_t head = HeadSize(row.hits, band, h);
+      const std::size_t head = eval::HeadSize(row.hits, band, h);
       const bool correct =
           row.hits[ArgBest(row.hits, row.cross_scores, head)].id ==
           examples[i].entity_id;
@@ -191,7 +178,7 @@ util::Result<model::CascadeModel> CalibrateCascade(
     count_at[i].resize(band_cands.size());
     for (std::size_t b = 0; b < band_cands.size(); ++b) {
       count_at[i][b] = static_cast<std::uint16_t>(
-          HeadSize(row.hits, band_cands[b], k));
+          eval::HeadSize(row.hits, band_cands[b], k));
     }
     correct_at[i].assign(row.hits.size() + 1, 0);
     std::size_t best = 0;
@@ -316,7 +303,7 @@ util::Result<model::CascadeModel> CalibrateCascade(
     cross.featurizer().PrecomputeMentionTokens(examples[i], cross_cache.vocab,
                                                &mention_tokens);
     const std::size_t head =
-        HeadSize(row.hits, cascade.config.band_epsilon, head_k);
+        eval::HeadSize(row.hits, cascade.config.band_epsilon, head_k);
     strip.resize(row.hits.size());
     for (std::size_t r = 0; r < row.hits.size(); ++r) {
       strip[r] = row.hits[r].score;
@@ -387,7 +374,7 @@ util::Result<model::CascadeModel> CalibrateCascade(
     for (std::size_t i : nonexit) {
       const CalibrationRow& row = rows[i];
       const std::size_t head =
-          HeadSize(row.hits, cascade.config.band_epsilon, head_k);
+          eval::HeadSize(row.hits, cascade.config.band_epsilon, head_k);
       head_correct[i] =
           row.hits[ArgBest(row.hits, row.cross_scores, head)].id ==
           examples[i].entity_id;
@@ -461,7 +448,7 @@ util::Result<model::CascadeModel> CalibrateCascade(
         predicted = row.hits[distilled_best[i]].id;
       } else {
         const std::size_t head =
-            HeadSize(row.hits, cascade.config.band_epsilon, head_k);
+            eval::HeadSize(row.hits, cascade.config.band_epsilon, head_k);
         predicted = row.hits[ArgBest(row.hits, row.cross_scores, head)].id;
       }
       if (predicted == examples[i].entity_id) ++report->accuracy_cascade;

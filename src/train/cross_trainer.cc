@@ -1,9 +1,6 @@
 #include "train/cross_trainer.h"
 
-#include <algorithm>
-#include <numeric>
-
-#include "train/trainer_checkpoint.h"
+#include "train/featurized.h"
 
 namespace metablink::train {
 
@@ -51,78 +48,25 @@ CrossEncoderTrainer::CrossEncoderTrainer(TrainOptions options)
 
 util::Result<TrainResult> CrossEncoderTrainer::Train(
     model::CrossEncoder* model, const kb::KnowledgeBase& kb,
-    const std::vector<CrossInstance>& instances,
-    const std::vector<float>& weights) {
+    const std::vector<CrossInstance>& instances) {
   if (instances.empty()) {
     return util::Status::InvalidArgument("no cross-encoder instances");
   }
-  if (!weights.empty() && weights.size() != instances.size()) {
-    return util::Status::InvalidArgument("weights must align with instances");
-  }
-  util::Rng rng(options_.seed ^ 0xC105Eu);
-  tensor::AdamOptimizer optimizer(options_.learning_rate);
-  TrainResult result;
-
-  std::vector<std::size_t> order(instances.size());
-  std::iota(order.begin(), order.end(), 0);
-
-  std::size_t start_epoch = 0;
-  if (!options_.checkpoint_path.empty() &&
-      CheckpointExists(options_.checkpoint_path)) {
-    auto state = LoadEpochCheckpoint(kCrossTrainerTag,
-                                     options_.checkpoint_path,
-                                     model->params(), &optimizer, &rng);
-    if (!state.ok()) return state.status();
-    if (state->order.size() != instances.size()) {
-      return util::Status::InvalidArgument(
-          "checkpoint shuffle order does not match the instance count");
-    }
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      order[i] = static_cast<std::size_t>(state->order[i]);
-    }
-    start_epoch = state->next_epoch;
-    result = std::move(state->result);
-  }
-
-  for (std::size_t epoch = start_epoch; epoch < options_.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    double epoch_loss = 0.0;
-    std::size_t counted = 0;
-    for (std::size_t idx : order) {
-      const CrossInstance& inst = instances[idx];
-      if (inst.candidates.size() < 2) continue;
-      const float w = weights.empty() ? 1.0f : weights[idx];
-      if (w <= 0.0f) continue;
-      std::vector<kb::Entity> entities;
-      entities.reserve(inst.candidates.size());
-      for (kb::EntityId id : inst.candidates) entities.push_back(kb.entity(id));
-      tensor::Graph graph;
-      tensor::Var loss =
-          model->RankingLoss(&graph, inst.example, entities, inst.gold_index);
-      model->params()->ZeroGrads();
-      graph.BackwardWithSeed(loss, {w});
-      optimizer.Step(model->params());
-      epoch_loss += graph.value(loss).at(0, 0) * w;
-      ++counted;
-      ++result.steps;
-      if (options_.max_steps > 0 && result.steps >= options_.max_steps) break;
-    }
-    if (counted > 0) {
-      result.epoch_losses.push_back(epoch_loss / static_cast<double>(counted));
-      result.final_epoch_loss = result.epoch_losses.back();
-    }
-    if (!options_.checkpoint_path.empty()) {
-      EpochCheckpointState state;
-      state.next_epoch = epoch + 1;
-      state.order.assign(order.begin(), order.end());
-      state.result = result;
-      METABLINK_RETURN_IF_ERROR(
-          SaveEpochCheckpoint(kCrossTrainerTag, state, *model->params(),
-                              optimizer, rng, options_.checkpoint_path));
-    }
-    if (options_.max_steps > 0 && result.steps >= options_.max_steps) break;
-  }
-  return result;
+  TrainingFeatures features(model->featurizer(), kb);
+  const std::vector<FeaturizedInstance> records =
+      features.Instances(instances);
+  EpochLoop loop;
+  loop.tag = kCrossTrainerTag;
+  loop.seed = options_.seed ^ 0xC105Eu;
+  loop.num_records = records.size();
+  loop.step_rows = 1;
+  loop.losses = [&](tensor::Graph* graph,
+                    const std::vector<std::size_t>& rows) {
+    const FeaturizedInstance& inst = records[rows[0]];
+    if (inst.candidates.size() < 2) return tensor::Var{};
+    return RankingLoss(*model, graph, inst);
+  };
+  return RunEpochLoop(loop, options_, model->params());
 }
 
 }  // namespace metablink::train

@@ -7,8 +7,7 @@
 #include "kb/knowledge_base.h"
 #include "model/cross_encoder.h"
 #include "retrieval/dense_index.h"
-#include "train/bi_trainer.h"
-#include "util/rng.h"
+#include "train/epoch_loop.h"
 #include "util/status.h"
 
 namespace metablink::train {
@@ -33,16 +32,18 @@ std::vector<CrossInstance> MineCrossTrainingSet(
 
 /// Supervised trainer for the cross-encoder: Adam on the softmax ranking
 /// loss over each instance's candidate list. The paper's cross-encoder
-/// batch size is 1 (meta-learning doubles memory), which this follows.
+/// batch size is 1 (meta-learning doubles memory), which this follows:
+/// every step trains one instance, whatever `TrainOptions::batch_size`
+/// says.
 class CrossEncoderTrainer {
  public:
   explicit CrossEncoderTrainer(TrainOptions options = {});
 
-  /// Trains in place. Optional fixed per-instance weights (e.g. DL4EL).
+  /// Trains in place on instances featurized once per call; an instance
+  /// with fewer than 2 candidates is skipped.
   util::Result<TrainResult> Train(model::CrossEncoder* model,
                                   const kb::KnowledgeBase& kb,
-                                  const std::vector<CrossInstance>& instances,
-                                  const std::vector<float>& weights = {});
+                                  const std::vector<CrossInstance>& instances);
 
  private:
   TrainOptions options_;

@@ -6,6 +6,11 @@
 
 namespace metablink::train {
 
+namespace {
+// Trainer-type tag ("DLTR") namespacing DL4EL checkpoints.
+constexpr std::uint32_t kDl4elTrainerTag = 0x52544C44u;
+}  // namespace
+
 Dl4elTrainer::Dl4elTrainer(Dl4elOptions options) : options_(options) {}
 
 std::vector<float> Dl4elTrainer::SelectionWeights(
@@ -51,50 +56,12 @@ std::vector<float> Dl4elTrainer::SelectionWeights(
 util::Result<TrainResult> Dl4elTrainer::Train(
     model::BiEncoder* model, const kb::KnowledgeBase& kb,
     const std::vector<data::LinkingExample>& examples) {
-  if (examples.empty()) {
-    return util::Status::InvalidArgument("no training examples");
-  }
-  util::Rng rng(options_.train.seed ^ 0xD14ELu);
-  tensor::AdamOptimizer optimizer(options_.train.learning_rate);
-  TrainResult result;
-  std::vector<std::size_t> order(examples.size());
-  std::iota(order.begin(), order.end(), 0);
-
-  for (std::size_t epoch = 0; epoch < options_.train.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    double epoch_loss = 0.0;
-    std::size_t batches = 0;
-    for (std::size_t begin = 0; begin < order.size();
-         begin += options_.train.batch_size) {
-      const std::size_t end =
-          std::min(order.size(), begin + options_.train.batch_size);
-      if (end - begin < 2) continue;
-      std::vector<data::LinkingExample> batch;
-      for (std::size_t i = begin; i < end; ++i) {
-        batch.push_back(examples[order[i]]);
-      }
-      tensor::Graph graph;
-      tensor::Var losses = model->InBatchLoss(&graph, batch, kb);
-      std::vector<float> loss_values(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        loss_values[i] = graph.value(losses).at(i, 0);
-      }
-      const std::vector<float> weights = SelectionWeights(loss_values);
-      model->params()->ZeroGrads();
-      graph.BackwardWithSeed(losses, weights);
-      optimizer.Step(model->params());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        epoch_loss += loss_values[i] * weights[i];
-      }
-      ++batches;
-      ++result.steps;
-    }
-    if (batches > 0) {
-      result.epoch_losses.push_back(epoch_loss / static_cast<double>(batches));
-      result.final_epoch_loss = result.epoch_losses.back();
-    }
-  }
-  return result;
+  return TrainInBatch(
+      model, kb, examples, options_.train, kDl4elTrainerTag,
+      options_.train.seed ^ 0xD14ELu,
+      [this](const std::vector<float>& losses) {
+        return SelectionWeights(losses);
+      });
 }
 
 }  // namespace metablink::train

@@ -35,6 +35,9 @@ class Dl4elTrainer {
  public:
   explicit Dl4elTrainer(Dl4elOptions options = {});
 
+  /// Trains in place like BiEncoderTrainer, but weighting each batch by
+  /// SelectionWeights; `options.train.checkpoint_path` resumes under its
+  /// own trainer tag.
   util::Result<TrainResult> Train(
       model::BiEncoder* model, const kb::KnowledgeBase& kb,
       const std::vector<data::LinkingExample>& examples);

@@ -80,18 +80,22 @@ tensor::Var InBatchLoss(const model::BiEncoder& bi, tensor::Graph* graph,
                         std::move(entity_bags));
 }
 
+tensor::Var RankingLoss(const model::CrossEncoder& cross,
+                        tensor::Graph* graph, const FeaturizedInstance& inst) {
+  std::vector<Bag> entity_bags;
+  entity_bags.reserve(inst.candidates.size());
+  for (const Bag* bag : inst.candidates) entity_bags.push_back(*bag);
+  return cross.RankingLoss(graph, *inst.mention, std::move(entity_bags),
+                           inst.overlaps, inst.gold_index);
+}
+
 tensor::Var RankingLossColumn(const model::CrossEncoder& cross,
                               tensor::Graph* graph,
                               const std::vector<FeaturizedInstance>& batch) {
   std::vector<tensor::Var> losses;
   losses.reserve(batch.size());
   for (const FeaturizedInstance& inst : batch) {
-    std::vector<Bag> entity_bags;
-    entity_bags.reserve(inst.candidates.size());
-    for (const Bag* bag : inst.candidates) entity_bags.push_back(*bag);
-    losses.push_back(cross.RankingLoss(graph, *inst.mention,
-                                       std::move(entity_bags), inst.overlaps,
-                                       inst.gold_index));
+    losses.push_back(RankingLoss(cross, graph, inst));
   }
   return graph->ConcatRows(losses);
 }

@@ -87,6 +87,10 @@ class TrainingFeatures {
 tensor::Var InBatchLoss(const model::BiEncoder& bi, tensor::Graph* graph,
                         const std::vector<FeaturizedExample>& batch);
 
+/// CrossEncoder::RankingLoss over a featurized instance: a [1,1] Var.
+tensor::Var RankingLoss(const model::CrossEncoder& cross,
+                        tensor::Graph* graph, const FeaturizedInstance& inst);
+
 /// The cross-encoder meta loss: each instance's RankingLoss stacked into
 /// the [n,1] column the meta trainer reweights.
 tensor::Var RankingLossColumn(const model::CrossEncoder& cross,

@@ -8,7 +8,7 @@
 #include "store/checkpoint.h"
 #include "tensor/optimizer.h"
 #include "tensor/parameter.h"
-#include "train/bi_trainer.h"
+#include "train/epoch_loop.h"
 #include "util/rng.h"
 #include "util/status.h"
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <sys/stat.h>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -22,6 +23,7 @@
 #include "store/model_bundle.h"
 #include "train/bi_trainer.h"
 #include "train/cross_trainer.h"
+#include "train/dl4el_trainer.h"
 #include "train/meta_trainer.h"
 #include "train/trainer_checkpoint.h"
 #include "util/serialize.h"
@@ -297,6 +299,76 @@ TEST_F(StoreTest, CrossTrainerResumeIsBitIdentical) {
   EXPECT_EQ(reference->params()->ValuesCrc32(),
             resumed->params()->ValuesCrc32());
   std::remove(path.c_str());
+}
+
+TEST_F(StoreTest, Dl4elTrainerResumeIsBitIdentical) {
+  train::Dl4elOptions straight;
+  straight.train.epochs = 3;
+  straight.train.batch_size = 16;
+  straight.train.seed = 24;
+  auto reference = MakeBi();
+  ASSERT_TRUE(train::Dl4elTrainer(straight)
+                  .Train(reference.get(), corpus_->kb, examples_)
+                  .ok());
+
+  const std::string path = TempPath("dl4el_resume.ckpt");
+  std::remove(path.c_str());
+  auto resumed = MakeBi();
+  train::Dl4elOptions first = straight;
+  first.train.epochs = 1;
+  first.train.checkpoint_path = path;
+  ASSERT_TRUE(train::Dl4elTrainer(first)
+                  .Train(resumed.get(), corpus_->kb, examples_)
+                  .ok());
+  EXPECT_NE(reference->params()->ValuesCrc32(),
+            resumed->params()->ValuesCrc32());
+  train::Dl4elOptions rest = straight;
+  rest.train.checkpoint_path = path;
+  auto result = train::Dl4elTrainer(rest).Train(resumed.get(), corpus_->kb,
+                                                examples_);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->epoch_losses.size(), 3u);
+  EXPECT_EQ(reference->params()->ValuesCrc32(),
+            resumed->params()->ValuesCrc32());
+  std::remove(path.c_str());
+}
+
+TEST_F(StoreTest, TrainerRejectsAnotherTrainersCheckpoint) {
+  // A bi-encoder checkpoint handed to the DL4EL trainer, and a DL4EL one
+  // handed back: the same model and file layout, but the wrong trainer tag.
+  const std::string bi_path = TempPath("bi_for_dl4el.ckpt");
+  const std::string dl4el_path = TempPath("dl4el_for_bi.ckpt");
+  std::remove(bi_path.c_str());
+  std::remove(dl4el_path.c_str());
+  train::TrainOptions opts;
+  opts.epochs = 1;
+  opts.checkpoint_path = bi_path;
+  auto model = MakeBi();
+  ASSERT_TRUE(
+      train::BiEncoderTrainer(opts).Train(model.get(), corpus_->kb, examples_)
+          .ok());
+  train::Dl4elOptions dl4el;
+  dl4el.train = opts;
+  dl4el.train.checkpoint_path = dl4el_path;
+  ASSERT_TRUE(
+      train::Dl4elTrainer(dl4el).Train(model.get(), corpus_->kb, examples_)
+          .ok());
+  const std::uint32_t before = model->params()->ValuesCrc32();
+
+  opts.epochs = 2;
+  dl4el.train.epochs = 2;
+  std::swap(opts.checkpoint_path, dl4el.train.checkpoint_path);
+  auto as_dl4el =
+      train::Dl4elTrainer(dl4el).Train(model.get(), corpus_->kb, examples_);
+  ASSERT_FALSE(as_dl4el.ok());
+  EXPECT_EQ(as_dl4el.status().code(), util::StatusCode::kInvalidArgument);
+  auto as_bi =
+      train::BiEncoderTrainer(opts).Train(model.get(), corpus_->kb, examples_);
+  ASSERT_FALSE(as_bi.ok());
+  EXPECT_EQ(as_bi.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(model->params()->ValuesCrc32(), before);
+  std::remove(bi_path.c_str());
+  std::remove(dl4el_path.c_str());
 }
 
 TEST_F(StoreTest, MetaTrainerKillAndResumeIsBitIdentical) {

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <set>
 
 #include "data/generator.h"
 #include "gen/bad_data.h"
 #include "tensor/grad_workspace.h"
+#include "tensor/optimizer.h"
 #include "train/bi_trainer.h"
 #include "train/cross_trainer.h"
 #include "train/dl4el_trainer.h"
@@ -70,27 +72,11 @@ TEST_F(TrainTest, BiTrainerReducesLoss) {
 }
 
 TEST_F(TrainTest, BiTrainerRejectsEmptyAndMisalignedWeights) {
+  // Train takes no weights any more, so only the empty half remains.
   util::Rng rng(1);
   model::BiEncoder model(SmallBiConfig(), &rng);
   BiEncoderTrainer trainer;
   EXPECT_FALSE(trainer.Train(&model, corpus_->kb, {}).ok());
-  EXPECT_FALSE(trainer
-                   .Train(&model, corpus_->kb, corpus_->ExamplesIn("d"),
-                          {1.0f, 2.0f})
-                   .ok());
-}
-
-TEST_F(TrainTest, BiTrainerZeroWeightsLeaveModelUntouched) {
-  util::Rng rng(1);
-  model::BiEncoder model(SmallBiConfig(), &rng);
-  auto before = model.params()->FlattenValues();
-  std::vector<float> weights(corpus_->ExamplesIn("d").size(), 0.0f);
-  BiEncoderTrainer trainer;
-  ASSERT_TRUE(trainer
-                  .Train(&model, corpus_->kb, corpus_->ExamplesIn("d"),
-                         weights)
-                  .ok());
-  EXPECT_EQ(model.params()->FlattenValues(), before);
 }
 
 TEST_F(TrainTest, BiTrainerMaxStepsCap) {
@@ -601,6 +587,161 @@ TEST_F(TrainTest, Dl4elTrainsEndToEnd) {
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->steps, 0u);
   EXPECT_FALSE(trainer.Train(&model, corpus_->kb, {}).ok());
+}
+
+TEST_F(TrainTest, Dl4elHonoursMaxSteps) {
+  util::Rng rng(7);
+  model::BiEncoder model(SmallBiConfig(), &rng);
+  Dl4elOptions opts;
+  opts.train.epochs = 100;
+  opts.train.max_steps = 3;
+  auto result = Dl4elTrainer(opts).Train(&model, corpus_->kb,
+                                         corpus_->ExamplesIn("d"));
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->steps, 3u);
+  EXPECT_EQ(result->epoch_losses.size(), 1u);
+}
+
+// ---- The epoch loop against the string-taking losses -------------------------
+
+// A step's loss column over the records at `rows`, or an invalid Var to skip
+// the step.
+using ReferenceLoss = std::function<tensor::Var(
+    tensor::Graph*, const std::vector<std::size_t>& rows)>;
+
+// The supervised loop as a test-local reference: Adam over `opts.epochs`
+// shuffles of `n` records by an Rng seeded with `seed`, `step_rows` records
+// a step, each loss row seeded with `rule(values)` (empty rule: 1/n), and
+// at most `opts.max_steps` steps. Returns the number of steps.
+std::size_t ReferenceEpochs(
+    tensor::ParameterStore* params, std::size_t n, std::uint64_t seed,
+    const TrainOptions& opts, std::size_t step_rows, const ReferenceLoss& loss,
+    const std::function<std::vector<float>(const std::vector<float>&)>&
+        rule) {
+  util::Rng rng(seed);
+  tensor::AdamOptimizer optimizer(opts.learning_rate);
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::size_t steps = 0;
+  for (std::size_t epoch = 0; epoch < opts.epochs; ++epoch) {
+    rng.Shuffle(&order);
+    for (std::size_t begin = 0; begin < n; begin += step_rows) {
+      const std::vector<std::size_t> rows(
+          order.begin() + begin, order.begin() + std::min(n, begin + step_rows));
+      tensor::Graph graph;
+      const tensor::Var losses = loss(&graph, rows);
+      if (!losses.valid()) continue;
+      std::vector<float> values(graph.value(losses).rows());
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        values[i] = graph.value(losses).at(i, 0);
+      }
+      const std::vector<float> weights =
+          rule ? rule(values)
+               : std::vector<float>(values.size(), 1.0f / values.size());
+      params->ZeroGrads();
+      graph.BackwardWithSeed(losses, weights);
+      optimizer.Step(params);
+      if (++steps == opts.max_steps) return steps;
+    }
+  }
+  return steps;
+}
+
+// The bi-encoder reference loss: BiEncoder::InBatchLoss over the raw
+// examples at `rows`, skipping a batch of fewer than 2.
+ReferenceLoss StringInBatchLoss(const model::BiEncoder& model,
+                                const kb::KnowledgeBase& kb,
+                                const std::vector<data::LinkingExample>& ex) {
+  return [&model, &kb, &ex](tensor::Graph* g,
+                            const std::vector<std::size_t>& rows) {
+    if (rows.size() < 2) return tensor::Var{};
+    std::vector<data::LinkingExample> batch;
+    for (std::size_t r : rows) batch.push_back(ex[r]);
+    return model.InBatchLoss(g, batch, kb);
+  };
+}
+
+TEST_F(TrainTest, BiTrainerMatchesStringLossLoop) {
+  // 240 examples in batches of 17: every epoch ends in a batch of 2.
+  const auto& examples = corpus_->ExamplesIn("d");
+  TrainOptions opts;
+  opts.epochs = 3;
+  opts.batch_size = 17;
+  opts.max_steps = 40;  // stops inside the third epoch
+  opts.seed = 5;
+  util::Rng want_rng(21);
+  model::BiEncoder want(SmallBiConfig(), &want_rng);
+  const std::size_t want_steps = ReferenceEpochs(
+      want.params(), examples.size(), opts.seed, opts, opts.batch_size,
+      StringInBatchLoss(want, corpus_->kb, examples), nullptr);
+
+  util::Rng rng(21);
+  model::BiEncoder model(SmallBiConfig(), &rng);
+  auto result = BiEncoderTrainer(opts).Train(&model, corpus_->kb, examples);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->steps, want_steps);
+  EXPECT_EQ(want_steps, 40u);
+  EXPECT_EQ(model.params()->ValuesCrc32(), want.params()->ValuesCrc32());
+}
+
+TEST_F(TrainTest, Dl4elTrainerMatchesStringLossLoop) {
+  const std::vector<data::LinkingExample> examples(
+      corpus_->ExamplesIn("d").begin(), corpus_->ExamplesIn("d").begin() + 97);
+  Dl4elOptions opts;
+  opts.train.epochs = 2;
+  opts.train.batch_size = 12;  // every epoch ends in a skipped batch of 1
+  opts.train.seed = 6;
+  const Dl4elTrainer trainer(opts);
+  util::Rng want_rng(22);
+  model::BiEncoder want(SmallBiConfig(), &want_rng);
+  const std::size_t want_steps = ReferenceEpochs(
+      want.params(), examples.size(), opts.train.seed ^ 0xD14ELu, opts.train,
+      opts.train.batch_size, StringInBatchLoss(want, corpus_->kb, examples),
+      [&trainer](const std::vector<float>& losses) {
+        return trainer.SelectionWeights(losses);
+      });
+
+  util::Rng rng(22);
+  model::BiEncoder model(SmallBiConfig(), &rng);
+  auto result = Dl4elTrainer(opts).Train(&model, corpus_->kb, examples);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->steps, want_steps);
+  EXPECT_EQ(want_steps, 16u);
+  EXPECT_EQ(model.params()->ValuesCrc32(), want.params()->ValuesCrc32());
+}
+
+TEST_F(TrainTest, CrossTrainerMatchesStringLossLoopOneInstanceAStep) {
+  std::vector<CrossInstance> instances = MakeInstances(*corpus_, 0, 30, 5);
+  instances[3].candidates.resize(1);  // fewer than 2 candidates: skipped
+  instances[3].gold_index = 0;
+  instances[3].candidates[0] = instances[3].example.entity_id;
+  TrainOptions opts;
+  opts.epochs = 2;
+  opts.batch_size = 8;  // ignored: one instance a step
+  opts.seed = 9;
+  util::Rng want_rng(23);
+  model::CrossEncoder want(SmallCrossConfig(), &want_rng);
+  const kb::KnowledgeBase& kb = corpus_->kb;
+  const std::size_t want_steps = ReferenceEpochs(
+      want.params(), instances.size(), opts.seed ^ 0xC105Eu, opts, 1,
+      [&](tensor::Graph* g, const std::vector<std::size_t>& rows) {
+        const CrossInstance& inst = instances[rows[0]];
+        if (inst.candidates.size() < 2) return tensor::Var{};
+        std::vector<kb::Entity> entities;
+        for (kb::EntityId id : inst.candidates) {
+          entities.push_back(kb.entity(id));
+        }
+        return want.RankingLoss(g, inst.example, entities, inst.gold_index);
+      },
+      nullptr);
+
+  util::Rng rng(23);
+  model::CrossEncoder model(SmallCrossConfig(), &rng);
+  auto result = CrossEncoderTrainer(opts).Train(&model, kb, instances);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->steps, want_steps);
+  EXPECT_EQ(want_steps, 58u);
+  EXPECT_EQ(model.params()->ValuesCrc32(), want.params()->ValuesCrc32());
 }
 
 // ---- parameterized: meta weight normalization ablation ----------------------
