@@ -17,12 +17,18 @@
 //                    while SwapModel publishes new versions under load —
 //                    the number that proves a swap never stalls serving —
 //                    beside the publish p50 and p99 under that load.
+//   memory:          the served epoch's parameter bytes (values, and
+//                    gradient buffers plus touched-row state) after the
+//                    swaps, and the process peak RSS.
 //
 // Always-on correctness gates (exit 1 on violation, any scale):
 //   - checkpoint round trip is bit-identical (ValuesCrc32 equality);
 //   - a killed + resumed meta-reweight run finishes bit-identical to an
 //     uninterrupted one;
-//   - every Link during the swap hammer succeeds and every swap publishes.
+//   - every Link during the swap hammer succeeds and every swap publishes;
+//   - the served epoch holds no gradient storage.
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
@@ -65,6 +71,16 @@ struct BenchScale {
   std::size_t requests_per_thread = 120;
   std::size_t meta_steps = 16;
 };
+
+double PeakRssMb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
+double Mib(std::size_t bytes) {
+  return static_cast<double>(bytes) / (1024.0 * 1024.0);
+}
 
 }  // namespace
 
@@ -333,6 +349,14 @@ int main(int argc, char** argv) {
   Gate(swap_failures == 0 && stats.swaps - swaps_before == scale.swaps,
        "every swap published");
 
+  // ---- Served memory ---------------------------------------------------------
+  const tensor::ParameterStore::Bytes served = (*server)->model_bytes();
+  const double peak_rss_mb = PeakRssMb();
+  std::printf("[memory]      served epoch params %7.2f MiB  grads %7.2f MiB  "
+              "peak RSS %7.1f MiB\n\n",
+              Mib(served.values), Mib(served.grads), peak_rss_mb);
+  Gate(served.grads == 0, "served epoch holds no gradient storage");
+
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
@@ -366,6 +390,10 @@ int main(int argc, char** argv) {
                "\"final_model_version\": %llu},\n",
                scale.swaps, swap_p50, swap_p99, link_p50, link_p99,
                static_cast<unsigned long long>(stats.model_version));
+  std::fprintf(f,
+               "  \"memory\": {\"served_param_bytes\": %zu, "
+               "\"served_grad_bytes\": %zu, \"peak_rss_mb\": %.1f},\n",
+               served.values, served.grads, peak_rss_mb);
   std::fprintf(f, "  \"gates_ok\": %s\n",
                bench::GatesOk() ? "true" : "false");
   std::fprintf(f, "}\n");

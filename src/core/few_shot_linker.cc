@@ -27,6 +27,10 @@ util::Status FewShotLinker::Fit(
     const std::string& target_domain,
     const std::vector<data::LinkingExample>& seed_examples,
     std::size_t max_heuristic_seeds) {
+  if (pipeline_.config().cross_train_candidates == 0) {
+    return util::Status::InvalidArgument(
+        "cross_train_candidates must be at least 1");
+  }
   if (corpus.kb.EntitiesInDomain(target_domain).empty()) {
     return util::Status::NotFound("target domain has no entities: " +
                                   target_domain);

@@ -48,7 +48,8 @@ struct PipelineConfig {
   /// Weak supervision.
   gen::RewriterOptions rewriter;
   gen::ExactMatcherOptions exact;
-  /// Candidates per cross-encoder training instance.
+  /// Candidates per cross-encoder training instance; at least 1
+  /// (FewShotLinker::Fit rejects 0).
   std::size_t cross_train_candidates = 16;
   /// Two-stage evaluation (k = 64 as in the paper).
   eval::EvaluatorOptions eval;

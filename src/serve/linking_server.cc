@@ -688,4 +688,15 @@ std::size_t LinkingServer::index_size() const {
   return CurrentEpoch()->index.size();
 }
 
+tensor::ParameterStore::Bytes LinkingServer::model_bytes() const {
+  const std::shared_ptr<ModelEpoch> epoch = CurrentEpoch();
+  tensor::ParameterStore::Bytes total = epoch->bi->params()->MemoryBytes();
+  if (epoch->cross != nullptr) {
+    const auto cross = epoch->cross->params()->MemoryBytes();
+    total.values += cross.values;
+    total.grads += cross.grads;
+  }
+  return total;
+}
+
 }  // namespace metablink::serve

@@ -25,6 +25,7 @@
 #include "retrieval/clustered_index.h"
 #include "retrieval/dense_index.h"
 #include "store/model_bundle.h"
+#include "tensor/parameter.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -292,6 +293,9 @@ class LinkingServer {
   const ServerOptions& options() const { return options_; }
   /// Entity count of the currently published model's index.
   std::size_t index_size() const;
+  /// Parameter memory of the currently published model's encoders. A
+  /// bundle-loaded epoch holds no gradient buffers, so `grads` is 0 there.
+  tensor::ParameterStore::Bytes model_bytes() const;
 
  private:
   using Clock = std::chrono::steady_clock;

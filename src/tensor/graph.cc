@@ -154,10 +154,16 @@ Var Graph::Param(Parameter* p) {
   Var self = v;
   node(v).backward = [self, p](const Graph* g, GradWorkspace* ws) {
     const Tensor& gr = ws->grad(*g, self);
+    p->EnsureGrad();
     Axpy(1.0f, gr.data().data(), p->grad.data().data(), gr.size());
   };
   node(v).jvp = [self, p](const Graph* g, JvpWorkspace* ws) {
+    // The direction is p->grad; an unsized one is zero.
     Tensor& t = ws->TangentForWrite(*g, self);
+    if (!p->has_grad()) {
+      t.SetZero();
+      return;
+    }
     std::copy(p->grad.data().begin(), p->grad.data().end(),
               t.data().begin());
   };
@@ -231,6 +237,7 @@ Var Graph::EmbeddingBagMean(Parameter* table,
     }
     // Touch rows serially (TouchRow is not thread-safe); the scatter
     // itself owns one destination row per task.
+    table->EnsureGrad();
     Tensor& gt = table->grad;
     for (std::size_t r = 0; r < nrows; ++r) {
       if (live[r]) table->TouchRow(index->rows[r]);
@@ -267,8 +274,13 @@ Var Graph::EmbeddingBagMean(Parameter* table,
   node(v).jvp = [self, table, shared_bags](const Graph* g,
                                            JvpWorkspace* ws) {
     // Direction tangent of the table is table->grad; same mean-pool as the
-    // forward pass, reading grad rows instead of value rows.
+    // forward pass, reading grad rows instead of value rows. An unsized
+    // table->grad is zero.
     Tensor& t = ws->TangentForWrite(*g, self);
+    if (!table->has_grad()) {
+      t.SetZero();
+      return;
+    }
     const std::size_t d = table->value.cols();
     util::ParallelTraceObserver* trace = util::GetParallelTraceObserver();
     auto gather = [&t, table, &shared_bags, d, trace](std::size_t b) {

@@ -106,14 +106,15 @@ class Graph {
   Var Input(Tensor value);
 
   /// Parameter leaf: the whole matrix participates in the computation and
-  /// its gradient accumulates into `p->grad` during Backward().
+  /// its gradient accumulates into `p->grad` during Backward(), which
+  /// sizes that buffer (zeroed) if no ZeroGrads has.
   Var Param(Parameter* p);
 
   // ---- Ops ---------------------------------------------------------------
 
   /// Mean-pooled embedding-bag lookup: for each bag b of feature ids,
   /// out[b] = mean_{i in bag} table[i]. Empty bags produce a zero row.
-  /// Gradients scatter directly into `table->grad`.
+  /// Gradients scatter directly into `table->grad`, sized as for Param.
   Var EmbeddingBagMean(Parameter* table,
                        std::vector<std::vector<std::uint32_t>> bags);
 
@@ -186,10 +187,11 @@ class Graph {
 
   /// Forward-mode sweep: returns the directional derivative (tangent) of
   /// `v` along the parameter direction currently held in Parameter::grad
-  /// (inputs have zero tangent). One sweep costs about one forward pass
-  /// and yields d/dε value(v)(φ + ε·dir) for every element of v at once —
-  /// this is the meta trainer's fast path for raw[j] = ⟨∇_φ l_j, g_meta⟩,
-  /// replacing n one-hot backward passes.
+  /// (inputs, and parameters with no gradient buffer, have zero tangent).
+  /// One sweep costs about one forward pass and yields
+  /// d/dε value(v)(φ + ε·dir) for every element of v at once — this is the
+  /// meta trainer's fast path for raw[j] = ⟨∇_φ l_j, g_meta⟩, replacing n
+  /// one-hot backward passes.
   Tensor Jvp(Var v) const;
 
   /// Zeroes all node gradients so Backward can run again over the same tape

@@ -476,12 +476,13 @@ __attribute__((target("avx2"))) __m256 TanhAvx2Lanes(__m256 x) {
       _mm256_castsi256_ps(
           _mm256_cmpgt_epi32(_mm256_set1_epi32(0x24000000), ix)));
   // inf / NaN: 1/x + 1, or 1/x - 1 (as 1/x + (-1)) when the sign is set.
+  // A vector with no inf/NaN lane (nearly every one) skips that division.
+  const __m256 non_finite = _mm256_castsi256_ps(
+      _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x7f7fffff)));
+  if (_mm256_movemask_ps(non_finite) == 0) return z;
   const __m256 inf_nan =
       _mm256_add_ps(_mm256_div_ps(one, x), _mm256_or_ps(one, sign));
-  return _mm256_blendv_ps(
-      z, inf_nan,
-      _mm256_castsi256_ps(
-          _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x7f7fffff))));
+  return _mm256_blendv_ps(z, inf_nan, non_finite);
 }
 
 __attribute__((target("avx2"))) void TanhAvx2Body(float* x, std::size_t n) {

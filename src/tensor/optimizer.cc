@@ -14,12 +14,21 @@ namespace {
 constexpr std::uint32_t kSgdStateTag = 0x4D444753u;   // "SGDM"
 constexpr std::uint32_t kAdamStateTag = 0x4D414441u;  // "ADAM"
 
+// The gradient Step reads: `p.grad`, or zeros in `*zeros` when no
+// backward has sized it (its touched-row list is then empty too).
+const float* GradOrZeros(const Parameter& p, std::vector<float>* zeros) {
+  if (p.has_grad()) return p.grad.data().data();
+  zeros->assign(p.value.size(), 0.0f);
+  return zeros->data();
+}
+
 }  // namespace
 
 void SgdOptimizer::Step(ParameterStore* store) {
+  std::vector<float> zeros;
   for (const auto& p : store->parameters()) {
     auto& val = p->value.data();
-    const auto& grad = p->grad.data();
+    const float* grad = GradOrZeros(*p, &zeros);
     if (momentum_ > 0.0f) {
       auto& vel = velocity_[p.get()];
       if (vel.size() != val.size()) vel.assign(val.size(), 0.0f);
@@ -28,7 +37,7 @@ void SgdOptimizer::Step(ParameterStore* store) {
         val[i] -= lr_ * vel[i];
       }
     } else if (p->row_sparse_grad && weight_decay_ == 0.0f) {
-      const std::size_t cols = p->grad.cols();
+      const std::size_t cols = p->value.cols();
       for (std::uint32_t row : p->touched_rows) {
         const std::size_t base = row * cols;
         for (std::size_t c = 0; c < cols; ++c) {
@@ -53,9 +62,10 @@ void AdamOptimizer::Step(ParameterStore* store) {
   step.weight_decay = weight_decay_;
   step.bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
   step.bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  std::vector<float> zeros;
   for (const auto& p : store->parameters()) {
     float* val = p->value.data().data();
-    const float* grad = p->grad.data().data();
+    const float* grad = GradOrZeros(*p, &zeros);
     auto& mom = moments_[p.get()];
     if (mom.m.size() != p->value.size()) {
       mom.m.assign(p->value.size(), 0.0f);
@@ -64,7 +74,7 @@ void AdamOptimizer::Step(ParameterStore* store) {
     if (p->row_sparse_grad) {
       // Lazy Adam: rows with zero gradient keep their moments unchanged
       // (standard sparse-Adam approximation for embedding tables).
-      const std::size_t cols = p->grad.cols();
+      const std::size_t cols = p->value.cols();
       for (std::uint32_t row : p->touched_rows) {
         const std::size_t base = row * cols;
         AdamRow(step, grad + base, val + base, mom.m.data() + base,

@@ -41,8 +41,6 @@ Parameter* ParameterStore::CreateEmbedding(const std::string& name,
                                            float stddev, util::Rng* rng) {
   Parameter* p = CreateNormal(name, rows, cols, stddev, rng);
   p->row_sparse_grad = true;
-  p->touched_mask.assign(rows, 0);
-  p->touched_rows.reserve(1024);
   return p;
 }
 
@@ -68,7 +66,9 @@ std::size_t ParameterStore::TotalSize() const {
 
 void ParameterStore::ZeroGrads() {
   for (auto& p : params_) {
-    if (p->row_sparse_grad) {
+    if (!p->has_grad()) {
+      p->EnsureGrad();
+    } else if (p->row_sparse_grad) {
       const std::size_t cols = p->grad.cols();
       for (std::uint32_t row : p->touched_rows) {
         std::fill_n(p->grad.row_data(row), cols, 0.0f);
@@ -81,11 +81,30 @@ void ParameterStore::ZeroGrads() {
   }
 }
 
+void ParameterStore::ReleaseGrads() {
+  for (auto& p : params_) p->ReleaseGrad();
+}
+
+ParameterStore::Bytes ParameterStore::MemoryBytes() const {
+  Bytes bytes;
+  for (const auto& p : params_) {
+    bytes.values += p->value.data().capacity() * sizeof(float);
+    bytes.grads += p->grad.data().capacity() * sizeof(float) +
+                   p->touched_rows.capacity() * sizeof(std::uint32_t) +
+                   p->touched_mask.capacity();
+  }
+  return bytes;
+}
+
 std::vector<float> ParameterStore::FlattenGrads() const {
   std::vector<float> out;
   out.reserve(TotalSize());
   for (const auto& p : params_) {
-    out.insert(out.end(), p->grad.data().begin(), p->grad.data().end());
+    if (p->has_grad()) {
+      out.insert(out.end(), p->grad.data().begin(), p->grad.data().end());
+    } else {
+      out.resize(out.size() + p->value.size(), 0.0f);
+    }
   }
   return out;
 }
@@ -95,7 +114,9 @@ double ParameterStore::GradDot(const std::vector<float>& snapshot) const {
   std::size_t offset = 0;
   for (const auto& p : params_) {
     const auto& g = p->grad.data();
-    if (p->row_sparse_grad) {
+    if (!p->has_grad()) {
+      // An unsized gradient is zero and adds nothing.
+    } else if (p->row_sparse_grad) {
       const std::size_t cols = p->grad.cols();
       for (std::uint32_t row : p->touched_rows) {
         const float* gr = p->grad.row_data(row);
@@ -109,7 +130,7 @@ double ParameterStore::GradDot(const std::vector<float>& snapshot) const {
         acc += static_cast<double>(g[i]) * snapshot[offset + i];
       }
     }
-    offset += g.size();
+    offset += p->value.size();
   }
   return acc;
 }

@@ -16,6 +16,12 @@ namespace metablink::tensor {
 /// owned by a ParameterStore and referenced (never copied) by autodiff
 /// graphs and optimizers.
 ///
+/// `grad` exists only while something writes gradients: it is empty until
+/// EnsureGrad sizes it (zeroed) — ParameterStore::ZeroGrads and the graph
+/// leaves that scatter into it call it — and ReleaseGrad frees it again.
+/// Every reader treats an empty `grad` as all zeros, so a loaded or fitted
+/// model that serves never holds a second copy of its weights.
+///
 /// Large embedding tables opt into row-sparse gradient tracking
 /// (`row_sparse_grad`): ops that scatter into the gradient mark the touched
 /// rows, and ZeroGrads / GradDot / optimizers then only visit those rows.
@@ -25,17 +31,38 @@ namespace metablink::tensor {
 struct Parameter {
   std::string name;
   Tensor value;
+  /// Empty, or shaped like `value` (see EnsureGrad).
   Tensor grad;
   /// Enables touched-row tracking; set via ParameterStore::CreateEmbedding.
   bool row_sparse_grad = false;
-  /// Rows with (potentially) non-zero gradient, deduplicated via the mask.
+  /// Rows with (potentially) non-zero gradient, deduplicated via the mask;
+  /// the mask is sized with `grad`.
   std::vector<std::uint32_t> touched_rows;
   std::vector<std::uint8_t> touched_mask;
 
   Parameter(std::string n, std::size_t rows, std::size_t cols)
-      : name(std::move(n)), value(rows, cols), grad(rows, cols) {}
+      : name(std::move(n)), value(rows, cols) {}
+
+  bool has_grad() const { return !grad.empty(); }
+
+  /// Sizes `grad` (and the touched-row mask) zeroed on first use; a no-op
+  /// once sized.
+  void EnsureGrad() {
+    if (has_grad()) return;
+    grad = Tensor(value.rows(), value.cols());
+    if (row_sparse_grad) touched_mask.assign(value.rows(), 0);
+  }
+
+  /// Frees `grad` and the touched-row state; the next EnsureGrad starts
+  /// from zeros again.
+  void ReleaseGrad() {
+    grad = Tensor();
+    std::vector<std::uint32_t>().swap(touched_rows);
+    std::vector<std::uint8_t>().swap(touched_mask);
+  }
 
   /// Marks `row` as holding gradient (no-op unless row_sparse_grad).
+  /// Pre: EnsureGrad has run.
   void TouchRow(std::uint32_t row) {
     if (!row_sparse_grad) return;
     if (touched_mask[row] == 0) {
@@ -92,11 +119,24 @@ class ParameterStore {
   /// Total number of scalar weights.
   std::size_t TotalSize() const;
 
-  /// Zeroes every gradient.
+  /// Zeroes every gradient, sizing any that does not exist yet.
   void ZeroGrads();
 
+  /// Frees every gradient buffer and touched-row list (Parameter::
+  /// ReleaseGrad). Training loops call it when they return.
+  void ReleaseGrads();
+
+  /// Heap bytes held for values and for gradients (gradient buffers plus
+  /// touched-row state).
+  struct Bytes {
+    std::size_t values = 0;
+    std::size_t grads = 0;
+  };
+  Bytes MemoryBytes() const;
+
   /// Copies all gradients into one flat vector (parameter registration
-  /// order). Used to hold the meta (seed-batch) gradient.
+  /// order; an unsized gradient reads as zeros). Used to hold the meta
+  /// (seed-batch) gradient.
   std::vector<float> FlattenGrads() const;
 
   /// Dot product of the current gradients with a previously flattened
@@ -137,6 +177,19 @@ class ParameterStore {
 
  private:
   std::vector<std::unique_ptr<Parameter>> params_;
+};
+
+/// Releases a store's gradients when it leaves scope, so a training loop
+/// gives them back on every return, an error's included.
+class ReleaseGradsOnExit {
+ public:
+  explicit ReleaseGradsOnExit(ParameterStore* store) : store_(store) {}
+  ~ReleaseGradsOnExit() { store_->ReleaseGrads(); }
+  ReleaseGradsOnExit(const ReleaseGradsOnExit&) = delete;
+  ReleaseGradsOnExit& operator=(const ReleaseGradsOnExit&) = delete;
+
+ private:
+  ParameterStore* store_;
 };
 
 }  // namespace metablink::tensor

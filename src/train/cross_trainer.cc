@@ -14,6 +14,7 @@ std::vector<CrossInstance> MineCrossTrainingSet(
     const std::vector<std::vector<retrieval::ScoredEntity>>& candidate_lists,
     std::size_t max_candidates) {
   std::vector<CrossInstance> out;
+  if (max_candidates == 0) return out;
   for (std::size_t i = 0;
        i < examples.size() && i < candidate_lists.size(); ++i) {
     const auto& cands = candidate_lists[i];

@@ -24,7 +24,8 @@ struct CrossInstance {
 /// Builds cross-encoder training instances: for each example whose gold
 /// entity appears in its retrieved candidate list, keep up to
 /// `max_candidates` candidates (gold always kept). Examples whose gold was
-/// not retrieved are dropped, as in BLINK.
+/// not retrieved are dropped, as in BLINK. `max_candidates == 0` keeps
+/// nothing and returns no instances.
 std::vector<CrossInstance> MineCrossTrainingSet(
     const std::vector<data::LinkingExample>& examples,
     const std::vector<std::vector<retrieval::ScoredEntity>>& candidate_lists,

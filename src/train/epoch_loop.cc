@@ -16,6 +16,7 @@ util::Result<TrainResult> RunEpochLoop(const EpochLoop& loop,
                                        tensor::ParameterStore* params) {
   util::Rng rng(loop.seed);
   tensor::AdamOptimizer optimizer(options.learning_rate);
+  const tensor::ReleaseGradsOnExit release_grads(params);
   TrainResult result;
 
   std::vector<std::size_t> order(loop.num_records);

@@ -63,7 +63,8 @@ struct EpochLoop {
 /// steps, and linting the first step's graph. An epoch's loss is the mean
 /// over its steps of the weighted step loss. With `options.checkpoint_path`
 /// it saves at every epoch boundary under `loop.tag` and resumes from an
-/// existing file (see TrainOptions).
+/// existing file (see TrainOptions). It returns with `params`' gradient
+/// buffers released.
 util::Result<TrainResult> RunEpochLoop(const EpochLoop& loop,
                                        const TrainOptions& options,
                                        tensor::ParameterStore* params);

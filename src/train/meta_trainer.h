@@ -345,10 +345,12 @@ class MetaReweightTrainerT {
   /// Runs `options.steps` reweighted steps, sampling batches from
   /// `synthetic` (D_f) and `seed_set` (D_g). With checkpoint_path set, a
   /// rerun after a kill resumes from the last saved step instead of
-  /// starting over.
+  /// starting over. Returns with the model's gradient buffers released
+  /// (Step alone leaves them sized).
   util::Result<MetaTrainResult> Train(
       const std::vector<InstanceT>& synthetic,
       const std::vector<InstanceT>& seed_set) {
+    const tensor::ReleaseGradsOnExit release_grads(params_);
     if (synthetic.size() < 2) {
       return util::Status::InvalidArgument(
           "need at least 2 synthetic examples");

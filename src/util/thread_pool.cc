@@ -1,5 +1,7 @@
 #include "util/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <memory>
 
@@ -11,12 +13,21 @@ namespace {
 // Set for the lifetime of WorkerLoop; lets ParallelFor detect that it is
 // being called from inside one of its own pool's workers.
 thread_local const ThreadPool* t_worker_pool = nullptr;
+
+// CPUs in the calling thread's affinity mask; hardware_concurrency() when
+// the mask cannot be read (more CPUs than a cpu_set_t holds).
+std::size_t AvailableCpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    return std::max(1, CPU_COUNT(&mask));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  if (num_threads == 0) num_threads = AvailableCpus();
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

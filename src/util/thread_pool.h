@@ -15,7 +15,9 @@ namespace metablink::util {
 /// tensor kernels to parallelize embarrassingly-parallel loops on CPU.
 class ThreadPool {
  public:
-  /// Starts `num_threads` workers (0 means hardware concurrency).
+  /// Starts `num_threads` workers; 0 means one per CPU the calling
+  /// thread may run on (its affinity mask, so a pinned or cgroup-limited
+  /// process does not oversubscribe).
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 
