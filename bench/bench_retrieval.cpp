@@ -404,10 +404,10 @@ int main(int argc, char** argv) {
 
   std::vector<ScaleResult> results;
   for (std::size_t n : scales) {
-    // Enough repetitions for a stable per-query time at small scales; one
-    // pass at a million entities.
+    // Enough repetitions for a stable per-query time at small scales, and
+    // never fewer than three passes over the queries at large ones.
     const std::size_t rounds =
-        std::max<std::size_t>(1, std::min<std::size_t>(20, 200000 / n));
+        std::max<std::size_t>(3, std::min<std::size_t>(20, 200000 / n));
     results.push_back(
         RunScale(n, dim, num_queries, rounds, &pool,
                  /*check_determinism=*/n == scales.front()));

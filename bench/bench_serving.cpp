@@ -11,16 +11,12 @@
 //                    (EncodeMentionsInference + ScoreInference).
 //   server_batched:  LinkingServer micro-batching scheduler, 8 concurrent
 //                    client threads.
-//   server_cascade:  the batched server with the calibrated three-tier
-//                    rerank cascade (early exit / distilled / partial full
-//                    rerank), reported with per-tier counts and the
-//                    exact-match accuracy delta vs full rerank.
-//   server_exit_head: the same cascade with its distilled scorer cleared,
-//                    so the requests it would score cross-encode the same
-//                    head instead (two tiers: exit + head rerank). Run in
-//                    interleaved repetitions with server_cascade on the
-//                    same stream; both rows report the median-QPS rep and
-//                    the QPS range.
+//   server_cascade:  the batched server with the calibrated two-tier
+//                    rerank cascade (early exit / full rerank of the
+//                    ambiguous head), reported with per-tier counts and
+//                    the exact-match accuracy delta vs full rerank. Run in
+//                    repetitions on the same stream; the row reports the
+//                    median-QPS rep and the QPS range.
 //
 // Also verifies the serving-path contract the speedup is not allowed to
 // buy with accuracy: tape vs tape-free scores match to 1e-6.
@@ -51,7 +47,7 @@
 #include "retrieval/dense_index.h"
 #include "serve/linking_server.h"
 #include "train/bi_trainer.h"
-#include "train/cascade_distiller.h"
+#include "train/cascade_calibration.h"
 #include "train/cross_trainer.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -104,9 +100,9 @@ struct BenchScale {
   /// At full scale the encoders train until margins are meaningful — the
   /// cascade's whole premise is that margin predicts correctness, and a
   /// half-trained bi-encoder's margins are noise. The smoke scales train
-  /// less so calibration keeps all three tiers populated (fully trained
-  /// encoders on the tiny world exit everything, leaving the distilled
-  /// tier unexercised).
+  /// less so calibration keeps both tiers populated (fully trained
+  /// encoders on the tiny world exit everything, leaving the rerank tier
+  /// unexercised).
   std::size_t train_epochs = 4;
 };
 
@@ -198,7 +194,7 @@ Spread QpsSpread(const std::vector<StreamResult>& runs) {
 }
 
 bool TiersSum(const serve::ServerStats& s) {
-  return s.rerank_exited + s.rerank_distilled + s.rerank_full == s.requests;
+  return s.rerank_exited + s.rerank_full == s.requests;
 }
 
 /// Mean server-side hold of a batch: oldest arrival to close.
@@ -370,12 +366,11 @@ int main(int argc, char** argv) {
   };
 
   auto PrintCalibration = [&] {
-    std::printf("[calibrate]  margin_tau=%.4g distill_tau=%.4g "
-                "band=%.4g head_k=%zu exit=%zu/%zu distill=%zu mse=%.3e\n",
-                cascade.config.margin_tau, cascade.config.distill_tau,
-                cascade.config.band_epsilon, calib_report.head_k,
-                calib_report.exit_eligible, calib_report.examples,
-                calib_report.distill_eligible, calib_report.distill_mse);
+    std::printf("[calibrate]  margin_tau=%.4g band=%.4g head_k=%zu "
+                "exit=%zu/%zu\n",
+                cascade.config.margin_tau, cascade.config.band_epsilon,
+                calib_report.head_k, calib_report.exit_eligible,
+                calib_report.examples);
   };
 
   if (cascade_smoke) {
@@ -421,7 +416,6 @@ int main(int argc, char** argv) {
     const bool gate_deterministic =
         SameTop1(on_serial, on_pooled) &&
         on_serial.stats.rerank_exited == on_pooled.stats.rerank_exited &&
-        on_serial.stats.rerank_distilled == on_pooled.stats.rerank_distilled &&
         on_serial.stats.rerank_full == on_pooled.stats.rerank_full;
     const double acc_full =
         static_cast<double>(base.correct) / requests.size();
@@ -435,11 +429,9 @@ int main(int argc, char** argv) {
     std::printf("[gate] forced-full-head byte-identical: %s\n",
                 gate_fullhead_identical ? "PASS" : "FAIL");
     std::printf("[gate] tier counters sum to requests:   %s "
-                "(exited=%llu distilled=%llu full=%llu)\n",
+                "(exited=%llu full=%llu)\n",
                 gate_counters ? "PASS" : "FAIL",
                 static_cast<unsigned long long>(on_serial.stats.rerank_exited),
-                static_cast<unsigned long long>(
-                    on_serial.stats.rerank_distilled),
                 static_cast<unsigned long long>(on_serial.stats.rerank_full));
     std::printf("[gate] serial == pooled (tiers+bytes):  %s\n",
                 gate_deterministic ? "PASS" : "FAIL");
@@ -458,8 +450,7 @@ int main(int argc, char** argv) {
                    "\"fullhead_identical\": %s, \"counters_ok\": %s, "
                    "\"deterministic\": %s, \"accuracy_full\": %.4f, "
                    "\"accuracy_cascade\": %.4f, \"accuracy_delta_pts\": "
-                   "%.4f, \"exited\": %llu, \"distilled\": %llu, "
-                   "\"full\": %llu},\n",
+                   "%.4f, \"exited\": %llu, \"full\": %llu},\n",
                    gate_off_identical ? "true" : "false",
                    gate_fullhead_identical ? "true" : "false",
                    gate_counters ? "true" : "false",
@@ -467,8 +458,6 @@ int main(int argc, char** argv) {
                    acc_cascade, delta_pts,
                    static_cast<unsigned long long>(
                        on_serial.stats.rerank_exited),
-                   static_cast<unsigned long long>(
-                       on_serial.stats.rerank_distilled),
                    static_cast<unsigned long long>(
                        on_serial.stats.rerank_full));
       std::fprintf(f, "  \"pass\": %s\n", ok ? "true" : "false");
@@ -613,45 +602,22 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.accepted));
 
   // ---- Mode 4: the batched server behind the calibrated cascade, in
-  // interleaved repetitions with server_exit_head (the same cascade without
-  // its distilled scorer), fresh servers on the same stream. Each pair
-  // alternates which mode runs first.
+  // repetitions with fresh servers on the same stream.
   serve::ServerOptions cascade_opts = base_opts;
   cascade_opts.use_cascade = true;
   cascade_opts.cascade = &cascade;
-  model::CascadeModel exit_head_cascade = cascade;
-  exit_head_cascade.weights.clear();
-  exit_head_cascade.bias = 0.0f;
-  serve::ServerOptions exit_head_opts = cascade_opts;
-  exit_head_opts.cascade = &exit_head_cascade;
   const int cascade_reps = smoke ? 1 : 7;
-  std::vector<StreamResult> cascade_runs, exit_head_runs;
-  int cascade_wins = 0;
-  auto drive = [&](const serve::ServerOptions& opts) {
-    return DriveServer(MakeServer(opts).get(), requests, scale.client_threads);
-  };
+  std::vector<StreamResult> cascade_runs;
   for (int r = 0; r < cascade_reps; ++r) {
-    if (r % 2 == 0) {
-      cascade_runs.push_back(drive(cascade_opts));
-      exit_head_runs.push_back(drive(exit_head_opts));
-    } else {
-      exit_head_runs.push_back(drive(exit_head_opts));
-      cascade_runs.push_back(drive(cascade_opts));
-    }
-    if (cascade_runs.back().mode.qps > exit_head_runs.back().mode.qps) {
-      ++cascade_wins;
-    }
+    cascade_runs.push_back(DriveServer(MakeServer(cascade_opts).get(),
+                                       requests, scale.client_threads));
   }
   const StreamResult& server_cascade = MedianQpsRun(cascade_runs);
-  const StreamResult& exit_head = MedianQpsRun(exit_head_runs);
   const Spread cascade_qps = QpsSpread(cascade_runs);
-  const Spread exit_head_qps = QpsSpread(exit_head_runs);
   const double acc_full =
       static_cast<double>(server.correct) / requests.size();
   const double acc_cascade =
       static_cast<double>(server_cascade.correct) / requests.size();
-  const double acc_exit_head =
-      static_cast<double>(exit_head.correct) / requests.size();
   const double accuracy_delta_pts = (acc_full - acc_cascade) * 100.0;
   const double cascade_speedup = server.mode.qps > 0.0
                                      ? server_cascade.mode.qps /
@@ -664,8 +630,7 @@ int main(int argc, char** argv) {
               cascade_qps.max, cascade_reps);
   std::printf("  batches=%llu (full=%llu deadline=%llu early=%llu) "
               "caller_batches=%llu hold=%.3fms/batch tiers: exited=%llu "
-              "distilled=%llu full=%llu | accuracy full=%.4f cascade=%.4f "
-              "delta=%.3f pts\n",
+              "full=%llu | accuracy full=%.4f cascade=%.4f delta=%.3f pts\n",
               static_cast<unsigned long long>(server_cascade.stats.batches),
               static_cast<unsigned long long>(
                   server_cascade.stats.batches_full),
@@ -679,22 +644,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   server_cascade.stats.rerank_exited),
               static_cast<unsigned long long>(
-                  server_cascade.stats.rerank_distilled),
-              static_cast<unsigned long long>(
                   server_cascade.stats.rerank_full),
               acc_full, acc_cascade, accuracy_delta_pts);
-  std::printf("[server_exit_head] p50 %7.3f ms  p99 %7.3f ms  %8.1f qps  "
-              "(qps [%.1f, %.1f]; three-tier faster in %d/%d reps)\n",
-              exit_head.mode.p50_ms, exit_head.mode.p99_ms,
-              exit_head.mode.qps, exit_head_qps.min, exit_head_qps.max,
-              cascade_wins, cascade_reps);
-  std::printf("  tiers: exited=%llu distilled=%llu full=%llu | "
-              "accuracy=%.4f\n",
-              static_cast<unsigned long long>(exit_head.stats.rerank_exited),
-              static_cast<unsigned long long>(
-                  exit_head.stats.rerank_distilled),
-              static_cast<unsigned long long>(exit_head.stats.rerank_full),
-              acc_exit_head);
 
   // ---- Mode 5: the cascade under a Zipf-skewed request stream. -------------
   // Same server configuration, same pool, but requests drawn Zipf(0.99)
@@ -715,20 +666,16 @@ int main(int argc, char** argv) {
               "(theta=0.99)\n",
               cascade_zipf.mode.p50_ms, cascade_zipf.mode.p99_ms,
               cascade_zipf.mode.qps);
-  std::printf("  tiers: exited=%llu distilled=%llu full=%llu | "
+  std::printf("  tiers: exited=%llu full=%llu | "
               "cache_hit_rate=%.2f (uniform %.2f)\n",
               static_cast<unsigned long long>(
                   cascade_zipf.stats.rerank_exited),
-              static_cast<unsigned long long>(
-                  cascade_zipf.stats.rerank_distilled),
               static_cast<unsigned long long>(cascade_zipf.stats.rerank_full),
               zipf_hit_rate, cache_hit_rate);
 
   const double speedup = server.mode.qps / tape.qps;
   const bool parity_ok = max_score_diff <= 1e-6;
   const bool counters_ok = TiersSum(server_cascade.stats) &&
-                           TiersSum(exit_head.stats) &&
-                           exit_head.stats.rerank_distilled == 0 &&
                            TiersSum(server.stats) &&
                            server.stats.rerank_full == server.stats.requests;
   const bool cascade_ok = counters_ok && accuracy_delta_pts <= 0.2;
@@ -792,8 +739,7 @@ int main(int argc, char** argv) {
                "  \"server_cascade\": {\"reps\": %d, \"p50_ms\": %.4f, "
                "\"p99_ms\": %.4f, \"qps\": %.1f, \"qps_min\": %.1f, "
                "\"qps_max\": %.1f, \"rerank_exited\": %llu, "
-               "\"rerank_distilled\": %llu, \"rerank_full\": %llu, "
-               "\"margin_tau\": %.6g, \"distill_tau\": %.6g, "
+               "\"rerank_full\": %llu, \"margin_tau\": %.6g, "
                "\"band_epsilon\": %.6g, \"rerank_head_k\": %zu, "
                "\"accuracy_full\": %.4f, \"accuracy_cascade\": %.4f, "
                "\"accuracy_delta_pts\": %.4f},\n",
@@ -803,37 +749,20 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(
                    server_cascade.stats.rerank_exited),
                static_cast<unsigned long long>(
-                   server_cascade.stats.rerank_distilled),
-               static_cast<unsigned long long>(
                    server_cascade.stats.rerank_full),
-               cascade.config.margin_tau, cascade.config.distill_tau,
-               cascade.config.band_epsilon, cascade.config.rerank_head_k,
+               cascade.config.margin_tau, cascade.config.band_epsilon,
+               cascade.config.rerank_head_k,
                acc_full, acc_cascade, accuracy_delta_pts);
-  std::fprintf(f,
-               "  \"server_exit_head\": {\"reps\": %d, \"p50_ms\": %.4f, "
-               "\"p99_ms\": %.4f, \"qps\": %.1f, \"qps_min\": %.1f, "
-               "\"qps_max\": %.1f, \"rerank_exited\": %llu, "
-               "\"rerank_distilled\": %llu, \"rerank_full\": %llu, "
-               "\"accuracy\": %.4f, \"cascade_faster_reps\": %d},\n",
-               cascade_reps, exit_head.mode.p50_ms, exit_head.mode.p99_ms,
-               exit_head.mode.qps, exit_head_qps.min, exit_head_qps.max,
-               static_cast<unsigned long long>(exit_head.stats.rerank_exited),
-               static_cast<unsigned long long>(
-                   exit_head.stats.rerank_distilled),
-               static_cast<unsigned long long>(exit_head.stats.rerank_full),
-               acc_exit_head, cascade_wins);
   std::fprintf(f,
                "  \"server_cascade_zipf\": {\"theta\": 0.99, \"p50_ms\": "
                "%.4f, \"p99_ms\": %.4f, \"qps\": %.1f, "
-               "\"rerank_exited\": %llu, \"rerank_distilled\": %llu, "
-               "\"rerank_full\": %llu, \"cache_hit_rate\": %.4f, "
+               "\"rerank_exited\": %llu, \"rerank_full\": %llu, "
+               "\"cache_hit_rate\": %.4f, "
                "\"cache_hit_rate_uniform\": %.4f},\n",
                cascade_zipf.mode.p50_ms, cascade_zipf.mode.p99_ms,
                cascade_zipf.mode.qps,
                static_cast<unsigned long long>(
                    cascade_zipf.stats.rerank_exited),
-               static_cast<unsigned long long>(
-                   cascade_zipf.stats.rerank_distilled),
                static_cast<unsigned long long>(
                    cascade_zipf.stats.rerank_full),
                zipf_hit_rate, cache_hit_rate);

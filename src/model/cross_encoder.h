@@ -147,9 +147,8 @@ class CrossEncoder {
 
   /// Runs just the mention tower (bag gather + tanh) into
   /// scratch->mention_vec — the per-request half of ScoreCachedInference,
-  /// exposed so the cascade's distilled tier can take the mention/entity
-  /// tower dot without paying for the scoring MLP. Bit-identical to the
-  /// vector ScoreCachedInference computes internally.
+  /// exposed so a profiler can time the tower apart from the scoring MLP.
+  /// Bit-identical to the vector ScoreCachedInference computes internally.
   void MentionVecInto(const data::LinkingExample& example,
                       CrossScoreScratch* scratch) const;
 

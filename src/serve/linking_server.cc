@@ -43,7 +43,7 @@ util::Result<std::unique_ptr<LinkingServer>> LinkingServer::Create(
   auto epoch = std::make_shared<ModelEpoch>();
   METABLINK_RETURN_IF_ERROR(
       epoch->Build(bi, cross, kb, domain, &server->pool_));
-  METABLINK_RETURN_IF_ERROR(server->StartBorrowed(std::move(epoch)));
+  server->StartBorrowed(std::move(epoch));
   return server;
 }
 
@@ -58,7 +58,7 @@ util::Result<std::unique_ptr<LinkingServer>> LinkingServer::FromLinker(
   // epoch copies it rather than embedding every entity again.
   auto epoch = std::make_shared<ModelEpoch>();
   static_cast<eval::DomainSide&>(*epoch) = linker.side();
-  METABLINK_RETURN_IF_ERROR(server->StartBorrowed(std::move(epoch)));
+  server->StartBorrowed(std::move(epoch));
   return server;
 }
 
@@ -85,10 +85,9 @@ void LinkingServer::Start(std::shared_ptr<ModelEpoch> epoch) {
   scheduler_ = std::thread(&LinkingServer::SchedulerLoop, this);
 }
 
-util::Status LinkingServer::StartBorrowed(std::shared_ptr<ModelEpoch> epoch) {
-  METABLINK_RETURN_IF_ERROR(ResolveCascade(options_, nullptr, epoch.get()));
+void LinkingServer::StartBorrowed(std::shared_ptr<ModelEpoch> epoch) {
+  ResolveCascade(options_, nullptr, epoch.get());
   Start(std::move(epoch));
-  return util::Status::OK();
 }
 
 LinkingServer::~LinkingServer() {
@@ -100,9 +99,9 @@ LinkingServer::~LinkingServer() {
   if (scheduler_.joinable()) scheduler_.join();
 }
 
-util::Status LinkingServer::ResolveCascade(const ServerOptions& options,
-                                           const model::CascadeModel* artifact,
-                                           ModelEpoch* epoch) {
+void LinkingServer::ResolveCascade(const ServerOptions& options,
+                                   const model::CascadeModel* artifact,
+                                   ModelEpoch* epoch) {
   if (artifact != nullptr) {
     epoch->cascade = *artifact;
   } else if (options.cascade != nullptr) {
@@ -110,14 +109,6 @@ util::Status LinkingServer::ResolveCascade(const ServerOptions& options,
   }
   epoch->cascade.config.rerank_head_k =
       std::max<std::size_t>(1, epoch->cascade.config.rerank_head_k);
-  if (epoch->cascade.has_scorer() &&
-      epoch->cascade.weights.size() !=
-          model::CascadeFeatureCount(epoch->cross->config().dim)) {
-    return util::Status::InvalidArgument(
-        "cascade scorer was distilled for a different cross-encoder "
-        "dimension");
-  }
-  return util::Status::OK();
 }
 
 void LinkingServer::ModelEpoch::Retrieve(
@@ -162,9 +153,7 @@ LinkingServer::BuildEpochFromBundle(store::ModelBundle bundle,
                            &epoch->cross_cache);
   }
   epoch->MapRows();
-  METABLINK_RETURN_IF_ERROR(
-      ResolveCascade(options, b.has_cascade ? &b.cascade : nullptr,
-                     epoch.get()));
+  ResolveCascade(options, b.has_cascade ? &b.cascade : nullptr, epoch.get());
   return epoch;
 }
 
@@ -467,7 +456,7 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close,
       num_misses, 0,
       [this, &epoch, batch, &outcomes, &tiers, use_cascade, share_bags](
           std::size_t chunk, std::size_t begin, std::size_t end) {
-        RerankScratch& scratch = rerank_scratch_[chunk];
+        eval::RescoreScratch& scratch = rerank_scratch_[chunk];
         const model::CascadeConfig& config = epoch->cascade.config;
         for (std::size_t j = begin; j < end; ++j) {
           const std::size_t i = miss_idx_[j];
@@ -509,41 +498,10 @@ void LinkingServer::ServeBatch(std::vector<Request>* batch, BatchClose close,
               // used). The tail keeps its retrieval order and scores.
               const std::size_t head = eval::HeadSize(
                   cands, config.band_epsilon, config.rerank_head_k);
-              if (margin >= config.distill_tau &&
-                  epoch->cascade.has_scorer()) {
-                // Tier 2 — distilled scorer over the head.
-                tiers[i] = Tier::kDistilled;
-                scratch.strip.resize(cands.size());
-                for (std::size_t c = 0; c < cands.size(); ++c) {
-                  scratch.strip[c] = cands[c].score;
-                }
-                epoch->cross->featurizer().PrecomputeMentionTokens(
-                    req.example, text, epoch->cross_cache.vocab,
-                    &scratch.cross.mention_tokens);
-                const std::size_t cross_d =
-                    epoch->cross_cache.entity_vec.cols();
-                scratch.cross.mention_vec.assign(cross_d, 0.0f);
-                epoch->cross->TowerRowInto(cross_bag(),
-                                           scratch.cross.mention_vec.data());
-                scratch.features.resize(model::CascadeFeatureCount(cross_d));
-                for (std::size_t r = 0; r < head; ++r) {
-                  const std::size_t pos = epoch->entity_pos.at(cands[r].id);
-                  model::CascadeFeaturesInto(
-                      scratch.strip.data(), cands.size(), r,
-                      scratch.cross.mention_vec.data(),
-                      epoch->cross_cache.entity_vec.row_data(pos), cross_d,
-                      scratch.cross.mention_tokens,
-                      epoch->cross_cache.tokens[pos],
-                      scratch.features.data());
-                  cands[r].score =
-                      epoch->cascade.ScoreFeatures(scratch.features.data());
-                }
-              } else {
-                // Tier 3 — full cross-encoder, but only over the head.
-                tiers[i] = Tier::kFull;
-                epoch->Rescore(req.example, text, cross_bag(), cands.data(),
-                               head, &scratch);
-              }
+              // Tier 2 — full cross-encoder, but only over the head.
+              tiers[i] = Tier::kFull;
+              epoch->Rescore(req.example, text, cross_bag(), cands.data(),
+                             head, &scratch);
               eval::SortBestFirst(cands.begin(), cands.begin() + head);
             }
           }
@@ -649,7 +607,6 @@ void LinkingServer::CacheInsert(
 void LinkingServer::CountTier(Tier tier, ServerStats* stats) {
   switch (tier) {
     case Tier::kExited: ++stats->rerank_exited; break;
-    case Tier::kDistilled: ++stats->rerank_distilled; break;
     case Tier::kFull: ++stats->rerank_full; break;
   }
 }

@@ -69,10 +69,9 @@ struct ServerOptions {
   /// inside the model version it was filled against, so a SwapModel never
   /// serves an old version's answer.
   std::size_t cache_capacity = 1024;
-  /// Serve re-ranking through the three-tier adaptive cascade (see
+  /// Serve re-ranking through the two-tier adaptive cascade (see
   /// model::CascadeConfig): confident requests exit on the retrieval
-  /// margin, middle-confidence requests rescore the ambiguous head with
-  /// the distilled scorer, and only the rest cross-encode the head. Off
+  /// margin, and the rest cross-encode only the ambiguous head. Off
   /// (the default) serves the exact full-rerank path of previous builds,
   /// byte for byte.
   bool use_cascade = false;
@@ -91,7 +90,7 @@ struct ServerOptions {
   /// servers built over raw components or bundles without a "cascade"
   /// artifact; must outlive the server. A bundle's own artifact takes
   /// precedence. Null with use_cascade serves an uncalibrated default
-  /// config (never exit, no distilled tier, partial rerank of the top
+  /// config (never exit, partial rerank of the top
   /// model::CascadeConfig{}.rerank_head_k).
   const model::CascadeModel* cascade = nullptr;
 };
@@ -154,6 +153,9 @@ struct ServerStats {
   /// is on (there is nothing to rerank). A cache hit counts the tier that
   /// produced its stored answer, so the counts equal a cache-off server's.
   std::uint64_t rerank_exited = 0;
+  /// Always 0. The distilled middle tier is retired; a legacy artifact's
+  /// distilled band is served, and counted, as rerank_full. The field
+  /// stays because perfbench's serve.tier_distilled_frac reads it.
   std::uint64_t rerank_distilled = 0;
   std::uint64_t rerank_full = 0;
   /// Whether the currently published epoch's clustered scan reads PQ
@@ -310,7 +312,7 @@ class LinkingServer {
   };
 
   /// Rerank tier that answered a request (ServerStats::rerank_*).
-  enum class Tier : std::uint8_t { kExited, kDistilled, kFull };
+  enum class Tier : std::uint8_t { kExited, kFull };
 
   /// Why a batch closed (ServerStats::batches_*). kCaller is an early
   /// close served on its caller's thread (also ServerStats::caller_batches).
@@ -366,7 +368,7 @@ class LinkingServer {
   /// Start for an epoch over caller-owned components (Create, FromLinker),
   /// which retrieve by the exhaustive scan: resolves ServerOptions::cascade
   /// first.
-  util::Status StartBorrowed(std::shared_ptr<ModelEpoch> epoch);
+  void StartBorrowed(std::shared_ptr<ModelEpoch> epoch);
 
   /// Turns a loaded bundle into a servable epoch: adopts its prebuilt
   /// index and clustered artifact (which then answers stage 1 at its saved
@@ -380,9 +382,9 @@ class LinkingServer {
   /// Installs the epoch's resolved cascade policy: `artifact` (a bundle's
   /// "cascade" section) wins over options.cascade wins over the default
   /// config.
-  static util::Status ResolveCascade(const ServerOptions& options,
-                                     const model::CascadeModel* artifact,
-                                     ModelEpoch* epoch);
+  static void ResolveCascade(const ServerOptions& options,
+                             const model::CascadeModel* artifact,
+                             ModelEpoch* epoch);
 
   void SchedulerLoop();
   /// Serves one batch with the serving scratch, on the scheduler or (for
@@ -464,13 +466,7 @@ class LinkingServer {
   tensor::Tensor encoded_;
   std::vector<std::vector<retrieval::ScoredEntity>> batch_hits_;
   std::vector<retrieval::ClusteredScratch> retrieval_scratch_;
-  struct RerankScratch : eval::RescoreScratch {
-    /// Cascade-only buffers: the retrieval-score strip feeding
-    /// CascadeFeaturesInto and one distilled feature row.
-    std::vector<float> strip;
-    std::vector<float> features;
-  };
-  std::vector<RerankScratch> rerank_scratch_;
+  std::vector<eval::RescoreScratch> rerank_scratch_;
   std::vector<std::size_t> miss_idx_;
   // Answer-cache misses of the batch by key (viewing Request::key), and
   // each repeat of one as (request, first miss with its key).

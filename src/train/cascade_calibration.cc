@@ -1,4 +1,4 @@
-#include "train/cascade_distiller.h"
+#include "train/cascade_calibration.h"
 
 #include <algorithm>
 #include <cmath>
@@ -6,10 +6,6 @@
 #include <limits>
 
 #include "eval/evaluator.h"
-#include "model/features.h"
-#include "tensor/optimizer.h"
-#include "tensor/parameter.h"
-#include "tensor/tensor.h"
 
 namespace metablink::train {
 
@@ -17,14 +13,16 @@ namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
+/// Net gold-accuracy harm every knob must fit: the calibrated cascade may
+/// not answer worse than full rerank on its calibration set, net.
+constexpr double kHarmBudget = 0.0;
+
 /// Everything calibration needs about one example, computed once.
 struct CalibrationRow {
   std::vector<retrieval::ScoredEntity> hits;  // retrieval order (desc)
   std::vector<float> cross_scores;            // aligned with hits
   float margin = kInf;                        // top1 - top2 (inf when k=1)
-  std::size_t cross_best_rank = 0;            // retrieval rank of full winner
-  kb::EntityId cross_best_id = kb::kInvalidEntityId;
-  std::vector<float> mention_vec;  // cross-encoder mention tower output
+  kb::EntityId cross_best_id = kb::kInvalidEntityId;  // full-rerank winner
 };
 
 /// Index of the best (score desc, id asc) candidate among ranks [0, n).
@@ -82,20 +80,15 @@ util::Result<model::CascadeModel> CalibrateCascade(
     row.margin = row.hits.size() > 1
                      ? row.hits[0].score - row.hits[1].score
                      : kInf;
-    row.cross_best_rank = ArgBest(row.hits, row.cross_scores,
-                                  row.hits.size());
-    row.cross_best_id = row.hits[row.cross_best_rank].id;
-    cross.MentionVecInto(examples[i], &cross_scratch);
-    row.mention_vec = cross_scratch.mention_vec;
+    row.cross_best_id =
+        row.hits[ArgBest(row.hits, row.cross_scores, row.hits.size())].id;
   }
-  const std::size_t cross_d = cross_cache.entity_vec.cols();
-  const std::size_t n_features = model::CascadeFeatureCount(cross_d);
 
   model::CascadeModel cascade;
 
   // Every knob below is set by NET gold-accuracy harm against a shared
-  // budget (default 0: the cascade may not answer worse than full rerank
-  // on this set, net). Harm is signed — a high-margin example where
+  // budget of 0 (the cascade may not answer worse than full rerank on this
+  // set, net). Harm is signed — a high-margin example where
   // retrieval beats the cross-encoder banks credit — which admits far more
   // exits than demanding per-example agreement would, while keeping the
   // aggregate accuracy guarantee exact on the calibration set.
@@ -124,23 +117,7 @@ util::Result<model::CascadeModel> CalibrateCascade(
     }
     return a < b;
   });
-  const double budget = options.harm_budget;
 
-  // Net harm of answering every example of `subset` with the cross-argmax
-  // over the banded head instead of over the full candidate list.
-  auto head_harm = [&](const std::vector<std::size_t>& subset, std::size_t h,
-                       float band) {
-    double harm = 0.0;
-    for (std::size_t i : subset) {
-      const CalibrationRow& row = rows[i];
-      const std::size_t head = eval::HeadSize(row.hits, band, h);
-      const bool correct =
-          row.hits[ArgBest(row.hits, row.cross_scores, head)].id ==
-          examples[i].entity_id;
-      harm += (full_correct(i) ? 1.0 : 0.0) - (correct ? 1.0 : 0.0);
-    }
-    return harm;
-  };
   // The (head cap, band) pair is picked JOINTLY: shrinking the cap first
   // and the band second (or vice versa) gets stuck in poor corners — a
   // mid-size cap with a tight band often reranks far fewer candidates
@@ -224,8 +201,6 @@ util::Result<model::CascadeModel> CalibrateCascade(
     *cost_out = best_cost;
   };
 
-  double exit_harm = 0.0;
-  std::size_t head_k = k;
   {
     // Feasible cutoffs: after each margin group (and before any exit)
     // with cumulative exit harm within budget.
@@ -234,8 +209,7 @@ util::Result<model::CascadeModel> CalibrateCascade(
       float tau = kInf;
       double harm = 0.0;
     };
-    std::vector<Cutoff> cutoffs;
-    if (budget >= 0.0) cutoffs.push_back(Cutoff{});
+    std::vector<Cutoff> cutoffs(1);
     double cum = 0.0;
     std::size_t g = 0;
     while (g < order.size()) {
@@ -246,7 +220,7 @@ util::Result<model::CascadeModel> CalibrateCascade(
                (exit_correct(order[end]) ? 1.0 : 0.0);
         ++end;
       }
-      if (cum <= budget) cutoffs.push_back(Cutoff{end, m, cum});
+      if (cum <= kHarmBudget) cutoffs.push_back(Cutoff{end, m, cum});
       g = end;
     }
     // Bound the sweep: always keep the extremes, subsample the middle.
@@ -267,7 +241,7 @@ util::Result<model::CascadeModel> CalibrateCascade(
       std::size_t h = k;
       float band = kInf;
       double cost = std::numeric_limits<double>::infinity();
-      shrink_head(subset, budget - cut.harm, &h, &band, &cost);
+      shrink_head(subset, kHarmBudget - cut.harm, &h, &band, &cost);
       if (cost < best_cost ||
           (cost == best_cost && cut.count > best_count)) {
         best_cost = cost;
@@ -275,180 +249,25 @@ util::Result<model::CascadeModel> CalibrateCascade(
         cascade.config.margin_tau = cut.count == 0 ? kInf : cut.tau;
         cascade.config.rerank_head_k = h;
         cascade.config.band_epsilon = band;
-        exit_harm = cut.harm;
       }
     }
-    head_k = cascade.config.rerank_head_k;
-  }
-  std::vector<std::size_t> nonexit;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].margin < cascade.config.margin_tau) nonexit.push_back(i);
-  }
-  const double nonexit_harm =
-      head_harm(nonexit, head_k, cascade.config.band_epsilon);
-
-  // ---- Distill the middle-tier scorer: full-batch Adam regression of
-  // cross-encoder head scores onto the cheap feature row, over exactly the
-  // (example, candidate) pairs the distilled tier could ever see — the
-  // final banded heads of the non-exited examples. Deterministic — zero
-  // init, fixed example order, no sampling.
-  std::vector<float> features;   // [rows x n_features]
-  std::vector<float> targets;
-  std::vector<float> strip;      // per-example retrieval score strip
-  // Resolved per example where its features are built: a MentionTokens
-  // holds counts over the whole vocabulary, so rows do not keep one each.
-  model::MentionTokens mention_tokens;
-  for (std::size_t i : nonexit) {
-    const CalibrationRow& row = rows[i];
-    cross.featurizer().PrecomputeMentionTokens(examples[i], cross_cache.vocab,
-                                               &mention_tokens);
-    const std::size_t head =
-        eval::HeadSize(row.hits, cascade.config.band_epsilon, head_k);
-    strip.resize(row.hits.size());
-    for (std::size_t r = 0; r < row.hits.size(); ++r) {
-      strip[r] = row.hits[r].score;
-    }
-    for (std::size_t r = 0; r < head; ++r) {
-      const std::size_t base = features.size();
-      features.resize(base + n_features);
-      model::CascadeFeaturesInto(
-          strip.data(), row.hits.size(), r, row.mention_vec.data(),
-          cross_cache.entity_vec.row_data(entity_pos.at(row.hits[r].id)),
-          cross_d, mention_tokens,
-          cross_cache.tokens[entity_pos.at(row.hits[r].id)],
-          features.data() + base);
-      targets.push_back(row.cross_scores[r]);
-    }
-  }
-  const std::size_t n_rows = targets.size();
-  double mse = 0.0;
-  if (n_rows > 0) {
-    tensor::ParameterStore store;
-    tensor::Parameter* w =
-        store.Create("cascade_w", n_features, 1);
-    tensor::Parameter* b = store.Create("cascade_b", 1, 1);
-    tensor::AdamOptimizer adam(options.distill_lr);
-    std::vector<double> grad_w(n_features);
-    for (std::size_t step = 0; step < options.distill_steps; ++step) {
-      std::fill(grad_w.begin(), grad_w.end(), 0.0);
-      double grad_b = 0.0;
-      mse = 0.0;
-      for (std::size_t r = 0; r < n_rows; ++r) {
-        const float* x = features.data() + r * n_features;
-        double pred = static_cast<double>(b->value.data()[0]);
-        for (std::size_t j = 0; j < n_features; ++j) {
-          pred += static_cast<double>(w->value.data()[j]) * x[j];
-        }
-        const double err = pred - targets[r];
-        mse += err * err;
-        for (std::size_t j = 0; j < n_features; ++j) {
-          grad_w[j] += 2.0 * err * x[j];
-        }
-        grad_b += 2.0 * err;
-      }
-      const double inv = 1.0 / static_cast<double>(n_rows);
-      mse *= inv;
-      store.ZeroGrads();
-      for (std::size_t j = 0; j < n_features; ++j) {
-        w->grad.data()[j] = static_cast<float>(grad_w[j] * inv);
-      }
-      b->grad.data()[0] = static_cast<float>(grad_b * inv);
-      adam.Step(&store);
-    }
-    cascade.weights = w->value.data();
-    cascade.bias = b->value.data()[0];
-  }
-
-  // ---- distill_tau: route the largest high-margin prefix of the
-  // NON-exited examples to the distilled tier. Moving an example from the
-  // full tier to the distilled tier changes its harm by (head answer
-  // correct) - (distilled answer correct); the largest prefix whose summed
-  // change fits the remaining budget wins, with margin ties again routed
-  // together.
-  std::vector<std::size_t> distilled_best(rows.size(), 0);
-  {
-    std::vector<bool> head_correct(rows.size(), false);
-    std::vector<bool> distilled_correct(rows.size(), false);
-    std::vector<float> distilled;
-    std::vector<float> feat_row(n_features);
-    for (std::size_t i : nonexit) {
-      const CalibrationRow& row = rows[i];
-      const std::size_t head =
-          eval::HeadSize(row.hits, cascade.config.band_epsilon, head_k);
-      head_correct[i] =
-          row.hits[ArgBest(row.hits, row.cross_scores, head)].id ==
-          examples[i].entity_id;
-      if (!cascade.has_scorer()) continue;
-      cross.featurizer().PrecomputeMentionTokens(
-          examples[i], cross_cache.vocab, &mention_tokens);
-      strip.resize(row.hits.size());
-      for (std::size_t r = 0; r < row.hits.size(); ++r) {
-        strip[r] = row.hits[r].score;
-      }
-      distilled.resize(head);
-      for (std::size_t r = 0; r < head; ++r) {
-        model::CascadeFeaturesInto(
-            strip.data(), row.hits.size(), r, row.mention_vec.data(),
-            cross_cache.entity_vec.row_data(entity_pos.at(row.hits[r].id)),
-            cross_d, mention_tokens,
-            cross_cache.tokens[entity_pos.at(row.hits[r].id)],
-            feat_row.data());
-        distilled[r] = cascade.ScoreFeatures(feat_row.data());
-      }
-      distilled_best[i] = ArgBest(row.hits, distilled, head);
-      distilled_correct[i] =
-          row.hits[distilled_best[i]].id == examples[i].entity_id;
-    }
-    std::sort(nonexit.begin(), nonexit.end(),
-              [&](std::size_t a, std::size_t b) {
-                if (rows[a].margin != rows[b].margin) {
-                  return rows[a].margin > rows[b].margin;
-                }
-                return a < b;
-              });
-    float tau = kInf;
-    std::size_t accepted = 0;
-    if (cascade.has_scorer()) {
-      const double remaining = budget - exit_harm - nonexit_harm;
-      double cum = 0.0;
-      std::size_t g = 0;
-      while (g < nonexit.size()) {
-        const float m = rows[nonexit[g]].margin;
-        std::size_t end = g;
-        while (end < nonexit.size() && rows[nonexit[end]].margin == m) {
-          const std::size_t i = nonexit[end];
-          cum += (head_correct[i] ? 1.0 : 0.0) -
-                 (distilled_correct[i] ? 1.0 : 0.0);
-          ++end;
-        }
-        if (cum <= remaining) {
-          tau = m;
-          accepted = end;
-        }
-        g = end;
-      }
-    }
-    cascade.config.distill_tau = accepted == 0 ? kInf : tau;
   }
 
   // ---- Simulate the calibrated cascade for the report.
   if (report != nullptr) {
     *report = CascadeCalibrationReport{};
     report->examples = rows.size();
-    report->head_k = head_k;
-    report->distill_mse = mse;
+    report->head_k = cascade.config.rerank_head_k;
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const CalibrationRow& row = rows[i];
       kb::EntityId predicted;
       if (row.margin >= cascade.config.margin_tau) {
         ++report->exit_eligible;
         predicted = row.hits[0].id;
-      } else if (row.margin >= cascade.config.distill_tau) {
-        ++report->distill_eligible;
-        predicted = row.hits[distilled_best[i]].id;
       } else {
         const std::size_t head =
-            eval::HeadSize(row.hits, cascade.config.band_epsilon, head_k);
+            eval::HeadSize(row.hits, cascade.config.band_epsilon,
+                           cascade.config.rerank_head_k);
         predicted = row.hits[ArgBest(row.hits, row.cross_scores, head)].id;
       }
       if (predicted == examples[i].entity_id) ++report->accuracy_cascade;

@@ -14,11 +14,12 @@
 #include "model/bi_encoder.h"
 #include "model/cascade.h"
 #include "model/cross_encoder.h"
+#include "model/features.h"
 #include "retrieval/dense_index.h"
 #include "serve/linking_server.h"
 #include "store/checkpoint.h"
 #include "store/model_bundle.h"
-#include "train/cascade_distiller.h"
+#include "train/cascade_calibration.h"
 #include "util/rng.h"
 
 namespace metablink {
@@ -125,7 +126,6 @@ class CascadeTest : public ::testing::Test {
       train::CascadeCalibrationReport* report = nullptr) {
     train::CascadeCalibrationOptions opts;
     opts.retrieve_k = 16;
-    opts.distill_steps = 60;
     auto calibrated = train::CalibrateCascade(
         *bi_, *cross_, corpus_->kb, "serving",
         corpus_->ExamplesIn("serving"), opts, report);
@@ -133,12 +133,23 @@ class CascadeTest : public ::testing::Test {
     return *std::move(calibrated);
   }
 
-  /// A synthetic scorer-bearing cascade sized for this cross-encoder.
-  model::CascadeModel WithScorer(model::CascadeConfig config) const {
-    model::CascadeModel m;
-    m.config = config;
-    m.weights.assign(model::CascadeFeatureCount(cross_->config().dim), 0.0f);
-    return m;
+  /// Each request's routing margin (retrieval top1 - top2), sorted:
+  /// exit-everything serving returns the retrieval scores.
+  std::vector<float> SortedMargins() {
+    model::CascadeModel exit_all;
+    exit_all.config.margin_tau = 0.0f;
+    serve::ServerOptions opts = BaseOptions();
+    opts.use_cascade = true;
+    opts.cascade = &exit_all;
+    auto server = MakeServer(opts);
+    const Responses retrieval_order = Drive(server.get());
+    std::vector<float> margins;
+    for (const auto& scores : retrieval_order.scores) {
+      EXPECT_GE(scores.size(), 2u);
+      if (scores.size() >= 2) margins.push_back(scores[0] - scores[1]);
+    }
+    std::sort(margins.begin(), margins.end());
+    return margins;
   }
 
   std::unique_ptr<data::Corpus> corpus_;
@@ -152,7 +163,7 @@ TEST_F(CascadeTest, CalibrationNeverNetWorseOnItsOwnSet) {
   train::CascadeCalibrationReport report;
   const model::CascadeModel cascade = Calibrate(&report);
   EXPECT_EQ(report.examples, corpus_->ExamplesIn("serving").size());
-  // The harm budget defaults to 0: the simulated cascade may not answer
+  // The harm budget is 0: the simulated cascade may not answer
   // worse than full rerank on the calibration set, net — even with these
   // untrained, uncorrelated encoders.
   EXPECT_GE(report.accuracy_cascade, report.accuracy_full);
@@ -160,19 +171,15 @@ TEST_F(CascadeTest, CalibrationNeverNetWorseOnItsOwnSet) {
   EXPECT_LE(cascade.config.rerank_head_k, 16u);
   EXPECT_FALSE(std::isnan(cascade.config.margin_tau));
   EXPECT_FALSE(std::isnan(cascade.config.band_epsilon));
-  EXPECT_EQ(report.exit_eligible + report.distill_eligible <= report.examples,
-            true);
+  EXPECT_LE(report.exit_eligible, report.examples);
 }
 
 TEST_F(CascadeTest, CalibrationIsDeterministic) {
   const model::CascadeModel a = Calibrate();
   const model::CascadeModel b = Calibrate();
   EXPECT_EQ(a.config.margin_tau, b.config.margin_tau);
-  EXPECT_EQ(a.config.distill_tau, b.config.distill_tau);
   EXPECT_EQ(a.config.band_epsilon, b.config.band_epsilon);
   EXPECT_EQ(a.config.rerank_head_k, b.config.rerank_head_k);
-  EXPECT_EQ(a.weights, b.weights);
-  EXPECT_EQ(a.bias, b.bias);
 }
 
 // ---- Serving byte-identity -------------------------------------------------
@@ -228,34 +235,16 @@ TEST_F(CascadeTest, TierCountersAlwaysSumToRequests) {
 }
 
 TEST_F(CascadeTest, AnswerCacheReplaysResponsesAndTiers) {
-  // A repeated request stream through a cascade whose thresholds split
-  // the requests over all three tiers: with the answer cache on, every
-  // response and every per-tier count must equal a cache-off server's — a
-  // hit counts the tier its stored answer came from.
+  // A repeated request stream through a cascade whose threshold splits
+  // the requests over both tiers: with the answer cache on, every response
+  // and every per-tier count must equal a cache-off server's — a hit
+  // counts the tier its stored answer came from.
   const auto& examples = corpus_->ExamplesIn("serving");
-  std::vector<float> margins;
-  {
-    // Exit-everything serving returns retrieval scores: top1 - top2 is
-    // each request's routing margin.
-    model::CascadeModel exit_all;
-    exit_all.config.margin_tau = 0.0f;
-    serve::ServerOptions opts = BaseOptions();
-    opts.use_cascade = true;
-    opts.cascade = &exit_all;
-    auto server = MakeServer(opts);
-    const Responses retrieval_order = Drive(server.get());
-    for (const auto& scores : retrieval_order.scores) {
-      ASSERT_GE(scores.size(), 2u);
-      margins.push_back(scores[0] - scores[1]);
-    }
-  }
-  std::sort(margins.begin(), margins.end());
-  model::CascadeConfig config;
-  config.distill_tau = margins[margins.size() / 3];
-  config.margin_tau = margins[2 * margins.size() / 3];
-  config.rerank_head_k = 6;
-  config.band_epsilon = kInf;
-  const model::CascadeModel cascade = WithScorer(config);
+  const std::vector<float> margins = SortedMargins();
+  model::CascadeModel cascade;
+  cascade.config.margin_tau = margins[2 * margins.size() / 3];
+  cascade.config.rerank_head_k = 6;
+  cascade.config.band_epsilon = kInf;
   serve::ServerOptions on = BaseOptions();
   on.use_cascade = true;
   on.cascade = &cascade;
@@ -294,13 +283,11 @@ TEST_F(CascadeTest, AnswerCacheReplaysResponsesAndTiers) {
   EXPECT_GT(cached.stats.cache_hits, stream.size() / 4);
   EXPECT_EQ(plain.stats.cache_hits, 0u);
   EXPECT_EQ(cached.stats.rerank_exited, plain.stats.rerank_exited);
-  EXPECT_EQ(cached.stats.rerank_distilled, plain.stats.rerank_distilled);
   EXPECT_EQ(cached.stats.rerank_full, plain.stats.rerank_full);
   EXPECT_EQ(cached.stats.rerank_exited + cached.stats.rerank_distilled +
                 cached.stats.rerank_full,
             stream.size());
   EXPECT_GT(plain.stats.rerank_exited, 0u);
-  EXPECT_GT(plain.stats.rerank_distilled, 0u);
   EXPECT_GT(plain.stats.rerank_full, 0u);
 }
 
@@ -340,22 +327,6 @@ TEST_F(CascadeTest, RetrieveKOneExitsEverything) {
   auto server = MakeServer(on);
   const Responses run = Drive(server.get());
   EXPECT_EQ(run.stats.rerank_exited, run.stats.requests);
-}
-
-TEST_F(CascadeTest, ZeroDistillTauRoutesEverythingThroughScorer) {
-  model::CascadeConfig config;
-  config.margin_tau = kInf;  // never exit
-  config.distill_tau = 0.0f;
-  config.rerank_head_k = 8;
-  const model::CascadeModel cascade = WithScorer(config);
-  ASSERT_TRUE(cascade.has_scorer());
-  serve::ServerOptions on = BaseOptions();
-  on.use_cascade = true;
-  on.cascade = &cascade;
-  auto server = MakeServer(on);
-  const Responses run = Drive(server.get());
-  EXPECT_EQ(run.stats.rerank_distilled, run.stats.requests);
-  EXPECT_EQ(run.stats.rerank_full, 0u);
 }
 
 TEST_F(CascadeTest, BandZeroHeadOneKeepsRetrievalTop1) {
@@ -401,9 +372,50 @@ TEST_F(CascadeTest, SerialAndPooledClientsAreByteIdentical) {
 
 // ---- Artifact persistence --------------------------------------------------
 
+/// The version-1 "CSCD" payload as builds with the distilled tier wrote
+/// it, written field by field: the thresholds, then the scorer's bias and
+/// weights. Today's Save writes the same layout with no scorer.
+struct LegacyCascade {
+  model::CascadeConfig config;
+  float distill_tau = kInf;
+  float bias = 0.0f;
+  std::vector<float> weights;
+
+  /// The scorer's weight count for cross-encoder tower dimension d: four
+  /// retrieval features, 2 * d tower features, the overlap block.
+  static std::size_t WeightCount(std::size_t d) {
+    return 4 + 2 * d + model::kNumOverlapFeatures;
+  }
+
+  void Save(util::BinaryWriter* writer) const {
+    writer->WriteU32(0x44435343u);  // "CSCD"
+    writer->WriteU32(1);
+    writer->WriteF32(config.margin_tau);
+    writer->WriteF32(distill_tau);
+    writer->WriteF32(config.band_epsilon);
+    writer->WriteU64(config.rerank_head_k);
+    writer->WriteF32(bias);
+    writer->WriteFloatVector(weights);
+  }
+};
+
+template <typename Model>
+std::vector<std::uint8_t> Payload(const Model& model) {
+  util::BinaryWriter writer;
+  model.Save(&writer);
+  return writer.TakeBuffer();
+}
+
+util::Status LoadPayload(std::vector<std::uint8_t> bytes,
+                         model::CascadeModel* out) {
+  util::BinaryReader reader(std::move(bytes));
+  return out->Load(&reader);
+}
+
 // The policy framed as a checkpoint container: the bytes of a bundle's
 // "cascade" artifact.
-std::vector<std::uint8_t> Framed(const model::CascadeModel& model) {
+template <typename Model>
+std::vector<std::uint8_t> Framed(const Model& model) {
   store::CheckpointWriter ckpt;
   model.Save(ckpt.AddSection("cascade"));
   return ckpt.Serialize();
@@ -424,19 +436,64 @@ TEST_F(CascadeTest, ArtifactRoundTripsThroughContainer) {
   model::CascadeModel loaded;
   ASSERT_TRUE(LoadFramed(Framed(saved), &loaded).ok());
   EXPECT_EQ(loaded.config.margin_tau, saved.config.margin_tau);
-  EXPECT_EQ(loaded.config.distill_tau, saved.config.distill_tau);
   EXPECT_EQ(loaded.config.band_epsilon, saved.config.band_epsilon);
   EXPECT_EQ(loaded.config.rerank_head_k, saved.config.rerank_head_k);
-  EXPECT_EQ(loaded.weights, saved.weights);
-  EXPECT_EQ(loaded.bias, saved.bias);
-  EXPECT_EQ(loaded.has_scorer(), saved.has_scorer());
+}
+
+TEST_F(CascadeTest, SaveWritesTheLegacyLayoutWithoutAScorer) {
+  // Older readers load a new artifact: it is the version-1 payload of a
+  // scorer-free policy whose distilled tier never fires.
+  model::CascadeModel model;
+  model.config.margin_tau = 0.25f;
+  model.config.band_epsilon = 0.5f;
+  model.config.rerank_head_k = 4;
+  LegacyCascade legacy;
+  legacy.config = model.config;
+  EXPECT_EQ(Payload(model), Payload(legacy));
+}
+
+TEST_F(CascadeTest, LegacyScorerArtifactServesItsDistilledBandAsFullHead) {
+  // A legacy artifact with a scorer for this cross-encoder and a distilled
+  // band below margin_tau loads; the scorer is dropped, so it serves
+  // exactly like the same thresholds with no scorer: exit, or rerank the
+  // head.
+  const std::vector<float> margins = SortedMargins();
+  LegacyCascade legacy;
+  legacy.config.margin_tau = margins[2 * margins.size() / 3];
+  legacy.config.rerank_head_k = 6;
+  legacy.distill_tau = margins[margins.size() / 3];
+  legacy.bias = -0.5f;
+  legacy.weights.assign(LegacyCascade::WeightCount(cross_->config().dim),
+                        0.125f);
+  model::CascadeModel loaded;
+  ASSERT_TRUE(LoadFramed(Framed(legacy), &loaded).ok());
+  EXPECT_EQ(loaded.config.margin_tau, legacy.config.margin_tau);
+  EXPECT_EQ(loaded.config.rerank_head_k, legacy.config.rerank_head_k);
+
+  model::CascadeModel weightless;
+  weightless.config = legacy.config;
+  serve::ServerOptions on = BaseOptions();
+  on.use_cascade = true;
+  on.cascade = &loaded;
+  auto legacy_server = MakeServer(on);
+  const Responses legacy_run = Drive(legacy_server.get());
+  on.cascade = &weightless;
+  auto weightless_server = MakeServer(on);
+  const Responses weightless_run = Drive(weightless_server.get());
+  EXPECT_TRUE(legacy_run == weightless_run);
+  EXPECT_EQ(legacy_run.stats.rerank_exited,
+            weightless_run.stats.rerank_exited);
+  EXPECT_EQ(legacy_run.stats.rerank_full, weightless_run.stats.rerank_full);
+  EXPECT_EQ(legacy_run.stats.rerank_distilled, 0u);
+  EXPECT_GT(legacy_run.stats.rerank_exited, 0u);
+  EXPECT_GT(legacy_run.stats.rerank_full, 0u);
 }
 
 TEST_F(CascadeTest, EverySingleBitFlipInArtifactIsRejected) {
-  model::CascadeModel model;
+  LegacyCascade model;
   model.config.margin_tau = 0.25f;
   model.config.rerank_head_k = 4;
-  model.weights.assign(model::CascadeFeatureCount(8), 0.125f);
+  model.weights.assign(LegacyCascade::WeightCount(8), 0.125f);
   model.bias = -0.5f;
   const std::vector<std::uint8_t> bytes = Framed(model);
   for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
@@ -451,58 +508,62 @@ TEST_F(CascadeTest, EverySingleBitFlipInArtifactIsRejected) {
 }
 
 TEST_F(CascadeTest, LoadRejectsMalformedPayloads) {
-  auto save_payload = [&](const model::CascadeModel& m) {
-    util::BinaryWriter writer;
-    m.Save(&writer);
-    return writer.TakeBuffer();
-  };
-  auto load = [&](std::vector<std::uint8_t> bytes) {
-    util::BinaryReader reader(std::move(bytes));
-    model::CascadeModel m;
-    return m.Load(&reader);
+  auto load = [&](const LegacyCascade& m) {
+    model::CascadeModel loaded;
+    return LoadPayload(Payload(m), &loaded);
   };
 
-  model::CascadeModel good;
+  LegacyCascade good;
   good.config.rerank_head_k = 4;
-  EXPECT_TRUE(load(save_payload(good)).ok());
+  good.distill_tau = 0.5f;
+  good.weights.assign(LegacyCascade::WeightCount(8), 0.0f);
+  EXPECT_TRUE(load(good).ok());
 
   {  // Wrong leading tag.
-    auto bytes = save_payload(good);
+    auto bytes = Payload(good);
     bytes[0] ^= 0xFF;
-    EXPECT_FALSE(load(std::move(bytes)).ok());
+    model::CascadeModel loaded;
+    EXPECT_FALSE(LoadPayload(std::move(bytes), &loaded).ok());
   }
   {  // head_k = 0 is never servable.
-    model::CascadeModel bad = good;
+    LegacyCascade bad = good;
     bad.config.rerank_head_k = 0;
-    EXPECT_FALSE(load(save_payload(bad)).ok());
+    EXPECT_FALSE(load(bad).ok());
   }
   {  // NaN threshold.
-    model::CascadeModel bad = good;
+    LegacyCascade bad = good;
     bad.config.margin_tau = std::nanf("");
-    EXPECT_FALSE(load(save_payload(bad)).ok());
+    EXPECT_FALSE(load(bad).ok());
   }
   {  // Negative threshold.
-    model::CascadeModel bad = good;
+    LegacyCascade bad = good;
     bad.config.band_epsilon = -1.0f;
-    EXPECT_FALSE(load(save_payload(bad)).ok());
+    EXPECT_FALSE(load(bad).ok());
+  }
+  {  // NaN legacy distill_tau.
+    LegacyCascade bad = good;
+    bad.distill_tau = std::nanf("");
+    EXPECT_FALSE(load(bad).ok());
   }
   {  // Weight count below any tower dimension's feature count.
-    model::CascadeModel bad = good;
-    bad.weights.assign(model::kNumCascadeBaseFeatures +
-                           model::kNumOverlapFeatures + 1,
-                       0.0f);
-    EXPECT_FALSE(load(save_payload(bad)).ok());
+    LegacyCascade bad = good;
+    bad.weights.assign(LegacyCascade::WeightCount(0) + 1, 0.0f);
+    EXPECT_FALSE(load(bad).ok());
   }
   {  // Odd dimension remainder matches no tower (needs 2*d floats).
-    model::CascadeModel bad = good;
-    bad.weights.assign(model::CascadeFeatureCount(8) + 1, 0.0f);
-    EXPECT_FALSE(load(save_payload(bad)).ok());
+    LegacyCascade bad = good;
+    bad.weights.assign(LegacyCascade::WeightCount(8) + 1, 0.0f);
+    EXPECT_FALSE(load(bad).ok());
   }
   {  // NaN scorer weight.
-    model::CascadeModel bad = good;
-    bad.weights.assign(model::CascadeFeatureCount(8), 0.0f);
+    LegacyCascade bad = good;
     bad.weights[5] = std::nanf("");
-    EXPECT_FALSE(load(save_payload(bad)).ok());
+    EXPECT_FALSE(load(bad).ok());
+  }
+  {  // NaN scorer bias.
+    LegacyCascade bad = good;
+    bad.bias = std::nanf("");
+    EXPECT_FALSE(load(bad).ok());
   }
 }
 
@@ -552,20 +613,6 @@ TEST_F(CascadeTest, BundleShipsAndServesTheCascadeArtifact) {
   ASSERT_TRUE(server.ok()) << server.status().message();
   const Responses run = Drive(server->get());
   EXPECT_EQ(run.stats.rerank_exited, run.stats.requests);
-}
-
-TEST_F(CascadeTest, ServerRejectsScorerDistilledForAnotherDimension) {
-  // Cross dim is 32 here; a scorer sized for dim 16 passes the artifact's
-  // own shape validation but must be refused at epoch build.
-  model::CascadeModel wrong;
-  wrong.weights.assign(model::CascadeFeatureCount(16), 0.0f);
-  serve::ServerOptions on = BaseOptions();
-  on.use_cascade = true;
-  on.cascade = &wrong;
-  auto server = serve::LinkingServer::Create(bi_.get(), cross_.get(),
-                                             &corpus_->kb, "serving", on);
-  ASSERT_FALSE(server.ok());
-  EXPECT_EQ(server.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

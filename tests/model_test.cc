@@ -10,7 +10,6 @@
 
 #include "data/generator.h"
 #include "model/bi_encoder.h"
-#include "model/cascade.h"
 #include "model/cross_encoder.h"
 #include "model/entity_side.h"
 #include "model/features.h"
@@ -218,8 +217,7 @@ TEST(FeaturizerTest, DenseCountOverlapMatchesMergeForm) {
   // Every (mention, entity) pair of a generated domain, then hand cases:
   // empty mention or context, repeated and out-of-vocabulary tokens, an
   // empty description. One MentionTokens serves every example, so each
-  // resolve must clear what the previous one set. The distiller's feature
-  // row (CascadeFeaturesInto) carries the same overlap block.
+  // resolve must clear what the previous one set.
   data::GeneratorOptions opts;
   opts.seed = 29;
   data::ZeshelLikeGenerator gen(opts);
@@ -248,10 +246,6 @@ TEST(FeaturizerTest, DenseCountOverlapMatchesMergeForm) {
   for (std::size_t i = 0; i < entities.size(); ++i) {
     f.PrecomputeEntityTokens(entities[i], &vocab, &cached[i]);
   }
-  constexpr std::size_t kD = 3;
-  const float strip[2] = {0.9f, 0.4f};
-  const float vec[kD] = {0.5f, -1.0f, 0.25f};
-  std::vector<float> row(CascadeFeatureCount(kD));
   MentionTokens mention;
   float got[kNumOverlapFeatures];
   float merge[kNumOverlapFeatures];
@@ -264,16 +258,11 @@ TEST(FeaturizerTest, DenseCountOverlapMatchesMergeForm) {
       MergeOverlap(examples[e], vocab, cached[i], merge);
       const std::vector<float> strings =
           f.OverlapFeatures(examples[e], entities[i]);
-      CascadeFeaturesInto(strip, 2, 1, vec, vec, kD, mention, cached[i],
-                          row.data());
-      const float* cascade_overlap = row.data() + row.size() -
-                                     kNumOverlapFeatures;
       for (std::size_t k = 0; k < kNumOverlapFeatures; ++k) {
         if (k >= 2) {
           EXPECT_EQ(got[k], merge[k]) << "feature " << k;
         }
         EXPECT_EQ(got[k], strings[k]) << "feature " << k;
-        EXPECT_EQ(cascade_overlap[k], got[k]) << "feature " << k;
       }
     }
   }

@@ -12,8 +12,10 @@
 #   1. default    — RelWithDebInfo build + full ctest suite, including the
 #                   label "smoke" bench gates (bench_serving --smoke and
 #                   --cascade-smoke, bench_retrieval --smoke:
-#                   tape/tape-free parity, cascade-off byte identity,
-#                   probe-all == exhaustive,
+#                   tape/tape-free parity; the two-tier cascade's (exit or
+#                   head rerank) off and forced-full-head byte identity,
+#                   tier accounting and accuracy delta; probe-all ==
+#                   exhaustive,
 #                   PQ full-pool parity, deterministic rebuilds, PQ bytes;
 #                   bench_checkpoint --smoke: checkpoint round-trip and
 #                   kill/resume bit-identity, and the hot-swap hammer where
